@@ -56,22 +56,29 @@ sim::LinkSimConfig bench_link() {
 }
 
 struct Truth {
-  std::vector<core::ResolvedRequest> requests;
+  std::vector<RangingRequest> requests;
   std::vector<double> distance_m;
 };
 
+constexpr NodeId kCalTx{1};
+constexpr NodeId kRx{77};
+
 /// One calibrated card pair (hardware seeds 11/77) swept over a position
-/// grid — ids are decoupled from radio personality, so the a-priori
-/// calibration of that pair covers every request and the residual-error
-/// metric reflects the gate + retries, not uncalibrated chain delay.
-Truth make_requests(std::size_t n) {
+/// grid, registered in `source` — ids are decoupled from radio
+/// personality, so the a-priori calibration of that pair covers every
+/// request and the residual-error metric reflects the gate + retries, not
+/// uncalibrated chain delay.
+Truth make_requests(core::SimSweepSource& source, std::size_t n) {
   Truth t;
   const geom::Vec2 rx_pos{12.0, 9.0};
-  const auto rx = sim::make_mobile(rx_pos, 77);
+  source.add_node(kCalTx, sim::make_mobile({0.0, 0.0}, 11));
+  source.add_node(kRx, sim::make_mobile(rx_pos, 77));
   for (std::size_t i = 0; i < n; ++i) {
     const double x = 2.0 + 0.8 * static_cast<double>(i % 11);
     const double y = 2.0 + 0.6 * static_cast<double>(i % 7);
-    t.requests.push_back({sim::make_mobile({x, y}, 11), 0, rx, 0});
+    const NodeId tx{1000 + i};
+    source.add_node(tx, sim::make_mobile({x, y}, 11));
+    t.requests.push_back({{tx, 0}, {kRx, 0}});
     t.distance_m.push_back(geom::distance({x, y}, rx_pos));
   }
   return t;
@@ -142,7 +149,7 @@ int main(int argc, char** argv) {
 
   const auto inner = std::make_shared<core::SimSweepSource>(
       sim::office_20x20(), bench_link());
-  const auto truth = make_requests(n_requests);
+  const auto truth = make_requests(*inner, n_requests);
 
   std::printf("  %-8s %-10s %-12s %-10s %-10s %-10s %-12s\n", "rate",
               "detection", "false-rej", "ok-rate", "attempts", "exhausted",
@@ -157,15 +164,14 @@ int main(int argc, char** argv) {
     core::EngineConfig ec;
     ec.link = bench_link();
     ec.ranging.integrity = core::IntegrityConfig::hostile();
-    core::ChronosEngine eng(injector, ec);
+    Engine eng = core::make_engine(injector, ec);
     mathx::Rng cal_rng(5);
-    eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                  sim::make_mobile({3.0, 0.0}, 77), cal_rng);
+    (void)eng.calibrate(kCalTx, kRx, cal_rng);
 
     // Ground truth: which fault each ticket will suffer, reconstructed
     // from the same fork/split discipline the batch runtime applies.
     mathx::Rng probe(2026);
-    const mathx::Rng base = probe.fork(core::kBatchStreamTag);
+    const mathx::Rng base = probe.fork(kBatchStreamTag);
     std::vector<core::FaultKind> planned;
     for (std::size_t i = 0; i < n_requests; ++i) {
       planned.push_back(injector->planned_fault(base.split(i)));
@@ -174,7 +180,7 @@ int main(int argc, char** argv) {
     // Pass 1 — single attempt: what does the gate catch?
     mathx::Rng rng_single(2026);
     const auto single =
-        eng.measure_batch(truth.requests, rng_single, core::BatchOptions{4});
+        eng.measure_batch(truth.requests, rng_single, BatchOptions{4});
     std::size_t corrupted = 0, detected = 0, clean = 0, false_rejects = 0;
     for (std::size_t i = 0; i < n_requests; ++i) {
       const bool rejected = !single.results[i].status.ok();
@@ -196,7 +202,7 @@ int main(int argc, char** argv) {
                          static_cast<double>(clean);
 
     // Pass 2 — RetryPolicy{3}: how much does retrying recover?
-    core::BatchOptions retry_opts{4};
+    BatchOptions retry_opts{4};
     retry_opts.retry = {3, 0.0};
     mathx::Rng rng_retry(2026);
     const auto retried =

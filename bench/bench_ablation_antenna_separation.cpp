@@ -1,6 +1,7 @@
 // Ablation — §10's antenna-separation trade-off, generalising Fig 8b/8c:
 // localization accuracy vs receive antenna baseline.
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -16,17 +17,22 @@ int main() {
   std::printf("  %-16s %-18s\n", "separation (m)", "median LOS error (m)");
   for (double sep : {0.1, 0.2, 0.3, 0.5, 1.0, 1.5}) {
     core::EngineConfig ec;
-    core::ChronosEngine eng(scen.environment(), ec);
+    auto src = std::make_shared<core::SimSweepSource>(scen.environment(),
+                                                      ec.link);
+    Engine eng = core::make_engine(src, ec);
     mathx::Rng rng(83);
-    eng.calibrate(sim::make_laptop({0.0, 0.0}, 0.3, 11),
-                  sim::make_laptop({1.5, 0.0}, sep, 22), rng);
+    // One card pair (node id = hardware seed), re-registered per placement.
+    src->add_node(sim::make_laptop({0.0, 0.0}, 0.3, 11));
+    src->add_node(sim::make_laptop({1.5, 0.0}, sep, 22));
+    (void)eng.calibrate(NodeId{11}, NodeId{22}, rng);
     std::vector<double> errors;
     for (int i = 0; i < 10; ++i) {
       const auto pl = scen.sample_pair_los(rng, 1.0, 12.0);
-      const auto out = eng.locate(sim::make_laptop(pl.tx, 0.3, 11),
-                                  sim::make_laptop(pl.rx, sep, 22), rng);
-      if (out.result.valid) {
-        errors.push_back(geom::distance(out.result.position, pl.tx));
+      src->add_node(sim::make_laptop(pl.tx, 0.3, 11));
+      src->add_node(sim::make_laptop(pl.rx, sep, 22));
+      const auto out = eng.locate(NodeId{11}, NodeId{22}, rng);
+      if (out.ok() && out.value().result.valid) {
+        errors.push_back(geom::distance(out.value().result.position, pl.tx));
       }
     }
     std::printf("  %-16.2f %-18.3f\n", sep, mathx::median(errors));

@@ -5,6 +5,7 @@
 // workload. The paper's claim: the scattered, unequally-spaced full plan is
 // what buys unambiguous sub-ns ToF.
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -20,16 +21,21 @@ void run_subset(const char* name, std::vector<phy::WifiBand> bands) {
   const auto scen = sim::office_testbed(42);
   core::EngineConfig ec;
   ec.link.bands = std::move(bands);
-  core::ChronosEngine eng(scen.environment(), ec);
+  auto src = std::make_shared<core::SimSweepSource>(scen.environment(),
+                                                    ec.link);
+  Engine eng = core::make_engine(src, ec);
   mathx::Rng rng(71);
-  eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                sim::make_mobile({1.0, 0.0}, 22), rng);
+  // One card pair (node id = hardware seed), re-registered per placement.
+  src->add_node(sim::make_mobile({0.0, 0.0}, 11));
+  src->add_node(sim::make_mobile({1.0, 0.0}, 22));
+  (void)eng.calibrate(NodeId{11}, NodeId{22}, rng);
 
   std::vector<double> err_ns;
   for (int i = 0; i < 25; ++i) {
     const auto pl = scen.sample_pair_los(rng, 1.0, 12.0);
-    const auto r = eng.measure_distance(sim::make_mobile(pl.tx, 11), 0,
-                                        sim::make_mobile(pl.rx, 22), 0, rng);
+    src->add_node(sim::make_mobile(pl.tx, 11));
+    src->add_node(sim::make_mobile(pl.rx, 22));
+    const auto r = eng.measure({{NodeId{11}, 0}, {NodeId{22}, 0}}, rng).value();
     err_ns.push_back(
         std::abs(r.tof_s - mathx::distance_to_tof(pl.distance())) * 1e9);
   }

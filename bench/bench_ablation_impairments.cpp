@@ -31,18 +31,21 @@ void run_variant(const Variant& v) {
   ec.ranging.combining.two_way = v.two_way;
   ec.ranging.combining.quirk_fix = v.quirk_fix;
   ec.ranging.use_toa_gate = v.toa_gate;
-  core::ChronosEngine eng(scen.environment(), ec);
+  auto src = std::make_shared<core::SimSweepSource>(scen.environment(),
+                                                    ec.link);
+  Engine eng = core::make_engine(src, ec);
   mathx::Rng rng(41);
-  if (v.calibrate) {
-    eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                  sim::make_mobile({1.0, 0.0}, 22), rng);
-  }
+  // One card pair (node id = hardware seed), re-registered per placement.
+  src->add_node(sim::make_mobile({0.0, 0.0}, 11));
+  src->add_node(sim::make_mobile({1.0, 0.0}, 22));
+  if (v.calibrate) (void)eng.calibrate(NodeId{11}, NodeId{22}, rng);
 
   std::vector<double> err_m;
   for (int i = 0; i < 20; ++i) {
     const auto pl = scen.sample_pair_los(rng, 1.0, 12.0);
-    const auto r = eng.measure_distance(sim::make_mobile(pl.tx, 11), 0,
-                                        sim::make_mobile(pl.rx, 22), 0, rng);
+    src->add_node(sim::make_mobile(pl.tx, 11));
+    src->add_node(sim::make_mobile(pl.rx, 22));
+    const auto r = eng.measure({{NodeId{11}, 0}, {NodeId{22}, 0}}, rng).value();
     err_m.push_back(std::abs(r.distance_m - pl.distance()));
   }
   std::printf("  %-36s median %8.3f m   95%% %8.3f m\n", v.name,

@@ -20,7 +20,7 @@ int main() {
   core::EngineConfig ec;
   auto src = std::make_shared<core::SimSweepSource>(scen.environment(),
                                                     ec.link);
-  core::ChronosEngine eng(src, ec);
+  Engine eng = core::make_engine(src, ec);
   mathx::Rng rng(29);
   src->add_node(NodeId{9001}, sim::make_laptop({0.0, 0.0}, 0.3, 11));
   src->add_node(NodeId{9002}, sim::make_access_point({2.0, 0.0}, 1.0, 22));

@@ -1,12 +1,13 @@
 // Ranging throughput of the batched engine runtime: ranges/sec for one
 // fixed request mix at 1/2/4/8 worker threads, an async-ingestion run with
-// pipelined submit_batch handles, a sustained bounded-queue backpressure
+// pipelined undrained sessions, a sustained bounded-queue backpressure
 // run (RangingSession::try_submit at queue depths 1/8/64), a chronosd
 // daemon-over-loopback sweep (clients x shard queue depth, with wire-level
 // kQueueFull retry ratios), plus the scaling curve and a determinism
 // cross-check (every configuration must reproduce the 1-thread results
-// bit-for-bit — including the replies that crossed the wire). The engine session grows by
-// replacement (2 -> 4 -> 8), so each sized step starts on fresh workers;
+// bit-for-bit — including the replies that crossed the wire). The engine
+// session pool grows by replacement (2 -> 4 -> 8), so each sized step
+// starts on fresh workers;
 // the warm-persistent-worker payoff shows in the async section, which
 // reuses the fully-grown pool across all pipelined batches.
 //
@@ -45,7 +46,7 @@ int main() {
   core::EngineConfig ec;
   auto src = std::make_shared<core::SimSweepSource>(scen.environment(),
                                                     ec.link);
-  core::ChronosEngine eng(src, ec);
+  Engine eng = core::make_engine(src, ec);
   mathx::Rng rng(7);
   src->add_node(NodeId{9001}, sim::make_mobile({0.0, 0.0}, 11));
   src->add_node(NodeId{9002}, sim::make_mobile({1.0, 0.0}, 22));
@@ -96,22 +97,26 @@ int main() {
   }
 
   // Async ingestion on the persistent session pool: several batches in
-  // flight at once (submit_batch -> BatchHandle), results still
-  // bit-identical to the 1-thread reference. On real cores this pipelines
-  // sweep production; on this container it exercises the API contract.
+  // flight at once (each an undrained session deep enough to hold it),
+  // results still bit-identical to the 1-thread reference. On real cores
+  // this pipelines sweep production; on one core it exercises the API
+  // contract.
   constexpr int kPipelined = 3;
   const auto t_async0 = std::chrono::steady_clock::now();
-  std::vector<core::BatchHandle> handles;
+  std::vector<RangingSession> sessions;
   for (int b = 0; b < kPipelined; ++b) {
     mathx::Rng batch_rng(kBatchSeed);
-    handles.push_back(
-        eng.submit_batch(requests, batch_rng, BatchOptions{4}));
+    sessions.push_back(eng.open_session(
+        batch_rng, {.queue_depth = requests.size(), .threads = 4}));
+    for (const auto& request : requests) {
+      if (!sessions.back().submit(request).ok()) ++mismatches;
+    }
   }
-  for (auto& handle : handles) {
-    const auto out = handle.get();
+  for (auto& session : sessions) {
+    const auto results = session.drain();
     for (int i = 0; i < kRequests; ++i) {
       const auto k = static_cast<std::size_t>(i);
-      if (out.results[k].tof_s != reference[k].tof_s) ++mismatches;
+      if (results[k].tof_s != reference[k].tof_s) ++mismatches;
     }
   }
   const double async_wall =

@@ -34,7 +34,7 @@ int main() {
   core::EngineConfig ec;
   auto src =
       std::make_shared<core::SimSweepSource>(scen.environment(), ec.link);
-  core::ChronosEngine engine(src, ec);
+  Engine engine = core::make_engine(src, ec);
   mathx::Rng rng(2016);
   src->add_node(NodeId{1}, sim::make_mobile({0.0, 0.0}, 11));
   src->add_node(NodeId{2}, sim::make_mobile({1.0, 0.0}, 22));

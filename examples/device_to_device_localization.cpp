@@ -1,7 +1,7 @@
 // Device-to-device localization (paper §8, §12.2): a laptop with three
 // antennas locates a phone with no infrastructure support — no access
 // points, no fingerprinting, no anchor surveys — addressed through the v2
-// id-based API (ChronosEngine::locate over NodeIds).
+// id-based API (Engine::locate over NodeIds).
 //
 // The laptop ranges the phone against each of its antennas, rejects
 // geometry-inconsistent estimates, and intersects the distance circles.
@@ -18,7 +18,7 @@ int main() {
   core::EngineConfig config;
   auto source = std::make_shared<core::SimSweepSource>(scen.environment(),
                                                        config.link);
-  core::ChronosEngine engine(source, config);
+  Engine engine = core::make_engine(source, config);
   mathx::Rng rng(7);
 
   source->add_node(NodeId{1}, sim::make_mobile({0.0, 0.0}, 11));

@@ -1,6 +1,6 @@
 // Fleet ranging: one access point concurrently ranges a whole fleet of
 // simulated devices with the batched runtime, addressed through the v2
-// id-based API (ChronosEngine::measure_batch over chronos::RangingRequest).
+// id-based API (Engine::measure_batch over chronos::RangingRequest).
 //
 // This is the shape of the ROADMAP's million-pair deployment in miniature:
 //   1. register the fleet in the backend's node directory,
@@ -39,7 +39,7 @@ int main() {
     source->add_node(fleet.back());  // id = hardware seed (100 + i)
   }
 
-  core::ChronosEngine engine(source, config);
+  Engine engine = core::make_engine(source, config);
   source->add_node(NodeId{99}, sim::make_mobile({0.0, 0.0}, 100));
   if (const auto s = engine.calibrate(NodeId{99}, ap_id, rng); !s.ok()) {
     std::printf("calibration failed: %s\n", s.to_string().c_str());

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Determinism lint: ban ambient-entropy and unstable-order constructs.
 
-The runtime's contract (PR 2, core/batch.hpp) is that every result is a
+The runtime's contract (core/session.hpp) is that every result is a
 pure function of (source, pipeline, calibration, request, rng state) —
 bit-identical for any thread count, queue depth, or scheduling. TSan can
 only catch the races; this lint statically bans the constructs that would

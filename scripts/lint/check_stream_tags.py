@@ -11,7 +11,9 @@ src/mathx/stream_tags.hpp, and this checker, which fails on:
   1. definition  — a `k...StreamTag` constant *defined* outside the
      registry, unless it is an alias whose initialiser names a registry
      tag (`= chronos::kFaultStreamTag;` — how layer-local spellings keep
-     working);
+     working); and any `k...Tag` constant, whatever its name, passed to
+     `fork()` or `split()` without being a registry tag or an alias of
+     one (a file-local `kFooBatchTag` would otherwise dodge the registry);
   2. collision   — two registry entries whose reserved ranges
      [value, value + range) overlap (an exact duplicate value is the
      range=1 special case);
@@ -58,6 +60,7 @@ TAG_DEF_RE = re.compile(
 RANGE_RE = re.compile(r"lint:stream-tag\(range=(\d+)\)")
 ALIAS_RE = re.compile(r"\b(k\w*StreamTag)\s*=\s*(?:chronos::)?(k\w*StreamTag)\s*;")
 TAG_REF_RE = re.compile(r"\b(k\w*StreamTag)\b")
+FORK_ARG_RE = re.compile(r"\b(?:fork|split)\s*\(\s*(?:\w+::)*(k\w*Tag)\b")
 ARITH_RE = re.compile(r"\b(k\w*StreamTag)\b\s*([+\-])\s*([A-Za-z0-9_]+)")
 LITERAL_RE = re.compile(r"^(?:0[xX][0-9a-fA-F]+|\d+)$")
 
@@ -169,6 +172,17 @@ def check_file(path: str, rel: str, registry: dict[str, tuple[int, int]],
                 violations.append(
                     f"{rel}:{lineno}: reference to unregistered stream "
                     f"tag {m.group(1)}")
+
+        # Rule 1, use sites: whatever a tag constant is called, handing it
+        # to fork()/split() requires it to be registered. `*StreamTag`
+        # names are already reported by the reference check above.
+        for m in FORK_ARG_RE.finditer(code):
+            name = m.group(1)
+            if resolve(name) is None and not name.endswith("StreamTag"):
+                violations.append(
+                    f"{rel}:{lineno}: {name} passed to fork()/split() is "
+                    f"not a registered stream tag — define it in "
+                    f"{REGISTRY_REL}")
 
         # Rule 3: arithmetic on tags.
         for m in ARITH_RE.finditer(code):

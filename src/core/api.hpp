@@ -17,18 +17,20 @@
 //                  exceptions; one bad request in a batch yields one bad
 //                  per-request status, not an aborted batch. Exceptions
 //                  remain reserved for programmer error.
-//   * flow ctrl  — RangingSession streams requests onto the persistent
-//                  engine worker pool through a bounded submission queue:
-//                  try_submit reports kQueueFull immediately (never
-//                  blocks, never drops), submit blocks for space.
+//   * flow ctrl  — RangingSession streams requests onto the engine's
+//                  persistent worker pool through a bounded submission
+//                  queue: try_submit reports kQueueFull immediately (never
+//                  blocks, never drops), submit blocks for space. Batches
+//                  are sessions too: measure_batch opens one, admits the
+//                  requests and drains it.
 //
 // This header is simulator-free by contract: compiling a client with
 // -DCHRONOS_NO_SIM_IN_PUBLIC_API proves no sim/ header leaks through it
 // (the examples-public-api CTest/CI job does exactly that for
 // examples/quickstart.cpp and examples/trace_replay.cpp).
 //
-// The engine-level API (core::ChronosEngine) remains available for code
-// that composes its own backends and band plans; this facade wraps it.
+// Code that composes its own backends and needs the simulator-backed
+// calibration-fixture settings builds engines through core/engine.hpp.
 #pragma once
 
 #include <cstddef>
@@ -51,9 +53,8 @@
 namespace chronos {
 
 namespace core {
-class SweepSource;    // the backend seam (core/sweep_source.hpp)
-class ChronosEngine;  // the engine this facade wraps (core/engine.hpp)
-class RangingSession; // the bounded-queue machinery (core/session.hpp)
+class SweepSource;       // the backend seam (core/sweep_source.hpp)
+struct ResolvedRequest;  // a request after backend resolution (same header)
 }  // namespace core
 
 // ---------------------------------------------------------------------------
@@ -116,7 +117,7 @@ class NodeRegistry {
 };
 
 // ---------------------------------------------------------------------------
-// Batch + session option/result types (shared by facade and engine level)
+// Batch + session option/result types
 // ---------------------------------------------------------------------------
 
 /// Which failures a RetryPolicy is allowed to retry: transient backend
@@ -150,8 +151,10 @@ struct RetryPolicy {
 
 struct BatchOptions {
   /// Worker threads. 0 = one per hardware thread; 1 = run inline on the
-  /// calling thread (no pool). Clamped to the number of requests. Any value
-  /// yields bit-identical results — this knob trades wall-clock only.
+  /// calling thread (the batch's session gets no pool, so callers on
+  /// several threads never queue behind one shared worker). Clamped to the
+  /// number of requests. Any value yields bit-identical results — this
+  /// knob trades wall-clock only.
   int threads = 0;
   /// Per-request retry budget for retryable failures.
   RetryPolicy retry{};
@@ -163,8 +166,7 @@ struct BatchResult {
   /// request never aborts the rest of the batch.
   std::vector<core::RangingResult> results;
   /// Wall-clock diagnostics; informational only, NOT covered by the
-  /// determinism contract. For async submissions, wall_time_s spans
-  /// submit -> get() collection.
+  /// determinism contract.
   int threads_used = 1;
   double wall_time_s = 0.0;
 };
@@ -174,8 +176,9 @@ struct SessionOptions {
   /// try_submit reports kQueueFull and submit blocks. The backpressure
   /// knob for sustained streaming ingestion.
   std::size_t queue_depth = 64;
-  /// Worker threads backing the session (same semantics as BatchOptions;
-  /// 0 = one per hardware thread).
+  /// Worker threads of the engine pool backing the session (0 = one per
+  /// hardware thread). Streaming sessions always range on the pool, so
+  /// try_submit never waits for a solve.
   int threads = 0;
   /// Per-request retry budget for retryable failures.
   RetryPolicy retry{};
@@ -241,8 +244,8 @@ struct TraceDeployment {
   std::vector<TraceLink> links;
 };
 
-/// Facade-level engine options (the simulator sweep plan is a backend
-/// concern; engine-level code can tune it via core::EngineConfig).
+/// Engine options (the simulator sweep plan is a backend concern;
+/// engine-level code can tune it via core::EngineConfig).
 struct EngineOptions {
   core::RangingConfig ranging;
   /// Sweeps averaged during fixture calibration.
@@ -252,40 +255,82 @@ struct EngineOptions {
 };
 
 // ---------------------------------------------------------------------------
-// Streaming session
+// Ranging session: the one ingestion primitive
 // ---------------------------------------------------------------------------
 
-/// A stream of ranging requests onto the engine's persistent worker pool,
-/// with a bounded submission queue for flow control.
+/// A stream of ranging requests with a bounded submission queue for flow
+/// control. Every ingestion path is a session: Engine::open_session hands
+/// one out for streaming, Engine::measure_batch opens one, admits the
+/// whole batch and drains it, and a session not drained yet is the
+/// asynchronous batch.
 ///
-/// Tickets are dense sequence numbers (0, 1, 2, ...) in submission order;
+/// Tickets are dense sequence numbers (0, 1, 2, ...) in admission order;
 /// results are collected in that same order via next()/drain(). The
-/// determinism contract of the batched runtime holds per ticket: the
-/// result of ticket i is a pure function of (engine, request, session
-/// stream, i) — never of scheduling, queue depth, or collection timing.
+/// session forks the caller's rng ONCE when it opens; a request admitted
+/// on stream index s draws from fork.split(s), where s is its ticket
+/// unless the caller chose it (try_submit_resolved). A result is therefore
+/// a pure function of (engine, request, session stream, s) — never of
+/// scheduling, queue depth, pool size or collection timing.
+///
+/// A session co-owns everything its jobs touch (backend, pipeline,
+/// calibration, pool), so it stays collectable after its engine is
+/// destroyed. Destroying a session without draining it is safe: in-flight
+/// work finishes and its results are dropped.
+///
+/// Error model: request-shaped failures never throw. Id-based submissions
+/// that fail resolution are rejected synchronously (no ticket consumed);
+/// backend failures during ranging land in the per-ticket
+/// RangingResult::status; anything a job throws is a library defect and
+/// is reported as kInternal.
 ///
 /// Thread model: one producer thread submits, any thread may collect;
 /// submission and collection may overlap freely.
 class RangingSession {
  public:
-  RangingSession();
+  RangingSession();  ///< invalid session; engines open real ones
   RangingSession(RangingSession&&) noexcept;
   RangingSession& operator=(RangingSession&&) noexcept;
   ~RangingSession();
+
+  /// Engine-level construction (core/session.hpp, core::open_session).
+  struct Impl;
+  explicit RangingSession(std::unique_ptr<Impl> impl);
 
   bool valid() const;
 
   /// Admits `request` if the queue has room NOW: returns its ticket, or
   /// kQueueFull (the request is NOT enqueued — resubmit after collecting),
-  /// or a registry/validation error. Never blocks.
+  /// or a registry/validation error. Never blocks. Capacity is checked
+  /// BEFORE resolution (rejection is the hot path of a saturating
+  /// producer), so a full queue reports kQueueFull even for a request
+  /// that would not resolve.
   [[nodiscard]] Result<std::uint64_t> try_submit(const RangingRequest& request);
 
   /// Like try_submit, but blocks until queue space frees up. Returns
-  /// registry/validation errors without blocking.
+  /// registry/validation errors without blocking. Must not be called from
+  /// a pool worker (a full queue would then deadlock against itself).
   [[nodiscard]] Result<std::uint64_t> submit(const RangingRequest& request);
 
+  /// Engine-level admission of requests the caller already resolved: claims
+  /// group.size() consecutive tickets if the queue has room for all of
+  /// them NOW, and ranges the group as ONE job through
+  /// RangingPipeline::estimate_batch (the multi-RHS solver panel). Request
+  /// j draws from stream index first_stream + j, so several sessions
+  /// opened on the same rng state can share one global stream space (the
+  /// netd daemon's shards). Returns the first ticket, or nullopt when the
+  /// queue is full (nothing enqueued). Never blocks; `group` must be
+  /// non-empty and no larger than queue_depth().
+  std::optional<std::uint64_t> try_submit_resolved(
+      std::span<const core::ResolvedRequest> group, std::uint64_t first_stream);
+
+  /// Claims the next ticket for a request that failed before admission
+  /// (e.g. resolution failure inside a batch): its result is immediately
+  /// complete, carrying `status`. Keeps batch results index-aligned with
+  /// their requests without disturbing the streams of neighbours.
+  std::uint64_t push_failed(Status status);
+
   std::size_t queue_depth() const;
-  /// Requests admitted so far (== the next ticket to be issued).
+  /// Tickets issued so far (== the next ticket to be issued).
   std::size_t submitted() const;
   /// Admitted but not yet finished (what the queue depth bounds).
   std::size_t in_flight() const;
@@ -298,24 +343,39 @@ class RangingSession {
   std::vector<core::RangingResult> drain();
 
  private:
-  friend class Engine;
-  struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 
 // ---------------------------------------------------------------------------
-// Engine facade
+// Engine
 // ---------------------------------------------------------------------------
 
-/// The v2 public engine: wraps core::ChronosEngine behind a backend-neutral,
-/// Status-based, simulator-free surface. Move-only; construct through the
-/// factories (or adopt() an explicit backend).
+/// The ranging engine: wires a measurement backend (any core::SweepSource
+/// — the channel simulator standing in for a pair of Intel 5300 cards, a
+/// recorded trace, ...) to the estimation pipeline behind a
+/// backend-neutral, Status-based, simulator-free surface. Move-only;
+/// construct through the factories (adopt() an explicit backend, or
+/// core::make_engine for engine-level configuration).
+///
+/// Threading model: every const method is safe to call concurrently from
+/// multiple threads, provided each caller supplies its own mathx::Rng.
+///
+/// Persistent session pool: the first call needing parallelism lazily
+/// starts an engine-owned worker pool that lives as long as the engine or
+/// a session using it. Workers persist across batches, so their warmed
+/// thread-local solver workspaces are reused; the pool grows (never
+/// shrinks) when a later call asks for more threads. Pool management never
+/// affects results, only wall clock.
 class Engine {
  public:
   Engine();  ///< invalid engine (valid() == false); use the factories
   Engine(Engine&&) noexcept;
   Engine& operator=(Engine&&) noexcept;
   ~Engine();
+
+  /// Engine-level construction (core/engine.hpp, core::make_engine).
+  struct Impl;
+  explicit Engine(std::unique_ptr<Impl> impl);
 
   bool valid() const;
 
@@ -331,7 +391,8 @@ class Engine {
       const TraceDeployment& deployment, const EngineOptions& options = {});
 
   /// Wraps an explicit backend (power users composing their own
-  /// core::SweepSource / band plans).
+  /// core::SweepSource / band plans). The pipeline's band plan comes from
+  /// source->bands().
   static Engine adopt(std::shared_ptr<core::SweepSource> source,
                       const EngineOptions& options = {});
 
@@ -345,8 +406,9 @@ class Engine {
 
   /// One-time fixture calibration of a device pair (paper §7): simulated
   /// anechoic fixture at a known distance, backend-independent by
-  /// construction. Requires resolvable node descriptions — kUnavailable on
-  /// backends without them (install a recorded table instead).
+  /// construction. kUnknownNode for unregistered ids; kUnavailable on
+  /// backends without device descriptions (install a recorded table
+  /// instead).
   [[nodiscard]] Status calibrate(NodeId tx, NodeId rx, mathx::Rng& rng);
 
   /// Installs a pre-computed calibration table (e.g. recorded alongside a
@@ -354,54 +416,66 @@ class Engine {
   void set_calibration(core::CalibrationTable calibration);
   const core::CalibrationTable& calibration() const;
 
-  /// Time-of-flight / distance for one request.
+  /// Time-of-flight / distance for one request. Resolution failures and
+  /// detection-gate rejections come back as the Status.
   [[nodiscard]] Result<core::RangingResult> measure(
       const RangingRequest& request, mathx::Rng& rng) const;
 
   /// The raw calibrated sweep `request` would measure — for recording
-  /// campaigns (phy::save_sweep) and diagnostics.
+  /// campaigns (phy::save_sweep) and diagnostics. Draws from `rng` exactly
+  /// like measure() does before estimation.
   [[nodiscard]] Result<phy::SweepMeasurement> capture_sweep(
       const RangingRequest& request, mathx::Rng& rng) const;
 
   /// Runs the estimation pipeline on an externally produced sweep (e.g.
-  /// one loaded with phy::load_sweep), using this engine's calibration.
+  /// one loaded with phy::load_sweep), using this engine's calibration
+  /// (kMalformedSweep / kBandMismatch when the sweep does not fit the
+  /// pipeline's band plan).
   [[nodiscard]] Result<core::RangingResult> estimate(
       const phy::SweepMeasurement& sweep) const;
 
-  /// Ranges every request on the persistent session pool; results in
-  /// request order, one status per result, bit-identical for every thread
-  /// count. Advances `rng` by exactly one fork().
+  /// Ranges every request through a session that is drained before
+  /// returning; results in request order, one status per result (a
+  /// request that fails resolution keeps its slot), bit-identical for
+  /// every thread count. Advances `rng` by exactly one fork().
   BatchResult measure_batch(std::span<const RangingRequest> requests,
                             mathx::Rng& rng,
                             const BatchOptions& options = {}) const;
 
-  /// Opens a streaming session over the persistent pool. Forks `rng` once;
+  /// Opens a streaming session on the persistent pool. Forks `rng` once;
   /// ticket i then draws from split stream i, so a session submitted one
   /// request at a time is bit-identical to measure_batch over the same
   /// requests on the same rng state.
   RangingSession open_session(mathx::Rng& rng,
                               const SessionOptions& options = {}) const;
 
-  /// Device-to-device localization (paper §8). Requires a backend with
-  /// node geometry (simulator) and a receiver with >= 2 antennas.
+  /// Device-to-device localization (paper §8): ranges every TX antenna
+  /// against every RX antenna (tx-major, one measure_batch) and
+  /// trilaterates in the RX's frame. Requires a backend with node geometry
+  /// (simulator) and a receiver with >= 2 antennas. `options` sizes the
+  /// worker fan-out; results are identical for every setting.
   [[nodiscard]] Result<LocateOutcome> locate(
       NodeId tx, NodeId rx, mathx::Rng& rng,
       const std::optional<geom::Vec2>& hint = std::nullopt,
+      const BatchOptions& options = {}) const;
+
+  /// Runs many independent localizations concurrently, one pool job per
+  /// request (each job ranges its pairs inline). Request i draws from its
+  /// own split stream, so results are bit-identical for every thread count
+  /// and equal locate() on that stream. Advances `rng` by exactly one
+  /// fork(). Per-request failures land in outcome[i].status.
+  std::vector<LocateOutcome> locate_batch(
+      std::span<const LocateRequest> requests, mathx::Rng& rng,
       const BatchOptions& options = {}) const;
 
   /// Stable backend identifier ("sim", "trace", ...).
   std::string backend_name() const;
 
   /// Size of the persistent session pool (0 until first needed).
+  /// Diagnostics only — never affects results.
   std::size_t session_threads() const;
 
-  /// The wrapped engine-level object, for code that needs the full
-  /// core surface (band plans, async BatchHandle, explicit backends).
-  core::ChronosEngine& engine();
-  const core::ChronosEngine& engine() const;
-
  private:
-  struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 

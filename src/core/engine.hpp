@@ -1,64 +1,26 @@
-// ChronosEngine: the engine-level API behind the chronos:: facade.
+// Engine-level construction of chronos::Engine.
 //
-// Wires a measurement substrate (any core::SweepSource backend — the
-// channel simulator standing in for a pair of Intel 5300 cards, a recorded
-// trace, ...) to the estimation pipeline, and exposes the operations the
-// paper's applications use:
-//   * calibrate()        one-time known-distance hardware calibration (§7)
-//   * measure()          sub-ns ToF + distance for one id-based request
-//   * measure_batch()    many antenna pairs ranged concurrently (batched
-//                        runtime, core/batch.hpp)
-//   * submit_batch()     same, asynchronously: returns a BatchHandle so the
-//                        caller can pipeline ingestion
-//   * open_session()     streaming submission with a bounded queue
-//                        (core/session.hpp) — the v2 flow-control surface
-//   * locate()           device-to-device relative localization (§8)
-//   * locate_batch()     many localizations ranged concurrently
-//
-// API v2: public requests carry chronos::NodeId identities which the
-// backend's registry resolves; request-shaped failures come back as
-// chronos::Status / Result values. The pre-v2 sim::Device overloads remain
-// as deprecated shims that register their devices with the backend
-// directory and forward through the id-based path — bit-identical results,
-// enforced by tests/test_core_api.cpp.
-//
-// Threading model: every const method is safe to call concurrently from
-// multiple threads, provided each caller supplies its own mathx::Rng. The
-// batched entry points manage that internally via Rng::split, so their
-// results are bit-identical for every thread count.
-//
-// Persistent session pool: the first batched call needing parallelism
-// lazily starts an engine-owned WorkerPool that lives until the engine is
-// destroyed. Workers persist across batches, so their warmed thread-local
-// solver workspaces (core/ndft.cpp) are reused instead of being torn down
-// and re-allocated per batch; the pool grows (never shrinks) when a later
-// call asks for more threads. Pool management is internal and guarded — it
-// never affects results, only wall clock.
+// chronos::Engine (core/api.hpp) is the one engine type. Its simulator-free
+// EngineOptions cannot carry the calibration fixture's simulator model
+// (sim::LinkSimConfig: sweep plan, noise and impairment settings), so code
+// that composes its own backends and tunes that model builds engines here,
+// through core::EngineConfig.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <optional>
-#include <span>
-#include <vector>
 
 #include "core/api.hpp"
-#include "core/batch.hpp"
-#include "core/calibration.hpp"
-#include "core/localization.hpp"
 #include "core/ranging.hpp"
-#include "core/session.hpp"
 #include "core/sweep_source.hpp"
-#include "mathx/annotations.hpp"
-#include "mathx/rng.hpp"
+#include "sim/link.hpp"
 
 namespace chronos::core {
 
 struct EngineConfig {
-  /// Simulator backend configuration; only consulted by the
-  /// (Environment, EngineConfig) constructor and as the fixture sweep plan
-  /// for calibrate(). Engines built on an explicit SweepSource take their
-  /// band plan from the source instead.
+  /// Simulator model of the calibration fixture: calibrate() sweeps an
+  /// anechoic fixture with these settings (its bands replaced by the
+  /// backend's). The measurement backend itself is whatever source the
+  /// engine was built on.
   sim::LinkSimConfig link;
   RangingConfig ranging;
   /// Sweeps averaged during calibration.
@@ -67,200 +29,12 @@ struct EngineConfig {
   double calibration_distance_m = 3.0;
 };
 
-/// The public outcome type lives on the facade (core/api.hpp).
-using LocateOutcome = chronos::LocateOutcome;
-using SessionOptions = chronos::SessionOptions;
-
-class ChronosEngine {
- public:
-  /// Simulator-backed engine: `env` is the deployment environment for
-  /// measurements; calibration always runs in an anechoic fixture
-  /// regardless (mirroring the paper's a-priori one-time calibration).
-  /// Shorthand for wrapping (env, config.link) in a SimSweepSource.
-  ChronosEngine(sim::Environment env, EngineConfig config = {});
-
-  /// Backend-generic engine: ranges whatever sweeps `source` yields (e.g. a
-  /// TraceSweepSource replaying recorded captures). The pipeline's band
-  /// plan comes from source->bands(); config.link is ignored. Pair with
-  /// set_calibration() when the backend has a recorded calibration.
-  explicit ChronosEngine(std::shared_ptr<const SweepSource> source,
-                         EngineConfig config = {});
-
-  // ------------------------------------------------------------- directory
-
-  /// The backend's node directory (the source implements it).
-  const chronos::NodeRegistry& registry() const { return *source_; }
-
-  /// The measurement backend this engine ranges against.
-  const SweepSource& source() const { return *source_; }
-
-  // ----------------------------------------------------------- calibration
-
-  /// Fixture calibration of a registered node pair: resolves both ids,
-  /// then runs the a-priori bench calibration (simulated anechoic fixture
-  /// at the configured known distance). kUnknownNode for unregistered ids;
-  /// kUnavailable on backends without device descriptions (install a
-  /// recorded table via set_calibration instead).
-  [[nodiscard]] chronos::Status calibrate(chronos::NodeId tx,
-                                          chronos::NodeId rx,
-                                          mathx::Rng& rng);
-
-  /// Deprecated shim (pre-v2): registers both devices with the backend
-  /// directory (simulator backends) and calibrates the pair directly.
-  /// Prefer calibrate(NodeId, NodeId, rng).
-  void calibrate(const sim::Device& tx, const sim::Device& rx,
-                 mathx::Rng& rng);
-
-  /// Installs a pre-computed calibration table (e.g. one recorded alongside
-  /// a trace, or built offline with calibrate_from_sweeps).
-  void set_calibration(CalibrationTable calibration);
-
-  // --------------------------------------------------------------- ranging
-
-  /// Time-of-flight / distance for one id-based request: resolution
-  /// failures (unknown node, antenna out of range, unrecorded link) come
-  /// back as the Status — never as an exception.
-  [[nodiscard]] chronos::Result<RangingResult> measure(
-      const chronos::RangingRequest& request, mathx::Rng& rng) const;
-
-  /// The raw calibrated sweep `request` would measure — for recording
-  /// campaigns (phy::save_sweep) and diagnostics. Draws from `rng` exactly
-  /// like measure() does before estimation.
-  [[nodiscard]] chronos::Result<phy::SweepMeasurement> capture_sweep(
-      const chronos::RangingRequest& request, mathx::Rng& rng) const;
-
-  /// Runs the estimation pipeline on an externally produced sweep using
-  /// this engine's calibration (kMalformedSweep / kBandMismatch when the
-  /// sweep does not fit the pipeline's band plan).
-  [[nodiscard]] chronos::Result<RangingResult> estimate(
-      const phy::SweepMeasurement& sweep) const;
-
-  /// Deprecated shim (pre-v2): registers both devices with the backend
-  /// directory and forwards through the id-based path; throws
-  /// std::invalid_argument on failure statuses (the pre-v2 behavior).
-  /// Prefer measure().
-  RangingResult measure_distance(const sim::Device& tx, std::size_t tx_antenna,
-                                 const sim::Device& rx, std::size_t rx_antenna,
-                                 mathx::Rng& rng) const;
-
-  // --------------------------------------------------------------- batches
-
-  /// Ranges every id-based request on the persistent session pool.
-  /// Bit-reproducible: the results depend only on (engine, requests, rng
-  /// state) — never on thread count or scheduling. Advances `rng` by
-  /// exactly one fork(). Per-request failures (including resolution
-  /// failures) land in results[i].status, index-aligned with `requests`.
-  BatchResult measure_batch(std::span<const chronos::RangingRequest> requests,
-                            mathx::Rng& rng,
-                            const BatchOptions& options = {}) const;
-
-  /// Engine-internal/batch-compat overload over resolved requests.
-  BatchResult measure_batch(std::span<const ResolvedRequest> requests,
-                            mathx::Rng& rng,
-                            const BatchOptions& options = {}) const;
-
-  /// Async variant: admits the batch to a session on the pool and returns
-  /// a future-style handle immediately, so callers can submit the next
-  /// batch (or do unrelated work) while this one ranges. Identical
-  /// determinism contract and rng advancement as measure_batch —
-  /// submitting then get()ing is bit-identical to the synchronous call,
-  /// for any thread count and any interleaving of outstanding handles.
-  BatchHandle submit_batch(std::span<const chronos::RangingRequest> requests,
-                           mathx::Rng& rng,
-                           const BatchOptions& options = {}) const;
-  BatchHandle submit_batch(std::span<const ResolvedRequest> requests,
-                           mathx::Rng& rng,
-                           const BatchOptions& options = {}) const;
-
-  /// Opens a bounded-queue streaming session on the persistent pool (the
-  /// v2 flow-control surface; core/session.hpp). Forks `rng` once: a
-  /// session fed requests one at a time is bit-identical to measure_batch
-  /// over the same requests on the same rng state.
-  RangingSession open_session(mathx::Rng& rng,
-                              const SessionOptions& options = {}) const;
-
-  // ---------------------------------------------------------- localization
-
-  /// Full device-to-device localization: ranges every TX antenna against
-  /// every RX antenna (tx-major, via the batched runtime) and trilaterates
-  /// in the RX's frame. Requires a backend with node geometry and a
-  /// receiver with >= 2 antennas — failures come back in the Status.
-  /// `options` sizes the worker fan-out; results are identical for every
-  /// setting.
-  [[nodiscard]] chronos::Result<LocateOutcome> locate(
-      chronos::NodeId tx, chronos::NodeId rx, mathx::Rng& rng,
-      const std::optional<geom::Vec2>& hint = std::nullopt,
-      const BatchOptions& options = {}) const;
-
-  /// Deprecated shim (pre-v2): registers both devices and forwards through
-  /// the id-based path; throws std::invalid_argument on failure statuses.
-  /// Prefer locate(NodeId, ...).
-  LocateOutcome locate(const sim::Device& tx, const sim::Device& rx,
-                       mathx::Rng& rng,
-                       const std::optional<geom::Vec2>& hint = std::nullopt,
-                       const BatchOptions& options = {}) const;
-
-  /// Runs many independent localizations concurrently, one pool job per
-  /// request (each job's pair sweep runs inline within it). Request i
-  /// draws from its own split stream, so results are bit-identical for
-  /// every thread count and equal `locate()` on that stream. Advances
-  /// `rng` by exactly one fork(). Per-request failures land in
-  /// outcome[i].status.
-  std::vector<LocateOutcome> locate_batch(
-      std::span<const chronos::LocateRequest> requests, mathx::Rng& rng,
-      const BatchOptions& options = {}) const;
-
-  /// Resolved-device overload (pre-v2 compat and engine-internal use).
-  std::vector<LocateOutcome> locate_batch(
-      std::span<const ResolvedLocateRequest> requests, mathx::Rng& rng,
-      const BatchOptions& options = {}) const;
-
-  // ----------------------------------------------------------- diagnostics
-
-  const CalibrationTable& calibration() const { return *calibration_; }
-  const RangingPipeline& pipeline() const { return *pipeline_; }
-
-  /// Size of the persistent session pool (0 until a batched call first
-  /// needs parallelism). Diagnostics only — never affects results.
-  std::size_t session_threads() const;
-
- private:
-  /// Returns the session pool, lazily started / grown to >= `threads`
-  /// workers. Thread-safe; callers receive a shared reference so a
-  /// concurrent grow can never destroy a pool under a running batch.
-  std::shared_ptr<WorkerPool> session_pool(int threads) const;
-
-  /// Registers Device-overload shim arguments with a writable backend
-  /// directory (no-op on backends whose directory is fixed).
-  void ensure_registered(const sim::Device& device) const;
-
-  /// The calibration fixture shared by both calibrate() overloads.
-  void calibrate_resolved(const sim::Device& tx, const sim::Device& rx,
-                          mathx::Rng& rng);
-
-  /// The localization pipeline shared by every locate entry point.
-  LocateOutcome locate_resolved(const sim::Device& tx, const sim::Device& rx,
-                                mathx::Rng& rng,
-                                const std::optional<geom::Vec2>& hint,
-                                const BatchOptions& options) const;
-
-  EngineConfig config_;
-  std::shared_ptr<const SweepSource> source_;
-  // Pipeline and calibration live behind shared_ptrs so async batches
-  // (BatchHandle payloads) can co-own them: a handle stays collectable
-  // even after the engine is gone, and a calibrate()/set_calibration()
-  // while batches are in flight swaps the table without pulling it out
-  // from under them.
-  std::shared_ptr<const RangingPipeline> pipeline_;
-  std::shared_ptr<const CalibrationTable> calibration_;
-  LocalizerOptions localizer_;
-
-  mutable chronos::Mutex pool_mutex_;
-  /// Lazily-built grow-never-shrink session pool. Guarded: a concurrent
-  /// grow swaps the shared_ptr, and readers must never observe the swap
-  /// mid-write — they take their own reference under the lock and use it
-  /// outside (the pointee is independently thread-safe).
-  mutable std::shared_ptr<WorkerPool> pool_ CHRONOS_GUARDED_BY(pool_mutex_);
-};
+/// The engine-level construction entry point: an engine ranging whatever
+/// sweeps `source` yields (a SimSweepSource, a TraceSweepSource replaying
+/// recorded captures, a fault injector, ...). The pipeline's band plan
+/// comes from source->bands(). Pair with set_calibration() when the backend
+/// has a recorded calibration.
+chronos::Engine make_engine(std::shared_ptr<SweepSource> source,
+                            EngineConfig config = {});
 
 }  // namespace chronos::core

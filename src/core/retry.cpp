@@ -21,8 +21,8 @@ void backoff_before(const chronos::RetryPolicy& policy, int attempt) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
-}  // namespace
-
+/// One ranging attempt: sweep_for on `attempt_rng`, then the pipeline.
+/// Failures land in the result's status (never thrown).
 RangingResult range_attempt(const SweepSource& source,
                             const RangingPipeline& pipeline,
                             const CalibrationTable& calibration,
@@ -36,6 +36,8 @@ RangingResult range_attempt(const SweepSource& source,
   }
   return pipeline.estimate(sweep.value(), calibration);
 }
+
+}  // namespace
 
 RangingResult finish_with_retries(const SweepSource& source,
                                   const RangingPipeline& pipeline,
@@ -75,19 +77,6 @@ RangingResult finish_with_retries(const SweepSource& source,
                          result.status.to_string()};
   }
   return result;
-}
-
-RangingResult range_with_retries(const SweepSource& source,
-                                 const RangingPipeline& pipeline,
-                                 const CalibrationTable& calibration,
-                                 const ResolvedRequest& request,
-                                 const mathx::Rng& ticket_stream,
-                                 const chronos::RetryPolicy& policy) {
-  mathx::Rng first_rng = ticket_stream;
-  RangingResult first =
-      range_attempt(source, pipeline, calibration, request, first_rng);
-  return finish_with_retries(source, pipeline, calibration, request,
-                             ticket_stream, std::move(first), policy);
 }
 
 }  // namespace chronos::core

@@ -10,10 +10,10 @@
 // way the retry-free runtime consumed the stream itself, so a
 // RetryPolicy{1} run is bit-identical to the pre-retry pipeline.
 //
-// Both ingestion paths (core/batch.hpp's synchronous groups and
-// core/session.hpp's streaming workers) route their retries through
-// finish_with_retries: the first attempt rides the multi-RHS solver panel
-// as before, and only failed slots pay the per-request retry solves.
+// Every admitted group of a ranging session (core/session.hpp) routes its
+// retries through finish_with_retries: the first attempt rides the
+// multi-RHS solver panel, and only failed slots pay the per-request retry
+// solves.
 #pragma once
 
 #include <cstdint>
@@ -33,14 +33,6 @@ namespace chronos::core {
 /// the fault tag and of plain ticket ids; this is the layer-local alias.
 inline constexpr std::uint64_t kRetryStreamTag = chronos::kRetryStreamTag;
 
-/// One ranging attempt: sweep_for on `attempt_rng`, then the pipeline.
-/// Failures land in the result's status (never thrown).
-RangingResult range_attempt(const SweepSource& source,
-                            const RangingPipeline& pipeline,
-                            const CalibrationTable& calibration,
-                            const ResolvedRequest& request,
-                            mathx::Rng& attempt_rng);
-
 /// Applies `policy` to an already-computed first attempt: while the status
 /// is retryable and attempts remain, re-range on the ticket's retry
 /// streams. Returns the first success, the first non-retryable failure, or
@@ -53,15 +45,5 @@ RangingResult finish_with_retries(const SweepSource& source,
                                   const mathx::Rng& ticket_stream,
                                   RangingResult first_attempt,
                                   const chronos::RetryPolicy& policy);
-
-/// First attempt + retries in one call (the streaming per-ticket path).
-/// Attempt 0 consumes a copy of `ticket_stream` exactly as the retry-free
-/// runtime would consume the stream itself.
-RangingResult range_with_retries(const SweepSource& source,
-                                 const RangingPipeline& pipeline,
-                                 const CalibrationTable& calibration,
-                                 const ResolvedRequest& request,
-                                 const mathx::Rng& ticket_stream,
-                                 const chronos::RetryPolicy& policy);
 
 }  // namespace chronos::core

@@ -1,32 +1,38 @@
 #include "core/session.hpp"
 
-#include <algorithm>
 #include <exception>
 #include <map>
+#include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/retry.hpp"
 #include "core/worker_pool.hpp"
 #include "mathx/annotations.hpp"
 #include "mathx/contracts.hpp"
+#include "mathx/stream_tags.hpp"
 
-namespace chronos::core {
+namespace chronos {
 
 namespace {
 
-/// What the per-ticket jobs co-own. Deliberately does NOT reference the
-/// pool — a worker thread may drop the last reference, and it must never
-/// end up destroying (and thus self-joining) its own pool. The pool is
-/// held caller-side by RangingSession::State (and by any BatchHandle).
+using core::RangingResult;
+using core::ResolvedRequest;
+
+/// What the jobs co-own. Deliberately does NOT reference the pool — a
+/// worker thread may drop the last reference, and it must never end up
+/// destroying (and thus self-joining) its own pool. The pool is held
+/// caller-side by RangingSession::Impl.
 struct Shared {
   const mathx::Rng base;
-  const std::shared_ptr<const SweepSource> source;
-  const std::shared_ptr<const RangingPipeline> pipeline;
-  const std::shared_ptr<const CalibrationTable> calibration;
-  const chronos::RetryPolicy retry;
+  const std::shared_ptr<const core::SweepSource> source;
+  const std::shared_ptr<const core::RangingPipeline> pipeline;
+  const std::shared_ptr<const core::CalibrationTable> calibration;
+  const RetryPolicy retry;
 
-  mutable chronos::Mutex mutex;
-  mutable chronos::CondVar cv;
+  mutable Mutex mutex;
+  mutable CondVar cv;
   /// Tickets issued.
   std::uint64_t submitted CHRONOS_GUARDED_BY(mutex) = 0;
   /// Tickets whose result is in `done` or already collected.
@@ -36,10 +42,10 @@ struct Shared {
   /// Finished, uncollected results.
   std::map<std::uint64_t, RangingResult> done CHRONOS_GUARDED_BY(mutex);
 
-  Shared(const mathx::Rng& b, std::shared_ptr<const SweepSource> src,
-         std::shared_ptr<const RangingPipeline> pipe,
-         std::shared_ptr<const CalibrationTable> cal,
-         const chronos::RetryPolicy& retry_policy)
+  Shared(const mathx::Rng& b, std::shared_ptr<const core::SweepSource> src,
+         std::shared_ptr<const core::RangingPipeline> pipe,
+         std::shared_ptr<const core::CalibrationTable> cal,
+         const RetryPolicy& retry_policy)
       : base(b),
         source(std::move(src)),
         pipeline(std::move(pipe)),
@@ -47,42 +53,16 @@ struct Shared {
         retry(retry_policy) {}
 };
 
-/// Ranges one resolved request on split stream `stream_index` (the local
-/// ticket for plain sessions; a caller-owned global index for sharded
-/// ones). All request-shaped failures land in the result's status;
-/// anything thrown is a library defect, captured as kInternal so one bad
-/// job cannot poison the pool or the session.
-RangingResult range_one(const Shared& shared, std::uint64_t stream_index,
-                        const ResolvedRequest& request) {
-  RangingResult result;
-  try {
-    // Ticket stream + retries: attempt 0 consumes a copy of split(i)
-    // exactly as the retry-free path consumed the split itself; retry a
-    // draws from split(i).split(kRetryStreamTag + a).
-    result = range_with_retries(*shared.source, *shared.pipeline,
-                                *shared.calibration, request,
-                                shared.base.split(stream_index), shared.retry);
-  } catch (const std::exception& e) {
-    result = RangingResult{};
-    result.status = {chronos::StatusCode::kInternal, e.what()};
-  } catch (...) {
-    result = RangingResult{};
-    result.status = {chronos::StatusCode::kInternal,
-                     "non-exception throw while ranging"};
-  }
-  return result;
-}
-
-/// Ranges a whole admitted group on one worker. Per-ticket split streams
-/// and sweep failures are exactly what range_one would produce for each
-/// ticket; the good sweeps then drain through ONE
-/// RangingPipeline::estimate_batch (the multi-RHS solver panel), and an
-/// index scatter re-aligns the estimates with their tickets. Anything
-/// thrown is a library defect: once the shared panel solve has failed, no
-/// per-ticket result can be trusted, so every ticket in the group reports
-/// kInternal.
+/// Ranges an admitted group on streams first_stream, first_stream + 1, ...
+/// Per-request sweep failures land in that slot's status; the good sweeps
+/// drain through ONE RangingPipeline::estimate_batch (the multi-RHS solver
+/// panel), and an index scatter re-aligns the estimates with their slots.
+/// Every slot is bit-identical to ranging its request alone on its stream,
+/// so grouping is purely an amortisation. Anything thrown is a library
+/// defect: once the shared panel solve has failed, no slot can be trusted,
+/// so every slot in the group reports kInternal.
 std::vector<RangingResult> range_group(
-    const Shared& shared, std::uint64_t first_ticket,
+    const Shared& shared, std::uint64_t first_stream,
     std::span<const ResolvedRequest> requests) {
   std::vector<RangingResult> results(requests.size());
   try {
@@ -91,8 +71,7 @@ std::vector<RangingResult> range_group(
     sweeps.reserve(requests.size());
     slots.reserve(requests.size());
     for (std::size_t j = 0; j < requests.size(); ++j) {
-      mathx::Rng child =
-          shared.base.split(first_ticket + static_cast<std::uint64_t>(j));
+      mathx::Rng child = shared.base.split(first_stream + j);
       auto sweep = shared.source->sweep_for(requests[j], child);
       if (!sweep.ok()) {
         results[j].status = sweep.status();
@@ -108,328 +87,232 @@ std::vector<RangingResult> range_group(
         results[slots[k]] = std::move(estimates[k]);
       }
     }
-    // Retries ride per ticket AFTER the shared panel: only failed slots
-    // pay per-request retry solves, and each retry attempt is a pure
-    // function of its ticket stream — bit-identical to range_one.
+    // Retries ride per slot AFTER the shared panel: only failed slots pay
+    // per-request retry solves, and each retry attempt is a pure function
+    // of its slot's stream.
     for (std::size_t j = 0; j < requests.size(); ++j) {
-      results[j] = finish_with_retries(
+      results[j] = core::finish_with_retries(
           *shared.source, *shared.pipeline, *shared.calibration, requests[j],
-          shared.base.split(first_ticket + static_cast<std::uint64_t>(j)),
-          std::move(results[j]), shared.retry);
+          shared.base.split(first_stream + j), std::move(results[j]),
+          shared.retry);
     }
   } catch (const std::exception& e) {
     for (auto& result : results) {
       result = RangingResult{};
-      result.status = {chronos::StatusCode::kInternal, e.what()};
+      result.status = {StatusCode::kInternal, e.what()};
     }
   } catch (...) {
     for (auto& result : results) {
       result = RangingResult{};
-      result.status = {chronos::StatusCode::kInternal,
+      result.status = {StatusCode::kInternal,
                        "non-exception throw while ranging"};
     }
   }
   return results;
 }
 
-void complete(const std::shared_ptr<Shared>& shared, std::uint64_t ticket,
-              RangingResult result) {
-  chronos::MutexLock lock(shared->mutex);
-  shared->done.emplace(ticket, std::move(result));
-  ++shared->finished;
-  shared->cv.notify_all();
+void complete(Shared& shared, std::uint64_t first_ticket,
+              std::vector<RangingResult> results) {
+  MutexLock lock(shared.mutex);
+  for (std::size_t j = 0; j < results.size(); ++j) {
+    shared.done.emplace(first_ticket + j, std::move(results[j]));
+  }
+  shared.finished += results.size();
+  shared.cv.notify_all();
+}
+
+[[nodiscard]] Status queue_full(std::size_t depth) {
+  return {StatusCode::kQueueFull, "submission queue at depth " +
+                                      std::to_string(depth) +
+                                      "; collect results and resubmit"};
 }
 
 }  // namespace
 
-struct RangingSession::State {
+struct RangingSession::Impl {
   std::shared_ptr<Shared> shared;
-  std::shared_ptr<WorkerPool> pool;  ///< caller-side ownership only
+  /// Workers the admitted groups range on; null = the submitting thread.
+  std::shared_ptr<core::WorkerPool> pool;
   std::size_t depth = 1;
+
+  /// Claims `n` consecutive tickets when in-flight work leaves room for
+  /// them — now, or with `block` once workers free enough slots. nullopt
+  /// when the queue is full and not blocking.
+  std::optional<std::uint64_t> claim(std::size_t n, bool block) {
+    Shared& s = *shared;
+    // Admission touches only counters under the lock: allocation-free
+    // (see try_submit).
+    // lint:region(no-alloc)
+    MutexLock lock(s.mutex);
+    const auto room = [&]() CHRONOS_REQUIRES(s.mutex) {
+      return s.submitted - s.finished + n <= depth;
+    };
+    if (block) s.cv.wait(s.mutex, room);
+    if (!room()) return std::nullopt;
+    const std::uint64_t first = s.submitted;
+    s.submitted += n;
+    return first;
+    // lint:endregion(no-alloc)
+  }
+
+  /// Ranges `group` on tickets first_ticket.. and streams first_stream..:
+  /// one pool job, or inline when the session has no pool.
+  void dispatch(std::uint64_t first_ticket, std::uint64_t first_stream,
+                std::span<const ResolvedRequest> group) {
+    if (pool == nullptr) {
+      complete(*shared, first_ticket, range_group(*shared, first_stream, group));
+      return;
+    }
+    (void)pool->submit([payload = shared, first_ticket, first_stream,
+                        requests = std::vector<ResolvedRequest>(
+                            group.begin(), group.end())]() {
+      complete(*payload, first_ticket,
+               range_group(*payload, first_stream, requests));
+    });
+  }
 };
 
-std::size_t RangingSession::queue_depth() const {
-  CHRONOS_EXPECTS(state_ != nullptr, "queue_depth() on an invalid session");
-  return state_->depth;
-}
+RangingSession::RangingSession() = default;
+RangingSession::RangingSession(std::unique_ptr<Impl> impl)
+    : impl_(std::move(impl)) {}
+RangingSession::RangingSession(RangingSession&&) noexcept = default;
+RangingSession& RangingSession::operator=(RangingSession&&) noexcept = default;
+RangingSession::~RangingSession() = default;
 
-int RangingSession::threads() const {
-  CHRONOS_EXPECTS(state_ != nullptr, "threads() on an invalid session");
-  return static_cast<int>(state_->pool->size());
-}
+bool RangingSession::valid() const { return impl_ != nullptr; }
 
-chronos::Result<std::uint64_t> RangingSession::try_submit(
-    const chronos::RangingRequest& request) {
-  CHRONOS_EXPECTS(state_ != nullptr, "try_submit() on an invalid session");
-  auto queue_full = [this] {
-    return chronos::Status{
-        chronos::StatusCode::kQueueFull,
-        "submission queue at depth " + std::to_string(state_->depth) +
-            "; collect results and resubmit"};
-  };
+Result<std::uint64_t> RangingSession::try_submit(
+    const RangingRequest& request) {
+  CHRONOS_EXPECTS(impl_ != nullptr, "try_submit() on an invalid session");
+  Shared& s = *impl_->shared;
   // Capacity first, resolution second: rejection is the hot path of a
   // saturating producer, and it must not pay a directory lookup (plus two
-  // device copies) just to throw the result away. try_submit_resolved
-  // re-checks under the lock, so a concurrent producer sneaking in
-  // between the two checks still cannot overfill the queue. The check
-  // itself must stay allocation-free (a malloc under a saturating
-  // producer's rejection path would serialize producers on the heap
-  // lock) — the lint region makes that a compile-tree guarantee.
+  // device copies) just to throw the result away. claim() re-checks under
+  // the lock, so a concurrent producer sneaking in between the two checks
+  // still cannot overfill the queue. The check itself must stay
+  // allocation-free (a malloc under a saturating producer's rejection path
+  // would serialize producers on the heap lock) — the lint region makes
+  // that a compile-tree guarantee.
   // lint:region(no-alloc)
   {
-    chronos::MutexLock lock(state_->shared->mutex);
-    if (state_->shared->submitted - state_->shared->finished >=
-        state_->depth) {
-      return queue_full();
+    MutexLock lock(s.mutex);
+    if (s.submitted - s.finished >= impl_->depth) {
+      return queue_full(impl_->depth);
     }
   }
   // lint:endregion(no-alloc)
-  auto resolved = state_->shared->source->resolve(request);
+  auto resolved = s.source->resolve(request);
   if (!resolved.ok()) return resolved.status();
-  const auto ticket = try_submit_resolved(std::move(resolved).value());
-  if (!ticket) return queue_full();
+  const auto ticket = impl_->claim(1, false);
+  if (!ticket) return queue_full(impl_->depth);
+  impl_->dispatch(*ticket, *ticket, std::span(&resolved.value(), 1));
   return *ticket;
 }
 
-chronos::Result<std::uint64_t> RangingSession::submit(
-    const chronos::RangingRequest& request) {
-  CHRONOS_EXPECTS(state_ != nullptr, "submit() on an invalid session");
-  auto resolved = state_->shared->source->resolve(request);
+Result<std::uint64_t> RangingSession::submit(const RangingRequest& request) {
+  CHRONOS_EXPECTS(impl_ != nullptr, "submit() on an invalid session");
+  auto resolved = impl_->shared->source->resolve(request);
   if (!resolved.ok()) return resolved.status();
-  return submit_resolved(std::move(resolved).value());
+  const std::uint64_t ticket = *impl_->claim(1, true);
+  impl_->dispatch(ticket, ticket, std::span(&resolved.value(), 1));
+  return ticket;
 }
 
 std::optional<std::uint64_t> RangingSession::try_submit_resolved(
-    const ResolvedRequest& request) {
-  CHRONOS_EXPECTS(state_ != nullptr, "try_submit() on an invalid session");
-  const auto ticket = claim_ticket_if_room();
-  if (!ticket) return std::nullopt;
-  // Local admission: the ticket addresses its own split stream.
-  enqueue_one(*ticket, *ticket, request);
-  return ticket;
-}
-
-std::optional<std::uint64_t> RangingSession::try_submit_resolved_stream(
-    const ResolvedRequest& request, std::uint64_t stream_index) {
-  CHRONOS_EXPECTS(state_ != nullptr,
-                  "try_submit_resolved_stream() on an invalid session");
-  const auto ticket = claim_ticket_if_room();
-  if (!ticket) return std::nullopt;
-  // Sharded admission: the caller owns the global stream space.
-  enqueue_one(*ticket, stream_index, request);
-  return ticket;
-}
-
-std::optional<std::uint64_t> RangingSession::claim_ticket_if_room() {
-  auto& shared = *state_->shared;
-  // Admission itself is allocation-free (see try_submit): check + ticket
-  // claim touch only counters under the lock.
-  // lint:region(no-alloc)
-  chronos::MutexLock lock(shared.mutex);
-  if (shared.submitted - shared.finished >= state_->depth) {
-    return std::nullopt;
-  }
-  return shared.submitted++;
-  // lint:endregion(no-alloc)
-}
-
-void RangingSession::enqueue_one(std::uint64_t ticket,
-                                 std::uint64_t stream_index,
-                                 const ResolvedRequest& request) {
-  auto payload = state_->shared;
-  (void)state_->pool->submit([payload, ticket, stream_index, request]() {
-    complete(payload, ticket, range_one(*payload, stream_index, request));
-  });
-}
-
-std::uint64_t RangingSession::submit_resolved(const ResolvedRequest& request) {
-  CHRONOS_EXPECTS(state_ != nullptr, "submit() on an invalid session");
-  auto& shared = *state_->shared;
-  std::uint64_t ticket = 0;
-  {
-    chronos::MutexLock lock(shared.mutex);
-    shared.cv.wait(shared.mutex, [&]() CHRONOS_REQUIRES(shared.mutex) {
-      return shared.submitted - shared.finished < state_->depth;
-    });
-    ticket = shared.submitted++;
-  }
-  auto payload = state_->shared;
-  (void)state_->pool->submit([payload, ticket, request]() {
-    complete(payload, ticket, range_one(*payload, ticket, request));
-  });
-  return ticket;
-}
-
-std::uint64_t RangingSession::submit_resolved_group(
-    std::span<const ResolvedRequest> requests) {
-  CHRONOS_EXPECTS(state_ != nullptr,
-                  "submit_resolved_group() on an invalid session");
-  CHRONOS_EXPECTS(!requests.empty(),
-                  "submit_resolved_group() needs at least one request");
-  CHRONOS_EXPECTS(requests.size() <= state_->depth,
+    std::span<const ResolvedRequest> group, std::uint64_t first_stream) {
+  CHRONOS_EXPECTS(impl_ != nullptr,
+                  "try_submit_resolved() on an invalid session");
+  CHRONOS_EXPECTS(!group.empty(),
+                  "try_submit_resolved() needs at least one request");
+  CHRONOS_EXPECTS(group.size() <= impl_->depth,
                   "group larger than queue depth would never admit");
-  auto& shared = *state_->shared;
-  std::uint64_t first = 0;
-  {
-    chronos::MutexLock lock(shared.mutex);
-    shared.cv.wait(shared.mutex, [&]() CHRONOS_REQUIRES(shared.mutex) {
-      return shared.submitted - shared.finished + requests.size() <=
-             state_->depth;
-    });
-    first = shared.submitted;
-    shared.submitted += requests.size();
-  }
-  auto payload = state_->shared;
-  std::vector<ResolvedRequest> group(requests.begin(), requests.end());
-  (void)state_->pool->submit([payload, first, group = std::move(group)]() {
-    auto results = range_group(*payload, first, group);
-    // Completion happens per ticket (not atomically for the group) so
-    // in-order collectors wake as early as possible; depth accounting only
-    // needs `finished` to be monotone.
-    for (std::size_t j = 0; j < results.size(); ++j) {
-      complete(payload, first + static_cast<std::uint64_t>(j),
-               std::move(results[j]));
-    }
-  });
+  const auto first = impl_->claim(group.size(), false);
+  if (first) impl_->dispatch(*first, first_stream, group);
   return first;
 }
 
-std::uint64_t RangingSession::push_failed(chronos::Status status) {
-  CHRONOS_EXPECTS(state_ != nullptr, "push_failed() on an invalid session");
+std::uint64_t RangingSession::push_failed(Status status) {
+  CHRONOS_EXPECTS(impl_ != nullptr, "push_failed() on an invalid session");
   CHRONOS_EXPECTS(!status.ok(), "push_failed() needs a non-ok status");
-  auto& shared = *state_->shared;
+  Shared& s = *impl_->shared;
   RangingResult result;
   result.status = std::move(status);
-  chronos::MutexLock lock(shared.mutex);
-  const auto ticket = shared.submitted++;
-  shared.done.emplace(ticket, std::move(result));
-  ++shared.finished;
-  shared.cv.notify_all();
+  MutexLock lock(s.mutex);
+  const auto ticket = s.submitted++;
+  s.done.emplace(ticket, std::move(result));
+  ++s.finished;
+  s.cv.notify_all();
   return ticket;
 }
 
+std::size_t RangingSession::queue_depth() const {
+  CHRONOS_EXPECTS(impl_ != nullptr, "queue_depth() on an invalid session");
+  return impl_->depth;
+}
+
 std::size_t RangingSession::submitted() const {
-  CHRONOS_EXPECTS(state_ != nullptr, "submitted() on an invalid session");
-  chronos::MutexLock lock(state_->shared->mutex);
-  return state_->shared->submitted;
+  CHRONOS_EXPECTS(impl_ != nullptr, "submitted() on an invalid session");
+  MutexLock lock(impl_->shared->mutex);
+  return impl_->shared->submitted;
 }
 
 std::size_t RangingSession::in_flight() const {
-  CHRONOS_EXPECTS(state_ != nullptr, "in_flight() on an invalid session");
-  chronos::MutexLock lock(state_->shared->mutex);
-  return state_->shared->submitted - state_->shared->finished;
-}
-
-std::size_t RangingSession::collected() const {
-  CHRONOS_EXPECTS(state_ != nullptr, "collected() on an invalid session");
-  chronos::MutexLock lock(state_->shared->mutex);
-  return state_->shared->collected;
-}
-
-bool RangingSession::all_done() const {
-  CHRONOS_EXPECTS(state_ != nullptr, "all_done() on an invalid session");
-  chronos::MutexLock lock(state_->shared->mutex);
-  return state_->shared->finished == state_->shared->submitted;
-}
-
-void RangingSession::wait_all() const {
-  CHRONOS_EXPECTS(state_ != nullptr, "wait_all() on an invalid session");
-  auto& shared = *state_->shared;
-  chronos::MutexLock lock(shared.mutex);
-  shared.cv.wait(shared.mutex, [&]() CHRONOS_REQUIRES(shared.mutex) {
-    return shared.finished == shared.submitted;
-  });
+  CHRONOS_EXPECTS(impl_ != nullptr, "in_flight() on an invalid session");
+  MutexLock lock(impl_->shared->mutex);
+  return impl_->shared->submitted - impl_->shared->finished;
 }
 
 bool RangingSession::next_ready() const {
-  CHRONOS_EXPECTS(state_ != nullptr, "next_ready() on an invalid session");
-  chronos::MutexLock lock(state_->shared->mutex);
-  return state_->shared->done.contains(state_->shared->collected);
+  CHRONOS_EXPECTS(impl_ != nullptr, "next_ready() on an invalid session");
+  MutexLock lock(impl_->shared->mutex);
+  return impl_->shared->done.contains(impl_->shared->collected);
 }
 
-RangingResult RangingSession::next() {
-  CHRONOS_EXPECTS(state_ != nullptr, "next() on an invalid session");
-  auto& shared = *state_->shared;
-  chronos::MutexLock lock(shared.mutex);
-  CHRONOS_EXPECTS(shared.collected < shared.submitted,
+core::RangingResult RangingSession::next() {
+  CHRONOS_EXPECTS(impl_ != nullptr, "next() on an invalid session");
+  Shared& s = *impl_->shared;
+  MutexLock lock(s.mutex);
+  CHRONOS_EXPECTS(s.collected < s.submitted,
                   "next() with every submitted result already collected");
-  const auto ticket = shared.collected;
-  shared.cv.wait(shared.mutex, [&]() CHRONOS_REQUIRES(shared.mutex) {
-    return shared.done.contains(ticket);
+  const auto ticket = s.collected;
+  s.cv.wait(s.mutex, [&]() CHRONOS_REQUIRES(s.mutex) {
+    return s.done.contains(ticket);
   });
-  auto node = shared.done.extract(ticket);
-  ++shared.collected;
-  // A slot may have freed for a blocked submit(); results leaving the
-  // buffer never free slots (depth bounds unfinished work), but waking
-  // submitters here is harmless and keeps the logic obviously live.
-  shared.cv.notify_all();
+  auto node = s.done.extract(ticket);
+  ++s.collected;
   return std::move(node.mapped());
 }
 
-std::vector<RangingResult> RangingSession::drain() {
-  CHRONOS_EXPECTS(state_ != nullptr, "drain() on an invalid session");
-  std::uint64_t target = 0;
+std::vector<core::RangingResult> RangingSession::drain() {
+  CHRONOS_EXPECTS(impl_ != nullptr, "drain() on an invalid session");
+  std::uint64_t remaining = 0;
   {
-    chronos::MutexLock lock(state_->shared->mutex);
-    target = state_->shared->submitted;
+    MutexLock lock(impl_->shared->mutex);
+    remaining = impl_->shared->submitted - impl_->shared->collected;
   }
-  std::vector<RangingResult> out;
-  out.reserve(static_cast<std::size_t>(target));
-  while (true) {
-    {
-      chronos::MutexLock lock(state_->shared->mutex);
-      if (state_->shared->collected >= target) break;
-    }
-    out.push_back(next());
-  }
+  std::vector<core::RangingResult> out;
+  out.reserve(static_cast<std::size_t>(remaining));
+  for (std::uint64_t i = 0; i < remaining; ++i) out.push_back(next());
   return out;
 }
 
-RangingSession open_ranging_session(
+RangingSession core::open_session(
     std::shared_ptr<WorkerPool> pool, std::shared_ptr<const SweepSource> source,
     std::shared_ptr<const RangingPipeline> pipeline,
     std::shared_ptr<const CalibrationTable> calibration, mathx::Rng& rng,
-    std::size_t queue_depth, const chronos::RetryPolicy& retry) {
-  // One fork on kBatchStreamTag — the same single rng advancement every
-  // ingestion path performs — then adopt it.
-  return open_ranging_session_sharded(
-      std::move(pool), std::move(source), std::move(pipeline),
-      std::move(calibration), rng.fork(kBatchStreamTag), queue_depth, retry);
-}
-
-RangingSession open_ranging_session_sharded(
-    std::shared_ptr<WorkerPool> pool, std::shared_ptr<const SweepSource> source,
-    std::shared_ptr<const RangingPipeline> pipeline,
-    std::shared_ptr<const CalibrationTable> calibration,
-    const mathx::Rng& base_stream, std::size_t queue_depth,
-    const chronos::RetryPolicy& retry) {
-  CHRONOS_EXPECTS(pool != nullptr, "a session needs a worker pool");
+    std::size_t queue_depth, const RetryPolicy& retry) {
   CHRONOS_EXPECTS(source != nullptr && pipeline != nullptr &&
                       calibration != nullptr,
                   "a session needs a source, pipeline, and calibration");
   CHRONOS_EXPECTS(queue_depth >= 1, "queue depth must be >= 1");
   CHRONOS_EXPECTS(retry.max_attempts >= 1, "max_attempts must be >= 1");
-
-  auto state = std::make_shared<RangingSession::State>();
-  state->shared = std::make_shared<Shared>(base_stream, std::move(source),
-                                           std::move(pipeline),
-                                           std::move(calibration), retry);
-  state->pool = std::move(pool);
-  state->depth = queue_depth;
-
-  RangingSession session;
-  session.state_ = std::move(state);
-  return session;
+  auto impl = std::make_unique<RangingSession::Impl>();
+  impl->shared = std::make_shared<Shared>(
+      rng.fork(kBatchStreamTag), std::move(source), std::move(pipeline),
+      std::move(calibration), retry);
+  impl->pool = std::move(pool);
+  impl->depth = queue_depth;
+  return RangingSession(std::move(impl));
 }
 
-std::size_t ranging_solve_group(std::size_t n_requests, std::size_t threads) {
-  // 8 RHS per panel is where the measured per-RHS gain of the multi-RHS
-  // FISTA path flattens out (plan lookup + workspace growth are fully
-  // amortised); wider groups only hurt parallel load balance.
-  constexpr std::size_t kMaxGroup = 8;
-  if (threads <= 1) return kMaxGroup;
-  return std::min(kMaxGroup,
-                  std::max<std::size_t>(1, n_requests / (threads * 4)));
-}
-
-}  // namespace chronos::core
+}  // namespace chronos

@@ -1,199 +1,48 @@
-// Bounded-queue streaming submission onto a persistent worker pool.
+// Opening ranging sessions at engine level.
 //
-// `RangingSession` is the primitive the v2 ingestion surface is built on:
-// requests are admitted one at a time (ticketed 0, 1, 2, ... in submission
-// order), ranged concurrently on the pool, and collected in ticket order.
-// Admission is bounded: at most `queue_depth` tickets may be in flight
-// (admitted but unfinished) at once — `try_submit` reports
+// chronos::RangingSession (core/api.hpp) is the one ingestion primitive:
+// streaming, batches (Engine::measure_batch opens a session, admits the
+// batch and drains it) and the netd daemon's shards all admit work through
+// it. Admission is bounded: at most `queue_depth` tickets may be in flight
+// (admitted but unfinished) at once — try_submit reports
 // chronos::kQueueFull immediately (never blocks, never drops silently),
-// `submit` blocks until a worker frees a slot. This is the backpressure
+// submit blocks until a worker frees a slot. This is the backpressure
 // story for sustained async submission: a producer that outruns the
 // workers is told so, per request, instead of growing an unbounded queue.
 //
-// Determinism contract (same as core/batch.hpp, which is now a thin
-// adapter over this class): the session forks the caller's rng ONCE at
-// open; ticket i draws from fork.split(i). A result is therefore a pure
-// function of (source, pipeline, calibration, request, session stream,
-// ticket) — never of queue depth, scheduling, pool size, or collection
-// timing. Submitting a span through a session is bit-identical to
-// run_ranging_batch over the same span on the same rng state.
-//
-// Error model: request-shaped failures never throw. Id-based submissions
-// that fail resolution are rejected synchronously (no ticket consumed);
-// backend failures during ranging land in the per-ticket
-// RangingResult::status. Worker exceptions (programmer error) are
-// captured as kInternal rather than tearing down the pool.
+// Determinism contract: the session forks the caller's rng ONCE at open
+// (kBatchStreamTag); a request admitted on stream index s draws from
+// fork.split(s). A result is therefore a pure function of (source,
+// pipeline, calibration, request, session stream, s) — never of queue
+// depth, scheduling, pool size, grouping or collection timing.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
-#include <optional>
-#include <span>
-#include <vector>
 
 #include "core/api.hpp"
 #include "core/calibration.hpp"
 #include "core/ranging.hpp"
 #include "core/sweep_source.hpp"
 #include "mathx/rng.hpp"
-#include "mathx/status.hpp"
-#include "mathx/stream_tags.hpp"
 
 namespace chronos::core {
 
 class WorkerPool;
 
-/// fork() tag for a session/batch base stream ("batch" in ASCII). One
-/// shared constant so every ingestion path — sync batch, async batch,
-/// streaming session — advances the caller's rng identically. Defined in
-/// the mathx/stream_tags.hpp registry; this is the layer-local alias.
-inline constexpr std::uint64_t kBatchStreamTag = chronos::kBatchStreamTag;
-
-class RangingSession {
- public:
-  /// Invalid session; obtain real ones from open_ranging_session or
-  /// ChronosEngine::open_session.
-  RangingSession() = default;
-  RangingSession(RangingSession&&) noexcept = default;
-  RangingSession& operator=(RangingSession&&) noexcept = default;
-
-  /// Outstanding jobs keep running after the session dies (they own their
-  /// payload); uncollected results are dropped.
-  ~RangingSession() = default;
-
-  RangingSession(const RangingSession&) = delete;
-  RangingSession& operator=(const RangingSession&) = delete;
-
-  bool valid() const { return state_ != nullptr; }
-  std::size_t queue_depth() const;
-  /// Workers available to this session (diagnostics).
-  int threads() const;
-
-  /// Admits `request` if the queue has room NOW: the ticket, or kQueueFull
-  /// (nothing enqueued — resubmit later), or the resolution failure.
-  /// Never blocks. Capacity is checked BEFORE resolution (rejection is
-  /// the hot path of a saturating producer), so a full queue reports
-  /// kQueueFull even for requests that would not resolve.
-  [[nodiscard]] chronos::Result<std::uint64_t> try_submit(
-      const chronos::RangingRequest& request);
-
-  /// Like try_submit, but blocks until a slot frees. Resolution failures
-  /// return without blocking. Must not be called from a pool worker (a
-  /// full queue would then deadlock against itself).
-  [[nodiscard]] chronos::Result<std::uint64_t> submit(
-      const chronos::RangingRequest& request);
-
-  /// Pre-resolved admission (the engine/batch adapters): blocking.
-  std::uint64_t submit_resolved(const ResolvedRequest& request);
-  /// Pre-resolved admission of a whole group: claims requests.size()
-  /// consecutive tickets and ranges them with ONE pool job that drains the
-  /// group through RangingPipeline::estimate_batch — the multi-RHS FISTA
-  /// panel that shares one solver plan/workspace across the group instead
-  /// of paying per-request solve setup. Every ticket's result is
-  /// bit-identical to submitting the same request through submit_resolved
-  /// (grouping is purely an amortisation; the determinism contract is
-  /// untouched). Blocks until the queue has room for the whole group;
-  /// `requests` must be non-empty and no larger than queue_depth().
-  /// Returns the first ticket (the group's tickets are consecutive).
-  std::uint64_t submit_resolved_group(
-      std::span<const ResolvedRequest> requests);
-  /// Pre-resolved admission: non-blocking; nullopt when the queue is full.
-  std::optional<std::uint64_t> try_submit_resolved(
-      const ResolvedRequest& request);
-
-  /// Sharded admission (the netd daemon's seam): like try_submit_resolved,
-  /// but the admitted ticket draws from base.split(stream_index) instead
-  /// of its own local ticket index. Several shard sessions opened with
-  /// open_ranging_session_sharded over ONE shared base stream can then
-  /// serve one GLOBAL ticket space: whichever shard a request lands on,
-  /// its result is the same pure function of (source, pipeline,
-  /// calibration, request, base.split(stream_index)) the in-process batch
-  /// computes for ticket stream_index — the property the daemon's
-  /// wire-determinism test pins. Returns the LOCAL ticket (what next()/
-  /// drain() order follows), or nullopt when the queue is full.
-  std::optional<std::uint64_t> try_submit_resolved_stream(
-      const ResolvedRequest& request, std::uint64_t stream_index);
-
-  /// Claims the next ticket for a request that failed before admission
-  /// (e.g. resolution failure inside a batch): its result is immediately
-  /// complete, carrying `status`. Keeps batch results index-aligned with
-  /// their requests without disturbing the split streams of neighbours.
-  std::uint64_t push_failed(chronos::Status status);
-
-  std::size_t submitted() const;
-  /// Admitted but unfinished — what queue_depth bounds.
-  std::size_t in_flight() const;
-  std::size_t collected() const;
-  bool all_done() const;
-  void wait_all() const;
-
-  /// True when next() would return without blocking.
-  bool next_ready() const;
-  /// Blocks until the next in-order ticket finishes, then returns its
-  /// result. Precondition: collected() < submitted().
-  RangingResult next();
-  /// Collects every remaining result in ticket order (blocks until done).
-  std::vector<RangingResult> drain();
-
- private:
-  friend RangingSession open_ranging_session(
-      std::shared_ptr<WorkerPool> pool,
-      std::shared_ptr<const SweepSource> source,
-      std::shared_ptr<const RangingPipeline> pipeline,
-      std::shared_ptr<const CalibrationTable> calibration, mathx::Rng& rng,
-      std::size_t queue_depth, const chronos::RetryPolicy& retry);
-  friend RangingSession open_ranging_session_sharded(
-      std::shared_ptr<WorkerPool> pool,
-      std::shared_ptr<const SweepSource> source,
-      std::shared_ptr<const RangingPipeline> pipeline,
-      std::shared_ptr<const CalibrationTable> calibration,
-      const mathx::Rng& base_stream, std::size_t queue_depth,
-      const chronos::RetryPolicy& retry);
-
-  /// Non-blocking ticket claim: the next local ticket, or nullopt when
-  /// in-flight work already fills the queue. Allocation-free.
-  std::optional<std::uint64_t> claim_ticket_if_room();
-  /// Enqueues one pool job ranging `request` on base.split(stream_index),
-  /// completing local `ticket`.
-  void enqueue_one(std::uint64_t ticket, std::uint64_t stream_index,
-                   const ResolvedRequest& request);
-
-  struct State;
-  std::shared_ptr<State> state_;
-};
-
-/// Opens a session: forks `rng` once (kBatchStreamTag) and shares ownership
-/// of everything a job touches, so the session — like a BatchHandle — stays
-/// collectable after the issuing engine dies. `queue_depth >= 1`.
-/// `retry` bounds per-ticket re-ranging of retryable failures
-/// (core/retry.hpp); the default {1} keeps the pre-retry behaviour.
-RangingSession open_ranging_session(
+/// Opens a session: forks `rng` once (kBatchStreamTag) and shares
+/// ownership of everything a job touches, so the session stays collectable
+/// after the issuing engine dies. Admitted groups range as jobs on `pool`;
+/// with `pool == nullptr` each group ranges on the submitting thread
+/// before its admission call returns (the inline batch of one thread).
+/// Several sessions opened on copies of ONE rng state share their base
+/// stream, which is how the daemon's shards serve one global stream space
+/// (RangingSession::try_submit_resolved). `queue_depth >= 1`; `retry`
+/// bounds per-ticket re-ranging of retryable failures (core/retry.hpp).
+chronos::RangingSession open_session(
     std::shared_ptr<WorkerPool> pool, std::shared_ptr<const SweepSource> source,
     std::shared_ptr<const RangingPipeline> pipeline,
     std::shared_ptr<const CalibrationTable> calibration, mathx::Rng& rng,
     std::size_t queue_depth, const chronos::RetryPolicy& retry = {});
-
-/// Shard-seam variant: ADOPTS an already-forked batch base stream instead
-/// of forking the caller's rng. The caller (the netd daemon) forks its rng
-/// exactly once — `rng.fork(kBatchStreamTag)`, the same single advancement
-/// every other ingestion path performs — and hands copies of that base to
-/// every shard session, so per-ticket streams are shared across shards and
-/// addressed globally via try_submit_resolved_stream. Plain submissions
-/// (try_submit/submit/submit_resolved*) still work on such a session and
-/// draw from base.split(local ticket).
-RangingSession open_ranging_session_sharded(
-    std::shared_ptr<WorkerPool> pool, std::shared_ptr<const SweepSource> source,
-    std::shared_ptr<const RangingPipeline> pipeline,
-    std::shared_ptr<const CalibrationTable> calibration,
-    const mathx::Rng& base_stream, std::size_t queue_depth,
-    const chronos::RetryPolicy& retry = {});
-
-/// Group size the ingestion adapters use when draining `n_requests`
-/// through multi-RHS solves on `threads` workers. Large groups amortise
-/// per-request solve setup; small groups keep every worker busy. Inline
-/// (`threads <= 1`) runs take the full multi-RHS width; parallel runs cap
-/// the group so at least ~4 groups land on every worker for load balance.
-std::size_t ranging_solve_group(std::size_t n_requests, std::size_t threads);
 
 }  // namespace chronos::core

@@ -56,11 +56,6 @@ void SimSweepSource::add_node(sim::Device device) {
   add_node(id, std::move(device));
 }
 
-void SimSweepSource::ensure_node(const sim::Device& device) const {
-  chronos::MutexLock lock(nodes_mutex_);
-  nodes_[chronos::NodeId{device.hardware_seed}] = device;
-}
-
 bool SimSweepSource::has_node(chronos::NodeId id) const {
   chronos::MutexLock lock(nodes_mutex_);
   return nodes_.contains(id);
@@ -105,7 +100,7 @@ chronos::Result<ResolvedRequest> SimSweepSource::resolve(
 chronos::Result<phy::SweepMeasurement> SimSweepSource::sweep_for(
     const ResolvedRequest& req, mathx::Rng& rng) const {
   // Bounds are re-checked here (not only in resolve) because resolved
-  // requests can also be built directly by the deprecated Device shims.
+  // requests can also be built by hand.
   if (req.tx_antenna >= req.tx.antennas.size()) {
     return antenna_out_of_range({{req.tx.hardware_seed}, req.tx_antenna},
                                 req.tx.antennas.size());

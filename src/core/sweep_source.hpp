@@ -8,8 +8,8 @@
 // chronos::NodeRegistry directory, (b) resolves id-based public requests
 // into backend-internal ResolvedRequests, and (c) yields the calibrated
 // per-band sweep for one resolved request, with all randomness drawn from
-// the caller's rng so the batched runtime's determinism contract
-// (core/batch.hpp) holds for every backend.
+// the caller's rng so the ranging session's determinism contract
+// (core/session.hpp) holds for every backend.
 //
 // Error model (API v2): request-shaped failures — unknown node, antenna out
 // of range, unrecorded trace link, band mismatch — are reported as
@@ -60,16 +60,14 @@ struct ResolvedRequest {
 /// Backend interface: node directory + request resolution + sweep
 /// production.
 ///
-/// Contract (what the batched runtime and ChronosEngine rely on):
+/// Contract (what ranging sessions and chronos::Engine rely on):
 ///   * `sweep_for` / `resolve` and every NodeRegistry query are safe to
 ///     call concurrently on one const instance — implementations hold no
 ///     hidden mutable state and draw randomness exclusively from the
-///     caller-supplied `rng`. Backends whose directory can mutate through
-///     a const path (SimSweepSource::ensure_node) lock it internally;
-///     backends populated through non-const mutators (TraceSweepSource's
-///     add_sweep*) must finish population before concurrent ranging
-///     starts — the engine's shared_ptr<const> ownership enforces that
-///     shape naturally;
+///     caller-supplied `rng`. A directory that may change while ranging
+///     (SimSweepSource::add_node) locks itself internally; backends whose
+///     population is not thread-safe (TraceSweepSource's add_sweep*) must
+///     finish population before concurrent ranging starts;
 ///   * a sweep is a pure function of (source, resolved request, rng
 ///     state), so worker scheduling can never change a bit of any
 ///     RangingResult;
@@ -85,8 +83,8 @@ class SweepSource : public chronos::NodeRegistry {
   /// The calibrated per-band sweep for `req`, or the Status explaining why
   /// this backend cannot serve it. Implementations MUST validate `req`
   /// and report unserveable requests as a Status — never crash or read
-  /// out of bounds: resolved requests are also built directly by the
-  /// deprecated Device shims, without passing through resolve().
+  /// out of bounds: resolved requests can also be built by hand, without
+  /// passing through resolve().
   [[nodiscard]] virtual chronos::Result<phy::SweepMeasurement> sweep_for(
       const ResolvedRequest& req, mathx::Rng& rng) const = 0;
 
@@ -118,14 +116,6 @@ class SimSweepSource final : public SweepSource {
   /// Shorthand: id = device.hardware_seed.
   void add_node(sim::Device device);
 
-  /// Directory registration from the deprecated Device-overload shims:
-  /// registers `device` under NodeId{device.hardware_seed}, replacing any
-  /// previous holder so the shim ranges exactly the device it was given.
-  /// Const because the directory is identity metadata — sweeps are a pure
-  /// function of the resolved request, so registration can never change a
-  /// measured bit. Thread-safe (internally locked).
-  void ensure_node(const sim::Device& device) const;
-
   // NodeRegistry
   bool has_node(chronos::NodeId id) const override;
   [[nodiscard]] chronos::Result<std::size_t> antenna_count(chronos::NodeId id)
@@ -148,9 +138,9 @@ class SimSweepSource final : public SweepSource {
  private:
   sim::LinkSimulator link_;
   mutable chronos::Mutex nodes_mutex_;
-  /// The writable node directory — the one mutable-through-const surface
-  /// of this backend (ensure_node), hence the only guarded state.
-  mutable std::map<chronos::NodeId, sim::Device> nodes_
+  /// The writable node directory: add_node may run while other threads
+  /// range, hence the only guarded state.
+  std::map<chronos::NodeId, sim::Device> nodes_
       CHRONOS_GUARDED_BY(nodes_mutex_);
 };
 

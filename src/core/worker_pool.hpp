@@ -5,7 +5,7 @@
 // returns a std::future so callers can collect results (or rethrown
 // exceptions) in a deterministic order of their own choosing. The pool
 // itself imposes no ordering on *execution* — determinism is the job
-// author's responsibility (see core/batch.hpp, which derives one
+// author's responsibility (see core/session.hpp, which derives one
 // mathx::Rng::split stream per request so results are independent of
 // scheduling).
 #pragma once
@@ -74,8 +74,7 @@ class WorkerPool {
 /// finish; the first exception (by index) is rethrown after they drain, so
 /// no job outlives fn's captures. Reusing one long-lived pool across calls
 /// keeps the workers' warmed thread-local state (e.g. NdftWorkspace) —
-/// the dispatch scaffolding of the persistent engine session
-/// (ChronosEngine::locate_batch, core/batch.cpp).
+/// Engine::locate_batch fans out this way on the engine's session pool.
 template <typename Fn>
 auto parallel_map_on(WorkerPool& pool, std::size_t n, Fn fn)
     -> std::vector<std::invoke_result_t<Fn&, std::size_t>> {
@@ -99,23 +98,6 @@ auto parallel_map_on(WorkerPool& pool, std::size_t n, Fn fn)
   }
   if (first_error) std::rethrow_exception(first_error);
   return out;
-}
-
-/// Convenience variant owning a transient pool: `threads <= 1` runs inline
-/// on the caller (no pool); otherwise a fixed-size pool is spawned for this
-/// call and joined before returning. Library users without a persistent
-/// session reach for this; the engine session path uses parallel_map_on.
-template <typename Fn>
-auto parallel_map(int threads, std::size_t n, Fn fn)
-    -> std::vector<std::invoke_result_t<Fn&, std::size_t>> {
-  using R = std::invoke_result_t<Fn&, std::size_t>;
-  if (threads <= 1) {
-    std::vector<R> out(n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = fn(i);
-    return out;
-  }
-  WorkerPool pool(static_cast<std::size_t>(threads));
-  return parallel_map_on(pool, n, std::move(fn));
 }
 
 }  // namespace chronos::core

@@ -5,15 +5,25 @@
 
 #include "mathx/contracts.hpp"
 #include "mathx/stats.hpp"
-#include "sim/environment.hpp"
 
 namespace chronos::drone {
 
+namespace {
+constexpr NodeId kUser{31};
+constexpr NodeId kDrone{32};
+}  // namespace
+
 FollowRunResult run_follow_simulation(const FollowSimConfig& config,
-                                      core::ChronosEngine& engine,
                                       mathx::Rng& rng) {
   CHRONOS_EXPECTS(config.measurement_rate_hz > 0.0, "rate must be positive");
   CHRONOS_EXPECTS(config.duration_s > 0.0, "duration must be positive");
+
+  SimDeployment room;
+  room.environment = SimEnvironment::kDroneRoom6x5;
+  room.nodes = {{kUser, {{0.0, 0.0}}}, {kDrone, {{1.0, 0.0}}}};
+  Engine engine = Engine::create_simulated(room).value();
+  CHRONOS_EXPECTS(engine.calibrate(kUser, kDrone, rng).ok(),
+                  "drone-room calibration failed");
 
   const double dt = 1.0 / config.measurement_rate_hz;
 
@@ -29,12 +39,14 @@ FollowRunResult run_follow_simulation(const FollowSimConfig& config,
   for (double t = 0.0; t < config.duration_s; t += dt) {
     const geom::Vec2 user_pos = walk.position_at(t);
 
-    // Chronos measurement between the user's device and the drone's radio.
-    const sim::Device user_dev = sim::make_mobile(user_pos, 31);
-    const sim::Device drone_dev = sim::make_mobile(drone_pos, 32);
-    const auto range = engine.measure_distance(user_dev, 0, drone_dev, 0, rng);
+    // Chronos measurement between the user's device and the drone's radio,
+    // both re-registered at their current positions.
+    CHRONOS_EXPECTS(engine.add_node({kUser, {user_pos}}).ok() &&
+                        engine.add_node({kDrone, {drone_pos}}).ok(),
+                    "drone-room nodes must register");
+    const auto range = engine.measure({{kUser, 0}, {kDrone, 0}}, rng);
 
-    const auto filtered = filter.push(range.distance_m);
+    const auto filtered = filter.push(range.value().distance_m);
     const double measured =
         filtered.value_or(config.controller.target_distance_m);
 
@@ -65,16 +77,6 @@ FollowRunResult run_follow_simulation(const FollowSimConfig& config,
     out.rms_deviation_m = mathx::rms(out.distance_deviation_m);
   }
   return out;
-}
-
-FollowRunResult run_follow_simulation(const FollowSimConfig& config,
-                                      mathx::Rng& rng) {
-  core::EngineConfig ec;
-  core::ChronosEngine engine(sim::drone_room_6x5(), ec);
-  const sim::Device user = sim::make_mobile({0.0, 0.0}, 31);
-  const sim::Device drone = sim::make_mobile({1.0, 0.0}, 32);
-  engine.calibrate(user, drone, rng);
-  return run_follow_simulation(config, engine, rng);
 }
 
 }  // namespace chronos::drone

@@ -8,7 +8,7 @@
 
 #include <vector>
 
-#include "core/engine.hpp"
+#include "core/api.hpp"
 #include "drone/controller.hpp"
 #include "drone/trajectory.hpp"
 
@@ -42,13 +42,8 @@ struct FollowRunResult {
   double rms_deviation_m = 0.0;
 };
 
-/// Runs the closed loop. The engine must be calibrated for the drone/user
-/// device pair (hardware seeds 31/32 by convention in this module).
-FollowRunResult run_follow_simulation(const FollowSimConfig& config,
-                                      core::ChronosEngine& engine,
-                                      mathx::Rng& rng);
-
-/// Convenience: builds a drone-room engine (calibrated) and runs.
+/// Builds a drone-room engine, calibrates the user/drone device pair
+/// (nodes 31/32, one radio personality each), and runs the closed loop.
 FollowRunResult run_follow_simulation(const FollowSimConfig& config,
                                       mathx::Rng& rng);
 

@@ -1,7 +1,7 @@
 // Canonical registry of RNG stream-split tags.
 //
-// The determinism contract (core/batch.hpp, PR 2) makes every result a
-// pure function of (source, pipeline, calibration, request, rng stream).
+// The determinism contract (core/session.hpp) makes every result a pure
+// function of (source, pipeline, calibration, request, rng stream).
 // Subsystems derive private child streams with `mathx::Rng::split(tag)` /
 // `fork(tag)`; two subsystems splitting the SAME parent stream on the
 // SAME tag would silently read identical randomness — a correlation bug
@@ -36,12 +36,11 @@ namespace chronos {
 // lint:stream-tag-registry-begin  (everything between the begin/end
 // markers is parsed by check_stream_tags.py; keep one tag per line)
 
-/// "batch" in ASCII. fork() tag of a session/batch base stream: every
-/// ingestion path — sync batch (core/batch.cpp), async batch, streaming
-/// session (core/session.cpp) — advances the caller's rng by exactly one
-/// fork on this tag, so all three are interchangeable bit-for-bit.
-/// Provenance: PR 2 (`run_ranging_batch`), hoisted to core/session.hpp in
-/// PR 5, registry since PR 9.
+/// "batch" in ASCII. fork() tag of a session's base stream: every
+/// ingestion path — a batch (Engine::measure_batch), a streaming session,
+/// a daemon shard — is a session (core/session.cpp), which advances the
+/// caller's rng by exactly one fork on this tag, so all of them are
+/// interchangeable bit-for-bit.
 inline constexpr std::uint64_t kBatchStreamTag = 0x6261746368ull;  // lint:stream-tag(range=1)
 
 /// "fault" in ASCII. split() tag of the per-request fault stream: every
@@ -68,6 +67,10 @@ inline constexpr std::uint64_t kRetryStreamTag = 0x7265747279ull;  // lint:strea
 /// Provenance: PR 8 (file-local in core/fault_injection.cpp), hoisted to
 /// the registry in PR 9.
 inline constexpr std::uint64_t kStaleStreamTag = 0x7374616C65ull;  // lint:stream-tag(range=1)
+
+/// "locate" in ASCII. fork() tag of Engine::locate_batch's base stream:
+/// localization i of the batch draws from base.split(i).
+inline constexpr std::uint64_t kLocateStreamTag = 0x6C6F63617465ull;  // lint:stream-tag(range=1)
 
 // lint:stream-tag-registry-end
 

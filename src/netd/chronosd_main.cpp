@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   if (!trusted) ec.ranging.integrity = core::IntegrityConfig::hostile();
   auto src =
       std::make_shared<core::SimSweepSource>(scen.environment(), ec.link);
-  core::ChronosEngine reference(src, ec);
+  Engine reference = core::make_engine(src, ec);
   mathx::Rng cal_rng(99);
   src->add_node(NodeId{9001}, sim::make_mobile({0.0, 0.0}, 11));
   src->add_node(NodeId{9002}, sim::make_mobile({1.0, 0.0}, 22));

@@ -1,10 +1,14 @@
 #include "netd/daemon.hpp"
 
 #include <chrono>
+#include <optional>
+#include <span>
 #include <thread>
 #include <utility>
 
 #include "core/integrity.hpp"
+#include "core/session.hpp"
+#include "core/worker_pool.hpp"
 #include "mathx/contracts.hpp"
 
 namespace chronos::netd {
@@ -30,21 +34,22 @@ ChronosDaemon::ChronosDaemon(std::shared_ptr<const core::SweepSource> source,
     shard_config.integrity = core::IntegrityConfig::hostile();
   }
 
-  // ONE fork, exactly like measure_batch / open_session — then copies of
-  // the same base stream for every shard, addressed by global ticket.
-  const mathx::Rng base = rng.fork(core::kBatchStreamTag);
-
+  // Every shard session forks a copy of the SAME rng state, so all shards
+  // share one base stream, addressed by global ticket; the caller's rng
+  // then advances by that one fork, exactly like measure_batch.
+  const mathx::Rng start = rng;
   shards_.reserve(options.shards);
   for (std::size_t s = 0; s < options.shards; ++s) {
     Shard shard;
-    shard.pool = std::make_shared<core::WorkerPool>(options.shard_threads);
     // Each shard owns its pipeline instance: private solver plan handle
     // and per-worker workspaces, so shards never contend on solve state.
     shard.pipeline = std::make_shared<const core::RangingPipeline>(
         source_->bands(), shard_config);
-    shard.session = core::open_ranging_session_sharded(
-        shard.pool, source_, shard.pipeline, calibration_, base,
-        options.shard_queue_depth, options.retry);
+    rng = start;
+    shard.session = core::open_session(
+        std::make_shared<core::WorkerPool>(options.shard_threads), source_,
+        shard.pipeline, calibration_, rng, options.shard_queue_depth,
+        options.retry);
     shards_.push_back(std::move(shard));
   }
 }
@@ -122,8 +127,8 @@ void ChronosDaemon::handle_frame(std::size_t conn_index, const Frame& frame) {
       }
 
       const std::optional<std::uint64_t> local =
-          shard.session.try_submit_resolved_stream(resolved.value(),
-                                                   next_global_ticket_);
+          shard.session.try_submit_resolved(std::span(&resolved.value(), 1),
+                                            next_global_ticket_);
       if (!local.has_value()) {
         // Backpressure: immediate kQueueFull reply, NO global ticket — a
         // resubmission is admitted later exactly as a later arrival.

@@ -1,24 +1,25 @@
 // chronosd: the sharded ranging daemon frontend.
 //
 // One ChronosDaemon owns the backend directory (its SweepSource doubles as
-// the NodeRegistry) and N engine shards. A shard is a WorkerPool, its OWN
+// the NodeRegistry) and N engine shards. A shard is its OWN
 // RangingPipeline instance (own solver plan handle and workspaces — one
-// hot shard cannot contend another's solve state), and one sharded
-// RangingSession. Requests route to shards by a splitmix64 hash of the
-// transmitter NodeId, so every request of a given transmitter serialises
-// through one shard's bounded queue while distinct transmitters spread
-// across pools.
+// hot shard cannot contend another's solve state) and one RangingSession
+// over a private WorkerPool. Requests route to shards by a splitmix64
+// hash of the transmitter NodeId, so every request of a given transmitter
+// serialises through one shard's bounded queue while distinct
+// transmitters spread across pools.
 //
-// Determinism over the wire (the loopback e2e test pins this): the daemon
-// forks its rng ONCE at construction — rng.fork(kBatchStreamTag), the same
-// single advancement every in-process ingestion path performs — and hands
-// copies of that base stream to every shard session. Admission order on
-// the single demux thread assigns each admitted request a dense GLOBAL
-// ticket g, and the routed shard ranges it on base.split(g) via
-// try_submit_resolved_stream. Whatever the shard count, client count, or
-// kQueueFull retry interleaving, the results the daemon sends are
-// bit-identical to Engine::measure_batch(admitted_requests()) on the same
-// starting rng state.
+// Determinism over the wire (the loopback e2e test pins this): every shard
+// session opens on a copy of the SAME rng state, so all shards share the
+// base stream one fork of the caller's rng yields, and the caller's rng
+// advances by that one fork — exactly like every in-process ingestion
+// path. Admission order on the single demux thread assigns each admitted
+// request a dense GLOBAL ticket g, and the routed shard ranges it on
+// base.split(g) (RangingSession::try_submit_resolved with stream index
+// g). Whatever the shard count, client count, or kQueueFull retry
+// interleaving, the results the daemon sends are bit-identical to
+// Engine::measure_batch(admitted_requests()) on the same starting rng
+// state.
 //
 // Backpressure: a request landing on a full shard queue is answered
 // immediately with a kQueueFull response (echoing its request_id) and
@@ -44,11 +45,10 @@
 #include <memory>
 #include <vector>
 
+#include "core/api.hpp"
 #include "core/calibration.hpp"
 #include "core/ranging.hpp"
-#include "core/session.hpp"
 #include "core/sweep_source.hpp"
-#include "core/worker_pool.hpp"
 #include "mathx/annotations.hpp"
 #include "mathx/rng.hpp"
 #include "netd/loopback.hpp"
@@ -135,9 +135,8 @@ class ChronosDaemon {
 
  private:
   struct Shard {
-    std::shared_ptr<core::WorkerPool> pool;
     std::shared_ptr<const core::RangingPipeline> pipeline;
-    core::RangingSession session;
+    chronos::RangingSession session;
     /// Wire metadata of in-flight local tickets, FIFO: local tickets are
     /// dense and next() collects in local-ticket order, so front() is
     /// always the metadata of the next result.

@@ -69,7 +69,7 @@ struct LinkSimConfig {
 /// `rng`). Concurrent simulate_sweep / paths_between calls on one shared
 /// instance are safe and produce results identical to sequential calls,
 /// provided each thread passes its own mathx::Rng (e.g. one Rng::split
-/// stream per task, as core/batch.cpp does). This guarantee is enforced by
+/// stream per task, as core/session.cpp does). This guarantee is enforced by
 /// tests/test_sim_concurrency.cpp under ThreadSanitizer.
 class LinkSimulator {
  public:

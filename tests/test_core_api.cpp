@@ -1,10 +1,8 @@
-// The public API v2 contract (core/api.hpp + the chronos:: facade):
+// The public API v2 contract (core/api.hpp):
 //   * typed identity — NodeId requests resolve through the backend's
 //     NodeRegistry, and every request-shaped failure (unknown node,
 //     antenna out of range, unrecorded link, band mismatch, full queue)
 //     comes back as a chronos::Status — never as an exception;
-//   * shims — the deprecated sim::Device overloads forward through the
-//     registry and stay bit-identical to the id-based path;
 //   * flow control — RangingSession's bounded queue reports kQueueFull
 //     from try_submit without blocking and without dropping anything.
 #include <gtest/gtest.h>
@@ -137,7 +135,7 @@ TEST(ApiErrorModel, SimBackendStatusTable) {
   auto src = std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link);
   src->add_node(chronos::NodeId{1}, sim::make_mobile({2.0, 2.0}, 5));
   src->add_node(chronos::NodeId{2}, sim::make_laptop({9.0, 6.0}, 0.3, 6));
-  const ChronosEngine eng(src, ec);
+  const Engine eng = make_engine(src, ec);
 
   struct Case {
     const char* name;
@@ -182,7 +180,7 @@ TEST(ApiErrorModel, TraceBackendStatusTable) {
                   ->try_add_sweep(TraceKey::of(ResolvedRequest{tx, 0, rx, 1}),
                                   link.simulate_sweep(tx, 0, rx, 1, record_rng))
                   .ok());
-  ChronosEngine eng(trace, ec);
+  Engine eng = make_engine(trace, ec);
 
   struct Case {
     const char* name;
@@ -262,7 +260,8 @@ TEST(ApiErrorModel, EstimateDistinguishesBandMismatchFromDamage) {
   // recoverable kBandMismatch (rebuild the pipeline for it), not
   // kMalformedSweep.
   const auto ec = fast_config();
-  const ChronosEngine eng(sim::office_20x20(), ec);
+  const Engine eng = make_engine(
+      std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link), ec);
 
   sim::LinkSimConfig other_cfg = ec.link;
   other_cfg.bands.pop_back();
@@ -291,7 +290,7 @@ TEST(ApiErrorModel, BatchKeepsFailedRequestsIndexAligned) {
   auto src = std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link);
   src->add_node(chronos::NodeId{1}, sim::make_mobile({2.0, 2.0}, 5));
   src->add_node(chronos::NodeId{2}, sim::make_laptop({9.0, 6.0}, 0.3, 6));
-  const ChronosEngine eng(src, ec);
+  const Engine eng = make_engine(src, ec);
 
   const chronos::RangingRequest good_a{{{1}, 0}, {{2}, 0}};
   const chronos::RangingRequest good_b{{{1}, 0}, {{2}, 1}};
@@ -313,76 +312,22 @@ TEST(ApiErrorModel, BatchKeepsFailedRequestsIndexAligned) {
     expect_bitwise_equal(mixed.results[0], clean.results[0]);
     expect_bitwise_equal(mixed.results[2], clean.results[2]);
 
-    // Same contract on the async path.
+    // Same contract on an undrained session: the rejected request keeps
+    // its slot through push_failed, exactly as measure_batch records it.
     mathx::Rng rng_async(21);
-    auto handle = eng.submit_batch(with_bad, rng_async, BatchOptions{threads});
-    const auto async = handle.get();
-    ASSERT_EQ(async.results.size(), 3u);
+    auto session =
+        eng.open_session(rng_async, {.queue_depth = 3, .threads = threads});
+    ASSERT_TRUE(session.submit(with_bad[0]).ok());
+    const auto rejected = session.submit(with_bad[1]);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(session.push_failed(rejected.status()), 1u);
+    ASSERT_TRUE(session.submit(with_bad[2]).ok());
+    const auto async = session.drain();
+    ASSERT_EQ(async.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i) {
-      expect_bitwise_equal(async.results[i], mixed.results[i]);
+      expect_bitwise_equal(async[i], mixed.results[i]);
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated sim::Device shims: registry-forwarded and bit-identical
-// ---------------------------------------------------------------------------
-
-TEST(ApiShims, DeviceOverloadsMatchIdBasedPathBitExactly) {
-  const auto ec = fast_config();
-  const auto tx = sim::make_mobile({2.0, 2.0}, 5);
-  const auto rx = sim::make_laptop({9.0, 6.0}, 0.3, 6);
-
-  auto src = std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link);
-  ChronosEngine eng(src, ec);
-
-  // calibrate: Device shim vs NodeId path on two identically-seeded
-  // engines must produce the same table (proven through the estimates).
-  auto src2 = std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link);
-  src2->add_node(chronos::NodeId{5}, tx);
-  src2->add_node(chronos::NodeId{6}, rx);
-  ChronosEngine eng2(src2, ec);
-  mathx::Rng cal_a(15);
-  mathx::Rng cal_b(15);
-  eng.calibrate(tx, rx, cal_a);  // deprecated shim
-  ASSERT_TRUE(
-      eng2.calibrate(chronos::NodeId{5}, chronos::NodeId{6}, cal_b).ok());
-
-  // measure: the shim registers its devices (id = hardware seed), so the
-  // id-based path resolves to exactly the same descriptions.
-  mathx::Rng rng_shim(11);
-  mathx::Rng rng_v2(11);
-  const auto shimmed = eng.measure_distance(tx, 0, rx, 1, rng_shim);
-  const auto v2 =
-      eng2.measure({{{5}, 0}, {{6}, 1}}, rng_v2);
-  ASSERT_TRUE(v2.ok());
-  expect_bitwise_equal(shimmed, v2.value());
-
-  // The shim's registration is visible through the public registry.
-  EXPECT_TRUE(eng.registry().has_node(chronos::NodeId{5}));
-  EXPECT_TRUE(eng.registry().has_node(chronos::NodeId{6}));
-
-  // locate: Device shim vs NodeId path.
-  mathx::Rng loc_a(31);
-  mathx::Rng loc_b(31);
-  const auto shim_out = eng.locate(tx, rx, loc_a);
-  const auto v2_out = eng2.locate(chronos::NodeId{5}, chronos::NodeId{6},
-                                  loc_b);
-  ASSERT_TRUE(v2_out.ok());
-  EXPECT_EQ(shim_out.result.position.x, v2_out.value().result.position.x);
-  EXPECT_EQ(shim_out.result.position.y, v2_out.value().result.position.y);
-  ASSERT_EQ(shim_out.details.size(), v2_out.value().details.size());
-  for (std::size_t i = 0; i < shim_out.details.size(); ++i) {
-    expect_bitwise_equal(shim_out.details[i], v2_out.value().details[i]);
-  }
-
-  // Shim failure behavior is unchanged: exceptions (programmer error
-  // surface), not statuses.
-  mathx::Rng rng_bad(1);
-  EXPECT_THROW((void)eng.measure_distance(tx, 9, rx, 0, rng_bad),
-               std::invalid_argument);
-  EXPECT_THROW((void)eng.locate(tx, sim::make_mobile({1.0, 1.0}, 9), rng_bad),
-               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -395,7 +340,7 @@ TEST(ApiSession, TrySubmitReportsQueueFullWithoutBlockingOrDropping) {
   inner->add_node(chronos::NodeId{1}, sim::make_mobile({2.0, 2.0}, 5));
   inner->add_node(chronos::NodeId{2}, sim::make_mobile({7.0, 5.0}, 6));
   auto gated = std::make_shared<GatedSource>(inner);
-  const ChronosEngine eng(gated, ec);
+  const Engine eng = make_engine(gated, ec);
 
   const chronos::RangingRequest request{{{1}, 0}, {{2}, 0}};
   mathx::Rng rng(42);
@@ -452,7 +397,7 @@ TEST(ApiSession, BlockingSubmitWaitsForASlot) {
   inner->add_node(chronos::NodeId{1}, sim::make_mobile({2.0, 2.0}, 5));
   inner->add_node(chronos::NodeId{2}, sim::make_mobile({7.0, 5.0}, 6));
   auto gated = std::make_shared<GatedSource>(inner);
-  const ChronosEngine eng(gated, ec);
+  const Engine eng = make_engine(gated, ec);
 
   const chronos::RangingRequest request{{{1}, 0}, {{2}, 0}};
   mathx::Rng rng(7);
@@ -482,7 +427,7 @@ TEST(ApiSession, StreamedSubmissionMatchesBatchBitExactly) {
   auto src = std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link);
   src->add_node(chronos::NodeId{1}, sim::make_mobile({2.0, 2.0}, 5));
   src->add_node(chronos::NodeId{2}, sim::make_laptop({9.0, 6.0}, 0.3, 6));
-  const ChronosEngine eng(src, ec);
+  const Engine eng = make_engine(src, ec);
 
   std::vector<chronos::RangingRequest> requests;
   for (std::size_t a = 0; a < 3; ++a) {
@@ -508,7 +453,7 @@ TEST(ApiSession, StreamedSubmissionMatchesBatchBitExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// The chronos:: facade (what umbrella-header clients see)
+// Engine factories (what umbrella-header clients see)
 // ---------------------------------------------------------------------------
 
 TEST(ApiFacade, CreateSimulatedValidatesDeployment) {
@@ -550,7 +495,7 @@ TEST(ApiFacade, EndToEndMeasureAndSession) {
   EXPECT_EQ(engine.add_node({chronos::NodeId{3}, {}}).code(),
             chronos::StatusCode::kInvalidArgument);
 
-  // Streamed ingestion through the facade session.
+  // Streamed ingestion through a session.
   auto session = engine.open_session(rng, {.queue_depth = 4, .threads = 2});
   ASSERT_TRUE(session.valid());
   for (int i = 0; i < 3; ++i) {

@@ -6,7 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <stdexcept>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -28,13 +29,30 @@ EngineConfig fast_config() {
   return ec;
 }
 
-std::vector<ResolvedRequest> make_requests(std::size_t n) {
-  std::vector<ResolvedRequest> reqs;
-  const auto rx = sim::make_laptop({12.0, 9.0}, 0.3, 77);
+/// A simulator engine on the reduced plan; `source` keeps the writable
+/// node directory the requests are registered in.
+struct Rig {
+  std::shared_ptr<SimSweepSource> source;
+  Engine engine;
+};
+
+Rig make_rig(sim::Environment env) {
+  const EngineConfig ec = fast_config();
+  auto source = std::make_shared<SimSweepSource>(std::move(env), ec.link);
+  return {source, make_engine(source, ec)};
+}
+
+/// `n` phones (node id = hardware seed 100 + i) against the antennas of one
+/// laptop (node 77), registered in `source`.
+std::vector<RangingRequest> make_requests(SimSweepSource& source,
+                                          std::size_t n) {
+  std::vector<RangingRequest> reqs;
+  source.add_node(sim::make_laptop({12.0, 9.0}, 0.3, 77));
   for (std::size_t i = 0; i < n; ++i) {
     const double x = 2.0 + 0.7 * static_cast<double>(i % 11);
     const double y = 2.0 + 0.5 * static_cast<double>(i % 7);
-    reqs.push_back({sim::make_mobile({x, y}, 100 + i), 0, rx, i % 3});
+    source.add_node(sim::make_mobile({x, y}, 100 + i));
+    reqs.push_back({{NodeId{100 + i}, 0}, {NodeId{77}, i % 3}});
   }
   return reqs;
 }
@@ -65,10 +83,11 @@ void expect_bitwise_equal(const RangingResult& a, const RangingResult& b) {
 }
 
 TEST(BatchDeterminism, ThreadCountNeverChangesResults) {
-  const ChronosEngine eng(sim::office_20x20(), fast_config());
+  const Rig rig = make_rig(sim::office_20x20());
+  const Engine& eng = rig.engine;
   for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
     for (const std::size_t batch_size : {1u, 5u, 12u}) {
-      const auto requests = make_requests(batch_size);
+      const auto requests = make_requests(*rig.source, batch_size);
 
       mathx::Rng rng_seq(seed);
       const auto sequential =
@@ -96,15 +115,15 @@ TEST(BatchDeterminism, ThreadCountNeverChangesResults) {
 TEST(BatchDeterminism, MatchesManualSequentialSplitLoop) {
   // The documented contract, spelled out: request i is ranged on stream
   // base.split(i) where base = rng.fork(tag). Reproduce it by hand via two
-  // identically-seeded engines and compare.
-  const ChronosEngine eng(sim::office_20x20(), fast_config());
-  const auto requests = make_requests(6);
+  // identically-seeded batches and compare.
+  const Rig rig = make_rig(sim::office_20x20());
+  const auto requests = make_requests(*rig.source, 6);
 
   mathx::Rng rng_a(123);
-  const auto batch = eng.measure_batch(requests, rng_a, BatchOptions{4});
+  const auto batch = rig.engine.measure_batch(requests, rng_a, BatchOptions{4});
 
   mathx::Rng rng_b(123);
-  const auto again = eng.measure_batch(requests, rng_b, BatchOptions{1});
+  const auto again = rig.engine.measure_batch(requests, rng_b, BatchOptions{1});
   for (std::size_t i = 0; i < requests.size(); ++i) {
     expect_bitwise_equal(batch.results[i], again.results[i]);
   }
@@ -113,29 +132,30 @@ TEST(BatchDeterminism, MatchesManualSequentialSplitLoop) {
 TEST(BatchDeterminism, SuccessiveBatchesDiffer) {
   // fork() advances the caller's stream, so re-running the same batch on
   // the same Rng draws fresh noise (batches are not accidentally replayed).
-  const ChronosEngine eng(sim::anechoic(), fast_config());
-  const auto requests = make_requests(2);
+  const Rig rig = make_rig(sim::anechoic());
+  const auto requests = make_requests(*rig.source, 2);
   mathx::Rng rng(5);
-  const auto first = eng.measure_batch(requests, rng);
-  const auto second = eng.measure_batch(requests, rng);
+  const auto first = rig.engine.measure_batch(requests, rng);
+  const auto second = rig.engine.measure_batch(requests, rng);
   EXPECT_NE(first.results[0].tof_s, second.results[0].tof_s);
 }
 
 TEST(BatchDeterminism, EmptyBatchIsValid) {
-  const ChronosEngine eng(sim::anechoic(), fast_config());
+  const Rig rig = make_rig(sim::anechoic());
   mathx::Rng rng(1);
-  const auto out = eng.measure_batch(std::vector<ResolvedRequest>{}, rng);
+  const auto out =
+      rig.engine.measure_batch(std::vector<RangingRequest>{}, rng);
   EXPECT_TRUE(out.results.empty());
 }
 
 TEST(BatchDeterminism, BadRequestYieldsStatusNotAbort) {
   // API v2: one request the backend cannot serve gets its own non-ok
   // status; the other results are untouched and no exception escapes.
-  const ChronosEngine eng(sim::anechoic(), fast_config());
-  std::vector<ResolvedRequest> requests = make_requests(3);
-  requests[1].tx_antenna = 99;  // out of range -> status, not a throw
+  const Rig rig = make_rig(sim::anechoic());
+  std::vector<RangingRequest> requests = make_requests(*rig.source, 3);
+  requests[1].tx.antenna = 99;  // out of range -> status, not a throw
   mathx::Rng rng(1);
-  const auto batch = eng.measure_batch(requests, rng, BatchOptions{4});
+  const auto batch = rig.engine.measure_batch(requests, rng, BatchOptions{4});
   ASSERT_EQ(batch.results.size(), requests.size());
   EXPECT_TRUE(batch.results[0].status.ok());
   EXPECT_EQ(batch.results[1].status.code(),
@@ -145,65 +165,77 @@ TEST(BatchDeterminism, BadRequestYieldsStatusNotAbort) {
   EXPECT_TRUE(batch.results[0].peak_found);
 }
 
-TEST(BatchSession, SubmitGetMatchesSynchronousMeasureBatch) {
-  // The async path (submit_batch -> BatchHandle::get) must be bit-identical
-  // to the synchronous call on the same seed — including how far it
-  // advances the caller's rng.
-  const ChronosEngine eng(sim::office_20x20(), fast_config());
-  const auto requests = make_requests(8);
+/// Opens a session deep enough for `requests` and admits them all without
+/// collecting anything: an asynchronous batch in flight.
+RangingSession submit_all(const Engine& eng,
+                          const std::vector<RangingRequest>& requests,
+                          mathx::Rng& rng, int threads) {
+  auto session = eng.open_session(
+      rng, {.queue_depth = requests.size(), .threads = threads});
+  for (const auto& request : requests) {
+    EXPECT_TRUE(session.submit(request).ok());
+  }
+  return session;
+}
+
+TEST(BatchSession, UndrainedSessionMatchesSynchronousMeasureBatch) {
+  // The async path (a session admitted now, drained later) must be
+  // bit-identical to the synchronous call on the same seed — including
+  // how far it advances the caller's rng.
+  const Rig rig = make_rig(sim::office_20x20());
+  const auto requests = make_requests(*rig.source, 8);
 
   mathx::Rng rng_sync(77);
-  const auto sync = eng.measure_batch(requests, rng_sync, BatchOptions{1});
+  const auto sync = rig.engine.measure_batch(requests, rng_sync, BatchOptions{1});
 
   mathx::Rng rng_async(77);
-  auto handle = eng.submit_batch(requests, rng_async, BatchOptions{4});
-  EXPECT_TRUE(handle.valid());
-  EXPECT_EQ(handle.size(), requests.size());
-  const auto async = handle.get();
-  EXPECT_FALSE(handle.valid());
+  auto session = submit_all(rig.engine, requests, rng_async, 4);
+  EXPECT_EQ(session.submitted(), requests.size());
+  const auto async = session.drain();
 
-  ASSERT_EQ(async.results.size(), sync.results.size());
-  for (std::size_t i = 0; i < async.results.size(); ++i) {
-    expect_bitwise_equal(async.results[i], sync.results[i]);
+  ASSERT_EQ(async.size(), sync.results.size());
+  for (std::size_t i = 0; i < async.size(); ++i) {
+    expect_bitwise_equal(async[i], sync.results[i]);
   }
   EXPECT_EQ(rng_sync.uniform(0.0, 1.0), rng_async.uniform(0.0, 1.0));
 }
 
-TEST(BatchSession, OutstandingHandlesCollectInAnyOrder) {
-  // Pipelined ingestion: several batches in flight at once, collected in
-  // reverse submission order, each bit-identical to its sequential
-  // reference. The handles all share the engine's persistent pool.
-  const ChronosEngine eng(sim::office_20x20(), fast_config());
-  constexpr std::size_t kBatches = 3;
+TEST(BatchSession, UndrainedSessionsCollectInReverseOrder) {
+  // Pipelined ingestion: several sessions in flight at once, drained in
+  // reverse admission order, each bit-identical to measure_batch on its
+  // seed. The sessions all share the engine's persistent pool.
+  const Rig rig = make_rig(sim::office_20x20());
+  constexpr std::size_t kSessions = 3;
 
-  std::vector<std::vector<ResolvedRequest>> requests;
+  std::vector<std::vector<RangingRequest>> requests;
   std::vector<BatchResult> reference;
-  for (std::size_t b = 0; b < kBatches; ++b) {
-    requests.push_back(make_requests(3 + b));
+  for (std::size_t b = 0; b < kSessions; ++b) {
+    requests.push_back(make_requests(*rig.source, 3 + b));
     mathx::Rng rng(1000 + b);
     reference.push_back(
-        eng.measure_batch(requests[b], rng, BatchOptions{1}));
+        rig.engine.measure_batch(requests[b], rng, BatchOptions{1}));
   }
 
-  std::vector<BatchHandle> handles;
-  for (std::size_t b = 0; b < kBatches; ++b) {
+  std::vector<RangingSession> sessions;
+  for (std::size_t b = 0; b < kSessions; ++b) {
     mathx::Rng rng(1000 + b);
-    handles.push_back(eng.submit_batch(requests[b], rng, BatchOptions{2}));
+    sessions.push_back(submit_all(rig.engine, requests[b], rng, 2));
   }
-  for (std::size_t b = kBatches; b-- > 0;) {
-    const auto out = handles[b].get();
-    ASSERT_EQ(out.results.size(), reference[b].results.size());
-    for (std::size_t i = 0; i < out.results.size(); ++i) {
-      expect_bitwise_equal(out.results[i], reference[b].results[i]);
+  for (std::size_t b = kSessions; b-- > 0;) {
+    const auto out = sessions[b].drain();
+    ASSERT_EQ(out.size(), reference[b].results.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      expect_bitwise_equal(out[i], reference[b].results[i]);
     }
   }
 }
 
 TEST(BatchSession, PersistentPoolStartsLazilyAndNeverShrinks) {
-  const ChronosEngine eng(sim::office_20x20(), fast_config());
+  const Rig rig = make_rig(sim::office_20x20());
+  const Engine& eng = rig.engine;
   EXPECT_EQ(eng.session_threads(), 0u);  // nothing batched yet
 
-  const auto requests = make_requests(6);
+  const auto requests = make_requests(*rig.source, 6);
   mathx::Rng rng(3);
   (void)eng.measure_batch(requests, rng, BatchOptions{1});
   EXPECT_EQ(eng.session_threads(), 0u);  // inline path never starts a pool
@@ -218,93 +250,121 @@ TEST(BatchSession, PersistentPoolStartsLazilyAndNeverShrinks) {
   EXPECT_EQ(eng.session_threads(), 5u);  // growth by replacement
 }
 
-TEST(BatchSession, HandleWaitAndReadyObserveCompletion) {
-  const ChronosEngine eng(sim::office_20x20(), fast_config());
-  const auto requests = make_requests(4);
-  mathx::Rng rng(21);
-  auto handle = eng.submit_batch(requests, rng, BatchOptions{2});
-  handle.wait();
-  EXPECT_TRUE(handle.ready());
-  const auto out = handle.get();
-  EXPECT_EQ(out.results.size(), requests.size());
-  EXPECT_GE(out.threads_used, 1);
+TEST(BatchSession, SingleThreadBatchesAndLocatesStartNoPool) {
+  // BatchOptions{1} ranges on the calling thread: callers on several
+  // threads must never queue behind one shared worker.
+  Rig rig = make_rig(sim::office_20x20());
+  const auto requests = make_requests(*rig.source, 9);
+  rig.source->add_node(NodeId{11}, sim::make_laptop({0.0, 0.0}, 0.3, 11));
+  rig.source->add_node(NodeId{22}, sim::make_laptop({1.5, 0.0}, 0.3, 22));
+  rig.source->add_node(NodeId{50}, sim::make_laptop({4.0, 3.0}, 0.3, 11));
+  mathx::Rng rng(17);
+  ASSERT_TRUE(rig.engine.calibrate(NodeId{11}, NodeId{22}, rng).ok());
+
+  const auto batch = rig.engine.measure_batch(requests, rng, BatchOptions{1});
+  EXPECT_EQ(batch.threads_used, 1);
+  const auto located = rig.engine.locate(NodeId{50}, NodeId{22}, rng,
+                                         std::nullopt, BatchOptions{1});
+  ASSERT_TRUE(located.ok());
+  EXPECT_EQ(located.value().details.size(), 9u);
+  EXPECT_EQ(rig.engine.session_threads(), 0u);
 }
 
-TEST(BatchSession, DroppedHandleIsSafe) {
-  // Destroying a handle without get() must not crash, deadlock, or disturb
-  // later batches (jobs finish against the shared pool and are dropped).
-  const ChronosEngine eng(sim::office_20x20(), fast_config());
-  const auto requests = make_requests(5);
+TEST(BatchSession, DroppedSessionIsSafe) {
+  // Destroying a session without draining it must not crash, deadlock, or
+  // disturb later batches (jobs finish against the shared pool and their
+  // results are dropped).
+  const Rig rig = make_rig(sim::office_20x20());
+  const auto requests = make_requests(*rig.source, 5);
   {
     mathx::Rng rng(33);
-    auto handle = eng.submit_batch(requests, rng, BatchOptions{2});
-    (void)handle;
+    auto session = submit_all(rig.engine, requests, rng, 2);
+    (void)session;
   }
   mathx::Rng rng_seq(34);
-  const auto sequential = eng.measure_batch(requests, rng_seq, BatchOptions{1});
+  const auto sequential =
+      rig.engine.measure_batch(requests, rng_seq, BatchOptions{1});
   mathx::Rng rng_par(34);
-  const auto parallel = eng.measure_batch(requests, rng_par, BatchOptions{4});
+  const auto parallel =
+      rig.engine.measure_batch(requests, rng_par, BatchOptions{4});
   for (std::size_t i = 0; i < requests.size(); ++i) {
     expect_bitwise_equal(parallel.results[i], sequential.results[i]);
   }
 }
 
-TEST(BatchSession, HandleOutlivesEngine) {
-  // Handles are self-contained: they co-own the pool, source, pipeline,
-  // and calibration, so collecting after the engine died is legal and
+TEST(BatchSession, SessionDrainedAfterEngineDiesMatchesMeasureBatch) {
+  // Sessions are self-contained: they co-own the pool, source, pipeline,
+  // and calibration, so draining after the engine died is legal and
   // bit-identical.
-  const auto requests = make_requests(4);
-  BatchHandle handle;
+  RangingSession session;
   BatchResult reference;
+  std::size_t n = 0;
   {
-    const ChronosEngine eng(sim::office_20x20(), fast_config());
+    const Rig rig = make_rig(sim::office_20x20());
+    const auto requests = make_requests(*rig.source, 4);
+    n = requests.size();
     mathx::Rng rng_ref(55);
-    reference = eng.measure_batch(requests, rng_ref, BatchOptions{1});
+    reference = rig.engine.measure_batch(requests, rng_ref, BatchOptions{1});
     mathx::Rng rng(55);
-    handle = eng.submit_batch(requests, rng, BatchOptions{2});
-  }  // engine destroyed while the batch may still be in flight
-  const auto out = handle.get();
-  ASSERT_EQ(out.results.size(), reference.results.size());
-  for (std::size_t i = 0; i < out.results.size(); ++i) {
-    expect_bitwise_equal(out.results[i], reference.results[i]);
+    session = submit_all(rig.engine, requests, rng, 2);
+  }  // engine destroyed while the session may still be in flight
+  const auto out = session.drain();
+  ASSERT_EQ(out.size(), n);
+  ASSERT_EQ(out.size(), reference.results.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    expect_bitwise_equal(out[i], reference.results[i]);
   }
 }
 
-TEST(BatchSession, AsyncBadRequestSurfacesAsStatusAtGet) {
-  const ChronosEngine eng(sim::anechoic(), fast_config());
-  std::vector<ResolvedRequest> requests = make_requests(3);
-  requests[1].tx_antenna = 99;  // out of range -> status, not a throw
+TEST(BatchSession, BadRequestIsRejectedAtAdmission) {
+  // A streamed request that fails resolution is rejected synchronously,
+  // takes no ticket, and leaves its neighbours' tickets and streams as if
+  // it had never been offered.
+  const Rig rig = make_rig(sim::anechoic());
+  std::vector<RangingRequest> requests = make_requests(*rig.source, 3);
+  RangingRequest bad = requests[1];
+  bad.tx.antenna = 99;
+
   mathx::Rng rng(1);
-  auto handle = eng.submit_batch(requests, rng, BatchOptions{2});
-  const auto out = handle.get();
-  EXPECT_FALSE(handle.valid());
-  ASSERT_EQ(out.results.size(), requests.size());
-  EXPECT_TRUE(out.results[0].status.ok());
-  EXPECT_EQ(out.results[1].status.code(),
+  auto session = rig.engine.open_session(rng, {.queue_depth = 4, .threads = 2});
+  ASSERT_TRUE(session.submit(requests[0]).ok());
+  EXPECT_EQ(session.submit(bad).status().code(),
             chronos::StatusCode::kAntennaOutOfRange);
-  EXPECT_TRUE(out.results[2].status.ok());
+  ASSERT_TRUE(session.submit(requests[2]).ok());
+  const auto out = session.drain();
+  ASSERT_EQ(out.size(), 2u);
+
+  const std::vector<RangingRequest> good = {requests[0], requests[2]};
+  mathx::Rng rng_ref(1);
+  const auto reference = rig.engine.measure_batch(good, rng_ref, BatchOptions{1});
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_TRUE(out[i].status.ok());
+    expect_bitwise_equal(out[i], reference.results[i]);
+  }
 }
 
 TEST(BatchDeterminism, LocateBatchIsThreadCountInvariant) {
-  ChronosEngine eng(sim::office_20x20(), fast_config());
+  Rig rig = make_rig(sim::office_20x20());
+  rig.source->add_node(NodeId{11}, sim::make_laptop({0.0, 0.0}, 0.3, 11));
+  rig.source->add_node(NodeId{22}, sim::make_laptop({10.0, 12.0}, 0.3, 22));
   mathx::Rng cal_rng(9);
-  eng.calibrate(sim::make_laptop({0.0, 0.0}, 0.3, 11),
-                sim::make_laptop({1.5, 0.0}, 0.3, 22), cal_rng);
+  ASSERT_TRUE(rig.engine.calibrate(NodeId{11}, NodeId{22}, cal_rng).ok());
 
-  std::vector<ResolvedLocateRequest> jobs;
-  for (int i = 0; i < 4; ++i) {
-    const double x = 3.0 + 2.0 * i;
-    jobs.push_back({sim::make_mobile({x, 4.0}, 50 + static_cast<std::uint64_t>(i)),
-                    sim::make_laptop({10.0, 12.0}, 0.3, 22), std::nullopt});
+  std::vector<LocateRequest> jobs;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    const double x = 3.0 + 2.0 * static_cast<double>(i);
+    rig.source->add_node(NodeId{50 + i}, sim::make_mobile({x, 4.0}, 50 + i));
+    jobs.push_back({NodeId{50 + i}, NodeId{22}, std::nullopt});
   }
 
   mathx::Rng rng_seq(31);
-  const auto sequential = eng.locate_batch(jobs, rng_seq, BatchOptions{1});
+  const auto sequential = rig.engine.locate_batch(jobs, rng_seq, BatchOptions{1});
   mathx::Rng rng_par(31);
-  const auto parallel = eng.locate_batch(jobs, rng_par, BatchOptions{8});
+  const auto parallel = rig.engine.locate_batch(jobs, rng_par, BatchOptions{8});
 
   ASSERT_EQ(sequential.size(), parallel.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_TRUE(sequential[i].status.ok());
     EXPECT_EQ(sequential[i].result.valid, parallel[i].result.valid);
     EXPECT_EQ(sequential[i].result.position.x, parallel[i].result.position.x);
     EXPECT_EQ(sequential[i].result.position.y, parallel[i].result.position.y);

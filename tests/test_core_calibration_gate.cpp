@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "core/calibration.hpp"
 #include "mathx/constants.hpp"
@@ -97,10 +98,14 @@ TEST(ToaGate, GateRejectsLatticeGhostsAtLongRange) {
   // true distance; the same sweep without the gate is allowed to fail.
   EngineConfig with_gate;
   with_gate.ranging.use_toa_gate = true;
-  ChronosEngine eng(sim::office_20x20(), with_gate);
+  auto source =
+      std::make_shared<SimSweepSource>(sim::office_20x20(), with_gate.link);
+  Engine eng = make_engine(source, with_gate);
   mathx::Rng rng(55);
-  eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                sim::make_mobile({1.0, 0.0}, 22), rng);
+  // One card pair (node id = hardware seed), re-registered per placement.
+  source->add_node(sim::make_mobile({0.0, 0.0}, 11));
+  source->add_node(sim::make_mobile({1.0, 0.0}, 22));
+  ASSERT_TRUE(eng.calibrate(NodeId{11}, NodeId{22}, rng).ok());
 
   int good = 0, trials = 0;
   for (int i = 0; i < 6; ++i) {
@@ -108,8 +113,9 @@ TEST(ToaGate, GateRejectsLatticeGhostsAtLongRange) {
     const geom::Vec2 b{14.0, 12.0};
     if (!sim::office_20x20().line_of_sight(a, b)) continue;
     ++trials;
-    const auto r = eng.measure_distance(sim::make_mobile(a, 11), 0,
-                                        sim::make_mobile(b, 22), 0, rng);
+    source->add_node(sim::make_mobile(a, 11));
+    source->add_node(sim::make_mobile(b, 22));
+    const auto r = eng.measure({{NodeId{11}, 0}, {NodeId{22}, 0}}, rng).value();
     if (std::abs(r.distance_m - geom::distance(a, b)) < 1.0) ++good;
   }
   ASSERT_GT(trials, 2);
@@ -136,13 +142,14 @@ TEST(ToaGate, FallsBackGracefullyWithoutCalibration) {
 
 TEST(Engine, CalibrationIsDeterministicGivenSeeds) {
   EngineConfig ec;
-  ChronosEngine a(sim::anechoic(), ec);
-  ChronosEngine b(sim::anechoic(), ec);
+  auto source = std::make_shared<SimSweepSource>(sim::anechoic(), ec.link);
+  source->add_node(sim::make_mobile({0.0, 0.0}, 11));
+  source->add_node(sim::make_mobile({1.0, 0.0}, 22));
+  Engine a = make_engine(source, ec);
+  Engine b = make_engine(source, ec);
   mathx::Rng rng_a(9), rng_b(9);
-  const auto tx = sim::make_mobile({0.0, 0.0}, 11);
-  const auto rx = sim::make_mobile({1.0, 0.0}, 22);
-  a.calibrate(tx, rx, rng_a);
-  b.calibrate(tx, rx, rng_b);
+  ASSERT_TRUE(a.calibrate(NodeId{11}, NodeId{22}, rng_a).ok());
+  ASSERT_TRUE(b.calibrate(NodeId{11}, NodeId{22}, rng_b).ok());
   ASSERT_EQ(a.calibration().correction.size(),
             b.calibration().correction.size());
   for (std::size_t i = 0; i < a.calibration().correction.size(); ++i) {

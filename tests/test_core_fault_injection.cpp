@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -37,13 +38,17 @@ sim::LinkSimConfig fast_link() {
   return c;
 }
 
-std::vector<ResolvedRequest> make_requests(std::size_t n) {
-  std::vector<ResolvedRequest> reqs;
-  const auto rx = sim::make_laptop({12.0, 9.0}, 0.3, 77);
+/// `n` phones (node id = hardware seed 100 + i) against the antennas of one
+/// laptop (node 77), registered in `source`.
+std::vector<RangingRequest> make_requests(SimSweepSource& source,
+                                          std::size_t n) {
+  std::vector<RangingRequest> reqs;
+  source.add_node(sim::make_laptop({12.0, 9.0}, 0.3, 77));
   for (std::size_t i = 0; i < n; ++i) {
     const double x = 2.0 + 0.7 * static_cast<double>(i % 11);
     const double y = 2.0 + 0.5 * static_cast<double>(i % 7);
-    reqs.push_back({sim::make_mobile({x, y}, 100 + i), 0, rx, i % 3});
+    source.add_node(sim::make_mobile({x, y}, 100 + i));
+    reqs.push_back({{NodeId{100 + i}, 0}, {NodeId{77}, i % 3}});
   }
   return reqs;
 }
@@ -77,12 +82,14 @@ EngineConfig engine_config(bool hostile_gate = true) {
   return ec;
 }
 
-/// One-time fixture calibration on a fixed seed (the ToA-consistency check
-/// needs a calibrated detection-delay bias).
-void calibrate(ChronosEngine& eng) {
+/// One-time fixture calibration of the laptop pair 11/22 (registered in
+/// `source`) on a fixed seed (the ToA-consistency check needs a calibrated
+/// detection-delay bias).
+void calibrate(Engine& eng, SimSweepSource& source) {
+  source.add_node(sim::make_laptop({0.0, 0.0}, 0.3, 11));
+  source.add_node(sim::make_laptop({1.5, 0.0}, 0.3, 22));
   mathx::Rng cal_rng(5);
-  eng.calibrate(sim::make_laptop({0.0, 0.0}, 0.3, 11),
-                sim::make_laptop({1.5, 0.0}, 0.3, 22), cal_rng);
+  ASSERT_TRUE(eng.calibrate(NodeId{11}, NodeId{22}, cal_rng).ok());
 }
 
 TEST(FaultInjection, ZeroProfileIsBitIdenticalToUndecoratedBackend) {
@@ -91,14 +98,14 @@ TEST(FaultInjection, ZeroProfileIsBitIdenticalToUndecoratedBackend) {
   // that lets the injector wrap production sources unconditionally.
   const auto inner =
       std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
-  ChronosEngine plain(inner, engine_config());
-  calibrate(plain);
-  ChronosEngine wrapped(
+  Engine plain = make_engine(inner, engine_config());
+  calibrate(plain, *inner);
+  Engine wrapped = make_engine(
       std::make_shared<FaultInjectingSweepSource>(inner, FaultProfile{}),
       engine_config());
-  calibrate(wrapped);
+  calibrate(wrapped, *inner);
 
-  const auto requests = make_requests(6);
+  const auto requests = make_requests(*inner, 6);
   mathx::Rng rng_a(9);
   const auto a = plain.measure_batch(requests, rng_a, BatchOptions{1});
   mathx::Rng rng_b(9);
@@ -122,10 +129,10 @@ TEST(FaultInjection, PlannedFaultGroundTruthMatchesRejectionStatuses) {
       std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
   const auto injector = std::make_shared<FaultInjectingSweepSource>(
       inner, FaultProfile::hostile(0.13));
-  ChronosEngine eng(injector, engine_config());
-  calibrate(eng);
+  Engine eng = make_engine(injector, engine_config());
+  calibrate(eng, *inner);
 
-  const auto requests = make_requests(48);
+  const auto requests = make_requests(*inner, 48);
   mathx::Rng rng(777);
   mathx::Rng probe(777);  // same seed -> same fork -> same split streams
   const mathx::Rng base = probe.fork(kBatchStreamTag);
@@ -173,11 +180,11 @@ TEST(FaultInjection, ThreadCountNeverChangesFaultedRetriedResults) {
   // attempts each consumed, and every rejected ticket's status.
   const auto inner =
       std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
-  ChronosEngine eng(std::make_shared<FaultInjectingSweepSource>(
-                        inner, FaultProfile::hostile(0.1)),
-                    engine_config());
-  calibrate(eng);
-  const auto requests = make_requests(12);
+  Engine eng = make_engine(std::make_shared<FaultInjectingSweepSource>(
+                               inner, FaultProfile::hostile(0.1)),
+                           engine_config());
+  calibrate(eng, *inner);
+  const auto requests = make_requests(*inner, 12);
 
   BatchOptions sequential_opts{1};
   sequential_opts.retry = {3, 0.0};
@@ -203,15 +210,18 @@ TEST(FaultInjection, ThreadCountNeverChangesFaultedRetriedResults) {
     (void)eng.measure_batch(requests, rng_seq, sequential_opts);
   }
 
-  // The async path honours the same contract at the same seed.
-  BatchOptions async_opts{4};
-  async_opts.retry = {3, 0.0};
+  // A streaming session honours the same contract at the same seed.
   mathx::Rng rng_async(42);
-  auto handle = eng.submit_batch(requests, rng_async, async_opts);
-  const auto async = handle.get();
-  ASSERT_EQ(async.results.size(), sequential.results.size());
-  for (std::size_t i = 0; i < async.results.size(); ++i) {
-    expect_bitwise_equal(async.results[i], sequential.results[i]);
+  auto session = eng.open_session(
+      rng_async,
+      {.queue_depth = requests.size(), .threads = 4, .retry = {3, 0.0}});
+  for (const auto& request : requests) {
+    ASSERT_TRUE(session.submit(request).ok());
+  }
+  const auto async = session.drain();
+  ASSERT_EQ(async.size(), sequential.results.size());
+  for (std::size_t i = 0; i < async.size(); ++i) {
+    expect_bitwise_equal(async[i], sequential.results[i]);
   }
 }
 
@@ -220,10 +230,11 @@ TEST(FaultInjection, RetriesRecoverTransientOutages) {
   outages.p_outage = 0.5;
   const auto inner =
       std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
-  ChronosEngine eng(std::make_shared<FaultInjectingSweepSource>(inner, outages),
-                    engine_config(/*hostile_gate=*/false));
-  calibrate(eng);
-  const auto requests = make_requests(20);
+  Engine eng =
+      make_engine(std::make_shared<FaultInjectingSweepSource>(inner, outages),
+                  engine_config(/*hostile_gate=*/false));
+  calibrate(eng, *inner);
+  const auto requests = make_requests(*inner, 20);
 
   // Without retries the outages surface raw.
   mathx::Rng rng_raw(3);
@@ -257,11 +268,11 @@ TEST(FaultInjection, ExhaustionWrapsAsRetryExhausted) {
   always_down.p_outage = 1.0;
   const auto inner =
       std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
-  ChronosEngine eng(
+  Engine eng = make_engine(
       std::make_shared<FaultInjectingSweepSource>(inner, always_down),
       engine_config(/*hostile_gate=*/false));
-  calibrate(eng);
-  const auto requests = make_requests(3);
+  calibrate(eng, *inner);
+  const auto requests = make_requests(*inner, 3);
 
   BatchOptions opts{1};
   opts.retry = {3, 0.0};

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "core/calibration.hpp"
 #include "core/engine.hpp"
@@ -11,6 +12,40 @@
 
 namespace chronos::core {
 namespace {
+
+/// A simulator engine whose node directory the test writes through
+/// `source` (node id = hardware seed throughout).
+struct Rig {
+  std::shared_ptr<SimSweepSource> source;
+  Engine engine;
+};
+
+Rig make_rig(sim::Environment env, const EngineConfig& ec = {}) {
+  auto source = std::make_shared<SimSweepSource>(std::move(env), ec.link);
+  return {source, make_engine(source, ec)};
+}
+
+/// Registers both devices, then calibrates the pair.
+void calibrate(Rig& rig, const sim::Device& tx, const sim::Device& rx,
+               mathx::Rng& rng) {
+  rig.source->add_node(tx);
+  rig.source->add_node(rx);
+  ASSERT_TRUE(rig.engine
+                  .calibrate(NodeId{tx.hardware_seed},
+                             NodeId{rx.hardware_seed}, rng)
+                  .ok());
+}
+
+/// Registers both devices, then ranges antenna 0 against antenna 0.
+RangingResult measure(Rig& rig, const sim::Device& tx, const sim::Device& rx,
+                      mathx::Rng& rng) {
+  rig.source->add_node(tx);
+  rig.source->add_node(rx);
+  return rig.engine
+      .measure({{NodeId{tx.hardware_seed}, 0}, {NodeId{rx.hardware_seed}, 0}},
+               rng)
+      .value();
+}
 
 sim::LinkSimConfig ideal_link() {
   sim::LinkSimConfig c;
@@ -53,16 +88,13 @@ TEST(Ranging, IdealOfficeMultipathFindsDirectPath) {
 }
 
 TEST(Ranging, FullImpairmentsWithCalibrationInOffice) {
-  EngineConfig ec;
-  ChronosEngine eng(sim::office_20x20(), ec);
+  Rig rig = make_rig(sim::office_20x20());
   mathx::Rng rng(7);
-  const auto tx0 = sim::make_mobile({0.0, 0.0}, 11);
-  const auto rx0 = sim::make_mobile({1.0, 0.0}, 22);
-  eng.calibrate(tx0, rx0, rng);
+  calibrate(rig, sim::make_mobile({0.0, 0.0}, 11),
+            sim::make_mobile({1.0, 0.0}, 22), rng);
 
-  const auto tx = sim::make_mobile({3.0, 3.0}, 11);
-  const auto rx = sim::make_mobile({8.0, 6.0}, 22);
-  const auto r = eng.measure_distance(tx, 0, rx, 0, rng);
+  const auto r = measure(rig, sim::make_mobile({3.0, 3.0}, 11),
+                         sim::make_mobile({8.0, 6.0}, 22), rng);
   ASSERT_TRUE(r.peak_found);
   EXPECT_NEAR(r.distance_m, std::hypot(5.0, 3.0), 0.5);
   // Detection delay estimate lands in the Fig 7c ballpark.
@@ -71,13 +103,12 @@ TEST(Ranging, FullImpairmentsWithCalibrationInOffice) {
 }
 
 TEST(Ranging, CandidatesAuditTrailIsPopulated) {
-  EngineConfig ec;
-  ChronosEngine eng(sim::office_20x20(), ec);
+  Rig rig = make_rig(sim::office_20x20());
   mathx::Rng rng(7);
-  eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                sim::make_mobile({1.0, 0.0}, 22), rng);
-  const auto r = eng.measure_distance(sim::make_mobile({3.0, 3.0}, 11), 0,
-                                      sim::make_mobile({7.0, 5.0}, 22), 0, rng);
+  calibrate(rig, sim::make_mobile({0.0, 0.0}, 11),
+            sim::make_mobile({1.0, 0.0}, 22), rng);
+  const auto r = measure(rig, sim::make_mobile({3.0, 3.0}, 11),
+                         sim::make_mobile({7.0, 5.0}, 22), rng);
   ASSERT_TRUE(r.peak_found);
   ASSERT_FALSE(r.candidates.empty());
   std::size_t accepted = 0;
@@ -109,12 +140,12 @@ TEST(Ranging, CalibrationRemovesHardwareBias) {
   ec.link = link_cfg;
   ec.ranging.combining.quirk_fix = false;
   ec.ranging.use_toa_gate = false;
-  ChronosEngine eng(sim::anechoic(), ec);
+  Rig rig = make_rig(sim::anechoic(), ec);
   mathx::Rng rng(2);
-  eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                sim::make_mobile({1.0, 0.0}, 22), rng);
-  const auto r = eng.measure_distance(sim::make_mobile({0.0, 0.0}, 11), 0,
-                                      sim::make_mobile({6.0, 0.0}, 22), 0, rng);
+  calibrate(rig, sim::make_mobile({0.0, 0.0}, 11),
+            sim::make_mobile({1.0, 0.0}, 22), rng);
+  const auto r = measure(rig, sim::make_mobile({0.0, 0.0}, 11),
+                         sim::make_mobile({6.0, 0.0}, 22), rng);
   EXPECT_NEAR(r.distance_m, 6.0, 0.05);
 }
 
@@ -185,27 +216,28 @@ TEST(Localization, RejectsDegenerateInput) {
 }
 
 TEST(Localization, EngineLocateEndToEnd) {
-  EngineConfig ec;
-  ChronosEngine eng(sim::office_20x20(), ec);
+  Rig rig = make_rig(sim::office_20x20());
   mathx::Rng rng(21);
-  eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                sim::make_laptop({1.0, 0.0}, 0.3, 22), rng);
+  calibrate(rig, sim::make_mobile({0.0, 0.0}, 11),
+            sim::make_laptop({1.0, 0.0}, 0.3, 22), rng);
   const geom::Vec2 truth{4.0, 4.0};
-  const auto tx = sim::make_mobile(truth, 11);
-  const auto rx = sim::make_laptop({9.0, 7.0}, 0.3, 22);
-  const auto out = eng.locate(tx, rx, rng);
+  rig.source->add_node(sim::make_mobile(truth, 11));
+  rig.source->add_node(sim::make_laptop({9.0, 7.0}, 0.3, 22));
+  const auto located = rig.engine.locate(NodeId{11}, NodeId{22}, rng);
+  ASSERT_TRUE(located.ok());
+  const auto& out = located.value();
   ASSERT_TRUE(out.result.valid);
   EXPECT_EQ(out.antenna_distances_m.size(), 3u);
   EXPECT_LT(geom::distance(out.result.position, truth), 2.5);
 }
 
 TEST(Localization, EngineLocateNeedsMultiAntennaReceiver) {
-  EngineConfig ec;
-  ChronosEngine eng(sim::anechoic(), ec);
+  Rig rig = make_rig(sim::anechoic());
+  rig.source->add_node(sim::make_mobile({0.0, 0.0}, 1));
+  rig.source->add_node(sim::make_mobile({1.0, 0.0}, 2));
   mathx::Rng rng(1);
-  EXPECT_THROW((void)eng.locate(sim::make_mobile({0.0, 0.0}),
-                                sim::make_mobile({1.0, 0.0}), rng),
-               std::invalid_argument);
+  EXPECT_EQ(rig.engine.locate(NodeId{1}, NodeId{2}, rng).status().code(),
+            chronos::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -66,24 +66,32 @@ TEST(SimSweepSource, MatchesDirectSimulatorBitExactly) {
   EXPECT_EQ(rng_direct.uniform(0.0, 1.0), rng_seam.uniform(0.0, 1.0));
 }
 
-TEST(SimSweepSource, EngineOnExplicitSourceMatchesClassicEngine) {
+TEST(SimSweepSource, EngineRangesExactlyTheDirectSimulatorSweep) {
+  // Engine::measure over a SimSweepSource is the pipeline applied to the
+  // sweep the simulator itself produces on the same stream, and a batch
+  // on one thread equals a batch on two.
   const auto ec = fast_config();
-  const ChronosEngine classic(sim::office_20x20(), ec);
-  const ChronosEngine seamed(
-      std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link), ec);
+  auto source = std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link);
+  const Engine engine = make_engine(source, ec);
+  const sim::LinkSimulator link(sim::office_20x20(), ec.link);
+  const RangingPipeline pipeline(source->bands(), ec.ranging);
 
   const auto tx = sim::make_mobile({2.0, 2.0}, 5);
   const auto rx = sim::make_mobile({9.0, 6.0}, 6);
+  source->add_node(tx);
+  source->add_node(rx);
   mathx::Rng rng_a(11);
   mathx::Rng rng_b(11);
-  expect_bitwise_equal(classic.measure_distance(tx, 0, rx, 0, rng_a),
-                       seamed.measure_distance(tx, 0, rx, 0, rng_b));
+  expect_bitwise_equal(
+      engine.measure({{NodeId{5}, 0}, {NodeId{6}, 0}}, rng_a).value(),
+      pipeline.estimate(link.simulate_sweep(tx, 0, rx, 0, rng_b)));
 
-  std::vector<ResolvedRequest> requests = {{tx, 0, rx, 0}, {rx, 0, tx, 0}};
+  const std::vector<RangingRequest> requests = {
+      {{NodeId{5}, 0}, {NodeId{6}, 0}}, {{NodeId{6}, 0}, {NodeId{5}, 0}}};
   mathx::Rng rng_c(12);
   mathx::Rng rng_d(12);
-  const auto batch_a = classic.measure_batch(requests, rng_c, BatchOptions{2});
-  const auto batch_b = seamed.measure_batch(requests, rng_d, BatchOptions{2});
+  const auto batch_a = engine.measure_batch(requests, rng_c, BatchOptions{1});
+  const auto batch_b = engine.measure_batch(requests, rng_d, BatchOptions{2});
   ASSERT_EQ(batch_a.results.size(), batch_b.results.size());
   for (std::size_t i = 0; i < batch_a.results.size(); ++i) {
     expect_bitwise_equal(batch_a.results[i], batch_b.results[i]);
@@ -112,11 +120,12 @@ TEST(TraceSweepSource, RoundTripRangesIdenticallyToInMemorySweep) {
   EXPECT_EQ(trace->key_count(), 1u);
   EXPECT_EQ(trace->sweep_count(), 1u);
 
-  const ChronosEngine engine(trace, ec);
+  const Engine engine = make_engine(trace, ec);
   mathx::Rng replay_rng(1);
-  const auto replayed = engine.measure_distance(tx, 0, rx, 0, replay_rng);
+  const auto replayed =
+      engine.measure({{NodeId{21}, 0}, {NodeId{22}, 0}}, replay_rng).value();
 
-  const RangingPipeline pipeline(engine.source().bands(), ec.ranging);
+  const RangingPipeline pipeline(trace->bands(), ec.ranging);
   const auto direct = pipeline.estimate(sweep);
 
   EXPECT_EQ(replayed.tof_s, direct.tof_s);
@@ -137,7 +146,7 @@ TEST(TraceSweepSource, BatchedReplayIsThreadCountInvariant) {
   const sim::LinkSimulator link(sim::office_20x20(), ec.link);
 
   auto trace = std::make_shared<TraceSweepSource>();
-  std::vector<ResolvedRequest> requests;
+  std::vector<RangingRequest> requests;
   mathx::Rng record_rng(5);
   const auto rx = sim::make_laptop({12.0, 9.0}, 0.3, 99);
   for (std::uint64_t d = 0; d < 6; ++d) {
@@ -145,10 +154,10 @@ TEST(TraceSweepSource, BatchedReplayIsThreadCountInvariant) {
                                      200 + d);
     trace->add_sweep(TraceKey::of(ResolvedRequest{tx, 0, rx, 0}),
                      link.simulate_sweep(tx, 0, rx, 0, record_rng));
-    requests.push_back({tx, 0, rx, 0});
+    requests.push_back({{NodeId{200 + d}, 0}, {NodeId{99}, 0}});
   }
 
-  const ChronosEngine engine(trace, ec);
+  const Engine engine = make_engine(trace, ec);
   mathx::Rng rng_seq(31);
   const auto sequential = engine.measure_batch(requests, rng_seq,
                                                BatchOptions{1});
@@ -226,39 +235,39 @@ TEST(TraceSweepSource, RejectsUnknownKeyAndInconsistentBands) {
 
 TEST(Engine, SetCalibrationInstallsRecordedTable) {
   const auto ec = fast_config();
-  ChronosEngine sim_engine(sim::office_20x20(), ec);
+  auto source = std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link);
+  Engine sim_engine = make_engine(source, ec);
+  source->add_node(sim::make_mobile({0.0, 0.0}, 1));
+  source->add_node(sim::make_mobile({1.0, 0.0}, 2));
   mathx::Rng cal_rng(15);
-  sim_engine.calibrate(sim::make_mobile({0.0, 0.0}, 1),
-                       sim::make_mobile({1.0, 0.0}, 2), cal_rng);
+  ASSERT_TRUE(sim_engine.calibrate(NodeId{1}, NodeId{2}, cal_rng).ok());
 
   // Record one sweep and replay it on a trace engine that inherits the sim
   // engine's calibration table; both engines must estimate identically.
-  const auto tx = sim::make_mobile({4.0, 4.0}, 51);
-  const auto rx = sim::make_mobile({9.0, 5.0}, 52);
+  source->add_node(sim::make_mobile({4.0, 4.0}, 51));
+  source->add_node(sim::make_mobile({9.0, 5.0}, 52));
+  const RangingRequest link{{NodeId{51}, 0}, {NodeId{52}, 0}};
   mathx::Rng record_rng(8);
-  const auto sweep =
-      sim_engine.source()
-          .sweep_for(ResolvedRequest{tx, 0, rx, 0}, record_rng)
-          .value();
+  const auto sweep = sim_engine.capture_sweep(link, record_rng).value();
 
   auto trace = std::make_shared<TraceSweepSource>();
-  trace->add_sweep(TraceKey::of(ResolvedRequest{tx, 0, rx, 0}), sweep);
-  ChronosEngine trace_engine(trace, ec);
+  trace->add_sweep(TraceKey::of(link), sweep);
+  Engine trace_engine = make_engine(trace, ec);
   trace_engine.set_calibration(sim_engine.calibration());
 
   mathx::Rng replay_rng(1);
-  const auto replayed = trace_engine.measure_distance(tx, 0, rx, 0, replay_rng);
-  const auto direct = sim_engine.pipeline().estimate(sweep,
-                                                     sim_engine.calibration());
+  const auto replayed = trace_engine.measure(link, replay_rng).value();
+  const auto direct = sim_engine.estimate(sweep).value();
   EXPECT_EQ(replayed.tof_s, direct.tof_s);
   EXPECT_EQ(replayed.distance_m, direct.distance_m);
 }
 
 TEST(Engine, BackendIdentityAndDerivedTraceDirectory) {
-  // ChronosEngine::link() is gone (PR 5): source() + the registry cover
-  // every former caller, for simulator and trace backends alike.
+  // backend_name() + the registry describe the backend, for simulator and
+  // trace backends alike.
   const auto ec = fast_config();
-  const ChronosEngine sim_engine(sim::office_20x20(), ec);
+  const Engine sim_engine = make_engine(
+      std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link), ec);
 
   const sim::LinkSimulator link(sim::office_20x20(), ec.link);
   const auto tx = sim::make_mobile({3.0, 3.0}, 61);
@@ -267,9 +276,9 @@ TEST(Engine, BackendIdentityAndDerivedTraceDirectory) {
   mathx::Rng rng(2);
   trace->add_sweep(TraceKey::of(ResolvedRequest{tx, 0, rx, 2}),
                    link.simulate_sweep(tx, 0, rx, 2, rng));
-  const ChronosEngine trace_engine(trace, ec);
-  EXPECT_EQ(trace_engine.source().backend_name(), "trace");
-  EXPECT_EQ(sim_engine.source().backend_name(), "sim");
+  const Engine trace_engine = make_engine(trace, ec);
+  EXPECT_EQ(trace_engine.backend_name(), "trace");
+  EXPECT_EQ(sim_engine.backend_name(), "sim");
 
   // The trace backend's node directory is derived from its recorded keys.
   const auto& registry = trace_engine.registry();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "core/engine.hpp"
 #include "mathx/constants.hpp"
@@ -13,19 +14,54 @@
 namespace chronos {
 namespace {
 
+/// A simulator engine whose node directory the test writes through
+/// `source` (node id = hardware seed throughout).
+struct Rig {
+  std::shared_ptr<core::SimSweepSource> source;
+  Engine engine;
+};
+
+Rig make_rig(sim::Environment env) {
+  const core::EngineConfig ec;
+  auto source = std::make_shared<core::SimSweepSource>(std::move(env), ec.link);
+  return {source, core::make_engine(source, ec)};
+}
+
+/// Registers both devices, then ranges antenna 0 of `tx` against antenna 0
+/// of `rx`.
+core::RangingResult measure(Rig& rig, const sim::Device& tx,
+                            const sim::Device& rx, mathx::Rng& rng) {
+  rig.source->add_node(tx);
+  rig.source->add_node(rx);
+  return rig.engine
+      .measure({{NodeId{tx.hardware_seed}, 0}, {NodeId{rx.hardware_seed}, 0}},
+               rng)
+      .value();
+}
+
+/// Registers both devices, then calibrates the pair.
+void calibrate(Rig& rig, const sim::Device& tx, const sim::Device& rx,
+               mathx::Rng& rng) {
+  rig.source->add_node(tx);
+  rig.source->add_node(rx);
+  ASSERT_TRUE(rig.engine
+                  .calibrate(NodeId{tx.hardware_seed},
+                             NodeId{rx.hardware_seed}, rng)
+                  .ok());
+}
+
 // Property: sweeping distance, the recovered ToF scales linearly (no
 // ambiguity wraps, no systematic drift) across the gated pipeline.
 class DistanceLinearity : public ::testing::TestWithParam<double> {};
 
 TEST_P(DistanceLinearity, TofTracksDistance) {
   const double d = GetParam();
-  core::EngineConfig ec;
-  core::ChronosEngine eng(sim::anechoic(), ec);
+  Rig rig = make_rig(sim::anechoic());
   mathx::Rng rng(13);
-  eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                sim::make_mobile({1.0, 0.0}, 22), rng);
-  const auto r = eng.measure_distance(sim::make_mobile({0.0, 0.0}, 11), 0,
-                                      sim::make_mobile({d, 0.0}, 22), 0, rng);
+  calibrate(rig, sim::make_mobile({0.0, 0.0}, 11),
+            sim::make_mobile({1.0, 0.0}, 22), rng);
+  const auto r = measure(rig, sim::make_mobile({0.0, 0.0}, 11),
+                         sim::make_mobile({d, 0.0}, 22), rng);
   ASSERT_TRUE(r.peak_found);
   EXPECT_NEAR(r.distance_m, d, 0.05 + 0.01 * d);
 }
@@ -38,14 +74,13 @@ INSTANTIATE_TEST_SUITE_P(Distances, DistanceLinearity,
 // the same distance (each direction is measured anyway; roles only change
 // who initiates).
 TEST(Integration, RoleSwapGivesSameDistance) {
-  core::EngineConfig ec;
-  core::ChronosEngine eng(sim::office_20x20(), ec);
+  Rig rig = make_rig(sim::office_20x20());
   mathx::Rng rng(17);
   const auto a = sim::make_mobile({3.0, 4.0}, 11);
   const auto b = sim::make_mobile({8.0, 9.0}, 22);
-  eng.calibrate(a, b, rng);
-  const auto ab = eng.measure_distance(a, 0, b, 0, rng);
-  const auto ba = eng.measure_distance(b, 0, a, 0, rng);
+  calibrate(rig, a, b, rng);
+  const auto ab = measure(rig, a, b, rng);
+  const auto ba = measure(rig, b, a, rng);
   ASSERT_TRUE(ab.peak_found);
   ASSERT_TRUE(ba.peak_found);
   EXPECT_NEAR(ab.distance_m, ba.distance_m, 0.4);
@@ -54,15 +89,14 @@ TEST(Integration, RoleSwapGivesSameDistance) {
 // Property: repeated measurements of a static link are consistent — the
 // spread across sweeps is far below the absolute accuracy requirement.
 TEST(Integration, RepeatedMeasurementsAreStable) {
-  core::EngineConfig ec;
-  core::ChronosEngine eng(sim::office_20x20(), ec);
+  Rig rig = make_rig(sim::office_20x20());
   mathx::Rng rng(19);
   const auto tx = sim::make_mobile({4.0, 3.0}, 11);
   const auto rx = sim::make_mobile({9.0, 7.0}, 22);
-  eng.calibrate(tx, rx, rng);
+  calibrate(rig, tx, rx, rng);
   std::vector<double> estimates;
   for (int i = 0; i < 8; ++i) {
-    estimates.push_back(eng.measure_distance(tx, 0, rx, 0, rng).distance_m);
+    estimates.push_back(measure(rig, tx, rx, rng).distance_m);
   }
   EXPECT_LT(mathx::stddev(estimates), 0.15);
 }
@@ -70,13 +104,12 @@ TEST(Integration, RepeatedMeasurementsAreStable) {
 // Property: the ToF estimate never reports the detection delay — the whole
 // point of §5. ToA (slope) and ToF must differ by ~the detection pipeline.
 TEST(Integration, TofIsFreeOfDetectionDelay) {
-  core::EngineConfig ec;
-  core::ChronosEngine eng(sim::office_20x20(), ec);
+  Rig rig = make_rig(sim::office_20x20());
   mathx::Rng rng(23);
   const auto tx = sim::make_mobile({3.0, 3.0}, 11);
   const auto rx = sim::make_mobile({7.0, 6.0}, 22);
-  eng.calibrate(tx, rx, rng);
-  const auto r = eng.measure_distance(tx, 0, rx, 0, rng);
+  calibrate(rig, tx, rx, rng);
+  const auto r = measure(rig, tx, rx, rng);
   ASSERT_TRUE(r.peak_found);
   EXPECT_LT(r.tof_s, 60e-9);        // a real indoor ToF
   EXPECT_GT(r.toa_s, 150e-9);       // raw arrival includes ~180 ns delay
@@ -92,15 +125,16 @@ TEST(Integration, SmallerBaselineIsWorse) {
     mathx::Rng rng(100 + trial);
     const auto pl = scen.sample_pair_los(rng, 2.0, 10.0);
     for (const double sep : {0.15, 1.2}) {
-      core::EngineConfig ec;
-      core::ChronosEngine eng(scen.environment(), ec);
+      Rig rig = make_rig(scen.environment());
       mathx::Rng cal_rng(5);
-      eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                    sim::make_laptop({1.5, 0.0}, sep, 22), cal_rng);
-      const auto out = eng.locate(sim::make_mobile(pl.tx, 11),
-                                  sim::make_laptop(pl.rx, sep, 22), rng);
-      if (!out.result.valid) continue;
-      const double err = geom::distance(out.result.position, pl.tx);
+      calibrate(rig, sim::make_mobile({0.0, 0.0}, 11),
+                sim::make_laptop({1.5, 0.0}, sep, 22), cal_rng);
+      rig.source->add_node(sim::make_mobile(pl.tx, 11));
+      rig.source->add_node(sim::make_laptop(pl.rx, sep, 22));
+      const auto out = rig.engine.locate(NodeId{11}, NodeId{22}, rng);
+      ASSERT_TRUE(out.ok());
+      if (!out.value().result.valid) continue;
+      const double err = geom::distance(out.value().result.position, pl.tx);
       (sep < 0.5 ? err_small_total : err_large_total) += err;
     }
   }
@@ -111,15 +145,14 @@ TEST(Integration, SmallerBaselineIsWorse) {
 // sparse in the paper's sense (a handful of dominant peaks, not a smear).
 TEST(Integration, ProfilesStaySparse) {
   const auto scen = sim::office_testbed(42);
-  core::EngineConfig ec;
-  core::ChronosEngine eng(scen.environment(), ec);
+  Rig rig = make_rig(scen.environment());
   mathx::Rng rng(29);
-  eng.calibrate(sim::make_mobile({0.0, 0.0}, 11),
-                sim::make_mobile({1.0, 0.0}, 22), rng);
+  calibrate(rig, sim::make_mobile({0.0, 0.0}, 11),
+            sim::make_mobile({1.0, 0.0}, 22), rng);
   for (int i = 0; i < 6; ++i) {
     const auto pl = scen.sample_pair(rng, 1.0, 12.0);
-    const auto r = eng.measure_distance(sim::make_mobile(pl.tx, 11), 0,
-                                        sim::make_mobile(pl.rx, 22), 0, rng);
+    const auto r = measure(rig, sim::make_mobile(pl.tx, 11),
+                           sim::make_mobile(pl.rx, 22), rng);
     const auto dominant = core::dominant_peak_count(r.profile, 0.2);
     EXPECT_GE(dominant, 1u);
     EXPECT_LE(dominant, 16u);

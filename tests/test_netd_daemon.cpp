@@ -43,7 +43,7 @@ core::EngineConfig fast_config() {
 /// over the office floor, plus the reference engine sharing it.
 struct Fixture {
   std::shared_ptr<core::SimSweepSource> source;
-  std::unique_ptr<core::ChronosEngine> engine;
+  Engine engine;
   std::vector<chronos::RangingRequest> requests;
 };
 
@@ -53,14 +53,14 @@ Fixture make_fixture(std::size_t n_pairs, bool hostile) {
   if (hostile) ec.ranging.integrity = core::IntegrityConfig::hostile();
   f.source =
       std::make_shared<core::SimSweepSource>(sim::office_20x20(), ec.link);
-  f.engine = std::make_unique<core::ChronosEngine>(f.source, ec);
+  f.engine = core::make_engine(f.source, ec);
   mathx::Rng cal_rng(99);
   f.source->add_node(chronos::NodeId{9001},
                      sim::make_mobile({0.0, 0.0}, 11));
   f.source->add_node(chronos::NodeId{9002},
                      sim::make_mobile({1.0, 0.0}, 22));
   EXPECT_TRUE(
-      f.engine->calibrate(chronos::NodeId{9001}, chronos::NodeId{9002},
+      f.engine.calibrate(chronos::NodeId{9001}, chronos::NodeId{9002},
                           cal_rng)
           .ok());
   for (std::size_t i = 0; i < n_pairs; ++i) {
@@ -104,7 +104,7 @@ void run_bit_identity(std::size_t shards, std::size_t depth,
   opt.shard_threads = 1;
   constexpr std::uint64_t kSeed = 1234;
   mathx::Rng daemon_rng(kSeed);
-  ChronosDaemon daemon(f.source, fast_config().ranging, f.engine->calibration(),
+  ChronosDaemon daemon(f.source, fast_config().ranging, f.engine.calibration(),
                        daemon_rng, opt);
   ASSERT_EQ(daemon.shards(), shards);
 
@@ -143,7 +143,7 @@ void run_bit_identity(std::size_t shards, std::size_t depth,
   // The equivalence target: the in-process batch over the admitted log on
   // the daemon's seed (same single rng fork, same split streams).
   mathx::Rng batch_rng(kSeed);
-  const auto batch = f.engine->measure_batch(admitted, batch_rng, {});
+  const auto batch = f.engine.measure_batch(admitted, batch_rng, {});
 
   std::size_t checked = 0;
   for (std::size_t c = 0; c < clients; ++c) {
@@ -229,7 +229,7 @@ TEST(ShardRouting, DaemonRoutesByTransmitterHash) {
   opt.shards = 4;
   mathx::Rng rng(1);
   ChronosDaemon daemon(f.source, fast_config().ranging,
-                       f.engine->calibration(), rng, opt);
+                       f.engine.calibration(), rng, opt);
   for (std::uint64_t id : {0ull, 1ull, 42ull, 9001ull}) {
     EXPECT_EQ(daemon.shard_of_node(chronos::NodeId{id}),
               static_cast<std::size_t>(mix64(id) % 4));
@@ -238,7 +238,7 @@ TEST(ShardRouting, DaemonRoutesByTransmitterHash) {
   DaemonOptions one;
   mathx::Rng rng1(1);
   ChronosDaemon single(f.source, fast_config().ranging,
-                       f.engine->calibration(), rng1, one);
+                       f.engine.calibration(), rng1, one);
   EXPECT_EQ(single.shard_of_node(chronos::NodeId{9001}), 0u);
 }
 
@@ -252,7 +252,7 @@ TEST(ShardRouting, ShardsOwnPrivatePipelines) {
   opt.shards = 3;
   mathx::Rng rng(1);
   ChronosDaemon daemon(f.source, fast_config().ranging,
-                       f.engine->calibration(), rng, opt);
+                       f.engine.calibration(), rng, opt);
   EXPECT_NE(&daemon.shard_pipeline(0), &daemon.shard_pipeline(1));
   EXPECT_NE(&daemon.shard_pipeline(1), &daemon.shard_pipeline(2));
   EXPECT_NE(&daemon.shard_pipeline(0), &daemon.shard_pipeline(2));
@@ -268,7 +268,7 @@ TEST(ChronosDaemon, MalformedFramePoisonsOnlyThatConnection) {
   opt.trusted_clients = true;  // match the fixture engine's config exactly
   mathx::Rng rng(7);
   ChronosDaemon daemon(f.source, fast_config().ranging,
-                       f.engine->calibration(), rng, opt);
+                       f.engine.calibration(), rng, opt);
 
   auto [attacker_end, attacker_daemon_end] = make_loopback();
   auto [client_end, client_daemon_end] = make_loopback();
@@ -310,7 +310,7 @@ TEST(ChronosDaemon, ResolutionFailuresConsumeTicketsLikeABatch) {
   constexpr std::uint64_t kSeed = 55;
   mathx::Rng rng(kSeed);
   ChronosDaemon daemon(f.source, fast_config().ranging,
-                       f.engine->calibration(), rng, opt);
+                       f.engine.calibration(), rng, opt);
   auto [client_end, daemon_end] = make_loopback();
   daemon.attach(daemon_end);
 
@@ -341,7 +341,7 @@ TEST(ChronosDaemon, ResolutionFailuresConsumeTicketsLikeABatch) {
   // The equivalence holds including the failed slot.
   mathx::Rng batch_rng(kSeed);
   const auto batch =
-      f.engine->measure_batch(daemon.admitted_requests(), batch_rng, {});
+      f.engine.measure_batch(daemon.admitted_requests(), batch_rng, {});
   ASSERT_EQ(batch.results.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     expect_reply_matches(replies[i], reply_of(batch.results[i]));
