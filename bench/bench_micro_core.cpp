@@ -117,22 +117,13 @@ const std::vector<MicroKernel>& kernels() {
                   }});
 
     // Gradient-arm ablation at the default 35x1201 problem. fista_solve
-    // above runs the production kAuto cost model; kDense pins the legacy
-    // fused forward/adjoint (the golden numerics); kToeplitzFft forces the
-    // FFT convolution arm — at 35 rows the dense adjoint is cheaper, so
-    // this one is a correctness/measurement mode, not a speedup (the
-    // crossover sits near 72 rows at m = 1201).
+    // above runs the production kAuto arm rule; kDense pins the legacy
+    // fused forward/adjoint (the golden numerics).
     core::IstaOptions dense_opts;
     dense_opts.gradient = core::IstaOptions::GradientMode::kDense;
-    core::IstaOptions fft_opts;
-    fft_opts.gradient = core::IstaOptions::GradientMode::kToeplitzFft;
     ks.push_back({"BM_FistaSolveDense", "fista_solve_dense",
                   [solver, h, dense_opts] {
                     return solver->solve_fista(h, dense_opts).residual_norm;
-                  }});
-    ks.push_back({"BM_FistaSolveFft", "fista_solve_fft",
-                  [solver, h, fft_opts] {
-                    return solver->solve_fista(h, fft_opts).residual_norm;
                   }});
 
     // Multi-RHS batched solve vs the PR 3-style sequential loop it

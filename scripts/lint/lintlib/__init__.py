@@ -1,8 +1,8 @@
 """lintlib — the shared C++ source-analysis framework of scripts/lint/.
 
 Every project checker (layering DAG, determinism bans, stream-tag
-registry, lock-order graph, status-discard, hot-loop no-alloc) is a thin
-rule set on top of these pieces:
+registry, lock-order graph, status-discard, hot-loop no-alloc, bench-key
+drift) is a thin rule set on top of these pieces:
 
   * ``tokenizer``  — strips comments and string/char literals (raw
                      strings, line-spliced ``//`` comments, block

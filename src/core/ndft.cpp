@@ -50,28 +50,15 @@ double residual_norm_active(const NdftPlan& plan, NdftWorkspace& ws) {
 
 /// One gradient evaluation at (y_re, y_im), routed per IstaOptions mode.
 /// ws.active must list y's nonzero columns and ws.b must hold F^H h (the
-/// Toeplitz arms consume it; the dense arm ignores it).
+/// scatter arm consumes it; the dense arm ignores it).
 void dispatch_gradient(const NdftPlan& plan, IstaOptions::GradientMode mode,
                        const double* y_re, const double* y_im,
                        NdftWorkspace& ws) {
-  using Mode = IstaOptions::GradientMode;
-  using Arm = NdftPlan::GradientArm;
-  Arm arm = Arm::kDense;
-  if (mode == Mode::kAuto) {
-    arm = plan.pick_arm(ws.active.size());
-  } else if (mode == Mode::kToeplitzFft && plan.toeplitz_capable()) {
-    arm = Arm::kConv;
-  }
-  switch (arm) {
-    case Arm::kScatter:
-      plan.gradient_toeplitz_scatter(y_re, y_im, ws);
-      break;
-    case Arm::kConv:
-      plan.gradient_toeplitz_fft(y_re, y_im, ws);
-      break;
-    case Arm::kDense:
-      plan.gradient(y_re, y_im, ws);
-      break;
+  if (mode == IstaOptions::GradientMode::kAuto &&
+      plan.pick_arm(ws.active.size()) == NdftPlan::GradientArm::kScatter) {
+    plan.gradient_toeplitz_scatter(y_re, y_im, ws);
+  } else {
+    plan.gradient(y_re, y_im, ws);
   }
 }
 
@@ -102,11 +89,10 @@ void NdftSolver::sparsify(std::span<std::complex<double>> p,
 double NdftSolver::effective_alpha(NdftWorkspace& ws,
                                    const IstaOptions& opts) const {
   CHRONOS_EXPECTS(opts.alpha > 0.0, "alpha must be positive");
-  if (!opts.relative_alpha) return opts.alpha;
   // Scale-free knob: alpha relative to the strongest matched-filter
   // response max|F^H h| (the largest gradient magnitude at p = 0). The
   // caller has already computed F^H h into ws.b — the same vector the
-  // Toeplitz gradient arms consume — so alpha is bit-identical across
+  // Toeplitz scatter arm consumes — so alpha is bit-identical across
   // gradient modes and costs no extra adjoint.
   // Argmax over squared magnitudes (|.| is monotone in |.|^2), then a single
   // exact std::abs at the winner — same peak value as the legacy per-element
@@ -204,7 +190,7 @@ SparseSolveResult NdftSolver::solve_ista(
 
   ws.bind(n, m);
   split_into(h, ws.h_re, ws.h_im);
-  // b = F^H h: the fixed linear term of the Toeplitz gradient arms AND the
+  // b = F^H h: the fixed linear term of the Toeplitz scatter arm AND the
   // argmax source for the relative-alpha knob — one adjoint serves both.
   plan.adjoint(ws.h_re.data(), ws.h_im.data(), ws.b_re.data(),
                ws.b_im.data());
@@ -228,8 +214,8 @@ SparseSolveResult NdftSolver::solve_ista(
   // lint:region(no-alloc)
   for (int t = 0; t < opts.max_iterations; ++t) {
     // Gradient step on ||h - F p||^2: p - gamma * F^H (F p - h), evaluated
-    // by whichever arm the options/cost model select (the Toeplitz arms
-    // exploit p's sparsity via ws.active, tracked below).
+    // by whichever arm the options/cost model select (the scatter arm
+    // exploits p's sparsity via ws.active, tracked below).
     dispatch_gradient(plan, opts.gradient, ws.p_re.data(), ws.p_im.data(),
                       ws);
 
@@ -287,7 +273,7 @@ SparseSolveResult NdftSolver::solve_fista(
 
   ws.bind(n, m);
   split_into(h, ws.h_re, ws.h_im);
-  // b = F^H h: the fixed linear term of the Toeplitz gradient arms AND the
+  // b = F^H h: the fixed linear term of the Toeplitz scatter arm AND the
   // argmax source for the relative-alpha knob — one adjoint serves both.
   plan.adjoint(ws.h_re.data(), ws.h_im.data(), ws.b_re.data(),
                ws.b_im.data());
@@ -389,10 +375,10 @@ std::vector<SparseSolveResult> NdftSolver::solve_fista_batch(
   out.reserve(hs.size());
   // Shared plan + ONE shared workspace: after the first column the
   // iteration loops run allocation-free and every plan-level
-  // precomputation (SoA planes, Toeplitz kernel, circulant spectrum, FFT
-  // twiddles) stays hot across the panel. Per-column arithmetic stays
-  // sequential on purpose: lane-interleaved SoA panels through the same
-  // kernels were measured 2-15x SLOWER per RHS at baseline ISA (the
+  // precomputation (SoA planes, Toeplitz kernel window) stays hot across
+  // the panel. Per-column arithmetic stays sequential on purpose:
+  // lane-interleaved SoA panels through the same kernels were measured
+  // 2-15x SLOWER per RHS at baseline ISA (the
   // per-column kernels already run at SSE2 compute peak out of L2, and
   // interleaving wrecks both the unit stride and the per-column active-set
   // sparsity). Every buffer a solve reads is fully (re)initialised per

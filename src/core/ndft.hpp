@@ -33,32 +33,26 @@
 namespace chronos::core {
 
 struct IstaOptions {
-  /// Sparsity weight alpha. When `relative_alpha` is true (default), the
-  /// effective alpha is alpha * max|F^H h| so the knob is scale-free.
-  /// 0.2 suppresses the junk floor that normalisation model error and
-  /// per-band phase noise otherwise scatter across the profile (see the
-  /// alpha-sweep ablation bench).
+  /// Sparsity weight alpha, relative to the strongest matched-filter
+  /// response: the effective alpha is alpha * max|F^H h|, so the knob is
+  /// scale-free. 0.2 suppresses the junk floor that normalisation model
+  /// error and per-band phase noise otherwise scatter across the profile
+  /// (see the alpha-sweep ablation bench).
   double alpha = 0.2;
-  bool relative_alpha = true;
   /// Convergence: stop when ||p_{t+1} - p_t||_2 < epsilon * ||h||_2.
   double epsilon = 1e-4;
   int max_iterations = 4000;
   /// How the per-iteration gradient is evaluated (see
   /// NdftPlan::GradientArm):
-  ///  * kAuto — per-iteration cost-model choice between the Toeplitz
-  ///    scatter, the FFT convolution, and the dense arm (the default; on
-  ///    plans without a Toeplitz tier every iteration is dense);
+  ///  * kAuto — per-iteration NdftPlan::pick_arm choice between the
+  ///    Toeplitz scatter and the dense arm (the default; on plans without
+  ///    a Toeplitz tier every iteration is dense);
   ///  * kDense — the legacy fused forward/adjoint on every iteration,
-  ///    bit-identical to rounds 1-2's numerics (the golden reference);
-  ///  * kToeplitzFft — the FFT convolution on every iteration (falls back
-  ///    to kDense on plans without a Toeplitz tier). Mostly a correctness
-  ///    and measurement mode: at the default 35-row problem the dense
-  ///    adjoint is cheaper than the convolution, which pays off only for
-  ///    larger row counts (crossover ~72 rows at m = 1201).
+  ///    bit-identical to rounds 1-2's numerics (the golden reference).
   /// The arms agree to ~1e-13 relative per gradient; alpha, thresholds and
   /// iteration structure are shared, so mode only perturbs iterates at
   /// rounding level (tests pin <= 1e-12 against kDense).
-  enum class GradientMode { kAuto, kDense, kToeplitzFft };
+  enum class GradientMode { kAuto, kDense };
   GradientMode gradient = GradientMode::kAuto;
 };
 

@@ -37,16 +37,6 @@ double DelayGrid::delay_at(std::size_t i) const {
   return min_s + static_cast<double>(i) * step_s;
 }
 
-namespace {
-
-std::size_t next_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 void NdftWorkspace::bind(std::size_t rows, std::size_t cols) {
   h_re.resize(rows);
   h_im.resize(rows);
@@ -60,12 +50,6 @@ void NdftWorkspace::bind(std::size_t rows, std::size_t cols) {
   y_im.resize(cols);
   b_re.resize(cols);
   b_im.resize(cols);
-  // The circulant length is a pure function of cols (matching the plan's
-  // conv_size() whenever that plan is Toeplitz-capable), so the workspace
-  // stays plan-agnostic.
-  const std::size_t conv = cols >= 2 ? next_pow2(2 * cols - 1) : 0;
-  conv_re.resize(conv);
-  conv_im.resize(conv);
   // Reserve up front: the solver loops push nonzero indices per iteration
   // after clear(), which must never reallocate.
   active.reserve(cols);
@@ -172,55 +156,16 @@ void NdftPlan::build_toeplitz() {
     tz_re_[m - 1 + d] = g_re[d];
     tz_im_[m - 1 + d] = -g_im[d];
   }
-
-  // Circulant embedding of length L = next_pow2(2m-1): conv[c] =
-  // sum_l circ[(c-l) mod L] y[l] must equal sum_l g(l-c) y[l] for c < m,
-  // so circ[d] = g(-d) for d in [0, m) and circ[L-d] = g(d) for d in
-  // [1, m). The zero gap [m, L-m] guarantees the wraparound never
-  // contaminates the first m outputs. Stored as its DIF spectrum
-  // (bit-reversed order — the pointwise product is order-agnostic) with
-  // the unnormalised DIT inverse's 1/L folded in.
-  conv_len_ = next_pow2(2 * m - 1);
-  conv_plan_ = mathx::FftPlan::get_or_create(conv_len_);
-  kerhat_re_.assign(conv_len_, 0.0);
-  kerhat_im_.assign(conv_len_, 0.0);
-  kerhat_re_[0] = g_re[0];
-  kerhat_im_[0] = g_im[0];
-  for (std::size_t d = 1; d < m; ++d) {
-    kerhat_re_[d] = g_re[d];
-    kerhat_im_[d] = -g_im[d];
-    kerhat_re_[conv_len_ - d] = g_re[d];
-    kerhat_im_[conv_len_ - d] = g_im[d];
-  }
-  conv_plan_->dif_forward(kerhat_re_.data(), kerhat_im_.data());
-  const double inv = 1.0 / static_cast<double>(conv_len_);
-  for (std::size_t j = 0; j < conv_len_; ++j) {
-    kerhat_re_[j] *= inv;
-    kerhat_im_[j] *= inv;
-  }
 }
 
 NdftPlan::GradientArm NdftPlan::pick_arm(std::size_t active_count) const {
   if (!toeplitz_capable_) return GradientArm::kDense;
-  // Cost model in "one pass over the m-column planes" units, calibrated on
-  // the single-core CI container (see bench/BENCH_ndft.json, PR 7 notes):
-  //  * dense fused gradient — the n-row adjoint dominates (the active-set
-  //    forward is nearly free at solver sparsity): ~n units;
-  //  * scatter — one kernel-window pass per active column plus the b
-  //    epilogue: |A| + 1 units;
-  //  * FFT convolution — two split-plane L-point transforms plus the
-  //    pointwise product: 7 L log2(L) / (4 m) units, matching the measured
-  //    55.8 us conv vs 22.5 us dense adjoint at n=35, m=1201, L=4096.
-  // Ties go to the dense reference arm.
-  const double dense_cost = static_cast<double>(n_);
-  const double scatter_cost = static_cast<double>(active_count) + 1.0;
-  const double conv_cost = 7.0 * static_cast<double>(conv_len_) *
-                           std::log2(static_cast<double>(conv_len_)) /
-                           (4.0 * static_cast<double>(m_));
-  if (scatter_cost <= dense_cost && scatter_cost <= conv_cost) {
-    return GradientArm::kScatter;
-  }
-  if (conv_cost < dense_cost) return GradientArm::kConv;
+  // Cost in "one pass over the m-column planes" units: the dense fused
+  // gradient is dominated by its n-row adjoint (~n units; the active-set
+  // forward is nearly free at solver sparsity), the scatter by one
+  // kernel-window pass per active column plus the b epilogue (|A| + 1
+  // units). Ties go to the scatter arm.
+  if (active_count + 1 <= n_) return GradientArm::kScatter;
   return GradientArm::kDense;
 }
 
@@ -248,39 +193,6 @@ void NdftPlan::gradient_toeplitz_scatter(const double* y_re,
   for (std::size_t c = 0; c < m; ++c) {
     gr[c] -= br[c];
     gi[c] -= bi[c];
-  }
-}
-
-void NdftPlan::gradient_toeplitz_fft(const double* y_re, const double* y_im,
-                                     NdftWorkspace& ws) const {
-  CHRONOS_EXPECTS(toeplitz_capable_, "plan has no Toeplitz tier");
-  CHRONOS_EXPECTS(ws.conv_re.size() == conv_len_,
-                  "workspace bound to a different shape");
-  const std::size_t m = m_;
-  const std::size_t len = conv_len_;
-  double* CHRONOS_RESTRICT cr = ws.conv_re.data();
-  double* CHRONOS_RESTRICT ci = ws.conv_im.data();
-  std::copy(y_re, y_re + m, cr);
-  std::copy(y_im, y_im + m, ci);
-  std::fill(cr + m, cr + len, 0.0);
-  std::fill(ci + m, ci + len, 0.0);
-  conv_plan_->dif_forward(cr, ci);
-  const double* CHRONOS_RESTRICT kr = kerhat_re_.data();
-  const double* CHRONOS_RESTRICT ki = kerhat_im_.data();
-  for (std::size_t j = 0; j < len; ++j) {
-    const double pr = cr[j] * kr[j] - ci[j] * ki[j];
-    const double pi = cr[j] * ki[j] + ci[j] * kr[j];
-    cr[j] = pr;
-    ci[j] = pi;
-  }
-  conv_plan_->dit_inverse(cr, ci);
-  const double* CHRONOS_RESTRICT br = ws.b_re.data();
-  const double* CHRONOS_RESTRICT bi = ws.b_im.data();
-  double* CHRONOS_RESTRICT gr = ws.grad_re.data();
-  double* CHRONOS_RESTRICT gi = ws.grad_im.data();
-  for (std::size_t c = 0; c < m; ++c) {
-    gr[c] = cr[c] - br[c];
-    gi[c] = ci[c] - bi[c];
   }
 }
 
@@ -391,29 +303,6 @@ void NdftPlan::clear_cache() {
   cache.clear();
 }
 
-void NdftPlan::forward(const double* p_re, const double* p_im, double* out_re,
-                       double* out_im) const {
-  const std::size_t m = m_;
-  // lint:region(no-alloc)
-  for (std::size_t r = 0; r < n_; ++r) {
-    const double* fr = re_.data() + r * m;
-    const double* fi = im_.data() + r * m;
-    double acc_re = 0.0;
-    double acc_im = 0.0;
-    // Per-element complex product then accumulation, in column order: the
-    // exact operation sequence of the legacy complex matvec.
-    for (std::size_t c = 0; c < m; ++c) {
-      const double tr = fr[c] * p_re[c] - fi[c] * p_im[c];
-      const double ti = fr[c] * p_im[c] + fi[c] * p_re[c];
-      acc_re += tr;
-      acc_im += ti;
-    }
-    out_re[r] = acc_re;
-    out_im[r] = acc_im;
-  }
-  // lint:endregion(no-alloc)
-}
-
 void NdftPlan::forward_active(const double* p_re, const double* p_im,
                               std::span<const std::uint32_t> cols,
                               double* out_re, double* out_im) const {
@@ -424,9 +313,11 @@ void NdftPlan::forward_active(const double* p_re, const double* p_im,
     const double* fi = im_.data() + r * m;
     double acc_re = 0.0;
     double acc_im = 0.0;
-    // Skipped columns hold exact zeros, whose contribution (w*0 = +0.0)
-    // leaves the accumulator bit-unchanged — so this matches the dense
-    // forward bit-for-bit as long as `cols` is ascending.
+    // Per-element complex product then accumulation, in column order: the
+    // exact operation sequence of the legacy complex matvec. Skipped
+    // columns hold exact zeros, whose contribution (w*0 = +0.0) leaves the
+    // accumulator bit-unchanged — so this matches the dense matvec
+    // bit-for-bit as long as `cols` is ascending.
     for (const std::uint32_t c : cols) {
       const double tr = fr[c] * p_re[c] - fi[c] * p_im[c];
       const double ti = fr[c] * p_im[c] + fi[c] * p_re[c];

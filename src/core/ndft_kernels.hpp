@@ -16,26 +16,25 @@
 //    the O(n*m) build and the spectral-norm iteration once.
 //  * NdftWorkspace — caller-owned scratch sized for one plan, so the
 //    ISTA/FISTA iteration loops run with zero heap allocations.
-//  * Kernels — forward (dense and active-set), adjoint, fused gradient
-//    F^H (F p - h), and a batched recurrence matched-filter scan that
-//    replaces per-sample std::polar calls with one phasor rotation per row.
+//  * Kernels — active-set forward, adjoint, fused gradient F^H (F p - h),
+//    and a batched recurrence matched-filter scan that replaces per-sample
+//    std::polar calls with one phasor rotation per row.
 //  * Toeplitz tier (round 2) — on the uniform delay grid, T = F^H F is
 //    Toeplitz: T_{c,l} = g(l-c) with g(d) = sum_i w_i^2 e^{-j2π f_i Δ d}.
 //    The plan precomputes the kernel diagonal g once, and the gradient
-//    T y - F^H h is then evaluated either by windowed accumulation over
-//    y's active set (O(|A| m)) or as a circulant convolution via two
-//    cached-plan FFTs of padded pow2 length (O(L log L), independent of
-//    the row count) — with F^H h computed once per solve into the
-//    workspace instead of an O(nm) adjoint per iteration.
+//    T y - F^H h is then evaluated by windowed accumulation over y's active
+//    set (O(|A| m)) — with F^H h computed once per solve into the workspace
+//    instead of an O(nm) adjoint per iteration.
 //
 // Numerical contract: the split-complex kernels reproduce the legacy
 // mathx::Matrix path bit-for-bit on dense inputs (identical operation order
 // per component), and the active-set forward skips only columns whose
 // coefficient is exactly zero — so it is bit-identical too. The recurrence
 // scans differ from per-point evaluation at the ~1e-13 relative level over
-// bench-length scans, and the Toeplitz gradient arms agree with the dense
-// fused gradient to ~1e-13 relative (solver iterates stay within 1e-12 of
-// the dense path; tests/test_core_ndft_kernels.cpp pins all of this).
+// bench-length scans, and the Toeplitz scatter gradient agrees with the
+// dense fused gradient to ~1e-13 relative (solver iterates stay within
+// 1e-12 of the dense path; tests/test_core_ndft_kernels.cpp pins all of
+// this).
 #pragma once
 
 #include <complex>
@@ -45,7 +44,6 @@
 #include <span>
 #include <vector>
 
-#include "mathx/fft.hpp"
 #include "mathx/matrix.hpp"
 
 namespace chronos::core {
@@ -78,9 +76,6 @@ struct NdftWorkspace {
   // b = F^H h — the fixed linear term of the Toeplitz gradient T y - b,
   // computed once per solve (m).
   std::vector<double> b_re, b_im;
-  // Circulant convolution scratch for the Toeplitz/FFT gradient arm
-  // (next_pow2(2m - 1); unused but still bound for dense-only plans).
-  std::vector<double> conv_re, conv_im;
   // Indices of the (exactly) nonzero columns of the current iterate.
   std::vector<std::uint32_t> active;
 
@@ -123,9 +118,8 @@ class NdftPlan {
 
   /// The gradient-evaluation arms of the round-2 kernel tier. kDense is the
   /// legacy fused forward/adjoint (the golden reference); kScatter
-  /// accumulates Toeplitz-kernel windows over the active set; kConv
-  /// evaluates T y via two cached-plan FFTs on the circulant embedding.
-  enum class GradientArm { kDense, kScatter, kConv };
+  /// accumulates Toeplitz-kernel windows over the active set.
+  enum class GradientArm { kDense, kScatter };
 
   /// True when this plan carries the Toeplitz tier: at least two uniform,
   /// finite grid delays, finite frequencies/weights, and gamma > 0.
@@ -134,14 +128,12 @@ class NdftPlan {
   /// arm instead of asserting.
   bool toeplitz_capable() const { return toeplitz_capable_; }
 
-  /// Padded pow2 circulant length L = next_pow2(2m - 1); 0 when the plan is
-  /// not Toeplitz-capable.
-  std::size_t conv_size() const { return conv_len_; }
-
-  /// Picks the cheapest gradient arm for an iterate with `active_count`
-  /// nonzero columns. A pure function of (plan, active_count) — batched and
-  /// sequential solves therefore make identical choices, which is what
-  /// keeps solve_fista_batch bit-identical to one-by-one solve_fista.
+  /// Picks the cheaper gradient arm for an iterate with `active_count`
+  /// nonzero columns: kScatter while active_count + 1 <= rows() on a
+  /// Toeplitz-capable plan, kDense otherwise. A pure function of (plan,
+  /// active_count) — batched and sequential solves therefore make identical
+  /// choices, which is what keeps solve_fista_batch bit-identical to
+  /// one-by-one solve_fista.
   GradientArm pick_arm(std::size_t active_count) const;
 
   /// ws.grad = T y - b by windowed accumulation over ws.active (y's nonzero
@@ -150,19 +142,9 @@ class NdftPlan {
   void gradient_toeplitz_scatter(const double* y_re, const double* y_im,
                                  NdftWorkspace& ws) const;
 
-  /// ws.grad = T y - b via the circulant FFT convolution: pad y to
-  /// conv_size(), DIF-transform with the cached plan, multiply by the
-  /// precomputed circulant spectrum (1/L folded in), DIT-invert, subtract
-  /// b. Requires ws.b to hold F^H h and the plan to be toeplitz_capable().
-  void gradient_toeplitz_fft(const double* y_re, const double* y_im,
-                             NdftWorkspace& ws) const;
-
-  /// out = F p (dense): out_re/out_im and p_re/p_im are length rows()/cols().
-  void forward(const double* p_re, const double* p_im, double* out_re,
-               double* out_im) const;
-
-  /// out = F p walking only the listed columns; bit-identical to the dense
-  /// forward when every column absent from `cols` holds an exact zero.
+  /// out = F p walking only the listed columns (ascending); out_re/out_im
+  /// are length rows(). Bit-identical to the dense complex matvec when every
+  /// column absent from `cols` holds an exact zero.
   void forward_active(const double* p_re, const double* p_im,
                       std::span<const std::uint32_t> cols, double* out_re,
                       double* out_im) const;
@@ -210,12 +192,6 @@ class NdftPlan {
   // ascending c, contiguously.
   bool toeplitz_capable_ = false;
   std::vector<double> tz_re_, tz_im_;
-  // Circulant embedding: L = next_pow2(2m-1), the shared FFT plan, and the
-  // DIF spectrum of the circulant first column (bit-reversed order, the
-  // inverse transform's 1/L folded in).
-  std::size_t conv_len_ = 0;
-  std::shared_ptr<const mathx::FftPlan> conv_plan_;
-  std::vector<double> kerhat_re_, kerhat_im_;
 };
 
 }  // namespace chronos::core

@@ -72,19 +72,6 @@ RangingPipeline::PreparedSweep RangingPipeline::prepare(
   return prep;
 }
 
-SparseSolveResult RangingPipeline::solve_one(
-    std::span<const std::complex<double>> h) const {
-  switch (config_.solver) {
-    case SparseSolverKind::kIsta:
-      return solver_.solve_ista(h, config_.solver_options);
-    case SparseSolverKind::kFista:
-      return solver_.solve_fista(h, config_.solver_options);
-    case SparseSolverKind::kOmp:
-      return solver_.solve_omp(h, config_.omp_paths);
-  }
-  return {};
-}
-
 RangingResult RangingPipeline::estimate(
     const phy::SweepMeasurement& sweep,
     const CalibrationTable& calibration) const {
@@ -99,7 +86,8 @@ RangingResult RangingPipeline::estimate(
     return out;
   }
   PreparedSweep prep = prepare(sweep, calibration);
-  SparseSolveResult solution = solve_one(prep.h);
+  SparseSolveResult solution =
+      solver_.solve_fista(prep.h, config_.solver_options);
   return finish(prep, std::move(solution), calibration);
 }
 
@@ -126,23 +114,16 @@ std::vector<RangingResult> RangingPipeline::estimate_batch(
     preps.push_back(prepare(sweeps[i], calibration));
   }
 
-  if (config_.solver == SparseSolverKind::kFista && !preps.empty()) {
-    // Multi-RHS panel: one shared plan/workspace across the group. Each
-    // column solves bit-identically to a standalone solve_fista, so
-    // grouping never perturbs results (the determinism tests compare
-    // batched against one-by-one estimates bitwise).
-    std::vector<std::span<const std::complex<double>>> hs;
-    hs.reserve(preps.size());
-    for (const auto& prep : preps) hs.emplace_back(prep.h);
-    auto solutions =
-        solver_.solve_fista_batch(hs, config_.solver_options);
-    for (std::size_t j = 0; j < preps.size(); ++j) {
-      out[live[j]] = finish(preps[j], std::move(solutions[j]), calibration);
-    }
-  } else {
-    for (std::size_t j = 0; j < preps.size(); ++j) {
-      out[live[j]] = finish(preps[j], solve_one(preps[j].h), calibration);
-    }
+  // Multi-RHS panel: one shared plan/workspace across the group. Each
+  // column solves bit-identically to a standalone solve_fista, so grouping
+  // never perturbs results (the determinism tests compare batched against
+  // one-by-one estimates bitwise).
+  std::vector<std::span<const std::complex<double>>> hs;
+  hs.reserve(preps.size());
+  for (const auto& prep : preps) hs.emplace_back(prep.h);
+  auto solutions = solver_.solve_fista_batch(hs, config_.solver_options);
+  for (std::size_t j = 0; j < preps.size(); ++j) {
+    out[live[j]] = finish(preps[j], std::move(solutions[j]), calibration);
   }
   return out;
 }

@@ -22,8 +22,6 @@
 
 namespace chronos::core {
 
-enum class SparseSolverKind { kIsta, kFista, kOmp };
-
 struct RangingConfig {
   CombiningConfig combining;
   /// Delay grid on the u = scale*tau axis. The default covers 0-150 ns
@@ -31,9 +29,8 @@ struct RangingConfig {
   /// deliberately excludes the strong ~200 ns grating lobe of the US band
   /// plan (24 of 35 centers share a 5 MHz grid).
   DelayGrid grid{0.0, 150e-9, 0.125e-9};
-  SparseSolverKind solver = SparseSolverKind::kFista;
-  IstaOptions solver_options{};    ///< used by ISTA/FISTA
-  std::size_t omp_paths = 12;      ///< used by OMP
+  /// Options of the FISTA solve that inverts every sweep.
+  IstaOptions solver_options{};
   ProfileOptions profile{};
   /// First-peak acceptance threshold relative to the strongest peak.
   double first_peak_threshold = 0.15;
@@ -131,10 +128,10 @@ class RangingPipeline {
                          const CalibrationTable& calibration = {}) const;
 
   /// Runs the pipeline on a panel of sweeps. Result i is bit-identical to
-  /// estimate(sweeps[i], calibration); FISTA configurations drain the
-  /// panel through NdftSolver::solve_fista_batch on one shared
+  /// estimate(sweeps[i], calibration); the sweeps that pass the integrity
+  /// screen drain through NdftSolver::solve_fista_batch on one shared
   /// plan/workspace instead of paying the per-request solve setup — the
-  /// multi-RHS path the session/batch layers group requests for.
+  /// multi-RHS path sessions group requests for.
   std::vector<RangingResult> estimate_batch(
       std::span<const phy::SweepMeasurement> sweeps,
       const CalibrationTable& calibration = {}) const;
@@ -154,8 +151,6 @@ class RangingPipeline {
 
   PreparedSweep prepare(const phy::SweepMeasurement& sweep,
                         const CalibrationTable& calibration) const;
-  SparseSolveResult solve_one(
-      std::span<const std::complex<double>> h) const;
   RangingResult finish(const PreparedSweep& prep, SparseSolveResult solution,
                        const CalibrationTable& calibration) const;
 

@@ -2,19 +2,10 @@
 
 #include <bit>
 #include <cmath>
-#include <cstring>
 
 #include "mathx/annotations.hpp"
 #include "mathx/constants.hpp"
 #include "mathx/contracts.hpp"
-
-// Two-lane double vector for the split-plane butterflies. GCC refuses to
-// auto-vectorize the triangular FFT stage loops ("number of iterations
-// cannot be computed"), so the convolution-path butterflies spell out the
-// 128-bit lanes explicitly; plain scalar code remains for other compilers.
-#if defined(__GNUC__) || defined(__clang__)
-#define CHRONOS_FFT_V2D 1
-#endif
 
 namespace chronos::mathx {
 
@@ -28,24 +19,12 @@ std::size_t next_pow2(std::size_t n) {
   return p;
 }
 
-#ifdef CHRONOS_FFT_V2D
-typedef double v2d __attribute__((vector_size(16)));
-
-inline v2d loadv(const double* p) {
-  v2d v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void storev(double* p, v2d v) { std::memcpy(p, &v, sizeof(v)); }
-#endif
-
 /// Bounded oldest-entry-evicted cache of shared plans, keyed by size. One
 /// annotated capability like the NDFT PlanCache: the entry vector is
 /// GUARDED_BY the mutex, so clang -Wthread-safety proves every access is
 /// locked. Sixteen entries cover every size a process mixes in practice
-/// (64-point OFDM symbols, the handful of band-count Bluestein sizes, and
-/// the solver's convolution length).
+/// (64-point OFDM symbols and the handful of band-count Bluestein sizes
+/// with their inner pow2 plans).
 constexpr std::size_t kFftPlanCacheMax = 16;
 
 class FftPlanCache {
@@ -265,88 +244,6 @@ std::vector<std::complex<double>> FftPlan::inverse(
   const double inv = 1.0 / static_cast<double>(n_);
   for (auto& v : y) v = std::conj(v) * inv;
   return y;
-}
-
-void FftPlan::dif_forward(double* re, double* im) const {
-  CHRONOS_EXPECTS(pow2_, "split-plane transforms require a pow2 plan");
-  const std::size_t n = n_;
-  if (n < 2) return;
-  std::size_t s = stage_off_.size();
-  for (std::size_t len = n; len >= 2; len >>= 1) {
-    --s;
-    const double* wr = fwd_re_.data() + stage_off_[s];
-    const double* wi = fwd_im_.data() + stage_off_[s];
-    const std::size_t half = len / 2;
-    for (std::size_t i = 0; i < n; i += len) {
-      double* re0 = re + i;
-      double* im0 = im + i;
-      double* re1 = re + i + half;
-      double* im1 = im + i + half;
-      std::size_t k = 0;
-#ifdef CHRONOS_FFT_V2D
-      for (; k + 2 <= half; k += 2) {
-        const v2d ur = loadv(re0 + k), ui = loadv(im0 + k);
-        const v2d vr = loadv(re1 + k), vi = loadv(im1 + k);
-        const v2d twr = loadv(wr + k), twi = loadv(wi + k);
-        storev(re0 + k, ur + vr);
-        storev(im0 + k, ui + vi);
-        const v2d dr = ur - vr, di = ui - vi;
-        storev(re1 + k, dr * twr - di * twi);
-        storev(im1 + k, dr * twi + di * twr);
-      }
-#endif
-      for (; k < half; ++k) {
-        const double ur = re0[k], ui = im0[k];
-        const double vr = re1[k], vi = im1[k];
-        re0[k] = ur + vr;
-        im0[k] = ui + vi;
-        const double dr = ur - vr, di = ui - vi;
-        re1[k] = dr * wr[k] - di * wi[k];
-        im1[k] = dr * wi[k] + di * wr[k];
-      }
-    }
-  }
-}
-
-void FftPlan::dit_inverse(double* re, double* im) const {
-  CHRONOS_EXPECTS(pow2_, "split-plane transforms require a pow2 plan");
-  const std::size_t n = n_;
-  if (n < 2) return;
-  std::size_t s = 0;
-  for (std::size_t len = 2; len <= n; len <<= 1, ++s) {
-    const double* wr = inv_re_.data() + stage_off_[s];
-    const double* wi = inv_im_.data() + stage_off_[s];
-    const std::size_t half = len / 2;
-    for (std::size_t i = 0; i < n; i += len) {
-      double* re0 = re + i;
-      double* im0 = im + i;
-      double* re1 = re + i + half;
-      double* im1 = im + i + half;
-      std::size_t k = 0;
-#ifdef CHRONOS_FFT_V2D
-      for (; k + 2 <= half; k += 2) {
-        const v2d xr = loadv(re1 + k), xi = loadv(im1 + k);
-        const v2d twr = loadv(wr + k), twi = loadv(wi + k);
-        const v2d vr = xr * twr - xi * twi;
-        const v2d vi = xr * twi + xi * twr;
-        const v2d ur = loadv(re0 + k), ui = loadv(im0 + k);
-        storev(re0 + k, ur + vr);
-        storev(im0 + k, ui + vi);
-        storev(re1 + k, ur - vr);
-        storev(im1 + k, ui - vi);
-      }
-#endif
-      for (; k < half; ++k) {
-        const double vr = re1[k] * wr[k] - im1[k] * wi[k];
-        const double vi = re1[k] * wi[k] + im1[k] * wr[k];
-        const double ur = re0[k], ui = im0[k];
-        re0[k] = ur + vr;
-        im0[k] = ui + vi;
-        re1[k] = ur - vr;
-        im1[k] = ui - vi;
-      }
-    }
-  }
 }
 
 void fft_pow2(std::vector<std::complex<double>>& data) {

@@ -2,10 +2,8 @@
 // arbitrary lengths, with per-size cached plans.
 //
 // The OFDM PHY substrate uses 64-point transforms to synthesise and analyse
-// 802.11 symbols; the non-sparse inverse-NDFT ablation baseline grids the
-// Wi-Fi bands onto a uniform axis and applies an inverse FFT; and the NDFT
-// solver's Toeplitz gradient tier evaluates F^H F p as a circulant
-// convolution — two pow2 transforms per solver iteration on a hot path.
+// 802.11 symbols, and the non-sparse inverse-NDFT ablation baseline grids
+// the Wi-Fi bands onto a uniform axis and applies an inverse FFT.
 //
 // FftPlan owns everything that depends only on the transform size: the
 // per-stage twiddle factors, the bit-reversal permutation, and (for non-pow2
@@ -61,19 +59,6 @@ class FftPlan {
   /// Out-of-place inverse DFT of any size (1/N normalised).
   std::vector<std::complex<double>> inverse(
       std::span<const std::complex<double>> x) const;
-
-  /// Decimation-in-frequency forward transform on split re/im planes of
-  /// length size(); pow2 plans only. Output is in BIT-REVERSED order and no
-  /// bit-reversal pass is performed. Intended for circular convolution,
-  /// where the pointwise product is order-agnostic: pair with dit_inverse
-  /// and both permutation passes cancel out of the round trip entirely.
-  void dif_forward(double* re, double* im) const;
-
-  /// Decimation-in-time inverse consuming BIT-REVERSED input and producing
-  /// natural order; pow2 plans only, UNNORMALISED (callers fold the 1/N into
-  /// whatever spectrum they multiplied in — the NDFT kernel tier bakes it
-  /// into the cached circulant spectrum).
-  void dit_inverse(double* re, double* im) const;
 
  private:
   void build_pow2_tables();

@@ -5,7 +5,6 @@
 
 #include "core/ndft.hpp"
 #include "core/profile.hpp"
-#include "core/ranging.hpp"
 #include "mathx/constants.hpp"
 #include "mathx/cvec.hpp"
 #include "phy/band_plan.hpp"
@@ -78,8 +77,9 @@ TEST(Ndft, GammaIsInverseSquaredSpectralNorm) {
   EXPECT_NEAR(solver.gamma() * sigma * sigma, 1.0, 0.05);
 }
 
-class SparseSolverKindCase
-    : public ::testing::TestWithParam<SparseSolverKind> {};
+enum class SolverKind { kIsta, kFista, kOmp };
+
+class SparseSolverKindCase : public ::testing::TestWithParam<SolverKind> {};
 
 TEST_P(SparseSolverKindCase, RecoversSinglePath) {
   const DelayGrid grid{0.0, 60e-9, 0.25e-9};
@@ -89,13 +89,13 @@ TEST_P(SparseSolverKindCase, RecoversSinglePath) {
 
   SparseSolveResult sol;
   switch (GetParam()) {
-    case SparseSolverKind::kIsta:
+    case SolverKind::kIsta:
       sol = solver.solve_ista(h);
       break;
-    case SparseSolverKind::kFista:
+    case SolverKind::kFista:
       sol = solver.solve_fista(h);
       break;
-    case SparseSolverKind::kOmp:
+    case SolverKind::kOmp:
       sol = solver.solve_omp(h, 3);
       break;
   }
@@ -107,9 +107,9 @@ TEST_P(SparseSolverKindCase, RecoversSinglePath) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSolvers, SparseSolverKindCase,
-                         ::testing::Values(SparseSolverKind::kIsta,
-                                           SparseSolverKind::kFista,
-                                           SparseSolverKind::kOmp));
+                         ::testing::Values(SolverKind::kIsta,
+                                           SolverKind::kFista,
+                                           SolverKind::kOmp));
 
 TEST(Ndft, FistaResolvesThreePathsOfFig4) {
   // Paper Fig 4: paths at 5.2, 10, 16 ns. Every true path must appear as a

@@ -75,8 +75,7 @@ TEST(NdftBatch, BatchMatchesSequentialBitwiseAcrossGradientModes) {
   const auto spans = as_spans(hs);
 
   for (const auto mode : {IstaOptions::GradientMode::kAuto,
-                          IstaOptions::GradientMode::kDense,
-                          IstaOptions::GradientMode::kToeplitzFft}) {
+                          IstaOptions::GradientMode::kDense}) {
     IstaOptions opts;
     opts.gradient = mode;
     const auto batched = solver.solve_fista_batch(spans, opts);

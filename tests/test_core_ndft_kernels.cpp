@@ -1,6 +1,6 @@
 // Pins the structure-exploiting kernel layer (core/ndft_kernels) to the
 // legacy dense mathx::Matrix path:
-//  * forward / adjoint / gradient / active-set kernels match the complex
+//  * active-set forward / adjoint / gradient kernels match the complex
 //    matvec bit-for-bit (asserted to <= 1e-12 relative, measured ~0);
 //  * the recurrence matched-filter scan matches per-point std::polar
 //    evaluation to <= 1e-12 relative over bench-length scans;
@@ -18,6 +18,7 @@
 #include <complex>
 #include <cstdlib>
 #include <new>
+#include <numeric>
 #include <vector>
 
 #include "core/ndft.hpp"
@@ -105,7 +106,6 @@ std::vector<double> random_weights(mathx::Rng& rng, std::size_t n) {
 double reference_alpha(const mathx::ComplexMatrix& f,
                        std::span<const std::complex<double>> h,
                        const IstaOptions& opts) {
-  if (!opts.relative_alpha) return opts.alpha;
   const auto mf = f.multiply_adjoint(h);
   double peak = 0.0;
   for (const auto& v : mf) peak = std::max(peak, std::abs(v));
@@ -351,9 +351,11 @@ TEST(NdftKernels, ForwardAdjointGradientMatchDensePath) {
       ws.h_im[i] = x[i].imag();
     }
 
-    // forward
-    plan.forward(ws.p_re.data(), ws.p_im.data(), ws.fp_re.data(),
-                 ws.fp_im.data());
+    // forward over every column (a dense p)
+    std::vector<std::uint32_t> all_cols(m);
+    std::iota(all_cols.begin(), all_cols.end(), 0u);
+    plan.forward_active(ws.p_re.data(), ws.p_im.data(), all_cols,
+                        ws.fp_re.data(), ws.fp_im.data());
     const auto fp_ref = f.multiply(p);
     std::vector<std::complex<double>> fp(n);
     for (std::size_t i = 0; i < n; ++i) fp[i] = {ws.fp_re[i], ws.fp_im[i]};
@@ -503,13 +505,13 @@ TEST(NdftKernels, SolveLoopsAllocateNothingPerIteration) {
       << "FISTA allocation count grew with the iteration budget";
 }
 
-// ---- Toeplitz/FFT gradient tier ------------------------------------------
+// ---- Toeplitz gradient tier ----------------------------------------------
 //
 // F^H F is Toeplitz on a uniform delay grid; round 2 adds a windowed
-// scatter arm and a circulant-FFT arm for the per-iteration gradient. The
-// dense fused arm stays the golden reference: the arms agree to ~1e-13
-// relative per gradient, and whole solves under the forced-FFT mode pin to
-// the dense mode at <= 1e-12 with identical iteration structure.
+// scatter arm for the per-iteration gradient. The dense fused arm stays the
+// golden reference: the arms agree to ~1e-13 relative per gradient, and
+// whole solves under kAuto pin to the dense mode at <= 1e-12 with identical
+// iteration structure.
 
 TEST(NdftToeplitz, GradientArmsMatchDenseGradient) {
   const auto freqs = plan_frequencies();
@@ -520,6 +522,16 @@ TEST(NdftToeplitz, GradientArmsMatchDenseGradient) {
   const auto& f = solver.matrix();
   const std::size_t n = f.rows();
   const std::size_t m = f.cols();
+
+  // The arm rule on the production plan: scatter while active + 1 <= rows,
+  // dense beyond.
+  using Arm = NdftPlan::GradientArm;
+  ASSERT_EQ(n, 35u);
+  ASSERT_EQ(m, 1201u);
+  EXPECT_EQ(plan.pick_arm(0), Arm::kScatter);
+  EXPECT_EQ(plan.pick_arm(34), Arm::kScatter);
+  EXPECT_EQ(plan.pick_arm(35), Arm::kDense);
+  EXPECT_EQ(plan.pick_arm(1201), Arm::kDense);
 
   mathx::Rng rng(515);
   const auto h = random_channel(rng, freqs);
@@ -564,13 +576,6 @@ TEST(NdftToeplitz, GradientArmsMatchDenseGradient) {
     scatter[k] = {ws.grad_re[k], ws.grad_im[k]};
   }
   EXPECT_LE(max_rel_err(scatter, dense), 1e-12);
-
-  plan.gradient_toeplitz_fft(ws.p_re.data(), ws.p_im.data(), ws);
-  std::vector<std::complex<double>> conv(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    conv[k] = {ws.grad_re[k], ws.grad_im[k]};
-  }
-  EXPECT_LE(max_rel_err(conv, dense), 1e-12);
 }
 
 TEST(NdftToeplitz, SolverModesPinToDenseMode) {
@@ -580,8 +585,6 @@ TEST(NdftToeplitz, SolverModesPinToDenseMode) {
 
   IstaOptions dense_opts;
   dense_opts.gradient = IstaOptions::GradientMode::kDense;
-  IstaOptions fft_opts;
-  fft_opts.gradient = IstaOptions::GradientMode::kToeplitzFft;
   IstaOptions auto_opts;  // default kAuto
 
   for (std::uint64_t seed : {909u, 910u}) {
@@ -589,26 +592,24 @@ TEST(NdftToeplitz, SolverModesPinToDenseMode) {
     const auto h = random_channel(rng, freqs);
 
     const auto f_dense = solver.solve_fista(h, dense_opts);
-    for (const auto* opts : {&fft_opts, &auto_opts}) {
-      const auto got = solver.solve_fista(h, *opts);
-      EXPECT_EQ(got.iterations, f_dense.iterations);
-      EXPECT_EQ(got.converged, f_dense.converged);
-      EXPECT_LE(max_rel_err(got.coefficients, f_dense.coefficients), 1e-12);
-      EXPECT_NEAR(got.residual_norm, f_dense.residual_norm,
-                  1e-12 * std::max(1.0, f_dense.residual_norm));
-    }
+    const auto f_auto = solver.solve_fista(h, auto_opts);
+    EXPECT_EQ(f_auto.iterations, f_dense.iterations);
+    EXPECT_EQ(f_auto.converged, f_dense.converged);
+    EXPECT_LE(max_rel_err(f_auto.coefficients, f_dense.coefficients), 1e-12);
+    EXPECT_NEAR(f_auto.residual_norm, f_dense.residual_norm,
+                1e-12 * std::max(1.0, f_dense.residual_norm));
 
     // ISTA takes ~6x more iterations; a fixed budget keeps the test fast
     // while still comparing hundreds of gradient evaluations per arm.
     IstaOptions ista_dense = dense_opts;
     ista_dense.max_iterations = 400;
-    IstaOptions ista_fft = fft_opts;
-    ista_fft.max_iterations = 400;
+    IstaOptions ista_auto = auto_opts;
+    ista_auto.max_iterations = 400;
     const auto i_dense = solver.solve_ista(h, ista_dense);
-    const auto i_fft = solver.solve_ista(h, ista_fft);
-    EXPECT_EQ(i_fft.iterations, i_dense.iterations);
-    EXPECT_EQ(i_fft.converged, i_dense.converged);
-    EXPECT_LE(max_rel_err(i_fft.coefficients, i_dense.coefficients), 1e-12);
+    const auto i_auto = solver.solve_ista(h, ista_auto);
+    EXPECT_EQ(i_auto.iterations, i_dense.iterations);
+    EXPECT_EQ(i_auto.converged, i_dense.converged);
+    EXPECT_LE(max_rel_err(i_auto.coefficients, i_dense.coefficients), 1e-12);
   }
 }
 
@@ -640,6 +641,10 @@ TEST(NdftToeplitz, DegenerateProblemsRouteToDenseArmWithoutAsserting) {
     SCOPED_TRACE(c.name);
     NdftSolver solver(freqs, c.grid, c.weights);
     EXPECT_EQ(solver.plan().toeplitz_capable(), c.expect_capable);
+    if (!c.expect_capable) {
+      // Even an empty active set, the scatter arm's cheapest case.
+      EXPECT_EQ(solver.plan().pick_arm(0), NdftPlan::GradientArm::kDense);
+    }
     if (!c.weights.empty()) {
       EXPECT_EQ(solver.gamma(), 0.0);
     }
@@ -649,22 +654,17 @@ TEST(NdftToeplitz, DegenerateProblemsRouteToDenseArmWithoutAsserting) {
 
     IstaOptions dense_opts;
     dense_opts.gradient = IstaOptions::GradientMode::kDense;
-    IstaOptions fft_opts;
-    fft_opts.gradient = IstaOptions::GradientMode::kToeplitzFft;
     IstaOptions auto_opts;
 
-    // Every mode must run (not assert) and produce the identical solve: on
-    // incapable plans all modes are literally the dense arm, and on the
-    // zero channel every arm computes exactly zero gradients.
+    // Both modes must run (not assert) and produce the identical solve: on
+    // incapable plans kAuto is literally the dense arm, and on the zero
+    // channel both arms compute exactly zero gradients.
     const auto r_dense = solver.solve_fista(use_h, dense_opts);
-    const auto r_fft = solver.solve_fista(use_h, fft_opts);
     const auto r_auto = solver.solve_fista(use_h, auto_opts);
-    for (const auto* r : {&r_fft, &r_auto}) {
-      EXPECT_EQ(r->iterations, r_dense.iterations);
-      EXPECT_EQ(r->converged, r_dense.converged);
-      EXPECT_TRUE(r->coefficients == r_dense.coefficients)
-          << "degenerate solve differs across gradient modes";
-    }
+    EXPECT_EQ(r_auto.iterations, r_dense.iterations);
+    EXPECT_EQ(r_auto.converged, r_dense.converged);
+    EXPECT_TRUE(r_auto.coefficients == r_dense.coefficients)
+        << "degenerate solve differs across gradient modes";
     if (c.zero_channel) {
       for (const auto& v : r_dense.coefficients) {
         EXPECT_EQ(v, (std::complex<double>{0.0, 0.0}));

@@ -160,6 +160,49 @@ TEST(Ranging, MismatchedSweepRejectedByGate) {
   const auto result = pipe.estimate(wrong);
   EXPECT_EQ(result.status.code(), chronos::StatusCode::kMalformedSweep);
   EXPECT_FALSE(result.peak_found);
+
+  // The same panel contract through estimate_batch: each truncated slot is
+  // rejected on its own, and each good slot equals a standalone estimate
+  // of its sweep bit for bit.
+  mathx::Rng rng(3);
+  const auto good_a = link.simulate_sweep(sim::make_mobile({0.0, 0.0}), 0,
+                                          sim::make_mobile({4.0, 0.0}), 0, rng);
+  const auto good_b = link.simulate_sweep(sim::make_mobile({0.0, 0.0}), 0,
+                                          sim::make_mobile({0.0, 7.0}), 0, rng);
+  const std::vector<phy::SweepMeasurement> mixed = {good_a, wrong, good_b};
+  const auto batch = pipe.estimate_batch(mixed);
+  ASSERT_EQ(batch.size(), mixed.size());
+  EXPECT_EQ(batch[1].status.code(), chronos::StatusCode::kMalformedSweep);
+  EXPECT_EQ(batch[1].solver_iterations, 0);
+  for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE("slot " + std::to_string(i));
+    const auto want = pipe.estimate(mixed[i]);
+    ASSERT_TRUE(batch[i].status.ok());
+    EXPECT_GT(batch[i].solver_iterations, 0);
+    EXPECT_EQ(batch[i].tof_s, want.tof_s);
+    EXPECT_EQ(batch[i].distance_m, want.distance_m);
+    EXPECT_EQ(batch[i].solver_iterations, want.solver_iterations);
+    ASSERT_EQ(batch[i].candidates.size(), want.candidates.size());
+    for (std::size_t k = 0; k < want.candidates.size(); ++k) {
+      EXPECT_EQ(batch[i].candidates[k].delay_s, want.candidates[k].delay_s);
+      EXPECT_EQ(batch[i].candidates[k].amplitude,
+                want.candidates[k].amplitude);
+      EXPECT_EQ(batch[i].candidates[k].matched_filter,
+                want.candidates[k].matched_filter);
+      EXPECT_EQ(batch[i].candidates[k].accepted, want.candidates[k].accepted);
+    }
+  }
+
+  // All-rejected and empty panels return without solving.
+  const std::vector<phy::SweepMeasurement> all_wrong = {wrong, wrong};
+  const auto rejected = pipe.estimate_batch(all_wrong);
+  ASSERT_EQ(rejected.size(), all_wrong.size());
+  for (const auto& r : rejected) {
+    EXPECT_EQ(r.status.code(), chronos::StatusCode::kMalformedSweep);
+    EXPECT_EQ(r.solver_iterations, 0);
+    EXPECT_FALSE(r.peak_found);
+  }
+  EXPECT_TRUE(pipe.estimate_batch({}).empty());
 }
 
 // --- localization -----------------------------------------------------

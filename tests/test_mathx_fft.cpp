@@ -234,68 +234,5 @@ TEST(FftPlan, CacheReturnsSharedPlans) {
   EXPECT_LT(max_abs_diff(copy, x), 1e-12);
 }
 
-TEST(FftPlan, SplitPlaneRoundTripIsExact) {
-  for (const std::size_t n : {std::size_t{2}, std::size_t{64},
-                              std::size_t{4096}}) {
-    const auto plan = FftPlan::get_or_create(n);
-    const auto x = random_signal(n, 77 + n);
-    std::vector<double> re(n);
-    std::vector<double> im(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      re[i] = x[i].real();
-      im[i] = x[i].imag();
-    }
-    // dif_forward leaves bit-reversed order; dit_inverse consumes it and
-    // returns natural order scaled by n.
-    plan->dif_forward(re.data(), im.data());
-    plan->dit_inverse(re.data(), im.data());
-    const double inv = 1.0 / static_cast<double>(n);
-    double err = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      err = std::max(err, std::hypot(re[i] * inv - x[i].real(),
-                                     im[i] * inv - x[i].imag()));
-    }
-    EXPECT_LT(err, 1e-11) << "n=" << n;
-  }
-}
-
-TEST(FftPlan, SplitPlaneConvolutionTheoremHolds) {
-  // Circular convolution via dif/pointwise(bit-reversed)/dit against the
-  // O(n^2) definition — the identity the NDFT Toeplitz gradient relies on.
-  const std::size_t n = 256;
-  const auto plan = FftPlan::get_or_create(n);
-  const auto x = random_signal(n, 5);
-  const auto y = random_signal(n, 6);
-  std::vector<double> xr(n);
-  std::vector<double> xi(n);
-  std::vector<double> yr(n);
-  std::vector<double> yi(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    xr[i] = x[i].real();
-    xi[i] = x[i].imag();
-    yr[i] = y[i].real();
-    yi[i] = y[i].imag();
-  }
-  plan->dif_forward(xr.data(), xi.data());
-  plan->dif_forward(yr.data(), yi.data());
-  const double inv = 1.0 / static_cast<double>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double pr = (xr[i] * yr[i] - xi[i] * yi[i]) * inv;
-    const double pi = (xr[i] * yi[i] + xi[i] * yr[i]) * inv;
-    xr[i] = pr;
-    xi[i] = pi;
-  }
-  plan->dit_inverse(xr.data(), xi.data());
-  for (std::size_t c = 0; c < n; ++c) {
-    std::complex<double> acc{0.0, 0.0};
-    for (std::size_t l = 0; l < n; ++l) {
-      acc += x[l] * y[(c + n - l) % n];
-    }
-    ASSERT_NEAR(std::abs(acc - std::complex<double>{xr[c], xi[c]}), 0.0,
-                1e-10)
-        << "c=" << c;
-  }
-}
-
 }  // namespace
 }  // namespace chronos::mathx
