@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
 #include "core/fault_injection.hpp"
 #include "phy/csi_io.hpp"
 #include "sim/environment.hpp"
@@ -161,10 +160,9 @@ int main(int argc, char** argv) {
   for (const double rate : rates) {
     const auto injector = std::make_shared<core::FaultInjectingSweepSource>(
         inner, core::FaultProfile::hostile(rate));
-    core::EngineConfig ec;
-    ec.link = bench_link();
-    ec.ranging.integrity = core::IntegrityConfig::hostile();
-    Engine eng = core::make_engine(injector, ec);
+    EngineOptions options;
+    options.ranging.integrity = core::IntegrityConfig::hostile();
+    Engine eng = Engine::adopt(injector, options);
     mathx::Rng cal_rng(5);
     (void)eng.calibrate(kCalTx, kRx, cal_rng);
 
@@ -203,7 +201,7 @@ int main(int argc, char** argv) {
 
     // Pass 2 — RetryPolicy{3}: how much does retrying recover?
     BatchOptions retry_opts{4};
-    retry_opts.retry = {3, 0.0};
+    retry_opts.retry = {3};
     mathx::Rng rng_retry(2026);
     const auto retried =
         eng.measure_batch(truth.requests, rng_retry, retry_opts);

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
+#include "core/sweep_source.hpp"
 #include "sim/scenario.hpp"
 
 int main() {
@@ -16,10 +16,9 @@ int main() {
 
   std::printf("  %-16s %-18s\n", "separation (m)", "median LOS error (m)");
   for (double sep : {0.1, 0.2, 0.3, 0.5, 1.0, 1.5}) {
-    core::EngineConfig ec;
     auto src = std::make_shared<core::SimSweepSource>(scen.environment(),
-                                                      ec.link);
-    Engine eng = core::make_engine(src, ec);
+                                                      sim::LinkSimConfig{});
+    Engine eng = Engine::adopt(src);
     mathx::Rng rng(83);
     // One card pair (node id = hardware seed), re-registered per placement.
     src->add_node(sim::make_laptop({0.0, 0.0}, 0.3, 11));

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
+#include "core/sweep_source.hpp"
 #include "mathx/constants.hpp"
 #include "sim/scenario.hpp"
 
@@ -19,11 +19,11 @@ using namespace chronos;
 
 void run_subset(const char* name, std::vector<phy::WifiBand> bands) {
   const auto scen = sim::office_testbed(42);
-  core::EngineConfig ec;
-  ec.link.bands = std::move(bands);
-  auto src = std::make_shared<core::SimSweepSource>(scen.environment(),
-                                                    ec.link);
-  Engine eng = core::make_engine(src, ec);
+  sim::LinkSimConfig link;
+  link.bands = std::move(bands);
+  auto src =
+      std::make_shared<core::SimSweepSource>(scen.environment(), link);
+  Engine eng = Engine::adopt(src);
   mathx::Rng rng(71);
   // One card pair (node id = hardware seed), re-registered per placement.
   src->add_node(sim::make_mobile({0.0, 0.0}, 11));

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
+#include "core/sweep_source.hpp"
 #include "mathx/constants.hpp"
 #include "sim/scenario.hpp"
 
@@ -27,13 +27,13 @@ struct Variant {
 
 void run_variant(const Variant& v) {
   const auto scen = sim::office_testbed(42);
-  core::EngineConfig ec;
-  ec.ranging.combining.two_way = v.two_way;
-  ec.ranging.combining.quirk_fix = v.quirk_fix;
-  ec.ranging.use_toa_gate = v.toa_gate;
+  EngineOptions options;
+  options.ranging.combining.two_way = v.two_way;
+  options.ranging.combining.quirk_fix = v.quirk_fix;
+  options.ranging.use_toa_gate = v.toa_gate;
   auto src = std::make_shared<core::SimSweepSource>(scen.environment(),
-                                                    ec.link);
-  Engine eng = core::make_engine(src, ec);
+                                                    sim::LinkSimConfig{});
+  Engine eng = Engine::adopt(src, options);
   mathx::Rng rng(41);
   // One card pair (node id = hardware seed), re-registered per placement.
   src->add_node(sim::make_mobile({0.0, 0.0}, 11));

@@ -8,7 +8,7 @@
 #include "bench_util.hpp"
 #include <memory>
 
-#include "core/engine.hpp"
+#include "core/sweep_source.hpp"
 #include "mathx/constants.hpp"
 #include "sim/scenario.hpp"
 
@@ -17,10 +17,9 @@ int main() {
   bench::header("Fig 7c", "packet detection delay vs propagation delay");
 
   const auto scen = sim::office_testbed(42);
-  core::EngineConfig ec;
   auto src = std::make_shared<core::SimSweepSource>(scen.environment(),
-                                                    ec.link);
-  Engine eng = core::make_engine(src, ec);
+                                                    sim::LinkSimConfig{});
+  Engine eng = Engine::adopt(src);
   mathx::Rng rng(31);
   src->add_node(NodeId{9001}, sim::make_mobile({0.0, 0.0}, 11));
   src->add_node(NodeId{9002}, sim::make_mobile({1.0, 0.0}, 22));

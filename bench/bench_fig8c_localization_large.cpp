@@ -9,7 +9,7 @@
 #include "bench_util.hpp"
 #include <memory>
 
-#include "core/engine.hpp"
+#include "core/sweep_source.hpp"
 #include "sim/scenario.hpp"
 
 int main() {
@@ -17,10 +17,9 @@ int main() {
   bench::header("Fig 8c", "localization error, 100 cm antenna separation");
 
   const auto scen = sim::office_testbed(42);
-  core::EngineConfig ec;
   auto src = std::make_shared<core::SimSweepSource>(scen.environment(),
-                                                    ec.link);
-  Engine eng = core::make_engine(src, ec);
+                                                    sim::LinkSimConfig{});
+  Engine eng = Engine::adopt(src);
   mathx::Rng rng(29);
   src->add_node(NodeId{9001}, sim::make_laptop({0.0, 0.0}, 0.3, 11));
   src->add_node(NodeId{9002}, sim::make_access_point({2.0, 0.0}, 1.0, 22));

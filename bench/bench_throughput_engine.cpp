@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
+#include "core/sweep_source.hpp"
 #include "netd/client.hpp"
 #include "netd/daemon.hpp"
 #include "netd/loopback.hpp"
@@ -43,10 +43,9 @@ int main() {
   bench::header("Throughput", "batched ranging engine, 1/2/4/8 threads");
 
   const auto scen = sim::office_testbed(42);
-  core::EngineConfig ec;
   auto src = std::make_shared<core::SimSweepSource>(scen.environment(),
-                                                    ec.link);
-  Engine eng = core::make_engine(src, ec);
+                                                    sim::LinkSimConfig{});
+  Engine eng = Engine::adopt(src);
   mathx::Rng rng(7);
   src->add_node(NodeId{9001}, sim::make_mobile({0.0, 0.0}, 11));
   src->add_node(NodeId{9002}, sim::make_mobile({1.0, 0.0}, 22));
@@ -206,8 +205,8 @@ int main() {
       opt.shard_queue_depth = depth;
       opt.trusted_clients = true;  // same RangingConfig as `eng` exactly
       mathx::Rng daemon_rng(kBatchSeed);
-      netd::ChronosDaemon daemon(src, ec.ranging, eng.calibration(),
-                                 daemon_rng, opt);
+      netd::ChronosDaemon daemon(src, core::RangingConfig{},
+                                 eng.calibration(), daemon_rng, opt);
       std::vector<std::shared_ptr<netd::Stream>> ends;
       for (std::size_t c = 0; c < n_clients; ++c) {
         auto [client_end, daemon_end] = netd::make_loopback();

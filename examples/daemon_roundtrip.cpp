@@ -20,7 +20,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/engine.hpp"
+#include "core/sweep_source.hpp"
 #include "netd/client.hpp"
 #include "netd/daemon.hpp"
 #include "netd/loopback.hpp"
@@ -31,10 +31,9 @@ int main() {
 
   // ---- backend: the office testbed, one calibrated pair, four targets.
   const auto scen = sim::office_testbed(42);
-  core::EngineConfig ec;
-  auto src =
-      std::make_shared<core::SimSweepSource>(scen.environment(), ec.link);
-  Engine engine = core::make_engine(src, ec);
+  auto src = std::make_shared<core::SimSweepSource>(scen.environment(),
+                                                    sim::LinkSimConfig{});
+  Engine engine = Engine::adopt(src);
   mathx::Rng rng(2016);
   src->add_node(NodeId{1}, sim::make_mobile({0.0, 0.0}, 11));
   src->add_node(NodeId{2}, sim::make_mobile({1.0, 0.0}, 22));
@@ -61,8 +60,8 @@ int main() {
   opt.trusted_clients = true;
   constexpr std::uint64_t kSeed = 7;
   mathx::Rng daemon_rng(kSeed);
-  netd::ChronosDaemon daemon(src, ec.ranging, engine.calibration(),
-                             daemon_rng, opt);
+  netd::ChronosDaemon daemon(src, core::RangingConfig{},
+                             engine.calibration(), daemon_rng, opt);
   auto [client_end, daemon_end] = netd::make_loopback();
   daemon.attach(daemon_end);
 

@@ -8,17 +8,16 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/engine.hpp"
+#include "core/sweep_source.hpp"
 #include "sim/scenario.hpp"
 
 int main() {
   using namespace chronos;
 
   const auto scen = sim::office_testbed(42);
-  core::EngineConfig config;
   auto source = std::make_shared<core::SimSweepSource>(scen.environment(),
-                                                       config.link);
-  Engine engine = core::make_engine(source, config);
+                                                       sim::LinkSimConfig{});
+  Engine engine = Engine::adopt(source);
   mathx::Rng rng(7);
 
   source->add_node(NodeId{1}, sim::make_mobile({0.0, 0.0}, 11));

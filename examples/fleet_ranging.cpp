@@ -13,15 +13,14 @@
 #include <memory>
 #include <vector>
 
-#include "core/engine.hpp"
+#include "core/sweep_source.hpp"
 #include "sim/environment.hpp"
 
 int main() {
   using namespace chronos;
 
-  core::EngineConfig config;
   auto source = std::make_shared<core::SimSweepSource>(sim::office_20x20(),
-                                                       config.link);
+                                                       sim::LinkSimConfig{});
   mathx::Rng rng(77);
 
   // The anchor: a 3-antenna AP in the middle of the floor.
@@ -39,7 +38,7 @@ int main() {
     source->add_node(fleet.back());  // id = hardware seed (100 + i)
   }
 
-  Engine engine = core::make_engine(source, config);
+  Engine engine = Engine::adopt(source);
   source->add_node(NodeId{99}, sim::make_mobile({0.0, 0.0}, 100));
   if (const auto s = engine.calibrate(NodeId{99}, ap_id, rng); !s.ok()) {
     std::printf("calibration failed: %s\n", s.to_string().c_str());

@@ -60,7 +60,7 @@ LAYER_DEPS = {
 
 
 def layer_of(rel_path: str) -> str | None:
-    """Layer of a src/-relative path ('core/engine.hpp' -> 'core')."""
+    """Layer of a src/-relative path ('core/api.hpp' -> 'core')."""
     head = rel_path.split("/", 1)[0]
     return head if head in LAYER_DEPS else None
 

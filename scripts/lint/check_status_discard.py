@@ -8,7 +8,7 @@ defence exist already: both class templates are declared
 `class [[nodiscard]]`, and the tree builds with -Werror so
 -Wunused-result makes any discard a build break. This lint adds the
 third layer the first two cannot give: the per-declaration attribute is
-*visible in the API* (a reader of engine.hpp sees the contract without
+*visible in the API* (a reader of api.hpp sees the contract without
 opening status.hpp), and a NEW Status-returning function cannot merge
 without it — the class-level attribute covers call sites, but this
 checker keeps declarations honest as the API grows.

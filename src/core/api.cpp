@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/engine.hpp"
 #include "core/session.hpp"
 #include "core/sweep_source.hpp"
 #include "core/worker_pool.hpp"
@@ -42,7 +41,7 @@ Status NodeRegistry::validate(const RangingRequest& request) const {
 // ------------------------------------------------------------------ Engine
 
 struct Engine::Impl {
-  core::EngineConfig config;
+  EngineOptions options;
   std::shared_ptr<core::SweepSource> source;
   // Pipeline and calibration live behind shared_ptrs so sessions co-own
   // them: a session stays collectable after the engine is gone, and a
@@ -104,13 +103,8 @@ std::size_t solve_group(std::size_t n_requests, std::size_t threads) {
                   std::max<std::size_t>(1, n_requests / (threads * 4)));
 }
 
-core::EngineConfig to_engine_config(const EngineOptions& options) {
-  core::EngineConfig config;
-  config.ranging = options.ranging;
-  config.calibration_sweeps = options.calibration_sweeps;
-  config.calibration_distance_m = options.calibration_distance_m;
-  return config;
-}
+/// Known separation of the calibration fixture's radios [m].
+constexpr double kCalibrationDistanceM = 3.0;
 
 [[nodiscard]] Status check_node_spec(const NodeSpec& spec) {
   if (spec.antennas.empty()) {
@@ -140,18 +134,6 @@ sim::Environment named_environment(SimEnvironment environment) {
 
 }  // namespace
 
-Engine core::make_engine(std::shared_ptr<SweepSource> source,
-                         EngineConfig config) {
-  CHRONOS_EXPECTS(source != nullptr, "an engine needs a sweep source");
-  auto impl = std::make_unique<Engine::Impl>();
-  impl->pipeline =
-      std::make_shared<const RangingPipeline>(source->bands(), config.ranging);
-  impl->calibration = std::make_shared<const CalibrationTable>();
-  impl->config = std::move(config);
-  impl->source = std::move(source);
-  return Engine(std::move(impl));
-}
-
 Engine::Engine() = default;
 Engine::Engine(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
 Engine::Engine(Engine&&) noexcept = default;
@@ -162,7 +144,14 @@ bool Engine::valid() const { return impl_ != nullptr; }
 
 Engine Engine::adopt(std::shared_ptr<core::SweepSource> source,
                      const EngineOptions& options) {
-  return core::make_engine(std::move(source), to_engine_config(options));
+  CHRONOS_EXPECTS(source != nullptr, "an engine needs a sweep source");
+  auto impl = std::make_unique<Impl>();
+  impl->pipeline = std::make_shared<const core::RangingPipeline>(
+      source->bands(), options.ranging);
+  impl->calibration = std::make_shared<const core::CalibrationTable>();
+  impl->options = options;
+  impl->source = std::move(source);
+  return Engine(std::move(impl));
 }
 
 Result<Engine> Engine::create_simulated(const SimDeployment& deployment,
@@ -220,7 +209,7 @@ Status Engine::add_node(const NodeSpec& spec) {
 
 Status Engine::calibrate(NodeId tx, NodeId rx, mathx::Rng& rng) {
   CHRONOS_EXPECTS(impl_ != nullptr, "calibrate() on an invalid engine");
-  const core::EngineConfig& config = impl_->config;
+  const EngineOptions& options = impl_->options;
   const core::SweepSource& source = *impl_->source;
   if (!source.has_geometry()) {
     return {StatusCode::kUnavailable,
@@ -230,29 +219,30 @@ Status Engine::calibrate(NodeId tx, NodeId rx, mathx::Rng& rng) {
   }
   const auto resolved = source.resolve({{tx, 0}, {rx, 0}});
   if (!resolved.ok()) return resolved.status();
-  CHRONOS_EXPECTS(config.calibration_sweeps >= 1,
+  CHRONOS_EXPECTS(options.calibration_sweeps >= 1,
                   "need at least one calibration sweep");
 
-  // Calibration fixture: same radios, anechoic environment, known distance.
-  // Deliberately built on a local simulator regardless of the measurement
-  // backend — this is the paper's a-priori bench calibration, not a field
-  // measurement. Trace deployments with a recorded calibration install it
-  // via set_calibration() instead.
+  // Calibration fixture: same radios, anechoic environment, known distance,
+  // swept with the backend's own simulator model on its band plan. This is
+  // the paper's a-priori bench calibration, not a field measurement, so it
+  // runs on a local simulator whatever the measurement backend is. Trace
+  // deployments with a recorded calibration install it via
+  // set_calibration() instead.
   sim::Device tx_fix = resolved.value().tx;
   sim::Device rx_fix = resolved.value().rx;
   tx_fix.antennas = {{0.0, 0.0}};
-  rx_fix.antennas = {{config.calibration_distance_m, 0.0}};
+  rx_fix.antennas = {{kCalibrationDistanceM, 0.0}};
 
-  sim::LinkSimConfig fixture_cfg = config.link;
+  sim::LinkSimConfig fixture_cfg = source.calibration_model();
   fixture_cfg.bands = source.bands();
   sim::LinkSimulator fixture(sim::anechoic(), fixture_cfg);
   std::vector<phy::SweepMeasurement> sweeps;
-  sweeps.reserve(static_cast<std::size_t>(config.calibration_sweeps));
-  for (int i = 0; i < config.calibration_sweeps; ++i) {
+  sweeps.reserve(static_cast<std::size_t>(options.calibration_sweeps));
+  for (int i = 0; i < options.calibration_sweeps; ++i) {
     sweeps.push_back(fixture.simulate_sweep(tx_fix, 0, rx_fix, 0, rng));
   }
   set_calibration(core::calibrate_from_sweeps(
-      sweeps, config.calibration_distance_m, config.ranging.combining));
+      sweeps, kCalibrationDistanceM, options.ranging.combining));
   return Status::Ok();
 }
 

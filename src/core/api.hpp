@@ -29,8 +29,9 @@
 // (the examples-public-api CTest/CI job does exactly that for
 // examples/quickstart.cpp and examples/trace_replay.cpp).
 //
-// Code that composes its own backends and needs the simulator-backed
-// calibration-fixture settings builds engines through core/engine.hpp.
+// Code that composes its own backend (core/sweep_source.hpp) wraps it with
+// Engine::adopt; the backend also supplies the calibration fixture's
+// simulator model.
 #pragma once
 
 #include <cstddef>
@@ -130,7 +131,7 @@ constexpr bool retryable(StatusCode code) {
          code == StatusCode::kMalformedSweep;
 }
 
-/// Bounded retry-with-backoff for per-request ranging failures.
+/// Bounded retry for per-request ranging failures.
 ///
 /// Attempt a (a >= 1) of ticket i re-draws its sweep from
 /// ticket_stream.split(kRetryStreamTag + a) — a pure function of (seed,
@@ -141,12 +142,9 @@ constexpr bool retryable(StatusCode code) {
 /// a non-retryable failure surfaces immediately, unwrapped.
 struct RetryPolicy {
   /// Total attempts (first try included). 1 = no retries — bit-identical
-  /// to the pre-retry pipeline.
+  /// to the pre-retry pipeline. Retries run back to back, without a
+  /// backoff sleep.
   int max_attempts = 1;
-  /// Backoff before retry a is backoff_s * 2^(a-1) of wall-clock sleep.
-  /// 0 (the default, and what tests/benches use) never sleeps — backoff
-  /// only throttles live-capture backends, it never affects results.
-  double backoff_s = 0.0;
 };
 
 struct BatchOptions {
@@ -244,14 +242,13 @@ struct TraceDeployment {
   std::vector<TraceLink> links;
 };
 
-/// Engine options (the simulator sweep plan is a backend concern;
-/// engine-level code can tune it via core::EngineConfig).
+/// Engine options. The simulator model (sweep plan, noise and impairment
+/// settings) is a backend concern: the engine sweeps and calibrates with
+/// whatever its backend was built with.
 struct EngineOptions {
   core::RangingConfig ranging;
   /// Sweeps averaged during fixture calibration.
   int calibration_sweeps = 4;
-  /// Known separation used for the calibration fixture [m].
-  double calibration_distance_m = 3.0;
 };
 
 // ---------------------------------------------------------------------------
@@ -354,8 +351,8 @@ class RangingSession {
 /// — the channel simulator standing in for a pair of Intel 5300 cards, a
 /// recorded trace, ...) to the estimation pipeline behind a
 /// backend-neutral, Status-based, simulator-free surface. Move-only;
-/// construct through the factories (adopt() an explicit backend, or
-/// core::make_engine for engine-level configuration).
+/// construct through the factories: create_simulated and create_replay
+/// build their backend, adopt() wraps an explicit one.
 ///
 /// Threading model: every const method is safe to call concurrently from
 /// multiple threads, provided each caller supplies its own mathx::Rng.
@@ -373,10 +370,6 @@ class Engine {
   Engine& operator=(Engine&&) noexcept;
   ~Engine();
 
-  /// Engine-level construction (core/engine.hpp, core::make_engine).
-  struct Impl;
-  explicit Engine(std::unique_ptr<Impl> impl);
-
   bool valid() const;
 
   /// Simulator-backed engine over a named environment, with `deployment`'s
@@ -391,8 +384,9 @@ class Engine {
       const TraceDeployment& deployment, const EngineOptions& options = {});
 
   /// Wraps an explicit backend (power users composing their own
-  /// core::SweepSource / band plans). The pipeline's band plan comes from
-  /// source->bands().
+  /// core::SweepSource / band plans); the factories above end here. The
+  /// pipeline's band plan comes from source->bands(), the calibration
+  /// fixture's model from source->calibration_model().
   static Engine adopt(std::shared_ptr<core::SweepSource> source,
                       const EngineOptions& options = {});
 
@@ -404,11 +398,11 @@ class Engine {
   /// fixed by the recorded traces.
   [[nodiscard]] Status add_node(const NodeSpec& node);
 
-  /// One-time fixture calibration of a device pair (paper §7): simulated
-  /// anechoic fixture at a known distance, backend-independent by
-  /// construction. kUnknownNode for unregistered ids; kUnavailable on
-  /// backends without device descriptions (install a recorded table
-  /// instead).
+  /// One-time fixture calibration of a device pair (paper §7): the pair
+  /// in a simulated anechoic fixture 3 m apart, swept on the backend's
+  /// calibration model and band plan. kUnknownNode for unregistered ids;
+  /// kUnavailable on backends without device descriptions (install a
+  /// recorded table instead).
   [[nodiscard]] Status calibrate(NodeId tx, NodeId rx, mathx::Rng& rng);
 
   /// Installs a pre-computed calibration table (e.g. recorded alongside a
@@ -476,6 +470,9 @@ class Engine {
   std::size_t session_threads() const;
 
  private:
+  struct Impl;
+  explicit Engine(std::unique_ptr<Impl> impl);
+
   std::unique_ptr<Impl> impl_;
 };
 

@@ -218,6 +218,10 @@ std::string FaultInjectingSweepSource::backend_name() const {
   return inner_->backend_name() + "+faults";
 }
 
+sim::LinkSimConfig FaultInjectingSweepSource::calibration_model() const {
+  return inner_->calibration_model();
+}
+
 FaultKind FaultInjectingSweepSource::planned_fault(
     const mathx::Rng& request_stream) const {
   mathx::Rng fault_stream = request_stream.split(kFaultStreamTag);

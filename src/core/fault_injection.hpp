@@ -130,6 +130,7 @@ class FaultInjectingSweepSource final : public SweepSource {
   const std::vector<phy::WifiBand>& bands() const override;
   bool has_geometry() const override;
   std::string backend_name() const override;
+  sim::LinkSimConfig calibration_model() const override;
 
   /// The fault sweep_for will inject for a request served on
   /// `request_stream` (the per-ticket stream the runtime hands sweep_for,

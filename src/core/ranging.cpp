@@ -6,11 +6,48 @@
 
 #include "mathx/constants.hpp"
 #include "mathx/contracts.hpp"
+#include "phy/detection.hpp"
 #include "phy/intel5300.hpp"
 
 namespace chronos::core {
 
 namespace {
+
+/// Clustering of the sparse solution into profile peaks.
+constexpr ProfileOptions kProfile{};
+/// First-peak acceptance threshold relative to the strongest peak.
+constexpr double kFirstPeakThreshold = 0.15;
+/// Matched-filter validation of first-peak candidates: a genuine direct
+/// path coheres across (nearly) all bands, while sparse-recovery artifacts
+/// do not. A candidate is accepted only if its raw matched filter reaches
+/// this fraction of the best candidate's.
+constexpr double kFirstPeakMfRatio = 0.7;
+/// Grating-ghost suppression. The 20 MHz channel lattice of the 5 GHz plan
+/// (and of the quirk-fixed 2.4 GHz rows, whose x4 maps 5 MHz channel steps
+/// onto the same 20 MHz grid) makes every real path echo at +-k * 50 ns
+/// with ~0.6 relative coherence — only the 5 MHz-offset UNII-3 group
+/// breaks the lattice. A candidate whose lattice-shifted probe scores
+/// higher is a ghost.
+constexpr double kAliasPeriodS = 50e-9;
+/// Half-width of the coarse ToA gate (RangingConfig::use_toa_gate). It
+/// covers per-packet detection jitter plus the SNR dependence of the mean
+/// detection delay between calibration fixture and field.
+constexpr double kToaGateS = 15e-9;
+/// Detection-delay characteristics of the NIC, used to compensate the gate
+/// center for the SNR difference between the calibration fixture and the
+/// field measurement (the mean energy-crossing time grows as 1/SNR). Must
+/// match the hardware (the sim's DetectionModelParams).
+constexpr phy::DetectionModelParams kDetection{};
+/// Continuous refinement of the direct path: subtract every other
+/// cluster's contribution from h, then locally maximise the matched filter
+/// within this half-width of the first peak (CLEAN-style). Recovers the
+/// precision the 0.125 ns grid quantisation discards.
+constexpr double kRefineHalfWidthS = 0.3e-9;
+/// Weight of the 2.4 GHz rows when the quadrant fix raises them to h^8: the
+/// eighth power distorts their magnitudes relative to the shared sparse
+/// model, so they get less authority in the weighted-L2 data term (they
+/// still extend the phase aperture). 5 GHz rows always weigh 1.
+constexpr double kQuirkRowWeight = 0.15;
 
 std::vector<double> row_frequencies(const std::vector<phy::WifiBand>& bands,
                                     const CombiningConfig& combining) {
@@ -25,12 +62,12 @@ std::vector<double> row_frequencies(const std::vector<phy::WifiBand>& bands,
 }
 
 std::vector<double> row_weights(const std::vector<phy::WifiBand>& bands,
-                                const RangingConfig& config) {
+                                const CombiningConfig& combining) {
   std::vector<double> weights;
   weights.reserve(bands.size());
   for (const auto& b : bands) {
-    const bool quirk_row = config.combining.quirk_fix && b.is_2_4ghz();
-    weights.push_back(quirk_row ? config.quirk_row_weight : 1.0);
+    const bool quirk_row = combining.quirk_fix && b.is_2_4ghz();
+    weights.push_back(quirk_row ? kQuirkRowWeight : 1.0);
   }
   return weights;
 }
@@ -41,8 +78,8 @@ RangingPipeline::RangingPipeline(const std::vector<phy::WifiBand>& bands,
                                  RangingConfig config)
     : config_(std::move(config)),
       bands_(bands),
-      solver_(row_frequencies(bands, config_.combining), config_.grid,
-              row_weights(bands, config_)) {
+      solver_(row_frequencies(bands, config_.combining), RangingConfig::grid,
+              row_weights(bands, config_.combining)) {
   CHRONOS_EXPECTS(!bands_.empty(), "pipeline needs at least one band");
 }
 
@@ -87,7 +124,7 @@ RangingResult RangingPipeline::estimate(
   }
   PreparedSweep prep = prepare(sweep, calibration);
   SparseSolveResult solution =
-      solver_.solve_fista(prep.h, config_.solver_options);
+      solver_.solve_fista(prep.h, RangingConfig::solver_options);
   return finish(prep, std::move(solution), calibration);
 }
 
@@ -121,7 +158,7 @@ std::vector<RangingResult> RangingPipeline::estimate_batch(
   std::vector<std::span<const std::complex<double>>> hs;
   hs.reserve(preps.size());
   for (const auto& prep : preps) hs.emplace_back(prep.h);
-  auto solutions = solver_.solve_fista_batch(hs, config_.solver_options);
+  auto solutions = solver_.solve_fista_batch(hs, RangingConfig::solver_options);
   for (std::size_t j = 0; j < preps.size(); ++j) {
     out[live[j]] = finish(preps[j], std::move(solutions[j]), calibration);
   }
@@ -135,7 +172,7 @@ RangingResult RangingPipeline::finish(const PreparedSweep& prep,
   const double field_snr_db = prep.field_snr_db;
 
   RangingResult out;
-  out.profile = extract_profile(solution, config_.profile);
+  out.profile = extract_profile(solution, kProfile);
   out.delay_axis_scale = delay_axis_scale(config_.combining);
   out.solver_iterations = solution.iterations;
   out.toa_s = prep.toa_s;
@@ -150,14 +187,13 @@ RangingResult RangingPipeline::finish(const PreparedSweep& prep,
   //    path at +-k*50 ns with ~0.6 relative coherence, so a candidate whose
   //    lattice-shifted probe scores *higher* is a ghost of a later/earlier
   //    real path.
-  // 4. The earliest non-ghost whose score reaches first_peak_mf_ratio of
+  // 4. The earliest non-ghost whose score reaches kFirstPeakMfRatio of
   //    the best non-ghost score is the direct path.
   double max_amp = 0.0;
   for (const auto& p : out.profile.peaks) max_amp = std::max(max_amp, p.amplitude);
 
-  const bool alias_on = config_.alias_period_s > 0.0;
-  const double grid_min_u = config_.grid.min_s;
-  const double grid_max_u = config_.grid.max_s;
+  const double grid_min_u = RangingConfig::grid.min_s;
+  const double grid_max_u = RangingConfig::grid.max_s;
 
   // Local MF maximum (value and location) within +-half of `center`. One
   // recurrence scan replaces per-sample std::polar evaluation; out-of-grid
@@ -199,7 +235,7 @@ RangingResult RangingPipeline::finish(const PreparedSweep& prep,
   const bool gate_on = config_.use_toa_gate && calibration.has_toa_bias;
   double gate_center_u = 0.0;
   if (gate_on) {
-    const phy::DetectionModel model(config_.detection);
+    const phy::DetectionModel model(kDetection);
     const double snr_compensation =
         model.expected_delay_s(field_snr_db) -
         model.expected_delay_s(calibration.calibration_snr_db);
@@ -207,7 +243,7 @@ RangingResult RangingPipeline::finish(const PreparedSweep& prep,
         out.toa_s - calibration.toa_bias_s - snr_compensation;
     gate_center_u = coarse_tof * out.delay_axis_scale;
   }
-  const double gate_half_u = config_.toa_gate_s * out.delay_axis_scale;
+  const double gate_half_u = kToaGateS * out.delay_axis_scale;
 
   std::vector<Candidate> candidates;
   if (gate_on) {
@@ -250,7 +286,7 @@ RangingResult RangingPipeline::finish(const PreparedSweep& prep,
     }
   } else {
     for (const auto& p : out.profile.peaks) {
-      if (p.amplitude < config_.first_peak_threshold * max_amp) continue;
+      if (p.amplitude < kFirstPeakThreshold * max_amp) continue;
       const auto [score, u] = local_mf_peak(p.delay_s, kLocalWindow);
       candidates.push_back({&p, score, u, false});
     }
@@ -258,12 +294,12 @@ RangingResult RangingPipeline::finish(const PreparedSweep& prep,
 
   // Ghost probing is only needed when no ToA gate constrains the window:
   // the gate is far narrower than the 50 ns lattice period.
-  if (alias_on && !gate_on) {
+  if (!gate_on) {
     for (auto& c : candidates) {
       for (int k = 1; k <= 2 && !c.ghost; ++k) {
         for (const double sign : {-1.0, 1.0}) {
           const double probe =
-              c.u + sign * static_cast<double>(k) * config_.alias_period_s;
+              c.u + sign * static_cast<double>(k) * kAliasPeriodS;
           if (probe < grid_min_u || probe > grid_max_u) continue;
           if (local_mf_peak(probe, kLocalWindow).first > c.score) {
             c.ghost = true;
@@ -281,7 +317,7 @@ RangingResult RangingPipeline::finish(const PreparedSweep& prep,
   }
   for (const auto& c : candidates) {
     if (c.ghost) continue;
-    if (c.score >= config_.first_peak_mf_ratio * best_score) {
+    if (c.score >= kFirstPeakMfRatio * best_score) {
       direct = &c;
       break;  // candidates iterate in delay order
     }
@@ -295,10 +331,7 @@ RangingResult RangingPipeline::finish(const PreparedSweep& prep,
 
   if (direct != nullptr) {
     out.peak_found = true;
-    double u = direct->u;
-    if (config_.refine_first_peak) {
-      u = solver_.refine_delay(h, u, config_.refine_half_width_s);
-    }
+    const double u = solver_.refine_delay(h, direct->u, kRefineHalfWidthS);
     out.tof_s = u / out.delay_axis_scale;
     out.distance_m = mathx::tof_to_distance(out.tof_s);
     out.detection_delay_s = out.toa_s - out.tof_s;
@@ -309,39 +342,34 @@ RangingResult RangingPipeline::finish(const PreparedSweep& prep,
   // calibration table, so they cannot live in the pre-solve screen. The
   // diagnostics (profile, candidates) are kept on a rejection so callers
   // can audit what the gate saw.
-  const IntegrityConfig& integrity = config_.integrity;
-  if (integrity.check_residual) {
-    double h_energy = 0.0;
-    for (const auto& v : h) h_energy += std::norm(v);
-    const double h_norm = std::sqrt(h_energy);
-    if (h_norm > 0.0 &&
-        solution.residual_norm > integrity.max_residual_ratio * h_norm) {
-      out.status = {chronos::StatusCode::kIntegrityViolation,
-                    "sparse model explains too little of the sweep "
-                    "(residual ratio " +
-                        std::to_string(solution.residual_norm / h_norm) +
-                        " > " +
-                        std::to_string(integrity.max_residual_ratio) +
-                        "): bands disagree about the channel"};
-      return out;
-    }
+  if (!config_.integrity.all_checks) return out;
+  double h_energy = 0.0;
+  for (const auto& v : h) h_energy += std::norm(v);
+  const double h_norm = std::sqrt(h_energy);
+  if (h_norm > 0.0 && solution.residual_norm > kMaxResidualRatio * h_norm) {
+    out.status = {chronos::StatusCode::kIntegrityViolation,
+                  "sparse model explains too little of the sweep "
+                  "(residual ratio " +
+                      std::to_string(solution.residual_norm / h_norm) +
+                      " > " + std::to_string(kMaxResidualRatio) +
+                      "): bands disagree about the channel"};
+    return out;
   }
-  if (integrity.reject_peakless && !out.peak_found) {
+  if (!out.peak_found) {
     out.status = {chronos::StatusCode::kIntegrityViolation,
                   "no acceptable direct-path peak: the delay profile and "
                   "the coarse ToA disagree (spoofed delay or corrupted "
                   "sweep)"};
     return out;
   }
-  if (integrity.check_toa_consistency && out.peak_found &&
-      calibration.has_toa_bias) {
-    const phy::DetectionModel model(config_.detection);
+  if (calibration.has_toa_bias) {
+    const phy::DetectionModel model(kDetection);
     const double expected_delay =
         calibration.toa_bias_s +
         model.expected_delay_s(field_snr_db) -
         model.expected_delay_s(calibration.calibration_snr_db);
     const double discrepancy = out.detection_delay_s - expected_delay;
-    if (std::abs(discrepancy) > integrity.max_toa_discrepancy_s) {
+    if (std::abs(discrepancy) > kMaxToaDiscrepancyS) {
       out.status = {chronos::StatusCode::kIntegrityViolation,
                     "ToA/ToF inconsistency: detection delay deviates " +
                         std::to_string(discrepancy * 1e9) +

@@ -18,70 +18,35 @@
 #include "core/profile.hpp"
 #include "mathx/status.hpp"
 #include "phy/csi.hpp"
-#include "phy/detection.hpp"
 
 namespace chronos::core {
 
+/// What a caller chooses about the pipeline. Everything else it runs with
+/// is a named constant: the delay grid and solver options below, and the
+/// peak-selection constants in ranging.cpp.
 struct RangingConfig {
   CombiningConfig combining;
-  /// Delay grid on the u = scale*tau axis. The default covers 0-150 ns
-  /// (two-way direct paths up to 22 m plus reflection cross-terms), which
-  /// deliberately excludes the strong ~200 ns grating lobe of the US band
-  /// plan (24 of 35 centers share a 5 MHz grid).
-  DelayGrid grid{0.0, 150e-9, 0.125e-9};
-  /// Options of the FISTA solve that inverts every sweep.
-  IstaOptions solver_options{};
-  ProfileOptions profile{};
-  /// First-peak acceptance threshold relative to the strongest peak.
-  double first_peak_threshold = 0.15;
-  /// Matched-filter validation of first-peak candidates: a genuine direct
-  /// path coheres across (nearly) all bands, while sparse-recovery
-  /// artifacts do not. A candidate is accepted only if its raw matched
-  /// filter reaches this fraction of the best candidate's.
-  double first_peak_mf_ratio = 0.7;
-  /// Grating-ghost suppression. The 20 MHz channel lattice of the 5 GHz
-  /// plan (and of the quirk-fixed 2.4 GHz rows, whose x4 maps 5 MHz channel
-  /// steps onto the same 20 MHz grid) makes every real path echo at
-  /// +-k * 50 ns with ~0.6 relative coherence — only the 5 MHz-offset
-  /// UNII-3 group breaks the lattice. Candidates separated by ~k * period
-  /// are grouped into a family and only the member with the strongest raw
-  /// matched filter survives. 0 disables.
-  double alias_period_s = 50e-9;
-  double alias_tolerance_s = 1.5e-9;
   /// Coarse ToA gating: the subcarrier phase slope gives tof + detection
   /// delay per packet; after subtracting the calibrated mean detection
   /// delay, the true tof is known to a few ns — far tighter than the 50 ns
-  /// lattice period. Candidates outside +-toa_gate_s of that coarse
-  /// estimate are rejected outright, which deterministically resolves the
-  /// lattice ambiguity. Requires a calibration table with toa_bias (falls
-  /// back to ungated selection otherwise). The width covers per-packet
-  /// detection jitter plus the SNR dependence of the mean detection delay
-  /// between calibration fixture and field.
+  /// lattice period. Candidates outside a +-15 ns window around that
+  /// coarse estimate are rejected outright, which deterministically
+  /// resolves the lattice ambiguity. Requires a calibration table with
+  /// toa_bias (falls back to ungated selection otherwise).
   bool use_toa_gate = true;
-  double toa_gate_s = 15e-9;
-  /// Detection-delay characteristics of the NIC, used to compensate the
-  /// gate center for the SNR difference between the calibration fixture
-  /// and the field measurement (the mean energy-crossing time grows as
-  /// 1/SNR). Must match the hardware (the sim's DetectionModelParams).
-  phy::DetectionModelParams detection{};
-  /// Continuous refinement of the direct path: subtract every other
-  /// cluster's contribution from h, then locally maximise the matched
-  /// filter around the first peak (CLEAN-style). Recovers the precision the
-  /// 0.125 ns grid quantisation discards.
-  bool refine_first_peak = true;
-  double refine_half_width_s = 0.3e-9;
-  /// Hostile-sweep detection gate (core/integrity.hpp): pre-solve
-  /// screening of every sweep against the pipeline's plan, plus the
-  /// post-solve residual / ToA-consistency / peakless checks. The default
-  /// keeps only the structural screen on, which a plan-matching sweep
-  /// cannot trip — the accuracy goldens pin that a zero-fault pipeline is
-  /// unchanged. IntegrityConfig::hostile() arms everything.
+  /// Hostile-sweep detection gate (core/integrity.hpp): the structural
+  /// screen by default, which a plan-matching sweep cannot trip — the
+  /// accuracy goldens pin that a zero-fault pipeline is unchanged.
+  /// IntegrityConfig::hostile() arms every check.
   IntegrityConfig integrity;
-  /// Weight of the 2.4 GHz rows when the quadrant fix raises them to h^8:
-  /// the eighth power distorts their magnitudes relative to the shared
-  /// sparse model, so they get less authority in the weighted-L2 data term
-  /// (they still extend the phase aperture). 5 GHz rows always weigh 1.
-  double quirk_row_weight = 0.15;
+
+  /// Delay grid on the u = scale*tau axis. It covers 0-150 ns (two-way
+  /// direct paths up to 22 m plus reflection cross-terms), which
+  /// deliberately excludes the strong ~200 ns grating lobe of the US band
+  /// plan (24 of 35 centers share a 5 MHz grid).
+  static constexpr DelayGrid grid{0.0, 150e-9, 0.125e-9};
+  /// Options of the FISTA solve that inverts every sweep.
+  static constexpr IstaOptions solver_options{};
 };
 
 /// Diagnostic record of one first-peak candidate (exposed so applications

@@ -1,8 +1,6 @@
 #include "core/retry.hpp"
 
-#include <chrono>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "mathx/contracts.hpp"
@@ -10,16 +8,6 @@
 namespace chronos::core {
 
 namespace {
-
-/// Exponential backoff before retry `attempt` (>= 1). Wall-clock only —
-/// throttles live backends between attempts, never feeds a result.
-/// lint:allow(nondeterminism)
-void backoff_before(const chronos::RetryPolicy& policy, int attempt) {
-  if (policy.backoff_s <= 0.0) return;
-  const double seconds =
-      policy.backoff_s * static_cast<double>(1 << (attempt - 1));
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-}
 
 /// One ranging attempt: sweep_for on `attempt_rng`, then the pipeline.
 /// Failures land in the result's status (never thrown).
@@ -62,7 +50,6 @@ RangingResult finish_with_retries(const SweepSource& source,
     if (result.status.ok() || !chronos::retryable(result.status.code())) {
       return result;
     }
-    backoff_before(policy, attempt);
     mathx::Rng attempt_rng = ticket_stream.split(
         kRetryStreamTag + static_cast<std::uint64_t>(attempt));
     result = range_attempt(source, pipeline, calibration, request,

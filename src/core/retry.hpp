@@ -1,11 +1,12 @@
-// Bounded, deterministic retry of per-request ranging failures.
+// Bounded, deterministic retry of per-request ranging failures. Attempts
+// run back to back: nothing here reads a clock or sleeps.
 //
-// The batched runtime's contract says ticket i is a pure function of
-// (source, pipeline, calibration, request, base.split(i)). Retries must not
-// weaken that: attempt a >= 1 of a ticket draws its sweep from
-// ticket_stream.split(kRetryStreamTag + a) — a position-independent child
-// of the SAME per-ticket stream, so which attempts happen and what they
-// measure depend only on (seed, ticket, attempt), never on worker
+// A ranging session's contract (core/session.hpp) says ticket i is a pure
+// function of (source, pipeline, calibration, request, base.split(i)).
+// Retries must not weaken that: attempt a >= 1 of a ticket draws its sweep
+// from ticket_stream.split(kRetryStreamTag + a) — a position-independent
+// child of the SAME per-ticket stream, so which attempts happen and what
+// they measure depend only on (seed, ticket, attempt), never on worker
 // scheduling. Attempt 0 consumes a COPY of the ticket stream exactly the
 // way the retry-free runtime consumed the stream itself, so a
 // RetryPolicy{1} run is bit-identical to the pre-retry pipeline.

@@ -182,18 +182,6 @@ chronos::Status TraceSweepSource::try_add_sweep_file(const TraceKey& key,
   return try_add_sweep(key, std::move(sweep));
 }
 
-void TraceSweepSource::add_sweep(const TraceKey& key,
-                                 phy::SweepMeasurement sweep) {
-  const auto status = try_add_sweep(key, std::move(sweep));
-  CHRONOS_EXPECTS(status.ok(), status.to_string());
-}
-
-void TraceSweepSource::add_sweep_file(const TraceKey& key,
-                                      const std::string& path) {
-  const auto status = try_add_sweep_file(key, path);
-  CHRONOS_EXPECTS(status.ok(), status.to_string());
-}
-
 bool TraceSweepSource::has_node(chronos::NodeId id) const {
   return node_arity_.contains(id.value);
 }

@@ -66,8 +66,8 @@ struct ResolvedRequest {
 ///     hidden mutable state and draw randomness exclusively from the
 ///     caller-supplied `rng`. A directory that may change while ranging
 ///     (SimSweepSource::add_node) locks itself internally; backends whose
-///     population is not thread-safe (TraceSweepSource's add_sweep*) must
-///     finish population before concurrent ranging starts;
+///     population is not thread-safe (TraceSweepSource's try_add_sweep*)
+///     must finish population before concurrent ranging starts;
 ///   * a sweep is a pure function of (source, resolved request, rng
 ///     state), so worker scheduling can never change a bit of any
 ///     RangingResult;
@@ -98,6 +98,14 @@ class SweepSource : public chronos::NodeRegistry {
   /// Stable human-readable backend identifier ("sim", "trace", ...), for
   /// diagnostics and logs.
   virtual std::string backend_name() const = 0;
+
+  /// Simulator model of the calibration fixture: Engine::calibrate sweeps
+  /// the pair in an anechoic fixture with this model, on this source's
+  /// bands(), because the paper calibrates once with the same radios that
+  /// later range. A simulator backend returns its own model and a
+  /// decorator forwards its inner source's; other backends keep this
+  /// default, the simulator's stock model.
+  virtual sim::LinkSimConfig calibration_model() const { return {}; }
 };
 
 /// The simulator backend: forwards every resolved request to
@@ -130,6 +138,9 @@ class SimSweepSource final : public SweepSource {
   const std::vector<phy::WifiBand>& bands() const override;
   bool has_geometry() const override { return true; }
   std::string backend_name() const override { return "sim"; }
+  sim::LinkSimConfig calibration_model() const override {
+    return link_.config();
+  }
 
   /// The wrapped simulator (simulator-specific extras: ground-truth paths,
   /// environment access).
@@ -188,11 +199,6 @@ class TraceSweepSource final : public SweepSource {
   /// open/parse failures to the try_add_sweep statuses).
   [[nodiscard]] chronos::Status try_add_sweep_file(const TraceKey& key,
                                      const std::string& path);
-
-  /// Throwing convenience wrappers (std::invalid_argument on failure) for
-  /// tooling that treats a bad trace file as fatal.
-  void add_sweep(const TraceKey& key, phy::SweepMeasurement sweep);
-  void add_sweep_file(const TraceKey& key, const std::string& path);
 
   // NodeRegistry
   bool has_node(chronos::NodeId id) const override;

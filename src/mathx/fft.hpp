@@ -2,8 +2,9 @@
 // arbitrary lengths, with per-size cached plans.
 //
 // The OFDM PHY substrate uses 64-point transforms to synthesise and analyse
-// 802.11 symbols, and the non-sparse inverse-NDFT ablation baseline grids
-// the Wi-Fi bands onto a uniform axis and applies an inverse FFT.
+// 802.11 symbols. (The non-sparse inverse-NDFT ablation baseline needs no
+// FFT: baseline/pseudo_inverse takes the minimum-norm solution or the
+// adjoint directly on the non-uniform band frequencies.)
 //
 // FftPlan owns everything that depends only on the transform size: the
 // per-stage twiddle factors, the bit-reversal permutation, and (for non-pow2

@@ -19,7 +19,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/engine.hpp"
+#include "core/sweep_source.hpp"
 #include "netd/client.hpp"
 #include "netd/daemon.hpp"
 #include "netd/loopback.hpp"
@@ -66,11 +66,11 @@ int main(int argc, char** argv) {
 
   // ---- backend + calibration (shared by daemon and reference engine)
   const auto scen = sim::office_testbed(42);
-  core::EngineConfig ec;
-  if (!trusted) ec.ranging.integrity = core::IntegrityConfig::hostile();
-  auto src =
-      std::make_shared<core::SimSweepSource>(scen.environment(), ec.link);
-  Engine reference = core::make_engine(src, ec);
+  EngineOptions options;
+  if (!trusted) options.ranging.integrity = core::IntegrityConfig::hostile();
+  auto src = std::make_shared<core::SimSweepSource>(scen.environment(),
+                                                    sim::LinkSimConfig{});
+  Engine reference = Engine::adopt(src, options);
   mathx::Rng cal_rng(99);
   src->add_node(NodeId{9001}, sim::make_mobile({0.0, 0.0}, 11));
   src->add_node(NodeId{9002}, sim::make_mobile({1.0, 0.0}, 22));
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   opt.shard_threads = threads;
   opt.trusted_clients = trusted;
   mathx::Rng daemon_rng(seed);
-  netd::ChronosDaemon daemon(src, ec.ranging, reference.calibration(),
+  netd::ChronosDaemon daemon(src, options.ranging, reference.calibration(),
                              daemon_rng, opt);
 
   std::vector<std::shared_ptr<netd::Stream>> client_ends;

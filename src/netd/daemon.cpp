@@ -169,10 +169,11 @@ bool ChronosDaemon::pump_connection(std::size_t conn_index) {
   if (conn.dead) return false;
   bool progress = false;
 
-  std::vector<std::uint8_t> scratch;
-  chronos::Result<std::size_t> got = conn.stream->try_recv(scratch);
+  // try_recv appends, so the reused buffer is emptied first.
+  conn.recv_buffer.clear();
+  chronos::Result<std::size_t> got = conn.stream->try_recv(conn.recv_buffer);
   if (got.ok() && got.value() > 0) {
-    conn.parser.feed(scratch);
+    conn.parser.feed(conn.recv_buffer);
     progress = true;
   }
 

@@ -78,8 +78,8 @@ struct DaemonOptions {
   std::size_t shard_threads = 1;
   /// Per-request retry budget, same semantics as BatchOptions::retry.
   chronos::RetryPolicy retry{};
-  /// When false (default), every shard pipeline arms
-  /// IntegrityConfig::hostile() on top of the caller's RangingConfig.
+  /// When false (default), every shard pipeline replaces the caller's
+  /// RangingConfig::integrity with IntegrityConfig::hostile().
   bool trusted_clients = false;
 };
 
@@ -96,9 +96,9 @@ struct DaemonStats {
 class ChronosDaemon {
  public:
   /// `source` is the backend (directory + sweeps); `config` the ranging
-  /// configuration every shard pipeline is built from (hostile integrity
-  /// is layered on unless trusted_clients); `calibration` is shared by
-  /// all shards. Forks `rng` exactly once.
+  /// configuration every shard pipeline is built from (with hostile
+  /// integrity unless trusted_clients); `calibration` is shared by all
+  /// shards. Forks `rng` exactly once.
   ChronosDaemon(std::shared_ptr<const core::SweepSource> source,
                 const core::RangingConfig& config,
                 core::CalibrationTable calibration, mathx::Rng& rng,
@@ -146,6 +146,8 @@ class ChronosDaemon {
 
   struct Connection {
     std::shared_ptr<Stream> stream;
+    /// Receive buffer reused across polls (pump_connection clears it).
+    std::vector<std::uint8_t> recv_buffer;
     FrameParser parser;
     std::size_t outstanding = 0;  ///< admitted, not yet answered
     bool said_hello = false;

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "chronos.hpp"
-#include "core/engine.hpp"
+#include "core/sweep_source.hpp"
 #include "phy/csi_io.hpp"
 #include "sim/environment.hpp"
 #include "sim/radio.hpp"
@@ -27,14 +27,14 @@ namespace {
 
 /// Reduced sweep plan (every 5th US band, one exchange) keeps sweeps cheap;
 /// none of the API properties depend on the plan.
-EngineConfig fast_config() {
-  EngineConfig ec;
+sim::LinkSimConfig fast_link() {
+  sim::LinkSimConfig c;
   const auto& plan = phy::us_band_plan();
   for (std::size_t i = 0; i < plan.size(); i += 5) {
-    ec.link.bands.push_back(plan[i]);
+    c.bands.push_back(plan[i]);
   }
-  ec.link.exchanges_per_band = 1;
-  return ec;
+  c.exchanges_per_band = 1;
+  return c;
 }
 
 void expect_bitwise_equal(const RangingResult& a, const RangingResult& b) {
@@ -131,11 +131,11 @@ TEST(ApiErrorModel, StatusCodeNamesRoundTripExhaustively) {
 }
 
 TEST(ApiErrorModel, SimBackendStatusTable) {
-  const auto ec = fast_config();
-  auto src = std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link);
+  auto src =
+      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
   src->add_node(chronos::NodeId{1}, sim::make_mobile({2.0, 2.0}, 5));
   src->add_node(chronos::NodeId{2}, sim::make_laptop({9.0, 6.0}, 0.3, 6));
-  const Engine eng = make_engine(src, ec);
+  const Engine eng = Engine::adopt(src);
 
   struct Case {
     const char* name;
@@ -170,8 +170,7 @@ TEST(ApiErrorModel, SimBackendStatusTable) {
 }
 
 TEST(ApiErrorModel, TraceBackendStatusTable) {
-  const auto ec = fast_config();
-  const sim::LinkSimulator link(sim::office_20x20(), ec.link);
+  const sim::LinkSimulator link(sim::office_20x20(), fast_link());
   const auto tx = sim::make_mobile({2.5, 3.5}, 61);
   const auto rx = sim::make_laptop({8.0, 7.0}, 0.3, 62);
   auto trace = std::make_shared<TraceSweepSource>();
@@ -180,7 +179,7 @@ TEST(ApiErrorModel, TraceBackendStatusTable) {
                   ->try_add_sweep(TraceKey::of(ResolvedRequest{tx, 0, rx, 1}),
                                   link.simulate_sweep(tx, 0, rx, 1, record_rng))
                   .ok());
-  Engine eng = make_engine(trace, ec);
+  Engine eng = Engine::adopt(trace);
 
   struct Case {
     const char* name;
@@ -228,8 +227,7 @@ TEST(ApiErrorModel, TryReadSweepReportsBandMismatchAndTruncation) {
   // Truncated exchange: a forward capture whose reverse partner never
   // arrives before end of stream.
   {
-    const auto ec = fast_config();
-    const sim::LinkSimulator link(sim::office_20x20(), ec.link);
+    const sim::LinkSimulator link(sim::office_20x20(), fast_link());
     mathx::Rng rng(5);
     const auto sweep = link.simulate_sweep(sim::make_mobile({1.0, 1.0}, 71), 0,
                                            sim::make_mobile({4.0, 4.0}, 72), 0,
@@ -259,11 +257,11 @@ TEST(ApiErrorModel, EstimateDistinguishesBandMismatchFromDamage) {
   // A structurally valid sweep recorded under a DIFFERENT band plan is a
   // recoverable kBandMismatch (rebuild the pipeline for it), not
   // kMalformedSweep.
-  const auto ec = fast_config();
-  const Engine eng = make_engine(
-      std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link), ec);
+  const auto fast = fast_link();
+  const Engine eng = Engine::adopt(
+      std::make_shared<SimSweepSource>(sim::office_20x20(), fast));
 
-  sim::LinkSimConfig other_cfg = ec.link;
+  sim::LinkSimConfig other_cfg = fast;
   other_cfg.bands.pop_back();
   const sim::LinkSimulator other_link(sim::office_20x20(), other_cfg);
   mathx::Rng rng(6);
@@ -275,7 +273,7 @@ TEST(ApiErrorModel, EstimateDistinguishesBandMismatchFromDamage) {
   EXPECT_EQ(result.status().code(), chronos::StatusCode::kBandMismatch);
 
   // A sweep on the right plan estimates fine through the same entry.
-  const sim::LinkSimulator link(sim::office_20x20(), ec.link);
+  const sim::LinkSimulator link(sim::office_20x20(), fast);
   const auto native = link.simulate_sweep(
       sim::make_mobile({1.0, 1.0}, 81), 0, sim::make_mobile({5.0, 5.0}, 82),
       0, rng);
@@ -286,11 +284,11 @@ TEST(ApiErrorModel, BatchKeepsFailedRequestsIndexAligned) {
   // One bad request in a batch: its slot carries the status, every other
   // slot is bit-identical to the same batch with a valid request in that
   // position (split streams are per-index, not per-surviving-request).
-  const auto ec = fast_config();
-  auto src = std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link);
+  auto src =
+      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
   src->add_node(chronos::NodeId{1}, sim::make_mobile({2.0, 2.0}, 5));
   src->add_node(chronos::NodeId{2}, sim::make_laptop({9.0, 6.0}, 0.3, 6));
-  const Engine eng = make_engine(src, ec);
+  const Engine eng = Engine::adopt(src);
 
   const chronos::RangingRequest good_a{{{1}, 0}, {{2}, 0}};
   const chronos::RangingRequest good_b{{{1}, 0}, {{2}, 1}};
@@ -335,12 +333,12 @@ TEST(ApiErrorModel, BatchKeepsFailedRequestsIndexAligned) {
 // ---------------------------------------------------------------------------
 
 TEST(ApiSession, TrySubmitReportsQueueFullWithoutBlockingOrDropping) {
-  const auto ec = fast_config();
-  auto inner = std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link);
+  auto inner =
+      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
   inner->add_node(chronos::NodeId{1}, sim::make_mobile({2.0, 2.0}, 5));
   inner->add_node(chronos::NodeId{2}, sim::make_mobile({7.0, 5.0}, 6));
   auto gated = std::make_shared<GatedSource>(inner);
-  const Engine eng = make_engine(gated, ec);
+  const Engine eng = Engine::adopt(gated);
 
   const chronos::RangingRequest request{{{1}, 0}, {{2}, 0}};
   mathx::Rng rng(42);
@@ -392,12 +390,12 @@ TEST(ApiSession, TrySubmitReportsQueueFullWithoutBlockingOrDropping) {
 }
 
 TEST(ApiSession, BlockingSubmitWaitsForASlot) {
-  const auto ec = fast_config();
-  auto inner = std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link);
+  auto inner =
+      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
   inner->add_node(chronos::NodeId{1}, sim::make_mobile({2.0, 2.0}, 5));
   inner->add_node(chronos::NodeId{2}, sim::make_mobile({7.0, 5.0}, 6));
   auto gated = std::make_shared<GatedSource>(inner);
-  const Engine eng = make_engine(gated, ec);
+  const Engine eng = Engine::adopt(gated);
 
   const chronos::RangingRequest request{{{1}, 0}, {{2}, 0}};
   mathx::Rng rng(7);
@@ -423,11 +421,11 @@ TEST(ApiSession, StreamedSubmissionMatchesBatchBitExactly) {
   // A session fed one request at a time is bit-identical to measure_batch
   // over the same requests on the same rng state (shared fork tag + per-
   // ticket split streams).
-  const auto ec = fast_config();
-  auto src = std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link);
+  auto src =
+      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
   src->add_node(chronos::NodeId{1}, sim::make_mobile({2.0, 2.0}, 5));
   src->add_node(chronos::NodeId{2}, sim::make_laptop({9.0, 6.0}, 0.3, 6));
-  const Engine eng = make_engine(src, ec);
+  const Engine eng = Engine::adopt(src);
 
   std::vector<chronos::RangingRequest> requests;
   for (std::size_t a = 0; a < 3; ++a) {

@@ -10,7 +10,7 @@
 #include <optional>
 #include <vector>
 
-#include "core/engine.hpp"
+#include "core/sweep_source.hpp"
 #include "sim/environment.hpp"
 #include "sim/radio.hpp"
 
@@ -19,14 +19,14 @@ namespace {
 
 /// A reduced sweep plan (every 5th US band, one exchange) keeps each request
 /// cheap; determinism does not depend on the plan.
-EngineConfig fast_config() {
-  EngineConfig ec;
+sim::LinkSimConfig fast_link() {
+  sim::LinkSimConfig c;
   const auto& plan = phy::us_band_plan();
   for (std::size_t i = 0; i < plan.size(); i += 5) {
-    ec.link.bands.push_back(plan[i]);
+    c.bands.push_back(plan[i]);
   }
-  ec.link.exchanges_per_band = 1;
-  return ec;
+  c.exchanges_per_band = 1;
+  return c;
 }
 
 /// A simulator engine on the reduced plan; `source` keeps the writable
@@ -37,9 +37,8 @@ struct Rig {
 };
 
 Rig make_rig(sim::Environment env) {
-  const EngineConfig ec = fast_config();
-  auto source = std::make_shared<SimSweepSource>(std::move(env), ec.link);
-  return {source, make_engine(source, ec)};
+  auto source = std::make_shared<SimSweepSource>(std::move(env), fast_link());
+  return {source, Engine::adopt(source)};
 }
 
 /// `n` phones (node id = hardware seed 100 + i) against the antennas of one

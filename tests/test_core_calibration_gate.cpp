@@ -5,7 +5,7 @@
 
 #include "core/calibration.hpp"
 #include "mathx/constants.hpp"
-#include "core/engine.hpp"
+#include "core/sweep_source.hpp"
 #include "core/ranging.hpp"
 #include "sim/link.hpp"
 
@@ -96,11 +96,11 @@ TEST(ToaGate, GateRejectsLatticeGhostsAtLongRange) {
   // Beyond ~7.5 m the -50 ns lattice ghost of the direct path lands at an
   // earlier positive delay. With the gate the pipeline must still find the
   // true distance; the same sweep without the gate is allowed to fail.
-  EngineConfig with_gate;
+  EngineOptions with_gate;
   with_gate.ranging.use_toa_gate = true;
-  auto source =
-      std::make_shared<SimSweepSource>(sim::office_20x20(), with_gate.link);
-  Engine eng = make_engine(source, with_gate);
+  auto source = std::make_shared<SimSweepSource>(sim::office_20x20(),
+                                                 sim::LinkSimConfig{});
+  Engine eng = Engine::adopt(source, with_gate);
   mathx::Rng rng(55);
   // One card pair (node id = hardware seed), re-registered per placement.
   source->add_node(sim::make_mobile({0.0, 0.0}, 11));
@@ -141,12 +141,12 @@ TEST(ToaGate, FallsBackGracefullyWithoutCalibration) {
 }
 
 TEST(Engine, CalibrationIsDeterministicGivenSeeds) {
-  EngineConfig ec;
-  auto source = std::make_shared<SimSweepSource>(sim::anechoic(), ec.link);
+  auto source =
+      std::make_shared<SimSweepSource>(sim::anechoic(), sim::LinkSimConfig{});
   source->add_node(sim::make_mobile({0.0, 0.0}, 11));
   source->add_node(sim::make_mobile({1.0, 0.0}, 22));
-  Engine a = make_engine(source, ec);
-  Engine b = make_engine(source, ec);
+  Engine a = Engine::adopt(source);
+  Engine b = Engine::adopt(source);
   mathx::Rng rng_a(9), rng_b(9);
   ASSERT_TRUE(a.calibrate(NodeId{11}, NodeId{22}, rng_a).ok());
   ASSERT_TRUE(b.calibrate(NodeId{11}, NodeId{22}, rng_b).ok());

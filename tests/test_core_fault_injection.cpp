@@ -18,7 +18,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/engine.hpp"
 #include "core/fault_injection.hpp"
 #include "sim/environment.hpp"
 #include "sim/radio.hpp"
@@ -73,13 +72,11 @@ void expect_bitwise_equal(const RangingResult& a, const RangingResult& b) {
   }
 }
 
-/// Engine configuration with the fast plan and (optionally) the hostile
-/// integrity gate armed.
-EngineConfig engine_config(bool hostile_gate = true) {
-  EngineConfig ec;
-  ec.link = fast_link();
-  if (hostile_gate) ec.ranging.integrity = IntegrityConfig::hostile();
-  return ec;
+/// Engine options with (optionally) the hostile integrity gate armed.
+EngineOptions engine_options(bool hostile_gate = true) {
+  EngineOptions options;
+  if (hostile_gate) options.ranging.integrity = IntegrityConfig::hostile();
+  return options;
 }
 
 /// One-time fixture calibration of the laptop pair 11/22 (registered in
@@ -98,11 +95,11 @@ TEST(FaultInjection, ZeroProfileIsBitIdenticalToUndecoratedBackend) {
   // that lets the injector wrap production sources unconditionally.
   const auto inner =
       std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
-  Engine plain = make_engine(inner, engine_config());
+  Engine plain = Engine::adopt(inner, engine_options());
   calibrate(plain, *inner);
-  Engine wrapped = make_engine(
+  Engine wrapped = Engine::adopt(
       std::make_shared<FaultInjectingSweepSource>(inner, FaultProfile{}),
-      engine_config());
+      engine_options());
   calibrate(wrapped, *inner);
 
   const auto requests = make_requests(*inner, 6);
@@ -129,7 +126,7 @@ TEST(FaultInjection, PlannedFaultGroundTruthMatchesRejectionStatuses) {
       std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
   const auto injector = std::make_shared<FaultInjectingSweepSource>(
       inner, FaultProfile::hostile(0.13));
-  Engine eng = make_engine(injector, engine_config());
+  Engine eng = Engine::adopt(injector, engine_options());
   calibrate(eng, *inner);
 
   const auto requests = make_requests(*inner, 48);
@@ -180,14 +177,14 @@ TEST(FaultInjection, ThreadCountNeverChangesFaultedRetriedResults) {
   // attempts each consumed, and every rejected ticket's status.
   const auto inner =
       std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
-  Engine eng = make_engine(std::make_shared<FaultInjectingSweepSource>(
-                               inner, FaultProfile::hostile(0.1)),
-                           engine_config());
+  Engine eng = Engine::adopt(std::make_shared<FaultInjectingSweepSource>(
+                                 inner, FaultProfile::hostile(0.1)),
+                             engine_options());
   calibrate(eng, *inner);
   const auto requests = make_requests(*inner, 12);
 
   BatchOptions sequential_opts{1};
-  sequential_opts.retry = {3, 0.0};
+  sequential_opts.retry = {3};
   mathx::Rng rng_seq(42);
   const auto sequential =
       eng.measure_batch(requests, rng_seq, sequential_opts);
@@ -198,7 +195,7 @@ TEST(FaultInjection, ThreadCountNeverChangesFaultedRetriedResults) {
 
   for (const int threads : {2, 4, 8}) {
     BatchOptions opts{threads};
-    opts.retry = {3, 0.0};
+    opts.retry = {3};
     mathx::Rng rng_par(42);
     const auto parallel = eng.measure_batch(requests, rng_par, opts);
     ASSERT_EQ(parallel.results.size(), sequential.results.size());
@@ -214,7 +211,7 @@ TEST(FaultInjection, ThreadCountNeverChangesFaultedRetriedResults) {
   mathx::Rng rng_async(42);
   auto session = eng.open_session(
       rng_async,
-      {.queue_depth = requests.size(), .threads = 4, .retry = {3, 0.0}});
+      {.queue_depth = requests.size(), .threads = 4, .retry = {3}});
   for (const auto& request : requests) {
     ASSERT_TRUE(session.submit(request).ok());
   }
@@ -230,9 +227,9 @@ TEST(FaultInjection, RetriesRecoverTransientOutages) {
   outages.p_outage = 0.5;
   const auto inner =
       std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
-  Engine eng =
-      make_engine(std::make_shared<FaultInjectingSweepSource>(inner, outages),
-                  engine_config(/*hostile_gate=*/false));
+  Engine eng = Engine::adopt(
+      std::make_shared<FaultInjectingSweepSource>(inner, outages),
+      engine_options(/*hostile_gate=*/false));
   calibrate(eng, *inner);
   const auto requests = make_requests(*inner, 20);
 
@@ -250,7 +247,7 @@ TEST(FaultInjection, RetriesRecoverTransientOutages) {
   // With a 4-attempt budget every ticket either recovers (some needing
   // more than one attempt) or reports honest exhaustion.
   BatchOptions opts{4};
-  opts.retry = {4, 0.0};
+  opts.retry = {4};
   mathx::Rng rng(3);
   const auto batch = eng.measure_batch(requests, rng, opts);
   std::size_t recovered = 0;
@@ -268,14 +265,14 @@ TEST(FaultInjection, ExhaustionWrapsAsRetryExhausted) {
   always_down.p_outage = 1.0;
   const auto inner =
       std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
-  Engine eng = make_engine(
+  Engine eng = Engine::adopt(
       std::make_shared<FaultInjectingSweepSource>(inner, always_down),
-      engine_config(/*hostile_gate=*/false));
+      engine_options(/*hostile_gate=*/false));
   calibrate(eng, *inner);
   const auto requests = make_requests(*inner, 3);
 
   BatchOptions opts{1};
-  opts.retry = {3, 0.0};
+  opts.retry = {3};
   mathx::Rng rng(8);
   const auto exhausted = eng.measure_batch(requests, rng, opts);
   for (const auto& r : exhausted.results) {

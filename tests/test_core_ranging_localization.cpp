@@ -4,9 +4,9 @@
 #include <memory>
 
 #include "core/calibration.hpp"
-#include "core/engine.hpp"
 #include "core/localization.hpp"
 #include "core/ranging.hpp"
+#include "core/sweep_source.hpp"
 #include "sim/link.hpp"
 #include "sim/scenario.hpp"
 
@@ -20,9 +20,10 @@ struct Rig {
   Engine engine;
 };
 
-Rig make_rig(sim::Environment env, const EngineConfig& ec = {}) {
-  auto source = std::make_shared<SimSweepSource>(std::move(env), ec.link);
-  return {source, make_engine(source, ec)};
+Rig make_rig(sim::Environment env, const sim::LinkSimConfig& link = {},
+             const RangingConfig& ranging = {}) {
+  auto source = std::make_shared<SimSweepSource>(std::move(env), link);
+  return {source, Engine::adopt(source, {.ranging = ranging})};
 }
 
 /// Registers both devices, then calibrates the pair.
@@ -133,20 +134,33 @@ TEST(Ranging, UncalibratedHardwareBiasesDistance) {
   EXPECT_GT(r.distance_m, 9.0);
 }
 
-TEST(Ranging, CalibrationRemovesHardwareBias) {
-  sim::LinkSimConfig link_cfg = ideal_link();
-  link_cfg.enable_chain_effects = true;
-  EngineConfig ec;
-  ec.link = link_cfg;
-  ec.ranging.combining.quirk_fix = false;
-  ec.ranging.use_toa_gate = false;
-  Rig rig = make_rig(sim::anechoic(), ec);
+/// Adopts an anechoic backend simulating `link` (quirk fix and ToA gate
+/// off), calibrates the 11/22 pair on it, then ranges a 6 m link.
+double calibrated_6m_distance(const sim::LinkSimConfig& link) {
+  RangingConfig rc;
+  rc.combining.quirk_fix = false;
+  rc.use_toa_gate = false;
+  Rig rig = make_rig(sim::anechoic(), link, rc);
   mathx::Rng rng(2);
   calibrate(rig, sim::make_mobile({0.0, 0.0}, 11),
             sim::make_mobile({1.0, 0.0}, 22), rng);
-  const auto r = measure(rig, sim::make_mobile({0.0, 0.0}, 11),
-                         sim::make_mobile({6.0, 0.0}, 22), rng);
-  EXPECT_NEAR(r.distance_m, 6.0, 0.05);
+  return measure(rig, sim::make_mobile({0.0, 0.0}, 11),
+                 sim::make_mobile({6.0, 0.0}, 22), rng)
+      .distance_m;
+}
+
+TEST(Ranging, CalibrationRemovesHardwareBias) {
+  sim::LinkSimConfig link_cfg = ideal_link();
+  link_cfg.enable_chain_effects = true;
+  EXPECT_NEAR(calibrated_6m_distance(link_cfg), 6.0, 0.05);
+}
+
+TEST(Ranging, AdoptedEngineCalibratesOnTheBackendsModel) {
+  // The calibration fixture must sweep with the backend's own simulator
+  // model: calibrating this impairment-free backend on the stock model
+  // bakes the stock radio impairments into the table and ranges the 6 m
+  // link at about 21.3 m.
+  EXPECT_NEAR(calibrated_6m_distance(ideal_link()), 6.0, 0.05);
 }
 
 TEST(Ranging, MismatchedSweepRejectedByGate) {

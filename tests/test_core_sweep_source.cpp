@@ -9,7 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/engine.hpp"
+#include "core/sweep_source.hpp"
 #include "phy/csi_io.hpp"
 #include "sim/environment.hpp"
 #include "sim/radio.hpp"
@@ -19,14 +19,14 @@ namespace {
 
 /// Reduced sweep plan (every 5th US band, one exchange) keeps sweeps cheap;
 /// none of the seam properties depend on the plan.
-EngineConfig fast_config() {
-  EngineConfig ec;
+sim::LinkSimConfig fast_link() {
+  sim::LinkSimConfig c;
   const auto& plan = phy::us_band_plan();
   for (std::size_t i = 0; i < plan.size(); i += 5) {
-    ec.link.bands.push_back(plan[i]);
+    c.bands.push_back(plan[i]);
   }
-  ec.link.exchanges_per_band = 1;
-  return ec;
+  c.exchanges_per_band = 1;
+  return c;
 }
 
 void expect_bitwise_equal(const RangingResult& a, const RangingResult& b) {
@@ -38,9 +38,8 @@ void expect_bitwise_equal(const RangingResult& a, const RangingResult& b) {
 }
 
 TEST(SimSweepSource, MatchesDirectSimulatorBitExactly) {
-  const auto ec = fast_config();
-  const sim::LinkSimulator link(sim::office_20x20(), ec.link);
-  const SimSweepSource source(sim::office_20x20(), ec.link);
+  const sim::LinkSimulator link(sim::office_20x20(), fast_link());
+  const SimSweepSource source(sim::office_20x20(), fast_link());
 
   const auto tx = sim::make_mobile({3.0, 4.0}, 7);
   const auto rx = sim::make_laptop({11.0, 9.0}, 0.3, 8);
@@ -70,11 +69,11 @@ TEST(SimSweepSource, EngineRangesExactlyTheDirectSimulatorSweep) {
   // Engine::measure over a SimSweepSource is the pipeline applied to the
   // sweep the simulator itself produces on the same stream, and a batch
   // on one thread equals a batch on two.
-  const auto ec = fast_config();
-  auto source = std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link);
-  const Engine engine = make_engine(source, ec);
-  const sim::LinkSimulator link(sim::office_20x20(), ec.link);
-  const RangingPipeline pipeline(source->bands(), ec.ranging);
+  auto source =
+      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
+  const Engine engine = Engine::adopt(source);
+  const sim::LinkSimulator link(sim::office_20x20(), fast_link());
+  const RangingPipeline pipeline(source->bands());
 
   const auto tx = sim::make_mobile({2.0, 2.0}, 5);
   const auto rx = sim::make_mobile({9.0, 6.0}, 6);
@@ -102,8 +101,7 @@ TEST(TraceSweepSource, RoundTripRangesIdenticallyToInMemorySweep) {
   // The satellite contract: write_sweep -> read_sweep -> TraceSweepSource
   // replay must produce ranging output identical to ranging the in-memory
   // sweep directly.
-  const auto ec = fast_config();
-  const sim::LinkSimulator link(sim::office_20x20(), ec.link);
+  const sim::LinkSimulator link(sim::office_20x20(), fast_link());
   const auto tx = sim::make_mobile({2.5, 3.5}, 21);
   const auto rx = sim::make_mobile({8.0, 7.0}, 22);
 
@@ -115,17 +113,19 @@ TEST(TraceSweepSource, RoundTripRangesIdenticallyToInMemorySweep) {
   auto loaded = phy::read_sweep(ss);
 
   auto trace = std::make_shared<TraceSweepSource>();
-  trace->add_sweep(TraceKey::of(ResolvedRequest{tx, 0, rx, 0}),
-                   std::move(loaded));
+  ASSERT_TRUE(trace
+                  ->try_add_sweep(TraceKey::of(ResolvedRequest{tx, 0, rx, 0}),
+                                  std::move(loaded))
+                  .ok());
   EXPECT_EQ(trace->key_count(), 1u);
   EXPECT_EQ(trace->sweep_count(), 1u);
 
-  const Engine engine = make_engine(trace, ec);
+  const Engine engine = Engine::adopt(trace);
   mathx::Rng replay_rng(1);
   const auto replayed =
       engine.measure({{NodeId{21}, 0}, {NodeId{22}, 0}}, replay_rng).value();
 
-  const RangingPipeline pipeline(trace->bands(), ec.ranging);
+  const RangingPipeline pipeline(trace->bands());
   const auto direct = pipeline.estimate(sweep);
 
   EXPECT_EQ(replayed.tof_s, direct.tof_s);
@@ -142,8 +142,7 @@ TEST(TraceSweepSource, RoundTripRangesIdenticallyToInMemorySweep) {
 TEST(TraceSweepSource, BatchedReplayIsThreadCountInvariant) {
   // The determinism contract holds for the trace backend too: a batch over
   // recorded sweeps is bit-identical for every thread count.
-  const auto ec = fast_config();
-  const sim::LinkSimulator link(sim::office_20x20(), ec.link);
+  const sim::LinkSimulator link(sim::office_20x20(), fast_link());
 
   auto trace = std::make_shared<TraceSweepSource>();
   std::vector<RangingRequest> requests;
@@ -152,12 +151,15 @@ TEST(TraceSweepSource, BatchedReplayIsThreadCountInvariant) {
   for (std::uint64_t d = 0; d < 6; ++d) {
     const auto tx = sim::make_mobile({2.0 + 1.5 * static_cast<double>(d), 4.0},
                                      200 + d);
-    trace->add_sweep(TraceKey::of(ResolvedRequest{tx, 0, rx, 0}),
-                     link.simulate_sweep(tx, 0, rx, 0, record_rng));
+    ASSERT_TRUE(
+        trace
+            ->try_add_sweep(TraceKey::of(ResolvedRequest{tx, 0, rx, 0}),
+                            link.simulate_sweep(tx, 0, rx, 0, record_rng))
+            .ok());
     requests.push_back({{NodeId{200 + d}, 0}, {NodeId{99}, 0}});
   }
 
-  const Engine engine = make_engine(trace, ec);
+  const Engine engine = Engine::adopt(trace);
   mathx::Rng rng_seq(31);
   const auto sequential = engine.measure_batch(requests, rng_seq,
                                                BatchOptions{1});
@@ -173,8 +175,7 @@ TEST(TraceSweepSource, BatchedReplayIsThreadCountInvariant) {
 }
 
 TEST(TraceSweepSource, RepeatedSweepsReplayDeterministically) {
-  const auto ec = fast_config();
-  const sim::LinkSimulator link(sim::office_20x20(), ec.link);
+  const sim::LinkSimulator link(sim::office_20x20(), fast_link());
   const auto tx = sim::make_mobile({3.0, 3.0}, 31);
   const auto rx = sim::make_mobile({6.0, 6.0}, 32);
   const TraceKey key = TraceKey::of(ResolvedRequest{tx, 0, rx, 0});
@@ -182,7 +183,9 @@ TEST(TraceSweepSource, RepeatedSweepsReplayDeterministically) {
   TraceSweepSource trace;
   mathx::Rng record_rng(9);
   for (int rep = 0; rep < 3; ++rep) {
-    trace.add_sweep(key, link.simulate_sweep(tx, 0, rx, 0, record_rng));
+    ASSERT_TRUE(
+        trace.try_add_sweep(key, link.simulate_sweep(tx, 0, rx, 0, record_rng))
+            .ok());
   }
   EXPECT_EQ(trace.sweep_count(), 3u);
 
@@ -197,8 +200,8 @@ TEST(TraceSweepSource, RepeatedSweepsReplayDeterministically) {
 }
 
 TEST(TraceSweepSource, RejectsUnknownKeyAndInconsistentBands) {
-  const auto ec = fast_config();
-  const sim::LinkSimulator link(sim::office_20x20(), ec.link);
+  const auto fast = fast_link();
+  const sim::LinkSimulator link(sim::office_20x20(), fast);
   const auto tx = sim::make_mobile({3.0, 3.0}, 41);
   const auto rx = sim::make_mobile({6.0, 6.0}, 42);
 
@@ -207,8 +210,10 @@ TEST(TraceSweepSource, RejectsUnknownKeyAndInconsistentBands) {
   EXPECT_THROW((void)trace.bands(), std::invalid_argument);
 
   mathx::Rng rng(2);
-  trace.add_sweep(TraceKey::of(ResolvedRequest{tx, 0, rx, 0}),
-                  link.simulate_sweep(tx, 0, rx, 0, rng));
+  ASSERT_TRUE(trace
+                  .try_add_sweep(TraceKey::of(ResolvedRequest{tx, 0, rx, 0}),
+                                 link.simulate_sweep(tx, 0, rx, 0, rng))
+                  .ok());
   // ...but an unrecorded link in a request is recoverable data (v2).
   mathx::Rng query_rng(3);
   const auto missing =
@@ -216,10 +221,9 @@ TEST(TraceSweepSource, RejectsUnknownKeyAndInconsistentBands) {
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), chronos::StatusCode::kUnknownLink);
 
-  // A sweep over a different band plan must be rejected: kBandMismatch
-  // through the Status API, std::invalid_argument through the legacy
-  // throwing wrapper.
-  sim::LinkSimConfig other_cfg = ec.link;
+  // A sweep over a different band plan must be rejected with
+  // kBandMismatch.
+  sim::LinkSimConfig other_cfg = fast;
   other_cfg.bands.pop_back();
   const sim::LinkSimulator other_link(sim::office_20x20(), other_cfg);
   const auto mismatched = other_link.simulate_sweep(tx, 0, rx, 0, rng);
@@ -228,15 +232,12 @@ TEST(TraceSweepSource, RejectsUnknownKeyAndInconsistentBands) {
                                mismatched)
                 .code(),
             chronos::StatusCode::kBandMismatch);
-  EXPECT_THROW(trace.add_sweep(TraceKey::of(ResolvedRequest{tx, 0, rx, 0}),
-                               mismatched),
-               std::invalid_argument);
 }
 
 TEST(Engine, SetCalibrationInstallsRecordedTable) {
-  const auto ec = fast_config();
-  auto source = std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link);
-  Engine sim_engine = make_engine(source, ec);
+  auto source =
+      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
+  Engine sim_engine = Engine::adopt(source);
   source->add_node(sim::make_mobile({0.0, 0.0}, 1));
   source->add_node(sim::make_mobile({1.0, 0.0}, 2));
   mathx::Rng cal_rng(15);
@@ -251,8 +252,8 @@ TEST(Engine, SetCalibrationInstallsRecordedTable) {
   const auto sweep = sim_engine.capture_sweep(link, record_rng).value();
 
   auto trace = std::make_shared<TraceSweepSource>();
-  trace->add_sweep(TraceKey::of(link), sweep);
-  Engine trace_engine = make_engine(trace, ec);
+  ASSERT_TRUE(trace->try_add_sweep(TraceKey::of(link), sweep).ok());
+  Engine trace_engine = Engine::adopt(trace);
   trace_engine.set_calibration(sim_engine.calibration());
 
   mathx::Rng replay_rng(1);
@@ -265,18 +266,19 @@ TEST(Engine, SetCalibrationInstallsRecordedTable) {
 TEST(Engine, BackendIdentityAndDerivedTraceDirectory) {
   // backend_name() + the registry describe the backend, for simulator and
   // trace backends alike.
-  const auto ec = fast_config();
-  const Engine sim_engine = make_engine(
-      std::make_shared<SimSweepSource>(sim::office_20x20(), ec.link), ec);
+  const Engine sim_engine = Engine::adopt(
+      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link()));
 
-  const sim::LinkSimulator link(sim::office_20x20(), ec.link);
+  const sim::LinkSimulator link(sim::office_20x20(), fast_link());
   const auto tx = sim::make_mobile({3.0, 3.0}, 61);
   const auto rx = sim::make_laptop({6.0, 6.0}, 0.3, 62);
   auto trace = std::make_shared<TraceSweepSource>();
   mathx::Rng rng(2);
-  trace->add_sweep(TraceKey::of(ResolvedRequest{tx, 0, rx, 2}),
-                   link.simulate_sweep(tx, 0, rx, 2, rng));
-  const Engine trace_engine = make_engine(trace, ec);
+  ASSERT_TRUE(trace
+                  ->try_add_sweep(TraceKey::of(ResolvedRequest{tx, 0, rx, 2}),
+                                  link.simulate_sweep(tx, 0, rx, 2, rng))
+                  .ok());
+  const Engine trace_engine = Engine::adopt(trace);
   EXPECT_EQ(trace_engine.backend_name(), "trace");
   EXPECT_EQ(sim_engine.backend_name(), "sim");
 

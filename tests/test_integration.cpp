@@ -6,7 +6,7 @@
 #include <cmath>
 #include <memory>
 
-#include "core/engine.hpp"
+#include "core/sweep_source.hpp"
 #include "mathx/constants.hpp"
 #include "mathx/stats.hpp"
 #include "sim/scenario.hpp"
@@ -22,9 +22,9 @@ struct Rig {
 };
 
 Rig make_rig(sim::Environment env) {
-  const core::EngineConfig ec;
-  auto source = std::make_shared<core::SimSweepSource>(std::move(env), ec.link);
-  return {source, core::make_engine(source, ec)};
+  auto source = std::make_shared<core::SimSweepSource>(std::move(env),
+                                                       sim::LinkSimConfig{});
+  return {source, Engine::adopt(source)};
 }
 
 /// Registers both devices, then ranges antenna 0 of `tx` against antenna 0

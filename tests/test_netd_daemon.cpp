@@ -17,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/engine.hpp"
 #include "netd/client.hpp"
 #include "netd/daemon.hpp"
 #include "netd/loopback.hpp"
@@ -29,14 +28,14 @@ namespace {
 
 /// Reduced sweep plan (every 5th US band, one exchange): cheap sweeps;
 /// nothing the daemon layer does depends on the plan.
-core::EngineConfig fast_config() {
-  core::EngineConfig ec;
+sim::LinkSimConfig fast_link() {
+  sim::LinkSimConfig c;
   const auto& plan = phy::us_band_plan();
   for (std::size_t i = 0; i < plan.size(); i += 5) {
-    ec.link.bands.push_back(plan[i]);
+    c.bands.push_back(plan[i]);
   }
-  ec.link.exchanges_per_band = 1;
-  return ec;
+  c.exchanges_per_band = 1;
+  return c;
 }
 
 /// A calibrated sim backend with `n_pairs` registered device pairs spread
@@ -49,11 +48,11 @@ struct Fixture {
 
 Fixture make_fixture(std::size_t n_pairs, bool hostile) {
   Fixture f;
-  core::EngineConfig ec = fast_config();
-  if (hostile) ec.ranging.integrity = core::IntegrityConfig::hostile();
+  EngineOptions options;
+  if (hostile) options.ranging.integrity = core::IntegrityConfig::hostile();
   f.source =
-      std::make_shared<core::SimSweepSource>(sim::office_20x20(), ec.link);
-  f.engine = core::make_engine(f.source, ec);
+      std::make_shared<core::SimSweepSource>(sim::office_20x20(), fast_link());
+  f.engine = Engine::adopt(f.source, options);
   mathx::Rng cal_rng(99);
   f.source->add_node(chronos::NodeId{9001},
                      sim::make_mobile({0.0, 0.0}, 11));
@@ -104,7 +103,7 @@ void run_bit_identity(std::size_t shards, std::size_t depth,
   opt.shard_threads = 1;
   constexpr std::uint64_t kSeed = 1234;
   mathx::Rng daemon_rng(kSeed);
-  ChronosDaemon daemon(f.source, fast_config().ranging, f.engine.calibration(),
+  ChronosDaemon daemon(f.source, core::RangingConfig{}, f.engine.calibration(),
                        daemon_rng, opt);
   ASSERT_EQ(daemon.shards(), shards);
 
@@ -228,7 +227,7 @@ TEST(ShardRouting, DaemonRoutesByTransmitterHash) {
   DaemonOptions opt;
   opt.shards = 4;
   mathx::Rng rng(1);
-  ChronosDaemon daemon(f.source, fast_config().ranging,
+  ChronosDaemon daemon(f.source, core::RangingConfig{},
                        f.engine.calibration(), rng, opt);
   for (std::uint64_t id : {0ull, 1ull, 42ull, 9001ull}) {
     EXPECT_EQ(daemon.shard_of_node(chronos::NodeId{id}),
@@ -237,7 +236,7 @@ TEST(ShardRouting, DaemonRoutesByTransmitterHash) {
   // One shard collapses the router to the identity.
   DaemonOptions one;
   mathx::Rng rng1(1);
-  ChronosDaemon single(f.source, fast_config().ranging,
+  ChronosDaemon single(f.source, core::RangingConfig{},
                        f.engine.calibration(), rng1, one);
   EXPECT_EQ(single.shard_of_node(chronos::NodeId{9001}), 0u);
 }
@@ -251,7 +250,7 @@ TEST(ShardRouting, ShardsOwnPrivatePipelines) {
   DaemonOptions opt;
   opt.shards = 3;
   mathx::Rng rng(1);
-  ChronosDaemon daemon(f.source, fast_config().ranging,
+  ChronosDaemon daemon(f.source, core::RangingConfig{},
                        f.engine.calibration(), rng, opt);
   EXPECT_NE(&daemon.shard_pipeline(0), &daemon.shard_pipeline(1));
   EXPECT_NE(&daemon.shard_pipeline(1), &daemon.shard_pipeline(2));
@@ -267,7 +266,7 @@ TEST(ChronosDaemon, MalformedFramePoisonsOnlyThatConnection) {
   DaemonOptions opt;
   opt.trusted_clients = true;  // match the fixture engine's config exactly
   mathx::Rng rng(7);
-  ChronosDaemon daemon(f.source, fast_config().ranging,
+  ChronosDaemon daemon(f.source, core::RangingConfig{},
                        f.engine.calibration(), rng, opt);
 
   auto [attacker_end, attacker_daemon_end] = make_loopback();
@@ -309,7 +308,7 @@ TEST(ChronosDaemon, ResolutionFailuresConsumeTicketsLikeABatch) {
   opt.trusted_clients = true;  // match the fixture engine's config exactly
   constexpr std::uint64_t kSeed = 55;
   mathx::Rng rng(kSeed);
-  ChronosDaemon daemon(f.source, fast_config().ranging,
+  ChronosDaemon daemon(f.source, core::RangingConfig{},
                        f.engine.calibration(), rng, opt);
   auto [client_end, daemon_end] = make_loopback();
   daemon.attach(daemon_end);
