@@ -178,17 +178,21 @@ RangingResult RangingPipeline::finish(const PreparedSweep& prep,
   out.toa_s = prep.toa_s;
 
   // ---- Direct-path selection ------------------------------------------
-  // 1. Candidates: sparse-profile clusters above the amplitude threshold.
-  // 2. Each candidate is re-located and scored on the matched filter: the
-  //    local MF maximum within +-1.5 ns of the cluster centroid (clusters
-  //    can be smeared by unresolved clutter; the MF peak is the better
-  //    anchor).
-  // 3. Grating-ghost test: the 20 MHz channel lattice echoes every real
-  //    path at +-k*50 ns with ~0.6 relative coherence, so a candidate whose
-  //    lattice-shifted probe scores *higher* is a ghost of a later/earlier
-  //    real path.
-  // 4. The earliest non-ghost whose score reaches kFirstPeakMfRatio of
-  //    the best non-ghost score is the direct path.
+  // The candidates come from one of two sources:
+  // * ToA gate on (use_toa_gate and a calibration with has_toa_bias, the
+  //   default): the local maxima of one matched-filter scan across the
+  //   +-kToaGateS window around the coarse ToF, merged within 0.7 ns. The
+  //   sparse profile is not read.
+  // * Gate off (the paper's first-peak rule): sparse-profile clusters
+  //   above kFirstPeakThreshold of the strongest, each re-located and
+  //   scored at its local MF maximum within +-1.5 ns of the centroid
+  //   (clusters can be smeared by unresolved clutter; the MF peak is the
+  //   better anchor). Grating-ghost test: the 20 MHz channel lattice echoes
+  //   every real path at +-k*50 ns with ~0.6 relative coherence, so a
+  //   candidate whose lattice-shifted probe scores *higher* is a ghost of
+  //   a later/earlier real path.
+  // Either way, the earliest non-ghost whose score reaches
+  // kFirstPeakMfRatio of the best non-ghost score is the direct path.
   double max_amp = 0.0;
   for (const auto& p : out.profile.peaks) max_amp = std::max(max_amp, p.amplitude);
 

@@ -6,7 +6,12 @@
 //  2. exponentiate + multiply forward/reverse, average  (kills CFO/LO/quirk)
 //  3. apply the one-time calibration                    (kills kappa/HW delay)
 //  4. sparse inverse-NDFT over the u = 2*tau grid       (resolves multipath)
-//  5. first profile peak -> u*; tof = u*/2; d = c*tof
+//  5. direct-path pick -> u*; tof = u*/2; d = c*tof. With the ToA gate on
+//     and a calibration that sets has_toa_bias (the default: every
+//     calibration does), the candidates are matched-filter maxima in a
+//     +-15 ns window around the coarse subcarrier-slope ToF, and step 4's
+//     profile is not read. With the gate off they are the profile's peaks
+//     (the paper's first-peak rule), screened for lattice ghosts.
 #pragma once
 
 #include <optional>
@@ -29,10 +34,11 @@ struct RangingConfig {
   /// Coarse ToA gating: the subcarrier phase slope gives tof + detection
   /// delay per packet; after subtracting the calibrated mean detection
   /// delay, the true tof is known to a few ns — far tighter than the 50 ns
-  /// lattice period. Candidates outside a +-15 ns window around that
-  /// coarse estimate are rejected outright, which deterministically
-  /// resolves the lattice ambiguity. Requires a calibration table with
-  /// toa_bias (falls back to ungated selection otherwise).
+  /// lattice period. The direct-path candidates then come from a
+  /// matched-filter scan of a +-15 ns window around that coarse estimate,
+  /// which deterministically resolves the lattice ambiguity. Requires a
+  /// calibration table with toa_bias (falls back to the profile-peak
+  /// selection otherwise).
   bool use_toa_gate = true;
   /// Hostile-sweep detection gate (core/integrity.hpp): the structural
   /// screen by default, which a plan-matching sweep cannot trip — the

@@ -1,6 +1,8 @@
 #include "sim/link.hpp"
 
 #include <cmath>
+#include <complex>
+#include <vector>
 
 #include "mathx/constants.hpp"
 #include "mathx/contracts.hpp"
@@ -48,8 +50,19 @@ phy::SweepMeasurement LinkSimulator::simulate_sweep(
   const double snr_db = packet_snr_db(tx.radio, rx.radio, chan_power);
   const double snr_linear = std::pow(10.0, snr_db / 10.0);
 
+  // Per-subcarrier noise from the RMS channel magnitude. `chan_power` sums
+  // every path's power, which is wideband: the same sigma on every band.
+  const double rms_mag = std::sqrt(chan_power);
+  const double noise_sigma =
+      config_.enable_noise ? rms_mag / std::sqrt(2.0 * snr_linear) : 0.0;
+
   const phy::DetectionModel detector(config_.detection);
   const auto sc_indices = phy::intel5300_subcarrier_indices();
+
+  // The current band's channel per subcarrier, forward and reverse, before
+  // the per-exchange impairments: it is the same for every exchange.
+  std::vector<std::complex<double>> base_fwd(sc_indices.size());
+  std::vector<std::complex<double>> base_rev(sc_indices.size());
 
   phy::SweepMeasurement sweep;
   sweep.bands.resize(bands_.size());
@@ -85,6 +98,20 @@ phy::SweepMeasurement LinkSimulator::simulate_sweep(
       kappa = std::polar(1.0, tx.chain_ripple_rad(pi) + rx.chain_ripple_rad(pi));
     }
 
+    // True over-the-air channel including hardware group delay (the chains
+    // delay the signal exactly like extra flight time; each direction
+    // traverses one TX and one RX chain). Reverse: same air channel
+    // (reciprocity) times kappa. Neither changes between exchanges.
+    for (std::size_t k = 0; k < sc_indices.size(); ++k) {
+      const double f_abs =
+          band.center_freq_hz + phy::subcarrier_offset_hz(sc_indices[k]);
+      const std::complex<double> h_air = channel_at(paths, f_abs);
+      const std::complex<double> hw_rot =
+          std::polar(1.0, -mathx::kTwoPi * f_abs * hw_delay);
+      base_fwd[k] = h_air * hw_rot;
+      base_rev[k] = base_fwd[k] * kappa;
+    }
+
     auto& captures = sweep.bands[bi];
     captures.reserve(static_cast<std::size_t>(config_.exchanges_per_band));
 
@@ -115,6 +142,14 @@ phy::SweepMeasurement LinkSimulator::simulate_sweep(
               ? (mathx::kPi / 2.0) * static_cast<double>(rng.uniform_int(0, 3))
               : 0.0;
 
+      // CFO/LO/quirk rotation, the same on every subcarrier. Forward: +CFO
+      // phase, +LO phase, +quirk. Reverse: negated CFO/LO phase, own quirk.
+      const std::complex<double> fwd_rot = std::polar(
+          1.0, mathx::kTwoPi * residual_cfo_hz * t_pkt + lo_phase + quirk_fwd);
+      const std::complex<double> rev_rot = std::polar(
+          1.0,
+          -(mathx::kTwoPi * residual_cfo_hz * t_ack + lo_phase) + quirk_rev);
+
       phy::CsiMeasurement fwd;
       fwd.band = band;
       fwd.direction = phy::Direction::kForward;
@@ -129,37 +164,20 @@ phy::SweepMeasurement LinkSimulator::simulate_sweep(
       rev.snr_db = snr_db;
       rev.values.resize(sc_indices.size());
 
-      // RMS channel magnitude on this band sets the per-subcarrier noise.
-      const double rms_mag = std::sqrt(chan_power);
-      const double noise_sigma =
-          config_.enable_noise ? rms_mag / std::sqrt(2.0 * snr_linear) : 0.0;
-
+      // Each direction's own detection delay rotates every subcarrier by
+      // its offset. Noise is drawn forward, then reverse, per subcarrier.
       for (std::size_t k = 0; k < sc_indices.size(); ++k) {
         const double f_off = phy::subcarrier_offset_hz(sc_indices[k]);
-        const double f_abs = band.center_freq_hz + f_off;
 
-        // True over-the-air channel including hardware group delay (the
-        // chains delay the signal exactly like extra flight time; each
-        // direction traverses one TX and one RX chain).
-        const std::complex<double> h_air = channel_at(paths, f_abs);
-        const std::complex<double> hw_rot =
-            std::polar(1.0, -mathx::kTwoPi * f_abs * hw_delay);
-
-        // Forward: detection delay at RX, +CFO phase, +LO phase, +quirk.
-        std::complex<double> h_fwd = h_air * hw_rot;
+        std::complex<double> h_fwd = base_fwd[k];
         h_fwd *= std::polar(1.0, -mathx::kTwoPi * f_off * delta_fwd);
-        h_fwd *= std::polar(
-            1.0, mathx::kTwoPi * residual_cfo_hz * t_pkt + lo_phase + quirk_fwd);
+        h_fwd *= fwd_rot;
         if (config_.enable_noise) h_fwd += rng.complex_gaussian(noise_sigma);
         fwd.values[k] = h_fwd;
 
-        // Reverse: same air channel (reciprocity), own detection delay,
-        // negated CFO/LO phase, kappa.
-        std::complex<double> h_rev = h_air * hw_rot * kappa;
+        std::complex<double> h_rev = base_rev[k];
         h_rev *= std::polar(1.0, -mathx::kTwoPi * f_off * delta_rev);
-        h_rev *= std::polar(
-            1.0,
-            -(mathx::kTwoPi * residual_cfo_hz * t_ack + lo_phase) + quirk_rev);
+        h_rev *= rev_rot;
         if (config_.enable_noise) h_rev += rng.complex_gaussian(noise_sigma);
         rev.values[k] = h_rev;
       }

@@ -5,6 +5,7 @@
 #include "core/subcarrier_interp.hpp"
 #include "mathx/constants.hpp"
 #include "sim/link.hpp"
+#include "sim/scenario.hpp"
 
 namespace chronos::sim {
 namespace {
@@ -69,6 +70,68 @@ TEST(LinkSim, ReciprocityHoldsWithoutImpairments) {
                   0.0, 1e-12);
     }
   }
+}
+
+// Office links with dozens of paths, the default three exchanges per band
+// and chain effects on: with the random per-packet impairments off, every
+// exchange on a band must carry that band's channel, rotated by the chains'
+// group delay (and, reverse only, kappa).
+TEST(LinkSim, MultipathExchangesShareTheBandChannel) {
+  LinkSimConfig cfg;
+  cfg.enable_noise = false;
+  cfg.enable_detection_delay = false;
+  cfg.enable_cfo = false;
+  cfg.enable_lo_phase = false;
+  cfg.enable_quirk = false;
+  const auto scen = office_testbed();
+  LinkSimulator sim(scen.environment(), cfg);
+  // The full US plan, so sweep band b has chain-ripple index b.
+  ASSERT_EQ(sim.bands().size(), phy::us_band_plan().size());
+
+  // 9 LOS then 8 NLOS spot pairs 1-15 m apart, each with 15 or more paths.
+  mathx::Rng pair_rng(4);
+  std::vector<Placement> links;
+  while (links.size() < 17) {
+    const auto p = links.size() < 9
+                       ? scen.sample_pair_los(pair_rng, 1.0, 15.0)
+                       : scen.sample_pair_nlos(pair_rng, 1.0, 15.0);
+    const auto paths =
+        sim.paths_between(make_mobile(p.tx), 0, make_mobile(p.rx), 0);
+    if (paths.size() >= 15) links.push_back(p);
+  }
+
+  mathx::Rng rng(9);
+  std::size_t checked = 0;
+  for (const auto& link : links) {
+    const auto tx = make_mobile(link.tx, 3);
+    const auto rx = make_mobile(link.rx, 4);
+    const auto paths = sim.paths_between(tx, 0, rx, 0);
+    const double hw_delay =
+        tx.radio.hardware_delay_s + rx.radio.hardware_delay_s;
+    const auto sweep = sim.simulate_sweep(tx, 0, rx, 0, rng);
+    ASSERT_EQ(sweep.band_count(), sim.bands().size());
+    for (std::size_t b = 0; b < sweep.band_count(); ++b) {
+      const auto kappa =
+          std::polar(1.0, tx.chain_ripple_rad(b) + rx.chain_ripple_rad(b));
+      ASSERT_EQ(sweep.bands[b].size(), 3u);
+      for (const auto& cap : sweep.bands[b]) {
+        for (std::size_t k = 0; k < cap.forward.values.size(); ++k) {
+          const double f = cap.forward.frequency_at(k);
+          const auto fwd = channel_at(paths, f) *
+                           std::polar(1.0, -mathx::kTwoPi * f * hw_delay);
+          const auto rev = fwd * kappa;
+          EXPECT_LE(std::abs(cap.forward.values[k] - fwd),
+                    1e-12 * std::abs(fwd))
+              << "band " << b << " subcarrier " << k;
+          EXPECT_LE(std::abs(cap.reverse.values[k] - rev),
+                    1e-12 * std::abs(rev))
+              << "band " << b << " subcarrier " << k;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, links.size() * 35u * 3u * 30u);
 }
 
 TEST(LinkSim, LoPhaseCorruptsOneWayButCancelsInProduct) {
