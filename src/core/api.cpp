@@ -91,18 +91,6 @@ int batch_threads(const BatchOptions& options, std::size_t n_requests) {
   return static_cast<int>(n);
 }
 
-/// Requests per admitted group when a batch of `n_requests` drains through
-/// multi-RHS solves on `threads` workers. 8 RHS per panel is where the
-/// measured per-RHS gain of the multi-RHS FISTA path flattens out; inline
-/// (`threads <= 1`) batches take that full width, parallel ones cap the
-/// group so at least ~4 groups land on every worker for load balance.
-std::size_t solve_group(std::size_t n_requests, std::size_t threads) {
-  constexpr std::size_t kMaxGroup = 8;
-  if (threads <= 1) return kMaxGroup;
-  return std::min(kMaxGroup,
-                  std::max<std::size_t>(1, n_requests / (threads * 4)));
-}
-
 /// Known separation of the calibration fixture's radios [m].
 constexpr double kCalibrationDistanceM = 3.0;
 
@@ -329,32 +317,15 @@ BatchResult Engine::measure_batch(std::span<const RangingRequest> requests,
                           : 1;
 
   // A batch is a session with no admission bound: request i takes ticket
-  // i and stream i. A request that fails resolution takes its ticket via
-  // push_failed; runs of resolved requests are admitted in groups, each
-  // ranged as one multi-RHS solver panel.
+  // i and stream i, as one job when it resolves, via push_failed when not.
   auto session = impl_->open(std::move(pool), rng,
                              std::numeric_limits<std::size_t>::max(),
                              options.retry);
-  const std::size_t group = solve_group(n, static_cast<std::size_t>(threads));
-  std::vector<core::ResolvedRequest> run;
-  run.reserve(group);
-  std::size_t run_start = 0;
-  const auto admit_run = [&] {
-    if (!run.empty()) (void)session.try_submit_resolved(run, run_start);
-    run.clear();
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    auto resolved = impl_->source->resolve(requests[i]);
-    if (!resolved.ok()) {
-      admit_run();
-      (void)session.push_failed(resolved.status());
-      continue;
+  for (const auto& request : requests) {
+    if (auto ticket = session.try_submit(request); !ticket.ok()) {
+      (void)session.push_failed(ticket.status());
     }
-    if (run.empty()) run_start = i;
-    run.push_back(std::move(resolved).value());
-    if (run.size() == group) admit_run();
   }
-  admit_run();
   out.results = session.drain();
   // Diagnostic only; see above. lint:allow(nondeterminism)
   out.wall_time_s =
@@ -408,22 +379,15 @@ Result<LocateOutcome> Engine::locate(NodeId tx, NodeId rx, mathx::Rng& rng,
   out.details = measure_batch(pairs, rng, options).results;
 
   // Pairwise distances between every transmit and receive antenna enter
-  // one joint optimisation (paper §8). Per-TX-antenna solutions are also
-  // recorded for diagnostics.
+  // one joint optimisation (paper §8).
   std::vector<geom::Vec2> anchors;
-  std::vector<double> all_distances;
-  std::size_t k = 0;
-  for (std::size_t ta = 0; ta < tx_antennas.size(); ++ta) {
-    std::vector<double> distances;
-    distances.reserve(rx_antennas.size());
-    for (std::size_t ra = 0; ra < rx_antennas.size(); ++ra, ++k) {
-      distances.push_back(out.details[k].distance_m);
-      anchors.push_back(rx_antennas[ra]);
-      all_distances.push_back(out.details[k].distance_m);
+  std::vector<double> distances;
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    anchors.push_back(rx_antennas[pairs[k].rx.antenna]);
+    distances.push_back(out.details[k].distance_m);
+    if (pairs[k].tx.antenna == 0) {
+      out.antenna_distances_m.push_back(out.details[k].distance_m);
     }
-    if (ta == 0) out.antenna_distances_m = distances;
-    out.per_tx_antenna.push_back(
-        core::localize(rx_antennas, distances, {}, hint));
   }
 
   // Joint fit: solves for the TX device position against all ranges at
@@ -431,7 +395,7 @@ Result<LocateOutcome> Engine::locate(NodeId tx, NodeId rx, mathx::Rng& rng,
   // antenna span of model error), which is repaid many times over: the
   // joint residual picks the correct mirror side by majority and averages
   // per-link multipath bias, which decorrelates across antennas.
-  out.result = core::localize(anchors, all_distances, {}, hint);
+  out.result = core::localize(anchors, distances, {}, hint);
   return out;
 }
 

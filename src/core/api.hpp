@@ -188,16 +188,12 @@ struct LocateOutcome {
   /// without enough antennas, a backend without geometry); the remaining
   /// fields are meaningful only when status.ok().
   Status status;
+  /// One joint fit of the TX position against every pair range.
   core::LocalizationResult result;
   /// Raw ranges of the *first* TX antenna to each RX anchor.
   std::vector<double> antenna_distances_m;
   /// Full pipeline output per (tx antenna, rx antenna) pair, tx-major.
   std::vector<core::RangingResult> details;
-  /// Per-TX-antenna position estimates (paper §8: a multi-antenna
-  /// transmitter contributes one trilateration per antenna; the combined
-  /// estimate is their component-wise median, which also votes down a
-  /// mirror-flipped member).
-  std::vector<core::LocalizationResult> per_tx_antenna;
 };
 
 // ---------------------------------------------------------------------------
@@ -278,7 +274,7 @@ struct EngineOptions {
 /// that fail resolution are rejected synchronously (no ticket consumed);
 /// backend failures during ranging land in the per-ticket
 /// RangingResult::status; anything a job throws is a library defect and
-/// is reported as kInternal.
+/// fails that ticket alone with kInternal.
 ///
 /// Thread model: one producer thread submits, any thread may collect;
 /// submission and collection may overlap freely.
@@ -308,17 +304,14 @@ class RangingSession {
   /// a pool worker (a full queue would then deadlock against itself).
   [[nodiscard]] Result<std::uint64_t> submit(const RangingRequest& request);
 
-  /// Engine-level admission of requests the caller already resolved: claims
-  /// group.size() consecutive tickets if the queue has room for all of
-  /// them NOW, and ranges the group as ONE job through
-  /// RangingPipeline::estimate_batch (the multi-RHS solver panel). Request
-  /// j draws from stream index first_stream + j, so several sessions
-  /// opened on the same rng state can share one global stream space (the
-  /// netd daemon's shards). Returns the first ticket, or nullopt when the
-  /// queue is full (nothing enqueued). Never blocks; `group` must be
-  /// non-empty and no larger than queue_depth().
+  /// Engine-level admission of a request the caller already resolved:
+  /// claims the next ticket if the queue has room NOW and ranges the
+  /// request on stream index `stream`, so several sessions opened on the
+  /// same rng state can share one global stream space (the netd daemon's
+  /// shards). Returns the ticket, or nullopt when the queue is full
+  /// (nothing enqueued). Never blocks.
   std::optional<std::uint64_t> try_submit_resolved(
-      std::span<const core::ResolvedRequest> group, std::uint64_t first_stream);
+      const core::ResolvedRequest& request, std::uint64_t stream);
 
   /// Claims the next ticket for a request that failed before admission
   /// (e.g. resolution failure inside a batch): its result is immediately

@@ -384,8 +384,7 @@ std::vector<SparseSolveResult> NdftSolver::solve_fista_batch(
   // sparsity). Every buffer a solve reads is fully (re)initialised per
   // column and the gradient-arm choice is a pure function of (plan,
   // active-set size), so column k is bit-identical to a standalone
-  // solve_fista(hs[k], opts) — any grouping of requests into batches
-  // preserves the engine's determinism contract.
+  // solve_fista(hs[k], opts).
   for (const auto& h : hs) {
     out.push_back(solve_fista(h, opts, ws));
   }

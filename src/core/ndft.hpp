@@ -101,15 +101,15 @@ class NdftSolver {
                                 NdftWorkspace& ws) const;
 
   /// Multi-RHS batched FISTA: solves every channel in `hs` against this
-  /// solver's shared plan through ONE workspace, draining a session's
-  /// queued requests without re-paying per-request plan lookup, workspace
-  /// growth, or cache warm-up. Column k's result is bit-identical to
-  /// solve_fista(hs[k], opts) — per-column arithmetic is deliberately kept
-  /// sequential (lane-interleaved SoA panels were measured 2-15x SLOWER
-  /// per RHS at baseline ISA: the per-column kernels already run at SSE2
-  /// compute peak out of L2, and interleaving wrecks both the stride and
-  /// the active-set sparsity) — so any grouping of requests into batches
-  /// preserves the engine's determinism contract.
+  /// solver's shared plan through ONE workspace. Column k's result is
+  /// bit-identical to solve_fista(hs[k], opts) — per-column arithmetic is
+  /// deliberately kept sequential (lane-interleaved SoA panels were
+  /// measured 2-15x SLOWER per RHS at baseline ISA: the per-column kernels
+  /// already run at SSE2 compute peak out of L2, and interleaving wrecks
+  /// both the stride and the active-set sparsity). Against sequential
+  /// solve_fista calls it amortizes nothing measurable, so the ranging
+  /// runtime does not call it; the micro-bench and the end-to-end
+  /// benchmark do.
   std::vector<SparseSolveResult> solve_fista_batch(
       std::span<const std::span<const std::complex<double>>> hs,
       const IstaOptions& opts = {}) const;

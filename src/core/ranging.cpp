@@ -131,37 +131,9 @@ RangingResult RangingPipeline::estimate(
 std::vector<RangingResult> RangingPipeline::estimate_batch(
     std::span<const phy::SweepMeasurement> sweeps,
     const CalibrationTable& calibration) const {
-  std::vector<RangingResult> out(sweeps.size());
-
-  // Screen first; only surviving sweeps enter the solver panel. The
-  // scatter below keeps slot i's result bit-identical to a standalone
-  // estimate(sweeps[i]) whatever its neighbours do.
-  std::vector<std::size_t> live;
-  std::vector<PreparedSweep> preps;
-  live.reserve(sweeps.size());
-  preps.reserve(sweeps.size());
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    if (chronos::Status gate =
-            screen_sweep(sweeps[i], bands_, config_.integrity);
-        !gate.ok()) {
-      out[i].status = std::move(gate);
-      continue;
-    }
-    live.push_back(i);
-    preps.push_back(prepare(sweeps[i], calibration));
-  }
-
-  // Multi-RHS panel: one shared plan/workspace across the group. Each
-  // column solves bit-identically to a standalone solve_fista, so grouping
-  // never perturbs results (the determinism tests compare batched against
-  // one-by-one estimates bitwise).
-  std::vector<std::span<const std::complex<double>>> hs;
-  hs.reserve(preps.size());
-  for (const auto& prep : preps) hs.emplace_back(prep.h);
-  auto solutions = solver_.solve_fista_batch(hs, RangingConfig::solver_options);
-  for (std::size_t j = 0; j < preps.size(); ++j) {
-    out[live[j]] = finish(preps[j], std::move(solutions[j]), calibration);
-  }
+  std::vector<RangingResult> out;
+  out.reserve(sweeps.size());
+  for (const auto& sweep : sweeps) out.push_back(estimate(sweep, calibration));
   return out;
 }
 

@@ -98,11 +98,10 @@ class RangingPipeline {
   RangingResult estimate(const phy::SweepMeasurement& sweep,
                          const CalibrationTable& calibration = {}) const;
 
-  /// Runs the pipeline on a panel of sweeps. Result i is bit-identical to
-  /// estimate(sweeps[i], calibration); the sweeps that pass the integrity
-  /// screen drain through NdftSolver::solve_fista_batch on one shared
-  /// plan/workspace instead of paying the per-request solve setup — the
-  /// multi-RHS path sessions group requests for.
+  /// estimate() on each sweep in turn: result i is
+  /// estimate(sweeps[i], calibration). The ranging runtime does not call
+  /// it (every session job ranges one request); the end-to-end benchmark
+  /// does.
   std::vector<RangingResult> estimate_batch(
       std::span<const phy::SweepMeasurement> sweeps,
       const CalibrationTable& calibration = {}) const;

@@ -11,10 +11,8 @@
 // way the retry-free runtime consumed the stream itself, so a
 // RetryPolicy{1} run is bit-identical to the pre-retry pipeline.
 //
-// Every admitted group of a ranging session (core/session.hpp) routes its
-// retries through finish_with_retries: the first attempt rides the
-// multi-RHS solver panel, and only failed slots pay the per-request retry
-// solves.
+// Every job of a ranging session (core/session.hpp) ranges its ticket
+// through range_with_retries.
 #pragma once
 
 #include <cstdint>
@@ -34,17 +32,18 @@ namespace chronos::core {
 /// the fault tag and of plain ticket ids; this is the layer-local alias.
 inline constexpr std::uint64_t kRetryStreamTag = chronos::kRetryStreamTag;
 
-/// Applies `policy` to an already-computed first attempt: while the status
-/// is retryable and attempts remain, re-range on the ticket's retry
-/// streams. Returns the first success, the first non-retryable failure, or
-/// kRetryExhausted wrapping the last retryable diagnostic. The returned
-/// result's `attempts` counts every attempt consumed (first included).
-RangingResult finish_with_retries(const SweepSource& source,
-                                  const RangingPipeline& pipeline,
-                                  const CalibrationTable& calibration,
-                                  const ResolvedRequest& request,
-                                  const mathx::Rng& ticket_stream,
-                                  RangingResult first_attempt,
-                                  const chronos::RetryPolicy& policy);
+/// Ranges `request` under `policy`: attempt 0 sweeps on a copy of
+/// `ticket_stream` and runs the pipeline; while the status is retryable
+/// and attempts remain, re-ranges on the ticket's retry streams. Returns
+/// the first success, the first non-retryable failure, or — when more
+/// than one attempt was allowed — kRetryExhausted wrapping the last
+/// retryable diagnostic. A single-attempt policy returns its failure
+/// unwrapped. The result's `attempts` counts every attempt consumed.
+RangingResult range_with_retries(const SweepSource& source,
+                                 const RangingPipeline& pipeline,
+                                 const CalibrationTable& calibration,
+                                 const ResolvedRequest& request,
+                                 const mathx::Rng& ticket_stream,
+                                 const chronos::RetryPolicy& policy);
 
 }  // namespace chronos::core

@@ -53,71 +53,29 @@ struct Shared {
         retry(retry_policy) {}
 };
 
-/// Ranges an admitted group on streams first_stream, first_stream + 1, ...
-/// Per-request sweep failures land in that slot's status; the good sweeps
-/// drain through ONE RangingPipeline::estimate_batch (the multi-RHS solver
-/// panel), and an index scatter re-aligns the estimates with their slots.
-/// Every slot is bit-identical to ranging its request alone on its stream,
-/// so grouping is purely an amortisation. Anything thrown is a library
-/// defect: once the shared panel solve has failed, no slot can be trusted,
-/// so every slot in the group reports kInternal.
-std::vector<RangingResult> range_group(
-    const Shared& shared, std::uint64_t first_stream,
-    std::span<const ResolvedRequest> requests) {
-  std::vector<RangingResult> results(requests.size());
+/// Ranges one admitted request on stream `stream`. Anything thrown is a
+/// library defect and fails this ticket alone (kInternal): the session's
+/// other tickets never see it.
+RangingResult range_one(const Shared& shared, std::uint64_t stream,
+                        const ResolvedRequest& request) {
+  RangingResult failed;
   try {
-    std::vector<phy::SweepMeasurement> sweeps;
-    std::vector<std::size_t> slots;
-    sweeps.reserve(requests.size());
-    slots.reserve(requests.size());
-    for (std::size_t j = 0; j < requests.size(); ++j) {
-      mathx::Rng child = shared.base.split(first_stream + j);
-      auto sweep = shared.source->sweep_for(requests[j], child);
-      if (!sweep.ok()) {
-        results[j].status = sweep.status();
-        continue;
-      }
-      sweeps.push_back(std::move(sweep).value());
-      slots.push_back(j);
-    }
-    if (!sweeps.empty()) {
-      auto estimates =
-          shared.pipeline->estimate_batch(sweeps, *shared.calibration);
-      for (std::size_t k = 0; k < slots.size(); ++k) {
-        results[slots[k]] = std::move(estimates[k]);
-      }
-    }
-    // Retries ride per slot AFTER the shared panel: only failed slots pay
-    // per-request retry solves, and each retry attempt is a pure function
-    // of its slot's stream.
-    for (std::size_t j = 0; j < requests.size(); ++j) {
-      results[j] = core::finish_with_retries(
-          *shared.source, *shared.pipeline, *shared.calibration, requests[j],
-          shared.base.split(first_stream + j), std::move(results[j]),
-          shared.retry);
-    }
+    return core::range_with_retries(*shared.source, *shared.pipeline,
+                                    *shared.calibration, request,
+                                    shared.base.split(stream), shared.retry);
   } catch (const std::exception& e) {
-    for (auto& result : results) {
-      result = RangingResult{};
-      result.status = {StatusCode::kInternal, e.what()};
-    }
+    failed.status = {StatusCode::kInternal, e.what()};
   } catch (...) {
-    for (auto& result : results) {
-      result = RangingResult{};
-      result.status = {StatusCode::kInternal,
-                       "non-exception throw while ranging"};
-    }
+    failed.status = {StatusCode::kInternal,
+                     "non-exception throw while ranging"};
   }
-  return results;
+  return failed;
 }
 
-void complete(Shared& shared, std::uint64_t first_ticket,
-              std::vector<RangingResult> results) {
+void complete(Shared& shared, std::uint64_t ticket, RangingResult result) {
   MutexLock lock(shared.mutex);
-  for (std::size_t j = 0; j < results.size(); ++j) {
-    shared.done.emplace(first_ticket + j, std::move(results[j]));
-  }
-  shared.finished += results.size();
+  shared.done.emplace(ticket, std::move(result));
+  ++shared.finished;
   shared.cv.notify_all();
 }
 
@@ -131,43 +89,39 @@ void complete(Shared& shared, std::uint64_t first_ticket,
 
 struct RangingSession::Impl {
   std::shared_ptr<Shared> shared;
-  /// Workers the admitted groups range on; null = the submitting thread.
+  /// Workers the admitted requests range on; null = the submitting thread.
   std::shared_ptr<core::WorkerPool> pool;
   std::size_t depth = 1;
 
-  /// Claims `n` consecutive tickets when in-flight work leaves room for
-  /// them — now, or with `block` once workers free enough slots. nullopt
-  /// when the queue is full and not blocking.
-  std::optional<std::uint64_t> claim(std::size_t n, bool block) {
+  /// Claims the next ticket when in-flight work leaves room for it — now,
+  /// or with `block` once a worker frees a slot. nullopt when the queue is
+  /// full and not blocking.
+  std::optional<std::uint64_t> claim(bool block) {
     Shared& s = *shared;
     // Admission touches only counters under the lock: allocation-free
     // (see try_submit).
     // lint:region(no-alloc)
     MutexLock lock(s.mutex);
     const auto room = [&]() CHRONOS_REQUIRES(s.mutex) {
-      return s.submitted - s.finished + n <= depth;
+      return s.submitted - s.finished < depth;
     };
     if (block) s.cv.wait(s.mutex, room);
     if (!room()) return std::nullopt;
-    const std::uint64_t first = s.submitted;
-    s.submitted += n;
-    return first;
+    return s.submitted++;
     // lint:endregion(no-alloc)
   }
 
-  /// Ranges `group` on tickets first_ticket.. and streams first_stream..:
-  /// one pool job, or inline when the session has no pool.
-  void dispatch(std::uint64_t first_ticket, std::uint64_t first_stream,
-                std::span<const ResolvedRequest> group) {
+  /// Ranges `request` on `ticket` and `stream`: one pool job, or inline
+  /// when the session has no pool.
+  void dispatch(std::uint64_t ticket, std::uint64_t stream,
+                ResolvedRequest request) {
     if (pool == nullptr) {
-      complete(*shared, first_ticket, range_group(*shared, first_stream, group));
+      complete(*shared, ticket, range_one(*shared, stream, request));
       return;
     }
-    (void)pool->submit([payload = shared, first_ticket, first_stream,
-                        requests = std::vector<ResolvedRequest>(
-                            group.begin(), group.end())]() {
-      complete(*payload, first_ticket,
-               range_group(*payload, first_stream, requests));
+    (void)pool->submit([payload = shared, ticket, stream,
+                        request = std::move(request)]() {
+      complete(*payload, ticket, range_one(*payload, stream, request));
     });
   }
 };
@@ -203,9 +157,9 @@ Result<std::uint64_t> RangingSession::try_submit(
   // lint:endregion(no-alloc)
   auto resolved = s.source->resolve(request);
   if (!resolved.ok()) return resolved.status();
-  const auto ticket = impl_->claim(1, false);
+  const auto ticket = impl_->claim(false);
   if (!ticket) return queue_full(impl_->depth);
-  impl_->dispatch(*ticket, *ticket, std::span(&resolved.value(), 1));
+  impl_->dispatch(*ticket, *ticket, std::move(resolved).value());
   return *ticket;
 }
 
@@ -213,22 +167,18 @@ Result<std::uint64_t> RangingSession::submit(const RangingRequest& request) {
   CHRONOS_EXPECTS(impl_ != nullptr, "submit() on an invalid session");
   auto resolved = impl_->shared->source->resolve(request);
   if (!resolved.ok()) return resolved.status();
-  const std::uint64_t ticket = *impl_->claim(1, true);
-  impl_->dispatch(ticket, ticket, std::span(&resolved.value(), 1));
+  const std::uint64_t ticket = *impl_->claim(true);
+  impl_->dispatch(ticket, ticket, std::move(resolved).value());
   return ticket;
 }
 
 std::optional<std::uint64_t> RangingSession::try_submit_resolved(
-    std::span<const ResolvedRequest> group, std::uint64_t first_stream) {
+    const ResolvedRequest& request, std::uint64_t stream) {
   CHRONOS_EXPECTS(impl_ != nullptr,
                   "try_submit_resolved() on an invalid session");
-  CHRONOS_EXPECTS(!group.empty(),
-                  "try_submit_resolved() needs at least one request");
-  CHRONOS_EXPECTS(group.size() <= impl_->depth,
-                  "group larger than queue depth would never admit");
-  const auto first = impl_->claim(group.size(), false);
-  if (first) impl_->dispatch(*first, first_stream, group);
-  return first;
+  const auto ticket = impl_->claim(false);
+  if (ticket) impl_->dispatch(*ticket, stream, request);
+  return ticket;
 }
 
 std::uint64_t RangingSession::push_failed(Status status) {

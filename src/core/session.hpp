@@ -14,7 +14,7 @@
 // (kBatchStreamTag); a request admitted on stream index s draws from
 // fork.split(s). A result is therefore a pure function of (source,
 // pipeline, calibration, request, session stream, s) — never of queue
-// depth, scheduling, pool size, grouping or collection timing.
+// depth, scheduling, pool size or collection timing.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +32,8 @@ class WorkerPool;
 
 /// Opens a session: forks `rng` once (kBatchStreamTag) and shares
 /// ownership of everything a job touches, so the session stays collectable
-/// after the issuing engine dies. Admitted groups range as jobs on `pool`;
-/// with `pool == nullptr` each group ranges on the submitting thread
+/// after the issuing engine dies. Each admitted request ranges as one job
+/// on `pool`; with `pool == nullptr` it ranges on the submitting thread
 /// before its admission call returns (the inline batch of one thread).
 /// Several sessions opened on copies of ONE rng state share their base
 /// stream, which is how the daemon's shards serve one global stream space

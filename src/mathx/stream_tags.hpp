@@ -55,7 +55,7 @@ inline constexpr std::uint64_t kFaultStreamTag = 0x6661756C74ull;  // lint:strea
 /// attempt a >= 1 of a ticket draws from
 /// ticket_stream.split(kRetryStreamTag + a), a pure function of (seed,
 /// ticket, attempt). The reserved range bounds the ladder;
-/// finish_with_retries (core/retry.cpp) rejects policies that would step
+/// range_with_retries (core/retry.cpp) rejects policies that would step
 /// beyond it, so the offsets can never walk into another tag's range.
 /// Provenance: PR 8 (core/retry.hpp), registry since PR 9.
 inline constexpr std::uint64_t kRetryStreamTag = 0x7265747279ull;  // lint:stream-tag(range=4096)

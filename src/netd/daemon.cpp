@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <optional>
-#include <span>
 #include <thread>
 #include <utility>
 
@@ -127,7 +126,7 @@ void ChronosDaemon::handle_frame(std::size_t conn_index, const Frame& frame) {
       }
 
       const std::optional<std::uint64_t> local =
-          shard.session.try_submit_resolved(std::span(&resolved.value(), 1),
+          shard.session.try_submit_resolved(resolved.value(),
                                             next_global_ticket_);
       if (!local.has_value()) {
         // Backpressure: immediate kQueueFull reply, NO global ticket — a

@@ -14,9 +14,9 @@
 // base stream one fork of the caller's rng yields, and the caller's rng
 // advances by that one fork — exactly like every in-process ingestion
 // path. Admission order on the single demux thread assigns each admitted
-// request a dense GLOBAL ticket g, and the routed shard ranges it on
-// base.split(g) (RangingSession::try_submit_resolved with stream index
-// g). Whatever the shard count, client count, or kQueueFull retry
+// request a dense GLOBAL ticket g, and the routed shard ranges it as one
+// job on base.split(g) (RangingSession::try_submit_resolved with stream
+// index g). Whatever the shard count, client count, or kQueueFull retry
 // interleaving, the results the daemon sends are bit-identical to
 // Engine::measure_batch(admitted_requests()) on the same starting rng
 // state.

@@ -8,6 +8,9 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sweep_source.hpp"
@@ -162,6 +165,73 @@ TEST(BatchDeterminism, BadRequestYieldsStatusNotAbort) {
   EXPECT_FALSE(batch.results[1].peak_found);
   EXPECT_TRUE(batch.results[2].status.ok());
   EXPECT_TRUE(batch.results[0].peak_found);
+}
+
+/// Forwards to `inner`, except that sweep_for throws for every request
+/// from transmitter `poisoned`: a planted backend defect.
+class ThrowingSweepSource final : public SweepSource {
+ public:
+  ThrowingSweepSource(std::shared_ptr<const SweepSource> inner,
+                      std::uint64_t poisoned)
+      : inner_(std::move(inner)), poisoned_(poisoned) {}
+
+  bool has_node(NodeId id) const override { return inner_->has_node(id); }
+  Result<std::size_t> antenna_count(NodeId id) const override {
+    return inner_->antenna_count(id);
+  }
+  std::vector<NodeId> nodes() const override { return inner_->nodes(); }
+  Result<ResolvedRequest> resolve(
+      const RangingRequest& request) const override {
+    return inner_->resolve(request);
+  }
+  Result<phy::SweepMeasurement> sweep_for(const ResolvedRequest& req,
+                                          mathx::Rng& rng) const override {
+    if (req.tx.hardware_seed == poisoned_) {
+      throw std::runtime_error("planted sweep_for defect");
+    }
+    return inner_->sweep_for(req, rng);
+  }
+  const std::vector<phy::WifiBand>& bands() const override {
+    return inner_->bands();
+  }
+  bool has_geometry() const override { return inner_->has_geometry(); }
+  std::string backend_name() const override { return "throwing"; }
+
+ private:
+  std::shared_ptr<const SweepSource> inner_;
+  std::uint64_t poisoned_;
+};
+
+TEST(BatchDeterminism, OneThrowFailsOnlyItsOwnTicket) {
+  // api.hpp: one bad request yields one bad status, not an aborted batch.
+  // A throw from the backend fails the ticket that raised it (kInternal)
+  // and leaves every other slot bit-identical to the same batch on the
+  // clean backend, inline and on the pool alike.
+  const Rig rig = make_rig(sim::office_20x20());
+  const auto requests = make_requests(*rig.source, 5);
+  constexpr std::size_t kPoisoned = 2;  // transmitter node 100 + 2
+  const Engine throwing = Engine::adopt(
+      std::make_shared<ThrowingSweepSource>(rig.source, 100 + kPoisoned));
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    mathx::Rng rng_clean(21);
+    const auto clean =
+        rig.engine.measure_batch(requests, rng_clean, BatchOptions{threads});
+    mathx::Rng rng(21);
+    const auto batch =
+        throwing.measure_batch(requests, rng, BatchOptions{threads});
+    ASSERT_EQ(batch.results.size(), requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const RangingResult& got = batch.results[i];
+      if (i == kPoisoned) {
+        EXPECT_EQ(got.status.code(), chronos::StatusCode::kInternal);
+        EXPECT_EQ(got.status.message(), "planted sweep_for defect");
+        continue;
+      }
+      EXPECT_TRUE(got.status.ok());
+      expect_bitwise_equal(got, clean.results[i]);
+    }
+  }
 }
 
 /// Opens a session deep enough for `requests` and admits them all without

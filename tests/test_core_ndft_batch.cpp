@@ -2,10 +2,10 @@
 // pure amortisation. Column k of a batch is BIT-identical to a standalone
 // solve_fista of the same channel — across every gradient mode, panel
 // width, and any number of threads batching concurrently against one
-// shared solver/plan. The session/batch ingestion layers rely on this to
-// group queued requests into panels without perturbing the engine's
-// determinism contract (labelled `concurrency`: the thread test below is
-// part of the tsan preset's suite).
+// shared solver/plan. The session runtime does not call it (one request
+// per job); bench_micro_core and rangebench's probe do (labelled
+// `concurrency`: the thread test below is part of the tsan preset's
+// suite).
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -175,7 +175,7 @@ TEST(Ranging, MismatchedSweepRejectedByGate) {
   EXPECT_EQ(result.status.code(), chronos::StatusCode::kMalformedSweep);
   EXPECT_FALSE(result.peak_found);
 
-  // The same panel contract through estimate_batch: each truncated slot is
+  // The same contract through estimate_batch: each truncated slot is
   // rejected on its own, and each good slot equals a standalone estimate
   // of its sweep bit for bit.
   mathx::Rng rng(3);
@@ -207,7 +207,7 @@ TEST(Ranging, MismatchedSweepRejectedByGate) {
     }
   }
 
-  // All-rejected and empty panels return without solving.
+  // All-rejected and empty batches return without solving.
   const std::vector<phy::SweepMeasurement> all_wrong = {wrong, wrong};
   const auto rejected = pipe.estimate_batch(all_wrong);
   ASSERT_EQ(rejected.size(), all_wrong.size());
