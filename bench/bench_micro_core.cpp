@@ -30,8 +30,6 @@
 #include "core/ndft_kernels.hpp"
 #include "core/subcarrier_interp.hpp"
 #include "mathx/constants.hpp"
-#include "mathx/fft.hpp"
-#include "mathx/rng.hpp"
 #include "mathx/spline.hpp"
 #include "phy/band_plan.hpp"
 #include "phy/csi.hpp"
@@ -189,15 +187,6 @@ const std::vector<MicroKernel>& kernels() {
                     }
                     mathx::CubicSpline s(x, y);
                     return s(14.5);
-                  }});
-
-    mathx::Rng rng(1);
-    std::vector<std::complex<double>> x(64);
-    for (auto& v : x) v = rng.complex_gaussian(1.0);
-    ks.push_back({"BM_Fft64", "fft64", [x] {
-                    auto copy = x;
-                    mathx::fft_pow2(copy);
-                    return copy[0].real();
                   }});
     return ks;
   }();

@@ -71,7 +71,11 @@ int main() {
     return 1;
   }
   Engine replay = std::move(built).value();
-  replay.set_calibration(capture.calibration());
+  if (const chronos::Status s = replay.set_calibration(capture.calibration());
+      !s.ok()) {
+    std::printf("calibration install failed: %s\n", s.to_string().c_str());
+    return 1;
+  }
 
   mathx::Rng replay_rng(1);
   const auto batch = replay.measure_batch(requests, replay_rng);

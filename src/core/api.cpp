@@ -229,15 +229,23 @@ Status Engine::calibrate(NodeId tx, NodeId rx, mathx::Rng& rng) {
   for (int i = 0; i < options.calibration_sweeps; ++i) {
     sweeps.push_back(fixture.simulate_sweep(tx_fix, 0, rx_fix, 0, rng));
   }
-  set_calibration(core::calibrate_from_sweeps(
+  return set_calibration(core::calibrate_from_sweeps(
       sweeps, kCalibrationDistanceM, options.ranging.combining));
-  return Status::Ok();
 }
 
-void Engine::set_calibration(core::CalibrationTable calibration) {
+Status Engine::set_calibration(core::CalibrationTable calibration) {
   CHRONOS_EXPECTS(impl_ != nullptr, "set_calibration() on an invalid engine");
+  const std::size_t bands = impl_->source->bands().size();
+  if (!calibration.empty() && calibration.correction.size() != bands) {
+    return {StatusCode::kBandMismatch,
+            "calibration table has " +
+                std::to_string(calibration.correction.size()) +
+                " corrections; this engine's plan has " +
+                std::to_string(bands) + " bands"};
+  }
   impl_->calibration =
       std::make_shared<const core::CalibrationTable>(std::move(calibration));
+  return Status::Ok();
 }
 
 const core::CalibrationTable& Engine::calibration() const {
@@ -395,7 +403,7 @@ Result<LocateOutcome> Engine::locate(NodeId tx, NodeId rx, mathx::Rng& rng,
   // antenna span of model error), which is repaid many times over: the
   // joint residual picks the correct mirror side by majority and averages
   // per-link multipath bias, which decorrelates across antennas.
-  out.result = core::localize(anchors, distances, {}, hint);
+  out.result = core::localize(anchors, distances, hint);
   return out;
 }
 

@@ -399,8 +399,9 @@ class Engine {
   [[nodiscard]] Status calibrate(NodeId tx, NodeId rx, mathx::Rng& rng);
 
   /// Installs a pre-computed calibration table (e.g. recorded alongside a
-  /// trace campaign).
-  void set_calibration(core::CalibrationTable calibration);
+  /// trace campaign). kBandMismatch, keeping the installed table, when a
+  /// non-empty table's correction count differs from the band plan's.
+  [[nodiscard]] Status set_calibration(core::CalibrationTable calibration);
   const core::CalibrationTable& calibration() const;
 
   /// Time-of-flight / distance for one request. Resolution failures and

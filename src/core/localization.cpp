@@ -4,9 +4,18 @@
 #include <cmath>
 #include <limits>
 
+#include "geom/trilateration.hpp"
 #include "mathx/contracts.hpp"
 
 namespace chronos::core {
+
+namespace {
+
+/// Extra slack [m] allowed on top of the geometric bound when checking
+/// pairwise consistency of distance estimates.
+constexpr double kGeometrySlackM = 0.35;
+
+}  // namespace
 
 std::vector<bool> reject_outliers(std::span<const geom::Vec2> anchors,
                                   std::span<const double> distances,
@@ -53,7 +62,6 @@ std::vector<bool> reject_outliers(std::span<const geom::Vec2> anchors,
 
 LocalizationResult localize(std::span<const geom::Vec2> anchors,
                             std::span<const double> distances,
-                            const LocalizerOptions& opts,
                             const std::optional<geom::Vec2>& hint) {
   CHRONOS_EXPECTS(anchors.size() == distances.size() && anchors.size() >= 2,
                   "localization needs at least two anchor distances");
@@ -61,7 +69,7 @@ LocalizationResult localize(std::span<const geom::Vec2> anchors,
     CHRONOS_EXPECTS(d >= 0.0, "distances must be non-negative");
 
   LocalizationResult out;
-  out.used = reject_outliers(anchors, distances, opts.geometry_slack_m);
+  out.used = reject_outliers(anchors, distances, kGeometrySlackM);
 
   std::vector<geom::RangeMeasurement> ranges;
   for (std::size_t i = 0; i < anchors.size(); ++i) {
@@ -70,7 +78,7 @@ LocalizationResult localize(std::span<const geom::Vec2> anchors,
   out.used_count = ranges.size();
 
   if (ranges.size() >= 3) {
-    const auto fit = geom::trilaterate(ranges, opts.trilateration);
+    const auto fit = geom::trilaterate(ranges);
     out.position = fit.position;
     out.residual_rms_m = fit.residual_rms;
     out.valid = true;
@@ -78,8 +86,7 @@ LocalizationResult localize(std::span<const geom::Vec2> anchors,
   }
 
   // Two anchors: disambiguate the mirror pair with the hint (§8).
-  const auto both =
-      geom::solve_both_sides(ranges[0], ranges[1], opts.trilateration);
+  const auto both = geom::solve_both_sides(ranges[0], ranges[1]);
   const auto& a = both.first;
   const auto& b = both.second;
   if (hint) {

@@ -12,17 +12,9 @@
 #include <span>
 #include <vector>
 
-#include "geom/trilateration.hpp"
 #include "geom/vec2.hpp"
 
 namespace chronos::core {
-
-struct LocalizerOptions {
-  /// Extra slack (in metres) allowed on top of the geometric bound when
-  /// checking pairwise consistency of distance estimates.
-  double geometry_slack_m = 0.35;
-  geom::TrilaterationOptions trilateration{};
-};
 
 struct LocalizationResult {
   geom::Vec2 position;
@@ -41,12 +33,12 @@ std::vector<bool> reject_outliers(std::span<const geom::Vec2> anchors,
                                   double slack_m);
 
 /// Localizes a transmitter from distances to known anchor positions.
+/// Outliers are rejected with 0.35 m of slack on the geometric bound.
 /// With two surviving anchors the mirror ambiguity is resolved toward
 /// `hint` if provided (paper §8's mobility strategy), else the positive
 /// side of the baseline is returned.
 LocalizationResult localize(std::span<const geom::Vec2> anchors,
                             std::span<const double> distances,
-                            const LocalizerOptions& opts = {},
                             const std::optional<geom::Vec2>& hint = std::nullopt);
 
 }  // namespace chronos::core

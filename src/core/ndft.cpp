@@ -86,8 +86,10 @@ void NdftSolver::sparsify(std::span<std::complex<double>> p,
   }
 }
 
-double NdftSolver::effective_alpha(NdftWorkspace& ws,
-                                   const IstaOptions& opts) const {
+namespace {
+
+double effective_alpha(const NdftPlan& plan, const NdftWorkspace& ws,
+                       const IstaOptions& opts) {
   CHRONOS_EXPECTS(opts.alpha > 0.0, "alpha must be positive");
   // Scale-free knob: alpha relative to the strongest matched-filter
   // response max|F^H h| (the largest gradient magnitude at p = 0). The
@@ -99,7 +101,7 @@ double NdftSolver::effective_alpha(NdftWorkspace& ws,
   // std::abs pass without thousands of hypot calls.
   double peak_sq = 0.0;
   std::size_t peak_k = 0;
-  for (std::size_t k = 0; k < plan_->cols(); ++k) {
+  for (std::size_t k = 0; k < plan.cols(); ++k) {
     const double msq = ws.b_re[k] * ws.b_re[k] + ws.b_im[k] * ws.b_im[k];
     if (msq > peak_sq) {
       peak_sq = msq;
@@ -115,6 +117,8 @@ double NdftSolver::effective_alpha(NdftWorkspace& ws,
   if (peak == 0.0) return 0.0;
   return opts.alpha * peak;
 }
+
+}  // namespace
 
 std::vector<std::complex<double>> NdftSolver::synthesize(
     std::span<const std::complex<double>> p) const {
@@ -175,15 +179,14 @@ double NdftSolver::refine_delay(std::span<const std::complex<double>> h,
   return (lo + hi) / 2.0;
 }
 
-SparseSolveResult NdftSolver::solve_ista(
-    std::span<const std::complex<double>> h, const IstaOptions& opts) const {
-  return solve_ista(h, opts, tls_workspace());
-}
+namespace {
 
-SparseSolveResult NdftSolver::solve_ista(
-    std::span<const std::complex<double>> h, const IstaOptions& opts,
-    NdftWorkspace& ws) const {
-  const NdftPlan& plan = *plan_;
+/// The one proximal-gradient loop: FISTA when `accelerate`, else ISTA (the
+/// same loop with the momentum coefficient held at 0).
+SparseSolveResult solve_proximal(const NdftPlan& plan,
+                                 std::span<const std::complex<double>> h,
+                                 const IstaOptions& opts, NdftWorkspace& ws,
+                                 bool accelerate) {
   const std::size_t n = plan.rows();
   const std::size_t m = plan.cols();
   CHRONOS_EXPECTS(h.size() == n, "channel vector/row count mismatch");
@@ -194,90 +197,7 @@ SparseSolveResult NdftSolver::solve_ista(
   // argmax source for the relative-alpha knob — one adjoint serves both.
   plan.adjoint(ws.h_re.data(), ws.h_im.data(), ws.b_re.data(),
                ws.b_im.data());
-  const double alpha = effective_alpha(ws, opts);
-  const double h_norm = mathx::norm2(h);
-  const double tol = opts.epsilon * std::max(h_norm, 1e-30);
-  const double gamma = plan.gamma();
-  const double thr = gamma * alpha;
-  const double thr_sq = thr * thr;
-
-  SparseSolveResult out;
-  out.grid = plan.grid();
-  std::fill(ws.p_re.begin(), ws.p_re.end(), 0.0);
-  std::fill(ws.p_im.begin(), ws.p_im.end(), 0.0);
-  ws.active.clear();
-
-  // Everything inside this loop works on workspace buffers: no allocation
-  // per iteration (tests/test_core_ndft_kernels.cpp counts at runtime;
-  // scripts/lint/check_noalloc.py bans allocating constructs in this
-  // region at lint time).
-  // lint:region(no-alloc)
-  for (int t = 0; t < opts.max_iterations; ++t) {
-    // Gradient step on ||h - F p||^2: p - gamma * F^H (F p - h), evaluated
-    // by whichever arm the options/cost model select (the scatter arm
-    // exploits p's sparsity via ws.active, tracked below).
-    dispatch_gradient(plan, opts.gradient, ws.p_re.data(), ws.p_im.data(),
-                      ws);
-
-    // Fused update + SPARSIFY + convergence accumulation, one pass over the
-    // grid. Also rebuilds the active set for the next iteration's forward.
-    double diff_sq = 0.0;
-    ws.active.clear();
-    for (std::size_t k = 0; k < m; ++k) {
-      const double pr = ws.p_re[k] - gamma * ws.grad_re[k];
-      const double pi = ws.p_im[k] - gamma * ws.grad_im[k];
-      double nr = 0.0;
-      double ni = 0.0;
-      const double msq = pr * pr + pi * pi;
-      if (msq > thr_sq) {
-        const double mag = std::sqrt(msq);
-        const double scale = (mag - thr) / mag;
-        nr = pr * scale;
-        ni = pi * scale;
-        if (nr != 0.0 || ni != 0.0) {
-          // lint:allow(no-alloc): ws.active is reserved to cols at bind()
-          ws.active.push_back(static_cast<std::uint32_t>(k));
-        }
-      }
-      const double dr = nr - ws.p_re[k];
-      const double di = ni - ws.p_im[k];
-      diff_sq += dr * dr + di * di;
-      ws.p_re[k] = nr;
-      ws.p_im[k] = ni;
-    }
-    out.iterations = t + 1;
-    if (std::sqrt(diff_sq) < tol) {
-      out.converged = true;
-      break;
-    }
-  }
-  // lint:endregion(no-alloc)
-
-  out.residual_norm = residual_norm_active(plan, ws);
-  out.coefficients = merge_planes(ws.p_re, ws.p_im);
-  return out;
-}
-
-SparseSolveResult NdftSolver::solve_fista(
-    std::span<const std::complex<double>> h, const IstaOptions& opts) const {
-  return solve_fista(h, opts, tls_workspace());
-}
-
-SparseSolveResult NdftSolver::solve_fista(
-    std::span<const std::complex<double>> h, const IstaOptions& opts,
-    NdftWorkspace& ws) const {
-  const NdftPlan& plan = *plan_;
-  const std::size_t n = plan.rows();
-  const std::size_t m = plan.cols();
-  CHRONOS_EXPECTS(h.size() == n, "channel vector/row count mismatch");
-
-  ws.bind(n, m);
-  split_into(h, ws.h_re, ws.h_im);
-  // b = F^H h: the fixed linear term of the Toeplitz scatter arm AND the
-  // argmax source for the relative-alpha knob — one adjoint serves both.
-  plan.adjoint(ws.h_re.data(), ws.h_im.data(), ws.b_re.data(),
-               ws.b_im.data());
-  const double alpha = effective_alpha(ws, opts);
+  const double alpha = effective_alpha(plan, ws, opts);
   const double h_norm = mathx::norm2(h);
   const double tol = opts.epsilon * std::max(h_norm, 1e-30);
   const double gamma = plan.gamma();
@@ -293,15 +213,15 @@ SparseSolveResult NdftSolver::solve_fista(
   ws.active.clear();  // tracks the extrapolated point y's nonzeros
   double t_momentum = 1.0;
 
-  // Allocation-free loop (see the ISTA comment); the gradient is taken at
-  // the extrapolated point y, whose support ws.active tracks. Shrinkage,
-  // momentum extrapolation, convergence accumulation, and the active-set
-  // rebuild are fused into ONE pass over the grid: reading p[k] (still the
-  // previous iterate) before overwriting it removes the p_prev planes and
-  // a whole O(m) pass per iteration, with per-component operations and
-  // order identical to the historical two-pass body — bit-identical
-  // results (the momentum scalars t_next/beta never depend on the pass
-  // structure).
+  // Everything inside this loop works on workspace buffers: no allocation
+  // per iteration (tests/test_core_ndft_kernels.cpp counts at runtime;
+  // scripts/lint/check_noalloc.py bans allocating constructs in this
+  // region at lint time). The gradient is taken at the extrapolated point
+  // y, whose support ws.active tracks; ISTA holds the momentum coefficient
+  // beta at 0, so its y is the iterate p itself. Shrinkage, momentum
+  // extrapolation, convergence accumulation, and the active-set rebuild
+  // are fused into ONE pass over the grid: reading p[k] (still the
+  // previous iterate) before overwriting it needs no p_prev planes.
   // lint:region(no-alloc)
   for (int t = 0; t < opts.max_iterations; ++t) {
     dispatch_gradient(plan, opts.gradient, ws.y_re.data(), ws.y_im.data(),
@@ -309,7 +229,7 @@ SparseSolveResult NdftSolver::solve_fista(
 
     const double t_next =
         (1.0 + std::sqrt(1.0 + 4.0 * t_momentum * t_momentum)) / 2.0;
-    const double beta = (t_momentum - 1.0) / t_next;
+    const double beta = accelerate ? (t_momentum - 1.0) / t_next : 0.0;
     double diff_sq = 0.0;
     ws.active.clear();
     for (std::size_t k = 0; k < m; ++k) {
@@ -360,6 +280,30 @@ SparseSolveResult NdftSolver::solve_fista(
   out.residual_norm = residual_norm_active(plan, ws);
   out.coefficients = merge_planes(ws.p_re, ws.p_im);
   return out;
+}
+
+}  // namespace
+
+SparseSolveResult NdftSolver::solve_ista(
+    std::span<const std::complex<double>> h, const IstaOptions& opts) const {
+  return solve_ista(h, opts, tls_workspace());
+}
+
+SparseSolveResult NdftSolver::solve_ista(
+    std::span<const std::complex<double>> h, const IstaOptions& opts,
+    NdftWorkspace& ws) const {
+  return solve_proximal(*plan_, h, opts, ws, /*accelerate=*/false);
+}
+
+SparseSolveResult NdftSolver::solve_fista(
+    std::span<const std::complex<double>> h, const IstaOptions& opts) const {
+  return solve_fista(h, opts, tls_workspace());
+}
+
+SparseSolveResult NdftSolver::solve_fista(
+    std::span<const std::complex<double>> h, const IstaOptions& opts,
+    NdftWorkspace& ws) const {
+  return solve_proximal(*plan_, h, opts, ws, /*accelerate=*/true);
 }
 
 std::vector<SparseSolveResult> NdftSolver::solve_fista_batch(

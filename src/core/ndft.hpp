@@ -166,8 +166,6 @@ class NdftSolver {
   static void sparsify(std::span<std::complex<double>> p, double threshold);
 
  private:
-  double effective_alpha(NdftWorkspace& ws, const IstaOptions& opts) const;
-
   std::shared_ptr<const NdftPlan> plan_;
 };
 

@@ -11,6 +11,16 @@ namespace chronos::geom {
 
 namespace {
 
+constexpr int kMaxIterations = 60;
+/// Step norm [m] below which iteration stops.
+constexpr double kConvergenceTol = 1e-9;
+/// Levenberg damping added to the normal equations; keeps the 2x2 solve
+/// stable when anchors are nearly collinear (as on a 3-antenna laptop).
+constexpr double kDamping = 1e-6;
+/// Gauss-Newton steps are clamped to this length [m]: near-collinear anchor
+/// geometry can otherwise launch the iterate hundreds of metres away.
+constexpr double kMaxStepM = 3.0;
+
 double residual_rms_at(std::span<const RangeMeasurement> ranges,
                        const Vec2& x) {
   double acc = 0.0;
@@ -24,14 +34,13 @@ double residual_rms_at(std::span<const RangeMeasurement> ranges,
 }  // namespace
 
 TrilaterationResult refine(std::span<const RangeMeasurement> ranges,
-                           Vec2 initial_guess,
-                           const TrilaterationOptions& opts) {
+                           Vec2 initial_guess) {
   CHRONOS_EXPECTS(ranges.size() >= 2, "refine needs at least two ranges");
 
   Vec2 x = initial_guess;
   TrilaterationResult result;
 
-  for (int it = 0; it < opts.max_iterations; ++it) {
+  for (int it = 0; it < kMaxIterations; ++it) {
     // Residuals r_i = ||x - a_i|| - d_i and Jacobian rows (x - a_i)/||x - a_i||.
     const std::size_t n = ranges.size();
     mathx::RealMatrix jt_j(2, 2);
@@ -55,21 +64,21 @@ TrilaterationResult refine(std::span<const RangeMeasurement> ranges,
       jt_r[0] += grad.x * res;
       jt_r[1] += grad.y * res;
     }
-    jt_j(0, 0) += opts.damping;
-    jt_j(1, 1) += opts.damping;
+    jt_j(0, 0) += kDamping;
+    jt_j(1, 1) += kDamping;
 
     const double det = jt_j(0, 0) * jt_j(1, 1) - jt_j(0, 1) * jt_j(1, 0);
     if (std::abs(det) < 1e-15) break;  // degenerate geometry; keep best so far
     Vec2 step{(jt_j(1, 1) * jt_r[0] - jt_j(0, 1) * jt_r[1]) / det,
               (jt_j(0, 0) * jt_r[1] - jt_j(1, 0) * jt_r[0]) / det};
     const double step_norm = step.norm();
-    if (step_norm > opts.max_step_m) {
-      step = step * (opts.max_step_m / step_norm);
+    if (step_norm > kMaxStepM) {
+      step = step * (kMaxStepM / step_norm);
     }
 
     x -= step;
     result.iterations = it + 1;
-    if (step_norm < opts.convergence_tol) {
+    if (step_norm < kConvergenceTol) {
       result.converged = true;
       break;
     }
@@ -80,8 +89,7 @@ TrilaterationResult refine(std::span<const RangeMeasurement> ranges,
   return result;
 }
 
-TrilaterationResult trilaterate(std::span<const RangeMeasurement> ranges,
-                                const TrilaterationOptions& opts) {
+TrilaterationResult trilaterate(std::span<const RangeMeasurement> ranges) {
   CHRONOS_EXPECTS(ranges.size() >= 2, "trilaterate needs at least two ranges");
 
   // Seed candidates from every pairwise circle intersection; refine each and
@@ -106,7 +114,7 @@ TrilaterationResult trilaterate(std::span<const RangeMeasurement> ranges,
   TrilaterationResult best;
   double best_rms = std::numeric_limits<double>::infinity();
   for (const Vec2& s : seeds) {
-    const TrilaterationResult r = refine(ranges, s, opts);
+    const TrilaterationResult r = refine(ranges, s);
     if (r.residual_rms < best_rms) {
       best_rms = r.residual_rms;
       best = r;
@@ -116,8 +124,7 @@ TrilaterationResult trilaterate(std::span<const RangeMeasurement> ranges,
 }
 
 std::pair<TrilaterationResult, TrilaterationResult> solve_both_sides(
-    const RangeMeasurement& a, const RangeMeasurement& b,
-    const TrilaterationOptions& opts) {
+    const RangeMeasurement& a, const RangeMeasurement& b) {
   const RangeMeasurement pair_arr[2] = {a, b};
   const std::span<const RangeMeasurement> ranges(pair_arr, 2);
 
@@ -140,7 +147,7 @@ std::pair<TrilaterationResult, TrilaterationResult> solve_both_sides(
     seed_neg = mirrored;
   }
 
-  return {refine(ranges, seed_pos, opts), refine(ranges, seed_neg, opts)};
+  return {refine(ranges, seed_pos), refine(ranges, seed_neg)};
 }
 
 }  // namespace chronos::geom

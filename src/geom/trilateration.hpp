@@ -21,17 +21,6 @@ struct RangeMeasurement {
   double range = 0.0;
 };
 
-struct TrilaterationOptions {
-  int max_iterations = 60;
-  double convergence_tol = 1e-9;  ///< step norm below which iteration stops
-  /// Levenberg damping added to the normal equations; keeps the 2x2 solve
-  /// stable when anchors are nearly collinear (as on a 3-antenna laptop).
-  double damping = 1e-6;
-  /// Gauss-Newton steps are clamped to this length: near-collinear anchor
-  /// geometry can otherwise launch the iterate hundreds of metres away.
-  double max_step_m = 3.0;
-};
-
 struct TrilaterationResult {
   Vec2 position;
   double residual_rms = 0.0;  ///< RMS of (||x-a_i|| - d_i) at the solution
@@ -43,17 +32,15 @@ struct TrilaterationResult {
 /// anchors the problem has two symmetric minima; this returns the one on the
 /// positive side of the anchor baseline (callers disambiguate per §8 via a
 /// third antenna or mobility — see `solve_both_sides`).
-TrilaterationResult trilaterate(std::span<const RangeMeasurement> ranges,
-                                const TrilaterationOptions& opts = {});
+TrilaterationResult trilaterate(std::span<const RangeMeasurement> ranges);
 
 /// Returns both mirror-image solutions for the two-anchor case.
 std::pair<TrilaterationResult, TrilaterationResult> solve_both_sides(
-    const RangeMeasurement& a, const RangeMeasurement& b,
-    const TrilaterationOptions& opts = {});
+    const RangeMeasurement& a, const RangeMeasurement& b);
 
-/// Gauss-Newton refinement from an explicit initial guess.
+/// Damped Gauss-Newton refinement from an explicit initial guess (at most
+/// 60 steps, each clamped to 3 m; stops once a step is below 1e-9 m).
 TrilaterationResult refine(std::span<const RangeMeasurement> ranges,
-                           Vec2 initial_guess,
-                           const TrilaterationOptions& opts = {});
+                           Vec2 initial_guess);
 
 }  // namespace chronos::geom

@@ -27,6 +27,10 @@ RangingReply reply_of(const core::RangingResult& result) {
 
 namespace {
 
+/// Resubmissions allowed per request after kQueueFull replies before the
+/// rejection is surfaced as the final reply.
+constexpr int kMaxQueueFullRetries = 1 << 20;
+
 RangingReply reply_from_frame(const ResponseFrame& resp, int wire_retries) {
   RangingReply reply;
   reply.status = chronos::Status(resp.code, resp.message);
@@ -43,9 +47,8 @@ RangingReply reply_from_frame(const ResponseFrame& resp, int wire_retries) {
 
 }  // namespace
 
-ChronosClient::ChronosClient(std::shared_ptr<Stream> stream,
-                             const ClientOptions& options)
-    : stream_(std::move(stream)), options_(options) {
+ChronosClient::ChronosClient(std::shared_ptr<Stream> stream)
+    : stream_(std::move(stream)) {
   CHRONOS_EXPECTS(stream_ != nullptr, "ChronosClient requires a stream");
 }
 
@@ -114,7 +117,7 @@ void ChronosClient::handle_response(const ResponseFrame& resp) {
   if (it == pending_.end()) return;  // stale/unknown id: ignore
 
   if (resp.code == chronos::StatusCode::kQueueFull &&
-      it->retries < options_.queue_full_retries) {
+      it->retries < kMaxQueueFullRetries) {
     // Flow control, not failure: resubmit under the SAME request id after
     // a short pause (the daemon needs wall-clock time to free a slot; the
     // pause never feeds a result, only the resubmission's arrival time).

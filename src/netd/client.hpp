@@ -4,9 +4,9 @@
 // handshake), submit() any number of requests, drain() to collect every
 // reply in submission order, close() to say goodbye. The client handles
 // the daemon's backpressure transparently: a kQueueFull response triggers
-// an automatic resubmission (bounded by ClientOptions::queue_full_retries)
-// with a short backoff, so callers see only final replies — plus a
-// wire_retries count per reply for observability.
+// an automatic resubmission (up to 2^20 per request: queue-full is flow
+// control, not failure) with a short backoff, so callers see only final
+// replies — plus a wire_retries count per reply for observability.
 //
 // Thread model: a ChronosClient is single-threaded (one per connection);
 // run many clients on many threads against one daemon.
@@ -22,13 +22,6 @@
 #include "netd/wire.hpp"
 
 namespace chronos::netd {
-
-struct ClientOptions {
-  /// Resubmissions allowed per request after kQueueFull replies before
-  /// the rejection is surfaced as the final reply. Generous by default:
-  /// queue-full is flow control, not failure.
-  int queue_full_retries = 1 << 20;
-};
 
 /// One final reply as the client surfaces it: the wire response summary
 /// plus how many kQueueFull round-trips preceded admission.
@@ -52,8 +45,7 @@ RangingReply reply_of(const core::RangingResult& result);
 
 class ChronosClient {
  public:
-  explicit ChronosClient(std::shared_ptr<Stream> stream,
-                         const ClientOptions& options = {});
+  explicit ChronosClient(std::shared_ptr<Stream> stream);
 
   /// Hello/ack handshake. kVersionMismatch when the daemon speaks another
   /// protocol version; kUnavailable when the connection drops first.
@@ -96,7 +88,6 @@ class ChronosClient {
   void fail_all_pending(const chronos::Status& status);
 
   std::shared_ptr<Stream> stream_;
-  ClientOptions options_;
   FrameParser parser_;
   std::vector<PendingRequest> pending_;  ///< index == submission order
   std::uint64_t next_request_id_ = 1;

@@ -20,6 +20,9 @@ ChronosDaemon::ChronosDaemon(std::shared_ptr<const core::SweepSource> source,
       calibration_(std::make_shared<const core::CalibrationTable>(
           std::move(calibration))) {
   CHRONOS_EXPECTS(source_ != nullptr, "ChronosDaemon requires a SweepSource");
+  CHRONOS_EXPECTS(calibration_->empty() || calibration_->correction.size() ==
+                                               source_->bands().size(),
+                  "ChronosDaemon calibration table must match the band plan");
   CHRONOS_EXPECTS(options.shards >= 1, "ChronosDaemon requires >= 1 shard");
   CHRONOS_EXPECTS(options.shard_queue_depth >= 1,
                   "ChronosDaemon requires shard_queue_depth >= 1");
@@ -47,8 +50,7 @@ ChronosDaemon::ChronosDaemon(std::shared_ptr<const core::SweepSource> source,
     rng = start;
     shard.session = core::open_session(
         std::make_shared<core::WorkerPool>(options.shard_threads), source_,
-        shard.pipeline, calibration_, rng, options.shard_queue_depth,
-        options.retry);
+        shard.pipeline, calibration_, rng, options.shard_queue_depth);
     shards_.push_back(std::move(shard));
   }
 }

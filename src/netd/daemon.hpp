@@ -15,8 +15,8 @@
 // advances by that one fork — exactly like every in-process ingestion
 // path. Admission order on the single demux thread assigns each admitted
 // request a dense GLOBAL ticket g, and the routed shard ranges it as one
-// job on base.split(g) (RangingSession::try_submit_resolved with stream
-// index g). Whatever the shard count, client count, or kQueueFull retry
+// job, in one attempt, on base.split(g) (RangingSession::try_submit_resolved
+// with stream index g). Whatever the shard count, client count, or kQueueFull retry
 // interleaving, the results the daemon sends are bit-identical to
 // Engine::measure_batch(admitted_requests()) on the same starting rng
 // state.
@@ -76,8 +76,6 @@ struct DaemonOptions {
   std::size_t shard_queue_depth = 64;
   /// Worker threads per shard (>= 1).
   std::size_t shard_threads = 1;
-  /// Per-request retry budget, same semantics as BatchOptions::retry.
-  chronos::RetryPolicy retry{};
   /// When false (default), every shard pipeline replaces the caller's
   /// RangingConfig::integrity with IntegrityConfig::hostile().
   bool trusted_clients = false;
@@ -98,7 +96,8 @@ class ChronosDaemon {
   /// `source` is the backend (directory + sweeps); `config` the ranging
   /// configuration every shard pipeline is built from (with hostile
   /// integrity unless trusted_clients); `calibration` is shared by all
-  /// shards. Forks `rng` exactly once.
+  /// shards and must be empty or hold one correction per band of
+  /// source->bands(). Forks `rng` exactly once.
   ChronosDaemon(std::shared_ptr<const core::SweepSource> source,
                 const core::RangingConfig& config,
                 core::CalibrationTable calibration, mathx::Rng& rng,

@@ -280,6 +280,44 @@ TEST(ApiErrorModel, EstimateDistinguishesBandMismatchFromDamage) {
   EXPECT_TRUE(eng.estimate(native).ok());
 }
 
+TEST(ApiErrorModel, WrongSizeCalibrationTableIsRejectedAndTheOldOneKept) {
+  // A recorded table enters at set_calibration(). One sized for another
+  // band plan is kBandMismatch there, and the engine keeps ranging on its
+  // previous table: bit for bit what an engine that never saw it returns.
+  auto make_engine = [] {
+    auto src =
+        std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
+    src->add_node(chronos::NodeId{1}, sim::make_mobile({2.0, 2.0}, 5));
+    src->add_node(chronos::NodeId{2}, sim::make_mobile({9.0, 6.0}, 6));
+    Engine eng = Engine::adopt(src);
+    mathx::Rng cal_rng(5);
+    EXPECT_TRUE(
+        eng.calibrate(chronos::NodeId{1}, chronos::NodeId{2}, cal_rng).ok());
+    return eng;
+  };
+  Engine clean = make_engine();
+  Engine hit = make_engine();
+
+  CalibrationTable wrong = hit.calibration();
+  wrong.correction.resize(3);
+  EXPECT_EQ(hit.set_calibration(wrong).code(),
+            chronos::StatusCode::kBandMismatch);
+  EXPECT_EQ(hit.calibration().correction, clean.calibration().correction);
+
+  const chronos::RangingRequest link{{{1}, 0}, {{2}, 0}};
+  mathx::Rng rng_hit(31);
+  mathx::Rng rng_clean(31);
+  const auto got = hit.measure(link, rng_hit);
+  const auto want = clean.measure(link, rng_clean);
+  ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(want.ok());
+  expect_bitwise_equal(got.value(), want.value());
+
+  // An empty table is still accepted: it uninstalls the calibration.
+  EXPECT_TRUE(hit.set_calibration(CalibrationTable{}).ok());
+  EXPECT_TRUE(hit.calibration().empty());
+}
+
 TEST(ApiErrorModel, BatchKeepsFailedRequestsIndexAligned) {
   // One bad request in a batch: its slot carries the status, every other
   // slot is bit-identical to the same batch with a valid request in that

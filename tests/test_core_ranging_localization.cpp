@@ -257,9 +257,9 @@ TEST(Localization, TwoAnchorsUseHintForMirrorDisambiguation) {
   const geom::Vec2 truth{0.5, 3.0};
   std::vector<double> d;
   for (const auto& a : anchors) d.push_back(geom::distance(a, truth));
-  const auto with_hint = localize(anchors, d, {}, geom::Vec2{0.4, 2.0});
+  const auto with_hint = localize(anchors, d, geom::Vec2{0.4, 2.0});
   EXPECT_LT(geom::distance(with_hint.position, truth), 1e-5);
-  const auto wrong_hint = localize(anchors, d, {}, geom::Vec2{0.4, -2.0});
+  const auto wrong_hint = localize(anchors, d, geom::Vec2{0.4, -2.0});
   EXPECT_LT(geom::distance(wrong_hint.position, geom::Vec2{0.5, -3.0}), 1e-5);
 }
 

@@ -254,7 +254,7 @@ TEST(Engine, SetCalibrationInstallsRecordedTable) {
   auto trace = std::make_shared<TraceSweepSource>();
   ASSERT_TRUE(trace->try_add_sweep(TraceKey::of(link), sweep).ok());
   Engine trace_engine = Engine::adopt(trace);
-  trace_engine.set_calibration(sim_engine.calibration());
+  ASSERT_TRUE(trace_engine.set_calibration(sim_engine.calibration()).ok());
 
   mathx::Rng replay_rng(1);
   const auto replayed = trace_engine.measure(link, replay_rng).value();

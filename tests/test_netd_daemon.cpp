@@ -14,6 +14,7 @@
 
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -300,6 +301,18 @@ TEST(ChronosDaemon, MalformedFramePoisonsOnlyThatConnection) {
   EXPECT_TRUE(replies[0].status.ok());
   EXPECT_TRUE(replies[1].status.ok());
   EXPECT_TRUE(attacker_end->closed());
+}
+
+TEST(ChronosDaemon, RejectsCalibrationTableOfAnotherBandPlan) {
+  // A table sized for another band plan would fail every request inside
+  // combining; the constructor refuses it like its other preconditions.
+  Fixture f = make_fixture(1, /*hostile=*/false);
+  core::CalibrationTable wrong = f.engine.calibration();
+  wrong.correction.resize(3);
+  mathx::Rng rng(1);
+  EXPECT_THROW(
+      { ChronosDaemon daemon(f.source, core::RangingConfig{}, wrong, rng); },
+      std::invalid_argument);
 }
 
 TEST(ChronosDaemon, ResolutionFailuresConsumeTicketsLikeABatch) {
