@@ -2,13 +2,14 @@
 
 #include "mathx/contracts.hpp"
 #include "mathx/cvec.hpp"
+#include "mathx/matrix.hpp"
 
 namespace chronos::baseline {
 
 namespace {
 
-/// Solves the small Hermitian system (F F^H + reg I) x = h by Gaussian
-/// elimination (n = number of bands, tiny).
+/// Solves the small Hermitian system (F F^H + reg I) x = h (n = number of
+/// bands, tiny).
 std::vector<std::complex<double>> solve_gram(
     const mathx::ComplexMatrix& f, std::span<const std::complex<double>> h,
     double regularization) {
@@ -24,36 +25,7 @@ std::vector<std::complex<double>> solve_gram(
     }
     gram(i, i) += regularization;
   }
-
-  std::vector<std::complex<double>> rhs(h.begin(), h.end());
-  // In-place Gaussian elimination with partial pivoting.
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t pivot = k;
-    double best = std::abs(gram(k, k));
-    for (std::size_t i = k + 1; i < n; ++i) {
-      if (std::abs(gram(i, k)) > best) {
-        best = std::abs(gram(i, k));
-        pivot = i;
-      }
-    }
-    CHRONOS_EXPECTS(best > 1e-14, "singular Gram matrix");
-    if (pivot != k) {
-      for (std::size_t j = 0; j < n; ++j) std::swap(gram(k, j), gram(pivot, j));
-      std::swap(rhs[k], rhs[pivot]);
-    }
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const std::complex<double> factor = gram(i, k) / gram(k, k);
-      for (std::size_t j = k; j < n; ++j) gram(i, j) -= factor * gram(k, j);
-      rhs[i] -= factor * rhs[k];
-    }
-  }
-  std::vector<std::complex<double>> x(n);
-  for (std::size_t k = n; k-- > 0;) {
-    std::complex<double> acc = rhs[k];
-    for (std::size_t j = k + 1; j < n; ++j) acc -= gram(k, j) * x[j];
-    x[k] = acc / gram(k, k);
-  }
-  return x;
+  return mathx::solve_linear(std::move(gram), {h.begin(), h.end()});
 }
 
 }  // namespace

@@ -416,7 +416,7 @@ class Engine {
       const RangingRequest& request, mathx::Rng& rng) const;
 
   /// Runs the estimation pipeline on an externally produced sweep (e.g.
-  /// one loaded with phy::load_sweep), using this engine's calibration
+  /// one loaded with phy::try_load_sweep), using this engine's calibration
   /// (kMalformedSweep / kBandMismatch when the sweep does not fit the
   /// pipeline's band plan).
   [[nodiscard]] Result<core::RangingResult> estimate(

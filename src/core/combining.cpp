@@ -87,11 +87,9 @@ std::vector<CombinedBand> combine_sweep(const phy::SweepMeasurement& sweep,
 
     if (!calibration.empty()) cb.value *= calibration.correction[bi];
     const double mag = std::abs(cb.value);
-    if (config.normalization == Normalization::kUnitModulus) {
-      if (mag > 0.0) cb.value /= mag;
-    } else if (config.normalization == Normalization::kBandAgc &&
-               mag > config.magnitude_cap) {
-      cb.value *= config.magnitude_cap / mag;
+    if (config.normalization == Normalization::kBandAgc &&
+        mag > kBandAgcMagnitudeCap) {
+      cb.value *= kBandAgcMagnitudeCap / mag;
     }
     out.push_back(cb);
   }

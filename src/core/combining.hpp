@@ -42,10 +42,6 @@ enum class Normalization {
   /// Keep raw magnitudes. Physically honest in simulation, but real CSI
   /// magnitudes are not comparable across bands (AGC, chain gains).
   kNone,
-  /// Force unit magnitude (phase-only stitching). Simple, but gives a
-  /// deeply-faded band's pure-noise phase the same authority as a strong
-  /// band's — falls apart at long range.
-  kUnitModulus,
   /// Divide each direction's zero-subcarrier value by its band's RMS
   /// subcarrier magnitude — what AGC-scaled CSI actually provides. A faded
   /// center subcarrier then carries naturally little weight while strong
@@ -61,10 +57,12 @@ struct CombiningConfig {
   /// Apply the h^4-per-direction quadrant fix on 2.4 GHz bands.
   bool quirk_fix = true;
   Normalization normalization = Normalization::kBandAgc;
-  /// Magnitude cap after normalisation: the quadrant fix raises 2.4 GHz
-  /// values to the 8th power, which would let a constructive band explode.
-  double magnitude_cap = 2.0;
 };
+
+/// Magnitude cap on each combined band under kBandAgc: the quadrant fix
+/// raises 2.4 GHz values to the 8th power, which would let a constructive
+/// band explode.
+inline constexpr double kBandAgcMagnitudeCap = 2.0;
 
 /// Per-band unit-modulus phase corrections that absorb the reciprocity
 /// constant kappa and hardware group delays (§7 observation 2). Built once

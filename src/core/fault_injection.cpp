@@ -18,6 +18,20 @@ namespace {
 /// provenance note there); this is the file-local alias.
 constexpr std::uint64_t kStaleStreamTag = chronos::kStaleStreamTag;
 
+/// kReplayed: how far into the past the replayed capture's timestamps are
+/// shifted. Far beyond any honest sweep duration.
+constexpr double kReplayAgeS = 300.0;
+
+/// kSpoofedDelay: extra one-way delay folded into every forward capture's
+/// subcarrier phases (an attacker inflating the apparent range). 80 ns is
+/// about 12 m of spoofed one-way distance.
+constexpr double kSpoofDelayS = 80e-9;
+
+/// kSnrCollapse: SNR tag written on every capture, and the noise amplitude
+/// injected relative to each capture's RMS magnitude.
+constexpr double kSnrCollapseDb = -5.0;
+constexpr double kCollapseNoiseScale = 6.0;
+
 /// RMS magnitude of one capture's subcarrier values (noise scale anchor).
 double rms_magnitude(const std::vector<std::complex<double>>& values) {
   double acc = 0.0;
@@ -26,21 +40,20 @@ double rms_magnitude(const std::vector<std::complex<double>>& values) {
                         : std::sqrt(acc / static_cast<double>(values.size()));
 }
 
-void collapse_measurement(phy::CsiMeasurement& m, const FaultProfile& profile,
-                          mathx::Rng& fault_stream) {
-  const double noise_std = profile.collapse_noise_scale * rms_magnitude(m.values);
+void collapse_measurement(phy::CsiMeasurement& m, mathx::Rng& fault_stream) {
+  const double noise_std = kCollapseNoiseScale * rms_magnitude(m.values);
   for (auto& v : m.values) {
     v += fault_stream.complex_gaussian(noise_std);
   }
-  m.snr_db = profile.snr_collapse_db;
+  m.snr_db = kSnrCollapseDb;
 }
 
-void spoof_measurement(phy::CsiMeasurement& m, double delay_s) {
+void spoof_measurement(phy::CsiMeasurement& m) {
   // An extra propagation delay multiplies the channel by e^{-j 2π f Δ} at
   // each absolute subcarrier frequency — exactly what a repeater /
   // range-inflation attack imprints on the initiator's packet.
   for (std::size_t k = 0; k < m.values.size(); ++k) {
-    const double phase = -2.0 * mathx::kPi * m.frequency_at(k) * delay_s;
+    const double phase = -2.0 * mathx::kPi * m.frequency_at(k) * kSpoofDelayS;
     m.values[k] *= std::polar(1.0, phase);
   }
 }
@@ -121,8 +134,8 @@ phy::SweepMeasurement apply_fault(FaultKind kind, phy::SweepMeasurement sweep,
       // imprinted on every timestamp.
       for (auto& captures : sweep.bands) {
         for (auto& cap : captures) {
-          cap.forward.timestamp_s -= profile.replay_age_s;
-          cap.reverse.timestamp_s -= profile.replay_age_s;
+          cap.forward.timestamp_s -= kReplayAgeS;
+          cap.reverse.timestamp_s -= kReplayAgeS;
         }
       }
       return sweep;
@@ -134,7 +147,7 @@ phy::SweepMeasurement apply_fault(FaultKind kind, phy::SweepMeasurement sweep,
       // is exactly what the consistency check exploits.
       for (auto& captures : sweep.bands) {
         for (auto& cap : captures) {
-          spoof_measurement(cap.forward, profile.spoof_delay_s);
+          spoof_measurement(cap.forward);
         }
       }
       return sweep;
@@ -164,8 +177,8 @@ phy::SweepMeasurement apply_fault(FaultKind kind, phy::SweepMeasurement sweep,
     case FaultKind::kSnrCollapse: {
       for (auto& captures : sweep.bands) {
         for (auto& cap : captures) {
-          collapse_measurement(cap.forward, profile, fault_stream);
-          collapse_measurement(cap.reverse, profile, fault_stream);
+          collapse_measurement(cap.forward, fault_stream);
+          collapse_measurement(cap.reverse, fault_stream);
         }
       }
       return sweep;

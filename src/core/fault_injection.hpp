@@ -51,9 +51,13 @@ enum class FaultKind {
 /// bench tables.
 const char* to_string(FaultKind kind);
 
-/// Per-request fault probabilities plus the shape of each fault. The
-/// probabilities must each be >= 0 and sum to <= 1; the remainder is the
-/// clean-path probability.
+/// Per-request fault probabilities plus the shape of the two faults a
+/// bench varies. The probabilities must each be >= 0 and sum to <= 1; the
+/// remainder is the clean-path probability. The other fault shapes are
+/// fixed (core/fault_injection.cpp): a replay ages every timestamp by
+/// 300 s, a spoof adds 80 ns (about 12 m) of forward-path delay, and an SNR
+/// collapse adds complex noise at 6x each capture's RMS magnitude and tags
+/// every capture -5 dB.
 struct FaultProfile {
   double p_outage = 0.0;
   double p_truncate = 0.0;
@@ -66,20 +70,9 @@ struct FaultProfile {
   /// always survives — an empty sweep is a parser concern, not a ranging
   /// one).
   double truncate_fraction = 0.4;
-  /// kReplayed: how far into the past the replayed capture's timestamps
-  /// are shifted. Far beyond any honest sweep duration.
-  double replay_age_s = 300.0;
-  /// kSpoofedDelay: extra one-way delay folded into every forward
-  /// capture's subcarrier phases (an attacker inflating the apparent
-  /// range). 80 ns ≈ 12 m of spoofed one-way distance.
-  double spoof_delay_s = 80e-9;
   /// kBandLiar: number of bands whose identity is overwritten with
   /// another band of the same sweep.
   std::size_t band_lies = 3;
-  /// kSnrCollapse: SNR tag written on every capture, and the noise
-  /// amplitude injected relative to each capture's RMS magnitude.
-  double snr_collapse_db = -5.0;
-  double collapse_noise_scale = 6.0;
 
   /// Sum of the six fault probabilities (the per-request fault rate).
   double total_probability() const;

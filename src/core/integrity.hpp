@@ -16,10 +16,10 @@
 //     consistency, timestamp freshness, forward/reverse ToA-slope
 //     symmetry, and an SNR floor. Pure sweep inspection — cheap enough
 //     to run on every request.
-//   * post-solve checks (inside RangingPipeline::finish): solver residual
-//     energy, peakless rejection, and ToA-vs-ToF consistency against the
-//     calibrated detection delay. These need the sparse solution and the
-//     calibration table, so they live in the pipeline tail.
+//   * post-estimate checks (inside RangingPipeline::finish): peakless
+//     rejection and ToA-vs-ToF consistency against the calibrated
+//     detection delay. These need the peak decision and the calibration
+//     table, so they live in the pipeline tail.
 //
 // The default is compatibility-first: only the structural screen runs (it
 // cannot trip on a sweep that matches the pipeline's plan — the six
@@ -62,13 +62,7 @@ inline constexpr double kMaxSlopeAsymmetryS = 40e-9;
 /// far above 5 dB on average across bands).
 inline constexpr double kMinMeanSnrDb = 5.0;
 
-/// Residual energy (post-solve): the sparse model must explain the
-/// measurement — reject when ||h - F p|| / ||h|| exceeds the ratio. A sweep
-/// whose bands disagree about the channel (undetected corruption, heavy
-/// interference) leaves most of its energy in the residual.
-inline constexpr double kMaxResidualRatio = 0.9;
-
-/// ToA-vs-ToF consistency (post-solve, needs a calibrated toa_bias): the
+/// ToA-vs-ToF consistency (post-estimate, needs a calibrated toa_bias): the
 /// chosen direct path implies a detection delay (toa - tof) that must
 /// agree with the calibrated expectation within this tolerance. A spoofed
 /// delay offset shifts ToA and ToF by different amounts and breaks the
@@ -85,10 +79,10 @@ struct IntegrityConfig {
   /// kIntegrityViolation for identity lies).
   ///
   /// true: additionally, in this order, freshness, direction symmetry and
-  /// the SNR floor before the solve, then the residual energy, peakless
-  /// rejection (a sweep whose profile yields no acceptable direct-path
-  /// peak — under the ToA gate the signature of a spoofed delay pushing
-  /// the peak out of the gate) and ToA-vs-ToF consistency after it.
+  /// the SNR floor before the solve, then peakless rejection (a sweep whose
+  /// profile yields no acceptable direct-path peak — under the ToA gate the
+  /// signature of a spoofed delay pushing the peak out of the gate, and of
+  /// CSI that is noise) and ToA-vs-ToF consistency after it.
   bool all_checks = false;
 
   /// Every check armed: what the adversarial bench, its CI gate, chronosd's

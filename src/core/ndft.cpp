@@ -335,47 +335,6 @@ std::vector<SparseSolveResult> NdftSolver::solve_fista_batch(
   return out;
 }
 
-namespace {
-
-/// Solves the small dense complex system A x = b (Gaussian elimination with
-/// partial pivoting); used for OMP's least-squares on the active set.
-std::vector<std::complex<double>> solve_complex_linear(
-    mathx::ComplexMatrix a, std::vector<std::complex<double>> b) {
-  const std::size_t n = a.rows();
-  CHRONOS_EXPECTS(a.cols() == n && b.size() == n,
-                  "complex solve needs square system");
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t pivot = k;
-    double best = std::abs(a(k, k));
-    for (std::size_t i = k + 1; i < n; ++i) {
-      if (std::abs(a(i, k)) > best) {
-        best = std::abs(a(i, k));
-        pivot = i;
-      }
-    }
-    CHRONOS_EXPECTS(best > 1e-14, "singular system in OMP least squares");
-    if (pivot != k) {
-      for (std::size_t j = 0; j < n; ++j) std::swap(a(k, j), a(pivot, j));
-      std::swap(b[k], b[pivot]);
-    }
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const std::complex<double> factor = a(i, k) / a(k, k);
-      if (factor == std::complex<double>{}) continue;
-      for (std::size_t j = k; j < n; ++j) a(i, j) -= factor * a(k, j);
-      b[i] -= factor * b[k];
-    }
-  }
-  std::vector<std::complex<double>> x(n);
-  for (std::size_t k = n; k-- > 0;) {
-    std::complex<double> acc = b[k];
-    for (std::size_t j = k + 1; j < n; ++j) acc -= a(k, j) * x[j];
-    x[k] = acc / a(k, k);
-  }
-  return x;
-}
-
-}  // namespace
-
 SparseSolveResult NdftSolver::solve_omp(
     std::span<const std::complex<double>> h, std::size_t max_paths) const {
   const NdftPlan& plan = *plan_;
@@ -451,7 +410,7 @@ SparseSolveResult NdftSolver::solve_omp(
       }
       rhs[a_i] = rhs_full[a_i];
     }
-    amplitudes = solve_complex_linear(std::move(gram), std::move(rhs));
+    amplitudes = mathx::solve_linear(std::move(gram), std::move(rhs));
 
     // Update residual r = h - Fs a.
     residual.assign(h.begin(), h.end());

@@ -313,24 +313,11 @@ RangingResult RangingPipeline::finish(const PreparedSweep& prep,
     out.detection_delay_s = out.toa_s - out.tof_s;
   }
 
-  // ---- Detection gate, tier 2: post-solve sanity ----------------------
-  // These need the sparse solution (residual), the peak decision, and the
-  // calibration table, so they cannot live in the pre-solve screen. The
-  // diagnostics (profile, candidates) are kept on a rejection so callers
-  // can audit what the gate saw.
+  // ---- Detection gate, tier 2: post-estimate sanity -------------------
+  // These need the peak decision and the calibration table, so they cannot
+  // live in the pre-solve screen. The diagnostics (profile, candidates) are
+  // kept on a rejection so callers can audit what the gate saw.
   if (!config_.integrity.all_checks) return out;
-  double h_energy = 0.0;
-  for (const auto& v : h) h_energy += std::norm(v);
-  const double h_norm = std::sqrt(h_energy);
-  if (h_norm > 0.0 && solution.residual_norm > kMaxResidualRatio * h_norm) {
-    out.status = {chronos::StatusCode::kIntegrityViolation,
-                  "sparse model explains too little of the sweep "
-                  "(residual ratio " +
-                      std::to_string(solution.residual_norm / h_norm) +
-                      " > " + std::to_string(kMaxResidualRatio) +
-                      "): bands disagree about the channel"};
-    return out;
-  }
   if (!out.peak_found) {
     out.status = {chronos::StatusCode::kIntegrityViolation,
                   "no acceptable direct-path peak: the delay profile and "

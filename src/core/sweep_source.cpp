@@ -173,13 +173,9 @@ chronos::Status TraceSweepSource::try_add_sweep(const TraceKey& key,
 
 chronos::Status TraceSweepSource::try_add_sweep_file(const TraceKey& key,
                                                      const std::string& path) {
-  phy::SweepMeasurement sweep;
-  try {
-    sweep = phy::load_sweep(path);
-  } catch (const std::invalid_argument& e) {
-    return {chronos::StatusCode::kMalformedSweep, e.what()};
-  }
-  return try_add_sweep(key, std::move(sweep));
+  auto sweep = phy::try_load_sweep(path);
+  if (!sweep.ok()) return sweep.status();
+  return try_add_sweep(key, std::move(sweep).value());
 }
 
 bool TraceSweepSource::has_node(chronos::NodeId id) const {

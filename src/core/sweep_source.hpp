@@ -218,7 +218,6 @@ class TraceSweepSource final : public SweepSource {
   /// Recorded links / total recorded sweeps (diagnostics).
   std::size_t key_count() const { return sweeps_.size(); }
   std::size_t sweep_count() const;
-  bool has_key(const TraceKey& key) const { return sweeps_.contains(key); }
 
  private:
   std::map<TraceKey, std::vector<phy::SweepMeasurement>> sweeps_;

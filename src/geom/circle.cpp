@@ -55,8 +55,4 @@ CircleIntersection intersect(const Circle& a, const Circle& b, double tol) {
   return out;
 }
 
-double boundary_distance(const Circle& c, const Vec2& p) {
-  return distance(c.center, p) - c.radius;
-}
-
 }  // namespace chronos::geom

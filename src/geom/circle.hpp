@@ -35,7 +35,4 @@ struct CircleIntersection {
 CircleIntersection intersect(const Circle& a, const Circle& b,
                              double tol = 1e-9);
 
-/// Signed distance from a point to a circle's boundary (negative inside).
-double boundary_distance(const Circle& c, const Vec2& p);
-
 }  // namespace chronos::geom

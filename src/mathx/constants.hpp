@@ -14,15 +14,6 @@ inline constexpr double kPi = 3.14159265358979323846;
 /// 2*pi, the phase accumulated over one full cycle.
 inline constexpr double kTwoPi = 2.0 * kPi;
 
-/// Nanoseconds per second; used when formatting times for reports.
-inline constexpr double kNsPerS = 1e9;
-
-/// Convert seconds to nanoseconds.
-constexpr double to_ns(double seconds) { return seconds * kNsPerS; }
-
-/// Convert nanoseconds to seconds.
-constexpr double from_ns(double ns) { return ns / kNsPerS; }
-
 /// Convert a one-way propagation time [s] to distance [m].
 constexpr double tof_to_distance(double tof_s) { return tof_s * kSpeedOfLight; }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "mathx/contracts.hpp"
-
 namespace chronos::mathx {
 
 std::vector<double> angles(std::span<const cplx> v) {
@@ -28,45 +26,5 @@ double norm2_sq(std::span<const cplx> v) {
 }
 
 double norm2(std::span<const cplx> v) { return std::sqrt(norm2_sq(v)); }
-
-cplx inner(std::span<const cplx> a, std::span<const cplx> b) {
-  CHRONOS_EXPECTS(a.size() == b.size(), "inner product size mismatch");
-  cplx acc{0.0, 0.0};
-  for (std::size_t i = 0; i < a.size(); ++i) acc += std::conj(a[i]) * b[i];
-  return acc;
-}
-
-cvec hadamard(std::span<const cplx> a, std::span<const cplx> b) {
-  CHRONOS_EXPECTS(a.size() == b.size(), "hadamard size mismatch");
-  cvec out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] * b[i];
-  return out;
-}
-
-cvec elementwise_pow(std::span<const cplx> v, int n) {
-  CHRONOS_EXPECTS(n >= 1, "exponent must be positive");
-  cvec out(v.size(), cplx{1.0, 0.0});
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    cplx acc{1.0, 0.0};
-    for (int k = 0; k < n; ++k) acc *= v[i];
-    out[i] = acc;
-  }
-  return out;
-}
-
-cvec from_phases(std::span<const double> theta) {
-  cvec out(theta.size());
-  std::transform(theta.begin(), theta.end(), out.begin(),
-                 [](double t) { return std::polar(1.0, t); });
-  return out;
-}
-
-double max_abs_diff(std::span<const cplx> a, std::span<const cplx> b) {
-  CHRONOS_EXPECTS(a.size() == b.size(), "max_abs_diff size mismatch");
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    m = std::max(m, std::abs(a[i] - b[i]));
-  return m;
-}
 
 }  // namespace chronos::mathx

@@ -23,20 +23,4 @@ double norm2_sq(std::span<const cplx> v);
 /// L2 norm.
 double norm2(std::span<const cplx> v);
 
-/// Inner product <a, b> = sum conj(a_i) * b_i. Sizes must match.
-cplx inner(std::span<const cplx> a, std::span<const cplx> b);
-
-/// Element-wise product a_i * b_i. Sizes must match.
-cvec hadamard(std::span<const cplx> a, std::span<const cplx> b);
-
-/// Element-wise power v_i^n for small positive integer n (used for the
-/// Intel 5300 2.4 GHz quirk where h^4 replaces h^2).
-cvec elementwise_pow(std::span<const cplx> v, int n);
-
-/// exp(j * theta) for each phase in theta.
-cvec from_phases(std::span<const double> theta);
-
-/// Maximum absolute difference between two vectors (for convergence tests).
-double max_abs_diff(std::span<const cplx> a, std::span<const cplx> b);
-
 }  // namespace chronos::mathx

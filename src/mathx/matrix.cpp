@@ -8,96 +8,37 @@
 
 namespace chronos::mathx {
 
-std::vector<double> solve_least_squares(const RealMatrix& a,
-                                        std::span<const double> b) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  CHRONOS_EXPECTS(m >= n && n > 0, "least squares needs rows >= cols > 0");
-  CHRONOS_EXPECTS(b.size() == m, "rhs size mismatch");
-
-  // Householder QR: reduce [A | b] in place, then back-substitute.
-  RealMatrix r = a;
-  std::vector<double> rhs(b.begin(), b.end());
-
-  for (std::size_t k = 0; k < n; ++k) {
-    // Build the Householder reflector for column k.
-    double norm_x = 0.0;
-    for (std::size_t i = k; i < m; ++i) norm_x += r(i, k) * r(i, k);
-    norm_x = std::sqrt(norm_x);
-    if (norm_x == 0.0) {
-      CHRONOS_EXPECTS(false, "rank-deficient matrix in least squares");
-    }
-    const double alpha = (r(k, k) > 0.0) ? -norm_x : norm_x;
-    std::vector<double> v(m - k, 0.0);
-    v[0] = r(k, k) - alpha;
-    for (std::size_t i = k + 1; i < m; ++i) v[i - k] = r(i, k);
-    double vnorm_sq = 0.0;
-    for (double vi : v) vnorm_sq += vi * vi;
-    if (vnorm_sq == 0.0) continue;  // column already reduced
-
-    // Apply H = I - 2 v v^T / (v^T v) to the remaining columns and rhs.
-    for (std::size_t j = k; j < n; ++j) {
-      double dot = 0.0;
-      for (std::size_t i = k; i < m; ++i) dot += v[i - k] * r(i, j);
-      const double scale = 2.0 * dot / vnorm_sq;
-      for (std::size_t i = k; i < m; ++i) r(i, j) -= scale * v[i - k];
-    }
-    double dot_b = 0.0;
-    for (std::size_t i = k; i < m; ++i) dot_b += v[i - k] * rhs[i];
-    const double scale_b = 2.0 * dot_b / vnorm_sq;
-    for (std::size_t i = k; i < m; ++i) rhs[i] -= scale_b * v[i - k];
-  }
-
-  // Back substitution on the upper-triangular n x n block.
-  std::vector<double> x(n, 0.0);
-  for (std::size_t k = n; k-- > 0;) {
-    double acc = rhs[k];
-    for (std::size_t j = k + 1; j < n; ++j) acc -= r(k, j) * x[j];
-    CHRONOS_EXPECTS(std::abs(r(k, k)) > 1e-12,
-                    "singular triangular factor in least squares");
-    x[k] = acc / r(k, k);
-  }
-  return x;
-}
-
-std::vector<double> solve_linear(const RealMatrix& a,
-                                 std::span<const double> b) {
+std::vector<std::complex<double>> solve_linear(
+    ComplexMatrix a, std::vector<std::complex<double>> b) {
   const std::size_t n = a.rows();
-  CHRONOS_EXPECTS(n > 0 && a.cols() == n, "solve_linear needs a square matrix");
-  CHRONOS_EXPECTS(b.size() == n, "rhs size mismatch");
-
-  RealMatrix work = a;
-  std::vector<double> rhs(b.begin(), b.end());
-
+  CHRONOS_EXPECTS(a.cols() == n && b.size() == n,
+                  "solve_linear needs a square system");
   for (std::size_t k = 0; k < n; ++k) {
-    // Partial pivoting.
     std::size_t pivot = k;
-    double best = std::abs(work(k, k));
+    double best = std::abs(a(k, k));
     for (std::size_t i = k + 1; i < n; ++i) {
-      if (std::abs(work(i, k)) > best) {
-        best = std::abs(work(i, k));
+      if (std::abs(a(i, k)) > best) {
+        best = std::abs(a(i, k));
         pivot = i;
       }
     }
-    CHRONOS_EXPECTS(best > 1e-12, "singular matrix in solve_linear");
+    CHRONOS_EXPECTS(best > 1e-14, "singular system in solve_linear");
     if (pivot != k) {
-      for (std::size_t j = 0; j < n; ++j)
-        std::swap(work(k, j), work(pivot, j));
-      std::swap(rhs[k], rhs[pivot]);
+      for (std::size_t j = 0; j < n; ++j) std::swap(a(k, j), a(pivot, j));
+      std::swap(b[k], b[pivot]);
     }
     for (std::size_t i = k + 1; i < n; ++i) {
-      const double factor = work(i, k) / work(k, k);
-      if (factor == 0.0) continue;
-      for (std::size_t j = k; j < n; ++j) work(i, j) -= factor * work(k, j);
-      rhs[i] -= factor * rhs[k];
+      const std::complex<double> factor = a(i, k) / a(k, k);
+      if (factor == std::complex<double>{}) continue;
+      for (std::size_t j = k; j < n; ++j) a(i, j) -= factor * a(k, j);
+      b[i] -= factor * b[k];
     }
   }
-
-  std::vector<double> x(n, 0.0);
+  std::vector<std::complex<double>> x(n);
   for (std::size_t k = n; k-- > 0;) {
-    double acc = rhs[k];
-    for (std::size_t j = k + 1; j < n; ++j) acc -= work(k, j) * x[j];
-    x[k] = acc / work(k, k);
+    std::complex<double> acc = b[k];
+    for (std::size_t j = k + 1; j < n; ++j) acc -= a(k, j) * x[j];
+    x[k] = acc / a(k, k);
   }
   return x;
 }

@@ -2,9 +2,10 @@
 //
 // The library deliberately avoids external linear-algebra dependencies: the
 // only consumers are the NDFT solver (matrix-vector products with the Fourier
-// matrix), trilateration (small Gauss-Newton systems), and the MUSIC baseline
-// (Hermitian eigendecomposition). Row-major storage, bounds-checked in debug
-// via contracts at the public API.
+// matrix, its spectral norm, and OMP's least-squares refit), the
+// pseudo-inverse baseline (its Gram system), and trilateration (the 2x2
+// Gauss-Newton normal matrix). Row-major storage, bounds-checked in debug via
+// contracts at the public API.
 #pragma once
 
 #include <complex>
@@ -86,39 +87,7 @@ class Matrix {
     return y;
   }
 
-  /// C = A * B.
-  Matrix multiply(const Matrix& b) const {
-    CHRONOS_EXPECTS(cols_ == b.rows_, "matmul dimension mismatch");
-    Matrix c(rows_, b.cols_);
-    for (std::size_t i = 0; i < rows_; ++i) {
-      for (std::size_t k = 0; k < cols_; ++k) {
-        const T aik = (*this)(i, k);
-        if (aik == T{}) continue;
-        for (std::size_t j = 0; j < b.cols_; ++j) c(i, j) += aik * b(k, j);
-      }
-    }
-    return c;
-  }
-
-  /// Conjugate transpose (plain transpose for real T).
-  Matrix adjoint() const {
-    Matrix t(cols_, rows_);
-    for (std::size_t r = 0; r < rows_; ++r)
-      for (std::size_t c = 0; c < cols_; ++c) t(c, r) = conj_of((*this)(r, c));
-    return t;
-  }
-
-  /// Frobenius norm — an easily computed upper bound on the spectral norm,
-  /// used to pick the ISTA step size gamma = 1/||F||^2 (paper Algorithm 1).
-  double frobenius_norm() const {
-    double acc = 0.0;
-    for (const T& v : data_) acc += norm_of(v);
-    return std::sqrt(acc);
-  }
-
  private:
-  static double norm_of(double v) { return v * v; }
-  static double norm_of(const std::complex<double>& v) { return std::norm(v); }
   static double conj_of(double v) { return v; }
   static std::complex<double> conj_of(const std::complex<double>& v) {
     return std::conj(v);
@@ -132,16 +101,13 @@ class Matrix {
 using RealMatrix = Matrix<double>;
 using ComplexMatrix = Matrix<std::complex<double>>;
 
-/// Solves the linear least-squares problem min ||A x - b||_2 for real A via
-/// Householder QR with column pivoting disabled (A is expected to be well
-/// conditioned: small Gauss-Newton Jacobians). Requires rows >= cols.
-std::vector<double> solve_least_squares(const RealMatrix& a,
-                                        std::span<const double> b);
-
-/// Solves a square linear system A x = b via Gaussian elimination with
-/// partial pivoting. Throws std::invalid_argument if A is singular to
-/// working precision.
-std::vector<double> solve_linear(const RealMatrix& a, std::span<const double> b);
+/// Solves a square complex system A x = b by Gaussian elimination with
+/// partial pivoting, skipping rows whose elimination factor is exactly zero.
+/// Throws std::invalid_argument when no pivot candidate exceeds 1e-14 in
+/// magnitude. OMP's least-squares refit and the pseudo-inverse baseline's
+/// Gram solve share it; both pass small n x n systems.
+std::vector<std::complex<double>> solve_linear(
+    ComplexMatrix a, std::vector<std::complex<double>> b);
 
 /// Estimates the spectral norm ||A||_2 of a complex matrix by power
 /// iteration on A^H A. `iterations` trades accuracy for time; the NDFT
@@ -151,8 +117,7 @@ double spectral_norm(const ComplexMatrix& a, int iterations = 30,
 
 /// Eigendecomposition of a Hermitian matrix by the cyclic Jacobi method.
 /// Returns eigenvalues ascending; `eigenvectors` (if non-null) receives the
-/// corresponding orthonormal eigenvectors as matrix columns. Used by the
-/// MUSIC super-resolution baseline.
+/// corresponding orthonormal eigenvectors as matrix columns.
 std::vector<double> hermitian_eigen(const ComplexMatrix& a,
                                     ComplexMatrix* eigenvectors = nullptr,
                                     int max_sweeps = 60);

@@ -45,18 +45,6 @@ double Rng::normal(double mean, double stddev) {
   return d(engine_);
 }
 
-double Rng::lognormal(double log_mean, double log_stddev) {
-  CHRONOS_EXPECTS(log_stddev >= 0.0, "lognormal: negative stddev");
-  std::lognormal_distribution<double> d(log_mean, log_stddev);
-  return d(engine_);
-}
-
-double Rng::exponential(double rate) {
-  CHRONOS_EXPECTS(rate > 0.0, "exponential: rate must be positive");
-  std::exponential_distribution<double> d(rate);
-  return d(engine_);
-}
-
 bool Rng::bernoulli(double p) {
   CHRONOS_EXPECTS(p >= 0.0 && p <= 1.0, "bernoulli: p outside [0,1]");
   std::bernoulli_distribution d(p);

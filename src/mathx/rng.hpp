@@ -46,8 +46,6 @@ class Rng {
   double uniform(double lo, double hi);
   int uniform_int(int lo, int hi);  ///< inclusive bounds
   double normal(double mean, double stddev);
-  double lognormal(double log_mean, double log_stddev);
-  double exponential(double rate);
   bool bernoulli(double p);
 
   /// Circularly-symmetric complex Gaussian with the given per-component

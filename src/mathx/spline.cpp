@@ -66,18 +66,4 @@ double CubicSpline::operator()(double x) const {
          (y_[i] / h - m_[i] * h / 6.0) * u + (y_[i + 1] / h - m_[i + 1] * h / 6.0) * t;
 }
 
-double CubicSpline::derivative(double x) const {
-  const std::size_t i = segment_of(x);
-  const double h = x_[i + 1] - x_[i];
-  const double t = x - x_[i];
-  const double u = x_[i + 1] - x;
-  return -m_[i] * u * u / (2.0 * h) + m_[i + 1] * t * t / (2.0 * h) -
-         (y_[i] / h - m_[i] * h / 6.0) + (y_[i + 1] / h - m_[i + 1] * h / 6.0);
-}
-
-double spline_interpolate(std::span<const double> x, std::span<const double> y,
-                          double query) {
-  return CubicSpline(x, y)(query);
-}
-
 }  // namespace chronos::mathx

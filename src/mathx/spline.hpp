@@ -25,12 +25,6 @@ class CubicSpline {
   /// probe slightly outside (e.g. guard subcarriers).
   double operator()(double x) const;
 
-  /// First derivative at `x` (useful for estimating detection delay: the
-  /// phase slope across subcarriers is -2*pi*delta).
-  double derivative(double x) const;
-
-  std::size_t knot_count() const { return x_.size(); }
-
  private:
   std::size_t segment_of(double x) const;
 
@@ -38,9 +32,5 @@ class CubicSpline {
   std::vector<double> y_;
   std::vector<double> m_;  // second derivatives at knots
 };
-
-/// Convenience: interpolate y(x) at a single query point.
-double spline_interpolate(std::span<const double> x, std::span<const double> y,
-                          double query);
 
 }  // namespace chronos::mathx

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "mathx/contracts.hpp"
 
@@ -45,18 +44,6 @@ double percentile(std::span<const double> v, double p) {
 }
 
 double median(std::span<const double> v) { return percentile(v, 50.0); }
-
-std::vector<CdfPoint> empirical_cdf(std::span<const double> v) {
-  CHRONOS_EXPECTS(!v.empty(), "cdf of empty sample");
-  std::vector<double> sorted(v.begin(), v.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<CdfPoint> cdf(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    cdf[i] = {sorted[i],
-              static_cast<double>(i + 1) / static_cast<double>(sorted.size())};
-  }
-  return cdf;
-}
 
 std::vector<CdfPoint> cdf_series(std::span<const double> v,
                                  std::size_t points) {
@@ -107,22 +94,6 @@ Histogram histogram(std::span<const double> v, double lo, double hi,
     ++h.counts[static_cast<std::size_t>(idx)];
   }
   return h;
-}
-
-double rmse(std::span<const double> a, std::span<const double> b) {
-  CHRONOS_EXPECTS(a.size() == b.size() && !a.empty(), "rmse size mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    acc += (a[i] - b[i]) * (a[i] - b[i]);
-  return std::sqrt(acc / static_cast<double>(a.size()));
-}
-
-std::string format_cdf(std::span<const CdfPoint> cdf,
-                       const std::string& label) {
-  std::ostringstream os;
-  os << "# CDF: " << label << "\n";
-  for (const auto& p : cdf) os << p.value << '\t' << p.cumulative << '\n';
-  return os.str();
 }
 
 }  // namespace chronos::mathx

@@ -1,11 +1,10 @@
 // Descriptive statistics used by the evaluation harnesses: medians,
-// percentiles, empirical CDFs, histograms, RMSE — the quantities every
-// figure in the paper's §12 reports.
+// percentiles, CDF series and histograms — the quantities every figure in
+// the paper's §12 reports.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace chronos::mathx {
@@ -31,9 +30,6 @@ struct CdfPoint {
   double cumulative = 0.0;  ///< fraction of samples <= value, in (0, 1]
 };
 
-/// Builds the full empirical CDF (sorted samples with cumulative fractions).
-std::vector<CdfPoint> empirical_cdf(std::span<const double> v);
-
 /// Samples the empirical CDF at evenly spaced cumulative fractions, which is
 /// how the benches print compact CDF series matching the paper's figures.
 std::vector<CdfPoint> cdf_series(std::span<const double> v,
@@ -55,11 +51,5 @@ struct Histogram {
 
 Histogram histogram(std::span<const double> v, double lo, double hi,
                     std::size_t bins);
-
-/// Root-mean-square error between paired samples.
-double rmse(std::span<const double> a, std::span<const double> b);
-
-/// Renders a CDF as aligned text rows "value cumulative" for bench output.
-std::string format_cdf(std::span<const CdfPoint> cdf, const std::string& label);
 
 }  // namespace chronos::mathx

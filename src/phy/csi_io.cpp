@@ -15,8 +15,8 @@ namespace {
 // Hard cap on the declared band count: the US plan has 35 bands, so any
 // header beyond this is garbage (and, unchecked, a resize() driven by
 // attacker-controlled input). Part of the parser-robustness contract —
-// read_sweep must reject malformed input with std::invalid_argument, never
-// crash, hang, or allocate unboundedly (tests/test_phy_csi_io_robustness).
+// try_read_sweep must reject malformed input with a Status, never crash,
+// hang, or allocate unboundedly (tests/test_phy_csi_io_robustness).
 constexpr std::size_t kMaxBands = 256;
 }  // namespace
 
@@ -184,12 +184,6 @@ namespace {
   return sweep;
 }
 
-SweepMeasurement read_sweep(std::istream& is) {
-  auto result = try_read_sweep(is);
-  CHRONOS_EXPECTS(result.ok(), result.status().to_string());
-  return std::move(result).value();
-}
-
 void save_sweep(const std::string& path, const SweepMeasurement& sweep) {
   std::ofstream os(path);
   CHRONOS_EXPECTS(os.good(), "cannot open file for writing: " + path);
@@ -205,12 +199,6 @@ void save_sweep(const std::string& path, const SweepMeasurement& sweep) {
                            "cannot open file for reading: " + path};
   }
   return try_read_sweep(is);
-}
-
-SweepMeasurement load_sweep(const std::string& path) {
-  std::ifstream is(path);
-  CHRONOS_EXPECTS(is.good(), "cannot open file for reading: " + path);
-  return read_sweep(is);
 }
 
 }  // namespace chronos::phy

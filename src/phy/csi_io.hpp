@@ -37,15 +37,11 @@ void write_sweep(std::ostream& os, const SweepMeasurement& sweep);
 [[nodiscard]] chronos::Result<SweepMeasurement> try_read_sweep(
     std::istream& is);
 
-/// Throwing wrapper around try_read_sweep (std::invalid_argument), for
-/// tooling that treats a bad trace as fatal.
-SweepMeasurement read_sweep(std::istream& is);
-
-/// Convenience file wrappers. The try_ variant adds kMalformedSweep for an
-/// unopenable file; the throwing ones throw std::invalid_argument.
+/// Convenience file wrappers. try_load_sweep adds kMalformedSweep for an
+/// unopenable file; save_sweep throws std::invalid_argument when the file
+/// cannot be written.
 [[nodiscard]] chronos::Result<SweepMeasurement> try_load_sweep(
     const std::string& path);
 void save_sweep(const std::string& path, const SweepMeasurement& sweep);
-SweepMeasurement load_sweep(const std::string& path);
 
 }  // namespace chronos::phy

@@ -1,21 +1,6 @@
 #include "phy/intel5300.hpp"
 
-#include <cmath>
-
-#include "mathx/constants.hpp"
-
 namespace chronos::phy {
-
-std::complex<double> apply_phase_quirk(std::complex<double> h,
-                                       const WifiBand& band) {
-  if (!band.is_2_4ghz()) return h;
-  const double mag = std::abs(h);
-  double phase = std::arg(h);  // (-pi, pi]
-  constexpr double kQuarter = mathx::kPi / 2.0;
-  phase = std::fmod(phase, kQuarter);
-  if (phase < 0.0) phase += kQuarter;  // fold into [0, pi/2)
-  return std::polar(mag, phase);
-}
 
 int per_direction_exponent(const WifiBand& band) {
   return band.is_2_4ghz() ? 4 : 1;

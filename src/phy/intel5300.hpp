@@ -1,25 +1,17 @@
-// Intel 5300 quirk model.
+// Intel 5300 phase quirk: the per-band combining exponent.
 //
 // The paper's implementation notes (§11, footnote 5) that the Intel 5300
 // firmware reports the channel phase modulo pi/2 (instead of modulo 2*pi) on
 // the 2.4 GHz bands. Chronos neutralises the quirk by running its algorithm
 // on h^4 at 2.4 GHz — raising to the fourth power maps all four phase
-// ambiguities onto the same value. This module models the quirk (for the
-// simulator) and centralises the per-band combining exponent logic (for the
-// pipeline).
+// ambiguities onto the same value. The simulator models the quirk itself, as
+// a random quadrant rotation per packet (sim/link.cpp); this module holds the
+// per-band combining exponent the pipeline uses to erase it.
 #pragma once
-
-#include <complex>
 
 #include "phy/band_plan.hpp"
 
 namespace chronos::phy {
-
-/// Applies the 2.4 GHz firmware phase fold to a single CSI value: the
-/// reported phase is the true phase modulo pi/2 (magnitude is unaffected).
-/// 5 GHz values pass through unchanged.
-std::complex<double> apply_phase_quirk(std::complex<double> h,
-                                       const WifiBand& band);
 
 /// The power to which each *direction's* zero-subcarrier value is raised
 /// before the two-way product (paper §7 + §11 footnote 5):

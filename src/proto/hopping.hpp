@@ -13,7 +13,6 @@
 
 #include "mathx/rng.hpp"
 #include "phy/band_plan.hpp"
-#include "proto/events.hpp"
 
 namespace chronos::proto {
 

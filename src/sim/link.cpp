@@ -6,7 +6,6 @@
 
 #include "mathx/constants.hpp"
 #include "mathx/contracts.hpp"
-#include "phy/intel5300.hpp"
 
 namespace chronos::sim {
 

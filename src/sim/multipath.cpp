@@ -98,18 +98,4 @@ double total_power(std::span<const PathComponent> paths) {
   return acc;
 }
 
-double direct_path_power_fraction(std::span<const PathComponent> paths) {
-  if (paths.empty()) return 0.0;
-  double min_delay = paths.front().delay_s;
-  std::complex<double> direct_gain = paths.front().gain;
-  for (const auto& p : paths) {
-    if (p.delay_s < min_delay) {
-      min_delay = p.delay_s;
-      direct_gain = p.gain;
-    }
-  }
-  const double total = total_power(paths);
-  return total > 0.0 ? std::norm(direct_gain) / total : 0.0;
-}
-
 }  // namespace chronos::sim

@@ -66,8 +66,4 @@ std::complex<double> channel_at(std::span<const PathComponent> paths,
 /// compares against the noise floor to produce a packet SNR.
 double total_power(std::span<const PathComponent> paths);
 
-/// Power of the shortest (direct) path relative to the total; low values
-/// indicate hard NLOS where Chronos's first-peak can be buried.
-double direct_path_power_fraction(std::span<const PathComponent> paths);
-
 }  // namespace chronos::sim

@@ -1,15 +1,12 @@
-// Fuzz harness for phy::try_read_sweep / read_sweep — the parser that sits
-// on the repo's only untrusted input boundary (CSI trace files, ultimately
-// produced by external capture tooling).
+// Fuzz harness for phy::try_read_sweep — the parser that sits on the repo's
+// only untrusted input boundary (CSI trace files, ultimately produced by
+// external capture tooling).
 //
-// Contract under fuzzing: for ANY byte sequence,
-//   * try_read_sweep returns a validated SweepMeasurement or a non-ok
-//     chronos::Status (kMalformedSweep / kBandMismatch) — it never throws;
-//   * the throwing wrapper read_sweep agrees exactly: it throws
-//     std::invalid_argument iff the Status path reports an error.
-// Crashes, hangs, unbounded allocation, sanitizer reports, any exception
-// out of try_read_sweep, any non-invalid_argument out of read_sweep, or a
-// Status/throw disagreement are findings.
+// Contract under fuzzing: for ANY byte sequence, try_read_sweep returns a
+// validated SweepMeasurement or a non-ok chronos::Status whose code is
+// kMalformedSweep or kBandMismatch — it never throws. Crashes, hangs,
+// unbounded allocation, sanitizer reports, any exception out of
+// try_read_sweep, or any other error code are findings.
 //
 // Two build flavors (tests/fuzz/CMakeLists.txt picks automatically):
 //   * libFuzzer (Clang): coverage-guided, LLVMFuzzerTestOneInput only;
@@ -21,7 +18,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
 #include "phy/csi_io.hpp"
@@ -30,20 +26,17 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string text(reinterpret_cast<const char*>(data), size);
 
-  // Status path: must never throw (an escaping exception aborts the
-  // harness — that is the point).
+  // Must never throw (an escaping exception aborts the harness — that is
+  // the point).
   std::istringstream is(text);
   const auto result = chronos::phy::try_read_sweep(is);
 
-  // The throwing wrapper must agree with the Status path, input for input.
-  std::istringstream again(text);
-  bool threw = false;
-  try {
-    (void)chronos::phy::read_sweep(again);
-  } catch (const std::invalid_argument&) {
-    threw = true;
+  // A rejection names one of the parser's two codes, never anything else.
+  const auto code = result.status().code();
+  if (!result.ok() && code != chronos::StatusCode::kMalformedSweep &&
+      code != chronos::StatusCode::kBandMismatch) {
+    std::abort();
   }
-  if (result.ok() == threw) std::abort();  // disagreement = finding
   return 0;
 }
 

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <condition_variable>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -246,11 +249,38 @@ TEST(ApiErrorModel, TryReadSweepReportsBandMismatchAndTruncation) {
     EXPECT_NE(result.status().message().find("truncated exchange"),
               std::string::npos);
   }
-  // The throwing wrapper stays consistent with the Status path.
+  // An unknown record tag is malformed, not a band mismatch.
   {
     std::istringstream is("garbage\n");
-    EXPECT_THROW((void)phy::read_sweep(is), std::invalid_argument);
+    EXPECT_EQ(phy::try_read_sweep(is).status().code(),
+              chronos::StatusCode::kMalformedSweep);
   }
+}
+
+TEST(ApiErrorModel, ReplayOfOffPlanBandReportsBandMismatch) {
+  // A recorded trace whose band record names a channel outside the US plan
+  // is kBandMismatch through Engine::create_replay, exactly as the parser
+  // reports it, with the parser's message rather than a contract-failure
+  // text carrying a source location.
+  const auto path = (std::filesystem::temp_directory_path() /
+                     "chronos_api_off_plan_band.csi")
+                        .string();
+  {
+    std::ofstream os(path);
+    os << "sweep 1 0.01\n"
+          "band 0 999\n";
+  }
+  TraceDeployment deployment;
+  deployment.links.push_back(
+      {{{chronos::NodeId{1}, 0}, {chronos::NodeId{2}, 0}}, path});
+  const auto built = Engine::create_replay(deployment);
+  std::remove(path.c_str());
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), chronos::StatusCode::kBandMismatch);
+  EXPECT_EQ(built.status().message().find("precondition failed"),
+            std::string::npos)
+      << built.status().message();
+  EXPECT_NE(built.status().message().find(path), std::string::npos);
 }
 
 TEST(ApiErrorModel, EstimateDistinguishesBandMismatchFromDamage) {

@@ -13,7 +13,10 @@
 //     kRetryExhausted without disturbing neighbouring requests.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <complex>
 #include <cstddef>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -286,6 +289,63 @@ TEST(FaultInjection, ExhaustionWrapsAsRetryExhausted) {
   for (const auto& r : one.results) {
     EXPECT_EQ(r.status.code(), chronos::StatusCode::kUnavailable);
     EXPECT_EQ(r.attempts, 1);
+  }
+}
+
+/// RMS magnitude of one capture's subcarrier values.
+double capture_rms(const phy::CsiMeasurement& m) {
+  double acc = 0.0;
+  for (const auto& v : m.values) acc += std::norm(v);
+  return std::sqrt(acc / static_cast<double>(m.values.size()));
+}
+
+TEST(FaultInjection, HostileGateRejectsNoiseCarryingHonestMetadata) {
+  // CSI replaced by noise while every timestamp and SNR tag stays honest:
+  // no injected fault class covers this (kSnrCollapse also rewrites the
+  // SNR tags), so nothing but the post-estimate checks can catch it.
+  // Both classes must come back kIntegrityViolation on office links.
+  const auto source = std::make_shared<SimSweepSource>(sim::office_20x20(),
+                                                       sim::LinkSimConfig{});
+  Engine eng = Engine::adopt(source, engine_options());
+  calibrate(eng, *source);
+  source->add_node(sim::make_laptop({10.0, 10.0}, 0.3, 500));
+
+  const geom::Vec2 mobiles[] = {{11.0, 10.5}, {6.0, 8.0},  {14.0, 15.0},
+                                {3.0, 3.0},   {18.0, 4.0}, {2.0, 17.0}};
+  mathx::Rng rng(42);
+  for (std::size_t i = 0; i < std::size(mobiles); ++i) {
+    SCOPED_TRACE(i);
+    source->add_node(sim::make_mobile(mobiles[i], 600 + i));
+    const RangingRequest request{{NodeId{600 + i}, 0}, {NodeId{500}, 0}};
+    const auto honest = eng.capture_sweep(request, rng);
+    ASSERT_TRUE(honest.ok()) << honest.status().message();
+    ASSERT_TRUE(eng.estimate(honest.value()).ok());
+
+    // Uniform i.i.d. phase on every subcarrier, magnitudes kept.
+    auto iid_phase = honest.value();
+    // Complex Gaussian CSI at each capture's RMS magnitude.
+    auto gaussian = honest.value();
+    for (std::size_t b = 0; b < iid_phase.bands.size(); ++b) {
+      for (std::size_t c = 0; c < iid_phase.bands[b].size(); ++c) {
+        for (auto* m : {&iid_phase.bands[b][c].forward,
+                        &iid_phase.bands[b][c].reverse}) {
+          for (auto& v : m->values) {
+            v = std::polar(std::abs(v), rng.uniform_phase());
+          }
+        }
+        for (auto* m : {&gaussian.bands[b][c].forward,
+                        &gaussian.bands[b][c].reverse}) {
+          const double sigma = capture_rms(*m) / std::sqrt(2.0);
+          for (auto& v : m->values) v = rng.complex_gaussian(sigma);
+        }
+      }
+    }
+    for (const auto* noise : {&iid_phase, &gaussian}) {
+      const auto result = eng.estimate(*noise);
+      EXPECT_EQ(result.status().code(),
+                chronos::StatusCode::kIntegrityViolation)
+          << result.status().message();
+    }
   }
 }
 

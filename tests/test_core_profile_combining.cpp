@@ -162,24 +162,22 @@ TEST(Combining, CombinedPhaseMatchesRowFrequencyModel) {
   }
 }
 
-TEST(Combining, UnitModulusNormalization) {
-  const auto sweep = two_band_sweep(5e-9, 0.0, 0.0);
-  CombiningConfig cfg;
-  cfg.normalization = Normalization::kUnitModulus;
-  for (const auto& cb : combine_sweep(sweep, cfg)) {
-    EXPECT_NEAR(std::abs(cb.value), 1.0, 1e-9);
-  }
-}
-
 TEST(Combining, BandAgcCapsMagnitude) {
   auto sweep = two_band_sweep(5e-9, 0.0, 0.0);
-  // Inflate one band's center subcarriers to force a cap.
-  for (auto& v : sweep.bands[1][0].forward.values) v *= 3.0;
-  CombiningConfig cfg;
-  cfg.magnitude_cap = 1.5;
-  for (const auto& cb : combine_sweep(sweep, cfg)) {
-    EXPECT_LE(std::abs(cb.value), 1.5 + 1e-9);
+  // Inflate the 2.4 GHz band's innermost forward subcarriers: the
+  // interpolated zero-subcarrier value then outgrows the band RMS, and the
+  // quadrant fix's 4th power pushes the combined value far past the cap.
+  // (Scaling every subcarrier would cancel in the band AGC.)
+  const auto idx = phy::intel5300_subcarrier_indices();
+  for (std::size_t k = 0; k < idx.size(); ++k) {
+    if (std::abs(idx[k]) <= 2) sweep.bands[1][0].forward.values[k] *= 10.0;
   }
+  const auto combined = combine_sweep(sweep, CombiningConfig{});
+  ASSERT_EQ(combined.size(), 2u);
+  for (const auto& cb : combined) {
+    EXPECT_LE(std::abs(cb.value), kBandAgcMagnitudeCap + 1e-9);
+  }
+  EXPECT_NEAR(std::abs(combined[1].value), kBandAgcMagnitudeCap, 1e-9);
 }
 
 TEST(Combining, DelayAxisScale) {

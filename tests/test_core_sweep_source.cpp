@@ -1,6 +1,6 @@
 // The SweepSource backend seam: SimSweepSource must be bit-identical to the
 // pre-seam simulator path, and TraceSweepSource must make a recorded trace
-// (write_sweep -> read_sweep -> replay) range exactly like the in-memory
+// (write_sweep -> try_read_sweep -> replay) range exactly like the in-memory
 // sweep — the estimator cannot tell the backends apart.
 #include <gtest/gtest.h>
 
@@ -98,9 +98,9 @@ TEST(SimSweepSource, EngineRangesExactlyTheDirectSimulatorSweep) {
 }
 
 TEST(TraceSweepSource, RoundTripRangesIdenticallyToInMemorySweep) {
-  // The satellite contract: write_sweep -> read_sweep -> TraceSweepSource
-  // replay must produce ranging output identical to ranging the in-memory
-  // sweep directly.
+  // The satellite contract: write_sweep -> try_read_sweep ->
+  // TraceSweepSource replay must produce ranging output identical to
+  // ranging the in-memory sweep directly.
   const sim::LinkSimulator link(sim::office_20x20(), fast_link());
   const auto tx = sim::make_mobile({2.5, 3.5}, 21);
   const auto rx = sim::make_mobile({8.0, 7.0}, 22);
@@ -110,7 +110,7 @@ TEST(TraceSweepSource, RoundTripRangesIdenticallyToInMemorySweep) {
 
   std::stringstream ss;
   phy::write_sweep(ss, sweep);
-  auto loaded = phy::read_sweep(ss);
+  auto loaded = phy::try_read_sweep(ss).value();
 
   auto trace = std::make_shared<TraceSweepSource>();
   ASSERT_TRUE(trace

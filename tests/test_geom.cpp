@@ -111,13 +111,6 @@ TEST(Circle, NegativeRadiusThrows) {
                std::invalid_argument);
 }
 
-TEST(Circle, BoundaryDistanceSign) {
-  const Circle c{{0.0, 0.0}, 2.0};
-  EXPECT_GT(boundary_distance(c, {5.0, 0.0}), 0.0);
-  EXPECT_LT(boundary_distance(c, {0.5, 0.0}), 0.0);
-  EXPECT_NEAR(boundary_distance(c, {2.0, 0.0}), 0.0, 1e-12);
-}
-
 // Property sweep: the intersection points of two random circles always lie
 // on both boundaries.
 class CircleSweep : public ::testing::TestWithParam<int> {};

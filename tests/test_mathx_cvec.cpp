@@ -27,59 +27,6 @@ TEST(Cvec, Norms) {
   EXPECT_NEAR(norm2(v), 5.0, 1e-12);
 }
 
-TEST(Cvec, InnerProductConjugatesFirstArgument) {
-  cvec a = {{0.0, 1.0}};
-  cvec b = {{0.0, 1.0}};
-  const cplx ip = inner(a, b);
-  EXPECT_NEAR(ip.real(), 1.0, 1e-12);
-  EXPECT_NEAR(ip.imag(), 0.0, 1e-12);
-}
-
-TEST(Cvec, InnerSizeMismatchThrows) {
-  cvec a = {{1.0, 0.0}};
-  cvec b = {{1.0, 0.0}, {2.0, 0.0}};
-  EXPECT_THROW((void)inner(a, b), std::invalid_argument);
-}
-
-TEST(Cvec, Hadamard) {
-  cvec a = {{1.0, 1.0}, {2.0, 0.0}};
-  cvec b = {{1.0, -1.0}, {0.0, 3.0}};
-  const auto h = hadamard(a, b);
-  EXPECT_NEAR(h[0].real(), 2.0, 1e-12);
-  EXPECT_NEAR(h[0].imag(), 0.0, 1e-12);
-  EXPECT_NEAR(h[1].imag(), 6.0, 1e-12);
-}
-
-TEST(Cvec, ElementwisePowMatchesRepeatedMultiply) {
-  cvec v = {std::polar(1.0, 0.3), std::polar(0.5, -1.2)};
-  const auto p4 = elementwise_pow(v, 4);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    const cplx expect = v[i] * v[i] * v[i] * v[i];
-    EXPECT_NEAR(std::abs(p4[i] - expect), 0.0, 1e-12);
-  }
-}
-
-TEST(Cvec, ElementwisePowRejectsNonPositive) {
-  cvec v = {{1.0, 0.0}};
-  EXPECT_THROW((void)elementwise_pow(v, 0), std::invalid_argument);
-}
-
-TEST(Cvec, FromPhasesRoundTrips) {
-  std::vector<double> theta = {0.0, 1.0, -2.5};
-  const auto v = from_phases(theta);
-  const auto a = angles(v);
-  for (std::size_t i = 0; i < theta.size(); ++i) {
-    EXPECT_NEAR(a[i], theta[i], 1e-12);
-    EXPECT_NEAR(std::abs(v[i]), 1.0, 1e-12);
-  }
-}
-
-TEST(Cvec, MaxAbsDiff) {
-  cvec a = {{1.0, 0.0}, {2.0, 0.0}};
-  cvec b = {{1.0, 0.0}, {2.0, 1.0}};
-  EXPECT_NEAR(max_abs_diff(a, b), 1.0, 1e-12);
-}
-
 // --- unwrap ---------------------------------------------------------------
 
 TEST(Unwrap, PassesThroughSmoothSequence) {

@@ -47,82 +47,25 @@ TEST(Matrix, AdjointMatVecIsConjugateTranspose) {
   EXPECT_NEAR(y[1].real(), 2.0, 1e-12);
 }
 
-TEST(Matrix, MatMul) {
-  RealMatrix a(2, 2, {1.0, 2.0, 3.0, 4.0});
-  RealMatrix b(2, 2, {0.0, 1.0, 1.0, 0.0});
-  const auto c = a.multiply(b);
-  EXPECT_NEAR(c(0, 0), 2.0, 1e-12);
-  EXPECT_NEAR(c(0, 1), 1.0, 1e-12);
-  EXPECT_NEAR(c(1, 0), 4.0, 1e-12);
-  EXPECT_NEAR(c(1, 1), 3.0, 1e-12);
-}
-
-TEST(Matrix, FrobeniusNorm) {
-  RealMatrix m(2, 2, {1.0, 2.0, 2.0, 4.0});
-  EXPECT_NEAR(m.frobenius_norm(), 5.0, 1e-12);
-}
-
-TEST(LeastSquares, ExactSquareSystem) {
-  RealMatrix a(2, 2, {2.0, 0.0, 0.0, 3.0});
-  const std::vector<double> b = {4.0, 9.0};
-  const auto x = solve_least_squares(a, b);
-  EXPECT_NEAR(x[0], 2.0, 1e-10);
-  EXPECT_NEAR(x[1], 3.0, 1e-10);
-}
-
-TEST(LeastSquares, OverdeterminedRecoversLineFit) {
-  // Fit y = 2x + 1 through noiseless samples.
-  const std::size_t n = 10;
-  RealMatrix a(n, 2);
-  std::vector<double> b(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a(i, 0) = static_cast<double>(i);
-    a(i, 1) = 1.0;
-    b[i] = 2.0 * static_cast<double>(i) + 1.0;
-  }
-  const auto x = solve_least_squares(a, b);
-  EXPECT_NEAR(x[0], 2.0, 1e-10);
-  EXPECT_NEAR(x[1], 1.0, 1e-10);
-}
-
-TEST(LeastSquares, MinimisesResidualAgainstPerturbations) {
-  RealMatrix a(4, 2, {1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, -1.0});
-  const std::vector<double> b = {1.0, 2.0, 2.5, -0.5};
-  const auto x = solve_least_squares(a, b);
-  auto residual_norm = [&](double dx, double dy) {
-    double acc = 0.0;
-    const double xs[2] = {x[0] + dx, x[1] + dy};
-    for (std::size_t i = 0; i < 4; ++i) {
-      const double r = a(i, 0) * xs[0] + a(i, 1) * xs[1] - b[i];
-      acc += r * r;
-    }
-    return acc;
-  };
-  const double base = residual_norm(0.0, 0.0);
-  for (double d : {-0.01, 0.01}) {
-    EXPECT_GE(residual_norm(d, 0.0), base);
-    EXPECT_GE(residual_norm(0.0, d), base);
-  }
-}
-
-TEST(LeastSquares, RankDeficientThrows) {
-  RealMatrix a(3, 2, {1.0, 0.0, 2.0, 0.0, 3.0, 0.0});
-  const std::vector<double> b = {1.0, 2.0, 3.0};
-  EXPECT_THROW((void)solve_least_squares(a, b), std::invalid_argument);
-}
-
 TEST(SolveLinear, PivotingHandlesZeroDiagonal) {
-  RealMatrix a(2, 2, {0.0, 1.0, 1.0, 0.0});
-  const std::vector<double> b = {3.0, 7.0};
-  const auto x = solve_linear(a, b);
-  EXPECT_NEAR(x[0], 7.0, 1e-12);
-  EXPECT_NEAR(x[1], 3.0, 1e-12);
+  ComplexMatrix a(2, 2);
+  a(0, 1) = {0.0, 1.0};
+  a(1, 0) = {2.0, 0.0};
+  const auto x = solve_linear(a, {{3.0, 0.0}, {0.0, 8.0}});
+  ASSERT_EQ(x.size(), 2u);
+  EXPECT_NEAR(std::abs(x[0] - std::complex<double>{0.0, 4.0}), 0.0, 1e-12);
+  EXPECT_NEAR(std::abs(x[1] - std::complex<double>{0.0, -3.0}), 0.0, 1e-12);
 }
 
 TEST(SolveLinear, SingularThrows) {
-  RealMatrix a(2, 2, {1.0, 2.0, 2.0, 4.0});
-  const std::vector<double> b = {1.0, 2.0};
-  EXPECT_THROW((void)solve_linear(a, b), std::invalid_argument);
+  // Second row is (1 + j) times the first.
+  ComplexMatrix a(2, 2);
+  a(0, 0) = {1.0, 0.0};
+  a(0, 1) = {0.0, 2.0};
+  a(1, 0) = {1.0, 1.0};
+  a(1, 1) = {-2.0, 2.0};
+  EXPECT_THROW((void)solve_linear(a, {{1.0, 0.0}, {2.0, 0.0}}),
+               std::invalid_argument);
 }
 
 TEST(SpectralNorm, DiagonalMatrix) {

@@ -123,13 +123,6 @@ TEST(Rng, NormalZeroSigmaIsDeterministic) {
   EXPECT_EQ(rng.normal(3.0, 0.0), 3.0);
 }
 
-TEST(Rng, ExponentialMeanMatchesRate) {
-  Rng rng(13);
-  std::vector<double> samples;
-  for (int i = 0; i < 20000; ++i) samples.push_back(rng.exponential(4.0));
-  EXPECT_NEAR(mean(samples), 0.25, 0.02);
-}
-
 TEST(Rng, BernoulliEdgeCases) {
   Rng rng(3);
   for (int i = 0; i < 50; ++i) {
@@ -169,7 +162,6 @@ TEST(Rng, InvalidArgumentsThrow) {
   Rng rng(1);
   EXPECT_THROW((void)rng.uniform(1.0, 0.0), std::invalid_argument);
   EXPECT_THROW((void)rng.normal(0.0, -1.0), std::invalid_argument);
-  EXPECT_THROW((void)rng.exponential(0.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -23,7 +23,6 @@ TEST(Spline, TwoKnotsDegradesToLinear) {
   const CubicSpline s(x, y);
   EXPECT_NEAR(s(1.0), 3.0, 1e-12);
   EXPECT_NEAR(s(0.5), 2.0, 1e-12);
-  EXPECT_NEAR(s.derivative(1.0), 2.0, 1e-12);
 }
 
 TEST(Spline, ReproducesLinearFunctionEverywhere) {
@@ -35,7 +34,6 @@ TEST(Spline, ReproducesLinearFunctionEverywhere) {
   const CubicSpline s(x, y);
   for (double q = 0.1; q < 6.9; q += 0.37) {
     EXPECT_NEAR(s(q), 3.0 * q - 2.0, 1e-10);
-    EXPECT_NEAR(s.derivative(q), 3.0, 1e-9);
   }
 }
 
@@ -49,18 +47,6 @@ TEST(Spline, ApproximatesSmoothFunction) {
   const CubicSpline s(x, y);
   for (double q = 0.5; q < 3.5; q += 0.13) {
     EXPECT_NEAR(s(q), std::sin(q), 1e-5);
-  }
-}
-
-TEST(Spline, DerivativeApproximatesCosine) {
-  std::vector<double> x, y;
-  for (int i = 0; i <= 60; ++i) {
-    x.push_back(i * 0.05);
-    y.push_back(std::sin(x.back()));
-  }
-  const CubicSpline s(x, y);
-  for (double q = 0.4; q < 2.5; q += 0.17) {
-    EXPECT_NEAR(s.derivative(q), std::cos(q), 1e-3);
   }
 }
 
@@ -83,12 +69,6 @@ TEST(Spline, RejectsBadInput) {
   const std::vector<double> x2 = {0.0, 1.0};
   const std::vector<double> y3 = {0.0, 1.0, 2.0};
   EXPECT_THROW(CubicSpline(x2, y3), std::invalid_argument);
-}
-
-TEST(Spline, ConvenienceWrapper) {
-  const std::vector<double> x = {0.0, 1.0, 2.0};
-  const std::vector<double> y = {0.0, 2.0, 4.0};
-  EXPECT_NEAR(spline_interpolate(x, y, 1.5), 3.0, 1e-9);
 }
 
 // The Chronos §5 use case: phase across subcarriers with a linear

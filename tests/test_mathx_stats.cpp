@@ -53,15 +53,6 @@ TEST(Stats, PercentileIsMonotonic) {
   }
 }
 
-TEST(Stats, EmpiricalCdfEndsAtOne) {
-  const std::vector<double> v = {2.0, 1.0, 3.0};
-  const auto cdf = empirical_cdf(v);
-  ASSERT_EQ(cdf.size(), 3u);
-  EXPECT_NEAR(cdf.front().value, 1.0, 1e-12);
-  EXPECT_NEAR(cdf.back().cumulative, 1.0, 1e-12);
-  EXPECT_NEAR(cdf[0].cumulative, 1.0 / 3.0, 1e-12);
-}
-
 TEST(Stats, CdfSeriesSamplesQuantiles) {
   std::vector<double> v;
   for (int i = 0; i <= 100; ++i) v.push_back(static_cast<double>(i));
@@ -89,22 +80,6 @@ TEST(Stats, HistogramRejectsBadRange) {
   const std::vector<double> v = {1.0};
   EXPECT_THROW((void)histogram(v, 1.0, 0.0, 4), std::invalid_argument);
   EXPECT_THROW((void)histogram(v, 0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Stats, Rmse) {
-  const std::vector<double> a = {1.0, 2.0};
-  const std::vector<double> b = {2.0, 4.0};
-  EXPECT_NEAR(rmse(a, b), 1.5811388300841898, 1e-12);
-  const std::vector<double> c = {1.0};
-  EXPECT_THROW((void)rmse(a, c), std::invalid_argument);
-}
-
-TEST(Stats, FormatCdfContainsLabel) {
-  const std::vector<double> v = {1.0, 2.0};
-  const auto cdf = empirical_cdf(v);
-  const auto text = format_cdf(cdf, "demo");
-  EXPECT_NE(text.find("demo"), std::string::npos);
-  EXPECT_NE(text.find('\t'), std::string::npos);
 }
 
 }  // namespace

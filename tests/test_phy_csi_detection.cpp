@@ -129,25 +129,6 @@ TEST(Detection, RejectsAbsurdSnr) {
 
 // --- Intel 5300 quirk -------------------------------------------------------
 
-TEST(Intel5300, QuirkFoldsPhaseInto2_4GHz) {
-  const auto band24 = band_by_channel(6);
-  const std::complex<double> h = std::polar(2.0, 2.5);
-  const auto folded = apply_phase_quirk(h, band24);
-  EXPECT_NEAR(std::abs(folded), 2.0, 1e-12);
-  const double phase = std::arg(folded);
-  EXPECT_GE(phase, 0.0);
-  EXPECT_LT(phase, 1.5708);
-  // Folding preserves the phase modulo pi/2.
-  EXPECT_NEAR(std::fmod(2.5 - phase, 1.5707963267948966), 0.0, 1e-9);
-}
-
-TEST(Intel5300, QuirkLeaves5GHzUntouched) {
-  const auto band5 = band_by_channel(36);
-  const std::complex<double> h = std::polar(1.0, 2.5);
-  const auto out = apply_phase_quirk(h, band5);
-  EXPECT_NEAR(std::abs(out - h), 0.0, 1e-12);
-}
-
 TEST(Intel5300, PerDirectionExponents) {
   EXPECT_EQ(per_direction_exponent(band_by_channel(1)), 4);
   EXPECT_EQ(per_direction_exponent(band_by_channel(36)), 1);

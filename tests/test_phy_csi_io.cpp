@@ -23,7 +23,7 @@ TEST(CsiIo, RoundTripsExactly) {
   const auto sweep = sample_sweep();
   std::stringstream ss;
   write_sweep(ss, sweep);
-  const auto loaded = read_sweep(ss);
+  const auto loaded = try_read_sweep(ss).value();
 
   ASSERT_EQ(loaded.bands.size(), sweep.bands.size());
   EXPECT_DOUBLE_EQ(loaded.sweep_duration_s, sweep.sweep_duration_s);
@@ -49,7 +49,7 @@ TEST(CsiIo, LoadedSweepProducesIdenticalRangingResult) {
   const auto sweep = sample_sweep();
   std::stringstream ss;
   write_sweep(ss, sweep);
-  const auto loaded = read_sweep(ss);
+  const auto loaded = try_read_sweep(ss).value();
 
   std::vector<WifiBand> bands;
   for (const auto& caps : sweep.bands) bands.push_back(caps[0].forward.band);
@@ -64,7 +64,7 @@ TEST(CsiIo, FileRoundTrip) {
   const auto sweep = sample_sweep();
   const std::string path = "/tmp/chronos_test_sweep.csi";
   save_sweep(path, sweep);
-  const auto loaded = load_sweep(path);
+  const auto loaded = try_load_sweep(path).value();
   EXPECT_EQ(loaded.bands.size(), sweep.bands.size());
   std::remove(path.c_str());
 }
@@ -75,30 +75,32 @@ TEST(CsiIo, CommentsAndBlankLinesIgnored) {
   write_sweep(ss, sweep);
   const std::string with_noise = "# leading comment\n\n" + ss.str() + "\n#tail\n";
   std::stringstream ss2(with_noise);
-  EXPECT_NO_THROW((void)read_sweep(ss2));
+  EXPECT_TRUE(try_read_sweep(ss2).ok());
 }
 
 TEST(CsiIo, RejectsMalformedInput) {
+  constexpr auto kMalformed = chronos::StatusCode::kMalformedSweep;
   std::stringstream empty;
-  EXPECT_THROW((void)read_sweep(empty), std::invalid_argument);
+  EXPECT_EQ(try_read_sweep(empty).status().code(), kMalformed);
 
   std::stringstream bad_tag("sweep 1 0.1\nband 0 36\nfrobnicate 1 2 3\n");
-  EXPECT_THROW((void)read_sweep(bad_tag), std::invalid_argument);
+  EXPECT_EQ(try_read_sweep(bad_tag).status().code(), kMalformed);
 
   std::stringstream orphan_reverse(
       "sweep 1 0.1\nband 0 36\ncapture 0 r 0.0 30.0 1 0\n");
-  EXPECT_THROW((void)read_sweep(orphan_reverse), std::invalid_argument);
+  EXPECT_EQ(try_read_sweep(orphan_reverse).status().code(), kMalformed);
 
   std::stringstream short_capture("sweep 1 0.1\nband 0 36\ncapture 0 f 0 30 1 0\n");
-  EXPECT_THROW((void)read_sweep(short_capture), std::invalid_argument);
+  EXPECT_EQ(try_read_sweep(short_capture).status().code(), kMalformed);
 
-  EXPECT_THROW((void)load_sweep("/nonexistent/path/sweep.csi"),
-               std::invalid_argument);
+  EXPECT_EQ(try_load_sweep("/nonexistent/path/sweep.csi").status().code(),
+            kMalformed);
 }
 
 TEST(CsiIo, RejectsUnknownChannel) {
   std::stringstream bad_channel("sweep 1 0.1\nband 0 13\n");
-  EXPECT_THROW((void)read_sweep(bad_channel), std::invalid_argument);
+  EXPECT_EQ(try_read_sweep(bad_channel).status().code(),
+            chronos::StatusCode::kBandMismatch);
 }
 
 }  // namespace

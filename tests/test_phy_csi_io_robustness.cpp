@@ -1,9 +1,9 @@
-// Parser-robustness table for phy::read_sweep: the trace format carries
+// Parser-robustness table for phy::try_read_sweep: the trace format carries
 // untrusted input (converted captures from real hardware), so every
-// truncated, corrupted, or overlong stream must yield std::invalid_argument
-// — never a crash, hang, or unbounded allocation. Precursor to the ROADMAP
-// libFuzzer harness; runs under the ASan/UBSan/TSan presets like every
-// other suite.
+// truncated, corrupted, or overlong stream must come back as an error
+// Status — never an exception, a crash, a hang, or an unbounded allocation.
+// Precursor to the ROADMAP libFuzzer harness; runs under the ASan/UBSan/TSan
+// presets like every other suite.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -97,7 +97,13 @@ TEST(CsiIoRobustness, MalformedInputsFailCleanly) {
   for (const auto& c : malformed_cases()) {
     SCOPED_TRACE(c.name);
     std::istringstream is(c.input);
-    EXPECT_THROW((void)read_sweep(is), std::invalid_argument);
+    chronos::Result<SweepMeasurement> result{
+        chronos::Status{chronos::StatusCode::kInternal, "unset"}};
+    EXPECT_NO_THROW(result = try_read_sweep(is));
+    const auto code = result.status().code();
+    EXPECT_TRUE(code == chronos::StatusCode::kMalformedSweep ||
+                code == chronos::StatusCode::kBandMismatch)
+        << result.status().to_string();
   }
 }
 
@@ -114,7 +120,7 @@ TEST(CsiIoRobustness, WellFormedTraceStillRoundTrips) {
                                          rng);
   std::stringstream ss;
   write_sweep(ss, sweep);
-  const auto loaded = read_sweep(ss);
+  const auto loaded = try_read_sweep(ss).value();
   ASSERT_EQ(loaded.bands.size(), sweep.bands.size());
   for (std::size_t bi = 0; bi < sweep.bands.size(); ++bi) {
     ASSERT_EQ(loaded.bands[bi].size(), sweep.bands[bi].size());
@@ -128,8 +134,8 @@ TEST(CsiIoRobustness, WellFormedTraceStillRoundTrips) {
 }
 
 TEST(CsiIoRobustness, LoadSweepMissingFileFailsCleanly) {
-  EXPECT_THROW((void)load_sweep("/nonexistent/path/trace.csi"),
-               std::invalid_argument);
+  EXPECT_EQ(try_load_sweep("/nonexistent/path/trace.csi").status().code(),
+            chronos::StatusCode::kMalformedSweep);
 }
 
 }  // namespace

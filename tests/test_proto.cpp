@@ -3,67 +3,10 @@
 #include <vector>
 
 #include "mathx/stats.hpp"
-#include "proto/events.hpp"
 #include "proto/hopping.hpp"
 
 namespace chronos::proto {
 namespace {
-
-TEST(Events, RunsInTimeOrder) {
-  EventScheduler sched;
-  std::vector<int> order;
-  sched.schedule_at(3.0, [&] { order.push_back(3); });
-  sched.schedule_at(1.0, [&] { order.push_back(1); });
-  sched.schedule_at(2.0, [&] { order.push_back(2); });
-  EXPECT_EQ(sched.run(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(sched.now(), 3.0);
-}
-
-TEST(Events, EqualTimesRunFifo) {
-  EventScheduler sched;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    sched.schedule_at(1.0, [&order, i] { order.push_back(i); });
-  }
-  sched.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Events, RunUntilLeavesFutureEventsQueued) {
-  EventScheduler sched;
-  int ran = 0;
-  sched.schedule_at(1.0, [&] { ++ran; });
-  sched.schedule_at(5.0, [&] { ++ran; });
-  EXPECT_EQ(sched.run_until(2.0), 1u);
-  EXPECT_EQ(ran, 1);
-  EXPECT_EQ(sched.pending(), 1u);
-  EXPECT_DOUBLE_EQ(sched.now(), 2.0);
-  sched.run();
-  EXPECT_EQ(ran, 2);
-}
-
-TEST(Events, EventsCanScheduleEvents) {
-  EventScheduler sched;
-  int count = 0;
-  std::function<void()> tick = [&] {
-    if (++count < 5) sched.schedule_in(1.0, tick);
-  };
-  sched.schedule_at(0.0, tick);
-  sched.run();
-  EXPECT_EQ(count, 5);
-  EXPECT_DOUBLE_EQ(sched.now(), 4.0);
-}
-
-TEST(Events, SchedulingIntoThePastThrows) {
-  EventScheduler sched;
-  sched.schedule_at(2.0, [] {});
-  sched.run();
-  EXPECT_THROW(sched.schedule_at(1.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(sched.schedule_in(-1.0, [] {}), std::invalid_argument);
-}
-
-// --- hopping protocol --------------------------------------------------
 
 TEST(Hopping, LosslessSweepTimeIsDeterministic) {
   HoppingConfig cfg;

@@ -113,7 +113,6 @@ TEST(Multipath, PowerHelpers) {
   std::vector<PathComponent> paths = {
       {10e-9, {1.0, 0.0}, 0}, {25e-9, {0.5, 0.0}, 1}};
   EXPECT_NEAR(total_power(paths), 1.25, 1e-12);
-  EXPECT_NEAR(direct_path_power_fraction(paths), 0.8, 1e-12);
 }
 
 TEST(Multipath, CoincidentEndpointsThrow) {
