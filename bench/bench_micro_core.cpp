@@ -9,30 +9,42 @@
 //    (ns/op per kernel). This needs no external dependency, runs in seconds,
 //    and is registered with CTest under the `perf` label so the numbers are
 //    exercised on every verify run; bench/BENCH_ndft.json records the
-//    per-PR trajectory.
+//    per-PR trajectory. Before the table it prints the kernel variant the
+//    process runs and one `SOLVE_DIGEST <hex>` line over the office solves
+//    (fista_solve_office), which two builds with bit-identical solves
+//    share.
 //  * --gbench — delegates to google-benchmark (when the build found it) for
 //    full statistical output; remaining argv is forwarded, so the usual
 //    --benchmark_* flags work.
 #include <chrono>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/api.hpp"
+#include "core/combining.hpp"
 #include "core/ndft.hpp"
 #include "core/ndft_kernels.hpp"
+#include "core/ranging.hpp"
 #include "core/subcarrier_interp.hpp"
+#include "core/sweep_source.hpp"
 #include "mathx/constants.hpp"
+#include "mathx/rng.hpp"
 #include "mathx/spline.hpp"
 #include "phy/band_plan.hpp"
 #include "phy/csi.hpp"
+#include "sim/radio.hpp"
+#include "sim/scenario.hpp"
 
 #if CHRONOS_HAVE_GBENCH
 #include <benchmark/benchmark.h>
@@ -77,6 +89,94 @@ std::vector<std::vector<std::complex<double>>> batch_channels(
 
 constexpr core::DelayGrid kGrid{0.0, 150e-9, 0.125e-9};
 
+/// The production solve's inputs: 48 office_range links (sim::office_testbed
+/// pairs 1-15 m apart, single-antenna mobiles), each captured once through
+/// an engine calibrated with Engine::calibrate, then combined and weighted
+/// the way rangebench's probe prepares a sweep for the solver.
+struct OfficeSolves {
+  core::NdftSolver solver;
+  std::vector<std::vector<std::complex<double>>> hs;
+};
+
+const OfficeSolves& office_solves() {
+  static const OfficeSolves set = [] {
+    constexpr std::size_t kLinks = 48;
+    constexpr std::uint64_t kTxPersonality = 11;
+    constexpr std::uint64_t kRxPersonality = 22;
+    const NodeId cal_tx{1};
+    const NodeId cal_rx{2};
+    const sim::Scenario scenario = sim::office_testbed();
+    auto source = std::make_shared<core::SimSweepSource>(
+        scenario.environment(), sim::LinkSimConfig{});
+    source->add_node(cal_tx, sim::make_mobile({0.0, 0.0}, kTxPersonality));
+    source->add_node(cal_rx, sim::make_mobile({1.0, 0.0}, kRxPersonality));
+    mathx::Rng rng(20);
+    std::vector<RangingRequest> links;
+    for (std::uint64_t i = 0; i < kLinks; ++i) {
+      const sim::Placement pl = scenario.sample_pair(rng, 1.0, 15.0);
+      const NodeId tx{100 + i};
+      const NodeId rx{200 + i};
+      source->add_node(tx, sim::make_mobile(pl.tx, kTxPersonality));
+      source->add_node(rx, sim::make_mobile(pl.rx, kRxPersonality));
+      links.push_back({{tx, 0}, {rx, 0}});
+    }
+    Engine engine = Engine::adopt(source);
+    if (const Status status = engine.calibrate(cal_tx, cal_rx, rng);
+        !status.ok()) {
+      std::fprintf(stderr, "office calibration failed: %s\n",
+                   status.to_string().c_str());
+      std::exit(1);
+    }
+    const core::RangingPipeline pipeline(source->bands(),
+                                         EngineOptions{}.ranging);
+    OfficeSolves out{pipeline.solver(), {}};
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      mathx::Rng link_rng = rng.split(i);
+      const auto sweep = engine.capture_sweep(links[i], link_rng);
+      if (!sweep.ok()) {
+        std::fprintf(stderr, "office capture failed: %s\n",
+                     sweep.status().to_string().c_str());
+        std::exit(1);
+      }
+      std::vector<std::complex<double>> raw;
+      for (const auto& band : core::combine_sweep(
+               sweep.value(), pipeline.config().combining,
+               engine.calibration())) {
+        raw.push_back(band.value);
+      }
+      out.hs.push_back(pipeline.solver().apply_weights(raw));
+    }
+    return out;
+  }();
+  return set;
+}
+
+/// FNV-1a over every office solve's iterations, convergence flag,
+/// coefficient bytes and residual norm: equal digests mean bit-identical
+/// solves.
+std::uint64_t office_solve_digest() {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  auto mix = [&hash](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash ^= bytes[i];
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  const OfficeSolves& set = office_solves();
+  for (const auto& h : set.hs) {
+    const core::SparseSolveResult r =
+        set.solver.solve_fista(h, core::RangingConfig::solver_options);
+    const unsigned char converged = r.converged ? 1 : 0;
+    mix(&r.iterations, sizeof r.iterations);
+    mix(&converged, sizeof converged);
+    mix(r.coefficients.data(),
+        r.coefficients.size() * sizeof(r.coefficients[0]));
+    mix(&r.residual_norm, sizeof r.residual_norm);
+  }
+  return hash;
+}
+
 /// One timed workload: `fn` performs one op and returns a value the harness
 /// sinks so the work cannot be optimised away. `ops_per_call` divides the
 /// measured time so multi-RHS workloads report per-RHS cost.
@@ -113,6 +213,20 @@ const std::vector<MicroKernel>& kernels() {
     ks.push_back({"BM_IstaSolve", "ista_solve", [solver, h] {
                     return solver->solve_ista(h).residual_norm;
                   }});
+    // The production solve: what Engine::measure spends on FISTA for one
+    // office link, reported per solve over the 48-link set.
+    const OfficeSolves* office = &office_solves();
+    ks.push_back({"BM_FistaSolveOffice", "fista_solve_office", [office] {
+                    double acc = 0.0;
+                    for (const auto& h_k : office->hs) {
+                      acc += office->solver
+                                 .solve_fista(
+                                     h_k, core::RangingConfig::solver_options)
+                                 .residual_norm;
+                    }
+                    return acc;
+                  },
+                  static_cast<double>(office->hs.size())});
 
     // Gradient-arm ablation at the default 35x1201 problem. fista_solve
     // above runs the production kAuto arm rule; kDense pins the legacy
@@ -230,6 +344,9 @@ int run_chrono_harness() {
     const double v = std::atof(env);
     if (v > 0.0) min_ms = v;
   }
+  std::printf("  kernel variant: %s\n", core::NdftPlan::kernel_variant());
+  std::printf("SOLVE_DIGEST %016llx\n",
+              static_cast<unsigned long long>(office_solve_digest()));
   std::printf("  %-28s %14s %12s\n", "kernel", "ns/op", "ms/op");
   std::vector<std::pair<std::string, double>> metrics;
   for (const auto& k : kernels()) {

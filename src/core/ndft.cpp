@@ -1,7 +1,10 @@
 #include "core/ndft.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "mathx/constants.hpp"
 #include "mathx/contracts.hpp"
@@ -33,12 +36,13 @@ std::vector<std::complex<double>> merge_planes(std::span<const double> re,
   return out;
 }
 
-/// ||F p - h||_2 with the forward product restricted to `active` (must list
-/// exactly p's nonzero columns). Matches the legacy dense residual
-/// computation bit-for-bit.
-double residual_norm_active(const NdftPlan& plan, NdftWorkspace& ws) {
-  plan.forward_active(ws.p_re.data(), ws.p_im.data(), ws.active,
-                      ws.fp_re.data(), ws.fp_im.data());
+/// ||F p - h||_2 with the forward product restricted to `cols` (must list
+/// every column of p with a nonzero value, ascending). Matches the legacy
+/// dense residual computation bit-for-bit.
+double residual_norm_active(const NdftPlan& plan, NdftWorkspace& ws,
+                            std::span<const std::uint32_t> cols) {
+  plan.forward_active(ws.p_re.data(), ws.p_im.data(), cols, ws.fp_re.data(),
+                      ws.fp_im.data());
   double acc = 0.0;
   for (std::size_t r = 0; r < plan.rows(); ++r) {
     const double dr = ws.fp_re[r] - ws.h_re[r];
@@ -181,6 +185,59 @@ double NdftSolver::refine_delay(std::span<const std::complex<double>> h,
 
 namespace {
 
+/// Pass one of the proximal step: writes, in ascending order and without a
+/// branch, the columns whose point y - gamma * grad has |.|^2 > thr_sq (the
+/// columns that shrink to a nonzero value) to ws.survivors; returns how
+/// many it wrote.
+std::size_t collect_survivors(NdftWorkspace& ws, std::size_t m, double gamma,
+                              double thr_sq) {
+  const double* y_re = ws.y_re.data();
+  const double* y_im = ws.y_im.data();
+  const double* g_re = ws.grad_re.data();
+  const double* g_im = ws.grad_im.data();
+  std::uint32_t* out = ws.survivors.data();
+  std::size_t count = 0;
+  for (std::size_t k = 0; k < m; ++k) {
+    const double pr = y_re[k] - gamma * g_re[k];
+    const double pi = y_im[k] - gamma * g_im[k];
+    out[count] = static_cast<std::uint32_t>(k);
+    count += static_cast<std::size_t>(pr * pr + pi * pi > thr_sq);
+  }
+  return count;
+}
+
+/// ws.visit = the ascending union of the first `survivor_count` survivors,
+/// ws.support and ws.active (each ascending).
+void collect_visit(NdftWorkspace& ws, std::size_t survivor_count) {
+  constexpr std::uint32_t kEnd = std::numeric_limits<std::uint32_t>::max();
+  const std::uint32_t* s = ws.survivors.data();
+  const std::span<const std::uint32_t> p = ws.support;
+  const std::span<const std::uint32_t> y = ws.active;
+  std::size_t i = 0, j = 0, k = 0;
+  ws.visit.clear();
+  // lint:region(no-alloc)
+  for (;;) {
+    const std::uint32_t vs = i < survivor_count ? s[i] : kEnd;
+    const std::uint32_t vp = j < p.size() ? p[j] : kEnd;
+    const std::uint32_t vy = k < y.size() ? y[k] : kEnd;
+    const std::uint32_t v = std::min({vs, vp, vy});
+    if (v == kEnd) break;
+    // lint:allow(no-alloc): ws.visit is reserved to cols at bind(), and a
+    // set of distinct column indices has at most cols entries
+    ws.visit.push_back(v);
+    i += static_cast<std::size_t>(vs == v);
+    j += static_cast<std::size_t>(vp == v);
+    k += static_cast<std::size_t>(vy == v);
+  }
+  // lint:endregion(no-alloc)
+}
+
+/// True when any bit of (re, im) is set: -0.0 counts.
+bool any_bit(double re, double im) {
+  return (std::bit_cast<std::uint64_t>(re) |
+          std::bit_cast<std::uint64_t>(im)) != 0;
+}
+
 /// The one proximal-gradient loop: FISTA when `accelerate`, else ISTA (the
 /// same loop with the momentum coefficient held at 0).
 SparseSolveResult solve_proximal(const NdftPlan& plan,
@@ -210,7 +267,8 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
   std::fill(ws.p_im.begin(), ws.p_im.end(), 0.0);
   std::fill(ws.y_re.begin(), ws.y_re.end(), 0.0);
   std::fill(ws.y_im.begin(), ws.y_im.end(), 0.0);
-  ws.active.clear();  // tracks the extrapolated point y's nonzeros
+  ws.active.clear();   // the extrapolated point y's nonzeros
+  ws.support.clear();  // the iterate p's columns with any bit set
   double t_momentum = 1.0;
 
   // Everything inside this loop works on workspace buffers: no allocation
@@ -218,10 +276,17 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
   // scripts/lint/check_noalloc.py bans allocating constructs in this
   // region at lint time). The gradient is taken at the extrapolated point
   // y, whose support ws.active tracks; ISTA holds the momentum coefficient
-  // beta at 0, so its y is the iterate p itself. Shrinkage, momentum
-  // extrapolation, convergence accumulation, and the active-set rebuild
-  // are fused into ONE pass over the grid: reading p[k] (still the
-  // previous iterate) before overwriting it needs no p_prev planes.
+  // beta at 0, so its y is the iterate p itself.
+  //
+  // The proximal step touches only the columns it can change. Outside
+  // survivors ∪ supp(p) ∪ supp(y), p and y are exactly +0.0 (supp(p)
+  // counts -0.0, and a y that reads zero while p is +0.0 is +0.0 too), so
+  // the full-grid update would write +0.0 back and add a +0.0 step to
+  // diff_sq: skipping those columns changes no bit. Over the visited
+  // columns, in ascending order, shrinkage, momentum extrapolation,
+  // convergence accumulation and the rebuild of both supports are fused
+  // into one pass: reading p[k] (still the previous iterate) before
+  // overwriting it needs no p_prev planes.
   // lint:region(no-alloc)
   for (int t = 0; t < opts.max_iterations; ++t) {
     dispatch_gradient(plan, opts.gradient, ws.y_re.data(), ws.y_im.data(),
@@ -230,9 +295,11 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
     const double t_next =
         (1.0 + std::sqrt(1.0 + 4.0 * t_momentum * t_momentum)) / 2.0;
     const double beta = accelerate ? (t_momentum - 1.0) / t_next : 0.0;
-    double diff_sq = 0.0;
+    collect_visit(ws, collect_survivors(ws, m, gamma, thr_sq));
+    ws.support.clear();
     ws.active.clear();
-    for (std::size_t k = 0; k < m; ++k) {
+    double diff_sq = 0.0;
+    for (const std::uint32_t k : ws.visit) {
       const double pr = ws.y_re[k] - gamma * ws.grad_re[k];
       const double pi = ws.y_im[k] - gamma * ws.grad_im[k];
       double nr = 0.0;
@@ -253,9 +320,13 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
       ws.y_re[k] = yr;
       ws.y_im[k] = yi;
       diff_sq += step_re * step_re + step_im * step_im;
+      if (any_bit(nr, ni)) {
+        // lint:allow(no-alloc): ws.support is reserved to cols at bind()
+        ws.support.push_back(k);
+      }
       if (yr != 0.0 || yi != 0.0) {
         // lint:allow(no-alloc): ws.active is reserved to cols at bind()
-        ws.active.push_back(static_cast<std::uint32_t>(k));
+        ws.active.push_back(k);
       }
     }
     t_momentum = t_next;
@@ -266,18 +337,12 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
       break;
     }
   }
-
-  // The final iterate p's support differs from ws.active (which tracks y),
-  // so collect it before the active-restricted residual.
-  ws.active.clear();
-  for (std::size_t k = 0; k < m; ++k) {
-    if (ws.p_re[k] != 0.0 || ws.p_im[k] != 0.0) {
-      // lint:allow(no-alloc): ws.active is reserved to cols at bind()
-      ws.active.push_back(static_cast<std::uint32_t>(k));
-    }
-  }
   // lint:endregion(no-alloc)
-  out.residual_norm = residual_norm_active(plan, ws);
+
+  // The residual walks supp(p). Its -0.0 columns add exact zeros to
+  // accumulators that start at +0.0, so it equals the residual over p's
+  // nonzero columns bit for bit.
+  out.residual_norm = residual_norm_active(plan, ws, ws.support);
   out.coefficients = merge_planes(ws.p_re, ws.p_im);
   return out;
 }
@@ -322,13 +387,12 @@ std::vector<SparseSolveResult> NdftSolver::solve_fista_batch(
   // precomputation (SoA planes, Toeplitz kernel window) stays hot across
   // the panel. Per-column arithmetic stays sequential on purpose:
   // lane-interleaved SoA panels through the same kernels were measured
-  // 2-15x SLOWER per RHS at baseline ISA (the
-  // per-column kernels already run at SSE2 compute peak out of L2, and
-  // interleaving wrecks both the unit stride and the per-column active-set
-  // sparsity). Every buffer a solve reads is fully (re)initialised per
-  // column and the gradient-arm choice is a pure function of (plan,
-  // active-set size), so column k is bit-identical to a standalone
-  // solve_fista(hs[k], opts).
+  // 2-15x SLOWER per RHS at baseline ISA (interleaving wrecks both the
+  // unit stride the column-vectorised kernels rely on and the per-column
+  // active-set sparsity). Every buffer a solve reads is fully
+  // (re)initialised per column and the gradient-arm choice is a pure
+  // function of (plan, active-set size), so column k is bit-identical to a
+  // standalone solve_fista(hs[k], opts).
   for (const auto& h : hs) {
     out.push_back(solve_fista(h, opts, ws));
   }

@@ -18,7 +18,10 @@
 // kernel layer in core/ndft_kernels.hpp — shared cached plans (split-complex
 // SoA Fourier matrix + precomputed step size), caller-owned workspaces that
 // make the iteration loops allocation-free, an active-set forward product
-// once the iterate is sparse, and recurrence matched-filter scans.
+// once the iterate is sparse, gradient kernels with a run-time AVX2
+// variant, and recurrence matched-filter scans. The proximal step updates
+// only the columns it can change (this iteration's survivors of the
+// threshold and the supports of p and y).
 #pragma once
 
 #include <complex>
@@ -104,9 +107,9 @@ class NdftSolver {
   /// solver's shared plan through ONE workspace. Column k's result is
   /// bit-identical to solve_fista(hs[k], opts) — per-column arithmetic is
   /// deliberately kept sequential (lane-interleaved SoA panels were
-  /// measured 2-15x SLOWER per RHS at baseline ISA: the per-column kernels
-  /// already run at SSE2 compute peak out of L2, and interleaving wrecks
-  /// both the stride and the active-set sparsity). Against sequential
+  /// measured 2-15x SLOWER per RHS at baseline ISA: interleaving wrecks
+  /// both the unit stride the column-vectorised kernels rely on and the
+  /// per-column active-set sparsity). Against sequential
   /// solve_fista calls it amortizes nothing measurable, so the ranging
   /// runtime does not call it; the micro-bench and the end-to-end
   /// benchmark do.

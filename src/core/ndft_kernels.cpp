@@ -18,7 +18,194 @@
 #define CHRONOS_RESTRICT
 #endif
 
+// Run-time ISA dispatch for the two m-wide gradient kernels (adjoint and
+// Toeplitz scatter). Each keeps one loop body, force-inlined into its
+// NdftPlan method (the baseline variant) and, on x86 GNU-compatible
+// compilers, into a wrapper compiled for AVX2; a process-wide flag read
+// from the CPU picks the variant. target("avx2") does not enable FMA and
+// the loops vectorise across independent output columns, so both variants
+// produce the same bits. The explicit wrapper replaces target_clones on
+// purpose: its ifunc resolver runs before the ThreadSanitizer runtime is
+// up (a crash before main under -fsanitize=thread), and ifunc does not
+// exist on musl or macOS.
+#if (defined(__GNUC__) || defined(__clang__)) && \
+    (defined(__x86_64__) || defined(__i386__))
+#define CHRONOS_KERNEL_AVX2 1
+#define CHRONOS_KERNEL_BODY [[gnu::always_inline]] inline
+#else
+#define CHRONOS_KERNEL_AVX2 0
+#define CHRONOS_KERNEL_BODY inline
+#endif
+
 namespace chronos::core {
+
+namespace {
+
+bool cpu_has_avx2() {
+#if CHRONOS_KERNEL_AVX2
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+/// out = F^H x over split-complex row-major planes (n x m).
+CHRONOS_KERNEL_BODY void adjoint_body(const double* re, const double* im,
+                                      std::size_t n, std::size_t m,
+                                      const double* x_re, const double* x_im,
+                                      double* CHRONOS_RESTRICT out_re,
+                                      double* CHRONOS_RESTRICT out_im) {
+  // lint:region(no-alloc)
+  std::fill(out_re, out_re + m, 0.0);
+  std::fill(out_im, out_im + m, 0.0);
+  // out[c] += conj(F[r][c]) * x[r]. Every out[c] receives one addend per
+  // row, applied in row order, so vectorising the column loop keeps the
+  // legacy accumulation order per component. Rows are blocked by four to
+  // amortise the out-plane read/modify/write traffic (which otherwise
+  // dominates: n passes over 2m doubles vs one pass over the 2nm planes);
+  // within a block the four addends stay sequential, preserving order.
+  std::size_t r = 0;
+  for (; r + 4 <= n; r += 4) {
+    const double* CHRONOS_RESTRICT fr0 = re + (r + 0) * m;
+    const double* CHRONOS_RESTRICT fr1 = re + (r + 1) * m;
+    const double* CHRONOS_RESTRICT fr2 = re + (r + 2) * m;
+    const double* CHRONOS_RESTRICT fr3 = re + (r + 3) * m;
+    const double* CHRONOS_RESTRICT fi0 = im + (r + 0) * m;
+    const double* CHRONOS_RESTRICT fi1 = im + (r + 1) * m;
+    const double* CHRONOS_RESTRICT fi2 = im + (r + 2) * m;
+    const double* CHRONOS_RESTRICT fi3 = im + (r + 3) * m;
+    const double xr0 = x_re[r + 0], xi0 = x_im[r + 0];
+    const double xr1 = x_re[r + 1], xi1 = x_im[r + 1];
+    const double xr2 = x_re[r + 2], xi2 = x_im[r + 2];
+    const double xr3 = x_re[r + 3], xi3 = x_im[r + 3];
+    for (std::size_t c = 0; c < m; ++c) {
+      double acc_re = out_re[c];
+      double acc_im = out_im[c];
+      acc_re += fr0[c] * xr0 + fi0[c] * xi0;
+      acc_im += fr0[c] * xi0 - fi0[c] * xr0;
+      acc_re += fr1[c] * xr1 + fi1[c] * xi1;
+      acc_im += fr1[c] * xi1 - fi1[c] * xr1;
+      acc_re += fr2[c] * xr2 + fi2[c] * xi2;
+      acc_im += fr2[c] * xi2 - fi2[c] * xr2;
+      acc_re += fr3[c] * xr3 + fi3[c] * xi3;
+      acc_im += fr3[c] * xi3 - fi3[c] * xr3;
+      out_re[c] = acc_re;
+      out_im[c] = acc_im;
+    }
+  }
+  for (; r < n; ++r) {
+    const double* CHRONOS_RESTRICT fr = re + r * m;
+    const double* CHRONOS_RESTRICT fi = im + r * m;
+    const double xr = x_re[r];
+    const double xi = x_im[r];
+    for (std::size_t c = 0; c < m; ++c) {
+      out_re[c] += fr[c] * xr + fi[c] * xi;
+      out_im[c] += fr[c] * xi - fi[c] * xr;
+    }
+  }
+  // lint:endregion(no-alloc)
+}
+
+/// g[c] += sum over four active columns j of y_j * T_{c,j}, the four
+/// addends applied in active order: one read/modify/write of g per four
+/// columns. The pointers are parameters so that their restrict holds for
+/// the vectoriser (GCC does not vectorise this loop on local restrict
+/// pointers).
+CHRONOS_KERNEL_BODY void scatter_block4(
+    std::size_t m, double* CHRONOS_RESTRICT gr, double* CHRONOS_RESTRICT gi,
+    const double* CHRONOS_RESTRICT e0r, const double* CHRONOS_RESTRICT e0i,
+    const double* CHRONOS_RESTRICT e1r, const double* CHRONOS_RESTRICT e1i,
+    const double* CHRONOS_RESTRICT e2r, const double* CHRONOS_RESTRICT e2i,
+    const double* CHRONOS_RESTRICT e3r, const double* CHRONOS_RESTRICT e3i,
+    const double* y) {
+  const double y0r = y[0], y0i = y[1], y1r = y[2], y1i = y[3];
+  const double y2r = y[4], y2i = y[5], y3r = y[6], y3i = y[7];
+  for (std::size_t c = 0; c < m; ++c) {
+    double acc_re = gr[c];
+    double acc_im = gi[c];
+    acc_re += y0r * e0r[c] - y0i * e0i[c];
+    acc_im += y0r * e0i[c] + y0i * e0r[c];
+    acc_re += y1r * e1r[c] - y1i * e1i[c];
+    acc_im += y1r * e1i[c] + y1i * e1r[c];
+    acc_re += y2r * e2r[c] - y2i * e2i[c];
+    acc_im += y2r * e2i[c] + y2i * e2r[c];
+    acc_re += y3r * e3r[c] - y3i * e3i[c];
+    acc_im += y3r * e3i[c] + y3i * e3r[c];
+    gr[c] = acc_re;
+    gi[c] = acc_im;
+  }
+}
+
+/// grad = T y - b by windowed accumulation over the `count` active columns
+/// of y. tz_re/tz_im are the plan's reversed kernel windows (2m - 1).
+CHRONOS_KERNEL_BODY void scatter_body(
+    const double* tz_re, const double* tz_im, std::size_t m,
+    const std::uint32_t* active, std::size_t count, const double* y_re,
+    const double* y_im, const double* CHRONOS_RESTRICT b_re,
+    const double* CHRONOS_RESTRICT b_im, double* CHRONOS_RESTRICT gr,
+    double* CHRONOS_RESTRICT gi) {
+  // lint:region(no-alloc)
+  std::fill(gr, gr + m, 0.0);
+  std::fill(gi, gi + m, 0.0);
+  // Every grad[c] receives one addend per active column, in active order,
+  // whether it arrives in a block of four or alone.
+  std::size_t j = 0;
+  for (; j + 4 <= count; j += 4) {
+    const std::size_t l0 = active[j], l1 = active[j + 1];
+    const std::size_t l2 = active[j + 2], l3 = active[j + 3];
+    const double y[8] = {y_re[l0], y_im[l0], y_re[l1], y_im[l1],
+                         y_re[l2], y_im[l2], y_re[l3], y_im[l3]};
+    scatter_block4(m, gr, gi, tz_re + (m - 1 - l0), tz_im + (m - 1 - l0),
+                   tz_re + (m - 1 - l1), tz_im + (m - 1 - l1),
+                   tz_re + (m - 1 - l2), tz_im + (m - 1 - l2),
+                   tz_re + (m - 1 - l3), tz_im + (m - 1 - l3), y);
+  }
+  for (; j < count; ++j) {
+    const std::size_t l = active[j];
+    const double ylr = y_re[l];
+    const double yli = y_im[l];
+    const double* CHRONOS_RESTRICT er = tz_re + (m - 1 - l);
+    const double* CHRONOS_RESTRICT ei = tz_im + (m - 1 - l);
+    for (std::size_t c = 0; c < m; ++c) {
+      gr[c] += ylr * er[c] - yli * ei[c];
+      gi[c] += ylr * ei[c] + yli * er[c];
+    }
+  }
+  for (std::size_t c = 0; c < m; ++c) {
+    gr[c] -= b_re[c];
+    gi[c] -= b_im[c];
+  }
+  // lint:endregion(no-alloc)
+}
+
+#if CHRONOS_KERNEL_AVX2
+[[gnu::target("avx2")]] void adjoint_avx2(const double* re, const double* im,
+                                          std::size_t n, std::size_t m,
+                                          const double* x_re,
+                                          const double* x_im, double* out_re,
+                                          double* out_im) {
+  adjoint_body(re, im, n, m, x_re, x_im, out_re, out_im);
+}
+
+[[gnu::target("avx2")]] void scatter_avx2(
+    const double* tz_re, const double* tz_im, std::size_t m,
+    const std::uint32_t* active, std::size_t count, const double* y_re,
+    const double* y_im, const double* b_re, const double* b_im, double* gr,
+    double* gi) {
+  scatter_body(tz_re, tz_im, m, active, count, y_re, y_im, b_re, b_im, gr,
+               gi);
+}
+#endif
+
+}  // namespace
+
+const char* NdftPlan::kernel_variant() {
+  return cpu_has_avx2() ? "avx2" : "baseline";
+}
 
 std::size_t DelayGrid::size() const {
   CHRONOS_EXPECTS(max_s > min_s && step_s > 0.0, "bad delay grid");
@@ -50,10 +237,16 @@ void NdftWorkspace::bind(std::size_t rows, std::size_t cols) {
   y_im.resize(cols);
   b_re.resize(cols);
   b_im.resize(cols);
-  // Reserve up front: the solver loops push nonzero indices per iteration
+  // Reserve up front: the solver loops push column indices per iteration
   // after clear(), which must never reallocate.
   active.reserve(cols);
   active.clear();
+  support.reserve(cols);
+  support.clear();
+  visit.reserve(cols);
+  visit.clear();
+  // Written by index, not pushed: sized outright.
+  survivors.resize(cols);
 }
 
 NdftPlan::NdftPlan(std::vector<double> row_freqs_hz, DelayGrid grid,
@@ -173,27 +366,17 @@ void NdftPlan::gradient_toeplitz_scatter(const double* y_re,
                                          const double* y_im,
                                          NdftWorkspace& ws) const {
   CHRONOS_EXPECTS(toeplitz_capable_, "plan has no Toeplitz tier");
-  const std::size_t m = m_;
-  double* CHRONOS_RESTRICT gr = ws.grad_re.data();
-  double* CHRONOS_RESTRICT gi = ws.grad_im.data();
-  std::fill(gr, gr + m, 0.0);
-  std::fill(gi, gi + m, 0.0);
-  for (const std::uint32_t l : ws.active) {
-    const double ylr = y_re[l];
-    const double yli = y_im[l];
-    const double* CHRONOS_RESTRICT er = tz_re_.data() + (m - 1 - l);
-    const double* CHRONOS_RESTRICT ei = tz_im_.data() + (m - 1 - l);
-    for (std::size_t c = 0; c < m; ++c) {
-      gr[c] += ylr * er[c] - yli * ei[c];
-      gi[c] += ylr * ei[c] + yli * er[c];
-    }
+#if CHRONOS_KERNEL_AVX2
+  if (cpu_has_avx2()) {
+    scatter_avx2(tz_re_.data(), tz_im_.data(), m_, ws.active.data(),
+                 ws.active.size(), y_re, y_im, ws.b_re.data(),
+                 ws.b_im.data(), ws.grad_re.data(), ws.grad_im.data());
+    return;
   }
-  const double* CHRONOS_RESTRICT br = ws.b_re.data();
-  const double* CHRONOS_RESTRICT bi = ws.b_im.data();
-  for (std::size_t c = 0; c < m; ++c) {
-    gr[c] -= br[c];
-    gi[c] -= bi[c];
-  }
+#endif
+  scatter_body(tz_re_.data(), tz_im_.data(), m_, ws.active.data(),
+               ws.active.size(), y_re, y_im, ws.b_re.data(), ws.b_im.data(),
+               ws.grad_re.data(), ws.grad_im.data());
 }
 
 namespace {
@@ -331,58 +514,14 @@ void NdftPlan::forward_active(const double* p_re, const double* p_im,
 }
 
 void NdftPlan::adjoint(const double* x_re, const double* x_im,
-                       double* CHRONOS_RESTRICT out_re,
-                       double* CHRONOS_RESTRICT out_im) const {
-  const std::size_t m = m_;
-  // lint:region(no-alloc)
-  std::fill(out_re, out_re + m, 0.0);
-  std::fill(out_im, out_im + m, 0.0);
-  // out[c] += conj(F[r][c]) * x[r]. Every out[c] receives one addend per
-  // row, applied in row order, so vectorising the column loop keeps the
-  // legacy accumulation order per component. Rows are blocked by four to
-  // amortise the out-plane read/modify/write traffic (which otherwise
-  // dominates: n passes over 2m doubles vs one pass over the 2nm planes);
-  // within a block the four addends stay sequential, preserving order.
-  std::size_t r = 0;
-  for (; r + 4 <= n_; r += 4) {
-    const double* CHRONOS_RESTRICT fr0 = re_.data() + (r + 0) * m;
-    const double* CHRONOS_RESTRICT fr1 = re_.data() + (r + 1) * m;
-    const double* CHRONOS_RESTRICT fr2 = re_.data() + (r + 2) * m;
-    const double* CHRONOS_RESTRICT fr3 = re_.data() + (r + 3) * m;
-    const double* CHRONOS_RESTRICT fi0 = im_.data() + (r + 0) * m;
-    const double* CHRONOS_RESTRICT fi1 = im_.data() + (r + 1) * m;
-    const double* CHRONOS_RESTRICT fi2 = im_.data() + (r + 2) * m;
-    const double* CHRONOS_RESTRICT fi3 = im_.data() + (r + 3) * m;
-    const double xr0 = x_re[r + 0], xi0 = x_im[r + 0];
-    const double xr1 = x_re[r + 1], xi1 = x_im[r + 1];
-    const double xr2 = x_re[r + 2], xi2 = x_im[r + 2];
-    const double xr3 = x_re[r + 3], xi3 = x_im[r + 3];
-    for (std::size_t c = 0; c < m; ++c) {
-      double acc_re = out_re[c];
-      double acc_im = out_im[c];
-      acc_re += fr0[c] * xr0 + fi0[c] * xi0;
-      acc_im += fr0[c] * xi0 - fi0[c] * xr0;
-      acc_re += fr1[c] * xr1 + fi1[c] * xi1;
-      acc_im += fr1[c] * xi1 - fi1[c] * xr1;
-      acc_re += fr2[c] * xr2 + fi2[c] * xi2;
-      acc_im += fr2[c] * xi2 - fi2[c] * xr2;
-      acc_re += fr3[c] * xr3 + fi3[c] * xi3;
-      acc_im += fr3[c] * xi3 - fi3[c] * xr3;
-      out_re[c] = acc_re;
-      out_im[c] = acc_im;
-    }
+                       double* out_re, double* out_im) const {
+#if CHRONOS_KERNEL_AVX2
+  if (cpu_has_avx2()) {
+    adjoint_avx2(re_.data(), im_.data(), n_, m_, x_re, x_im, out_re, out_im);
+    return;
   }
-  for (; r < n_; ++r) {
-    const double* CHRONOS_RESTRICT fr = re_.data() + r * m;
-    const double* CHRONOS_RESTRICT fi = im_.data() + r * m;
-    const double xr = x_re[r];
-    const double xi = x_im[r];
-    for (std::size_t c = 0; c < m; ++c) {
-      out_re[c] += fr[c] * xr + fi[c] * xi;
-      out_im[c] += fr[c] * xi - fi[c] * xr;
-    }
-  }
-  // lint:endregion(no-alloc)
+#endif
+  adjoint_body(re_.data(), im_.data(), n_, m_, x_re, x_im, out_re, out_im);
 }
 
 void NdftPlan::gradient(const double* p_re, const double* p_im,

@@ -29,12 +29,17 @@
 // Numerical contract: the split-complex kernels reproduce the legacy
 // mathx::Matrix path bit-for-bit on dense inputs (identical operation order
 // per component), and the active-set forward skips only columns whose
-// coefficient is exactly zero — so it is bit-identical too. The recurrence
-// scans differ from per-point evaluation at the ~1e-13 relative level over
-// bench-length scans, and the Toeplitz scatter gradient agrees with the
-// dense fused gradient to ~1e-13 relative (solver iterates stay within
-// 1e-12 of the dense path; tests/test_core_ndft_kernels.cpp pins all of
-// this).
+// coefficient is exactly zero — so it is bit-identical too. The two m-wide
+// gradient kernels (adjoint and Toeplitz scatter) have per-ISA variants,
+// baseline and AVX2, picked once per process from the CPU
+// (NdftPlan::kernel_variant): they are bit-identical because they use no
+// FMA and no cross-lane reduction — each lane computes its own output
+// column with the baseline's operations in the baseline's order. The
+// recurrence scans differ from per-point evaluation at the ~1e-13 relative
+// level over bench-length scans, and the Toeplitz scatter gradient agrees
+// with the dense fused gradient to ~1e-13 relative (solver iterates stay
+// within 1e-12 of the dense path). tests/test_core_ndft_kernels.cpp pins
+// all of this, the dense-mode solves and the scatter bitwise.
 #pragma once
 
 #include <complex>
@@ -78,6 +83,14 @@ struct NdftWorkspace {
   std::vector<double> b_re, b_im;
   // Indices of the (exactly) nonzero columns of the current iterate.
   std::vector<std::uint32_t> active;
+  // Proximal-step index lists, ascending. `support`: the columns of p with
+  // any bit set (-0.0 included). `survivors` (cols entries; a count says
+  // how many are live): the columns whose shrinkage is nonzero this
+  // iteration. `visit`: survivors ∪ support ∪ active, the only columns the
+  // update can change.
+  std::vector<std::uint32_t> support;
+  std::vector<std::uint32_t> survivors;
+  std::vector<std::uint32_t> visit;
 
   void bind(std::size_t rows, std::size_t cols);
 };
@@ -104,6 +117,12 @@ class NdftPlan {
 
   static std::size_t cache_size();
   static void clear_cache();
+
+  /// The variant of the adjoint and Toeplitz-scatter kernels this process
+  /// runs: "avx2" on an x86 CPU with AVX2 under a GNU-compatible compiler,
+  /// "baseline" otherwise. Fixed for the process; every variant produces
+  /// the same bits.
+  static const char* kernel_variant();
 
   std::size_t rows() const { return n_; }
   std::size_t cols() const { return m_; }
