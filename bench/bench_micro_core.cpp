@@ -10,12 +10,15 @@
 //    and is registered with CTest under the `perf` label so the numbers are
 //    exercised on every verify run; bench/BENCH_ndft.json records the
 //    per-PR trajectory. Before the table it prints the kernel variant the
-//    process runs and one `SOLVE_DIGEST <hex>` line over the office solves
+//    process runs, one `SOLVE_DIGEST <hex>` line over the office solves
 //    (fista_solve_office), which two builds with bit-identical solves
-//    share.
+//    share, and one `OFFICE_GAP` line: the iterations those solves take to
+//    their duality-gap stop (mean and p90) and the largest relative gap
+//    they stop at.
 //  * --gbench — delegates to google-benchmark (when the build found it) for
 //    full statistical output; remaining argv is forwarded, so the usual
 //    --benchmark_* flags work.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <complex>
@@ -41,6 +44,7 @@
 #include "mathx/constants.hpp"
 #include "mathx/rng.hpp"
 #include "mathx/spline.hpp"
+#include "mathx/stats.hpp"
 #include "phy/band_plan.hpp"
 #include "phy/csi.hpp"
 #include "sim/radio.hpp"
@@ -151,19 +155,27 @@ const OfficeSolves& office_solves() {
   return set;
 }
 
-/// FNV-1a over every office solve's iterations, convergence flag,
-/// coefficient bytes and residual norm: equal digests mean bit-identical
-/// solves.
-std::uint64_t office_solve_digest() {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  auto mix = [&hash](const void* data, std::size_t size) {
+/// One pass over the office solves: an FNV-1a digest of their iterations,
+/// convergence flags, coefficient bytes and residual norms (equal digests
+/// mean bit-identical solves), and their iterations-to-gap.
+struct OfficeSolveSummary {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  double iterations_mean = 0.0;
+  double iterations_p90 = 0.0;
+  double max_relative_gap = 0.0;
+};
+
+OfficeSolveSummary summarize_office_solves() {
+  OfficeSolveSummary out;
+  auto mix = [&out](const void* data, std::size_t size) {
     const auto* bytes = static_cast<const unsigned char*>(data);
     for (std::size_t i = 0; i < size; ++i) {
-      hash ^= bytes[i];
-      hash *= 0x100000001b3ULL;
+      out.digest ^= bytes[i];
+      out.digest *= 0x100000001b3ULL;
     }
   };
   const OfficeSolves& set = office_solves();
+  std::vector<double> iterations;
   for (const auto& h : set.hs) {
     const core::SparseSolveResult r =
         set.solver.solve_fista(h, core::RangingConfig::solver_options);
@@ -173,8 +185,12 @@ std::uint64_t office_solve_digest() {
     mix(r.coefficients.data(),
         r.coefficients.size() * sizeof(r.coefficients[0]));
     mix(&r.residual_norm, sizeof r.residual_norm);
+    iterations.push_back(r.iterations);
+    out.max_relative_gap = std::max(out.max_relative_gap, r.relative_gap);
   }
-  return hash;
+  out.iterations_mean = mathx::mean(iterations);
+  out.iterations_p90 = mathx::percentile(iterations, 90.0);
+  return out;
 }
 
 /// One timed workload: `fn` performs one op and returns a value the harness
@@ -345,8 +361,13 @@ int run_chrono_harness() {
     if (v > 0.0) min_ms = v;
   }
   std::printf("  kernel variant: %s\n", core::NdftPlan::kernel_variant());
+  const OfficeSolveSummary office = summarize_office_solves();
   std::printf("SOLVE_DIGEST %016llx\n",
-              static_cast<unsigned long long>(office_solve_digest()));
+              static_cast<unsigned long long>(office.digest));
+  std::printf("OFFICE_GAP %zu solves: iterations mean %.1f p90 %.1f, max "
+              "relative gap %.3g\n",
+              office_solves().hs.size(), office.iterations_mean,
+              office.iterations_p90, office.max_relative_gap);
   std::printf("  %-28s %14s %12s\n", "kernel", "ns/op", "ms/op");
   std::vector<std::pair<std::string, double>> metrics;
   for (const auto& k : kernels()) {

@@ -107,8 +107,8 @@ double sweep_mean_snr_db(const phy::SweepMeasurement& sweep) {
   std::size_t n = 0;
   for (const auto& captures : sweep.bands) {
     for (const auto& cap : captures) {
-      fwd_acc += interpolate_to_center(cap.forward).toa_slope_s;
-      rev_acc += interpolate_to_center(cap.reverse).toa_slope_s;
+      fwd_acc += toa_slope(cap.forward);
+      rev_acc += toa_slope(cap.reverse);
       ++n;
     }
   }

@@ -36,25 +36,10 @@ std::vector<std::complex<double>> merge_planes(std::span<const double> re,
   return out;
 }
 
-/// ||F p - h||_2 with the forward product restricted to `cols` (must list
-/// every column of p with a nonzero value, ascending). Matches the legacy
-/// dense residual computation bit-for-bit.
-double residual_norm_active(const NdftPlan& plan, NdftWorkspace& ws,
-                            std::span<const std::uint32_t> cols) {
-  plan.forward_active(ws.p_re.data(), ws.p_im.data(), cols, ws.fp_re.data(),
-                      ws.fp_im.data());
-  double acc = 0.0;
-  for (std::size_t r = 0; r < plan.rows(); ++r) {
-    const double dr = ws.fp_re[r] - ws.h_re[r];
-    const double di = ws.fp_im[r] - ws.h_im[r];
-    acc += dr * dr + di * di;
-  }
-  return std::sqrt(acc);
-}
-
-/// One gradient evaluation at (y_re, y_im), routed per IstaOptions mode.
-/// ws.active must list y's nonzero columns and ws.b must hold F^H h (the
-/// scatter arm consumes it; the dense arm ignores it).
+/// One gradient evaluation at (y_re, y_im) on the working set ws.work,
+/// routed per IstaOptions mode. ws.active must list y's nonzero columns and
+/// ws.b must hold F^H h (the scatter arm consumes it; the dense arm ignores
+/// it).
 void dispatch_gradient(const NdftPlan& plan, IstaOptions::GradientMode mode,
                        const double* y_re, const double* y_im,
                        NdftWorkspace& ws) {
@@ -185,11 +170,29 @@ double NdftSolver::refine_delay(std::span<const std::complex<double>> h,
 
 namespace {
 
+/// How often the loop certifies its iterate. A check costs one forward
+/// product over supp(p) and one full adjoint, about one dense gradient.
+/// Measured on 48 office solves against the time of the former step-size
+/// stop (Release, 4-vCPU x86-64 guest with AVX2): a check every 5
+/// iterations read 0.61x, every 10 0.47-0.51x, every 20 0.51x (sparser
+/// checks overshoot the gap target by more iterations).
+constexpr int kGapCheckEvery = 10;
+
+/// Each check admits to the working set every column whose scaled dual
+/// correlation s * |F^H r| reaches this fraction of alpha; a column needs
+/// |grad| > alpha to leave zero, so the margin admits the columns that may
+/// enter before the next check. Measured on the same 48 office solves and
+/// host: 0.8 kept 230 columns per iteration (0.61x); 0.9 keeps 146
+/// (0.47-0.51x) and moves 11 solves by at most 1.3e-3 relative against a
+/// full-grid iteration to the same gap; 0.95 kept 110 (0.46-0.48x) but
+/// moved 30 solves by up to 3.9e-2.
+constexpr double kWorkingSetFraction = 0.9;
+
 /// Pass one of the proximal step: writes, in ascending order and without a
-/// branch, the columns whose point y - gamma * grad has |.|^2 > thr_sq (the
-/// columns that shrink to a nonzero value) to ws.survivors; returns how
-/// many it wrote.
-std::size_t collect_survivors(NdftWorkspace& ws, std::size_t m, double gamma,
+/// branch, the working-set columns whose point y - gamma * grad has
+/// |.|^2 > thr_sq (the columns that shrink to a nonzero value) to
+/// ws.survivors; returns how many it wrote.
+std::size_t collect_survivors(NdftWorkspace& ws, double gamma,
                               double thr_sq) {
   const double* y_re = ws.y_re.data();
   const double* y_im = ws.y_im.data();
@@ -197,11 +200,13 @@ std::size_t collect_survivors(NdftWorkspace& ws, std::size_t m, double gamma,
   const double* g_im = ws.grad_im.data();
   std::uint32_t* out = ws.survivors.data();
   std::size_t count = 0;
-  for (std::size_t k = 0; k < m; ++k) {
-    const double pr = y_re[k] - gamma * g_re[k];
-    const double pi = y_im[k] - gamma * g_im[k];
-    out[count] = static_cast<std::uint32_t>(k);
-    count += static_cast<std::size_t>(pr * pr + pi * pi > thr_sq);
+  for (const ColumnRun run : ws.work) {
+    for (std::size_t k = run.lo; k < run.hi; ++k) {
+      const double pr = y_re[k] - gamma * g_re[k];
+      const double pi = y_im[k] - gamma * g_im[k];
+      out[count] = static_cast<std::uint32_t>(k);
+      count += static_cast<std::size_t>(pr * pr + pi * pi > thr_sq);
+    }
   }
   return count;
 }
@@ -238,6 +243,85 @@ bool any_bit(double re, double im) {
           std::bit_cast<std::uint64_t>(im)) != 0;
 }
 
+/// The duality-gap certificate of the iterate p (ws.p, nonzero columns
+/// ws.support) for min 1/2 ||h - F p||^2 + alpha ||p||_1. Writes the
+/// relative gap and ||h - F p|| to `out`, and rebuilds the working set
+/// ws.work = supp(p) ∪ supp(y) ∪ {c : s |c_c| >= kWorkingSetFraction
+/// alpha}. Overwrites ws.fp (with r) and ws.grad (with c); the next
+/// gradient rewrites ws.grad on the new working set before anything reads
+/// it.
+void certify(const NdftPlan& plan, NdftWorkspace& ws, double alpha,
+             double h_sq, SparseSolveResult& out) {
+  const std::size_t n = plan.rows();
+  const std::size_t m = plan.cols();
+  // r = h - F p, one forward product over supp(p).
+  plan.forward_active(ws.p_re.data(), ws.p_im.data(), ws.support,
+                      ws.fp_re.data(), ws.fp_im.data());
+  double r_sq = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double rr = ws.h_re[i] - ws.fp_re[i];
+    const double ri = ws.h_im[i] - ws.fp_im[i];
+    ws.fp_re[i] = rr;
+    ws.fp_im[i] = ri;
+    r_sq += rr * rr + ri * ri;
+  }
+  // c = F^H r over every column: the dual point must be feasible on the
+  // whole grid, not only on the working set.
+  plan.adjoint(ws.fp_re.data(), ws.fp_im.data(), ws.grad_re.data(),
+               ws.grad_im.data());
+  const double* c_re = ws.grad_re.data();
+  const double* c_im = ws.grad_im.data();
+  double c_max_sq = 0.0;
+  for (std::size_t k = 0; k < m; ++k) {
+    c_max_sq = std::max(c_max_sq, c_re[k] * c_re[k] + c_im[k] * c_im[k]);
+  }
+  const double c_max = std::sqrt(c_max_sq);
+  // theta = s r with s = min(1, alpha / max|c|) satisfies |F^H theta| <=
+  // alpha on every column (any s when F^H r = 0).
+  const double s = c_max > alpha ? alpha / c_max : 1.0;
+  double l1 = 0.0;
+  for (const std::uint32_t k : ws.support) {
+    l1 += std::sqrt(ws.p_re[k] * ws.p_re[k] + ws.p_im[k] * ws.p_im[k]);
+  }
+  double d_sq = 0.0;  // ||h - theta||^2
+  for (std::size_t i = 0; i < n; ++i) {
+    const double dr = ws.h_re[i] - s * ws.fp_re[i];
+    const double di = ws.h_im[i] - s * ws.fp_im[i];
+    d_sq += dr * dr + di * di;
+  }
+  const double primal = 0.5 * r_sq + alpha * l1;
+  const double dual = 0.5 * h_sq - 0.5 * d_sq;
+  out.relative_gap = primal > 0.0 ? (primal - dual) / primal : 0.0;
+  out.residual_norm = std::sqrt(r_sq);
+
+  // s |c_k| >= f alpha  <=>  |c_k| >= f max(alpha, max|c|): one squared
+  // threshold, merged with the ascending supports into runs.
+  const double w_thr = kWorkingSetFraction * std::max(alpha, c_max);
+  const double w_thr_sq = w_thr * w_thr;
+  const std::span<const std::uint32_t> p_cols = ws.support;
+  const std::span<const std::uint32_t> y_cols = ws.active;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  ws.work.clear();
+  for (std::size_t k = 0; k < m; ++k) {
+    const bool in_p = i < p_cols.size() && p_cols[i] == k;
+    const bool in_y = j < y_cols.size() && y_cols[j] == k;
+    i += static_cast<std::size_t>(in_p);
+    j += static_cast<std::size_t>(in_y);
+    const bool in_w =
+        in_p || in_y || c_re[k] * c_re[k] + c_im[k] * c_im[k] >= w_thr_sq;
+    if (!in_w) continue;
+    const auto col = static_cast<std::uint32_t>(k);
+    if (!ws.work.empty() && ws.work.back().hi == col) {
+      ws.work.back().hi = col + 1;
+    } else {
+      // lint:allow(no-alloc): ws.work is reserved at bind() to the most
+      // disjoint runs cols columns can hold
+      ws.work.push_back({col, col + 1});
+    }
+  }
+}
+
 /// The one proximal-gradient loop: FISTA when `accelerate`, else ISTA (the
 /// same loop with the momentum coefficient held at 0).
 SparseSolveResult solve_proximal(const NdftPlan& plan,
@@ -248,15 +332,17 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
   const std::size_t m = plan.cols();
   CHRONOS_EXPECTS(h.size() == n, "channel vector/row count mismatch");
 
-  ws.bind(n, m);
+  ws.bind(n, m);  // also sets the working set to every column
   split_into(h, ws.h_re, ws.h_im);
   // b = F^H h: the fixed linear term of the Toeplitz scatter arm AND the
   // argmax source for the relative-alpha knob — one adjoint serves both.
   plan.adjoint(ws.h_re.data(), ws.h_im.data(), ws.b_re.data(),
                ws.b_im.data());
   const double alpha = effective_alpha(plan, ws, opts);
-  const double h_norm = mathx::norm2(h);
-  const double tol = opts.epsilon * std::max(h_norm, 1e-30);
+  double h_sq = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    h_sq += ws.h_re[i] * ws.h_re[i] + ws.h_im[i] * ws.h_im[i];
+  }
   const double gamma = plan.gamma();
   const double thr = gamma * alpha;
   const double thr_sq = thr * thr;
@@ -278,14 +364,20 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
   // y, whose support ws.active tracks; ISTA holds the momentum coefficient
   // beta at 0, so its y is the iterate p itself.
   //
-  // The proximal step touches only the columns it can change. Outside
+  // Between gap checks the gradient, the survivor pass and the update
+  // visit only the working set W, which every check rebuilds from the
+  // full dual and which holds the supports of p and y; until the first
+  // check W is every column. Starting W from F^H h instead moved every
+  // office solve (by up to 21% in the coefficients): the first iterations
+  // need the whole grid. Outside W, p and y stay exactly +0.0.
+  //
+  // The update touches only the columns it can change. Outside
   // survivors ∪ supp(p) ∪ supp(y), p and y are exactly +0.0 (supp(p)
   // counts -0.0, and a y that reads zero while p is +0.0 is +0.0 too), so
-  // the full-grid update would write +0.0 back and add a +0.0 step to
-  // diff_sq: skipping those columns changes no bit. Over the visited
-  // columns, in ascending order, shrinkage, momentum extrapolation,
-  // convergence accumulation and the rebuild of both supports are fused
-  // into one pass: reading p[k] (still the previous iterate) before
+  // a working-set-wide update would write +0.0 back: skipping those
+  // columns changes no bit. Over the visited columns, in ascending order,
+  // shrinkage, momentum extrapolation and the rebuild of both supports are
+  // fused into one pass: reading p[k] (still the previous iterate) before
   // overwriting it needs no p_prev planes.
   // lint:region(no-alloc)
   for (int t = 0; t < opts.max_iterations; ++t) {
@@ -295,10 +387,9 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
     const double t_next =
         (1.0 + std::sqrt(1.0 + 4.0 * t_momentum * t_momentum)) / 2.0;
     const double beta = accelerate ? (t_momentum - 1.0) / t_next : 0.0;
-    collect_visit(ws, collect_survivors(ws, m, gamma, thr_sq));
+    collect_visit(ws, collect_survivors(ws, gamma, thr_sq));
     ws.support.clear();
     ws.active.clear();
-    double diff_sq = 0.0;
     for (const std::uint32_t k : ws.visit) {
       const double pr = ws.y_re[k] - gamma * ws.grad_re[k];
       const double pi = ws.y_im[k] - gamma * ws.grad_im[k];
@@ -319,7 +410,6 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
       const double yi = ni + beta * step_im;
       ws.y_re[k] = yr;
       ws.y_im[k] = yi;
-      diff_sq += step_re * step_re + step_im * step_im;
       if (any_bit(nr, ni)) {
         // lint:allow(no-alloc): ws.support is reserved to cols at bind()
         ws.support.push_back(k);
@@ -332,17 +422,18 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
     t_momentum = t_next;
 
     out.iterations = t + 1;
-    if (std::sqrt(diff_sq) < tol) {
-      out.converged = true;
-      break;
+    // The last iteration is always certified, so relative_gap describes
+    // the returned p however the loop ends.
+    if (out.iterations % kGapCheckEvery == 0 ||
+        out.iterations == opts.max_iterations) {
+      certify(plan, ws, alpha, h_sq, out);
+      if (out.relative_gap <= opts.gap_tolerance) break;
     }
   }
   // lint:endregion(no-alloc)
 
-  // The residual walks supp(p). Its -0.0 columns add exact zeros to
-  // accumulators that start at +0.0, so it equals the residual over p's
-  // nonzero columns bit for bit.
-  out.residual_norm = residual_norm_active(plan, ws, ws.support);
+  if (out.iterations == 0) certify(plan, ws, alpha, h_sq, out);
+  out.converged = out.relative_gap <= opts.gap_tolerance;
   out.coefficients = merge_planes(ws.p_re, ws.p_im);
   return out;
 }

@@ -53,21 +53,27 @@ bool cpu_has_avx2() {
 #endif
 }
 
-/// out = F^H x over split-complex row-major planes (n x m).
+/// out = F^H x over split-complex row-major planes (n x m), on the columns
+/// of `runs` (ascending, disjoint) only.
 CHRONOS_KERNEL_BODY void adjoint_body(const double* re, const double* im,
                                       std::size_t n, std::size_t m,
+                                      const ColumnRun* runs,
+                                      std::size_t run_count,
                                       const double* x_re, const double* x_im,
                                       double* CHRONOS_RESTRICT out_re,
                                       double* CHRONOS_RESTRICT out_im) {
   // lint:region(no-alloc)
-  std::fill(out_re, out_re + m, 0.0);
-  std::fill(out_im, out_im + m, 0.0);
+  for (std::size_t k = 0; k < run_count; ++k) {
+    std::fill(out_re + runs[k].lo, out_re + runs[k].hi, 0.0);
+    std::fill(out_im + runs[k].lo, out_im + runs[k].hi, 0.0);
+  }
   // out[c] += conj(F[r][c]) * x[r]. Every out[c] receives one addend per
   // row, applied in row order, so vectorising the column loop keeps the
-  // legacy accumulation order per component. Rows are blocked by four to
-  // amortise the out-plane read/modify/write traffic (which otherwise
-  // dominates: n passes over 2m doubles vs one pass over the 2nm planes);
-  // within a block the four addends stay sequential, preserving order.
+  // legacy accumulation order per component, whichever runs hold c. Rows
+  // are blocked by four to amortise the out-plane read/modify/write
+  // traffic (which otherwise dominates: n passes over 2m doubles vs one
+  // pass over the 2nm planes); within a block the four addends stay
+  // sequential, preserving order.
   std::size_t r = 0;
   for (; r + 4 <= n; r += 4) {
     const double* CHRONOS_RESTRICT fr0 = re + (r + 0) * m;
@@ -82,19 +88,21 @@ CHRONOS_KERNEL_BODY void adjoint_body(const double* re, const double* im,
     const double xr1 = x_re[r + 1], xi1 = x_im[r + 1];
     const double xr2 = x_re[r + 2], xi2 = x_im[r + 2];
     const double xr3 = x_re[r + 3], xi3 = x_im[r + 3];
-    for (std::size_t c = 0; c < m; ++c) {
-      double acc_re = out_re[c];
-      double acc_im = out_im[c];
-      acc_re += fr0[c] * xr0 + fi0[c] * xi0;
-      acc_im += fr0[c] * xi0 - fi0[c] * xr0;
-      acc_re += fr1[c] * xr1 + fi1[c] * xi1;
-      acc_im += fr1[c] * xi1 - fi1[c] * xr1;
-      acc_re += fr2[c] * xr2 + fi2[c] * xi2;
-      acc_im += fr2[c] * xi2 - fi2[c] * xr2;
-      acc_re += fr3[c] * xr3 + fi3[c] * xi3;
-      acc_im += fr3[c] * xi3 - fi3[c] * xr3;
-      out_re[c] = acc_re;
-      out_im[c] = acc_im;
+    for (std::size_t k = 0; k < run_count; ++k) {
+      for (std::size_t c = runs[k].lo; c < runs[k].hi; ++c) {
+        double acc_re = out_re[c];
+        double acc_im = out_im[c];
+        acc_re += fr0[c] * xr0 + fi0[c] * xi0;
+        acc_im += fr0[c] * xi0 - fi0[c] * xr0;
+        acc_re += fr1[c] * xr1 + fi1[c] * xi1;
+        acc_im += fr1[c] * xi1 - fi1[c] * xr1;
+        acc_re += fr2[c] * xr2 + fi2[c] * xi2;
+        acc_im += fr2[c] * xi2 - fi2[c] * xr2;
+        acc_re += fr3[c] * xr3 + fi3[c] * xi3;
+        acc_im += fr3[c] * xi3 - fi3[c] * xr3;
+        out_re[c] = acc_re;
+        out_im[c] = acc_im;
+      }
     }
   }
   for (; r < n; ++r) {
@@ -102,9 +110,11 @@ CHRONOS_KERNEL_BODY void adjoint_body(const double* re, const double* im,
     const double* CHRONOS_RESTRICT fi = im + r * m;
     const double xr = x_re[r];
     const double xi = x_im[r];
-    for (std::size_t c = 0; c < m; ++c) {
-      out_re[c] += fr[c] * xr + fi[c] * xi;
-      out_im[c] += fr[c] * xi - fi[c] * xr;
+    for (std::size_t k = 0; k < run_count; ++k) {
+      for (std::size_t c = runs[k].lo; c < runs[k].hi; ++c) {
+        out_re[c] += fr[c] * xr + fi[c] * xi;
+        out_im[c] += fr[c] * xi - fi[c] * xr;
+      }
     }
   }
   // lint:endregion(no-alloc)
@@ -116,7 +126,7 @@ CHRONOS_KERNEL_BODY void adjoint_body(const double* re, const double* im,
 /// the vectoriser (GCC does not vectorise this loop on local restrict
 /// pointers).
 CHRONOS_KERNEL_BODY void scatter_block4(
-    std::size_t m, double* CHRONOS_RESTRICT gr, double* CHRONOS_RESTRICT gi,
+    std::size_t len, double* CHRONOS_RESTRICT gr, double* CHRONOS_RESTRICT gi,
     const double* CHRONOS_RESTRICT e0r, const double* CHRONOS_RESTRICT e0i,
     const double* CHRONOS_RESTRICT e1r, const double* CHRONOS_RESTRICT e1i,
     const double* CHRONOS_RESTRICT e2r, const double* CHRONOS_RESTRICT e2i,
@@ -124,7 +134,7 @@ CHRONOS_KERNEL_BODY void scatter_block4(
     const double* y) {
   const double y0r = y[0], y0i = y[1], y1r = y[2], y1i = y[3];
   const double y2r = y[4], y2i = y[5], y3r = y[6], y3i = y[7];
-  for (std::size_t c = 0; c < m; ++c) {
+  for (std::size_t c = 0; c < len; ++c) {
     double acc_re = gr[c];
     double acc_im = gi[c];
     acc_re += y0r * e0r[c] - y0i * e0i[c];
@@ -141,63 +151,69 @@ CHRONOS_KERNEL_BODY void scatter_block4(
 }
 
 /// grad = T y - b by windowed accumulation over the `count` active columns
-/// of y. tz_re/tz_im are the plan's reversed kernel windows (2m - 1).
+/// of y, on the columns of `runs` (ascending, disjoint) only. tz_re/tz_im
+/// are the plan's reversed kernel windows (2m - 1).
 CHRONOS_KERNEL_BODY void scatter_body(
     const double* tz_re, const double* tz_im, std::size_t m,
-    const std::uint32_t* active, std::size_t count, const double* y_re,
-    const double* y_im, const double* CHRONOS_RESTRICT b_re,
-    const double* CHRONOS_RESTRICT b_im, double* CHRONOS_RESTRICT gr,
-    double* CHRONOS_RESTRICT gi) {
+    const ColumnRun* runs, std::size_t run_count, const std::uint32_t* active,
+    std::size_t count, const double* y_re, const double* y_im,
+    const double* CHRONOS_RESTRICT b_re, const double* CHRONOS_RESTRICT b_im,
+    double* CHRONOS_RESTRICT gr, double* CHRONOS_RESTRICT gi) {
   // lint:region(no-alloc)
-  std::fill(gr, gr + m, 0.0);
-  std::fill(gi, gi + m, 0.0);
   // Every grad[c] receives one addend per active column, in active order,
-  // whether it arrives in a block of four or alone.
-  std::size_t j = 0;
-  for (; j + 4 <= count; j += 4) {
-    const std::size_t l0 = active[j], l1 = active[j + 1];
-    const std::size_t l2 = active[j + 2], l3 = active[j + 3];
-    const double y[8] = {y_re[l0], y_im[l0], y_re[l1], y_im[l1],
-                         y_re[l2], y_im[l2], y_re[l3], y_im[l3]};
-    scatter_block4(m, gr, gi, tz_re + (m - 1 - l0), tz_im + (m - 1 - l0),
-                   tz_re + (m - 1 - l1), tz_im + (m - 1 - l1),
-                   tz_re + (m - 1 - l2), tz_im + (m - 1 - l2),
-                   tz_re + (m - 1 - l3), tz_im + (m - 1 - l3), y);
-  }
-  for (; j < count; ++j) {
-    const std::size_t l = active[j];
-    const double ylr = y_re[l];
-    const double yli = y_im[l];
-    const double* CHRONOS_RESTRICT er = tz_re + (m - 1 - l);
-    const double* CHRONOS_RESTRICT ei = tz_im + (m - 1 - l);
-    for (std::size_t c = 0; c < m; ++c) {
-      gr[c] += ylr * er[c] - yli * ei[c];
-      gi[c] += ylr * ei[c] + yli * er[c];
+  // whether it arrives in a block of four or alone, and whichever run
+  // holds c.
+  for (std::size_t k = 0; k < run_count; ++k) {
+    const std::size_t lo = runs[k].lo;
+    const std::size_t hi = runs[k].hi;
+    std::fill(gr + lo, gr + hi, 0.0);
+    std::fill(gi + lo, gi + hi, 0.0);
+    std::size_t j = 0;
+    for (; j + 4 <= count; j += 4) {
+      const std::size_t l0 = active[j], l1 = active[j + 1];
+      const std::size_t l2 = active[j + 2], l3 = active[j + 3];
+      const double y[8] = {y_re[l0], y_im[l0], y_re[l1], y_im[l1],
+                           y_re[l2], y_im[l2], y_re[l3], y_im[l3]};
+      scatter_block4(hi - lo, gr + lo, gi + lo, tz_re + (m - 1 - l0) + lo,
+                     tz_im + (m - 1 - l0) + lo, tz_re + (m - 1 - l1) + lo,
+                     tz_im + (m - 1 - l1) + lo, tz_re + (m - 1 - l2) + lo,
+                     tz_im + (m - 1 - l2) + lo, tz_re + (m - 1 - l3) + lo,
+                     tz_im + (m - 1 - l3) + lo, y);
     }
-  }
-  for (std::size_t c = 0; c < m; ++c) {
-    gr[c] -= b_re[c];
-    gi[c] -= b_im[c];
+    for (; j < count; ++j) {
+      const std::size_t l = active[j];
+      const double ylr = y_re[l];
+      const double yli = y_im[l];
+      const double* CHRONOS_RESTRICT er = tz_re + (m - 1 - l);
+      const double* CHRONOS_RESTRICT ei = tz_im + (m - 1 - l);
+      for (std::size_t c = lo; c < hi; ++c) {
+        gr[c] += ylr * er[c] - yli * ei[c];
+        gi[c] += ylr * ei[c] + yli * er[c];
+      }
+    }
+    for (std::size_t c = lo; c < hi; ++c) {
+      gr[c] -= b_re[c];
+      gi[c] -= b_im[c];
+    }
   }
   // lint:endregion(no-alloc)
 }
 
 #if CHRONOS_KERNEL_AVX2
-[[gnu::target("avx2")]] void adjoint_avx2(const double* re, const double* im,
-                                          std::size_t n, std::size_t m,
-                                          const double* x_re,
-                                          const double* x_im, double* out_re,
-                                          double* out_im) {
-  adjoint_body(re, im, n, m, x_re, x_im, out_re, out_im);
+[[gnu::target("avx2")]] void adjoint_avx2(
+    const double* re, const double* im, std::size_t n, std::size_t m,
+    const ColumnRun* runs, std::size_t run_count, const double* x_re,
+    const double* x_im, double* out_re, double* out_im) {
+  adjoint_body(re, im, n, m, runs, run_count, x_re, x_im, out_re, out_im);
 }
 
 [[gnu::target("avx2")]] void scatter_avx2(
     const double* tz_re, const double* tz_im, std::size_t m,
-    const std::uint32_t* active, std::size_t count, const double* y_re,
-    const double* y_im, const double* b_re, const double* b_im, double* gr,
-    double* gi) {
-  scatter_body(tz_re, tz_im, m, active, count, y_re, y_im, b_re, b_im, gr,
-               gi);
+    const ColumnRun* runs, std::size_t run_count, const std::uint32_t* active,
+    std::size_t count, const double* y_re, const double* y_im,
+    const double* b_re, const double* b_im, double* gr, double* gi) {
+  scatter_body(tz_re, tz_im, m, runs, run_count, active, count, y_re, y_im,
+               b_re, b_im, gr, gi);
 }
 #endif
 
@@ -245,6 +261,10 @@ void NdftWorkspace::bind(std::size_t rows, std::size_t cols) {
   support.clear();
   visit.reserve(cols);
   visit.clear();
+  // Disjoint runs over cols columns are separated by at least one column
+  // outside every run, so there are at most (cols + 1) / 2 of them.
+  work.reserve((cols + 1) / 2);
+  work.assign(1, ColumnRun{0, static_cast<std::uint32_t>(cols)});
   // Written by index, not pushed: sized outright.
   survivors.resize(cols);
 }
@@ -368,15 +388,17 @@ void NdftPlan::gradient_toeplitz_scatter(const double* y_re,
   CHRONOS_EXPECTS(toeplitz_capable_, "plan has no Toeplitz tier");
 #if CHRONOS_KERNEL_AVX2
   if (cpu_has_avx2()) {
-    scatter_avx2(tz_re_.data(), tz_im_.data(), m_, ws.active.data(),
-                 ws.active.size(), y_re, y_im, ws.b_re.data(),
-                 ws.b_im.data(), ws.grad_re.data(), ws.grad_im.data());
+    scatter_avx2(tz_re_.data(), tz_im_.data(), m_, ws.work.data(),
+                 ws.work.size(), ws.active.data(), ws.active.size(), y_re,
+                 y_im, ws.b_re.data(), ws.b_im.data(), ws.grad_re.data(),
+                 ws.grad_im.data());
     return;
   }
 #endif
-  scatter_body(tz_re_.data(), tz_im_.data(), m_, ws.active.data(),
-               ws.active.size(), y_re, y_im, ws.b_re.data(), ws.b_im.data(),
-               ws.grad_re.data(), ws.grad_im.data());
+  scatter_body(tz_re_.data(), tz_im_.data(), m_, ws.work.data(),
+               ws.work.size(), ws.active.data(), ws.active.size(), y_re,
+               y_im, ws.b_re.data(), ws.b_im.data(), ws.grad_re.data(),
+               ws.grad_im.data());
 }
 
 namespace {
@@ -515,13 +537,22 @@ void NdftPlan::forward_active(const double* p_re, const double* p_im,
 
 void NdftPlan::adjoint(const double* x_re, const double* x_im,
                        double* out_re, double* out_im) const {
+  const ColumnRun all{0, static_cast<std::uint32_t>(m_)};
+  adjoint(x_re, x_im, std::span<const ColumnRun>(&all, 1), out_re, out_im);
+}
+
+void NdftPlan::adjoint(const double* x_re, const double* x_im,
+                       std::span<const ColumnRun> runs, double* out_re,
+                       double* out_im) const {
 #if CHRONOS_KERNEL_AVX2
   if (cpu_has_avx2()) {
-    adjoint_avx2(re_.data(), im_.data(), n_, m_, x_re, x_im, out_re, out_im);
+    adjoint_avx2(re_.data(), im_.data(), n_, m_, runs.data(), runs.size(),
+                 x_re, x_im, out_re, out_im);
     return;
   }
 #endif
-  adjoint_body(re_.data(), im_.data(), n_, m_, x_re, x_im, out_re, out_im);
+  adjoint_body(re_.data(), im_.data(), n_, m_, runs.data(), runs.size(), x_re,
+               x_im, out_re, out_im);
 }
 
 void NdftPlan::gradient(const double* p_re, const double* p_im,
@@ -531,7 +562,7 @@ void NdftPlan::gradient(const double* p_re, const double* p_im,
     ws.fp_re[r] -= ws.h_re[r];
     ws.fp_im[r] -= ws.h_im[r];
   }
-  adjoint(ws.fp_re.data(), ws.fp_im.data(), ws.grad_re.data(),
+  adjoint(ws.fp_re.data(), ws.fp_im.data(), ws.work, ws.grad_re.data(),
           ws.grad_im.data());
 }
 

@@ -34,12 +34,17 @@
 // baseline and AVX2, picked once per process from the CPU
 // (NdftPlan::kernel_variant): they are bit-identical because they use no
 // FMA and no cross-lane reduction — each lane computes its own output
-// column with the baseline's operations in the baseline's order. The
+// column with the baseline's operations in the baseline's order. Both
+// also run over a list of column runs (the solver's working set): no
+// column's operation sequence depends on which runs are listed, so a
+// run-restricted product equals the full product bit for bit on every
+// listed column, and the full product is simply the one-run case. The
 // recurrence scans differ from per-point evaluation at the ~1e-13 relative
 // level over bench-length scans, and the Toeplitz scatter gradient agrees
 // with the dense fused gradient to ~1e-13 relative (solver iterates stay
 // within 1e-12 of the dense path). tests/test_core_ndft_kernels.cpp pins
-// all of this, the dense-mode solves and the scatter bitwise.
+// all of this, the dense-mode solves, the scatter and the run-restricted
+// kernels bitwise.
 #pragma once
 
 #include <complex>
@@ -62,6 +67,12 @@ struct DelayGrid {
 
   std::size_t size() const;
   double delay_at(std::size_t i) const;
+};
+
+/// A half-open range [lo, hi) of delay-grid columns.
+struct ColumnRun {
+  std::uint32_t lo = 0;
+  std::uint32_t hi = 0;
 };
 
 /// Caller-owned scratch for the allocation-free solver loops. `bind` sizes
@@ -91,6 +102,10 @@ struct NdftWorkspace {
   std::vector<std::uint32_t> support;
   std::vector<std::uint32_t> survivors;
   std::vector<std::uint32_t> visit;
+  // The working set W as ascending, disjoint column runs: the only columns
+  // the gradient kernels (NdftPlan::gradient, gradient_toeplitz_scatter)
+  // compute. bind() resets it to one run over every column.
+  std::vector<ColumnRun> work;
 
   void bind(std::size_t rows, std::size_t cols);
 };
@@ -156,8 +171,9 @@ class NdftPlan {
   GradientArm pick_arm(std::size_t active_count) const;
 
   /// ws.grad = T y - b by windowed accumulation over ws.active (y's nonzero
-  /// columns): grad[c] = sum_{l in A} g(l-c) y[l] - b[c]. Requires ws.b to
-  /// hold F^H h and the plan to be toeplitz_capable().
+  /// columns): grad[c] = sum_{l in A} g(l-c) y[l] - b[c], for the columns c
+  /// of ws.work only (other grad entries are left as they were). Requires
+  /// ws.b to hold F^H h and the plan to be toeplitz_capable().
   void gradient_toeplitz_scatter(const double* y_re, const double* y_im,
                                  NdftWorkspace& ws) const;
 
@@ -171,10 +187,16 @@ class NdftPlan {
   /// out = F^H x: x is length rows(), out is length cols().
   void adjoint(const double* x_re, const double* x_im, double* out_re,
                double* out_im) const;
+  /// out = F^H x on the columns of `runs` (ascending, disjoint) only; the
+  /// other out entries are left as they were.
+  void adjoint(const double* x_re, const double* x_im,
+               std::span<const ColumnRun> runs, double* out_re,
+               double* out_im) const;
 
   /// Fused gradient of the data term: ws.grad = F^H (F p - h), with the
-  /// forward product restricted to ws.active (p's nonzero columns). Uses
-  /// ws.fp as residual scratch; ws.h must hold the split measurement.
+  /// forward product restricted to ws.active (p's nonzero columns) and the
+  /// adjoint to the columns of ws.work. Uses ws.fp for the residual;
+  /// ws.h must hold the split measurement.
   void gradient(const double* p_re, const double* p_im,
                 NdftWorkspace& ws) const;
 

@@ -1,6 +1,9 @@
 #include "core/subcarrier_interp.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "mathx/constants.hpp"
 #include "mathx/contracts.hpp"
@@ -10,31 +13,27 @@
 
 namespace chronos::core {
 
-InterpolationResult interpolate_to_center(const phy::CsiMeasurement& m) {
+namespace {
+
+/// Subcarrier frequency offsets of the 30 reported subcarriers (strictly
+/// increasing by layout): the spline knots and the slope fit's abscissae.
+std::vector<double> subcarrier_offsets(const phy::CsiMeasurement& m) {
   const auto indices = phy::intel5300_subcarrier_indices();
   CHRONOS_EXPECTS(m.values.size() == indices.size(),
                   "CSI must cover the 30 reported subcarriers");
-
-  // Knots: subcarrier frequency offsets (strictly increasing by layout).
   std::vector<double> x(indices.size());
   for (std::size_t k = 0; k < indices.size(); ++k) {
     x[k] = phy::subcarrier_offset_hz(indices[k]);
   }
+  return x;
+}
 
-  const auto raw_phases = mathx::angles(m.values);
-  const auto phases = mathx::unwrap(raw_phases);
-  const auto mags = mathx::magnitudes(m.values);
-
-  const mathx::CubicSpline phase_spline(x, phases);
-  const mathx::CubicSpline mag_spline(x, mags);
-
-  const double phase0 = phase_spline(0.0);
-  const double mag0 = std::max(mag_spline(0.0), 0.0);
-
-  InterpolationResult out;
-  out.zero_subcarrier = std::polar(mag0, phase0);
-
-  // Least-squares line fit of unwrapped phase vs offset: slope = -2*pi*toa.
+/// The one ToA slope: unwraps m's subcarrier phases into `phases` and
+/// returns -slope / 2pi of their least-squares line over the offsets `x`
+/// (the unwrapped phase falls by 2pi * toa per Hz of offset).
+double fit_toa_slope(const phy::CsiMeasurement& m, std::span<const double> x,
+                     std::vector<double>& phases) {
+  phases = mathx::unwrap(mathx::angles(m.values));
   const auto n = static_cast<double>(x.size());
   double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
   for (std::size_t k = 0; k < x.size(); ++k) {
@@ -46,8 +45,30 @@ InterpolationResult interpolate_to_center(const phy::CsiMeasurement& m) {
   const double denom = n * sxx - sx * sx;
   CHRONOS_ENSURES(std::abs(denom) > 0.0, "degenerate subcarrier layout");
   const double slope = (n * sxy - sx * sy) / denom;
-  out.toa_slope_s = -slope / mathx::kTwoPi;
+  return -slope / mathx::kTwoPi;
+}
+
+}  // namespace
+
+InterpolationResult interpolate_to_center(const phy::CsiMeasurement& m) {
+  const std::vector<double> x = subcarrier_offsets(m);
+  std::vector<double> phases;
+  InterpolationResult out;
+  out.toa_slope_s = fit_toa_slope(m, x, phases);
+
+  const auto mags = mathx::magnitudes(m.values);
+  const mathx::CubicSpline phase_spline(x, phases);
+  const mathx::CubicSpline mag_spline(x, mags);
+  const double phase0 = phase_spline(0.0);
+  const double mag0 = std::max(mag_spline(0.0), 0.0);
+  out.zero_subcarrier = std::polar(mag0, phase0);
   return out;
+}
+
+double toa_slope(const phy::CsiMeasurement& m) {
+  const std::vector<double> x = subcarrier_offsets(m);
+  std::vector<double> phases;
+  return fit_toa_slope(m, x, phases);
 }
 
 }  // namespace chronos::core

@@ -29,4 +29,11 @@ struct InterpolationResult {
 /// Throws std::invalid_argument if the measurement is malformed.
 InterpolationResult interpolate_to_center(const phy::CsiMeasurement& m);
 
+/// The ToA slope alone: interpolate_to_center(m).toa_slope_s bit for bit
+/// (the same unwrap and least-squares fit), without the two zero-subcarrier
+/// splines. For callers that read only the slope, like the hostile screen's
+/// direction-symmetry check. Throws std::invalid_argument if the
+/// measurement is malformed.
+double toa_slope(const phy::CsiMeasurement& m);
+
 }  // namespace chronos::core

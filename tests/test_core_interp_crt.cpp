@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 
 #include "core/crt.hpp"
 #include "core/subcarrier_interp.hpp"
@@ -9,6 +11,9 @@
 #include "mathx/rng.hpp"
 #include "mathx/unwrap.hpp"
 #include "phy/band_plan.hpp"
+#include "sim/link.hpp"
+#include "sim/radio.hpp"
+#include "sim/scenario.hpp"
 
 namespace chronos::core {
 namespace {
@@ -80,6 +85,36 @@ TEST(Interp, WrongSubcarrierCountThrows) {
   m.band = phy::band_by_channel(36);
   m.values.resize(29);
   EXPECT_THROW((void)interpolate_to_center(m), std::invalid_argument);
+  EXPECT_THROW((void)toa_slope(m), std::invalid_argument);
+}
+
+TEST(Interp, ToaSlopeIsTheInterpolationSlopeBitwise) {
+  // Both directions of every capture of five office sweeps (sim::
+  // office_testbed links 1-15 m apart, every impairment on): the slope
+  // alone must be the full interpolation's slope, bit for bit.
+  const sim::Scenario scenario = sim::office_testbed();
+  const sim::LinkSimulator link(scenario.environment(), sim::LinkSimConfig{});
+  mathx::Rng rng(21);
+  std::size_t captures = 0;
+  std::size_t mismatches = 0;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    const sim::Placement pl = scenario.sample_pair(rng, 1.0, 15.0);
+    const auto sweep = link.simulate_sweep(sim::make_mobile(pl.tx, 11), 0,
+                                           sim::make_mobile(pl.rx, 22), 0,
+                                           rng);
+    for (const auto& band : sweep.bands) {
+      for (const auto& cap : band) {
+        for (const phy::CsiMeasurement* m : {&cap.forward, &cap.reverse}) {
+          const double want = interpolate_to_center(*m).toa_slope_s;
+          mismatches += std::bit_cast<std::uint64_t>(toa_slope(*m)) !=
+                        std::bit_cast<std::uint64_t>(want);
+          ++captures;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(captures, 5u * 35u * 3u * 2u);
+  EXPECT_EQ(mismatches, 0u);
 }
 
 // --- CRT solver --------------------------------------------------------

@@ -5,14 +5,18 @@
 //  * the recurrence matched-filter scan matches per-point std::polar
 //    evaluation to <= 1e-12 relative over bench-length scans;
 //  * ISTA/FISTA in GradientMode::kDense reproduce a reference
-//    implementation written against the dense matrix bit for bit:
-//    identical iteration counts and convergence, bitwise-equal
-//    coefficients and residual norms, on the test grid and on the
-//    production 0-150 ns / 0.125 ns grid. Under kAuto they match it to
-//    1e-12 with identical iteration counts; OMP matches a reference of the
-//    legacy greedy loop;
+//    implementation of the gap-certified, working-set loop written against
+//    the dense matrix bit for bit: identical iteration counts and
+//    convergence, bitwise-equal coefficients, residual norms and duality
+//    gaps, on the test grid and on the production 0-150 ns / 0.125 ns
+//    grid. Under kAuto they match it to 1e-12 with identical iteration
+//    counts; OMP matches a reference of the legacy greedy loop;
+//  * every solver entry point reports a duality gap that an independent
+//    dense recomputation agrees with to 1e-9, and converges exactly when
+//    that gap is within the tolerance;
 //  * the Toeplitz scatter equals an in-order accumulation of its kernel
-//    windows bit for bit;
+//    windows bit for bit, and the run-restricted scatter, adjoint and
+//    dense gradient equal the full ones bit for bit on every run column;
 //  * the solver iteration loops allocate nothing per iteration (counting
 //    global operator new);
 //  * the NdftPlan cache shares plans by key, and DelayGrid::size() is
@@ -30,17 +34,24 @@
 #include <cmath>
 #include <complex>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <numeric>
 #include <utility>
 #include <vector>
 
+#include "core/api.hpp"
+#include "core/combining.hpp"
 #include "core/ndft.hpp"
 #include "core/ndft_kernels.hpp"
+#include "core/ranging.hpp"
+#include "core/sweep_source.hpp"
 #include "mathx/constants.hpp"
 #include "mathx/cvec.hpp"
 #include "mathx/rng.hpp"
 #include "phy/band_plan.hpp"
+#include "sim/radio.hpp"
+#include "sim/scenario.hpp"
 
 // ---- Allocation counter -------------------------------------------------
 // Global operator new/delete replacement counting every heap allocation in
@@ -126,87 +137,114 @@ double reference_alpha(const mathx::ComplexMatrix& f,
   return opts.alpha * peak;
 }
 
-SparseSolveResult reference_ista(const NdftSolver& solver,
-                                 std::span<const std::complex<double>> h,
-                                 const IstaOptions& opts) {
-  const auto& f = solver.matrix();
-  const double alpha = reference_alpha(f, h, opts);
-  const double tol = opts.epsilon * std::max(mathx::norm2(h), 1e-30);
-  const double gamma = solver.gamma();
+/// One gap check of the stop rule against the dense matrix, in the
+/// solver's arithmetic order: the relative duality gap of p, ||h - F p||,
+/// and the working set the check admits, supp(p) ∪ supp(y) ∪ {k : |c_k| >=
+/// 0.9 max(alpha, max|c|)} with c = F^H (h - F p).
+struct ReferenceCheck {
+  double relative_gap = 0.0;
+  double residual_norm = 0.0;
+  std::vector<char> in_work;
+};
 
-  SparseSolveResult out;
-  out.grid = solver.grid();
-  std::vector<std::complex<double>> p(f.cols(), {0.0, 0.0});
-  std::vector<std::complex<double>> p_next(f.cols());
-  for (int t = 0; t < opts.max_iterations; ++t) {
-    auto fp = f.multiply(p);
-    for (std::size_t i = 0; i < fp.size(); ++i) fp[i] -= h[i];
-    const auto grad = f.multiply_adjoint(fp);
-    for (std::size_t k = 0; k < p.size(); ++k) {
-      p_next[k] = p[k] - gamma * grad[k];
-    }
-    NdftSolver::sparsify(p_next, gamma * alpha);
-    double diff_sq = 0.0;
-    for (std::size_t k = 0; k < p.size(); ++k) {
-      diff_sq += std::norm(p_next[k] - p[k]);
-    }
-    p.swap(p_next);
-    out.iterations = t + 1;
-    if (std::sqrt(diff_sq) < tol) {
-      out.converged = true;
-      break;
-    }
+ReferenceCheck reference_check(const mathx::ComplexMatrix& f,
+                               std::span<const std::complex<double>> h,
+                               std::span<const std::complex<double>> p,
+                               std::span<const std::complex<double>> y,
+                               double alpha) {
+  auto r = f.multiply(p);
+  double r_sq = 0.0;
+  double h_sq = 0.0;
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    r[i] = h[i] - r[i];
+    r_sq += std::norm(r[i]);
+    h_sq += std::norm(h[i]);
   }
-  auto residual = f.multiply(p);
-  for (std::size_t i = 0; i < residual.size(); ++i) residual[i] -= h[i];
-  out.residual_norm = mathx::norm2(residual);
-  out.coefficients = std::move(p);
+  const auto c = f.multiply_adjoint(r);
+  double c_max_sq = 0.0;
+  for (const auto& v : c) c_max_sq = std::max(c_max_sq, std::norm(v));
+  const double c_max = std::sqrt(c_max_sq);
+  const double s = c_max > alpha ? alpha / c_max : 1.0;
+  double l1 = 0.0;
+  for (const auto& v : p) l1 += std::sqrt(std::norm(v));
+  double d_sq = 0.0;
+  for (std::size_t i = 0; i < r.size(); ++i) d_sq += std::norm(h[i] - s * r[i]);
+  const double primal = 0.5 * r_sq + alpha * l1;
+  const double dual = 0.5 * h_sq - 0.5 * d_sq;
+
+  ReferenceCheck out;
+  out.relative_gap = primal > 0.0 ? (primal - dual) / primal : 0.0;
+  out.residual_norm = std::sqrt(r_sq);
+  const double w_thr = 0.9 * std::max(alpha, c_max);
+  out.in_work.resize(p.size());
+  for (std::size_t k = 0; k < p.size(); ++k) {
+    const bool p_bits = std::bit_cast<std::uint64_t>(p[k].real()) != 0 ||
+                        std::bit_cast<std::uint64_t>(p[k].imag()) != 0;
+    out.in_work[k] = p_bits || y[k] != std::complex<double>{} ||
+                     std::norm(c[k]) >= w_thr * w_thr;
+  }
   return out;
 }
 
-SparseSolveResult reference_fista(const NdftSolver& solver,
+/// ISTA (accelerate = false) or FISTA against the dense matrix: a full
+/// dense gradient at y every iteration, the proximal step applied on the
+/// working set only, and a gap check every 10 iterations and at the last.
+SparseSolveResult reference_solve(const NdftSolver& solver,
                                   std::span<const std::complex<double>> h,
-                                  const IstaOptions& opts) {
+                                  const IstaOptions& opts, bool accelerate) {
   const auto& f = solver.matrix();
   const double alpha = reference_alpha(f, h, opts);
-  const double tol = opts.epsilon * std::max(mathx::norm2(h), 1e-30);
   const double gamma = solver.gamma();
+  const std::size_t m = f.cols();
 
   SparseSolveResult out;
   out.grid = solver.grid();
-  const std::size_t m = f.cols();
   std::vector<std::complex<double>> p(m, {0.0, 0.0});
   std::vector<std::complex<double>> y = p;
-  std::vector<std::complex<double>> p_prev = p;
+  std::vector<char> in_work(m, 1);  // every column until the first check
+  ReferenceCheck check;
   double t_momentum = 1.0;
   for (int t = 0; t < opts.max_iterations; ++t) {
     auto fy = f.multiply(y);
     for (std::size_t i = 0; i < fy.size(); ++i) fy[i] -= h[i];
     const auto grad = f.multiply_adjoint(fy);
-    p_prev.swap(p);
-    for (std::size_t k = 0; k < m; ++k) p[k] = y[k] - gamma * grad[k];
-    NdftSolver::sparsify(p, gamma * alpha);
     const double t_next =
         (1.0 + std::sqrt(1.0 + 4.0 * t_momentum * t_momentum)) / 2.0;
-    const double beta = (t_momentum - 1.0) / t_next;
-    double diff_sq = 0.0;
+    const double beta = accelerate ? (t_momentum - 1.0) / t_next : 0.0;
     for (std::size_t k = 0; k < m; ++k) {
-      const std::complex<double> step = p[k] - p_prev[k];
-      y[k] = p[k] + beta * step;
-      diff_sq += std::norm(step);
+      if (!in_work[k]) continue;
+      std::complex<double> next = y[k] - gamma * grad[k];
+      NdftSolver::sparsify({&next, 1}, gamma * alpha);
+      const std::complex<double> step = next - p[k];
+      p[k] = next;
+      y[k] = next + beta * step;
     }
     t_momentum = t_next;
     out.iterations = t + 1;
-    if (std::sqrt(diff_sq) < tol) {
-      out.converged = true;
-      break;
+    if (out.iterations % 10 == 0 || out.iterations == opts.max_iterations) {
+      check = reference_check(f, h, p, y, alpha);
+      in_work = check.in_work;
+      if (check.relative_gap <= opts.gap_tolerance) break;
     }
   }
-  auto residual = f.multiply(p);
-  for (std::size_t i = 0; i < residual.size(); ++i) residual[i] -= h[i];
-  out.residual_norm = mathx::norm2(residual);
+  if (out.iterations == 0) check = reference_check(f, h, p, y, alpha);
+  out.relative_gap = check.relative_gap;
+  out.converged = check.relative_gap <= opts.gap_tolerance;
+  out.residual_norm = check.residual_norm;
   out.coefficients = std::move(p);
   return out;
+}
+
+SparseSolveResult reference_ista(const NdftSolver& solver,
+                                 std::span<const std::complex<double>> h,
+                                 const IstaOptions& opts) {
+  return reference_solve(solver, h, opts, /*accelerate=*/false);
+}
+
+SparseSolveResult reference_fista(const NdftSolver& solver,
+                                  std::span<const std::complex<double>> h,
+                                  const IstaOptions& opts) {
+  return reference_solve(solver, h, opts, /*accelerate=*/true);
 }
 
 /// The legacy greedy OMP loop (full Gram rebuild, std::find membership).
@@ -329,7 +367,8 @@ bool same_bits(std::span<const std::complex<double>> a,
   return true;
 }
 
-/// Same iterations, convergence, coefficient bits and residual bits.
+/// Same iterations, convergence, coefficient bits, residual bits and gap
+/// bits.
 void expect_same_solve(const SparseSolveResult& got,
                        const SparseSolveResult& want) {
   EXPECT_EQ(got.iterations, want.iterations);
@@ -339,6 +378,8 @@ void expect_same_solve(const SparseSolveResult& got,
       << max_rel_err(got.coefficients, want.coefficients) << ")";
   EXPECT_TRUE(same_bits(got.residual_norm, want.residual_norm))
       << got.residual_norm << " vs " << want.residual_norm;
+  EXPECT_TRUE(same_bits(got.relative_gap, want.relative_gap))
+      << got.relative_gap << " vs " << want.relative_gap;
 }
 
 // ---- DelayGrid boundary behaviour ---------------------------------------
@@ -544,7 +585,9 @@ TEST(NdftKernels, SolveLoopsAllocateNothingPerIteration) {
 
   NdftWorkspace ws;
   IstaOptions opts;
-  opts.epsilon = 0.0;  // never converges: iteration count == budget
+  // No gap passes a negative tolerance: iteration count == budget, and the
+  // gap checks at iterations 10, 20, ... run inside the counted window.
+  opts.gap_tolerance = -1.0;
 
   auto count_allocs = [&](auto&& solve, int iterations) {
     opts.max_iterations = iterations;
@@ -712,6 +755,127 @@ TEST(NdftToeplitz, ScatterMatchesInOrderAccumulationBitwise) {
   }
 }
 
+TEST(NdftKernels, RunRestrictedKernelsMatchFullKernelsBitwise) {
+  const auto freqs = plan_frequencies();
+  NdftSolver solver(freqs, {0.0, 150e-9, 0.125e-9});  // production grid
+  const NdftPlan& plan = solver.plan();
+  ASSERT_TRUE(plan.toeplitz_capable());
+  const std::size_t n = plan.rows();
+  const std::size_t m = plan.cols();
+  const auto last = static_cast<std::uint32_t>(m);
+  NdftWorkspace ws;
+  ws.bind(n, m);
+  ASSERT_EQ(ws.work.size(), 1u);
+  ASSERT_EQ(ws.work[0].lo, 0u);
+  ASSERT_EQ(ws.work[0].hi, last);
+  const std::vector<ColumnRun> full = ws.work;
+
+  mathx::Rng rng(828);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::complex<double> v = rng.complex_gaussian(1.0);
+    ws.h_re[i] = v.real();
+    ws.h_im[i] = v.imag();
+  }
+  plan.adjoint(ws.h_re.data(), ws.h_im.data(), ws.b_re.data(),
+               ws.b_im.data());
+
+  std::vector<std::vector<ColumnRun>> run_sets = {
+      {{0, 1}},                                      // column 0 alone
+      {{last - 1, last}},                            // column m-1 alone
+      {{0, 7}, {9, 10}, {400, 433}, {1190, last}},   // both ends
+      {{3, 4}, {5, 6}, {7, 8}, {1199, 1200}},        // single columns
+  };
+  std::vector<ColumnRun> random_runs;
+  for (std::uint32_t lo = 0;;) {
+    lo += static_cast<std::uint32_t>(rng.uniform_int(1, 40));
+    const auto hi = lo + static_cast<std::uint32_t>(rng.uniform_int(1, 25));
+    if (hi > last) break;
+    random_runs.push_back({lo, hi});
+    lo = hi;
+  }
+  run_sets.push_back(random_runs);
+
+  // Entries outside the runs must keep this value: the kernels write
+  // nothing there. It is finite on purpose: a NaN would absorb a stray
+  // accumulation and keep its bits.
+  const double sentinel = 1234.5678;
+  auto expect_restricted = [&](const std::vector<ColumnRun>& runs,
+                               const std::vector<double>& want_re,
+                               const std::vector<double>& want_im,
+                               const std::vector<double>& got_re,
+                               const std::vector<double>& got_im) {
+    std::vector<char> in_run(m, 0);
+    for (const ColumnRun run : runs) {
+      std::fill(in_run.begin() + run.lo, in_run.begin() + run.hi, 1);
+    }
+    std::size_t mismatches = 0;
+    for (std::size_t c = 0; c < m; ++c) {
+      const double wr = in_run[c] ? want_re[c] : sentinel;
+      const double wi = in_run[c] ? want_im[c] : sentinel;
+      mismatches += !same_bits(got_re[c], wr) || !same_bits(got_im[c], wi);
+    }
+    EXPECT_EQ(mismatches, 0u) << "kernel variant "
+                              << NdftPlan::kernel_variant();
+  };
+
+  for (std::size_t set = 0; set < run_sets.size(); ++set) {
+    const std::vector<ColumnRun>& runs = run_sets[set];
+    SCOPED_TRACE(testing::Message() << "run set " << set << " ("
+                                    << runs.size() << " runs)");
+    // Adjoint of a random vector.
+    std::vector<double> want_re(m), want_im(m);
+    plan.adjoint(ws.h_re.data(), ws.h_im.data(), want_re.data(),
+                 want_im.data());
+    std::vector<double> got_re(m, sentinel), got_im(m, sentinel);
+    plan.adjoint(ws.h_re.data(), ws.h_im.data(), runs, got_re.data(),
+                 got_im.data());
+    expect_restricted(runs, want_re, want_im, got_re, got_im);
+
+    // 1..9 cover the four-column scatter blocks and every remainder; 34 is
+    // the largest active set the scatter arm takes on the 35-row plan.
+    for (const std::size_t count :
+         {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 34u}) {
+      SCOPED_TRACE(testing::Message() << "|A| = " << count);
+      std::vector<double> y_re(m, 0.0), y_im(m, 0.0);
+      ws.active.clear();
+      while (ws.active.size() < count) {
+        const auto k = static_cast<std::uint32_t>(
+            rng.uniform_int(0, static_cast<int>(m) - 1));
+        if (std::find(ws.active.begin(), ws.active.end(), k) ==
+            ws.active.end()) {
+          ws.active.push_back(k);
+        }
+      }
+      std::sort(ws.active.begin(), ws.active.end());
+      for (const std::uint32_t l : ws.active) {
+        const std::complex<double> y = rng.complex_gaussian(1.0);
+        y_re[l] = y.real();
+        y_im[l] = y.imag();
+      }
+      // The Toeplitz scatter arm and the dense arm, each full then on the
+      // runs.
+      ws.work = full;
+      plan.gradient_toeplitz_scatter(y_re.data(), y_im.data(), ws);
+      const std::vector<double> scatter_re = ws.grad_re;
+      const std::vector<double> scatter_im = ws.grad_im;
+      plan.gradient(y_re.data(), y_im.data(), ws);
+      const std::vector<double> dense_re = ws.grad_re;
+      const std::vector<double> dense_im = ws.grad_im;
+
+      ws.work = runs;
+      std::fill(ws.grad_re.begin(), ws.grad_re.end(), sentinel);
+      std::fill(ws.grad_im.begin(), ws.grad_im.end(), sentinel);
+      plan.gradient_toeplitz_scatter(y_re.data(), y_im.data(), ws);
+      expect_restricted(runs, scatter_re, scatter_im, ws.grad_re,
+                        ws.grad_im);
+      std::fill(ws.grad_re.begin(), ws.grad_re.end(), sentinel);
+      std::fill(ws.grad_im.begin(), ws.grad_im.end(), sentinel);
+      plan.gradient(y_re.data(), y_im.data(), ws);
+      expect_restricted(runs, dense_re, dense_im, ws.grad_re, ws.grad_im);
+    }
+  }
+}
+
 TEST(NdftToeplitz, SolverModesPinToDenseMode) {
   const auto freqs = plan_frequencies();
   const DelayGrid grid{0.0, 150e-9, 0.125e-9};
@@ -733,8 +897,9 @@ TEST(NdftToeplitz, SolverModesPinToDenseMode) {
     EXPECT_NEAR(f_auto.residual_norm, f_dense.residual_norm,
                 1e-12 * std::max(1.0, f_dense.residual_norm));
 
-    // ISTA takes ~6x more iterations; a fixed budget keeps the test fast
-    // while still comparing hundreds of gradient evaluations per arm.
+    // Certified ISTA runs far longer than FISTA; a fixed budget keeps the
+    // test fast while still comparing hundreds of gradient evaluations per
+    // arm.
     IstaOptions ista_dense = dense_opts;
     ista_dense.max_iterations = 400;
     IstaOptions ista_auto = auto_opts;
@@ -804,6 +969,194 @@ TEST(NdftToeplitz, DegenerateProblemsRouteToDenseArmWithoutAsserting) {
         EXPECT_EQ(v, (std::complex<double>{0.0, 0.0}));
       }
       EXPECT_TRUE(r_dense.converged);
+    }
+  }
+}
+
+// ---- Duality-gap certificate ---------------------------------------------
+//
+// The solvers stop on a relative duality gap. These cases recompute the gap
+// of every returned profile independently from the dense matrix and hold
+// the stop rule to it: converged exactly when the gap is within the
+// tolerance, and otherwise a solve that ran its whole iteration budget.
+
+/// Weighted office channels prepared the way bench_micro_core's
+/// fista_solve_office prepares them: sim::office_testbed links 1-15 m
+/// apart, single-antenna mobiles, each captured once through an Engine
+/// calibrated with Engine::calibrate, then combined and weighted as the
+/// ranging pipeline does. `solver` is the pipeline's.
+struct OfficeChannels {
+  NdftSolver solver;
+  std::vector<std::vector<std::complex<double>>> hs;
+};
+
+OfficeChannels office_channels(std::size_t links) {
+  constexpr std::uint64_t kTxPersonality = 11;
+  constexpr std::uint64_t kRxPersonality = 22;
+  const NodeId cal_tx{1};
+  const NodeId cal_rx{2};
+  const sim::Scenario scenario = sim::office_testbed();
+  auto source = std::make_shared<SimSweepSource>(scenario.environment(),
+                                                 sim::LinkSimConfig{});
+  source->add_node(cal_tx, sim::make_mobile({0.0, 0.0}, kTxPersonality));
+  source->add_node(cal_rx, sim::make_mobile({1.0, 0.0}, kRxPersonality));
+  mathx::Rng rng(20);
+  std::vector<RangingRequest> requests;
+  for (std::uint64_t i = 0; i < links; ++i) {
+    const sim::Placement pl = scenario.sample_pair(rng, 1.0, 15.0);
+    const NodeId tx{100 + i};
+    const NodeId rx{200 + i};
+    source->add_node(tx, sim::make_mobile(pl.tx, kTxPersonality));
+    source->add_node(rx, sim::make_mobile(pl.rx, kRxPersonality));
+    requests.push_back({{tx, 0}, {rx, 0}});
+  }
+  Engine engine = Engine::adopt(source);
+  EXPECT_TRUE(engine.calibrate(cal_tx, cal_rx, rng).ok());
+  const RangingPipeline pipeline(source->bands(), EngineOptions{}.ranging);
+  OfficeChannels out{pipeline.solver(), {}};
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    mathx::Rng link_rng = rng.split(i);
+    const auto sweep = engine.capture_sweep(requests[i], link_rng);
+    EXPECT_TRUE(sweep.ok());
+    if (!sweep.ok()) continue;
+    std::vector<std::complex<double>> raw;
+    for (const auto& band : combine_sweep(sweep.value(),
+                                          pipeline.config().combining,
+                                          engine.calibration())) {
+      raw.push_back(band.value);
+    }
+    out.hs.push_back(pipeline.solver().apply_weights(raw));
+  }
+  return out;
+}
+
+/// Recomputes the relative duality gap of `sol` from the dense matrix —
+/// P = 1/2 ||h - F p||^2 + alpha sum |p_k|, theta = s r with
+/// s = min(1, alpha / max|F^H r|), D = 1/2 ||h||^2 - 1/2 ||h - theta||^2 —
+/// and holds the solver's certificate and stop to it.
+void expect_certified(const NdftSolver& solver,
+                      std::span<const std::complex<double>> h,
+                      const IstaOptions& opts, const SparseSolveResult& sol) {
+  const auto& f = solver.matrix();
+  const double alpha = reference_alpha(f, h, opts);
+  const auto fp = f.multiply(sol.coefficients);
+  std::vector<std::complex<double>> r(h.size());
+  for (std::size_t i = 0; i < h.size(); ++i) r[i] = h[i] - fp[i];
+  const auto c = f.multiply_adjoint(r);
+  double c_max = 0.0;
+  for (const auto& v : c) c_max = std::max(c_max, std::abs(v));
+  const double s = c_max > 0.0 ? std::min(1.0, alpha / c_max) : 1.0;
+  std::vector<std::complex<double>> theta(h.size());
+  std::vector<std::complex<double>> h_minus_theta(h.size());
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    theta[i] = s * r[i];
+    h_minus_theta[i] = h[i] - theta[i];
+  }
+  double l1 = 0.0;
+  for (const auto& v : sol.coefficients) l1 += std::abs(v);
+  const double r_norm = mathx::norm2(r);
+  const double h_norm = mathx::norm2(h);
+  const double d_norm = mathx::norm2(h_minus_theta);
+  const double primal = 0.5 * r_norm * r_norm + alpha * l1;
+  const double dual = 0.5 * h_norm * h_norm - 0.5 * d_norm * d_norm;
+  const double want = primal > 0.0 ? (primal - dual) / primal : 0.0;
+
+  EXPECT_NEAR(sol.relative_gap, want, 1e-9 * want);
+  EXPECT_NEAR(sol.residual_norm, r_norm, 1e-12 * std::max(1.0, r_norm));
+  // theta is dual feasible: |F^H theta| <= alpha on every column.
+  double theta_corr = 0.0;
+  for (const auto& v : f.multiply_adjoint(theta)) {
+    theta_corr = std::max(theta_corr, std::abs(v));
+  }
+  EXPECT_LE(theta_corr, alpha * (1.0 + 1e-12));
+  // The stop: converged exactly when the gap is within the tolerance, at
+  // a check (every 10 iterations) or at the budget; otherwise the whole
+  // budget ran.
+  EXPECT_EQ(sol.converged, sol.relative_gap <= opts.gap_tolerance)
+      << "gap " << sol.relative_gap;
+  if (sol.converged) {
+    EXPECT_TRUE(sol.iterations % 10 == 0 ||
+                sol.iterations == opts.max_iterations)
+        << sol.iterations << " iterations";
+  } else {
+    EXPECT_EQ(sol.iterations, opts.max_iterations);
+  }
+}
+
+TEST(NdftCertificate, EverySolverReportsTheDenseRecomputedGap) {
+  const auto freqs = plan_frequencies();
+  struct Problem {
+    NdftSolver solver;
+    std::vector<std::complex<double>> h;
+  };
+  std::vector<Problem> problems;
+  for (std::uint64_t seed : {101u, 202u, 303u}) {
+    mathx::Rng rng(seed);
+    const auto weights = random_weights(rng, freqs.size());
+    problems.push_back({NdftSolver(freqs, {0.0, 40e-9, 0.5e-9}, weights),
+                        random_channel(rng, freqs)});
+  }
+  const OfficeChannels office = office_channels(4);
+  ASSERT_EQ(office.hs.size(), 4u);
+  for (const auto& h : office.hs) problems.push_back({office.solver, h});
+
+  IstaOptions opts;
+  opts.max_iterations = 1500;
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "problem " << i);
+    const Problem& pr = problems[i];
+    const auto fista = pr.solver.solve_fista(pr.h, opts);
+    expect_certified(pr.solver, pr.h, opts, fista);
+    EXPECT_TRUE(fista.converged);
+    expect_certified(pr.solver, pr.h, opts, pr.solver.solve_ista(pr.h, opts));
+    const std::span<const std::complex<double>> one(pr.h);
+    const auto batch = pr.solver.solve_fista_batch({&one, 1}, opts);
+    ASSERT_EQ(batch.size(), 1u);
+    expect_certified(pr.solver, pr.h, opts, batch[0]);
+  }
+
+  // The office panel through one batch call, at the production options.
+  std::vector<std::span<const std::complex<double>>> spans;
+  for (const auto& h : office.hs) spans.emplace_back(h);
+  const auto panel =
+      office.solver.solve_fista_batch(spans, RangingConfig::solver_options);
+  ASSERT_EQ(panel.size(), office.hs.size());
+  for (std::size_t k = 0; k < panel.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "office panel " << k);
+    expect_certified(office.solver, office.hs[k],
+                     RangingConfig::solver_options, panel[k]);
+    EXPECT_TRUE(panel[k].converged);
+  }
+}
+
+TEST(NdftCertificate, DegenerateInputsCertifyAtTheFirstCheck) {
+  const auto freqs = plan_frequencies();
+  mathx::Rng rng(616);
+  const auto h = random_channel(rng, freqs);
+  const std::vector<std::complex<double>> zero_h(freqs.size(), {0.0, 0.0});
+  // h = 0 on a healthy plan: P = 0, so the gap is 0 by definition. All-zero
+  // weights: F = 0, p stays 0 and theta = r = h closes the gap exactly.
+  const NdftSolver healthy(freqs, {0.0, 20e-9, 0.5e-9});
+  const NdftSolver zero_weights(freqs, {0.0, 20e-9, 0.5e-9},
+                                std::vector<double>(freqs.size(), 0.0));
+  const std::vector<std::pair<const NdftSolver*,
+                              const std::vector<std::complex<double>>*>>
+      cases = {{&healthy, &zero_h}, {&zero_weights, &h}, {&zero_weights,
+                                                          &zero_h}};
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "case " << i);
+    const NdftSolver& solver = *cases[i].first;
+    const std::span<const std::complex<double>> hv(*cases[i].second);
+    const auto batch = solver.solve_fista_batch({&hv, 1});
+    ASSERT_EQ(batch.size(), 1u);
+    for (const SparseSolveResult& sol :
+         {solver.solve_fista(hv), solver.solve_ista(hv), batch[0]}) {
+      EXPECT_EQ(sol.relative_gap, 0.0);
+      EXPECT_TRUE(sol.converged);
+      EXPECT_EQ(sol.iterations, 10);
+      for (const auto& v : sol.coefficients) {
+        EXPECT_EQ(v, (std::complex<double>{0.0, 0.0}));
+      }
     }
   }
 }
