@@ -254,11 +254,11 @@ const std::vector<MicroKernel>& kernels() {
                     return solver->solve_fista(h, dense_opts).residual_norm;
                   }});
 
-    // Multi-RHS batched solve vs the PR 3-style sequential loop it
-    // replaces: 8 distinct channels, both reported as ns per RHS.
-    // fista_seq_per_rhs is the honest comparator — a dense-path
-    // solve_fista per request, i.e. the per-request cost the batched path
-    // (shared plan/workspace + kAuto arms) eliminates.
+    // solve_fista_batch over 8 distinct channels, and 8 sequential
+    // dense-mode solve_fista calls, both reported as ns per RHS. The batch
+    // is a loop of kAuto solves: its comparator is fista_solve, which it
+    // matches within noise. fista_seq_per_rhs runs the dense arm, so it
+    // compares the gradient arms, not batched against sequential solves.
     const auto hs_owned = batch_channels(8);
     ks.push_back({"BM_FistaBatchPerRhs", "fista_batch_per_rhs",
                   [solver, hs_owned] {

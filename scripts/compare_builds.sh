@@ -1,0 +1,98 @@
+#!/usr/bin/env bash
+# Bit-identity gate between two Release build trees of this repository,
+# for changes that claim not to move an output bit:
+#
+#   1. the stdout of the twelve figure and ablation benches, byte for byte
+#      (bench_ablation_solvers is the only bench that prints ISTA, OMP and
+#      pseudo-inverse results; bench_ablation_impairments the only one that
+#      switches RangingConfig::use_toa_gate off);
+#   2. the SOLVE_DIGEST and OFFICE_GAP lines of bench_micro_core: a hash of
+#      48 office solves (iterations, convergence, coefficient bytes,
+#      residual) and their iterations-to-gap. The ToF digests and the
+#      figure benches do not read the solve's bits; this line does.
+#
+# Usage: scripts/compare_builds.sh <parent-build> <change-build>
+#   Each argument is a CMake build directory whose bench/ subdirectory
+#   holds the bench binaries (e.g. build/ of a `git archive` copy of the
+#   parent commit, and build/ of the change).
+#
+# Prints one "DIFFERS: <name>" line per mismatch and exits 1 if there is
+# any, 0 when every output matches. Exits 2 on a usage error, a missing
+# binary or a bench that fails. The rangebench ToF digests and the daemon
+# checks are separate steps.
+set -euo pipefail
+
+if [[ $# -ne 2 ]]; then
+  echo "usage: $0 <parent-build> <change-build>" >&2
+  exit 2
+fi
+PARENT="$1"
+CHANGE="$2"
+
+BENCHES=(
+  bench_fig4_multipath_profile
+  bench_fig7a_tof_accuracy
+  bench_fig7b_profile_sparsity
+  bench_fig7c_detection_delay
+  bench_fig8a_distance_vs_range
+  bench_fig8b_localization_small
+  bench_fig8c_localization_large
+  bench_ablation_bands
+  bench_ablation_antenna_separation
+  bench_ablation_adversarial
+  bench_ablation_solvers
+  bench_ablation_impairments
+)
+
+for dir in "${PARENT}" "${CHANGE}"; do
+  for bench in "${BENCHES[@]}" bench_micro_core; do
+    if [[ ! -x "${dir}/bench/${bench}" ]]; then
+      echo "error: ${dir}/bench/${bench} not built" >&2
+      exit 2
+    fi
+  done
+done
+
+OUT="$(mktemp -d)"
+trap 'rm -rf "${OUT}"' EXIT
+
+# run <build-dir> <bench> <output-file>
+run() {
+  if ! "$1/bench/$2" > "$3"; then
+    echo "error: $1/bench/$2 failed" >&2
+    exit 2
+  fi
+}
+
+DIFFERS=0
+compare() {
+  if ! cmp -s "${OUT}/$1.parent" "${OUT}/$1.change"; then
+    echo "DIFFERS: $1"
+    DIFFERS=$((DIFFERS + 1))
+  fi
+}
+
+for bench in "${BENCHES[@]}"; do
+  run "${PARENT}" "${bench}" "${OUT}/${bench}.parent"
+  run "${CHANGE}" "${bench}" "${OUT}/${bench}.change"
+  compare "${bench}"
+done
+
+run "${PARENT}" bench_micro_core "${OUT}/micro.parent"
+run "${CHANGE}" bench_micro_core "${OUT}/micro.change"
+for side in parent change; do
+  grep -E '^(SOLVE_DIGEST|OFFICE_GAP) ' "${OUT}/micro.${side}" \
+    > "${OUT}/SOLVE_DIGEST.${side}" || true
+done
+if [[ ! -s "${OUT}/SOLVE_DIGEST.change" ]]; then
+  echo "error: ${CHANGE}/bench/bench_micro_core printed no SOLVE_DIGEST" >&2
+  exit 2
+fi
+compare SOLVE_DIGEST
+cat "${OUT}/SOLVE_DIGEST.change"
+
+if [[ "${DIFFERS}" -gt 0 ]]; then
+  echo "compare_builds: ${DIFFERS} output(s) differ"
+  exit 1
+fi
+echo "compare_builds: ${#BENCHES[@]} bench outputs and SOLVE_DIGEST identical"

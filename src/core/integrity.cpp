@@ -1,6 +1,7 @@
 #include "core/integrity.hpp"
 
 #include <cmath>
+#include <complex>
 #include <cstddef>
 #include <string>
 
@@ -59,6 +60,18 @@ double sweep_mean_snr_db(const phy::SweepMeasurement& sweep) {
           cap.reverse.direction != phy::Direction::kReverse) {
         return malformed("band " + std::to_string(i) +
                          " capture directions are mislabelled");
+      }
+      // The band AGC divides each direction by its RMS, which needs a
+      // finite, positive energy: an all-zero or non-finite capture would
+      // fail that precondition inside combining.
+      for (const phy::CsiMeasurement* m : {&cap.forward, &cap.reverse}) {
+        double energy = 0.0;
+        for (const auto& v : m->values) energy += std::norm(v);
+        if (!(std::isfinite(energy) && energy > 0.0)) {
+          return malformed("band " + std::to_string(i) +
+                           " capture carries no finite CSI energy "
+                           "(all-zero or non-finite values)");
+        }
       }
       // Identity: the claimed band must BE the plan's band. A channel
       // number alone is forgeable only together with its center

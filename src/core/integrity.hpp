@@ -12,10 +12,10 @@
 //
 // Two tiers of checks:
 //   * pre-solve screening (`screen_sweep`): band count / capture shape /
-//     subcarrier arity against the pipeline's plan, band-identity
-//     consistency, timestamp freshness, forward/reverse ToA-slope
-//     symmetry, and an SNR floor. Pure sweep inspection — cheap enough
-//     to run on every request.
+//     subcarrier arity / finite nonzero CSI energy against the pipeline's
+//     plan, band-identity consistency, timestamp freshness,
+//     forward/reverse ToA-slope symmetry, and an SNR floor. Pure sweep
+//     inspection — cheap enough to run on every request.
 //   * post-estimate checks (inside RangingPipeline::finish): peakless
 //     rejection and ToA-vs-ToF consistency against the calibrated
 //     detection delay. These need the peak decision and the calibration
@@ -74,7 +74,8 @@ struct IntegrityConfig {
   /// false (the default): the structural screen only — band count matches
   /// the pipeline plan, every band carries >= 1 capture, every capture
   /// carries the 30 Intel 5300 subcarriers with correctly-labelled
-  /// directions, and the claimed band identities agree with the plan
+  /// directions and a finite, nonzero energy in each direction, and the
+  /// claimed band identities agree with the plan
   /// (kMalformedSweep for shape damage such as truncation,
   /// kIntegrityViolation for identity lies).
   ///

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 
 #include "mathx/constants.hpp"
 #include "mathx/contracts.hpp"
@@ -14,8 +13,8 @@ namespace chronos::core {
 
 namespace {
 
-/// Scratch for the workspace-less solver overloads. Thread-local so the
-/// batched runtime's workers never contend or share buffers.
+/// Scratch for every solver entry point. Thread-local so the batched
+/// runtime's workers never contend or share buffers.
 NdftWorkspace& tls_workspace() {
   thread_local NdftWorkspace ws;
   return ws;
@@ -56,24 +55,6 @@ void dispatch_gradient(const NdftPlan& plan, IstaOptions::GradientMode mode,
 NdftSolver::NdftSolver(std::vector<double> row_freqs_hz, DelayGrid grid,
                        std::vector<double> row_weights)
     : plan_(NdftPlan::get_or_create(row_freqs_hz, grid, row_weights)) {}
-
-void NdftSolver::sparsify(std::span<std::complex<double>> p,
-                          double threshold) {
-  CHRONOS_EXPECTS(threshold >= 0.0, "negative soft threshold");
-  // Squared-magnitude comparison first: only the few survivors above the
-  // threshold pay for a square root (the iterate is sparse, so that is
-  // almost none of the grid).
-  const double thr_sq = threshold * threshold;
-  for (auto& v : p) {
-    const double msq = std::norm(v);
-    if (msq <= thr_sq) {
-      v = {0.0, 0.0};
-    } else {
-      const double mag = std::sqrt(msq);
-      v *= (mag - threshold) / mag;
-    }
-  }
-}
 
 namespace {
 
@@ -122,11 +103,6 @@ std::vector<std::complex<double>> NdftSolver::apply_weights(
   std::vector<std::complex<double>> out(h.size());
   for (std::size_t i = 0; i < h.size(); ++i) out[i] = weights[i] * h[i];
   return out;
-}
-
-double NdftSolver::matched_filter(std::span<const std::complex<double>> h,
-                                  double delay_s) const {
-  return plan_->matched_filter(h, delay_s);
 }
 
 void NdftSolver::matched_filter_scan(std::span<const std::complex<double>> h,
@@ -187,55 +163,6 @@ constexpr int kGapCheckEvery = 10;
 /// full-grid iteration to the same gap; 0.95 kept 110 (0.46-0.48x) but
 /// moved 30 solves by up to 3.9e-2.
 constexpr double kWorkingSetFraction = 0.9;
-
-/// Pass one of the proximal step: writes, in ascending order and without a
-/// branch, the working-set columns whose point y - gamma * grad has
-/// |.|^2 > thr_sq (the columns that shrink to a nonzero value) to
-/// ws.survivors; returns how many it wrote.
-std::size_t collect_survivors(NdftWorkspace& ws, double gamma,
-                              double thr_sq) {
-  const double* y_re = ws.y_re.data();
-  const double* y_im = ws.y_im.data();
-  const double* g_re = ws.grad_re.data();
-  const double* g_im = ws.grad_im.data();
-  std::uint32_t* out = ws.survivors.data();
-  std::size_t count = 0;
-  for (const ColumnRun run : ws.work) {
-    for (std::size_t k = run.lo; k < run.hi; ++k) {
-      const double pr = y_re[k] - gamma * g_re[k];
-      const double pi = y_im[k] - gamma * g_im[k];
-      out[count] = static_cast<std::uint32_t>(k);
-      count += static_cast<std::size_t>(pr * pr + pi * pi > thr_sq);
-    }
-  }
-  return count;
-}
-
-/// ws.visit = the ascending union of the first `survivor_count` survivors,
-/// ws.support and ws.active (each ascending).
-void collect_visit(NdftWorkspace& ws, std::size_t survivor_count) {
-  constexpr std::uint32_t kEnd = std::numeric_limits<std::uint32_t>::max();
-  const std::uint32_t* s = ws.survivors.data();
-  const std::span<const std::uint32_t> p = ws.support;
-  const std::span<const std::uint32_t> y = ws.active;
-  std::size_t i = 0, j = 0, k = 0;
-  ws.visit.clear();
-  // lint:region(no-alloc)
-  for (;;) {
-    const std::uint32_t vs = i < survivor_count ? s[i] : kEnd;
-    const std::uint32_t vp = j < p.size() ? p[j] : kEnd;
-    const std::uint32_t vy = k < y.size() ? y[k] : kEnd;
-    const std::uint32_t v = std::min({vs, vp, vy});
-    if (v == kEnd) break;
-    // lint:allow(no-alloc): ws.visit is reserved to cols at bind(), and a
-    // set of distinct column indices has at most cols entries
-    ws.visit.push_back(v);
-    i += static_cast<std::size_t>(vs == v);
-    j += static_cast<std::size_t>(vp == v);
-    k += static_cast<std::size_t>(vy == v);
-  }
-  // lint:endregion(no-alloc)
-}
 
 /// True when any bit of (re, im) is set: -0.0 counts.
 bool any_bit(double re, double im) {
@@ -364,21 +291,17 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
   // y, whose support ws.active tracks; ISTA holds the momentum coefficient
   // beta at 0, so its y is the iterate p itself.
   //
-  // Between gap checks the gradient, the survivor pass and the update
-  // visit only the working set W, which every check rebuilds from the
-  // full dual and which holds the supports of p and y; until the first
-  // check W is every column. Starting W from F^H h instead moved every
-  // office solve (by up to 21% in the coefficients): the first iterations
-  // need the whole grid. Outside W, p and y stay exactly +0.0.
+  // Between gap checks the gradient and the proximal step visit only the
+  // working set W, which every check rebuilds from the full dual and which
+  // holds the supports of p and y; until the first check W is every
+  // column. Starting W from F^H h instead moved every office solve (by up
+  // to 21% in the coefficients): the first iterations need the whole grid.
+  // Outside W, p and y stay +0.0.
   //
-  // The update touches only the columns it can change. Outside
-  // survivors ∪ supp(p) ∪ supp(y), p and y are exactly +0.0 (supp(p)
-  // counts -0.0, and a y that reads zero while p is +0.0 is +0.0 too), so
-  // a working-set-wide update would write +0.0 back: skipping those
-  // columns changes no bit. Over the visited columns, in ascending order,
-  // shrinkage, momentum extrapolation and the rebuild of both supports are
-  // fused into one pass: reading p[k] (still the previous iterate) before
-  // overwriting it needs no p_prev planes.
+  // Over W's runs, in ascending order, shrinkage, momentum extrapolation
+  // and the rebuild of both supports are fused into one pass: reading p[k]
+  // (still the previous iterate) before overwriting it needs no p_prev
+  // planes.
   // lint:region(no-alloc)
   for (int t = 0; t < opts.max_iterations; ++t) {
     dispatch_gradient(plan, opts.gradient, ws.y_re.data(), ws.y_im.data(),
@@ -387,36 +310,37 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
     const double t_next =
         (1.0 + std::sqrt(1.0 + 4.0 * t_momentum * t_momentum)) / 2.0;
     const double beta = accelerate ? (t_momentum - 1.0) / t_next : 0.0;
-    collect_visit(ws, collect_survivors(ws, gamma, thr_sq));
     ws.support.clear();
     ws.active.clear();
-    for (const std::uint32_t k : ws.visit) {
-      const double pr = ws.y_re[k] - gamma * ws.grad_re[k];
-      const double pi = ws.y_im[k] - gamma * ws.grad_im[k];
-      double nr = 0.0;
-      double ni = 0.0;
-      const double msq = pr * pr + pi * pi;
-      if (msq > thr_sq) {
-        const double mag = std::sqrt(msq);
-        const double scale = (mag - thr) / mag;
-        nr = pr * scale;
-        ni = pi * scale;
-      }
-      const double step_re = nr - ws.p_re[k];
-      const double step_im = ni - ws.p_im[k];
-      ws.p_re[k] = nr;
-      ws.p_im[k] = ni;
-      const double yr = nr + beta * step_re;
-      const double yi = ni + beta * step_im;
-      ws.y_re[k] = yr;
-      ws.y_im[k] = yi;
-      if (any_bit(nr, ni)) {
-        // lint:allow(no-alloc): ws.support is reserved to cols at bind()
-        ws.support.push_back(k);
-      }
-      if (yr != 0.0 || yi != 0.0) {
-        // lint:allow(no-alloc): ws.active is reserved to cols at bind()
-        ws.active.push_back(k);
+    for (const ColumnRun run : ws.work) {
+      for (std::uint32_t k = run.lo; k < run.hi; ++k) {
+        const double pr = ws.y_re[k] - gamma * ws.grad_re[k];
+        const double pi = ws.y_im[k] - gamma * ws.grad_im[k];
+        double nr = 0.0;
+        double ni = 0.0;
+        const double msq = pr * pr + pi * pi;
+        if (msq > thr_sq) {
+          const double mag = std::sqrt(msq);
+          const double scale = (mag - thr) / mag;
+          nr = pr * scale;
+          ni = pi * scale;
+        }
+        const double step_re = nr - ws.p_re[k];
+        const double step_im = ni - ws.p_im[k];
+        ws.p_re[k] = nr;
+        ws.p_im[k] = ni;
+        const double yr = nr + beta * step_re;
+        const double yi = ni + beta * step_im;
+        ws.y_re[k] = yr;
+        ws.y_im[k] = yi;
+        if (any_bit(nr, ni)) {
+          // lint:allow(no-alloc): ws.support is reserved to cols at bind()
+          ws.support.push_back(k);
+        }
+        if (yr != 0.0 || yi != 0.0) {
+          // lint:allow(no-alloc): ws.active is reserved to cols at bind()
+          ws.active.push_back(k);
+        }
       }
     }
     t_momentum = t_next;
@@ -442,51 +366,22 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
 
 SparseSolveResult NdftSolver::solve_ista(
     std::span<const std::complex<double>> h, const IstaOptions& opts) const {
-  return solve_ista(h, opts, tls_workspace());
-}
-
-SparseSolveResult NdftSolver::solve_ista(
-    std::span<const std::complex<double>> h, const IstaOptions& opts,
-    NdftWorkspace& ws) const {
-  return solve_proximal(*plan_, h, opts, ws, /*accelerate=*/false);
+  return solve_proximal(*plan_, h, opts, tls_workspace(),
+                        /*accelerate=*/false);
 }
 
 SparseSolveResult NdftSolver::solve_fista(
     std::span<const std::complex<double>> h, const IstaOptions& opts) const {
-  return solve_fista(h, opts, tls_workspace());
-}
-
-SparseSolveResult NdftSolver::solve_fista(
-    std::span<const std::complex<double>> h, const IstaOptions& opts,
-    NdftWorkspace& ws) const {
-  return solve_proximal(*plan_, h, opts, ws, /*accelerate=*/true);
+  return solve_proximal(*plan_, h, opts, tls_workspace(),
+                        /*accelerate=*/true);
 }
 
 std::vector<SparseSolveResult> NdftSolver::solve_fista_batch(
     std::span<const std::span<const std::complex<double>>> hs,
     const IstaOptions& opts) const {
-  return solve_fista_batch(hs, opts, tls_workspace());
-}
-
-std::vector<SparseSolveResult> NdftSolver::solve_fista_batch(
-    std::span<const std::span<const std::complex<double>>> hs,
-    const IstaOptions& opts, NdftWorkspace& ws) const {
   std::vector<SparseSolveResult> out;
   out.reserve(hs.size());
-  // Shared plan + ONE shared workspace: after the first column the
-  // iteration loops run allocation-free and every plan-level
-  // precomputation (SoA planes, Toeplitz kernel window) stays hot across
-  // the panel. Per-column arithmetic stays sequential on purpose:
-  // lane-interleaved SoA panels through the same kernels were measured
-  // 2-15x SLOWER per RHS at baseline ISA (interleaving wrecks both the
-  // unit stride the column-vectorised kernels rely on and the per-column
-  // active-set sparsity). Every buffer a solve reads is fully
-  // (re)initialised per column and the gradient-arm choice is a pure
-  // function of (plan, active-set size), so column k is bit-identical to a
-  // standalone solve_fista(hs[k], opts).
-  for (const auto& h : hs) {
-    out.push_back(solve_fista(h, opts, ws));
-  }
+  for (const auto& h : hs) out.push_back(solve_fista(h, opts));
   return out;
 }
 

@@ -26,15 +26,13 @@
 //
 // Performance: all solver entry points run on the structure-exploiting
 // kernel layer in core/ndft_kernels.hpp — shared cached plans (split-complex
-// SoA Fourier matrix + precomputed step size), caller-owned workspaces that
-// make the iteration loops allocation-free, an active-set forward product
+// SoA Fourier matrix + precomputed step size), a per-thread workspace that
+// makes the iteration loops allocation-free, an active-set forward product
 // once the iterate is sparse, gradient kernels with a run-time AVX2
 // variant, and recurrence matched-filter scans. Between gap checks the
-// iteration visits only a working set of columns that the last check
-// admitted from the full dual (the supports of p and y and every column
-// whose dual correlation comes near alpha), and its proximal step updates
-// only the columns it can change (this iteration's survivors of the
-// threshold and the supports of p and y).
+// gradient and the proximal step visit only a working set of columns that
+// the last check admitted from the full dual (the supports of p and y and
+// every column whose dual correlation comes near alpha).
 #pragma once
 
 #include <complex>
@@ -110,38 +108,25 @@ class NdftSolver {
              std::vector<double> row_weights = {});
 
   /// Paper Algorithm 1: proximal gradient with step gamma = 1/||F||_2^2.
-  /// The overloads without a workspace use a per-thread one; pass an
-  /// explicit NdftWorkspace to control scratch reuse (e.g. one per worker).
-  /// The iteration loop performs no heap allocation either way.
+  /// Every solver runs on a per-thread workspace (one per worker of the
+  /// batched runtime), so the iteration loop performs no heap allocation.
   SparseSolveResult solve_ista(std::span<const std::complex<double>> h,
                                const IstaOptions& opts = {}) const;
-  SparseSolveResult solve_ista(std::span<const std::complex<double>> h,
-                               const IstaOptions& opts,
-                               NdftWorkspace& ws) const;
 
   /// Accelerated variant (extension).
   SparseSolveResult solve_fista(std::span<const std::complex<double>> h,
                                 const IstaOptions& opts = {}) const;
-  SparseSolveResult solve_fista(std::span<const std::complex<double>> h,
-                                const IstaOptions& opts,
-                                NdftWorkspace& ws) const;
 
-  /// Multi-RHS batched FISTA: solves every channel in `hs` against this
-  /// solver's shared plan through ONE workspace. Column k's result is
-  /// bit-identical to solve_fista(hs[k], opts) — per-column arithmetic is
-  /// deliberately kept sequential (lane-interleaved SoA panels were
-  /// measured 2-15x SLOWER per RHS at baseline ISA: interleaving wrecks
-  /// both the unit stride the column-vectorised kernels rely on and the
-  /// per-column active-set sparsity). Against sequential
-  /// solve_fista calls it amortizes nothing measurable, so the ranging
-  /// runtime does not call it; the micro-bench and the end-to-end
-  /// benchmark do.
+  /// solve_fista on each channel of `hs` in turn: result k is
+  /// bit-identical to solve_fista(hs[k], opts). Lane-interleaved SoA panels
+  /// were measured 2-15x SLOWER per RHS at baseline ISA (interleaving
+  /// wrecks both the unit stride the column-vectorised kernels rely on and
+  /// the per-column active-set sparsity), so the channels are solved one
+  /// after another. The ranging runtime does not call it; the micro-bench
+  /// and the end-to-end benchmark do.
   std::vector<SparseSolveResult> solve_fista_batch(
       std::span<const std::span<const std::complex<double>>> hs,
       const IstaOptions& opts = {}) const;
-  std::vector<SparseSolveResult> solve_fista_batch(
-      std::span<const std::span<const std::complex<double>>> hs,
-      const IstaOptions& opts, NdftWorkspace& ws) const;
 
   /// Greedy orthogonal matching pursuit picking `max_paths` atoms
   /// (extension / ablation baseline). The Gram matrix of the active set is
@@ -154,11 +139,6 @@ class NdftSolver {
   /// to check data consistency).
   std::vector<std::complex<double>> synthesize(
       std::span<const std::complex<double>> p) const;
-
-  /// Matched-filter response |sum_i h_i e^{+j2*pi*f_i*u}| at a continuous
-  /// delay u (not restricted to the grid).
-  double matched_filter(std::span<const std::complex<double>> h,
-                        double delay_s) const;
 
   /// Batched matched filter over the arithmetic sequence u0 + k*du,
   /// k in [0, count): one phasor rotation per row per sample instead of a
@@ -186,10 +166,6 @@ class NdftSolver {
   /// Applies the row weights to a raw measurement vector (h_i -> w_i h_i).
   std::vector<std::complex<double>> apply_weights(
       std::span<const std::complex<double>> h) const;
-
-  /// The paper's SPARSIFY: complex soft-thresholding that shrinks every
-  /// coefficient's magnitude by `threshold`, zeroing those below it.
-  static void sparsify(std::span<std::complex<double>> p, double threshold);
 
  private:
   std::shared_ptr<const NdftPlan> plan_;

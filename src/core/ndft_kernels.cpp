@@ -259,14 +259,10 @@ void NdftWorkspace::bind(std::size_t rows, std::size_t cols) {
   active.clear();
   support.reserve(cols);
   support.clear();
-  visit.reserve(cols);
-  visit.clear();
   // Disjoint runs over cols columns are separated by at least one column
   // outside every run, so there are at most (cols + 1) / 2 of them.
   work.reserve((cols + 1) / 2);
   work.assign(1, ColumnRun{0, static_cast<std::uint32_t>(cols)});
-  // Written by index, not pushed: sized outright.
-  survivors.resize(cols);
 }
 
 NdftPlan::NdftPlan(std::vector<double> row_freqs_hz, DelayGrid grid,

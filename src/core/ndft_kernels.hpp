@@ -14,8 +14,9 @@
 //    gamma = 1/||F||_2^2. Plans are shared through a process-wide cache so
 //    repeated pipeline construction (fleet scenarios, benches, tests) pays
 //    the O(n*m) build and the spectral-norm iteration once.
-//  * NdftWorkspace — caller-owned scratch sized for one plan, so the
-//    ISTA/FISTA iteration loops run with zero heap allocations.
+//  * NdftWorkspace — scratch sized for one plan (the solvers keep one per
+//    thread), so the ISTA/FISTA iteration loops run with zero heap
+//    allocations.
 //  * Kernels — active-set forward, adjoint, fused gradient F^H (F p - h),
 //    and a batched recurrence matched-filter scan that replaces per-sample
 //    std::polar calls with one phasor rotation per row.
@@ -75,10 +76,11 @@ struct ColumnRun {
   std::uint32_t hi = 0;
 };
 
-/// Caller-owned scratch for the allocation-free solver loops. `bind` sizes
-/// every buffer for an (n rows, m cols) plan; it reallocates only when the
-/// bound shape grows, so reusing one workspace across solves of the same
-/// pipeline performs no allocation at all after the first call.
+/// Scratch for the allocation-free solver loops; the solvers keep one per
+/// thread, and the kernels below read and write the one they are given.
+/// `bind` sizes every buffer for an (n rows, m cols) plan; it reallocates
+/// only when the bound shape grows, so reusing one workspace across solves
+/// of the same pipeline performs no allocation at all after the first call.
 struct NdftWorkspace {
   // Split measurement vector (n).
   std::vector<double> h_re, h_im;
@@ -92,19 +94,16 @@ struct NdftWorkspace {
   // b = F^H h — the fixed linear term of the Toeplitz gradient T y - b,
   // computed once per solve (m).
   std::vector<double> b_re, b_im;
-  // Indices of the (exactly) nonzero columns of the current iterate.
+  // Ascending indices of the (exactly) nonzero columns of the point the
+  // gradient is taken at (the solvers' extrapolated point y).
   std::vector<std::uint32_t> active;
-  // Proximal-step index lists, ascending. `support`: the columns of p with
-  // any bit set (-0.0 included). `survivors` (cols entries; a count says
-  // how many are live): the columns whose shrinkage is nonzero this
-  // iteration. `visit`: survivors ∪ support ∪ active, the only columns the
-  // update can change.
+  // Ascending indices of the columns of the iterate p with any bit set
+  // (-0.0 included): the columns the gap check's forward product reads.
   std::vector<std::uint32_t> support;
-  std::vector<std::uint32_t> survivors;
-  std::vector<std::uint32_t> visit;
   // The working set W as ascending, disjoint column runs: the only columns
   // the gradient kernels (NdftPlan::gradient, gradient_toeplitz_scatter)
-  // compute. bind() resets it to one run over every column.
+  // compute and the solvers' proximal step updates. bind() resets it to
+  // one run over every column.
   std::vector<ColumnRun> work;
 
   void bind(std::size_t rows, std::size_t cols);

@@ -59,15 +59,6 @@ TEST(Ndft, MatrixEntriesAreUnitPhasors) {
   EXPECT_NEAR(std::abs(f(10, 90) - expect), 0.0, 1e-7);
 }
 
-TEST(Ndft, SparsifyImplementsSoftThreshold) {
-  std::vector<std::complex<double>> p = {
-      {3.0, 0.0}, {0.0, 0.5}, {0.1, 0.1}};
-  NdftSolver::sparsify(p, 1.0);
-  EXPECT_NEAR(p[0].real(), 2.0, 1e-12);  // shrunk by threshold
-  EXPECT_EQ(p[1], (std::complex<double>{0.0, 0.0}));  // below threshold
-  EXPECT_EQ(p[2], (std::complex<double>{0.0, 0.0}));
-}
-
 TEST(Ndft, GammaIsInverseSquaredSpectralNorm) {
   const DelayGrid grid{0.0, 20e-9, 0.5e-9};
   NdftSolver solver(plan_frequencies(), grid);
@@ -154,11 +145,11 @@ TEST(Ndft, MatchedFilterPeaksAtTrueDelay) {
   NdftSolver solver(plan_frequencies(), grid);
   const double tau = 21.3e-9;  // off-grid on purpose
   const auto h = synth_channel(plan_frequencies(), {{tau, 1.0}});
-  EXPECT_NEAR(solver.matched_filter(h, tau), 35.0, 1e-6);
+  EXPECT_NEAR(solver.plan().matched_filter(h, tau), 35.0, 1e-6);
   // The band plan is bimodal (2.4 / 5.5 GHz clusters), so the mainlobe has
   // a beat structure; 0.3 ns off still loses coherence vs the peak.
-  EXPECT_LT(solver.matched_filter(h, tau + 0.3e-9), 34.0);
-  EXPECT_LT(solver.matched_filter(h, tau + 1.2e-9), 25.0);
+  EXPECT_LT(solver.plan().matched_filter(h, tau + 0.3e-9), 34.0);
+  EXPECT_LT(solver.plan().matched_filter(h, tau + 1.2e-9), 25.0);
 }
 
 TEST(Ndft, RefineDelayRecoversOffGridTau) {

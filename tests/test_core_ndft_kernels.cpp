@@ -126,6 +126,56 @@ std::vector<double> random_weights(mathx::Rng& rng, std::size_t n) {
   return w;
 }
 
+/// Weighted office channels prepared the way bench_micro_core's
+/// fista_solve_office prepares them: sim::office_testbed links 1-15 m
+/// apart, single-antenna mobiles, each captured once through an Engine
+/// calibrated with Engine::calibrate, then combined and weighted as the
+/// ranging pipeline does. `solver` is the pipeline's.
+struct OfficeChannels {
+  NdftSolver solver;
+  std::vector<std::vector<std::complex<double>>> hs;
+};
+
+OfficeChannels office_channels(std::size_t links) {
+  constexpr std::uint64_t kTxPersonality = 11;
+  constexpr std::uint64_t kRxPersonality = 22;
+  const NodeId cal_tx{1};
+  const NodeId cal_rx{2};
+  const sim::Scenario scenario = sim::office_testbed();
+  auto source = std::make_shared<SimSweepSource>(scenario.environment(),
+                                                 sim::LinkSimConfig{});
+  source->add_node(cal_tx, sim::make_mobile({0.0, 0.0}, kTxPersonality));
+  source->add_node(cal_rx, sim::make_mobile({1.0, 0.0}, kRxPersonality));
+  mathx::Rng rng(20);
+  std::vector<RangingRequest> requests;
+  for (std::uint64_t i = 0; i < links; ++i) {
+    const sim::Placement pl = scenario.sample_pair(rng, 1.0, 15.0);
+    const NodeId tx{100 + i};
+    const NodeId rx{200 + i};
+    source->add_node(tx, sim::make_mobile(pl.tx, kTxPersonality));
+    source->add_node(rx, sim::make_mobile(pl.rx, kRxPersonality));
+    requests.push_back({{tx, 0}, {rx, 0}});
+  }
+  Engine engine = Engine::adopt(source);
+  EXPECT_TRUE(engine.calibrate(cal_tx, cal_rx, rng).ok());
+  const RangingPipeline pipeline(source->bands(), EngineOptions{}.ranging);
+  OfficeChannels out{pipeline.solver(), {}};
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    mathx::Rng link_rng = rng.split(i);
+    const auto sweep = engine.capture_sweep(requests[i], link_rng);
+    EXPECT_TRUE(sweep.ok());
+    if (!sweep.ok()) continue;
+    std::vector<std::complex<double>> raw;
+    for (const auto& band : combine_sweep(sweep.value(),
+                                          pipeline.config().combining,
+                                          engine.calibration())) {
+      raw.push_back(band.value);
+    }
+    out.hs.push_back(pipeline.solver().apply_weights(raw));
+  }
+  return out;
+}
+
 // ---- Reference implementations (the pre-kernel dense path) --------------
 
 double reference_alpha(const mathx::ComplexMatrix& f,
@@ -186,6 +236,16 @@ ReferenceCheck reference_check(const mathx::ComplexMatrix& f,
   return out;
 }
 
+/// The paper's SPARSIFY on one coefficient: complex soft-thresholding that
+/// shrinks its magnitude by `threshold`, or zeroes it when the magnitude is
+/// at most `threshold`.
+std::complex<double> soft_threshold(std::complex<double> v, double threshold) {
+  const double msq = std::norm(v);
+  if (msq <= threshold * threshold) return {0.0, 0.0};
+  const double mag = std::sqrt(msq);
+  return v * ((mag - threshold) / mag);
+}
+
 /// ISTA (accelerate = false) or FISTA against the dense matrix: a full
 /// dense gradient at y every iteration, the proximal step applied on the
 /// working set only, and a gap check every 10 iterations and at the last.
@@ -213,8 +273,8 @@ SparseSolveResult reference_solve(const NdftSolver& solver,
     const double beta = accelerate ? (t_momentum - 1.0) / t_next : 0.0;
     for (std::size_t k = 0; k < m; ++k) {
       if (!in_work[k]) continue;
-      std::complex<double> next = y[k] - gamma * grad[k];
-      NdftSolver::sparsify({&next, 1}, gamma * alpha);
+      const std::complex<double> next =
+          soft_threshold(y[k] - gamma * grad[k], gamma * alpha);
       const std::complex<double> step = next - p[k];
       p[k] = next;
       y[k] = next + beta * step;
@@ -485,6 +545,7 @@ TEST(NdftKernels, ForwardAdjointGradientMatchDensePath) {
 TEST(NdftKernels, MatchedFilterScanMatchesPointEvaluation) {
   const auto freqs = plan_frequencies();
   NdftSolver solver(freqs, {0.0, 60e-9, 0.25e-9});
+  const NdftPlan& plan = solver.plan();
   for (std::uint64_t seed : {5u, 6u}) {
     mathx::Rng rng(seed);
     const auto h = random_channel(rng, freqs);
@@ -496,11 +557,11 @@ TEST(NdftKernels, MatchedFilterScanMatchesPointEvaluation) {
     double peak = 0.0;
     for (std::size_t k = 0; k < count; ++k) {
       peak = std::max(peak,
-                      solver.matched_filter(h, u0 + static_cast<double>(k) * du));
+                      plan.matched_filter(h, u0 + static_cast<double>(k) * du));
     }
     for (std::size_t k = 0; k < count; ++k) {
       const double want =
-          solver.matched_filter(h, u0 + static_cast<double>(k) * du);
+          plan.matched_filter(h, u0 + static_cast<double>(k) * du);
       EXPECT_NEAR(scan[k], want, 1e-12 * peak)
           << "sample " << k << " of " << count;
     }
@@ -579,11 +640,16 @@ TEST(NdftKernels, OmpMatchesLegacyReference) {
 
 TEST(NdftKernels, SolveLoopsAllocateNothingPerIteration) {
   const auto freqs = plan_frequencies();
-  NdftSolver solver(freqs, {0.0, 40e-9, 0.25e-9});
+  const NdftSolver test_solver(freqs, {0.0, 40e-9, 0.25e-9});
   mathx::Rng rng(7);
-  const auto h = random_channel(rng, freqs);
+  const auto test_h = random_channel(rng, freqs);
+  // The production shape: RangingConfig::grid and one office sweep, so the
+  // full-grid first iterations and the working-set iterations after them
+  // both run inside the counted window.
+  const OfficeChannels office = office_channels(1);
+  ASSERT_EQ(office.hs.size(), 1u);
+  ASSERT_EQ(office.solver.grid().size(), RangingConfig::grid.size());
 
-  NdftWorkspace ws;
   IstaOptions opts;
   // No gap passes a negative tolerance: iteration count == budget, and the
   // gap checks at iterations 10, 20, ... run inside the counted window.
@@ -591,7 +657,7 @@ TEST(NdftKernels, SolveLoopsAllocateNothingPerIteration) {
 
   auto count_allocs = [&](auto&& solve, int iterations) {
     opts.max_iterations = iterations;
-    (void)solve(opts);  // warm the workspace for this shape
+    (void)solve(opts);  // warm the per-thread workspace for this shape
     const std::uint64_t before = g_alloc_count.load();
     const auto sol = solve(opts);
     const std::uint64_t after = g_alloc_count.load();
@@ -599,19 +665,24 @@ TEST(NdftKernels, SolveLoopsAllocateNothingPerIteration) {
     return after - before;
   };
 
-  auto ista = [&](const IstaOptions& o) { return solver.solve_ista(h, o, ws); };
-  const auto ista_short = count_allocs(ista, 8);
-  const auto ista_long = count_allocs(ista, 64);
-  EXPECT_EQ(ista_short, ista_long)
-      << "ISTA allocation count grew with the iteration budget";
+  const std::pair<const NdftSolver*, const std::vector<std::complex<double>>*>
+      problems[] = {{&test_solver, &test_h}, {&office.solver, &office.hs[0]}};
+  for (const auto& [solver, h] : problems) {
+    SCOPED_TRACE(testing::Message() << solver->grid().size() << " columns");
+    auto ista = [&](const IstaOptions& o) { return solver->solve_ista(*h, o); };
+    const auto ista_short = count_allocs(ista, 8);
+    const auto ista_long = count_allocs(ista, 64);
+    EXPECT_EQ(ista_short, ista_long)
+        << "ISTA allocation count grew with the iteration budget";
 
-  auto fista = [&](const IstaOptions& o) {
-    return solver.solve_fista(h, o, ws);
-  };
-  const auto fista_short = count_allocs(fista, 8);
-  const auto fista_long = count_allocs(fista, 64);
-  EXPECT_EQ(fista_short, fista_long)
-      << "FISTA allocation count grew with the iteration budget";
+    auto fista = [&](const IstaOptions& o) {
+      return solver->solve_fista(*h, o);
+    };
+    const auto fista_short = count_allocs(fista, 8);
+    const auto fista_long = count_allocs(fista, 64);
+    EXPECT_EQ(fista_short, fista_long)
+        << "FISTA allocation count grew with the iteration budget";
+  }
 }
 
 // ---- Toeplitz gradient tier ----------------------------------------------
@@ -979,56 +1050,6 @@ TEST(NdftToeplitz, DegenerateProblemsRouteToDenseArmWithoutAsserting) {
 // of every returned profile independently from the dense matrix and hold
 // the stop rule to it: converged exactly when the gap is within the
 // tolerance, and otherwise a solve that ran its whole iteration budget.
-
-/// Weighted office channels prepared the way bench_micro_core's
-/// fista_solve_office prepares them: sim::office_testbed links 1-15 m
-/// apart, single-antenna mobiles, each captured once through an Engine
-/// calibrated with Engine::calibrate, then combined and weighted as the
-/// ranging pipeline does. `solver` is the pipeline's.
-struct OfficeChannels {
-  NdftSolver solver;
-  std::vector<std::vector<std::complex<double>>> hs;
-};
-
-OfficeChannels office_channels(std::size_t links) {
-  constexpr std::uint64_t kTxPersonality = 11;
-  constexpr std::uint64_t kRxPersonality = 22;
-  const NodeId cal_tx{1};
-  const NodeId cal_rx{2};
-  const sim::Scenario scenario = sim::office_testbed();
-  auto source = std::make_shared<SimSweepSource>(scenario.environment(),
-                                                 sim::LinkSimConfig{});
-  source->add_node(cal_tx, sim::make_mobile({0.0, 0.0}, kTxPersonality));
-  source->add_node(cal_rx, sim::make_mobile({1.0, 0.0}, kRxPersonality));
-  mathx::Rng rng(20);
-  std::vector<RangingRequest> requests;
-  for (std::uint64_t i = 0; i < links; ++i) {
-    const sim::Placement pl = scenario.sample_pair(rng, 1.0, 15.0);
-    const NodeId tx{100 + i};
-    const NodeId rx{200 + i};
-    source->add_node(tx, sim::make_mobile(pl.tx, kTxPersonality));
-    source->add_node(rx, sim::make_mobile(pl.rx, kRxPersonality));
-    requests.push_back({{tx, 0}, {rx, 0}});
-  }
-  Engine engine = Engine::adopt(source);
-  EXPECT_TRUE(engine.calibrate(cal_tx, cal_rx, rng).ok());
-  const RangingPipeline pipeline(source->bands(), EngineOptions{}.ranging);
-  OfficeChannels out{pipeline.solver(), {}};
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    mathx::Rng link_rng = rng.split(i);
-    const auto sweep = engine.capture_sweep(requests[i], link_rng);
-    EXPECT_TRUE(sweep.ok());
-    if (!sweep.ok()) continue;
-    std::vector<std::complex<double>> raw;
-    for (const auto& band : combine_sweep(sweep.value(),
-                                          pipeline.config().combining,
-                                          engine.calibration())) {
-      raw.push_back(band.value);
-    }
-    out.hs.push_back(pipeline.solver().apply_weights(raw));
-  }
-  return out;
-}
 
 /// Recomputes the relative duality gap of `sol` from the dense matrix —
 /// P = 1/2 ||h - F p||^2 + alpha sum |p_k|, theta = s r with

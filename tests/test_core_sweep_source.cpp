@@ -4,9 +4,12 @@
 // sweep — the estimator cannot tell the backends apart.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/sweep_source.hpp"
@@ -232,6 +235,56 @@ TEST(TraceSweepSource, RejectsUnknownKeyAndInconsistentBands) {
                                mismatched)
                 .code(),
             chronos::StatusCode::kBandMismatch);
+}
+
+TEST(TraceSweepSource, ZeroOrNonFiniteCsiIsAMalformedSweep) {
+  // A capture whose CSI is all zero or carries a NaN records fine, but the
+  // band AGC cannot normalise it. Every path must report kMalformedSweep:
+  // measure without throwing, a batch slot without kInternal (the code for
+  // library defects), and no message naming a failed precondition.
+  const sim::LinkSimulator link(sim::office_20x20(), fast_link());
+  const auto tx = sim::make_mobile({2.0, 3.0}, 71);
+  const auto rx = sim::make_mobile({7.0, 5.0}, 72);
+  mathx::Rng record_rng(9);
+  const auto honest = link.simulate_sweep(tx, 0, rx, 0, record_rng);
+  auto zeroed = honest;
+  for (auto& v : zeroed.bands[3][0].forward.values) v = {0.0, 0.0};
+  auto nan = honest;
+  nan.bands[3][0].reverse.values[5] = {
+      std::numeric_limits<double>::quiet_NaN(), 0.0};
+
+  const auto expect_malformed = [](const chronos::Status& status) {
+    EXPECT_EQ(status.code(), chronos::StatusCode::kMalformedSweep)
+        << status.to_string();
+    EXPECT_EQ(status.message().find("precondition failed"),
+              std::string::npos)
+        << status.to_string();
+  };
+  const RangingRequest request{{NodeId{71}, 0}, {NodeId{72}, 0}};
+  for (const auto* sweep : {&zeroed, &nan}) {
+    SCOPED_TRACE(sweep == &zeroed ? "all-zero capture" : "NaN capture");
+    auto trace = std::make_shared<TraceSweepSource>();
+    ASSERT_TRUE(trace
+                    ->try_add_sweep(
+                        TraceKey::of(ResolvedRequest{tx, 0, rx, 0}), *sweep)
+                    .ok());
+    const Engine engine = Engine::adopt(trace);
+
+    mathx::Rng rng(1);
+    std::optional<chronos::Result<RangingResult>> measured;
+    EXPECT_NO_THROW(measured.emplace(engine.measure(request, rng)));
+    ASSERT_TRUE(measured.has_value());
+    ASSERT_FALSE(measured->ok());
+    expect_malformed(measured->status());
+
+    const auto batch = engine.measure_batch({&request, 1}, rng);
+    ASSERT_EQ(batch.results.size(), 1u);
+    expect_malformed(batch.results[0].status);
+
+    const auto estimated = engine.estimate(*sweep);
+    ASSERT_FALSE(estimated.ok());
+    expect_malformed(estimated.status());
+  }
 }
 
 TEST(Engine, SetCalibrationInstallsRecordedTable) {

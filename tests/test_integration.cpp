@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <memory>
+#include <numeric>
+#include <utility>
+#include <vector>
 
+#include "core/ranging.hpp"
 #include "core/sweep_source.hpp"
 #include "mathx/constants.hpp"
 #include "mathx/stats.hpp"
@@ -156,6 +161,116 @@ TEST(Integration, ProfilesStaySparse) {
     const auto dominant = core::dominant_peak_count(r.profile, 0.2);
     EXPECT_GE(dominant, 1u);
     EXPECT_LE(dominant, 16u);
+  }
+}
+
+// ---- Metamorphic accuracy oracles ----------------------------------------
+//
+// The goldens compare the pipeline with its own past output, so they catch
+// drift, not error. These oracles transform a sweep in ways that leave the
+// true time of flight unchanged and require the estimate to stay within
+// 1e-3 ns, with the same status and peak decision.
+
+/// Sweeps of 40 office_testbed(42) links 1-15 m apart (single-antenna
+/// mobiles) captured through an engine calibrated with Engine::calibrate,
+/// with that engine's band plan and calibration table.
+struct OfficeSweeps {
+  std::vector<phy::WifiBand> bands;
+  core::CalibrationTable calibration;
+  std::vector<phy::SweepMeasurement> sweeps;
+};
+
+OfficeSweeps office_sweeps() {
+  const auto scen = sim::office_testbed(42);
+  Rig rig = make_rig(scen.environment());
+  mathx::Rng rng(31);
+  calibrate(rig, sim::make_mobile({0.0, 0.0}, 11),
+            sim::make_mobile({1.0, 0.0}, 22), rng);
+  OfficeSweeps out{rig.source->bands(), rig.engine.calibration(), {}};
+  for (int i = 0; i < 40; ++i) {
+    const auto pl = scen.sample_pair(rng, 1.0, 15.0);
+    rig.source->add_node(sim::make_mobile(pl.tx, 11));
+    rig.source->add_node(sim::make_mobile(pl.rx, 22));
+    out.sweeps.push_back(
+        rig.engine.capture_sweep({{NodeId{11}, 0}, {NodeId{22}, 0}}, rng)
+            .value());
+  }
+  return out;
+}
+
+void expect_same_tof(const core::RangingResult& want,
+                     const core::RangingResult& got) {
+  EXPECT_EQ(got.status.code(), want.status.code()) << got.status.to_string();
+  EXPECT_EQ(got.peak_found, want.peak_found);
+  EXPECT_NEAR(got.tof_s, want.tof_s, 1e-12);
+}
+
+// Oracle: the band AGC normalises each capture by its own RMS, so scaling
+// every CSI value of a sweep by one positive constant changes no ToF.
+TEST(Oracle, ScalingTheCsiLeavesTheTofUnchanged) {
+  const OfficeSweeps office = office_sweeps();
+  const core::RangingPipeline pipeline(office.bands);
+  for (std::size_t i = 0; i < office.sweeps.size(); ++i) {
+    const auto want = pipeline.estimate(office.sweeps[i], office.calibration);
+    ASSERT_TRUE(want.status.ok()) << want.status.to_string();
+    for (const double c : {1e-3, 0.5, 3.7}) {
+      SCOPED_TRACE(testing::Message() << "link " << i << ", scale " << c);
+      phy::SweepMeasurement scaled = office.sweeps[i];
+      for (auto& captures : scaled.bands) {
+        for (auto& cap : captures) {
+          for (auto& v : cap.forward.values) v *= c;
+          for (auto& v : cap.reverse.values) v *= c;
+        }
+      }
+      expect_same_tof(want, pipeline.estimate(scaled, office.calibration));
+    }
+  }
+}
+
+// Oracle: the estimate is a function of the set of (band, capture,
+// correction) triples, not of their order. Reordering the sweep's bands,
+// the pipeline's band plan and the calibration corrections together
+// changes no ToF.
+TEST(Oracle, PermutingTheBandsLeavesTheTofUnchanged) {
+  const OfficeSweeps office = office_sweeps();
+  const core::RangingPipeline pipeline(office.bands);
+  const std::size_t n = office.bands.size();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::vector<std::vector<std::size_t>> permutations = {
+      {order.rbegin(), order.rend()}};
+  mathx::Rng rng(37);
+  for (int s = 0; s < 2; ++s) {
+    for (std::size_t j = n - 1; j > 0; --j) {
+      const auto k =
+          static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(j)));
+      std::swap(order[j], order[k]);
+    }
+    permutations.push_back(order);
+  }
+
+  for (std::size_t p = 0; p < permutations.size(); ++p) {
+    const std::vector<std::size_t>& perm = permutations[p];
+    std::vector<phy::WifiBand> bands;
+    core::CalibrationTable calibration = office.calibration;
+    calibration.correction.clear();
+    for (const std::size_t k : perm) {
+      bands.push_back(office.bands[k]);
+      calibration.correction.push_back(office.calibration.correction[k]);
+    }
+    const core::RangingPipeline permuted(bands);
+    for (std::size_t i = 0; i < office.sweeps.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "permutation " << p << ", link "
+                                      << i);
+      const auto want =
+          pipeline.estimate(office.sweeps[i], office.calibration);
+      ASSERT_TRUE(want.status.ok()) << want.status.to_string();
+      phy::SweepMeasurement sweep = office.sweeps[i];
+      for (std::size_t j = 0; j < n; ++j) {
+        sweep.bands[j] = office.sweeps[i].bands[perm[j]];
+      }
+      expect_same_tof(want, permuted.estimate(sweep, calibration));
+    }
   }
 }
 
