@@ -34,9 +34,7 @@ int main() {
     std::printf("  (period %.3f ns)\n", 1e9 / freqs[i]);
   }
 
-  core::CrtSolverOptions opts;
-  opts.tau_max_s = 60e-9;
-  const auto sol = core::solve_crt(h, freqs, opts);
+  const auto sol = core::solve_crt(h, freqs, 60e-9);
   std::printf("\n  alignment winner: %.4f ns with %d/5 equations satisfied\n",
               sol.tof_s * 1e9, sol.satisfied_equations);
   bench::paper_vs_measured("recovered ToF", 2.0, sol.tof_s * 1e9, "ns");

@@ -15,10 +15,9 @@
 int main() {
   using namespace chronos;
 
-  // Two nodes with distinct radio "personalities" (the id doubles as the
-  // personality seed by default, giving each its own chain ripple / CFO
-  // behaviour, like real cards). The 20x20 m office testbed supplies
-  // multipath.
+  // Two nodes with distinct radio "personalities" (the id seeds each
+  // node's chain ripple, like real cards). The 20x20 m office testbed
+  // supplies multipath.
   const NodeId phone{101};
   const NodeId laptop{202};
   SimDeployment deployment;

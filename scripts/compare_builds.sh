@@ -2,10 +2,12 @@
 # Bit-identity gate between two Release build trees of this repository,
 # for changes that claim not to move an output bit:
 #
-#   1. the stdout of the twelve figure and ablation benches, byte for byte
-#      (bench_ablation_solvers is the only bench that prints ISTA, OMP and
-#      pseudo-inverse results; bench_ablation_impairments the only one that
-#      switches RangingConfig::use_toa_gate off);
+#   1. the stdout of the nineteen figure and ablation benches, byte for
+#      byte (bench_ablation_solvers is the only bench that prints ISTA, OMP
+#      and pseudo-inverse results; bench_ablation_impairments the only one
+#      that switches RangingConfig::use_toa_gate off; fig2, fig3, fig9a-c
+#      and fig10a-b are the only ones that run the band plan, the CRT
+#      solver, the hopping, video and TCP models and the drone loop);
 #   2. the SOLVE_DIGEST and OFFICE_GAP lines of bench_micro_core: a hash of
 #      48 office solves (iterations, convergence, coefficient bytes,
 #      residual) and their iterations-to-gap. The ToF digests and the
@@ -30,6 +32,8 @@ PARENT="$1"
 CHANGE="$2"
 
 BENCHES=(
+  bench_fig2_bandplan
+  bench_fig3_crt_alignment
   bench_fig4_multipath_profile
   bench_fig7a_tof_accuracy
   bench_fig7b_profile_sparsity
@@ -37,6 +41,11 @@ BENCHES=(
   bench_fig8a_distance_vs_range
   bench_fig8b_localization_small
   bench_fig8c_localization_large
+  bench_fig9a_hopping_time
+  bench_fig9b_video
+  bench_fig9c_tcp
+  bench_fig10a_drone_distance
+  bench_fig10b_drone_trajectory
   bench_ablation_bands
   bench_ablation_antenna_separation
   bench_ablation_adversarial

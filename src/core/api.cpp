@@ -106,8 +106,7 @@ constexpr double kCalibrationDistanceM = 3.0;
 sim::Device to_device(const NodeSpec& spec) {
   sim::Device device;
   device.antennas = spec.antennas;
-  device.hardware_seed =
-      spec.personality != 0 ? spec.personality : spec.id.value;
+  device.hardware_seed = spec.id.value;
   return device;
 }
 

@@ -200,15 +200,14 @@ struct LocateOutcome {
 // Deployment descriptions (backend construction without backend headers)
 // ---------------------------------------------------------------------------
 
-/// Backend-neutral description of one node for registration: its id, its
-/// antenna positions (metres, floor-plan frame), and optionally a distinct
-/// radio personality seed (chain ripple / CFO behaviour; defaults to the
-/// id itself). Several nodes may share a personality — e.g. sweeping one
-/// physical card over many positions.
+/// Backend-neutral description of one node for registration: its id and
+/// its antenna positions (metres, floor-plan frame). A simulated node's
+/// radio personality (chain ripple) is seeded by its id. To give several
+/// nodes one personality — e.g. one physical card swept over many
+/// positions — register sim devices through core::SimSweepSource::add_node.
 struct NodeSpec {
   NodeId id;
   std::vector<geom::Vec2> antennas;
-  std::uint64_t personality = 0;  ///< 0 = use id.value
 };
 
 /// Named simulated environments (the paper's testbeds).

@@ -8,6 +8,14 @@
 
 namespace chronos::core {
 
+namespace {
+constexpr double kTauMinS = 0.0;
+constexpr double kGridStepS = 10e-12;  ///< candidate spacing
+/// A congruence counts as satisfied when the candidate lands within this
+/// fraction of the band's period 1/f_i of a solution line.
+constexpr double kToleranceFraction = 0.12;
+}  // namespace
+
 std::vector<double> candidate_solutions(std::complex<double> channel,
                                         double freq_hz, double tau_max_s) {
   CHRONOS_EXPECTS(freq_hz > 0.0, "frequency must be positive");
@@ -35,12 +43,10 @@ double alignment_score(std::span<const std::complex<double>> channels,
 }
 
 CrtSolution solve_crt(std::span<const std::complex<double>> channels,
-                      std::span<const double> freqs_hz,
-                      const CrtSolverOptions& opts) {
+                      std::span<const double> freqs_hz, double tau_max_s) {
   CHRONOS_EXPECTS(channels.size() == freqs_hz.size() && channels.size() >= 2,
                   "need at least two band measurements");
-  CHRONOS_EXPECTS(opts.tau_max_s > opts.tau_min_s && opts.grid_step_s > 0.0,
-                  "bad search window");
+  CHRONOS_EXPECTS(tau_max_s > kTauMinS, "bad search window");
 
   // Precompute each band's base solution and period.
   const std::size_t n = channels.size();
@@ -56,14 +62,13 @@ CrtSolution solve_crt(std::span<const std::complex<double>> channels,
   // breaking ties with the phase-coherent score.
   CrtSolution best;
   best.satisfied_equations = -1;
-  for (double tau = opts.tau_min_s; tau <= opts.tau_max_s;
-       tau += opts.grid_step_s) {
+  for (double tau = kTauMinS; tau <= tau_max_s; tau += kGridStepS) {
     int votes = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const double residual =
           mathx::wrap_to_period(tau - base[i] + period[i] / 2.0, period[i]) -
           period[i] / 2.0;
-      if (std::abs(residual) <= opts.tolerance_fraction * period[i]) ++votes;
+      if (std::abs(residual) <= kToleranceFraction * period[i]) ++votes;
     }
     if (votes > best.satisfied_equations) {
       best.satisfied_equations = votes;
@@ -80,8 +85,8 @@ CrtSolution solve_crt(std::span<const std::complex<double>> channels,
 
   // Local refinement: golden-section style shrink around the winner using
   // the smooth alignment score.
-  double lo = best.tof_s - opts.grid_step_s;
-  double hi = best.tof_s + opts.grid_step_s;
+  double lo = best.tof_s - kGridStepS;
+  double hi = best.tof_s + kGridStepS;
   for (int it = 0; it < 40; ++it) {
     const double m1 = lo + (hi - lo) / 3.0;
     const double m2 = hi - (hi - lo) / 3.0;

@@ -19,15 +19,6 @@
 
 namespace chronos::core {
 
-struct CrtSolverOptions {
-  double tau_min_s = 0.0;
-  double tau_max_s = 200e-9;   ///< search window (60 m of flight)
-  double grid_step_s = 10e-12; ///< candidate spacing
-  /// A congruence counts as satisfied when the candidate lands within this
-  /// fraction of the band's period 1/f_i of a solution line.
-  double tolerance_fraction = 0.12;
-};
-
 struct CrtSolution {
   double tof_s = 0.0;
   int satisfied_equations = 0;  ///< how many bands voted for the winner
@@ -41,10 +32,12 @@ std::vector<double> candidate_solutions(std::complex<double> channel,
                                         double freq_hz, double tau_max_s);
 
 /// Solves the system of congruences given per-band center-frequency
-/// channels and their frequencies. Requires at least two bands.
+/// channels and their frequencies, searching tau in [0, tau_max_s] (the
+/// default 200 ns is 60 m of flight) on a 10 ps grid. Requires at least
+/// two bands.
 CrtSolution solve_crt(std::span<const std::complex<double>> channels,
                       std::span<const double> freqs_hz,
-                      const CrtSolverOptions& opts = {});
+                      double tau_max_s = 200e-9);
 
 /// The phase-coherent alignment score at a specific candidate tau:
 /// sum_i cos(angle(h_i) + 2*pi*f_i*tau). Exposed for Fig-3 style sweeps.

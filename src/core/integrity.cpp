@@ -19,8 +19,8 @@ namespace {
   return {chronos::StatusCode::kIntegrityViolation, message};
 }
 
-}  // namespace
-
+/// Mean per-capture SNR across every forward/reverse measurement of the
+/// sweep (the quantity kMinMeanSnrDb floors). 0 for an empty sweep.
 double sweep_mean_snr_db(const phy::SweepMeasurement& sweep) {
   double acc = 0.0;
   std::size_t n = 0;
@@ -32,6 +32,8 @@ double sweep_mean_snr_db(const phy::SweepMeasurement& sweep) {
   }
   return n == 0 ? 0.0 : acc / static_cast<double>(n);
 }
+
+}  // namespace
 
 [[nodiscard]] chronos::Status screen_sweep(const phy::SweepMeasurement& sweep,
                              std::span<const phy::WifiBand> plan,
@@ -63,7 +65,9 @@ double sweep_mean_snr_db(const phy::SweepMeasurement& sweep) {
       }
       // The band AGC divides each direction by its RMS, which needs a
       // finite, positive energy: an all-zero or non-finite capture would
-      // fail that precondition inside combining.
+      // fail that precondition inside combining. A non-finite timestamp or
+      // SNR passes every bound comparison below and turns the ToA gate's
+      // SNR compensation into NaN, which opens the gate to the whole grid.
       for (const phy::CsiMeasurement* m : {&cap.forward, &cap.reverse}) {
         double energy = 0.0;
         for (const auto& v : m->values) energy += std::norm(v);
@@ -71,6 +75,10 @@ double sweep_mean_snr_db(const phy::SweepMeasurement& sweep) {
           return malformed("band " + std::to_string(i) +
                            " capture carries no finite CSI energy "
                            "(all-zero or non-finite values)");
+        }
+        if (!std::isfinite(m->timestamp_s) || !std::isfinite(m->snr_db)) {
+          return malformed("band " + std::to_string(i) +
+                           " capture timestamp/SNR must be finite");
         }
       }
       // Identity: the claimed band must BE the plan's band. A channel

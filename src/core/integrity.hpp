@@ -98,8 +98,4 @@ struct IntegrityConfig {
                              std::span<const phy::WifiBand> plan,
                              const IntegrityConfig& config);
 
-/// Mean per-capture SNR across every forward/reverse measurement of the
-/// sweep (the quantity kMinMeanSnrDb floors). 0 for an empty sweep.
-double sweep_mean_snr_db(const phy::SweepMeasurement& sweep);
-
 }  // namespace chronos::core

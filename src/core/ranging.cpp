@@ -33,11 +33,6 @@ constexpr double kAliasPeriodS = 50e-9;
 /// covers per-packet detection jitter plus the SNR dependence of the mean
 /// detection delay between calibration fixture and field.
 constexpr double kToaGateS = 15e-9;
-/// Detection-delay characteristics of the NIC, used to compensate the gate
-/// center for the SNR difference between the calibration fixture and the
-/// field measurement (the mean energy-crossing time grows as 1/SNR). Must
-/// match the hardware (the sim's DetectionModelParams).
-constexpr phy::DetectionModelParams kDetection{};
 /// Continuous refinement of the direct path: subtract every other
 /// cluster's contribution from h, then locally maximise the matched filter
 /// within this half-width of the first peak (CLEAN-style). Recovers the
@@ -211,10 +206,9 @@ RangingResult RangingPipeline::finish(const PreparedSweep& prep,
   const bool gate_on = config_.use_toa_gate && calibration.has_toa_bias;
   double gate_center_u = 0.0;
   if (gate_on) {
-    const phy::DetectionModel model(kDetection);
     const double snr_compensation =
-        model.expected_delay_s(field_snr_db) -
-        model.expected_delay_s(calibration.calibration_snr_db);
+        phy::expected_detection_delay_s(field_snr_db) -
+        phy::expected_detection_delay_s(calibration.calibration_snr_db);
     const double coarse_tof =
         out.toa_s - calibration.toa_bias_s - snr_compensation;
     gate_center_u = coarse_tof * out.delay_axis_scale;
@@ -326,11 +320,10 @@ RangingResult RangingPipeline::finish(const PreparedSweep& prep,
     return out;
   }
   if (calibration.has_toa_bias) {
-    const phy::DetectionModel model(kDetection);
     const double expected_delay =
         calibration.toa_bias_s +
-        model.expected_delay_s(field_snr_db) -
-        model.expected_delay_s(calibration.calibration_snr_db);
+        phy::expected_detection_delay_s(field_snr_db) -
+        phy::expected_detection_delay_s(calibration.calibration_snr_db);
     const double discrepancy = out.detection_delay_s - expected_delay;
     if (std::abs(discrepancy) > kMaxToaDiscrepancyS) {
       out.status = {chronos::StatusCode::kIntegrityViolation,

@@ -11,11 +11,16 @@ namespace chronos::drone {
 namespace {
 constexpr NodeId kUser{31};
 constexpr NodeId kDrone{32};
+/// Chronos measurement rate (one full band sweep each).
+constexpr double kMeasurementRateHz = 12.0;
+/// User walking speed.
+constexpr double kUserSpeedMps = 0.5;
+/// Drone speed limit (m/s) between control steps.
+constexpr double kDroneMaxSpeedMps = 1.5;
 }  // namespace
 
 FollowRunResult run_follow_simulation(const FollowSimConfig& config,
                                       mathx::Rng& rng) {
-  CHRONOS_EXPECTS(config.measurement_rate_hz > 0.0, "rate must be positive");
   CHRONOS_EXPECTS(config.duration_s > 0.0, "duration must be positive");
 
   SimDeployment room;
@@ -25,11 +30,10 @@ FollowRunResult run_follow_simulation(const FollowSimConfig& config,
   CHRONOS_EXPECTS(engine.calibrate(kUser, kDrone, rng).ok(),
                   "drone-room calibration failed");
 
-  const double dt = 1.0 / config.measurement_rate_hz;
+  const double dt = 1.0 / kMeasurementRateHz;
 
   // The user walks; the drone starts at the target distance to its side.
-  WaypointWalk walk(6.0, 5.0, config.user_waypoints, config.user_speed_mps,
-                    rng);
+  WaypointWalk walk(6.0, 5.0, config.user_waypoints, kUserSpeedMps, rng);
   geom::Vec2 drone_pos =
       walk.position_at(0.0) + geom::Vec2{config.controller.target_distance_m, 0.0};
 
@@ -54,7 +58,7 @@ FollowRunResult run_follow_simulation(const FollowSimConfig& config,
     // control acts along the drone->user direction.
     const geom::Vec2 to_user = (user_pos - drone_pos).normalized();
     const double step = control_step(config.controller, measured);
-    const double max_move = config.drone_max_speed_mps * dt;
+    const double max_move = kDroneMaxSpeedMps * dt;
     const double move = std::clamp(step, -max_move, max_move);
     drone_pos += to_user * move;
 

@@ -14,17 +14,13 @@
 
 namespace chronos::drone {
 
+/// The run's settable shape; the measurement rate, walking speed and drone
+/// speed limit are constants in drone/follow_sim.cpp.
 struct FollowSimConfig {
   ControllerConfig controller{};
-  /// Chronos measurement rate (one full band sweep each).
-  double measurement_rate_hz = 12.0;
   /// Wall-clock duration of the run.
   double duration_s = 60.0;
-  /// User walking speed.
-  double user_speed_mps = 0.5;
   std::size_t user_waypoints = 8;
-  /// Drone speed limit (m/s) between control steps.
-  double drone_max_speed_mps = 1.5;
 };
 
 struct FollowSample {

@@ -13,15 +13,12 @@
 
 namespace chronos::net {
 
+/// The flow's settable shape; its RTT, MSS, initial ssthresh and tick are
+/// constants in net/tcp.cpp.
 struct TcpConfig {
-  double rtt_s = 0.02;
-  double mss_bytes = 1500.0;
   /// Bottleneck queue (bytes) in front of the link; overflow = loss.
   double queue_limit_bytes = 64 * 1500.0;
   double initial_cwnd_segments = 10.0;
-  double ssthresh_segments = 64.0;
-  /// Simulation tick.
-  double dt_s = 1e-3;
 };
 
 struct TcpTracePoint {

@@ -11,14 +11,12 @@
 
 namespace chronos::net {
 
+/// The session's settable shape; its bitrate, prebuffer and tick are
+/// constants in net/video.cpp.
 struct VideoConfig {
-  double bitrate_bps = 2.5e6;   ///< encoded video rate (= playback drain)
   /// The server pushes ahead of real time up to this many seconds of
   /// buffered video at the client.
   double max_buffer_s = 4.0;
-  /// Playback starts once this much video is buffered.
-  double prebuffer_s = 1.0;
-  double dt_s = 1e-3;
 };
 
 struct VideoTracePoint {

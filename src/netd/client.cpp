@@ -9,22 +9,6 @@
 
 namespace chronos::netd {
 
-RangingReply reply_of(const core::RangingResult& result) {
-  // Round-trip through the wire summary so truncation/narrowing rules are
-  // defined in exactly one place (ResponseFrame::of).
-  const ResponseFrame resp = ResponseFrame::of(0, result);
-  RangingReply reply;
-  reply.status = chronos::Status(resp.code, resp.message);
-  reply.tof_s = resp.tof_s;
-  reply.distance_m = resp.distance_m;
-  reply.toa_s = resp.toa_s;
-  reply.detection_delay_s = resp.detection_delay_s;
-  reply.peak_found = resp.peak_found;
-  reply.solver_iterations = static_cast<int>(resp.solver_iterations);
-  reply.attempts = static_cast<int>(resp.attempts);
-  return reply;
-}
-
 namespace {
 
 /// Resubmissions allowed per request after kQueueFull replies before the
@@ -46,6 +30,12 @@ RangingReply reply_from_frame(const ResponseFrame& resp, int wire_retries) {
 }
 
 }  // namespace
+
+RangingReply reply_of(const core::RangingResult& result) {
+  // Round-trip through the wire summary so truncation/narrowing rules are
+  // defined in exactly one place (ResponseFrame::of).
+  return reply_from_frame(ResponseFrame::of(0, result), 0);
+}
 
 ChronosClient::ChronosClient(std::shared_ptr<Stream> stream)
     : stream_(std::move(stream)) {

@@ -35,6 +35,11 @@ ChronosDaemon::ChronosDaemon(std::shared_ptr<const core::SweepSource> source,
     // full hostile-sweep gate screens every request (core/integrity.hpp).
     shard_config.integrity = core::IntegrityConfig::hostile();
   }
+  // One immutable pipeline serves every shard, as one serves every session
+  // of an Engine: its methods are const and the solver's scratch is per
+  // thread.
+  pipeline_ = std::make_shared<const core::RangingPipeline>(source_->bands(),
+                                                             shard_config);
 
   // Every shard session forks a copy of the SAME rng state, so all shards
   // share one base stream, addressed by global ticket; the caller's rng
@@ -43,14 +48,10 @@ ChronosDaemon::ChronosDaemon(std::shared_ptr<const core::SweepSource> source,
   shards_.reserve(options.shards);
   for (std::size_t s = 0; s < options.shards; ++s) {
     Shard shard;
-    // Each shard owns its pipeline instance: private solver plan handle
-    // and per-worker workspaces, so shards never contend on solve state.
-    shard.pipeline = std::make_shared<const core::RangingPipeline>(
-        source_->bands(), shard_config);
     rng = start;
     shard.session = core::open_session(
         std::make_shared<core::WorkerPool>(options.shard_threads), source_,
-        shard.pipeline, calibration_, rng, options.shard_queue_depth);
+        pipeline_, calibration_, rng, options.shard_queue_depth);
     shards_.push_back(std::move(shard));
   }
 }
@@ -73,7 +74,7 @@ std::vector<std::size_t> ChronosDaemon::shard_admitted() const {
 const core::RangingPipeline& ChronosDaemon::shard_pipeline(
     std::size_t shard) const {
   CHRONOS_EXPECTS(shard < shards_.size(), "shard index out of range");
-  return *shards_[shard].pipeline;
+  return *pipeline_;
 }
 
 void ChronosDaemon::send_frame(Connection& conn,

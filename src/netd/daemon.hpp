@@ -1,13 +1,13 @@
 // chronosd: the sharded ranging daemon frontend.
 //
 // One ChronosDaemon owns the backend directory (its SweepSource doubles as
-// the NodeRegistry) and N engine shards. A shard is its OWN
-// RangingPipeline instance (own solver plan handle and workspaces — one
-// hot shard cannot contend another's solve state) and one RangingSession
-// over a private WorkerPool. Requests route to shards by a splitmix64
-// hash of the transmitter NodeId, so every request of a given transmitter
-// serialises through one shard's bounded queue while distinct
-// transmitters spread across pools.
+// the NodeRegistry), one RangingPipeline and N shards. A shard is one
+// RangingSession over a private WorkerPool; every shard ranges through the
+// same immutable pipeline (its methods are const, and the solver's
+// workspaces are per thread, so shards share no mutable solve state).
+// Requests route to shards by a splitmix64 hash of the transmitter NodeId,
+// so every request of a given transmitter serialises through one shard's
+// bounded queue while distinct transmitters spread across pools.
 //
 // Determinism over the wire (the loopback e2e test pins this): every shard
 // session opens on a copy of the SAME rng state, so all shards share the
@@ -27,8 +27,8 @@
 // simply admitted later, as if it had arrived later. Resolution failures
 // DO consume a ticket (push_failed), mirroring batch index alignment.
 //
-// Trust boundary: clients are untrusted by default — every shard pipeline
-// is built with IntegrityConfig::hostile() armed, so spoofed/corrupted
+// Trust boundary: clients are untrusted by default — the pipeline is
+// built with IntegrityConfig::hostile() armed, so spoofed/corrupted
 // sweeps surface as per-request kIntegrityViolation instead of skewing
 // ranges (paper's adversary model; see core/integrity.hpp). Deployments
 // that own both ends can set DaemonOptions::trusted_clients.
@@ -76,7 +76,7 @@ struct DaemonOptions {
   std::size_t shard_queue_depth = 64;
   /// Worker threads per shard (>= 1).
   std::size_t shard_threads = 1;
-  /// When false (default), every shard pipeline replaces the caller's
+  /// When false (default), the daemon's pipeline replaces the caller's
   /// RangingConfig::integrity with IntegrityConfig::hostile().
   bool trusted_clients = false;
 };
@@ -94,7 +94,7 @@ struct DaemonStats {
 class ChronosDaemon {
  public:
   /// `source` is the backend (directory + sweeps); `config` the ranging
-  /// configuration every shard pipeline is built from (with hostile
+  /// configuration the shards' one pipeline is built from (with hostile
   /// integrity unless trusted_clients); `calibration` is shared by all
   /// shards and must be empty or hold one correction per band of
   /// source->bands(). Forks `rng` exactly once.
@@ -129,12 +129,11 @@ class ChronosDaemon {
   /// Global tickets admitted per shard (distribution diagnostics).
   std::vector<std::size_t> shard_admitted() const;
   const DaemonStats& stats() const { return stats_; }
-  /// The shard's private pipeline (tests pin per-shard isolation).
+  /// The pipeline shard `shard` ranges with: the one every shard shares.
   const core::RangingPipeline& shard_pipeline(std::size_t shard) const;
 
  private:
   struct Shard {
-    std::shared_ptr<const core::RangingPipeline> pipeline;
     chronos::RangingSession session;
     /// Wire metadata of in-flight local tickets, FIFO: local tickets are
     /// dense and next() collects in local-ticket order, so front() is
@@ -162,6 +161,7 @@ class ChronosDaemon {
 
   std::shared_ptr<const core::SweepSource> source_;
   std::shared_ptr<const core::CalibrationTable> calibration_;
+  std::shared_ptr<const core::RangingPipeline> pipeline_;
   std::vector<Shard> shards_;
   std::uint64_t next_global_ticket_ = 0;
   std::vector<chronos::RangingRequest> admitted_;

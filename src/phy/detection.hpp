@@ -6,42 +6,25 @@
 // ~20 ns), (b) SNR-dependent, and (c) noisy across packets (sigma ~25 ns).
 // The model here decomposes the delay into a fixed pipeline latency, an
 // energy-accumulation term inversely proportional to SNR, and AGC/noise
-// jitter; its parameters are calibrated so the simulated population matches
-// the paper's reported median and spread.
+// jitter; its constants (phy/detection.cpp) are calibrated so the simulated
+// population matches the paper's reported median and spread. The simulator
+// draws from it and the ranging pipeline compensates with its mean.
 #pragma once
 
 #include "mathx/rng.hpp"
 
 namespace chronos::phy {
 
-struct DetectionModelParams {
-  /// Fixed baseband pipeline latency (filters, AGC settle, correlator lag).
-  double pipeline_delay_s = 120e-9;
-  /// Energy-accumulation constant: crossing takes threshold/snr_linear
-  /// sample periods at 20 MHz (50 ns each).
-  double threshold_snr_samples = 60.0;
-  /// Rayleigh-distributed jitter scale from noise riding on the energy
-  /// detector and AGC gain steps.
-  double jitter_sigma_s = 20e-9;
-};
+/// Fixed baseband pipeline latency (filters, AGC settle, correlator lag):
+/// the floor under every detection delay.
+inline constexpr double kDetectionPipelineDelayS = 120e-9;
 
-/// Draws per-packet detection delays.
-class DetectionModel {
- public:
-  explicit DetectionModel(DetectionModelParams params = {})
-      : params_(params) {}
+/// Samples the detection delay of one packet received at the given SNR.
+double sample_detection_delay_s(double snr_db, mathx::Rng& rng);
 
-  /// Samples the detection delay of one packet received at the given SNR.
-  double sample_delay_s(double snr_db, mathx::Rng& rng) const;
-
-  /// The deterministic (mean) part of the delay at a given SNR; used by
-  /// tests to separate systematic from random components.
-  double expected_delay_s(double snr_db) const;
-
-  const DetectionModelParams& params() const { return params_; }
-
- private:
-  DetectionModelParams params_;
-};
+/// The deterministic (mean) part of the delay at a given SNR; the ranging
+/// pipeline uses it to compensate the SNR difference between calibration
+/// and field, and tests to separate systematic from random components.
+double expected_detection_delay_s(double snr_db);
 
 }  // namespace chronos::phy

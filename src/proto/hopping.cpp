@@ -4,6 +4,13 @@
 
 namespace chronos::proto {
 
+namespace {
+/// Retransmission timeout for control/ACK exchanges.
+constexpr double kRetransmitTimeoutS = 1.2e-3;
+/// Both devices revert to the default band after this much silence.
+constexpr double kFailsafeTimeoutS = 20e-3;
+}  // namespace
+
 SweepStats simulate_sweep(const HoppingConfig& config, mathx::Rng& rng) {
   CHRONOS_EXPECTS(config.dwell_time_s > 0.0, "dwell time must be positive");
   CHRONOS_EXPECTS(config.loss_probability >= 0.0 &&
@@ -32,23 +39,23 @@ SweepStats simulate_sweep(const HoppingConfig& config, mathx::Rng& rng) {
       const bool control_lost = rng.bernoulli(config.loss_probability);
       const bool ack_lost = rng.bernoulli(config.loss_probability);
       if (!control_lost && !ack_lost) {
-        t += 2.0 * config.packet_time_s;  // control + ACK on the air
+        t += 2.0 * kPacketTimeS;  // control + ACK on the air
         hopped = true;
         break;
       }
       // Timeout waiting for the ACK before retrying.
-      t += config.retransmit_timeout_s;
+      t += kRetransmitTimeoutS;
     }
 
     if (!hopped) {
       // Fail-safe: both sides fall back to the default band after the
       // silence timeout, then the sweep resumes from the next band (the
       // devices re-synchronise on the default band).
-      t += config.failsafe_timeout_s;
+      t += kFailsafeTimeoutS;
       ++stats.failsafe_resets;
     }
 
-    t += config.retune_time_s;
+    t += kRetuneTimeS;
   }
 
   stats.total_time_s = t;

@@ -3,8 +3,8 @@
 // Before leaving a band the transmitter sends a control packet advertising
 // the next band; the receiver ACKs and retunes; the transmitter retunes on
 // ACK receipt. Lost control packets or ACKs are retransmitted after a
-// timeout; if a device hears nothing for `failsafe_timeout`, both revert to
-// the default band and the sweep restarts from there. The paper's
+// timeout; if a device hears nothing for the fail-safe timeout, both revert
+// to the default band and the sweep restarts from there. The paper's
 // implementation sweeps all 35 US bands in a median of 84 ms.
 #pragma once
 
@@ -16,24 +16,21 @@
 
 namespace chronos::proto {
 
+/// Air + processing time of a control packet or ACK.
+inline constexpr double kPacketTimeS = 120e-6;
+/// Retune time of the radio front-end after a hop decision.
+inline constexpr double kRetuneTimeS = 150e-6;
+
 struct HoppingConfig {
   /// Bands to sweep, in order; defaults to the full US plan when empty.
   std::vector<phy::WifiBand> bands;
   /// Dwell on each band collecting CSI exchanges before initiating the hop.
   double dwell_time_s = 2.0e-3;
-  /// Air + processing time of a control packet or ACK.
-  double packet_time_s = 120e-6;
-  /// Retune time of the radio front-end after a hop decision.
-  double retune_time_s = 150e-6;
   /// Control packet / ACK loss probability per transmission.
   double loss_probability = 0.02;
-  /// Retransmission timeout for control/ACK exchanges.
-  double retransmit_timeout_s = 1.2e-3;
   /// Maximum retransmissions before declaring the hop failed; a failed hop
   /// falls back to the fail-safe (revert to default band, restart there).
   int max_retries = 4;
-  /// Both devices revert to the default band after this much silence.
-  double failsafe_timeout_s = 20e-3;
 };
 
 struct SweepStats {

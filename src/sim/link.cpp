@@ -6,15 +6,26 @@
 
 #include "mathx/constants.hpp"
 #include "mathx/contracts.hpp"
+#include "phy/detection.hpp"
 
 namespace chronos::sim {
+
+namespace {
+/// Dwell time on each band before hopping.
+constexpr double kDwellTimeS = 2.4e-3;
+/// Packet-to-ACK turnaround (mean and jitter): the residual-CFO phase error
+/// of the two-way product grows with this gap (§7 observation 1).
+constexpr double kAckTurnaroundS = 28e-6;
+constexpr double kAckTurnaroundJitterS = 4e-6;
+/// Spacing between successive exchanges on the same band.
+constexpr double kExchangePeriodS = 700e-6;
+}  // namespace
 
 LinkSimulator::LinkSimulator(Environment env, LinkSimConfig config)
     : env_(std::move(env)), config_(std::move(config)) {
   bands_ = config_.bands.empty() ? phy::us_band_plan() : config_.bands;
   CHRONOS_EXPECTS(config_.exchanges_per_band >= 1,
                   "need at least one exchange per band");
-  CHRONOS_EXPECTS(config_.dwell_time_s > 0.0, "dwell time must be positive");
 }
 
 std::vector<PathComponent> LinkSimulator::paths_between(
@@ -46,7 +57,7 @@ phy::SweepMeasurement LinkSimulator::simulate_sweep(
     std::size_t rx_antenna, mathx::Rng& rng) const {
   const auto paths = paths_between(tx, tx_antenna, rx, rx_antenna);
   const double chan_power = total_power(paths);
-  const double snr_db = packet_snr_db(tx.radio, rx.radio, chan_power);
+  const double snr_db = packet_snr_db(chan_power);
   const double snr_linear = std::pow(10.0, snr_db / 10.0);
 
   // Per-subcarrier noise from the RMS channel magnitude. `chan_power` sums
@@ -55,7 +66,6 @@ phy::SweepMeasurement LinkSimulator::simulate_sweep(
   const double noise_sigma =
       config_.enable_noise ? rms_mag / std::sqrt(2.0 * snr_linear) : 0.0;
 
-  const phy::DetectionModel detector(config_.detection);
   const auto sc_indices = phy::intel5300_subcarrier_indices();
 
   // The current band's channel per subcarrier, forward and reverse, before
@@ -65,19 +75,17 @@ phy::SweepMeasurement LinkSimulator::simulate_sweep(
 
   phy::SweepMeasurement sweep;
   sweep.bands.resize(bands_.size());
-  sweep.sweep_duration_s =
-      config_.dwell_time_s * static_cast<double>(bands_.size());
+  sweep.sweep_duration_s = kDwellTimeS * static_cast<double>(bands_.size());
 
   for (std::size_t bi = 0; bi < bands_.size(); ++bi) {
     const phy::WifiBand& band = bands_[bi];
-    const double band_start = config_.dwell_time_s * static_cast<double>(bi);
+    const double band_start = kDwellTimeS * static_cast<double>(bi);
 
     // Residual CFO for this dwell: the NIC re-estimates CFO per hop, so the
     // residual is redrawn on every band (and drifts slightly per packet).
     const double residual_cfo_hz =
         config_.enable_cfo
-            ? rng.normal(0.0, std::hypot(tx.radio.residual_cfo_std_hz,
-                                         rx.radio.residual_cfo_std_hz))
+            ? rng.normal(0.0, std::hypot(kResidualCfoStdHz, kResidualCfoStdHz))
             : 0.0;
 
     // Per-hop synthesizer phase difference between the two devices. It is
@@ -92,7 +100,7 @@ phy::SweepMeasurement LinkSimulator::simulate_sweep(
     std::complex<double> kappa{1.0, 0.0};
     double hw_delay = 0.0;
     if (config_.enable_chain_effects) {
-      hw_delay = tx.radio.hardware_delay_s + rx.radio.hardware_delay_s;
+      hw_delay = kHardwareDelayS + kHardwareDelayS;
       const std::size_t pi = plan_index(band);
       kappa = std::polar(1.0, tx.chain_ripple_rad(pi) + rx.chain_ripple_rad(pi));
     }
@@ -116,19 +124,18 @@ phy::SweepMeasurement LinkSimulator::simulate_sweep(
 
     for (int e = 0; e < config_.exchanges_per_band; ++e) {
       const double t_pkt =
-          band_start + config_.exchange_period_s * static_cast<double>(e);
+          band_start + kExchangePeriodS * static_cast<double>(e);
       const double t_ack =
-          t_pkt + config_.ack_turnaround_s +
-          (config_.ack_turnaround_jitter_s > 0.0
-               ? rng.normal(0.0, config_.ack_turnaround_jitter_s)
-               : 0.0);
+          t_pkt + kAckTurnaroundS + rng.normal(0.0, kAckTurnaroundJitterS);
 
       const double delta_fwd =
-          config_.enable_detection_delay ? detector.sample_delay_s(snr_db, rng)
-                                         : 0.0;
+          config_.enable_detection_delay
+              ? phy::sample_detection_delay_s(snr_db, rng)
+              : 0.0;
       const double delta_rev =
-          config_.enable_detection_delay ? detector.sample_delay_s(snr_db, rng)
-                                         : 0.0;
+          config_.enable_detection_delay
+              ? phy::sample_detection_delay_s(snr_db, rng)
+              : 0.0;
 
       // The 2.4 GHz firmware quirk leaves the band-wide phase known only
       // modulo pi/2: model as an independent quadrant rotation per packet.

@@ -28,7 +28,6 @@
 #include "mathx/rng.hpp"
 #include "phy/band_plan.hpp"
 #include "phy/csi.hpp"
-#include "phy/detection.hpp"
 #include "sim/environment.hpp"
 #include "sim/multipath.hpp"
 #include "sim/radio.hpp"
@@ -40,14 +39,6 @@ struct LinkSimConfig {
   std::vector<phy::WifiBand> bands;
   /// Forward/reverse exchanges captured per band (the pipeline averages).
   int exchanges_per_band = 3;
-  /// Dwell time on each band before hopping.
-  double dwell_time_s = 2.4e-3;
-  /// Packet-to-ACK turnaround (mean and jitter): the residual-CFO phase
-  /// error of the two-way product grows with this gap (§7 observation 1).
-  double ack_turnaround_s = 28e-6;
-  double ack_turnaround_jitter_s = 4e-6;
-  /// Spacing between successive exchanges on the same band.
-  double exchange_period_s = 700e-6;
 
   // Impairment toggles (all on = realistic; all off = textbook Eqn 7).
   bool enable_noise = true;
@@ -58,7 +49,6 @@ struct LinkSimConfig {
   bool enable_quirk = true;          ///< 2.4 GHz quadrant ambiguity
 
   PropagationModelParams propagation;
-  phy::DetectionModelParams detection;
 };
 
 /// Simulates Chronos sweeps between one TX antenna and one RX antenna.

@@ -9,6 +9,22 @@
 
 namespace chronos::sim {
 
+namespace {
+/// Reference gain at 1 m: the free-space term lambda/(4*pi*d) evaluated at
+/// the band-plan midpoint.
+constexpr double kReferenceGainAt1m = 0.006;  // ~ lambda/(4 pi) at 4 GHz
+/// Indoor power path-loss exponent; amplitude falls as d^(-exponent/2).
+/// 2 = free space; ~3 matches cluttered office floors and reproduces the
+/// paper's SNR-driven error growth with distance (Fig 8a).
+constexpr double kPathLossExponent = 3.0;
+/// Paths weaker than this fraction of the strongest path's power are
+/// dropped (they are unresolvable and only slow the simulator).
+constexpr double kRelativePowerFloor = 1e-4;
+/// Global scale on scatterer echo amplitudes (calibrates the evaluation's
+/// error floor).
+constexpr double kScattererGain = 0.07;
+}  // namespace
+
 std::vector<PathComponent> compute_paths(
     const Environment& env, const geom::Vec2& tx, const geom::Vec2& rx,
     const PropagationModelParams& params) {
@@ -25,11 +41,12 @@ std::vector<PathComponent> compute_paths(
     pc.delay_s = gp.length / mathx::kSpeedOfLight;
     pc.bounces = gp.bounces;
     const double mag =
-        params.reference_gain_at_1m /
-        std::pow(std::max(gp.length, 0.1), params.path_loss_exponent / 2.0) *
+        kReferenceGainAt1m /
+        std::pow(std::max(gp.length, 0.1), kPathLossExponent / 2.0) *
         std::sqrt(gp.reflection_loss);
-    const double sign =
-        (params.bounce_phase_flip && (gp.bounces % 2 == 1)) ? -1.0 : 1.0;
+    // Each specular bounce flips the field sign (grazing reflection off a
+    // denser medium).
+    const double sign = (gp.bounces % 2 == 1) ? -1.0 : 1.0;
     pc.gain = {sign * mag, 0.0};
     paths.push_back(pc);
   }
@@ -47,9 +64,8 @@ std::vector<PathComponent> compute_paths(
       PathComponent pc;
       pc.delay_s = (d1 + d2) / mathx::kSpeedOfLight;
       const double atten =
-          params.reference_gain_at_1m * s.cross_section *
-          params.scatterer_gain /
-          std::pow(d1 * d2, params.path_loss_exponent / 4.0);
+          kReferenceGainAt1m * s.cross_section * kScattererGain /
+          std::pow(d1 * d2, kPathLossExponent / 4.0);
       // Blockers attenuate each leg like any other path.
       double blocked = 1.0;
       for (const auto& blk : env.blockers) {
@@ -71,7 +87,7 @@ std::vector<PathComponent> compute_paths(
   // Drop unresolvably weak paths.
   double peak_power = 0.0;
   for (const auto& p : paths) peak_power = std::max(peak_power, std::norm(p.gain));
-  const double floor = peak_power * params.relative_power_floor;
+  const double floor = peak_power * kRelativePowerFloor;
   std::erase_if(paths,
                 [floor](const PathComponent& p) { return std::norm(p.gain) < floor; });
 

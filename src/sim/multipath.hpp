@@ -26,30 +26,15 @@ struct PathComponent {
   int bounces = 0;
 };
 
+/// The propagation model's one switch. Its constants (path loss, bounce
+/// phase, power floor, scatterer scale) live in sim/multipath.cpp.
 struct PropagationModelParams {
-  /// Reference gain at 1 m: the free-space term lambda/(4*pi*d) evaluated at
-  /// the band-plan midpoint.
-  double reference_gain_at_1m = 0.006;  // ~ lambda/(4 pi) at 4 GHz
-  /// Indoor power path-loss exponent; amplitude falls as d^(-exponent/2).
-  /// 2 = free space; ~3 matches cluttered office floors and reproduces the
-  /// paper's SNR-driven error growth with distance (Fig 8a).
-  double path_loss_exponent = 3.0;
-  /// Each specular bounce flips the field sign (grazing reflection off a
-  /// denser medium); disable to model purely positive reflection gains.
-  bool bounce_phase_flip = true;
-  /// Paths weaker than this fraction of the strongest path's power are
-  /// dropped (they are unresolvable and only slow the simulator).
-  double relative_power_floor = 1e-4;
-
   /// Include the environment's point scatterers (furniture echoes). Their
   /// near-direct components pull the recovered first peak late by a few
   /// hundred picoseconds — the dominant error source behind the paper's
   /// ~0.5 ns medians (thermal phase noise alone would permit ~0.02 ns at
   /// the stitched aperture).
   bool include_scatterers = true;
-  /// Global scale on scatterer echo amplitudes (calibration knob for the
-  /// evaluation's error floor).
-  double scatterer_gain = 0.07;
 };
 
 /// Enumerates the multipath components between tx and rx in `env`.

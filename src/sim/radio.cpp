@@ -11,7 +11,7 @@ double Device::chain_ripple_rad(std::size_t band_index) const {
   // band index off the device's hardware seed.
   mathx::Rng rng(hardware_seed);
   mathx::Rng band_stream = rng.fork(band_index + 1);
-  return band_stream.normal(0.0, radio.band_ripple_std_rad);
+  return band_stream.normal(0.0, kBandRippleStdRad);
 }
 
 namespace {
@@ -49,13 +49,12 @@ Device make_mobile(const geom::Vec2& position, std::uint64_t hardware_seed) {
   return d;
 }
 
-double packet_snr_db(const RadioParams& tx, const RadioParams& rx,
-                     double channel_power_linear) {
+double packet_snr_db(double channel_power_linear) {
   CHRONOS_EXPECTS(channel_power_linear > 0.0,
                   "channel power must be positive");
   // Received power = TX power + channel gain (both in dB domain).
-  const double rx_dbm = tx.tx_power_dbm + 10.0 * std::log10(channel_power_linear);
-  return rx_dbm - rx.noise_floor_dbm;
+  const double rx_dbm = kTxPowerDbm + 10.0 * std::log10(channel_power_linear);
+  return rx_dbm - kNoiseFloorDbm;
 }
 
 }  // namespace chronos::sim

@@ -25,27 +25,28 @@
 
 namespace chronos::sim {
 
-struct RadioParams {
-  /// Residual CFO after the NIC's preamble-based correction. The raw crystal
-  /// offset (up to +-20 ppm, hundreds of kHz) is corrected by hardware; what
-  /// leaks into CSI is a per-packet residual of a few hundred Hz.
-  double residual_cfo_std_hz = 300.0;
-  /// Hardware group delay through the TX+RX chains [s]; shows up as a
-  /// constant time-of-flight bias until calibrated out.
-  double hardware_delay_s = 12e-9;
-  /// Std-dev of the fixed per-band phase ripple of the chains [rad].
-  double band_ripple_std_rad = 0.05;
-  double tx_power_dbm = 15.0;
-  double noise_floor_dbm = -82.0;
-};
+// The Intel 5300's radio hardware, the same on every simulated card (a
+// card's own personality is its Device::hardware_seed).
+
+/// Residual CFO after the NIC's preamble-based correction. The raw crystal
+/// offset (up to +-20 ppm, hundreds of kHz) is corrected by hardware; what
+/// leaks into CSI is a per-packet residual of a few hundred Hz.
+inline constexpr double kResidualCfoStdHz = 300.0;
+/// Hardware group delay through the TX+RX chains [s]; shows up as a
+/// constant time-of-flight bias until calibrated out.
+inline constexpr double kHardwareDelayS = 12e-9;
+/// Std-dev of the fixed per-band phase ripple of the chains [rad].
+inline constexpr double kBandRippleStdRad = 0.05;
+/// Transmit power and receiver noise floor of the link budget.
+inline constexpr double kTxPowerDbm = 15.0;
+inline constexpr double kNoiseFloorDbm = -82.0;
 
 /// A Wi-Fi device: antenna positions (absolute, on the floor plan) plus its
-/// radio hardware. The per-band chain ripple is derived deterministically
-/// from `hardware_seed` so a device keeps its personality across sweeps —
-/// which is what makes one-time calibration (§7) meaningful.
+/// hardware personality. The per-band chain ripple is derived
+/// deterministically from `hardware_seed` so a device keeps its personality
+/// across sweeps — which is what makes one-time calibration (§7) meaningful.
 struct Device {
   std::vector<geom::Vec2> antennas;
-  RadioParams radio;
   std::uint64_t hardware_seed = 1;
 
   /// Fixed phase ripple of this device's chain on band `band_index` of the
@@ -68,7 +69,6 @@ Device make_mobile(const geom::Vec2& position, std::uint64_t hardware_seed = 3);
 
 /// Link-budget SNR for a packet with the given received power (linear |h|^2
 /// aggregated over paths) between two radios.
-double packet_snr_db(const RadioParams& tx, const RadioParams& rx,
-                     double channel_power_linear);
+double packet_snr_db(double channel_power_linear);
 
 }  // namespace chronos::sim

@@ -144,9 +144,7 @@ TEST(Crt, RecoversFig3Example) {
   // Paper Fig 3: source at 0.6 m (tau = 2 ns), five bands.
   const double tau = 2e-9;
   const auto [h, f] = crt_inputs(tau, {1, 11, 36, 64, 165});
-  CrtSolverOptions opts;
-  opts.tau_max_s = 60e-9;
-  const auto sol = solve_crt(h, f, opts);
+  const auto sol = solve_crt(h, f, 60e-9);
   EXPECT_NEAR(sol.tof_s, tau, 0.02e-9);
   EXPECT_EQ(sol.satisfied_equations, 5);
 }
@@ -158,9 +156,7 @@ TEST_P(CrtTauSweep, RecoversAcrossRangeWithAllBands) {
   std::vector<int> channels;
   for (const auto& b : phy::us_band_plan()) channels.push_back(b.channel);
   const auto [h, f] = crt_inputs(tau, channels);
-  CrtSolverOptions opts;
-  opts.tau_max_s = 120e-9;
-  const auto sol = solve_crt(h, f, opts);
+  const auto sol = solve_crt(h, f, 120e-9);
   EXPECT_NEAR(sol.tof_s, tau, 0.02e-9);
 }
 
@@ -175,9 +171,7 @@ TEST(Crt, NoisyPhasesStillVoteCorrectly) {
   for (const auto& b : phy::us_band_plan()) channels.push_back(b.channel);
   auto [h, f] = crt_inputs(tau, channels);
   for (auto& v : h) v *= std::polar(1.0, rng.normal(0.0, 0.25));
-  CrtSolverOptions opts;
-  opts.tau_max_s = 120e-9;
-  const auto sol = solve_crt(h, f, opts);
+  const auto sol = solve_crt(h, f, 120e-9);
   EXPECT_NEAR(sol.tof_s, tau, 0.05e-9);
 }
 

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sweep_source.hpp"
@@ -239,19 +240,27 @@ TEST(TraceSweepSource, RejectsUnknownKeyAndInconsistentBands) {
 
 TEST(TraceSweepSource, ZeroOrNonFiniteCsiIsAMalformedSweep) {
   // A capture whose CSI is all zero or carries a NaN records fine, but the
-  // band AGC cannot normalise it. Every path must report kMalformedSweep:
-  // measure without throwing, a batch slot without kInternal (the code for
-  // library defects), and no message naming a failed precondition.
+  // band AGC cannot normalise it; a non-finite SNR or timestamp records
+  // fine too, but passes every bound check and opens the ToA gate. Every
+  // path must report kMalformedSweep: measure without throwing, a batch
+  // slot without kInternal (the code for library defects), and no message
+  // naming a failed precondition.
   const sim::LinkSimulator link(sim::office_20x20(), fast_link());
   const auto tx = sim::make_mobile({2.0, 3.0}, 71);
   const auto rx = sim::make_mobile({7.0, 5.0}, 72);
   mathx::Rng record_rng(9);
   const auto honest = link.simulate_sweep(tx, 0, rx, 0, record_rng);
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   auto zeroed = honest;
   for (auto& v : zeroed.bands[3][0].forward.values) v = {0.0, 0.0};
   auto nan = honest;
-  nan.bands[3][0].reverse.values[5] = {
-      std::numeric_limits<double>::quiet_NaN(), 0.0};
+  nan.bands[3][0].reverse.values[5] = {kNaN, 0.0};
+  auto nan_snr = honest;
+  nan_snr.bands[6][0].forward.snr_db = kNaN;
+  auto inf_snr = honest;
+  inf_snr.bands[2][0].reverse.snr_db = std::numeric_limits<double>::infinity();
+  auto nan_timestamp = honest;
+  nan_timestamp.bands[5][0].forward.timestamp_s = kNaN;
 
   const auto expect_malformed = [](const chronos::Status& status) {
     EXPECT_EQ(status.code(), chronos::StatusCode::kMalformedSweep)
@@ -261,8 +270,15 @@ TEST(TraceSweepSource, ZeroOrNonFiniteCsiIsAMalformedSweep) {
         << status.to_string();
   };
   const RangingRequest request{{NodeId{71}, 0}, {NodeId{72}, 0}};
-  for (const auto* sweep : {&zeroed, &nan}) {
-    SCOPED_TRACE(sweep == &zeroed ? "all-zero capture" : "NaN capture");
+  const std::pair<const char*, const phy::SweepMeasurement*> cases[] = {
+      {"all-zero capture", &zeroed},
+      {"NaN capture", &nan},
+      {"NaN forward SNR", &nan_snr},
+      {"+inf reverse SNR", &inf_snr},
+      {"NaN timestamp", &nan_timestamp},
+  };
+  for (const auto& [name, sweep] : cases) {
+    SCOPED_TRACE(name);
     auto trace = std::make_shared<TraceSweepSource>();
     ASSERT_TRUE(trace
                     ->try_add_sweep(

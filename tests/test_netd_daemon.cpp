@@ -242,20 +242,21 @@ TEST(ShardRouting, DaemonRoutesByTransmitterHash) {
   EXPECT_EQ(single.shard_of_node(chronos::NodeId{9001}), 0u);
 }
 
-TEST(ShardRouting, ShardsOwnPrivatePipelines) {
-  // Per-shard plan/workspace isolation: every shard must own a DISTINCT
-  // pipeline instance (one hot shard cannot contend another's solver
-  // state). The underlying immutable NDFT plan may be shared by the
-  // process-wide cache; the pipeline objects may not.
+TEST(ShardRouting, ShardsShareOneHostilePipeline) {
+  // The pipeline is immutable (const methods, per-thread solver scratch),
+  // so every shard ranges through the same instance, as every session of
+  // an Engine does. With untrusted clients (the default) it screens with
+  // every integrity check armed, whatever the caller's config says.
   Fixture f = make_fixture(2, /*hostile=*/false);
   DaemonOptions opt;
   opt.shards = 3;
   mathx::Rng rng(1);
   ChronosDaemon daemon(f.source, core::RangingConfig{},
                        f.engine.calibration(), rng, opt);
-  EXPECT_NE(&daemon.shard_pipeline(0), &daemon.shard_pipeline(1));
-  EXPECT_NE(&daemon.shard_pipeline(1), &daemon.shard_pipeline(2));
-  EXPECT_NE(&daemon.shard_pipeline(0), &daemon.shard_pipeline(2));
+  EXPECT_EQ(&daemon.shard_pipeline(0), &daemon.shard_pipeline(1));
+  EXPECT_EQ(&daemon.shard_pipeline(1), &daemon.shard_pipeline(2));
+  EXPECT_TRUE(daemon.shard_pipeline(0).config().integrity.all_checks);
+  EXPECT_THROW((void)daemon.shard_pipeline(3), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -81,37 +81,33 @@ TEST(Csi, ValidateRejectsEmpty) {
 // --- detection model -------------------------------------------------------
 
 TEST(Detection, DelayIsAlwaysAbovePipelineLatency) {
-  const DetectionModel model;
   mathx::Rng rng(3);
   for (int i = 0; i < 200; ++i) {
-    EXPECT_GE(model.sample_delay_s(30.0, rng), model.params().pipeline_delay_s);
+    EXPECT_GE(sample_detection_delay_s(30.0, rng), kDetectionPipelineDelayS);
   }
 }
 
 TEST(Detection, MeanDelayDecreasesWithSnr) {
-  const DetectionModel model;
-  EXPECT_GT(model.expected_delay_s(15.0), model.expected_delay_s(25.0));
-  EXPECT_GT(model.expected_delay_s(25.0), model.expected_delay_s(40.0));
+  EXPECT_GT(expected_detection_delay_s(15.0), expected_detection_delay_s(25.0));
+  EXPECT_GT(expected_detection_delay_s(25.0), expected_detection_delay_s(40.0));
 }
 
 TEST(Detection, SampleMeanMatchesExpectedDelay) {
-  const DetectionModel model;
   mathx::Rng rng(17);
   std::vector<double> samples;
   for (int i = 0; i < 20000; ++i)
-    samples.push_back(model.sample_delay_s(25.0, rng));
-  EXPECT_NEAR(mathx::mean(samples), model.expected_delay_s(25.0), 2e-9);
+    samples.push_back(sample_detection_delay_s(25.0, rng));
+  EXPECT_NEAR(mathx::mean(samples), expected_detection_delay_s(25.0), 2e-9);
 }
 
 TEST(Detection, PopulationStatisticsMatchPaperScale) {
   // Across typical indoor SNRs the delay population should sit near the
   // paper's median 177 ns with a ~25 ns spread (Fig 7c).
-  const DetectionModel model;
   mathx::Rng rng(5);
   std::vector<double> samples;
   for (int i = 0; i < 5000; ++i) {
     const double snr = rng.uniform(20.0, 38.0);
-    samples.push_back(model.sample_delay_s(snr, rng));
+    samples.push_back(sample_detection_delay_s(snr, rng));
   }
   const double med = mathx::median(samples);
   EXPECT_GT(med, 150e-9);
@@ -122,9 +118,9 @@ TEST(Detection, PopulationStatisticsMatchPaperScale) {
 }
 
 TEST(Detection, RejectsAbsurdSnr) {
-  const DetectionModel model;
   mathx::Rng rng(1);
-  EXPECT_THROW((void)model.sample_delay_s(-30.0, rng), std::invalid_argument);
+  EXPECT_THROW((void)sample_detection_delay_s(-30.0, rng),
+               std::invalid_argument);
 }
 
 // --- Intel 5300 quirk -------------------------------------------------------

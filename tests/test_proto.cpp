@@ -19,7 +19,7 @@ TEST(Hopping, LosslessSweepTimeIsDeterministic) {
   EXPECT_EQ(stats.control_packets, 34u);
   // 35 dwells + 34 * (2 packets + retune).
   const double expect =
-      35 * cfg.dwell_time_s + 34 * (2 * cfg.packet_time_s + cfg.retune_time_s);
+      35 * cfg.dwell_time_s + 34 * (2 * kPacketTimeS + kRetuneTimeS);
   EXPECT_NEAR(stats.total_time_s, expect, 1e-12);
 }
 

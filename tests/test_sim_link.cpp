@@ -106,8 +106,7 @@ TEST(LinkSim, MultipathExchangesShareTheBandChannel) {
     const auto tx = make_mobile(link.tx, 3);
     const auto rx = make_mobile(link.rx, 4);
     const auto paths = sim.paths_between(tx, 0, rx, 0);
-    const double hw_delay =
-        tx.radio.hardware_delay_s + rx.radio.hardware_delay_s;
+    const double hw_delay = kHardwareDelayS + kHardwareDelayS;
     const auto sweep = sim.simulate_sweep(tx, 0, rx, 0, rng);
     ASSERT_EQ(sweep.band_count(), sim.bands().size());
     for (std::size_t b = 0; b < sweep.band_count(); ++b) {

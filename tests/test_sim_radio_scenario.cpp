@@ -38,12 +38,10 @@ TEST(Radio, ChainRippleIsDeterministicPerDevice) {
 }
 
 TEST(Radio, PacketSnrBudget) {
-  RadioParams tx, rx;
-  tx.tx_power_dbm = 15.0;
-  rx.noise_floor_dbm = -82.0;
-  // |h|^2 = -60 dB -> rx power -45 dBm -> SNR 37 dB.
-  EXPECT_NEAR(packet_snr_db(tx, rx, 1e-6), 37.0, 1e-9);
-  EXPECT_THROW((void)packet_snr_db(tx, rx, 0.0), std::invalid_argument);
+  // 15 dBm TX power, |h|^2 = -60 dB -> rx power -45 dBm; over a -82 dBm
+  // noise floor -> SNR 37 dB.
+  EXPECT_NEAR(packet_snr_db(1e-6), 37.0, 1e-9);
+  EXPECT_THROW((void)packet_snr_db(0.0), std::invalid_argument);
 }
 
 TEST(Scenario, TestbedHasRequestedLocations) {
