@@ -297,7 +297,6 @@ const std::vector<MicroKernel>& kernels() {
 
     phy::CsiMeasurement m;
     m.band = phy::band_by_channel(36);
-    m.values.resize(30);
     const auto idx = phy::intel5300_subcarrier_indices();
     for (std::size_t k = 0; k < idx.size(); ++k) {
       const double f =

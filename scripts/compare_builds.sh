@@ -8,15 +8,22 @@
 #      that switches RangingConfig::use_toa_gate off; fig2, fig3, fig9a-c
 #      and fig10a-b are the only ones that run the band plan, the CRT
 #      solver, the hopping, video and TCP models and the drone loop);
-#   2. the SOLVE_DIGEST and OFFICE_GAP lines of bench_micro_core: a hash of
+#   2. the stdout of the five deterministic example programs, byte for
+#      byte (trace_replay is the only program that writes traces with
+#      save_sweep and ranges them back through the trace backend;
+#      quickstart, device_to_device_localization, network_coexistence and
+#      personal_drone drive the public facade, localization, and the Fig 9
+#      and Fig 10 models). fleet_ranging and daemon_roundtrip print
+#      wall-clock values, so they stay out;
+#   3. the SOLVE_DIGEST and OFFICE_GAP lines of bench_micro_core: a hash of
 #      48 office solves (iterations, convergence, coefficient bytes,
 #      residual) and their iterations-to-gap. The ToF digests and the
 #      figure benches do not read the solve's bits; this line does.
 #
 # Usage: scripts/compare_builds.sh <parent-build> <change-build>
-#   Each argument is a CMake build directory whose bench/ subdirectory
-#   holds the bench binaries (e.g. build/ of a `git archive` copy of the
-#   parent commit, and build/ of the change).
+#   Each argument is a CMake build directory whose bench/ and examples/
+#   subdirectories hold the bench and example binaries (e.g. build/ of a
+#   `git archive` copy of the parent commit, and build/ of the change).
 #
 # Prints one "DIFFERS: <name>" line per mismatch and exits 1 if there is
 # any, 0 when every output matches. Exits 2 on a usage error, a missing
@@ -53,10 +60,26 @@ BENCHES=(
   bench_ablation_impairments
 )
 
+EXAMPLES=(
+  quickstart
+  trace_replay
+  device_to_device_localization
+  network_coexistence
+  personal_drone
+)
+
+PROGRAMS=()
+for bench in "${BENCHES[@]}" bench_micro_core; do
+  PROGRAMS+=("bench/${bench}")
+done
+for example in "${EXAMPLES[@]}"; do
+  PROGRAMS+=("examples/${example}")
+done
+
 for dir in "${PARENT}" "${CHANGE}"; do
-  for bench in "${BENCHES[@]}" bench_micro_core; do
-    if [[ ! -x "${dir}/bench/${bench}" ]]; then
-      echo "error: ${dir}/bench/${bench} not built" >&2
+  for program in "${PROGRAMS[@]}"; do
+    if [[ ! -x "${dir}/${program}" ]]; then
+      echo "error: ${dir}/${program} not built" >&2
       exit 2
     fi
   done
@@ -65,10 +88,10 @@ done
 OUT="$(mktemp -d)"
 trap 'rm -rf "${OUT}"' EXIT
 
-# run <build-dir> <bench> <output-file>
+# run <build-dir> <program> <output-file>
 run() {
-  if ! "$1/bench/$2" > "$3"; then
-    echo "error: $1/bench/$2 failed" >&2
+  if ! "$1/$2" > "$3"; then
+    echo "error: $1/$2 failed" >&2
     exit 2
   fi
 }
@@ -82,13 +105,19 @@ compare() {
 }
 
 for bench in "${BENCHES[@]}"; do
-  run "${PARENT}" "${bench}" "${OUT}/${bench}.parent"
-  run "${CHANGE}" "${bench}" "${OUT}/${bench}.change"
+  run "${PARENT}" "bench/${bench}" "${OUT}/${bench}.parent"
+  run "${CHANGE}" "bench/${bench}" "${OUT}/${bench}.change"
   compare "${bench}"
 done
 
-run "${PARENT}" bench_micro_core "${OUT}/micro.parent"
-run "${CHANGE}" bench_micro_core "${OUT}/micro.change"
+for example in "${EXAMPLES[@]}"; do
+  run "${PARENT}" "examples/${example}" "${OUT}/${example}.parent"
+  run "${CHANGE}" "examples/${example}" "${OUT}/${example}.change"
+  compare "${example}"
+done
+
+run "${PARENT}" bench/bench_micro_core "${OUT}/micro.parent"
+run "${CHANGE}" bench/bench_micro_core "${OUT}/micro.change"
 for side in parent change; do
   grep -E '^(SOLVE_DIGEST|OFFICE_GAP) ' "${OUT}/micro.${side}" \
     > "${OUT}/SOLVE_DIGEST.${side}" || true
@@ -104,4 +133,5 @@ if [[ "${DIFFERS}" -gt 0 ]]; then
   echo "compare_builds: ${DIFFERS} output(s) differ"
   exit 1
 fi
-echo "compare_builds: ${#BENCHES[@]} bench outputs and SOLVE_DIGEST identical"
+echo "compare_builds: ${#BENCHES[@]} bench outputs, ${#EXAMPLES[@]} example" \
+  "outputs and SOLVE_DIGEST identical"

@@ -276,26 +276,13 @@ Result<phy::SweepMeasurement> Engine::capture_sweep(
 Result<core::RangingResult> Engine::estimate(
     const phy::SweepMeasurement& sweep) const {
   CHRONOS_EXPECTS(impl_ != nullptr, "estimate() on an invalid engine");
-  // Distinguish a recoverable plan mismatch (the sweep was recorded under
-  // a different band plan — rebuild the pipeline for it) from structural
-  // damage before handing the sweep to the pipeline.
-  const auto& plan = impl_->source->bands();
-  if (sweep.bands.size() != plan.size()) {
-    return Status{StatusCode::kBandMismatch,
-                  "sweep covers " + std::to_string(sweep.bands.size()) +
-                      " bands; this engine's plan has " +
-                      std::to_string(plan.size())};
-  }
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    if (sweep.bands[i].empty()) break;  // structural issue: pipeline reports
-    if (sweep.bands[i].front().forward.band.channel != plan[i].channel) {
-      return Status{
-          StatusCode::kBandMismatch,
-          "sweep band " + std::to_string(i) + " is channel " +
-              std::to_string(sweep.bands[i].front().forward.band.channel) +
-              "; this engine's plan expects channel " +
-              std::to_string(plan[i].channel)};
-    }
+  // Structural damage first, then a recoverable plan mismatch (the sweep
+  // was recorded under a different band plan — rebuild the pipeline for
+  // it), before handing the sweep to the pipeline.
+  if (Status shape = phy::check_sweep(sweep); !shape.ok()) return shape;
+  if (Status plan = phy::check_plan(sweep, impl_->source->bands());
+      !plan.ok()) {
+    return plan;
   }
   try {
     auto result = impl_->pipeline->estimate(sweep, *impl_->calibration);

@@ -415,9 +415,9 @@ class Engine {
       const RangingRequest& request, mathx::Rng& rng) const;
 
   /// Runs the estimation pipeline on an externally produced sweep (e.g.
-  /// one loaded with phy::try_load_sweep), using this engine's calibration
-  /// (kMalformedSweep / kBandMismatch when the sweep does not fit the
-  /// pipeline's band plan).
+  /// one loaded with phy::try_load_sweep), using this engine's calibration:
+  /// kMalformedSweep when phy::check_sweep rejects the sweep, kBandMismatch
+  /// when phy::check_plan finds it off this engine's band plan.
   [[nodiscard]] Result<core::RangingResult> estimate(
       const phy::SweepMeasurement& sweep) const;
 

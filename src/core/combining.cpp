@@ -32,7 +32,8 @@ double delay_axis_scale(const CombiningConfig& config) {
 std::vector<CombinedBand> combine_sweep(const phy::SweepMeasurement& sweep,
                                         const CombiningConfig& config,
                                         const CalibrationTable& calibration) {
-  phy::validate(sweep);
+  const chronos::Status shape = phy::check_sweep(sweep);
+  CHRONOS_EXPECTS(shape.ok(), shape.message());
   CHRONOS_EXPECTS(
       calibration.empty() || calibration.correction.size() == sweep.bands.size(),
       "calibration table size must match the sweep's band count");
@@ -58,18 +59,14 @@ std::vector<CombinedBand> combine_sweep(const phy::SweepMeasurement& sweep,
 
       std::complex<double> fwd_val = fwd.zero_subcarrier;
       if (config.normalization == Normalization::kBandAgc) {
-        const double rms = band_rms(cap.forward);
-        CHRONOS_EXPECTS(rms > 0.0, "all-zero CSI measurement");
-        fwd_val /= rms;
+        fwd_val /= band_rms(cap.forward);
       }
       std::complex<double> combined = integer_power(fwd_val, exponent);
       if (config.two_way) {
         const auto rev = interpolate_to_center(cap.reverse);
         std::complex<double> rev_val = rev.zero_subcarrier;
         if (config.normalization == Normalization::kBandAgc) {
-          const double rms = band_rms(cap.reverse);
-          CHRONOS_EXPECTS(rms > 0.0, "all-zero CSI measurement");
-          rev_val /= rms;
+          rev_val /= band_rms(cap.reverse);
         }
         combined *= integer_power(rev_val, exponent);
       }

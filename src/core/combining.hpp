@@ -91,7 +91,8 @@ struct CalibrationTable {
 
 /// Interpolates every capture to its zero subcarrier, applies exponents,
 /// combines forward/reverse, averages captures, and applies calibration.
-/// Returns one CombinedBand per band in sweep order.
+/// Returns one CombinedBand per band in sweep order. Precondition:
+/// phy::check_sweep(sweep) passes.
 std::vector<CombinedBand> combine_sweep(const phy::SweepMeasurement& sweep,
                                         const CombiningConfig& config = {},
                                         const CalibrationTable& calibration = {});

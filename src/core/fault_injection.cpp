@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <complex>
+#include <span>
 #include <utility>
 
 #include "mathx/constants.hpp"
@@ -33,11 +34,10 @@ constexpr double kSnrCollapseDb = -5.0;
 constexpr double kCollapseNoiseScale = 6.0;
 
 /// RMS magnitude of one capture's subcarrier values (noise scale anchor).
-double rms_magnitude(const std::vector<std::complex<double>>& values) {
+double rms_magnitude(std::span<const std::complex<double>> values) {
   double acc = 0.0;
   for (const auto& v : values) acc += std::norm(v);
-  return values.empty() ? 0.0
-                        : std::sqrt(acc / static_cast<double>(values.size()));
+  return std::sqrt(acc / static_cast<double>(values.size()));
 }
 
 void collapse_measurement(phy::CsiMeasurement& m, mathx::Rng& fault_stream) {

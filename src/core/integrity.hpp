@@ -11,11 +11,11 @@
 // range.
 //
 // Two tiers of checks:
-//   * pre-solve screening (`screen_sweep`): band count / capture shape /
-//     subcarrier arity / finite nonzero CSI energy against the pipeline's
-//     plan, band-identity consistency, timestamp freshness,
-//     forward/reverse ToA-slope symmetry, and an SNR floor. Pure sweep
-//     inspection — cheap enough to run on every request.
+//   * pre-solve screening (`screen_sweep`): the sweep's shape
+//     (phy::check_sweep), its band count and band identities against the
+//     pipeline's plan, timestamp freshness, forward/reverse ToA-slope
+//     symmetry, and an SNR floor. Pure sweep inspection — cheap enough to
+//     run on every request.
 //   * post-estimate checks (inside RangingPipeline::finish): peakless
 //     rejection and ToA-vs-ToF consistency against the calibrated
 //     detection delay. These need the peak decision and the calibration
@@ -71,13 +71,13 @@ inline constexpr double kMaxToaDiscrepancyS = 25e-9;
 
 /// How much of the detection gate runs.
 struct IntegrityConfig {
-  /// false (the default): the structural screen only — band count matches
-  /// the pipeline plan, every band carries >= 1 capture, every capture
-  /// carries the 30 Intel 5300 subcarriers with correctly-labelled
-  /// directions and a finite, nonzero energy in each direction, and the
-  /// claimed band identities agree with the plan
-  /// (kMalformedSweep for shape damage such as truncation,
-  /// kIntegrityViolation for identity lies).
+  /// false (the default): the structural screen only, in this order —
+  /// phy::check_sweep (kMalformedSweep: no bands, a band without captures,
+  /// a capture mixing bands, a direction without finite positive CSI
+  /// energy, a non-finite timestamp or SNR), then the band count against
+  /// the pipeline's plan (kMalformedSweep: truncation), then phy::check_plan
+  /// (kIntegrityViolation: a band that is not the plan's band, a lie about
+  /// band identity).
   ///
   /// true: additionally, in this order, freshness, direction symmetry and
   /// the SNR floor before the solve, then peakless rejection (a sweep whose

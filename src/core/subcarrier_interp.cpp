@@ -17,10 +17,8 @@ namespace {
 
 /// Subcarrier frequency offsets of the 30 reported subcarriers (strictly
 /// increasing by layout): the spline knots and the slope fit's abscissae.
-std::vector<double> subcarrier_offsets(const phy::CsiMeasurement& m) {
+std::vector<double> subcarrier_offsets() {
   const auto indices = phy::intel5300_subcarrier_indices();
-  CHRONOS_EXPECTS(m.values.size() == indices.size(),
-                  "CSI must cover the 30 reported subcarriers");
   std::vector<double> x(indices.size());
   for (std::size_t k = 0; k < indices.size(); ++k) {
     x[k] = phy::subcarrier_offset_hz(indices[k]);
@@ -51,7 +49,7 @@ double fit_toa_slope(const phy::CsiMeasurement& m, std::span<const double> x,
 }  // namespace
 
 InterpolationResult interpolate_to_center(const phy::CsiMeasurement& m) {
-  const std::vector<double> x = subcarrier_offsets(m);
+  const std::vector<double> x = subcarrier_offsets();
   std::vector<double> phases;
   InterpolationResult out;
   out.toa_slope_s = fit_toa_slope(m, x, phases);
@@ -66,7 +64,7 @@ InterpolationResult interpolate_to_center(const phy::CsiMeasurement& m) {
 }
 
 double toa_slope(const phy::CsiMeasurement& m) {
-  const std::vector<double> x = subcarrier_offsets(m);
+  const std::vector<double> x = subcarrier_offsets();
   std::vector<double> phases;
   return fit_toa_slope(m, x, phases);
 }

@@ -25,15 +25,15 @@ struct InterpolationResult {
   double toa_slope_s = 0.0;
 };
 
-/// Interpolates one CSI measurement to its zero subcarrier.
-/// Throws std::invalid_argument if the measurement is malformed.
+/// Interpolates one CSI measurement to its zero subcarrier. Every
+/// measurement carries the 30 reported subcarriers by type, so there is no
+/// arity to reject.
 InterpolationResult interpolate_to_center(const phy::CsiMeasurement& m);
 
 /// The ToA slope alone: interpolate_to_center(m).toa_slope_s bit for bit
 /// (the same unwrap and least-squares fit), without the two zero-subcarrier
 /// splines. For callers that read only the slope, like the hostile screen's
-/// direction-symmetry check. Throws std::invalid_argument if the
-/// measurement is malformed.
+/// direction-symmetry check.
 double toa_slope(const phy::CsiMeasurement& m);
 
 }  // namespace chronos::core

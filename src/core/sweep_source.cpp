@@ -10,8 +10,8 @@ namespace chronos::core {
 
 namespace {
 
-/// The band sequence a sweep covers, in sweep order. Assumes a validated
-/// sweep (>= 1 capture per band).
+/// The band sequence a sweep covers, in sweep order. Precondition:
+/// phy::check_sweep(sweep) passes.
 std::vector<phy::WifiBand> bands_of(const phy::SweepMeasurement& sweep) {
   std::vector<phy::WifiBand> bands;
   bands.reserve(sweep.bands.size());
@@ -131,35 +131,14 @@ TraceKey TraceKey::of(const chronos::RangingRequest& req) {
 
 chronos::Status TraceSweepSource::try_add_sweep(const TraceKey& key,
                                                 phy::SweepMeasurement sweep) {
-  try {
-    phy::validate(sweep);
-  } catch (const std::invalid_argument& e) {
-    return {chronos::StatusCode::kMalformedSweep, e.what()};
+  if (chronos::Status shape = phy::check_sweep(sweep); !shape.ok()) {
+    return shape;
   }
-  auto sweep_bands = bands_of(sweep);
   if (bands_.empty()) {
-    bands_ = std::move(sweep_bands);
-  } else {
-    if (sweep_bands.size() != bands_.size()) {
-      return {chronos::StatusCode::kBandMismatch,
-              "trace sweep covers " + std::to_string(sweep_bands.size()) +
-                  " bands; the recorded plan has " +
-                  std::to_string(bands_.size())};
-    }
-    for (std::size_t i = 0; i < bands_.size(); ++i) {
-      // Full band identity, not just the channel number: a converter with a
-      // wrong frequency map must be rejected here, not produce a silently
-      // wrong phase-to-delay mapping downstream.
-      if (sweep_bands[i].channel != bands_[i].channel ||
-          sweep_bands[i].center_freq_hz != bands_[i].center_freq_hz ||
-          sweep_bands[i].group != bands_[i].group) {
-        return {chronos::StatusCode::kBandMismatch,
-                "trace sweep band " + std::to_string(i) +
-                    " disagrees with the recorded plan (channel " +
-                    std::to_string(sweep_bands[i].channel) + " vs " +
-                    std::to_string(bands_[i].channel) + ")"};
-      }
-    }
+    bands_ = bands_of(sweep);
+  } else if (chronos::Status plan = phy::check_plan(sweep, bands_);
+             !plan.ok()) {
+    return plan;
   }
   auto bump_arity = [this](std::uint64_t node, std::size_t antenna) {
     auto& arity = node_arity_[node];

@@ -189,9 +189,10 @@ class TraceSweepSource final : public SweepSource {
  public:
   TraceSweepSource() = default;
 
-  /// Records `sweep` under `key`: kMalformedSweep when the sweep is
-  /// structurally invalid, kBandMismatch when its bands disagree with the
-  /// bands established by the first recorded sweep.
+  /// Records `sweep` under `key`: kMalformedSweep when phy::check_sweep
+  /// rejects it (so nothing is recorded that every later range would
+  /// reject), kBandMismatch when phy::check_plan finds its bands disagree
+  /// with the bands established by the first recorded sweep.
   [[nodiscard]] chronos::Status try_add_sweep(const TraceKey& key,
                                 phy::SweepMeasurement sweep);
 

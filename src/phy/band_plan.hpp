@@ -31,6 +31,9 @@ struct WifiBand {
   BandGroup group = BandGroup::k2_4GHz;
 
   bool is_2_4ghz() const { return group == BandGroup::k2_4GHz; }
+
+  /// Channel, center frequency and group alike: the one band comparison.
+  friend bool operator==(const WifiBand&, const WifiBand&) = default;
 };
 
 /// The full 35-band US plan, ordered by center frequency.

@@ -1,8 +1,10 @@
 #include "phy/csi_io.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -21,7 +23,8 @@ constexpr std::size_t kMaxBands = 256;
 }  // namespace
 
 void write_sweep(std::ostream& os, const SweepMeasurement& sweep) {
-  validate(sweep);
+  const chronos::Status shape = check_sweep(sweep);
+  CHRONOS_EXPECTS(shape.ok(), shape.message());
   os << "# chronos CSI sweep v1\n";
   os << "sweep " << sweep.bands.size() << ' '
      << std::setprecision(17) << sweep.sweep_duration_s << '\n';
@@ -29,9 +32,9 @@ void write_sweep(std::ostream& os, const SweepMeasurement& sweep) {
     os << "band " << bi << ' '
        << sweep.bands[bi].front().forward.band.channel << '\n';
   }
-  auto write_capture = [&os](std::size_t bi, const CsiMeasurement& m) {
-    os << "capture " << bi << ' '
-       << (m.direction == Direction::kForward ? 'f' : 'r') << ' '
+  auto write_capture = [&os](std::size_t bi, char direction,
+                             const CsiMeasurement& m) {
+    os << "capture " << bi << ' ' << direction << ' '
        << std::setprecision(17) << m.timestamp_s << ' ' << m.snr_db;
     for (const auto& v : m.values) {
       os << ' ' << v.real() << ' ' << v.imag();
@@ -40,8 +43,8 @@ void write_sweep(std::ostream& os, const SweepMeasurement& sweep) {
   };
   for (std::size_t bi = 0; bi < sweep.bands.size(); ++bi) {
     for (const auto& cap : sweep.bands[bi]) {
-      write_capture(bi, cap.forward);
-      write_capture(bi, cap.reverse);
+      write_capture(bi, 'f', cap.forward);
+      write_capture(bi, 'r', cap.reverse);
     }
   }
 }
@@ -58,12 +61,15 @@ namespace {
 [[nodiscard]] chronos::Result<SweepMeasurement> try_read_sweep(
     std::istream& is) {
   SweepMeasurement sweep;
-  std::vector<WifiBand> bands;
+  // Each declared band takes exactly one band record, before any capture
+  // of that band. A band left without one can then hold no captures, which
+  // check_sweep rejects at end of stream.
+  std::vector<std::optional<WifiBand>> bands;
   std::string line;
   bool have_header = false;
 
   // Forward measurements wait here until their reverse partner arrives.
-  std::vector<CsiMeasurement> pending_forward;
+  std::vector<std::optional<CsiMeasurement>> pending_forward;
 
   while (std::getline(is, line)) {
     if (line.empty() || line[0] == '#') continue;
@@ -99,17 +105,24 @@ namespace {
       }
       std::string extra;
       if (ls >> extra) return malformed("trailing garbage in band record");
+      if (bands[idx]) {
+        return malformed("second band record for band " + std::to_string(idx));
+      }
       // A channel outside the plan is a *band mismatch*, not mere garbage:
       // it is the signature of a converter whose frequency map disagrees
       // with the US band plan the pipeline was built for.
-      try {
-        bands[idx] = band_by_channel(channel);
-      } catch (const std::invalid_argument&) {
+      const auto& plan = us_band_plan();
+      const auto it =
+          std::find_if(plan.begin(), plan.end(), [channel](const WifiBand& b) {
+            return b.channel == channel;
+          });
+      if (it == plan.end()) {
         return chronos::Status{
             chronos::StatusCode::kBandMismatch,
             "band record names channel " + std::to_string(channel) +
                 ", which is not in the band plan"};
       }
+      bands[idx] = *it;
     } else if (tag == "capture") {
       if (!have_header) return malformed("capture record before sweep header");
       std::size_t bi = 0;
@@ -125,9 +138,12 @@ namespace {
       if (!std::isfinite(m.timestamp_s) || !std::isfinite(m.snr_db)) {
         return malformed("capture timestamp/SNR must be finite");
       }
-      m.band = bands[bi];
-      m.direction = dir == 'f' ? Direction::kForward : Direction::kReverse;
-      m.values.reserve(intel5300_subcarrier_indices().size());
+      if (!bands[bi]) {
+        return malformed("capture of band " + std::to_string(bi) +
+                         " before its band record");
+      }
+      m.band = *bands[bi];
+      std::size_t n_values = 0;
       double re = 0.0, im = 0.0;
       while (ls >> re) {
         if ((ls >> im).fail()) {
@@ -136,33 +152,32 @@ namespace {
         if (!std::isfinite(re) || !std::isfinite(im)) {
           return malformed("CSI values must be finite");
         }
-        m.values.emplace_back(re, im);
-        if (m.values.size() > intel5300_subcarrier_indices().size()) {
+        if (n_values == m.values.size()) {
           return malformed("capture carries more than 30 subcarrier values");
         }
+        m.values[n_values++] = {re, im};
       }
       // The loop must have stopped at end-of-line, not on a token that
       // failed to parse as a number (trailing garbage).
       if (!ls.eof()) return malformed("trailing garbage in capture record");
-      if (m.values.size() != intel5300_subcarrier_indices().size()) {
+      if (n_values != m.values.size()) {
         return malformed("capture must carry 30 subcarrier values");
       }
 
-      if (m.direction == Direction::kForward) {
-        if (!pending_forward[bi].values.empty()) {
+      if (dir == 'f') {
+        if (pending_forward[bi]) {
           return malformed(
               "two forward captures without a reverse between them");
         }
         pending_forward[bi] = std::move(m);
       } else {
-        if (pending_forward[bi].values.empty()) {
+        if (!pending_forward[bi]) {
           return malformed(
               "truncated exchange: reverse capture without a forward "
               "partner");
         }
-        sweep.bands[bi].push_back(
-            {std::move(pending_forward[bi]), std::move(m)});
-        pending_forward[bi] = CsiMeasurement{};
+        sweep.bands[bi].push_back({*pending_forward[bi], m});
+        pending_forward[bi].reset();
       }
     } else {
       return malformed("unknown record tag in CSI trace");
@@ -170,17 +185,13 @@ namespace {
   }
   if (!have_header) return malformed("stream contains no sweep header");
   for (const auto& pending : pending_forward) {
-    if (!pending.values.empty()) {
+    if (pending) {
       return malformed(
           "truncated exchange: forward capture without a reverse partner at "
           "end of stream");
     }
   }
-  try {
-    validate(sweep);
-  } catch (const std::invalid_argument& e) {
-    return malformed(e.what());
-  }
+  if (chronos::Status shape = check_sweep(sweep); !shape.ok()) return shape;
   return sweep;
 }
 

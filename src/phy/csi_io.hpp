@@ -12,7 +12,9 @@
 //   band <index> <channel>
 //   capture <band_index> <direction:f|r> <timestamp_s> <snr_db>
 //           <re0> <im0> ... <re29> <im29>      (one physical line)
-// Captures appear forward/reverse alternating, in band order.
+// The sweep header comes first. Every band index takes exactly one band
+// record, before any capture of that band. A band's captures alternate
+// forward, reverse; write_sweep writes them in band order.
 #pragma once
 
 #include <iosfwd>
@@ -23,17 +25,19 @@
 
 namespace chronos::phy {
 
-/// Writes a sweep to a stream. Throws std::invalid_argument on malformed
-/// input sweeps (validated first).
+/// Writes a sweep to a stream. Throws std::invalid_argument when
+/// check_sweep rejects the sweep, which try_read_sweep would reject too.
 void write_sweep(std::ostream& os, const SweepMeasurement& sweep);
 
 /// Reads a sweep written by write_sweep — the Status-based parser for
 /// untrusted input (API v2). Never throws for bad input:
 ///   * kBandMismatch    a band record names a channel outside the US band
 ///                      plan (e.g. a converter with a wrong frequency map);
-///   * kMalformedSweep  every other structural violation — parse errors,
-///                      truncated forward/reverse exchanges, non-finite
-///                      values, wrong subcarrier counts, trailing garbage.
+///   * kMalformedSweep  a record that does not parse (bad numbers,
+///                      non-finite values, a wrong subcarrier count,
+///                      trailing garbage), a missing, repeated or late band
+///                      record, a truncated forward/reverse exchange, or a
+///                      sweep that check_sweep rejects.
 [[nodiscard]] chronos::Result<SweepMeasurement> try_read_sweep(
     std::istream& is);
 

@@ -1,5 +1,6 @@
 #include "sim/link.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <vector>
@@ -42,12 +43,8 @@ namespace {
 /// Index of `band` within the full US plan (for per-band chain ripple).
 std::size_t plan_index(const phy::WifiBand& band) {
   const auto& plan = phy::us_band_plan();
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    if (plan[i].channel == band.channel &&
-        plan[i].is_2_4ghz() == band.is_2_4ghz())
-      return i;
-  }
-  return 0;
+  const auto it = std::find(plan.begin(), plan.end(), band);
+  return it == plan.end() ? 0 : static_cast<std::size_t>(it - plan.begin());
 }
 
 }  // namespace
@@ -158,17 +155,13 @@ phy::SweepMeasurement LinkSimulator::simulate_sweep(
 
       phy::CsiMeasurement fwd;
       fwd.band = band;
-      fwd.direction = phy::Direction::kForward;
       fwd.timestamp_s = t_pkt;
       fwd.snr_db = snr_db;
-      fwd.values.resize(sc_indices.size());
 
       phy::CsiMeasurement rev;
       rev.band = band;
-      rev.direction = phy::Direction::kReverse;
       rev.timestamp_s = t_ack;
       rev.snr_db = snr_db;
-      rev.values.resize(sc_indices.size());
 
       // Each direction's own detection delay rotates every subcarrier by
       // its offset. Noise is drawn forward, then reverse, per subcarrier.
@@ -188,11 +181,9 @@ phy::SweepMeasurement LinkSimulator::simulate_sweep(
         rev.values[k] = h_rev;
       }
 
-      captures.push_back({std::move(fwd), std::move(rev)});
+      captures.push_back({fwd, rev});
     }
   }
-
-  phy::validate(sweep);
   return sweep;
 }
 

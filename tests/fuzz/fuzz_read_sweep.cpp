@@ -3,10 +3,13 @@
 // external capture tooling).
 //
 // Contract under fuzzing: for ANY byte sequence, try_read_sweep returns a
-// validated SweepMeasurement or a non-ok chronos::Status whose code is
-// kMalformedSweep or kBandMismatch — it never throws. Crashes, hangs,
-// unbounded allocation, sanitizer reports, any exception out of
-// try_read_sweep, or any other error code are findings.
+// SweepMeasurement or a non-ok chronos::Status whose code is
+// kMalformedSweep or kBandMismatch — it never throws. Every sweep it
+// accepts passes phy::check_sweep and survives write_sweep then
+// try_read_sweep unchanged: the same bands, captures, timestamps, SNRs,
+// CSI bit patterns and duration. Crashes, hangs, unbounded allocation,
+// sanitizer reports, any exception out of try_read_sweep or write_sweep,
+// any other error code, or a sweep that does not round-trip are findings.
 //
 // Two build flavors (tests/fuzz/CMakeLists.txt picks automatically):
 //   * libFuzzer (Clang): coverage-guided, LLVMFuzzerTestOneInput only;
@@ -17,10 +20,46 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <string>
 
 #include "phy/csi_io.hpp"
+
+namespace {
+
+using chronos::phy::CsiMeasurement;
+using chronos::phy::SweepMeasurement;
+
+/// Bitwise equality of doubles: -0.0 and 0.0 differ, a NaN equals itself.
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool same_capture(const CsiMeasurement& a, const CsiMeasurement& b) {
+  return a.band == b.band && same_bits(a.timestamp_s, b.timestamp_s) &&
+         same_bits(a.snr_db, b.snr_db) &&
+         std::memcmp(a.values.data(), b.values.data(), sizeof a.values) == 0;
+}
+
+bool same_sweep(const SweepMeasurement& a, const SweepMeasurement& b) {
+  if (!same_bits(a.sweep_duration_s, b.sweep_duration_s) ||
+      a.bands.size() != b.bands.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.bands.size(); ++i) {
+    if (a.bands[i].size() != b.bands[i].size()) return false;
+    for (std::size_t c = 0; c < a.bands[i].size(); ++c) {
+      if (!same_capture(a.bands[i][c].forward, b.bands[i][c].forward) ||
+          !same_capture(a.bands[i][c].reverse, b.bands[i][c].reverse)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
@@ -33,8 +72,20 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   // A rejection names one of the parser's two codes, never anything else.
   const auto code = result.status().code();
-  if (!result.ok() && code != chronos::StatusCode::kMalformedSweep &&
-      code != chronos::StatusCode::kBandMismatch) {
+  if (!result.ok()) {
+    if (code != chronos::StatusCode::kMalformedSweep &&
+        code != chronos::StatusCode::kBandMismatch) {
+      std::abort();
+    }
+    return 0;
+  }
+
+  // An accepted sweep is well-formed and reads back as itself.
+  if (!chronos::phy::check_sweep(result.value()).ok()) std::abort();
+  std::stringstream written;
+  chronos::phy::write_sweep(written, result.value());
+  const auto reread = chronos::phy::try_read_sweep(written);
+  if (!reread.ok() || !same_sweep(result.value(), reread.value())) {
     std::abort();
   }
   return 0;

@@ -308,6 +308,22 @@ TEST(ApiErrorModel, EstimateDistinguishesBandMismatchFromDamage) {
       sim::make_mobile({1.0, 1.0}, 81), 0, sim::make_mobile({5.0, 5.0}, 82),
       0, rng);
   EXPECT_TRUE(eng.estimate(native).ok());
+
+  // The plan's channel at another center frequency is another band: the
+  // whole band is compared, not its channel number.
+  auto shifted = native;
+  for (auto& cap : shifted.bands[5]) {
+    cap.forward.band.center_freq_hz += 5e6;
+    cap.reverse.band.center_freq_hz += 5e6;
+  }
+  EXPECT_EQ(eng.estimate(shifted).status().code(),
+            chronos::StatusCode::kBandMismatch);
+
+  // A capture whose forward and reverse bands differ is damage.
+  auto split = native;
+  split.bands[5][0].reverse.band = fast.bands[4];
+  EXPECT_EQ(eng.estimate(split).status().code(),
+            chronos::StatusCode::kMalformedSweep);
 }
 
 TEST(ApiErrorModel, WrongSizeCalibrationTableIsRejectedAndTheOldOneKept) {

@@ -25,7 +25,6 @@ phy::CsiMeasurement synth_measurement(const phy::WifiBand& band, double tau,
                                       mathx::Rng* rng) {
   phy::CsiMeasurement m;
   m.band = band;
-  m.values.resize(30);
   const auto idx = phy::intel5300_subcarrier_indices();
   for (std::size_t k = 0; k < idx.size(); ++k) {
     const double off = phy::subcarrier_offset_hz(idx[k]);
@@ -78,14 +77,6 @@ TEST(Interp, ToleratesModerateNoise) {
                                     std::arg(r.zero_subcarrier) - expect)));
   }
   EXPECT_LT(max_err, 0.15);
-}
-
-TEST(Interp, WrongSubcarrierCountThrows) {
-  phy::CsiMeasurement m;
-  m.band = phy::band_by_channel(36);
-  m.values.resize(29);
-  EXPECT_THROW((void)interpolate_to_center(m), std::invalid_argument);
-  EXPECT_THROW((void)toa_slope(m), std::invalid_argument);
 }
 
 TEST(Interp, ToaSlopeIsTheInterpolationSlopeBitwise) {

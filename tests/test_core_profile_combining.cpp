@@ -93,11 +93,7 @@ phy::SweepMeasurement two_band_sweep(double tau, double cfo_phase,
     phy::SweepMeasurement::BandCapture cap;
     const auto idx = phy::intel5300_subcarrier_indices();
     cap.forward.band = band;
-    cap.forward.direction = phy::Direction::kForward;
-    cap.forward.values.resize(30);
     cap.reverse.band = band;
-    cap.reverse.direction = phy::Direction::kReverse;
-    cap.reverse.values.resize(30);
     for (std::size_t k = 0; k < idx.size(); ++k) {
       const double f = band.center_freq_hz + phy::subcarrier_offset_hz(idx[k]);
       const std::complex<double> h = std::polar(1.0, -kTwoPi * f * tau);

@@ -238,18 +238,55 @@ TEST(TraceSweepSource, RejectsUnknownKeyAndInconsistentBands) {
             chronos::StatusCode::kBandMismatch);
 }
 
+/// Serves one fixed sweep for every request, unchecked, over a simulator's
+/// node directory: a backend that hands the pipeline whatever it holds.
+class FixedSweepSource final : public SweepSource {
+ public:
+  FixedSweepSource(std::shared_ptr<const SimSweepSource> inner,
+                   phy::SweepMeasurement sweep)
+      : inner_(std::move(inner)), sweep_(std::move(sweep)) {}
+
+  bool has_node(NodeId id) const override { return inner_->has_node(id); }
+  chronos::Result<std::size_t> antenna_count(NodeId id) const override {
+    return inner_->antenna_count(id);
+  }
+  std::vector<NodeId> nodes() const override { return inner_->nodes(); }
+  chronos::Result<ResolvedRequest> resolve(
+      const RangingRequest& request) const override {
+    return inner_->resolve(request);
+  }
+  chronos::Result<phy::SweepMeasurement> sweep_for(
+      const ResolvedRequest&, mathx::Rng&) const override {
+    return sweep_;
+  }
+  const std::vector<phy::WifiBand>& bands() const override {
+    return inner_->bands();
+  }
+  bool has_geometry() const override { return inner_->has_geometry(); }
+  std::string backend_name() const override { return "fixed"; }
+
+ private:
+  std::shared_ptr<const SimSweepSource> inner_;
+  phy::SweepMeasurement sweep_;
+};
+
 TEST(TraceSweepSource, ZeroOrNonFiniteCsiIsAMalformedSweep) {
-  // A capture whose CSI is all zero or carries a NaN records fine, but the
-  // band AGC cannot normalise it; a non-finite SNR or timestamp records
-  // fine too, but passes every bound check and opens the ToA gate. Every
-  // path must report kMalformedSweep: measure without throwing, a batch
-  // slot without kInternal (the code for library defects), and no message
-  // naming a failed precondition.
-  const sim::LinkSimulator link(sim::office_20x20(), fast_link());
+  // A capture whose CSI is all zero or carries a NaN cannot be normalised
+  // by the band AGC; a non-finite SNR or timestamp passes every bound check
+  // and opens the ToA gate. The recorder refuses all five, since every
+  // later range would reject them. Served by a backend that does not
+  // check, each is still kMalformedSweep on every path: measure without
+  // throwing, a batch slot without kInternal (the code for library
+  // defects), and no message naming a failed precondition.
+  auto simulator =
+      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
   const auto tx = sim::make_mobile({2.0, 3.0}, 71);
   const auto rx = sim::make_mobile({7.0, 5.0}, 72);
+  simulator->add_node(tx);
+  simulator->add_node(rx);
   mathx::Rng record_rng(9);
-  const auto honest = link.simulate_sweep(tx, 0, rx, 0, record_rng);
+  const auto honest =
+      simulator->link().simulate_sweep(tx, 0, rx, 0, record_rng);
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   auto zeroed = honest;
   for (auto& v : zeroed.bands[3][0].forward.values) v = {0.0, 0.0};
@@ -279,13 +316,14 @@ TEST(TraceSweepSource, ZeroOrNonFiniteCsiIsAMalformedSweep) {
   };
   for (const auto& [name, sweep] : cases) {
     SCOPED_TRACE(name);
-    auto trace = std::make_shared<TraceSweepSource>();
-    ASSERT_TRUE(trace
-                    ->try_add_sweep(
-                        TraceKey::of(ResolvedRequest{tx, 0, rx, 0}), *sweep)
-                    .ok());
-    const Engine engine = Engine::adopt(trace);
+    TraceSweepSource trace;
+    expect_malformed(
+        trace.try_add_sweep(TraceKey::of(ResolvedRequest{tx, 0, rx, 0}),
+                            *sweep));
+    EXPECT_EQ(trace.sweep_count(), 0u);
 
+    const Engine engine =
+        Engine::adopt(std::make_shared<FixedSweepSource>(simulator, *sweep));
     mathx::Rng rng(1);
     std::optional<chronos::Result<RangingResult>> measured;
     EXPECT_NO_THROW(measured.emplace(engine.measure(request, rng)));
@@ -300,6 +338,59 @@ TEST(TraceSweepSource, ZeroOrNonFiniteCsiIsAMalformedSweep) {
     const auto estimated = engine.estimate(*sweep);
     ASSERT_FALSE(estimated.ok());
     expect_malformed(estimated.status());
+  }
+}
+
+TEST(Engine, BandDefectsReportOneCodePerPath) {
+  // A capture whose forward and reverse bands differ is damage for the
+  // pipeline's screen and the recorder alike. The plan's channel at
+  // another center frequency is a band-identity lie (retryable) for the
+  // screen, and a band mismatch for the recorder. Engine::estimate's codes
+  // are pinned in test_core_api.
+  auto simulator =
+      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
+  const auto tx = sim::make_mobile({2.0, 3.0}, 73);
+  const auto rx = sim::make_mobile({7.0, 5.0}, 74);
+  simulator->add_node(tx);
+  simulator->add_node(rx);
+  mathx::Rng record_rng(10);
+  const auto honest =
+      simulator->link().simulate_sweep(tx, 0, rx, 0, record_rng);
+  auto split = honest;
+  split.bands[4][0].reverse.band = simulator->bands()[3];
+  auto shifted = honest;
+  for (auto& cap : shifted.bands[4]) {
+    cap.forward.band.center_freq_hz += 5e6;
+    cap.reverse.band.center_freq_hz += 5e6;
+  }
+
+  const RangingRequest request{{NodeId{73}, 0}, {NodeId{74}, 0}};
+  struct Case {
+    const char* name;
+    const phy::SweepMeasurement* sweep;
+    chronos::StatusCode measured;  // through the pipeline's screen
+    chronos::StatusCode recorded;  // as a second recorded sweep
+  };
+  const Case cases[] = {
+      {"forward/reverse bands differ", &split,
+       chronos::StatusCode::kMalformedSweep,
+       chronos::StatusCode::kMalformedSweep},
+      {"channel at another center frequency", &shifted,
+       chronos::StatusCode::kIntegrityViolation,
+       chronos::StatusCode::kBandMismatch},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Engine engine =
+        Engine::adopt(std::make_shared<FixedSweepSource>(simulator, *c.sweep));
+    mathx::Rng rng(1);
+    EXPECT_EQ(engine.measure(request, rng).status().code(), c.measured);
+
+    TraceSweepSource trace;
+    ASSERT_TRUE(trace.try_add_sweep(TraceKey::of(request), honest).ok());
+    EXPECT_EQ(trace.try_add_sweep(TraceKey::of(request), *c.sweep).code(),
+              c.recorded);
+    EXPECT_EQ(trace.sweep_count(), 1u);
   }
 }
 

@@ -8,8 +8,8 @@
 //
 // Also pinned here: the NodeId->shard router (exact mix64 values and
 // distribution — changing the constants silently re-routes every
-// deployment), per-shard pipeline isolation, and connection poisoning on
-// malformed frames.
+// deployment), the one hostile pipeline every shard shares, and
+// connection poisoning on malformed frames.
 #include <gtest/gtest.h>
 
 #include <cstring>

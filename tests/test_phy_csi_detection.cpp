@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "mathx/rng.hpp"
@@ -32,7 +33,6 @@ TEST(Csi, SubcarrierOffsets) {
 TEST(Csi, FrequencyAt) {
   CsiMeasurement m;
   m.band = band_by_channel(36);
-  m.values.resize(30);
   EXPECT_DOUBLE_EQ(m.frequency_at(0), 5.18e9 - 8.75e6);
   EXPECT_DOUBLE_EQ(m.frequency_at(29), 5.18e9 + 8.75e6);
   EXPECT_THROW((void)m.frequency_at(30), std::invalid_argument);
@@ -42,40 +42,85 @@ SweepMeasurement minimal_sweep() {
   SweepMeasurement sweep;
   SweepMeasurement::BandCapture cap;
   cap.forward.band = band_by_channel(36);
-  cap.forward.direction = Direction::kForward;
-  cap.forward.values.assign(30, {1.0, 0.0});
+  cap.forward.values.fill({1.0, 0.0});
   cap.reverse.band = band_by_channel(36);
-  cap.reverse.direction = Direction::kReverse;
-  cap.reverse.values.assign(30, {1.0, 0.0});
-  sweep.bands.push_back({cap});
+  cap.reverse.values.fill({1.0, 0.0});
+  sweep.bands.push_back({cap, cap});
   return sweep;
 }
 
-TEST(Csi, ValidateAcceptsWellFormedSweep) {
-  EXPECT_NO_THROW(validate(minimal_sweep()));
+void expect_malformed(const SweepMeasurement& sweep) {
+  const chronos::Status status = check_sweep(sweep);
+  EXPECT_EQ(status.code(), chronos::StatusCode::kMalformedSweep)
+      << status.to_string();
 }
 
-TEST(Csi, ValidateRejectsWrongSubcarrierCount) {
-  auto sweep = minimal_sweep();
-  sweep.bands[0][0].forward.values.resize(29);
-  EXPECT_THROW(validate(sweep), std::invalid_argument);
+TEST(Csi, CheckSweepAcceptsWellFormedSweep) {
+  EXPECT_TRUE(check_sweep(minimal_sweep()).ok());
 }
 
-TEST(Csi, ValidateRejectsMislabeledDirection) {
-  auto sweep = minimal_sweep();
-  sweep.bands[0][0].reverse.direction = Direction::kForward;
-  EXPECT_THROW(validate(sweep), std::invalid_argument);
-}
-
-TEST(Csi, ValidateRejectsBandMismatch) {
+TEST(Csi, CheckSweepRejectsBandMismatch) {
+  // Within one capture, and across the captures of one band.
   auto sweep = minimal_sweep();
   sweep.bands[0][0].reverse.band = band_by_channel(40);
-  EXPECT_THROW(validate(sweep), std::invalid_argument);
+  expect_malformed(sweep);
+  sweep = minimal_sweep();
+  sweep.bands[0][1].forward.band = band_by_channel(40);
+  sweep.bands[0][1].reverse.band = band_by_channel(40);
+  expect_malformed(sweep);
+  // Same channel, another center frequency: a different band.
+  sweep = minimal_sweep();
+  sweep.bands[0][1].reverse.band.center_freq_hz += 5e6;
+  expect_malformed(sweep);
 }
 
-TEST(Csi, ValidateRejectsEmpty) {
+TEST(Csi, CheckSweepRejectsEmpty) {
   SweepMeasurement empty;
-  EXPECT_THROW(validate(empty), std::invalid_argument);
+  expect_malformed(empty);
+  auto no_captures = minimal_sweep();
+  no_captures.bands.emplace_back();
+  expect_malformed(no_captures);
+}
+
+TEST(Csi, CheckSweepRejectsZeroOrNonFiniteEnergy) {
+  auto zero = minimal_sweep();
+  zero.bands[0][1].reverse.values.fill({0.0, 0.0});
+  expect_malformed(zero);
+  auto nan = minimal_sweep();
+  nan.bands[0][0].forward.values[7] = {std::nan(""), 0.0};
+  expect_malformed(nan);
+  // Finite values whose energy overflows.
+  auto huge = minimal_sweep();
+  huge.bands[0][0].forward.values.fill({1e200, 0.0});
+  expect_malformed(huge);
+}
+
+TEST(Csi, CheckSweepRejectsNonFiniteTimestampOrSnr) {
+  auto snr = minimal_sweep();
+  snr.bands[0][1].reverse.snr_db = std::nan("");
+  expect_malformed(snr);
+  auto timestamp = minimal_sweep();
+  timestamp.bands[0][0].forward.timestamp_s =
+      -std::numeric_limits<double>::infinity();
+  expect_malformed(timestamp);
+}
+
+TEST(Csi, CheckPlanComparesTheWholeBand) {
+  const auto sweep = minimal_sweep();
+  const std::vector<WifiBand> plan = {band_by_channel(36)};
+  EXPECT_TRUE(check_plan(sweep, plan).ok());
+
+  const std::vector<WifiBand> longer = {band_by_channel(36),
+                                        band_by_channel(40)};
+  EXPECT_EQ(check_plan(sweep, longer).code(),
+            chronos::StatusCode::kBandMismatch);
+  const std::vector<WifiBand> other = {band_by_channel(40)};
+  EXPECT_EQ(check_plan(sweep, other).code(),
+            chronos::StatusCode::kBandMismatch);
+  std::vector<WifiBand> shifted = plan;
+  shifted[0].center_freq_hz += 5e6;
+  EXPECT_EQ(check_plan(sweep, shifted).code(),
+            chronos::StatusCode::kBandMismatch);
 }
 
 // --- detection model -------------------------------------------------------

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/ranging.hpp"
 #include "phy/csi_io.hpp"
@@ -95,6 +97,20 @@ TEST(CsiIo, RejectsMalformedInput) {
 
   EXPECT_EQ(try_load_sweep("/nonexistent/path/sweep.csi").status().code(),
             kMalformed);
+}
+
+TEST(CsiIo, WriteRefusesWhatReadWouldReject) {
+  // NaN CSI would read back as a parse error, an all-zero capture as a
+  // sweep without CSI energy: write_sweep refuses both instead of writing
+  // a trace nothing can load.
+  auto nan = sample_sweep();
+  nan.bands[4][1].reverse.values[9] = {std::nan(""), 0.0};
+  auto zero = sample_sweep();
+  zero.bands[2][0].forward.values.fill({0.0, 0.0});
+  for (const SweepMeasurement* sweep : {&nan, &zero}) {
+    std::stringstream ss;
+    EXPECT_THROW(write_sweep(ss, *sweep), std::invalid_argument);
+  }
 }
 
 TEST(CsiIo, RejectsUnknownChannel) {

@@ -19,10 +19,10 @@
 namespace chronos::phy {
 namespace {
 
-/// One valid 30-value capture line body (zeros are structurally fine).
-std::string capture_values(int n_pairs) {
+/// The CSI part of a capture line: `n_pairs` copies of `pair` (" re im").
+std::string capture_values(int n_pairs, const char* pair = " 1.0 0.0") {
   std::string s;
-  for (int i = 0; i < n_pairs; ++i) s += " 1.0 0.0";
+  for (int i = 0; i < n_pairs; ++i) s += pair;
   return s;
 }
 
@@ -89,6 +89,23 @@ std::vector<MalformedCase> malformed_cases() {
            " fish\n"},
       {"unknown record tag", "sweep 1 0.084\nfrobnicate 1 2 3\n"},
       {"header only, no captures", "sweep 2 0.084\nband 0 100\nband 1 36\n"},
+      {"band record missing",
+       "sweep 2 0.084\nband 0 100\ncapture 0 f 0.0 20.0" + vals30 +
+           "\ncapture 0 r 0.001 20.0" + vals30 + "\ncapture 1 f 0.002 20.0" +
+           vals30 + "\ncapture 1 r 0.003 20.0" + vals30 + "\n"},
+      {"band record repeated",
+       "sweep 2 0.084\nband 0 100\nband 1 36\nband 1 40\ncapture 0 f 0.0 "
+       "20.0" + vals30 + "\ncapture 0 r 0.001 20.0" + vals30 +
+           "\ncapture 1 f 0.002 20.0" + vals30 + "\ncapture 1 r 0.003 20.0" +
+           vals30 + "\n"},
+      {"band record after its captures",
+       "sweep 2 0.084\nband 0 100\ncapture 0 f 0.0 20.0" + vals30 +
+           "\ncapture 0 r 0.001 20.0" + vals30 + "\ncapture 1 f 0.002 20.0" +
+           vals30 + "\ncapture 1 r 0.003 20.0" + vals30 + "\nband 1 36\n"},
+      {"all-zero capture",
+       "sweep 1 0.084\nband 0 100\ncapture 0 f 0.0 20.0" +
+           capture_values(30, " 0 0") + "\ncapture 0 r 0.001 20.0" + vals30 +
+           "\n"},
       {"binary garbage", std::string("\x00\x01\xff\xfe\x80 garbage\n", 14)},
   };
 }
