@@ -12,9 +12,11 @@
 //    per-PR trajectory. Before the table it prints the kernel variant the
 //    process runs, one `SOLVE_DIGEST <hex>` line over the office solves
 //    (fista_solve_office), which two builds with bit-identical solves
-//    share, and one `OFFICE_GAP` line: the iterations those solves take to
+//    share, one `OFFICE_GAP` line: the iterations those solves take to
 //    their duality-gap stop (mean and p90) and the largest relative gap
-//    they stop at.
+//    they stop at, and one `SWEEP_DIGEST <hex>` line over the office
+//    sweeps those solves start from (sim_sweep_office), which two builds
+//    with bit-identical synthesis share.
 //  * --gbench — delegates to google-benchmark (when the build found it) for
 //    full statistical output; remaining argv is forwarded, so the usual
 //    --benchmark_* flags work.
@@ -47,6 +49,7 @@
 #include "mathx/stats.hpp"
 #include "phy/band_plan.hpp"
 #include "phy/csi.hpp"
+#include "sim/link.hpp"
 #include "sim/radio.hpp"
 #include "sim/scenario.hpp"
 
@@ -93,17 +96,25 @@ std::vector<std::vector<std::complex<double>>> batch_channels(
 
 constexpr core::DelayGrid kGrid{0.0, 150e-9, 0.125e-9};
 
-/// The production solve's inputs: 48 office_range links (sim::office_testbed
-/// pairs 1-15 m apart, single-antenna mobiles), each captured once through
-/// an engine calibrated with Engine::calibrate, then combined and weighted
-/// the way rangebench's probe prepares a sweep for the solver.
-struct OfficeSolves {
+/// Seed of the office links' placements and calibration; link i captures
+/// its sweep from Rng(kOfficeSeed).split(i).
+constexpr std::uint64_t kOfficeSeed = 20;
+
+/// 48 office_range links (sim::office_testbed pairs 1-15 m apart,
+/// single-antenna mobiles), each swept once through an engine calibrated
+/// with Engine::calibrate. `hs` holds the production solve's inputs: each
+/// sweep combined and weighted the way rangebench's probe prepares a sweep
+/// for the solver.
+struct OfficeLinks {
+  std::shared_ptr<const core::SimSweepSource> source;
+  std::vector<core::ResolvedRequest> requests;
+  std::vector<phy::SweepMeasurement> sweeps;
   core::NdftSolver solver;
   std::vector<std::vector<std::complex<double>>> hs;
 };
 
-const OfficeSolves& office_solves() {
-  static const OfficeSolves set = [] {
+const OfficeLinks& office_links() {
+  static const OfficeLinks set = [] {
     constexpr std::size_t kLinks = 48;
     constexpr std::uint64_t kTxPersonality = 11;
     constexpr std::uint64_t kRxPersonality = 22;
@@ -114,7 +125,7 @@ const OfficeSolves& office_solves() {
         scenario.environment(), sim::LinkSimConfig{});
     source->add_node(cal_tx, sim::make_mobile({0.0, 0.0}, kTxPersonality));
     source->add_node(cal_rx, sim::make_mobile({1.0, 0.0}, kRxPersonality));
-    mathx::Rng rng(20);
+    mathx::Rng rng(kOfficeSeed);
     std::vector<RangingRequest> links;
     for (std::uint64_t i = 0; i < kLinks; ++i) {
       const sim::Placement pl = scenario.sample_pair(rng, 1.0, 15.0);
@@ -133,10 +144,10 @@ const OfficeSolves& office_solves() {
     }
     const core::RangingPipeline pipeline(source->bands(),
                                          EngineOptions{}.ranging);
-    OfficeSolves out{pipeline.solver(), {}};
+    OfficeLinks out{source, {}, {}, pipeline.solver(), {}};
     for (std::size_t i = 0; i < links.size(); ++i) {
       mathx::Rng link_rng = rng.split(i);
-      const auto sweep = engine.capture_sweep(links[i], link_rng);
+      auto sweep = engine.capture_sweep(links[i], link_rng);
       if (!sweep.ok()) {
         std::fprintf(stderr, "office capture failed: %s\n",
                      sweep.status().to_string().c_str());
@@ -149,17 +160,30 @@ const OfficeSolves& office_solves() {
         raw.push_back(band.value);
       }
       out.hs.push_back(pipeline.solver().apply_weights(raw));
+      out.requests.push_back(source->resolve(links[i]).value());
+      out.sweeps.push_back(std::move(sweep).value());
     }
     return out;
   }();
   return set;
 }
 
-/// One pass over the office solves: an FNV-1a digest of their iterations,
-/// convergence flags, coefficient bytes and residual norms (equal digests
-/// mean bit-identical solves), and their iterations-to-gap.
+/// Folds `size` bytes into an FNV-1a digest: equal digests mean
+/// bit-identical inputs.
+constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+void fnv1a(std::uint64_t& digest, const void* data, std::size_t size) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    digest ^= bytes[i];
+    digest *= 0x100000001b3ULL;
+  }
+}
+
+/// One pass over the office solves: a digest of their iterations,
+/// convergence flags, coefficient bytes and residual norms, and their
+/// iterations-to-gap.
 struct OfficeSolveSummary {
-  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::uint64_t digest = kFnvOffsetBasis;
   double iterations_mean = 0.0;
   double iterations_p90 = 0.0;
   double max_relative_gap = 0.0;
@@ -167,30 +191,40 @@ struct OfficeSolveSummary {
 
 OfficeSolveSummary summarize_office_solves() {
   OfficeSolveSummary out;
-  auto mix = [&out](const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      out.digest ^= bytes[i];
-      out.digest *= 0x100000001b3ULL;
-    }
-  };
-  const OfficeSolves& set = office_solves();
+  const OfficeLinks& set = office_links();
   std::vector<double> iterations;
   for (const auto& h : set.hs) {
     const core::SparseSolveResult r =
         set.solver.solve_fista(h, core::RangingConfig::solver_options);
     const unsigned char converged = r.converged ? 1 : 0;
-    mix(&r.iterations, sizeof r.iterations);
-    mix(&converged, sizeof converged);
-    mix(r.coefficients.data(),
-        r.coefficients.size() * sizeof(r.coefficients[0]));
-    mix(&r.residual_norm, sizeof r.residual_norm);
+    fnv1a(out.digest, &r.iterations, sizeof r.iterations);
+    fnv1a(out.digest, &converged, sizeof converged);
+    fnv1a(out.digest, r.coefficients.data(),
+          r.coefficients.size() * sizeof(r.coefficients[0]));
+    fnv1a(out.digest, &r.residual_norm, sizeof r.residual_norm);
     iterations.push_back(r.iterations);
     out.max_relative_gap = std::max(out.max_relative_gap, r.relative_gap);
   }
   out.iterations_mean = mathx::mean(iterations);
   out.iterations_p90 = mathx::percentile(iterations, 90.0);
   return out;
+}
+
+/// A digest of the office sweeps' CSI, timestamp and SNR bits.
+std::uint64_t office_sweep_digest() {
+  std::uint64_t digest = kFnvOffsetBasis;
+  for (const auto& sweep : office_links().sweeps) {
+    for (const auto& captures : sweep.bands) {
+      for (const auto& cap : captures) {
+        for (const phy::CsiMeasurement* m : {&cap.forward, &cap.reverse}) {
+          fnv1a(digest, m->values.data(), sizeof m->values);
+          fnv1a(digest, &m->timestamp_s, sizeof m->timestamp_s);
+          fnv1a(digest, &m->snr_db, sizeof m->snr_db);
+        }
+      }
+    }
+  }
+  return digest;
 }
 
 /// One timed workload: `fn` performs one op and returns a value the harness
@@ -231,7 +265,7 @@ const std::vector<MicroKernel>& kernels() {
                   }});
     // The production solve: what Engine::measure spends on FISTA for one
     // office link, reported per solve over the 48-link set.
-    const OfficeSolves* office = &office_solves();
+    const OfficeLinks* office = &office_links();
     ks.push_back({"BM_FistaSolveOffice", "fista_solve_office", [office] {
                     double acc = 0.0;
                     for (const auto& h_k : office->hs) {
@@ -243,6 +277,23 @@ const std::vector<MicroKernel>& kernels() {
                     return acc;
                   },
                   static_cast<double>(office->hs.size())});
+    // Synthesis: what Engine::measure spends simulating one office sweep,
+    // reported per sweep over the same 48 links and capture streams.
+    ks.push_back({"BM_SimSweepOffice", "sim_sweep_office", [office] {
+                    const mathx::Rng streams(kOfficeSeed);
+                    const sim::LinkSimulator& link = office->source->link();
+                    double acc = 0.0;
+                    for (std::size_t i = 0; i < office->requests.size(); ++i) {
+                      const core::ResolvedRequest& r = office->requests[i];
+                      mathx::Rng rng = streams.split(i);
+                      acc += link.simulate_sweep(r.tx, r.tx_antenna, r.rx,
+                                                 r.rx_antenna, rng)
+                                 .bands.front().front().forward.values.front()
+                                 .real();
+                    }
+                    return acc;
+                  },
+                  static_cast<double>(office->requests.size())});
 
     // Gradient-arm ablation at the default 35x1201 problem. fista_solve
     // above runs the production kAuto arm rule; kDense pins the legacy
@@ -365,8 +416,10 @@ int run_chrono_harness() {
               static_cast<unsigned long long>(office.digest));
   std::printf("OFFICE_GAP %zu solves: iterations mean %.1f p90 %.1f, max "
               "relative gap %.3g\n",
-              office_solves().hs.size(), office.iterations_mean,
+              office_links().hs.size(), office.iterations_mean,
               office.iterations_p90, office.max_relative_gap);
+  std::printf("SWEEP_DIGEST %016llx\n",
+              static_cast<unsigned long long>(office_sweep_digest()));
   std::printf("  %-28s %14s %12s\n", "kernel", "ns/op", "ms/op");
   std::vector<std::pair<std::string, double>> metrics;
   for (const auto& k : kernels()) {

@@ -18,7 +18,10 @@
 #   3. the SOLVE_DIGEST and OFFICE_GAP lines of bench_micro_core: a hash of
 #      48 office solves (iterations, convergence, coefficient bytes,
 #      residual) and their iterations-to-gap. The ToF digests and the
-#      figure benches do not read the solve's bits; this line does.
+#      figure benches do not read the solve's bits; this line does;
+#   4. the SWEEP_DIGEST line of bench_micro_core: a hash of the CSI,
+#      timestamp and SNR bits of the 48 office sweeps those solves start
+#      from, so a change to synthesis shows apart from one to the solve.
 #
 # Usage: scripts/compare_builds.sh <parent-build> <change-build>
 #   Each argument is a CMake build directory whose bench/ and examples/
@@ -118,20 +121,24 @@ done
 
 run "${PARENT}" bench/bench_micro_core "${OUT}/micro.parent"
 run "${CHANGE}" bench/bench_micro_core "${OUT}/micro.change"
-for side in parent change; do
-  grep -E '^(SOLVE_DIGEST|OFFICE_GAP) ' "${OUT}/micro.${side}" \
-    > "${OUT}/SOLVE_DIGEST.${side}" || true
-done
-if [[ ! -s "${OUT}/SOLVE_DIGEST.change" ]]; then
-  echo "error: ${CHANGE}/bench/bench_micro_core printed no SOLVE_DIGEST" >&2
-  exit 2
-fi
-compare SOLVE_DIGEST
-cat "${OUT}/SOLVE_DIGEST.change"
+# digest <name> <line pattern>: the micro bench lines of one digest.
+digest() {
+  for side in parent change; do
+    grep -E "^($2) " "${OUT}/micro.${side}" > "${OUT}/$1.${side}" || true
+  done
+  if [[ ! -s "${OUT}/$1.change" ]]; then
+    echo "error: ${CHANGE}/bench/bench_micro_core printed no $1" >&2
+    exit 2
+  fi
+  compare "$1"
+  cat "${OUT}/$1.change"
+}
+digest SOLVE_DIGEST 'SOLVE_DIGEST|OFFICE_GAP'
+digest SWEEP_DIGEST 'SWEEP_DIGEST'
 
 if [[ "${DIFFERS}" -gt 0 ]]; then
   echo "compare_builds: ${DIFFERS} output(s) differ"
   exit 1
 fi
 echo "compare_builds: ${#BENCHES[@]} bench outputs, ${#EXAMPLES[@]} example" \
-  "outputs and SOLVE_DIGEST identical"
+  "outputs, SOLVE_DIGEST and SWEEP_DIGEST identical"

@@ -1,6 +1,7 @@
 #include "core/subcarrier_interp.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <span>
 #include <vector>
@@ -17,12 +18,16 @@ namespace {
 
 /// Subcarrier frequency offsets of the 30 reported subcarriers (strictly
 /// increasing by layout): the spline knots and the slope fit's abscissae.
-std::vector<double> subcarrier_offsets() {
-  const auto indices = phy::intel5300_subcarrier_indices();
-  std::vector<double> x(indices.size());
-  for (std::size_t k = 0; k < indices.size(); ++k) {
-    x[k] = phy::subcarrier_offset_hz(indices[k]);
-  }
+/// Built once; every capture reads the same table.
+std::span<const double> subcarrier_offsets() {
+  static const std::array<double, phy::kIntel5300Subcarriers> x = [] {
+    const auto indices = phy::intel5300_subcarrier_indices();
+    std::array<double, phy::kIntel5300Subcarriers> out{};
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      out[k] = phy::subcarrier_offset_hz(indices[k]);
+    }
+    return out;
+  }();
   return x;
 }
 
@@ -49,7 +54,7 @@ double fit_toa_slope(const phy::CsiMeasurement& m, std::span<const double> x,
 }  // namespace
 
 InterpolationResult interpolate_to_center(const phy::CsiMeasurement& m) {
-  const std::vector<double> x = subcarrier_offsets();
+  const std::span<const double> x = subcarrier_offsets();
   std::vector<double> phases;
   InterpolationResult out;
   out.toa_slope_s = fit_toa_slope(m, x, phases);
@@ -64,9 +69,8 @@ InterpolationResult interpolate_to_center(const phy::CsiMeasurement& m) {
 }
 
 double toa_slope(const phy::CsiMeasurement& m) {
-  const std::vector<double> x = subcarrier_offsets();
   std::vector<double> phases;
-  return fit_toa_slope(m, x, phases);
+  return fit_toa_slope(m, subcarrier_offsets(), phases);
 }
 
 }  // namespace chronos::core

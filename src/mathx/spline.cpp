@@ -20,7 +20,6 @@ CubicSpline::CubicSpline(std::span<const double> x, std::span<const double> y)
 
   // Solve the tridiagonal system for natural boundary conditions
   // (m_0 = m_{n-1} = 0) with the Thomas algorithm.
-  std::vector<double> diag(n, 2.0), upper(n, 0.0), rhs(n, 0.0);
   std::vector<double> h(n - 1);
   for (std::size_t i = 0; i + 1 < n; ++i) h[i] = x_[i + 1] - x_[i];
 

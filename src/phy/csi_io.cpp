@@ -25,6 +25,17 @@ constexpr std::size_t kMaxBands = 256;
 void write_sweep(std::ostream& os, const SweepMeasurement& sweep) {
   const chronos::Status shape = check_sweep(sweep);
   CHRONOS_EXPECTS(shape.ok(), shape.message());
+  CHRONOS_EXPECTS(std::isfinite(sweep.sweep_duration_s) &&
+                      sweep.sweep_duration_s > 0.0,
+                  "sweep duration must be finite and positive");
+  // A band is written as its channel number and read back as the plan's
+  // band of that number, so only plan bands survive the round trip.
+  for (const auto& captures : sweep.bands) {
+    const WifiBand& band = captures.front().forward.band;
+    CHRONOS_EXPECTS(band == band_by_channel(band.channel),
+                    "band " + std::to_string(band.channel) +
+                        " is not the band plan's band of that channel");
+  }
   os << "# chronos CSI sweep v1\n";
   os << "sweep " << sweep.bands.size() << ' '
      << std::setprecision(17) << sweep.sweep_duration_s << '\n';

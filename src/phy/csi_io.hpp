@@ -25,8 +25,11 @@
 
 namespace chronos::phy {
 
-/// Writes a sweep to a stream. Throws std::invalid_argument when
-/// check_sweep rejects the sweep, which try_read_sweep would reject too.
+/// Writes a sweep to a stream. Throws std::invalid_argument for a sweep
+/// that try_read_sweep would reject or read back differently: one that
+/// check_sweep rejects, one whose sweep_duration_s is not finite and
+/// positive, or one with a band that is not the plan's band of its channel
+/// (band_by_channel; the format records only the channel number).
 void write_sweep(std::ostream& os, const SweepMeasurement& sweep);
 
 /// Reads a sweep written by write_sweep — the Status-based parser for

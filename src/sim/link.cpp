@@ -1,8 +1,11 @@
 #include "sim/link.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <complex>
+#include <cstdlib>
+#include <span>
 #include <vector>
 
 #include "mathx/constants.hpp"
@@ -47,6 +50,25 @@ std::size_t plan_index(const phy::WifiBand& band) {
   return it == plan.end() ? 0 : static_cast<std::size_t>(it - plan.begin());
 }
 
+/// Writes e^{-j 2 pi o_k delay_s} for every reported subcarrier k into
+/// `out`. The offsets are o_k = n_k * spacing for the integer subcarrier
+/// indices n_k, so the rotation is w^{n_k} with w = e^{-j 2 pi spacing
+/// delay_s}: one sincos and the powers w^0..w^max in `powers` (sized
+/// max |n_k| + 1), conjugated for negative n_k since |w| = 1.
+void offset_rotations(double delay_s, std::span<const int> indices,
+                      std::span<std::complex<double>> powers,
+                      std::span<std::complex<double>> out) {
+  const std::complex<double> w =
+      std::polar(1.0, -mathx::kTwoPi * phy::subcarrier_offset_hz(1) * delay_s);
+  powers[0] = {1.0, 0.0};
+  for (std::size_t n = 1; n < powers.size(); ++n) powers[n] = powers[n - 1] * w;
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    const int n = indices[k];
+    out[k] = n < 0 ? std::conj(powers[static_cast<std::size_t>(-n)])
+                   : powers[static_cast<std::size_t>(n)];
+  }
+}
+
 }  // namespace
 
 phy::SweepMeasurement LinkSimulator::simulate_sweep(
@@ -64,11 +86,45 @@ phy::SweepMeasurement LinkSimulator::simulate_sweep(
       config_.enable_noise ? rms_mag / std::sqrt(2.0 * snr_linear) : 0.0;
 
   const auto sc_indices = phy::intel5300_subcarrier_indices();
+  constexpr std::size_t kSubcarriers = phy::kIntel5300Subcarriers;
+  std::size_t max_index = 0;
+  for (const int n : sc_indices) {
+    max_index = std::max(max_index, static_cast<std::size_t>(std::abs(n)));
+  }
+
+  // The chains delay the signal exactly like extra flight time; each
+  // direction traverses one TX and one RX chain.
+  const double hw_delay = config_.enable_chain_effects
+                              ? kHardwareDelayS + kHardwareDelayS
+                              : 0.0;
+
+  // h(f_c + o_k) = sum_p (a_p e^{-j 2 pi f_c tau_p}) e^{-j 2 pi o_k tau_p}
+  // (Eqn 1). Every band reports the same 30 offsets o_k, so the offset
+  // factors are tabulated once per sweep (row k, one column per path) and a
+  // band costs one sincos per path. Each value is a direct dot product, not
+  // a recurrence: no rounding error grows with the subcarrier index. The
+  // chains' group delay factors the same way.
+  const std::size_t n_paths = paths.size();
+  std::vector<std::complex<double>> path_offset_rot(kSubcarriers * n_paths);
+  std::array<std::complex<double>, kSubcarriers> hw_offset_rot{};
+  for (std::size_t k = 0; k < kSubcarriers; ++k) {
+    const double f_off = phy::subcarrier_offset_hz(sc_indices[k]);
+    for (std::size_t p = 0; p < n_paths; ++p) {
+      path_offset_rot[k * n_paths + p] =
+          std::polar(1.0, -mathx::kTwoPi * f_off * paths[p].delay_s);
+    }
+    hw_offset_rot[k] = std::polar(1.0, -mathx::kTwoPi * f_off * hw_delay);
+  }
+  std::vector<std::complex<double>> band_gain(n_paths);
 
   // The current band's channel per subcarrier, forward and reverse, before
   // the per-exchange impairments: it is the same for every exchange.
-  std::vector<std::complex<double>> base_fwd(sc_indices.size());
-  std::vector<std::complex<double>> base_rev(sc_indices.size());
+  std::array<std::complex<double>, kSubcarriers> base_fwd{};
+  std::array<std::complex<double>, kSubcarriers> base_rev{};
+  // Each exchange's detection-delay rotation per subcarrier, per direction.
+  std::vector<std::complex<double>> powers(max_index + 1);
+  std::array<std::complex<double>, kSubcarriers> delay_rot_fwd{};
+  std::array<std::complex<double>, kSubcarriers> delay_rot_rev{};
 
   phy::SweepMeasurement sweep;
   sweep.bands.resize(bands_.size());
@@ -95,24 +151,26 @@ phy::SweepMeasurement LinkSimulator::simulate_sweep(
     // both chains plus each device's fixed per-band ripple. Applied to the
     // reverse measurement only (paper Eqn 12).
     std::complex<double> kappa{1.0, 0.0};
-    double hw_delay = 0.0;
     if (config_.enable_chain_effects) {
-      hw_delay = kHardwareDelayS + kHardwareDelayS;
       const std::size_t pi = plan_index(band);
       kappa = std::polar(1.0, tx.chain_ripple_rad(pi) + rx.chain_ripple_rad(pi));
     }
 
-    // True over-the-air channel including hardware group delay (the chains
-    // delay the signal exactly like extra flight time; each direction
-    // traverses one TX and one RX chain). Reverse: same air channel
-    // (reciprocity) times kappa. Neither changes between exchanges.
-    for (std::size_t k = 0; k < sc_indices.size(); ++k) {
-      const double f_abs =
-          band.center_freq_hz + phy::subcarrier_offset_hz(sc_indices[k]);
-      const std::complex<double> h_air = channel_at(paths, f_abs);
-      const std::complex<double> hw_rot =
-          std::polar(1.0, -mathx::kTwoPi * f_abs * hw_delay);
-      base_fwd[k] = h_air * hw_rot;
+    // True over-the-air channel including the hardware group delay.
+    // Reverse: same air channel (reciprocity) times kappa. Neither changes
+    // between exchanges.
+    const double f_c = band.center_freq_hz;
+    for (std::size_t p = 0; p < n_paths; ++p) {
+      band_gain[p] =
+          paths[p].gain * std::polar(1.0, -mathx::kTwoPi * f_c * paths[p].delay_s);
+    }
+    const std::complex<double> hw_band_rot =
+        std::polar(1.0, -mathx::kTwoPi * f_c * hw_delay);
+    for (std::size_t k = 0; k < kSubcarriers; ++k) {
+      const std::complex<double>* rot = &path_offset_rot[k * n_paths];
+      std::complex<double> h_air{0.0, 0.0};
+      for (std::size_t p = 0; p < n_paths; ++p) h_air += band_gain[p] * rot[p];
+      base_fwd[k] = h_air * (hw_band_rot * hw_offset_rot[k]);
       base_rev[k] = base_fwd[k] * kappa;
     }
 
@@ -153,6 +211,11 @@ phy::SweepMeasurement LinkSimulator::simulate_sweep(
           1.0,
           -(mathx::kTwoPi * residual_cfo_hz * t_ack + lo_phase) + quirk_rev);
 
+      // Each direction's own detection delay rotates every subcarrier by
+      // its offset.
+      offset_rotations(delta_fwd, sc_indices, powers, delay_rot_fwd);
+      offset_rotations(delta_rev, sc_indices, powers, delay_rot_rev);
+
       phy::CsiMeasurement fwd;
       fwd.band = band;
       fwd.timestamp_s = t_pkt;
@@ -163,19 +226,16 @@ phy::SweepMeasurement LinkSimulator::simulate_sweep(
       rev.timestamp_s = t_ack;
       rev.snr_db = snr_db;
 
-      // Each direction's own detection delay rotates every subcarrier by
-      // its offset. Noise is drawn forward, then reverse, per subcarrier.
-      for (std::size_t k = 0; k < sc_indices.size(); ++k) {
-        const double f_off = phy::subcarrier_offset_hz(sc_indices[k]);
-
+      // Noise is drawn forward, then reverse, per subcarrier.
+      for (std::size_t k = 0; k < kSubcarriers; ++k) {
         std::complex<double> h_fwd = base_fwd[k];
-        h_fwd *= std::polar(1.0, -mathx::kTwoPi * f_off * delta_fwd);
+        h_fwd *= delay_rot_fwd[k];
         h_fwd *= fwd_rot;
         if (config_.enable_noise) h_fwd += rng.complex_gaussian(noise_sigma);
         fwd.values[k] = h_fwd;
 
         std::complex<double> h_rev = base_rev[k];
-        h_rev *= std::polar(1.0, -mathx::kTwoPi * f_off * delta_rev);
+        h_rev *= delay_rot_rev[k];
         h_rev *= rev_rot;
         if (config_.enable_noise) h_rev += rng.complex_gaussian(noise_sigma);
         rev.values[k] = h_rev;

@@ -43,7 +43,11 @@ std::vector<PathComponent> compute_paths(
     const PropagationModelParams& params = {});
 
 /// Evaluates the noiseless channel at an absolute frequency:
-///   h(f) = sum_p gain_p * e^{-j 2 pi f delay_p}.
+///   h(f) = sum_p gain_p * e^{-j 2 pi f delay_p},
+/// with one sincos per path. This is the Eqn 1 reference the tests compare
+/// the simulator against; LinkSimulator::simulate_sweep evaluates the same
+/// sum factored per band and subcarrier offset, which agrees with it to
+/// rounding, not bit for bit.
 std::complex<double> channel_at(std::span<const PathComponent> paths,
                                 double freq_hz);
 

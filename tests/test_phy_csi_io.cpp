@@ -101,13 +101,26 @@ TEST(CsiIo, RejectsMalformedInput) {
 
 TEST(CsiIo, WriteRefusesWhatReadWouldReject) {
   // NaN CSI would read back as a parse error, an all-zero capture as a
-  // sweep without CSI energy: write_sweep refuses both instead of writing
-  // a trace nothing can load.
+  // sweep without CSI energy, a zero duration as a bad sweep header, and a
+  // band off the plan as the plan's band of its channel: write_sweep
+  // refuses each instead of writing a trace that loads wrong or not at all.
   auto nan = sample_sweep();
   nan.bands[4][1].reverse.values[9] = {std::nan(""), 0.0};
   auto zero = sample_sweep();
   zero.bands[2][0].forward.values.fill({0.0, 0.0});
-  for (const SweepMeasurement* sweep : {&nan, &zero}) {
+  auto no_duration = sample_sweep();
+  no_duration.sweep_duration_s = 0.0;
+  // Channel 36 centred at 2.437 GHz, on every capture of its band.
+  auto off_plan = sample_sweep();
+  for (auto& captures : off_plan.bands) {
+    if (captures.front().forward.band.channel != 36) continue;
+    for (auto& cap : captures) {
+      cap.forward.band.center_freq_hz = band_by_channel(6).center_freq_hz;
+      cap.reverse.band.center_freq_hz = band_by_channel(6).center_freq_hz;
+    }
+  }
+  ASSERT_TRUE(check_sweep(off_plan).ok());
+  for (const SweepMeasurement* sweep : {&nan, &zero, &no_duration, &off_plan}) {
     std::stringstream ss;
     EXPECT_THROW(write_sweep(ss, *sweep), std::invalid_argument);
   }
