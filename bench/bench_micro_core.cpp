@@ -45,7 +45,6 @@
 #include "core/sweep_source.hpp"
 #include "mathx/constants.hpp"
 #include "mathx/rng.hpp"
-#include "mathx/spline.hpp"
 #include "mathx/stats.hpp"
 #include "phy/band_plan.hpp"
 #include "phy/csi.hpp"
@@ -111,6 +110,10 @@ struct OfficeLinks {
   std::vector<phy::SweepMeasurement> sweeps;
   core::NdftSolver solver;
   std::vector<std::vector<std::complex<double>>> hs;
+  /// What combined `sweeps` into `hs`: the pipeline's combining settings
+  /// and the engine's calibration.
+  core::CombiningConfig combining;
+  core::CalibrationTable calibration;
 };
 
 const OfficeLinks& office_links() {
@@ -144,7 +147,8 @@ const OfficeLinks& office_links() {
     }
     const core::RangingPipeline pipeline(source->bands(),
                                          EngineOptions{}.ranging);
-    OfficeLinks out{source, {}, {}, pipeline.solver(), {}};
+    OfficeLinks out{source, {}, {}, pipeline.solver(), {},
+                    pipeline.config().combining, engine.calibration()};
     for (std::size_t i = 0; i < links.size(); ++i) {
       mathx::Rng link_rng = rng.split(i);
       auto sweep = engine.capture_sweep(links[i], link_rng);
@@ -154,9 +158,8 @@ const OfficeLinks& office_links() {
         std::exit(1);
       }
       std::vector<std::complex<double>> raw;
-      for (const auto& band : core::combine_sweep(
-               sweep.value(), pipeline.config().combining,
-               engine.calibration())) {
+      for (const auto& band :
+           core::combine_sweep(sweep.value(), out.combining, out.calibration)) {
         raw.push_back(band.value);
       }
       out.hs.push_back(pipeline.solver().apply_weights(raw));
@@ -358,16 +361,20 @@ const std::vector<MicroKernel>& kernels() {
                     return core::interpolate_to_center(m)
                         .zero_subcarrier.real();
                   }});
-
-    ks.push_back({"BM_CubicSplineBuildEval", "spline_build_eval", [] {
-                    std::vector<double> x(30), y(30);
-                    for (int i = 0; i < 30; ++i) {
-                      x[i] = i;
-                      y[i] = std::sin(0.3 * i);
+    // Combine: what Engine::measure spends turning one office sweep into
+    // its 35 combined bands (210 interpolations, the fwd x rev products
+    // and the calibration), per sweep over the same 48 office sweeps.
+    ks.push_back({"BM_CombineOffice", "combine_office", [office] {
+                    double acc = 0.0;
+                    for (const auto& sweep : office->sweeps) {
+                      acc += core::combine_sweep(sweep, office->combining,
+                                                 office->calibration)
+                                 .front()
+                                 .value.real();
                     }
-                    mathx::CubicSpline s(x, y);
-                    return s(14.5);
-                  }});
+                    return acc;
+                  },
+                  static_cast<double>(office->sweeps.size())});
     return ks;
   }();
   return all;

@@ -104,10 +104,7 @@ constexpr double kCalibrationDistanceM = 3.0;
 }
 
 sim::Device to_device(const NodeSpec& spec) {
-  sim::Device device;
-  device.antennas = spec.antennas;
-  device.hardware_seed = spec.id.value;
-  return device;
+  return sim::Device(spec.id.value, spec.antennas);
 }
 
 sim::Environment named_environment(SimEnvironment environment) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
+#include "geom/image_source.hpp"
 #include "geom/trilateration.hpp"
 #include "mathx/contracts.hpp"
 
@@ -14,6 +16,31 @@ namespace {
 /// Extra slack [m] allowed on top of the geometric bound when checking
 /// pairwise consistency of distance estimates.
 constexpr double kGeometrySlackM = 0.35;
+
+/// Largest |sin| of the angle between an anchor's offset from the first
+/// anchor and the baseline at which the anchors still count as collinear.
+constexpr double kCollinearSin = 1e-9;
+
+/// True when every anchor of `ranges` lies on the line through the first
+/// anchor and the first other anchor distinct from it, and sets `axis` to
+/// that baseline. The two mirror images of any position across that line
+/// then fit every range equally well, so the residual cannot pick a side.
+/// False when the anchors span the plane or all coincide.
+bool mirror_symmetric(std::span<const geom::RangeMeasurement> ranges,
+                      geom::Vec2& axis) {
+  const geom::Vec2 origin = ranges.front().anchor;
+  axis = {};
+  for (const auto& r : ranges) {
+    const geom::Vec2 rel = r.anchor - origin;
+    if (axis.norm_sq() == 0.0) {
+      axis = rel;
+    } else if (std::abs(axis.cross(rel)) >
+               kCollinearSin * axis.norm() * rel.norm()) {
+      return false;
+    }
+  }
+  return axis.norm_sq() > 0.0;
+}
 
 }  // namespace
 
@@ -77,7 +104,8 @@ LocalizationResult localize(std::span<const geom::Vec2> anchors,
   }
   out.used_count = ranges.size();
 
-  if (ranges.size() >= 3) {
+  geom::Vec2 axis;
+  if (ranges.size() >= 3 && !mirror_symmetric(ranges, axis)) {
     const auto fit = geom::trilaterate(ranges);
     out.position = fit.position;
     out.residual_rms_m = fit.residual_rms;
@@ -85,8 +113,20 @@ LocalizationResult localize(std::span<const geom::Vec2> anchors,
     return out;
   }
 
-  // Two anchors: disambiguate the mirror pair with the hint (§8).
-  const auto both = geom::solve_both_sides(ranges[0], ranges[1]);
+  // Two anchors, or survivors on one line (e.g. every range to one of a
+  // laptop's three antennas rejected): the residual has two mirror minima
+  // that tie up to rounding, so a rule picks the side, not the residual.
+  // Disambiguate with the hint (§8), else take the positive side.
+  std::pair<geom::TrilaterationResult, geom::TrilaterationResult> both;
+  if (ranges.size() == 2) {
+    both = geom::solve_both_sides(ranges[0], ranges[1]);
+    axis = ranges[1].anchor - ranges[0].anchor;
+  } else {
+    const auto fit = geom::trilaterate(ranges);
+    const geom::Wall baseline{ranges[0].anchor, ranges[0].anchor + axis};
+    both = {fit, geom::refine(ranges, geom::mirror_across(baseline,
+                                                          fit.position))};
+  }
   const auto& a = both.first;
   const auto& b = both.second;
   if (hint) {
@@ -98,7 +138,6 @@ LocalizationResult localize(std::span<const geom::Vec2> anchors,
   } else {
     // Deterministic default: the solution on the positive cross side of
     // the anchor baseline.
-    const geom::Vec2 axis = ranges[1].anchor - ranges[0].anchor;
     const double cross_a = axis.cross(a.position - ranges[0].anchor);
     const auto& pick = (cross_a >= 0.0) ? a : b;
     out.position = pick.position;

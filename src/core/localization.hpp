@@ -34,9 +34,12 @@ std::vector<bool> reject_outliers(std::span<const geom::Vec2> anchors,
 
 /// Localizes a transmitter from distances to known anchor positions.
 /// Outliers are rejected with 0.35 m of slack on the geometric bound.
-/// With two surviving anchors the mirror ambiguity is resolved toward
-/// `hint` if provided (paper §8's mobility strategy), else the positive
-/// side of the baseline is returned.
+/// When the surviving anchors lie on one line (two anchors, or more on one
+/// baseline, such as two of a laptop's three antennas) the two mirror
+/// images fit equally well; the ambiguity is resolved toward `hint` if
+/// provided (paper §8's mobility strategy), else the solution on the
+/// positive cross side of the baseline from the first surviving anchor to
+/// the first other one is returned.
 LocalizationResult localize(std::span<const geom::Vec2> anchors,
                             std::span<const double> distances,
                             const std::optional<geom::Vec2>& hint = std::nullopt);

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <span>
-#include <vector>
 
 #include "mathx/constants.hpp"
 #include "mathx/contracts.hpp"
-#include "mathx/cvec.hpp"
 #include "mathx/spline.hpp"
 #include "mathx/unwrap.hpp"
 
@@ -16,61 +13,96 @@ namespace chronos::core {
 
 namespace {
 
-/// Subcarrier frequency offsets of the 30 reported subcarriers (strictly
-/// increasing by layout): the spline knots and the slope fit's abscissae.
-/// Built once; every capture reads the same table.
-std::span<const double> subcarrier_offsets() {
-  static const std::array<double, phy::kIntel5300Subcarriers> x = [] {
+constexpr std::size_t kSubcarriers = phy::kIntel5300Subcarriers;
+using SubcarrierRow = std::array<double, kSubcarriers>;
+
+/// What the fixed Intel 5300 layout determines, built once and shared by
+/// every capture: the 30 subcarrier frequency offsets (strictly increasing,
+/// the spline knots and the slope fit's abscissae), the layout's sums in
+/// the least-squares slope, and the zero-offset taps.
+struct SubcarrierLayout {
+  SubcarrierRow x{};
+  /// The slope fit's terms that depend only on the offsets: sum_k x_k and
+  /// sum_k x_k^2 (accumulated in index order) and n sum x^2 - (sum x)^2.
+  double sx = 0.0;
+  double sxx = 0.0;
+  double denom = 0.0;
+  /// w_k = S_k(0), the natural cubic spline through (x, e_k) read at
+  /// offset 0. A natural spline on fixed knots is linear in its data, so
+  /// the spline through (x, y) reads sum_k w_k y_k at offset 0.
+  SubcarrierRow w{};
+};
+
+const SubcarrierLayout& layout() {
+  static const SubcarrierLayout l = [] {
+    SubcarrierLayout out;
     const auto indices = phy::intel5300_subcarrier_indices();
-    std::array<double, phy::kIntel5300Subcarriers> out{};
-    for (std::size_t k = 0; k < out.size(); ++k) {
-      out[k] = phy::subcarrier_offset_hz(indices[k]);
+    for (std::size_t k = 0; k < kSubcarriers; ++k) {
+      out.x[k] = phy::subcarrier_offset_hz(indices[k]);
+      out.sx += out.x[k];
+      out.sxx += out.x[k] * out.x[k];
+    }
+    const auto n = static_cast<double>(kSubcarriers);
+    out.denom = n * out.sxx - out.sx * out.sx;
+    CHRONOS_ENSURES(std::abs(out.denom) > 0.0, "degenerate subcarrier layout");
+    for (std::size_t k = 0; k < kSubcarriers; ++k) {
+      SubcarrierRow unit{};
+      unit[k] = 1.0;
+      out.w[k] = mathx::CubicSpline(out.x, unit)(0.0);
     }
     return out;
   }();
-  return x;
+  return l;
 }
 
-/// The one ToA slope: unwraps m's subcarrier phases into `phases` and
-/// returns -slope / 2pi of their least-squares line over the offsets `x`
-/// (the unwrapped phase falls by 2pi * toa per Hz of offset).
-double fit_toa_slope(const phy::CsiMeasurement& m, std::span<const double> x,
-                     std::vector<double>& phases) {
-  phases = mathx::unwrap(mathx::angles(m.values));
-  const auto n = static_cast<double>(x.size());
-  double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
-  for (std::size_t k = 0; k < x.size(); ++k) {
-    sx += x[k];
-    sy += phases[k];
-    sxx += x[k] * x[k];
-    sxy += x[k] * phases[k];
+/// The unwrapped phases of m's 30 subcarriers.
+SubcarrierRow unwrapped_phases(const phy::CsiMeasurement& m) {
+  SubcarrierRow wrapped{};
+  for (std::size_t k = 0; k < kSubcarriers; ++k) {
+    wrapped[k] = std::arg(m.values[k]);
   }
-  const double denom = n * sxx - sx * sx;
-  CHRONOS_ENSURES(std::abs(denom) > 0.0, "degenerate subcarrier layout");
-  const double slope = (n * sxy - sx * sy) / denom;
+  SubcarrierRow phases{};
+  mathx::unwrap(wrapped, phases);
+  return phases;
+}
+
+/// The one ToA slope: -slope / 2pi of the least-squares line through the
+/// unwrapped `phases` over the offsets (the unwrapped phase falls by
+/// 2pi * toa per Hz of offset).
+double fit_toa_slope(const SubcarrierRow& phases) {
+  const SubcarrierLayout& l = layout();
+  double sy = 0.0, sxy = 0.0;
+  for (std::size_t k = 0; k < kSubcarriers; ++k) {
+    sy += phases[k];
+    sxy += l.x[k] * phases[k];
+  }
+  const auto n = static_cast<double>(kSubcarriers);
+  const double slope = (n * sxy - l.sx * sy) / l.denom;
   return -slope / mathx::kTwoPi;
 }
 
 }  // namespace
 
 InterpolationResult interpolate_to_center(const phy::CsiMeasurement& m) {
-  const std::span<const double> x = subcarrier_offsets();
-  std::vector<double> phases;
+  const SubcarrierLayout& l = layout();
+  // lint:region(no-alloc)  — one pass per capture on fixed-size rows
+  const SubcarrierRow phases = unwrapped_phases(m);
   InterpolationResult out;
-  out.toa_slope_s = fit_toa_slope(m, x, phases);
+  out.toa_slope_s = fit_toa_slope(phases);
 
-  const auto mags = mathx::magnitudes(m.values);
-  const mathx::CubicSpline phase_spline(x, phases);
-  const mathx::CubicSpline mag_spline(x, mags);
-  const double phase0 = phase_spline(0.0);
-  const double mag0 = std::max(mag_spline(0.0), 0.0);
-  out.zero_subcarrier = std::polar(mag0, phase0);
+  double phase0 = 0.0;
+  double mag0 = 0.0;
+  for (std::size_t k = 0; k < kSubcarriers; ++k) {
+    phase0 += l.w[k] * phases[k];
+    mag0 += l.w[k] * std::sqrt(std::norm(m.values[k]));
+  }
+  out.zero_subcarrier = std::polar(std::max(mag0, 0.0), phase0);
+  // lint:endregion(no-alloc)
   return out;
 }
 
 double toa_slope(const phy::CsiMeasurement& m) {
-  std::vector<double> phases;
-  return fit_toa_slope(m, subcarrier_offsets(), phases);
+  return fit_toa_slope(unwrapped_phases(m));
 }
 
 }  // namespace chronos::core

@@ -4,8 +4,17 @@
 // by -2*pi*(f_{i,k} - f_{i,0})*delta — zero at the band center. Wi-Fi sends
 // nothing on the center (DC) subcarrier, so Chronos unwraps the measured
 // phase across the 30 reported subcarriers and interpolates phase and
-// magnitude to the center with cubic splines, recovering a channel value
-// free of detection delay.
+// magnitude to the center with natural cubic splines, recovering a channel
+// value free of detection delay.
+//
+// Every capture reports the same 30 subcarrier offsets, and a natural
+// spline on fixed knots read at a fixed point is linear in its data: its
+// value at offset 0 is sum_k w_k y_k with w_k the spline through the unit
+// vector e_k read at 0. The 30 taps w_k are built once (mathx::CubicSpline
+// at first use), so a capture costs one pass over fixed-size arrays and no
+// heap allocation: phase_0 = sum_k w_k phi_k over the unwrapped phases,
+// |h_0| = max(sum_k w_k |h_k|, 0) with |h_k| = sqrt(norm(h_k)). This equals
+// the spline's own evaluation up to rounding.
 #pragma once
 
 #include <complex>
@@ -27,13 +36,14 @@ struct InterpolationResult {
 
 /// Interpolates one CSI measurement to its zero subcarrier. Every
 /// measurement carries the 30 reported subcarriers by type, so there is no
-/// arity to reject.
+/// arity to reject. Allocates nothing (after the first call builds the
+/// taps).
 InterpolationResult interpolate_to_center(const phy::CsiMeasurement& m);
 
 /// The ToA slope alone: interpolate_to_center(m).toa_slope_s bit for bit
-/// (the same unwrap and least-squares fit), without the two zero-subcarrier
-/// splines. For callers that read only the slope, like the hostile screen's
-/// direction-symmetry check.
+/// (the same unwrap and least-squares fit), without the zero-subcarrier
+/// taps. For callers that read only the slope, like the hostile screen's
+/// direction-symmetry check. Allocates nothing.
 double toa_slope(const phy::CsiMeasurement& m);
 
 }  // namespace chronos::core

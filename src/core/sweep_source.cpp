@@ -52,7 +52,7 @@ void SimSweepSource::add_node(chronos::NodeId id, sim::Device device) {
 }
 
 void SimSweepSource::add_node(sim::Device device) {
-  const chronos::NodeId id{device.hardware_seed};
+  const chronos::NodeId id{device.hardware_seed()};
   add_node(id, std::move(device));
 }
 
@@ -102,11 +102,11 @@ chronos::Result<phy::SweepMeasurement> SimSweepSource::sweep_for(
   // Bounds are re-checked here (not only in resolve) because resolved
   // requests can also be built by hand.
   if (req.tx_antenna >= req.tx.antennas.size()) {
-    return antenna_out_of_range({{req.tx.hardware_seed}, req.tx_antenna},
+    return antenna_out_of_range({{req.tx.hardware_seed()}, req.tx_antenna},
                                 req.tx.antennas.size());
   }
   if (req.rx_antenna >= req.rx.antennas.size()) {
-    return antenna_out_of_range({{req.rx.hardware_seed}, req.rx_antenna},
+    return antenna_out_of_range({{req.rx.hardware_seed()}, req.rx_antenna},
                                 req.rx.antennas.size());
   }
   return link_.simulate_sweep(req.tx, req.tx_antenna, req.rx, req.rx_antenna,
@@ -120,7 +120,7 @@ const std::vector<phy::WifiBand>& SimSweepSource::bands() const {
 // -------------------------------------------------------------------- trace
 
 TraceKey TraceKey::of(const ResolvedRequest& req) {
-  return {req.tx.hardware_seed, req.tx_antenna, req.rx.hardware_seed,
+  return {req.tx.hardware_seed(), req.tx_antenna, req.rx.hardware_seed(),
           req.rx_antenna};
 }
 
@@ -197,12 +197,11 @@ chronos::Result<ResolvedRequest> TraceSweepSource::resolve(
             std::to_string(request.rx.antenna) + ")"};
   }
   // Replay needs identity and arity only: synthesize minimal devices whose
-  // hardware_seed carries the node id (TraceKey::of round-trips exactly).
+  // hardware seed carries the node id (TraceKey::of round-trips exactly)
+  // and which have no radio personality to derive.
   auto synthesize = [this](const chronos::AntennaRef& ref) {
-    sim::Device d;
-    d.hardware_seed = ref.node.value;
-    d.antennas.assign(node_arity_.at(ref.node.value), geom::Vec2{0.0, 0.0});
-    return d;
+    return sim::Device::identity(ref.node.value,
+                                 node_arity_.at(ref.node.value));
   };
   return ResolvedRequest{synthesize(request.tx), request.tx.antenna,
                          synthesize(request.rx), request.rx.antenna};
@@ -214,9 +213,10 @@ chronos::Result<phy::SweepMeasurement> TraceSweepSource::sweep_for(
   if (it == sweeps_.end()) {
     return chronos::Status{
         chronos::StatusCode::kUnknownLink,
-        "no recorded sweep for link (" + std::to_string(req.tx.hardware_seed) +
-            "/" + std::to_string(req.tx_antenna) + " -> " +
-            std::to_string(req.rx.hardware_seed) + "/" +
+        "no recorded sweep for link (" +
+            std::to_string(req.tx.hardware_seed()) + "/" +
+            std::to_string(req.tx_antenna) + " -> " +
+            std::to_string(req.rx.hardware_seed()) + "/" +
             std::to_string(req.rx_antenna) + ")"};
   }
   const auto& recorded = it->second;

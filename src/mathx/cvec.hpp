@@ -11,12 +11,6 @@ namespace chronos::mathx {
 using cplx = std::complex<double>;
 using cvec = std::vector<cplx>;
 
-/// Phase of each element, in (-pi, pi].
-std::vector<double> angles(std::span<const cplx> v);
-
-/// Magnitude of each element.
-std::vector<double> magnitudes(std::span<const cplx> v);
-
 /// Squared L2 norm: sum of |v_i|^2.
 double norm2_sq(std::span<const cplx> v);
 

@@ -7,11 +7,14 @@
 
 namespace chronos::mathx {
 
-std::vector<double> unwrap(std::span<const double> phases, double tolerance) {
+void unwrap(std::span<const double> phases, std::span<double> out,
+            double tolerance) {
   CHRONOS_EXPECTS(tolerance > 0.0, "unwrap tolerance must be positive");
-  std::vector<double> out(phases.begin(), phases.end());
+  CHRONOS_EXPECTS(out.size() == phases.size(), "unwrap: out size mismatch");
+  if (phases.empty()) return;
+  out[0] = phases[0];
   double offset = 0.0;
-  for (std::size_t i = 1; i < out.size(); ++i) {
+  for (std::size_t i = 1; i < phases.size(); ++i) {
     const double delta = phases[i] - phases[i - 1];
     if (delta > tolerance) {
       offset -= kTwoPi * std::ceil((delta - tolerance) / kTwoPi);
@@ -20,7 +23,6 @@ std::vector<double> unwrap(std::span<const double> phases, double tolerance) {
     }
     out[i] = phases[i] + offset;
   }
-  return out;
 }
 
 double wrap_to_pi(double phase) {

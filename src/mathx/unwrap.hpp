@@ -6,16 +6,16 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 namespace chronos::mathx {
 
-/// Unwraps a sequence of phases (radians): whenever the jump between
-/// consecutive samples exceeds `tolerance` (default pi), a multiple of 2*pi
-/// is added to all following samples so the sequence becomes continuous.
-/// Identical semantics to MATLAB/numpy `unwrap`.
-std::vector<double> unwrap(std::span<const double> phases,
-                           double tolerance = 3.14159265358979323846);
+/// Unwraps a sequence of phases (radians) into `out` (same size): whenever
+/// the jump between consecutive samples exceeds `tolerance` (default pi), a
+/// multiple of 2*pi is added to all following samples so the sequence
+/// becomes continuous. Identical semantics to MATLAB/numpy `unwrap`.
+/// Writes only `out`, so per-capture callers allocate nothing.
+void unwrap(std::span<const double> phases, std::span<double> out,
+            double tolerance = 3.14159265358979323846);
 
 /// Wraps a single phase into (-pi, pi].
 double wrap_to_pi(double phase);

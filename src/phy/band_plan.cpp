@@ -22,6 +22,7 @@ std::vector<WifiBand> build_plan() {
   for (int ch = 52; ch <= 64; ch += 4) add5(ch, BandGroup::k5GHzUnii2);
   for (int ch = 100; ch <= 140; ch += 4) add5(ch, BandGroup::k5GHzDfs);
   for (int ch = 149; ch <= 165; ch += 4) add5(ch, BandGroup::k5GHzUnii3);
+  CHRONOS_ENSURES(plan.size() == kUsPlanBands, "US plan band count");
   return plan;
 }
 

@@ -36,6 +36,9 @@ struct WifiBand {
   friend bool operator==(const WifiBand&, const WifiBand&) = default;
 };
 
+/// Number of bands in the US plan.
+inline constexpr std::size_t kUsPlanBands = 35;
+
 /// The full 35-band US plan, ordered by center frequency.
 const std::vector<WifiBand>& us_band_plan();
 

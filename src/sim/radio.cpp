@@ -1,17 +1,81 @@
 #include "sim/radio.hpp"
 
 #include <cmath>
+#include <map>
+#include <utility>
 
+#include "mathx/annotations.hpp"
 #include "mathx/contracts.hpp"
 
 namespace chronos::sim {
 
+namespace {
+
+using RippleTable = std::array<double, phy::kUsPlanBands>;
+
+/// One deterministic draw per (device, band): a stream keyed by the band
+/// index, forked off a fresh generator on the device's hardware seed.
+RippleTable derive_ripples(std::uint64_t seed) {
+  const mathx::Rng device(seed);
+  RippleTable out{};
+  for (std::size_t b = 0; b < out.size(); ++b) {
+    mathx::Rng fresh = device;  // fork consumes a draw: start anew per band
+    out[b] = fresh.fork(b + 1).normal(0.0, kBandRippleStdRad);
+  }
+  return out;
+}
+
+/// Every ripple table a Device has been built with, by seed. Entries are
+/// only ever added, and std::map nodes never move, so a Device may keep a
+/// pointer to its table for the life of the process.
+class RippleTables {
+ public:
+  const RippleTable& of(std::uint64_t seed) CHRONOS_EXCLUDES(tables_mutex_) {
+    chronos::MutexLock lock(tables_mutex_);
+    auto it = tables_.find(seed);
+    if (it == tables_.end()) {
+      it = tables_.emplace(seed, derive_ripples(seed)).first;
+    }
+    return it->second;
+  }
+
+ private:
+  chronos::Mutex tables_mutex_;
+  std::map<std::uint64_t, RippleTable> tables_
+      CHRONOS_GUARDED_BY(tables_mutex_);
+};
+
+const RippleTable& ripple_table(std::uint64_t seed) {
+  static RippleTables tables;
+  return tables.of(seed);
+}
+
+}  // namespace
+
+Device::Device() : Device(1) {}
+
+Device::Device(std::uint64_t hardware_seed, std::vector<geom::Vec2> antennas)
+    : Device(hardware_seed, std::move(antennas), &ripple_table(hardware_seed)) {
+}
+
+Device::Device(std::uint64_t hardware_seed, std::vector<geom::Vec2> antennas,
+               const RippleTable* ripple_rad)
+    : antennas(std::move(antennas)),
+      hardware_seed_(hardware_seed),
+      ripple_rad_(ripple_rad) {}
+
+Device Device::identity(std::uint64_t hardware_seed,
+                        std::size_t antenna_count) {
+  return Device(hardware_seed, std::vector<geom::Vec2>(antenna_count),
+                nullptr);
+}
+
 double Device::chain_ripple_rad(std::size_t band_index) const {
-  // One deterministic draw per (device, band): fork a stream keyed by the
-  // band index off the device's hardware seed.
-  mathx::Rng rng(hardware_seed);
-  mathx::Rng band_stream = rng.fork(band_index + 1);
-  return band_stream.normal(0.0, kBandRippleStdRad);
+  CHRONOS_EXPECTS(ripple_rad_ != nullptr,
+                  "an identity device has no radio personality");
+  CHRONOS_EXPECTS(band_index < ripple_rad_->size(),
+                  "chain ripple band index outside the US plan");
+  return (*ripple_rad_)[band_index];
 }
 
 namespace {
@@ -22,13 +86,10 @@ namespace {
 // span.
 Device make_triangle_array(const geom::Vec2& center, double span_m,
                            std::uint64_t seed) {
-  Device d;
-  d.hardware_seed = seed;
   const double half = span_m / 2.0;
-  d.antennas.push_back({center.x - half, center.y});
-  d.antennas.push_back({center.x + half, center.y});
-  d.antennas.push_back({center.x, center.y - 0.4 * span_m});
-  return d;
+  return Device(seed, {{center.x - half, center.y},
+                       {center.x + half, center.y},
+                       {center.x, center.y - 0.4 * span_m}});
 }
 }  // namespace
 
@@ -43,10 +104,7 @@ Device make_access_point(const geom::Vec2& center, double antenna_span_m,
 }
 
 Device make_mobile(const geom::Vec2& position, std::uint64_t hardware_seed) {
-  Device d;
-  d.hardware_seed = hardware_seed;
-  d.antennas.push_back(position);
-  return d;
+  return Device(hardware_seed, {position});
 }
 
 double packet_snr_db(double channel_power_linear) {

@@ -15,6 +15,7 @@
 #error "sim/ headers must not be reachable from the public chronos:: API"
 #endif
 
+#include <array>
 #include <complex>
 #include <cstdint>
 #include <vector>
@@ -43,15 +44,46 @@ inline constexpr double kNoiseFloorDbm = -82.0;
 
 /// A Wi-Fi device: antenna positions (absolute, on the floor plan) plus its
 /// hardware personality. The per-band chain ripple is derived
-/// deterministically from `hardware_seed` so a device keeps its personality
-/// across sweeps — which is what makes one-time calibration (§7) meaningful.
-struct Device {
-  std::vector<geom::Vec2> antennas;
-  std::uint64_t hardware_seed = 1;
+/// deterministically from the hardware seed so a device keeps its
+/// personality across sweeps — which is what makes one-time calibration
+/// (§7) meaningful.
+///
+/// The seed is fixed at construction, and the constructor derives the 35
+/// ripples then: band b's is Rng(seed).fork(b + 1).normal(0,
+/// kBandRippleStdRad). A device is complete before any use, so concurrent
+/// const use reads an immutable table and no table can go stale. Deriving
+/// a table seeds 35 Mersenne twisters (about 0.1 ms), so devices built with
+/// one seed share one process-wide table, derived when the first of them
+/// is built; tables are never changed or freed.
+class Device {
+ public:
+  /// Hardware seed 1, no antennas.
+  Device();
+  explicit Device(std::uint64_t hardware_seed,
+                  std::vector<geom::Vec2> antennas = {});
 
-  /// Fixed phase ripple of this device's chain on band `band_index` of the
-  /// US plan (deterministic in hardware_seed).
+  /// A device known by its seed and antenna count alone, with no radio
+  /// personality (antennas at the origin): what a replay backend resolves
+  /// a node to. Nothing is derived; chain_ripple_rad refuses it.
+  static Device identity(std::uint64_t hardware_seed,
+                         std::size_t antenna_count);
+
+  std::vector<geom::Vec2> antennas;
+
+  std::uint64_t hardware_seed() const { return hardware_seed_; }
+
+  /// Fixed phase ripple of this device's chain on band `band_index` (below
+  /// phy::kUsPlanBands) of the US plan. std::invalid_argument for an
+  /// identity() device.
   double chain_ripple_rad(std::size_t band_index) const;
+
+ private:
+  using RippleTable = std::array<double, phy::kUsPlanBands>;
+  Device(std::uint64_t hardware_seed, std::vector<geom::Vec2> antennas,
+         const RippleTable* ripple_rad);
+
+  std::uint64_t hardware_seed_;
+  const RippleTable* ripple_rad_;  ///< nullptr for an identity() device
 };
 
 /// A 3-antenna laptop (Intel 5300): antennas on a line with the given

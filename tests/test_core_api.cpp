@@ -7,7 +7,9 @@
 //     from try_submit without blocking and without dropping anything.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -549,6 +551,61 @@ TEST(ApiFacade, CreateSimulatedValidatesDeployment) {
   empty_antennas.nodes = {{chronos::NodeId{1}, {}}};
   EXPECT_EQ(chronos::Engine::create_simulated(empty_antennas).status().code(),
             chronos::StatusCode::kInvalidArgument);
+}
+
+TEST(ApiFacade, NodeSpecSeedsTheDevicesRippleTable) {
+  // A node registered by id alone gets the radio personality of its id:
+  // the chain ripple table equals the per-call derivation on that seed,
+  // bit for bit, on every band of the US plan.
+  auto src = std::make_shared<SimSweepSource>(sim::anechoic(),
+                                              sim::LinkSimConfig{});
+  chronos::Engine engine = chronos::Engine::adopt(src);
+  const chronos::NodeId id{90210};
+  ASSERT_TRUE(engine.add_node({id, {{1.0, 2.0}, {1.3, 2.0}}}).ok());
+  const auto resolved = src->resolve({{id, 1}, {id, 0}});
+  ASSERT_TRUE(resolved.ok());
+  const sim::Device& device = resolved.value().tx;
+  EXPECT_EQ(device.hardware_seed(), id.value);
+  ASSERT_EQ(device.antennas.size(), 2u);
+  for (std::size_t b = 0; b < phy::kUsPlanBands; ++b) {
+    mathx::Rng rng(id.value);
+    const double want = rng.fork(b + 1).normal(0.0, sim::kBandRippleStdRad);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(device.chain_ripple_rad(b)),
+              std::bit_cast<std::uint64_t>(want))
+        << "band " << b;
+  }
+}
+
+TEST(ApiFacade, ConcurrentRegistrationGivesEachNodeItsSeedsTable) {
+  // add_node is thread-safe, and registering builds devices, which look
+  // their seed's ripple table up or derive it: four threads registering
+  // overlapping ids must leave every node with its own seed's table.
+  auto src = std::make_shared<SimSweepSource>(sim::anechoic(),
+                                              sim::LinkSimConfig{});
+  chronos::Engine engine = chronos::Engine::adopt(src);
+  constexpr std::uint64_t kFirstId = 77000;
+  constexpr std::uint64_t kIds = 24;
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&engine, t] {
+      for (std::uint64_t i = 0; i < kIds; ++i) {
+        const chronos::NodeId id{kFirstId + (i + 5 * t) % kIds};
+        EXPECT_TRUE(engine.add_node({id, {{0.0, 0.0}}}).ok());
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::uint64_t i = 0; i < kIds; ++i) {
+    const chronos::NodeId id{kFirstId + i};
+    const auto resolved = src->resolve({{id, 0}, {id, 0}});
+    ASSERT_TRUE(resolved.ok());
+    mathx::Rng rng(id.value);
+    const double want = rng.fork(7).normal(0.0, sim::kBandRippleStdRad);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  resolved.value().tx.chain_ripple_rad(6)),
+              std::bit_cast<std::uint64_t>(want))
+        << "node " << id.value;
+  }
 }
 
 TEST(ApiFacade, EndToEndMeasureAndSession) {

@@ -186,7 +186,7 @@ class ThrowingSweepSource final : public SweepSource {
   }
   Result<phy::SweepMeasurement> sweep_for(const ResolvedRequest& req,
                                           mathx::Rng& rng) const override {
-    if (req.tx.hardware_seed == poisoned_) {
+    if (req.tx.hardware_seed() == poisoned_) {
       throw std::runtime_error("planted sweep_for defect");
     }
     return inner_->sweep_for(req, rng);

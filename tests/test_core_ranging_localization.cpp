@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "core/calibration.hpp"
 #include "core/localization.hpp"
@@ -32,8 +33,8 @@ void calibrate(Rig& rig, const sim::Device& tx, const sim::Device& rx,
   rig.source->add_node(tx);
   rig.source->add_node(rx);
   ASSERT_TRUE(rig.engine
-                  .calibrate(NodeId{tx.hardware_seed},
-                             NodeId{rx.hardware_seed}, rng)
+                  .calibrate(NodeId{tx.hardware_seed()},
+                             NodeId{rx.hardware_seed()}, rng)
                   .ok());
 }
 
@@ -43,7 +44,8 @@ RangingResult measure(Rig& rig, const sim::Device& tx, const sim::Device& rx,
   rig.source->add_node(tx);
   rig.source->add_node(rx);
   return rig.engine
-      .measure({{NodeId{tx.hardware_seed}, 0}, {NodeId{rx.hardware_seed}, 0}},
+      .measure({{NodeId{tx.hardware_seed()}, 0},
+                {NodeId{rx.hardware_seed()}, 0}},
                rng)
       .value();
 }
@@ -261,6 +263,71 @@ TEST(Localization, TwoAnchorsUseHintForMirrorDisambiguation) {
   EXPECT_LT(geom::distance(with_hint.position, truth), 1e-5);
   const auto wrong_hint = localize(anchors, d, geom::Vec2{0.4, -2.0});
   EXPECT_LT(geom::distance(wrong_hint.position, geom::Vec2{0.5, -3.0}), 1e-5);
+}
+
+/// fig8b's NLOS job 12 (office_testbed(42), 3-antenna laptops 30 cm
+/// wide): the nine pair ranges of Engine::locate, tx-major, to the
+/// receiver's antennas 0, 1, 2. Outlier rejection keeps ranges 0, 1, 3, 6
+/// and 7, all to antennas 0 and 1, which lie on one horizontal baseline.
+struct CollinearJob {
+  std::vector<geom::Vec2> anchors;
+  std::vector<double> distances;
+};
+
+CollinearJob fig8b_nlos_job12() {
+  const geom::Vec2 rx[3] = {{0x1.d6c7072662c44p+3, 0x1.209d31865d67ep+3},
+                            {0x1.e060a0bffc5dep+3, 0x1.209d31865d67ep+3},
+                            {0x1.db93d3f32f911p+3, 0x1.1cc62748ecc41p+3}};
+  CollinearJob job;
+  job.distances = {0x1.dcaf5957c4f4ep+3, 0x1.d9703d0597b92p+3,
+                   0x1.6eda0da0b6482p+3, 0x1.d1c70892433bfp+3,
+                   0x1.51a367bf29c15p+3, 0x1.efa2dd50dda37p+3,
+                   0x1.d4e3ab0dcb952p+3, 0x1.de5be7a516bd1p+3,
+                   0x1.097e0cd73802ap+4};
+  for (std::size_t k = 0; k < job.distances.size(); ++k) {
+    job.anchors.push_back(rx[k % 3]);
+  }
+  return job;
+}
+
+TEST(Localization, CollinearSurvivorsPickTheMirrorSideByRule) {
+  // Five ranges from two anchors fit a position and its mirror image
+  // equally well. A pick by lowest residual follows the rounding: moving
+  // one range by 1e-9 to 1e-7 m sent this fix 24 m across the baseline in
+  // 9 of these 30 tries. The side must be a rule of the geometry instead.
+  CollinearJob job = fig8b_nlos_job12();
+  const auto base = localize(job.anchors, job.distances);
+  ASSERT_TRUE(base.valid);
+  ASSERT_EQ(base.used_count, 5u);
+  for (std::size_t k = 0; k < job.anchors.size(); ++k) {
+    EXPECT_EQ(base.used[k], k % 3 != 2 && k != 4) << "range " << k;
+  }
+  // No hint: the positive cross side of the baseline from the first
+  // surviving anchor (antenna 0) to the next (antenna 1), i.e. above it.
+  EXPECT_GT(base.position.y, job.anchors[0].y);
+
+  const std::size_t survivors[] = {0, 1, 3, 6, 7};
+  int moved = 0;
+  for (int t = 0; t < 30; ++t) {
+    const std::size_t k = survivors[t % 5];
+    const double delta = (t % 2 == 0 ? 1.0 : -1.0) * 1e-9 *
+                         std::pow(100.0, static_cast<double>(t) / 29.0);
+    CollinearJob nudged = job;
+    nudged.distances[k] += delta;
+    const auto r = localize(nudged.anchors, nudged.distances);
+    ASSERT_EQ(r.used, base.used);
+    // A 1e-7 m range change moves the least-squares fit by micrometres;
+    // a mirror flip moves it by twice its distance from the baseline.
+    if (geom::distance(r.position, base.position) > 1e-3) ++moved;
+  }
+  EXPECT_EQ(moved, 0) << "of 30 perturbed fixes jumped";
+
+  // A hint below the baseline picks the mirror image.
+  const geom::Vec2 below{base.position.x,
+                         2.0 * job.anchors[0].y - base.position.y};
+  const auto hinted = localize(job.anchors, job.distances, below);
+  EXPECT_LT(geom::distance(hinted.position, below), 1e-3);
+  EXPECT_NEAR(hinted.residual_rms_m, base.residual_rms_m, 1e-9);
 }
 
 TEST(Localization, RejectsDegenerateInput) {

@@ -39,7 +39,8 @@ core::RangingResult measure(Rig& rig, const sim::Device& tx,
   rig.source->add_node(tx);
   rig.source->add_node(rx);
   return rig.engine
-      .measure({{NodeId{tx.hardware_seed}, 0}, {NodeId{rx.hardware_seed}, 0}},
+      .measure({{NodeId{tx.hardware_seed()}, 0},
+                {NodeId{rx.hardware_seed()}, 0}},
                rng)
       .value();
 }
@@ -50,8 +51,8 @@ void calibrate(Rig& rig, const sim::Device& tx, const sim::Device& rx,
   rig.source->add_node(tx);
   rig.source->add_node(rx);
   ASSERT_TRUE(rig.engine
-                  .calibrate(NodeId{tx.hardware_seed},
-                             NodeId{rx.hardware_seed}, rng)
+                  .calibrate(NodeId{tx.hardware_seed()},
+                             NodeId{rx.hardware_seed()}, rng)
                   .ok());
 }
 

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "mathx/rng.hpp"
+#include "phy/band_plan.hpp"
 #include "sim/radio.hpp"
 #include "sim/scenario.hpp"
 
@@ -35,6 +41,49 @@ TEST(Radio, ChainRippleIsDeterministicPerDevice) {
     if (d1.chain_ripple_rad(b) != d3.chain_ripple_rad(b)) any_diff = true;
   }
   EXPECT_TRUE(any_diff);
+}
+
+/// The ripple a device's table must hold: a fresh generator on the seed,
+/// forked by band index + 1, one normal draw.
+double derived_ripple(std::uint64_t seed, std::size_t band) {
+  mathx::Rng rng(seed);
+  return rng.fork(band + 1).normal(0.0, kBandRippleStdRad);
+}
+
+TEST(Radio, RippleTableIsThePerCallDerivationBitwise) {
+  std::vector<Device> devices = {Device(), Device(0), Device(11, {{1.0, 2.0}})};
+  for (const std::uint64_t seed :
+       {std::uint64_t{2}, std::uint64_t{22}, std::uint64_t{1000003},
+        std::uint64_t{0xFFFFFFFFFFFFFFFFull}}) {
+    devices.push_back(make_mobile({0.0, 0.0}, seed));
+    devices.push_back(make_laptop({3.0, 4.0}, 0.3, seed));
+    devices.push_back(make_access_point({5.0, 1.0}, 1.0, seed));
+  }
+  ASSERT_EQ(devices.front().hardware_seed(), 1u);
+  std::size_t compared = 0;
+  for (const Device& d : devices) {
+    SCOPED_TRACE(testing::Message() << "seed " << d.hardware_seed());
+    const Device copy = d;
+    for (std::size_t b = 0; b < phy::kUsPlanBands; ++b) {
+      const double want = derived_ripple(d.hardware_seed(), b);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(d.chain_ripple_rad(b)),
+                std::bit_cast<std::uint64_t>(want))
+          << "band " << b;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(copy.chain_ripple_rad(b)),
+                std::bit_cast<std::uint64_t>(want))
+          << "band " << b;
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 15u * 35u);
+  EXPECT_THROW((void)devices.front().chain_ripple_rad(phy::kUsPlanBands),
+               std::invalid_argument);
+
+  // A replayed node's identity carries no personality to read.
+  const Device replayed = Device::identity(42, 3);
+  EXPECT_EQ(replayed.hardware_seed(), 42u);
+  EXPECT_EQ(replayed.antennas.size(), 3u);
+  EXPECT_THROW((void)replayed.chain_ripple_rad(0), std::invalid_argument);
 }
 
 TEST(Radio, PacketSnrBudget) {
