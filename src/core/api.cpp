@@ -18,26 +18,6 @@
 
 namespace chronos {
 
-// ------------------------------------------------------------ NodeRegistry
-
-Status NodeRegistry::validate(const RangingRequest& request) const {
-  auto check = [this](const AntennaRef& ref,
-                      const char* endpoint) -> Status {
-    const auto count = antenna_count(ref.node);
-    if (!count.ok()) return count.status();
-    if (ref.antenna >= count.value()) {
-      return {StatusCode::kAntennaOutOfRange,
-              std::string(endpoint) + " node " +
-                  std::to_string(ref.node.value) + " has " +
-                  std::to_string(count.value()) +
-                  " antenna(s); no antenna " + std::to_string(ref.antenna)};
-    }
-    return Status::Ok();
-  };
-  if (auto s = check(request.tx, "tx"); !s.ok()) return s;
-  return check(request.rx, "rx");
-}
-
 // ------------------------------------------------------------------ Engine
 
 struct Engine::Impl {

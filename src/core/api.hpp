@@ -110,11 +110,6 @@ class NodeRegistry {
 
   /// Every registered node id, ascending (diagnostics / enumeration).
   virtual std::vector<NodeId> nodes() const = 0;
-
-  /// Checks both endpoints of `request` against the directory: kOk, or the
-  /// first failure (kUnknownNode / kAntennaOutOfRange) with a message
-  /// naming the offending endpoint.
-  [[nodiscard]] Status validate(const RangingRequest& request) const;
 };
 
 // ---------------------------------------------------------------------------

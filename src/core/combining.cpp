@@ -1,6 +1,7 @@
 #include "core/combining.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "core/subcarrier_interp.hpp"
 #include "mathx/contracts.hpp"
@@ -16,14 +17,12 @@ std::complex<double> integer_power(std::complex<double> z, int n) {
   return acc;
 }
 
-/// RMS magnitude of a CSI measurement's 30 subcarrier values.
-double band_rms(const phy::CsiMeasurement& m) {
-  double acc = 0.0;
-  for (const auto& v : m.values) acc += std::norm(v);
-  return std::sqrt(acc / static_cast<double>(m.values.size()));
-}
-
 }  // namespace
+
+int quadrant_exponent(const phy::WifiBand& band,
+                      const CombiningConfig& config) {
+  return config.quirk_fix ? phy::per_direction_exponent(band) : 1;
+}
 
 double delay_axis_scale(const CombiningConfig& config) {
   return config.two_way ? 2.0 : 1.0;
@@ -44,43 +43,40 @@ std::vector<CombinedBand> combine_sweep(const phy::SweepMeasurement& sweep,
   for (std::size_t bi = 0; bi < sweep.bands.size(); ++bi) {
     const auto& captures = sweep.bands[bi];
     const phy::WifiBand& band = captures.front().forward.band;
-
-    // Per-direction exponent: 4 on 2.4 GHz when fixing the quadrant quirk.
-    const int exponent =
-        config.quirk_fix ? phy::per_direction_exponent(band) : 1;
+    const int exponent = quadrant_exponent(band, config);
+    // One direction of a capture, read once: its zero-subcarrier value
+    // (over the capture's RMS subcarrier magnitude under the band AGC)
+    // raised to the exponent, and its ToA slope.
+    auto read = [&](const phy::CsiMeasurement& m) {
+      const InterpolationResult interp = interpolate_to_center(m);
+      std::complex<double> value = interp.zero_subcarrier;
+      if (config.normalization == Normalization::kBandAgc) {
+        value /= std::sqrt(m.energy() / static_cast<double>(m.values.size()));
+      }
+      return std::pair{integer_power(value, exponent), interp.toa_slope_s};
+    };
 
     std::complex<double> acc{0.0, 0.0};
-    double toa_acc = 0.0;
+    double fwd_toa_acc = 0.0;
+    double rev_toa_acc = 0.0;
     double snr_acc = 0.0;
     for (const auto& cap : captures) {
-      const auto fwd = interpolate_to_center(cap.forward);
-      toa_acc += fwd.toa_slope_s;
+      const auto [fwd, fwd_slope] = read(cap.forward);
+      const auto [rev, rev_slope] = read(cap.reverse);
+      fwd_toa_acc += fwd_slope;
+      rev_toa_acc += rev_slope;
       snr_acc += cap.forward.snr_db;
-
-      std::complex<double> fwd_val = fwd.zero_subcarrier;
-      if (config.normalization == Normalization::kBandAgc) {
-        fwd_val /= band_rms(cap.forward);
-      }
-      std::complex<double> combined = integer_power(fwd_val, exponent);
-      if (config.two_way) {
-        const auto rev = interpolate_to_center(cap.reverse);
-        std::complex<double> rev_val = rev.zero_subcarrier;
-        if (config.normalization == Normalization::kBandAgc) {
-          rev_val /= band_rms(cap.reverse);
-        }
-        combined *= integer_power(rev_val, exponent);
-      }
-      acc += combined;
+      acc += config.two_way ? fwd * rev : fwd;
     }
     const auto n = static_cast<double>(captures.size());
 
     CombinedBand cb;
     cb.band = band;
     cb.value = acc / n;
-    cb.direction_exponent = exponent;
     cb.row_freq_hz = static_cast<double>(exponent) * band.center_freq_hz;
     cb.snr_db = snr_acc / n;
-    cb.toa_slope_s = toa_acc / n;
+    cb.toa_slope_s = fwd_toa_acc / n;
+    cb.reverse_toa_slope_s = rev_toa_acc / n;
 
     if (!calibration.empty()) cb.value *= calibration.correction[bi];
     const double mag = std::abs(cb.value);

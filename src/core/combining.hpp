@@ -9,8 +9,13 @@
 // On 2.4 GHz the firmware reports phase only modulo pi/2, so each
 // direction is raised to the 4th power *before* the product (4*(pi/2) = 2*pi
 // erases the ambiguity); the combined value is then h^8 and its NDFT row
-// must spin at 4*f_i on the u = 2*tau axis. We therefore tag every combined
-// band with its per-direction exponent and effective row frequency.
+// must spin at 4*f_i on the u = 2*tau axis. quadrant_exponent decides the
+// exponent once, for combine and for the solver's rows.
+//
+// combine_sweep reads each direction of every capture once (paper §5,
+// core/subcarrier_interp.hpp) and keeps, per band, the mean ToA slope of
+// each direction next to the combined value: the ToA gate reads the
+// forward slopes, the direction-symmetry check both (core/integrity.hpp).
 #pragma once
 
 #include <complex>
@@ -27,14 +32,15 @@ struct CombinedBand {
   /// optional normalisation and calibration.
   std::complex<double> value;
   /// Frequency this band's NDFT row rotates at on the u = 2*tau axis:
-  /// f_i at 5 GHz, 4*f_i at 2.4 GHz.
+  /// quadrant_exponent(band) * f_i (4*f_i on 2.4 GHz under the quirk fix).
   double row_freq_hz = 0.0;
-  /// Per-direction exponent applied before the product (1 or 4).
-  int direction_exponent = 1;
   double snr_db = 0.0;
   /// Mean ToA slope (tof + detection delay) across forward captures [s];
-  /// feeds the Fig 7c detection-delay histogram.
+  /// feeds the ToA gate and the Fig 7c detection-delay histogram.
   double toa_slope_s = 0.0;
+  /// Mean ToA slope across reverse captures [s]; the direction-symmetry
+  /// check compares it with toa_slope_s.
+  double reverse_toa_slope_s = 0.0;
 };
 
 /// How per-band magnitudes are conditioned before the sparse inversion.
@@ -42,17 +48,20 @@ enum class Normalization {
   /// Keep raw magnitudes. Physically honest in simulation, but real CSI
   /// magnitudes are not comparable across bands (AGC, chain gains).
   kNone,
-  /// Divide each direction's zero-subcarrier value by its band's RMS
-  /// subcarrier magnitude — what AGC-scaled CSI actually provides. A faded
-  /// center subcarrier then carries naturally little weight while strong
-  /// bands dominate, which is what keeps NLOS profiles clean. Default.
+  /// Divide each direction's zero-subcarrier value by that capture's RMS
+  /// subcarrier magnitude, sqrt(CsiMeasurement::energy() / 30) — what
+  /// AGC-scaled CSI actually provides. A faded center subcarrier then
+  /// carries naturally little weight while strong bands dominate, which is
+  /// what keeps NLOS profiles clean. Default.
   kBandAgc,
 };
 
 struct CombiningConfig {
   /// Multiply forward and reverse measurements (the §7 trick). Turning this
   /// off keeps only the forward channel (exponent still applied) — used by
-  /// the ablation bench to demonstrate why one-way stitching fails.
+  /// the ablation bench to demonstrate why one-way stitching fails. Both
+  /// directions are read either way; this decides only whether the reverse
+  /// value multiplies in.
   bool two_way = true;
   /// Apply the h^4-per-direction quadrant fix on 2.4 GHz bands.
   bool quirk_fix = true;
@@ -89,10 +98,15 @@ struct CalibrationTable {
   bool empty() const { return correction.empty(); }
 };
 
-/// Interpolates every capture to its zero subcarrier, applies exponents,
-/// combines forward/reverse, averages captures, and applies calibration.
-/// Returns one CombinedBand per band in sweep order. Precondition:
-/// phy::check_sweep(sweep) passes.
+/// The per-direction exponent combine_sweep applies on `band`: 4 on a
+/// 2.4 GHz band under the quadrant fix (config.quirk_fix), else 1. A row
+/// whose exponent is not 1 also weighs less in the solve (core/ranging.cpp).
+int quadrant_exponent(const phy::WifiBand& band, const CombiningConfig& config);
+
+/// Interpolates both directions of every capture to the zero subcarrier,
+/// applies exponents, combines forward/reverse, averages captures, and
+/// applies calibration. Returns one CombinedBand per band in sweep order.
+/// Precondition: phy::check_sweep(sweep) passes.
 std::vector<CombinedBand> combine_sweep(const phy::SweepMeasurement& sweep,
                                         const CombiningConfig& config = {},
                                         const CalibrationTable& calibration = {});

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <complex>
-#include <span>
 #include <utility>
 
 #include "mathx/constants.hpp"
@@ -33,15 +32,10 @@ constexpr double kSpoofDelayS = 80e-9;
 constexpr double kSnrCollapseDb = -5.0;
 constexpr double kCollapseNoiseScale = 6.0;
 
-/// RMS magnitude of one capture's subcarrier values (noise scale anchor).
-double rms_magnitude(std::span<const std::complex<double>> values) {
-  double acc = 0.0;
-  for (const auto& v : values) acc += std::norm(v);
-  return std::sqrt(acc / static_cast<double>(values.size()));
-}
-
 void collapse_measurement(phy::CsiMeasurement& m, mathx::Rng& fault_stream) {
-  const double noise_std = kCollapseNoiseScale * rms_magnitude(m.values);
+  const double noise_std =
+      kCollapseNoiseScale *
+      std::sqrt(m.energy() / static_cast<double>(m.values.size()));
   for (auto& v : m.values) {
     v += fault_stream.complex_gaussian(noise_std);
   }

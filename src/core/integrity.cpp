@@ -4,7 +4,7 @@
 #include <cstddef>
 #include <string>
 
-#include "core/subcarrier_interp.hpp"
+#include "mathx/contracts.hpp"
 
 namespace chronos::core {
 
@@ -12,20 +12,6 @@ namespace {
 
 [[nodiscard]] chronos::Status violation(const std::string& message) {
   return {chronos::StatusCode::kIntegrityViolation, message};
-}
-
-/// Mean per-capture SNR across every forward/reverse measurement of the
-/// sweep (the quantity kMinMeanSnrDb floors). 0 for an empty sweep.
-double sweep_mean_snr_db(const phy::SweepMeasurement& sweep) {
-  double acc = 0.0;
-  std::size_t n = 0;
-  for (const auto& captures : sweep.bands) {
-    for (const auto& cap : captures) {
-      acc += cap.forward.snr_db + cap.reverse.snr_db;
-      n += 2;
-    }
-  }
-  return n == 0 ? 0.0 : acc / static_cast<double>(n);
 }
 
 }  // namespace
@@ -50,7 +36,10 @@ double sweep_mean_snr_db(const phy::SweepMeasurement& sweep) {
   }
   if (!config.all_checks) return chronos::Status::Ok();
 
-  // Freshness.
+  // Freshness, in the one pass that also sums the SNR of every
+  // forward/reverse measurement for the floor below.
+  double snr_acc = 0.0;
+  std::size_t measurements = 0;
   for (std::size_t i = 0; i < sweep.bands.size(); ++i) {
     for (const auto& cap : sweep.bands[i]) {
       for (const double ts :
@@ -62,42 +51,45 @@ double sweep_mean_snr_db(const phy::SweepMeasurement& sweep) {
                            "or clock-skewed sweep)");
         }
       }
+      snr_acc += cap.forward.snr_db + cap.reverse.snr_db;
+      measurements += 2;
     }
   }
 
-  // Direction symmetry. A spoofed delay offset multiplies one direction of
-  // the exchange by e^{-j 2 pi f delta}: its forward ToA slope gains the
-  // full delta while the reverse slope is untouched. Honest sweeps see the
-  // same channel in both directions, so after averaging over every capture
-  // the two means differ only by detection-delay jitter
-  // (~sigma/sqrt(n_captures)).
-  double fwd_acc = 0.0;
-  double rev_acc = 0.0;
-  std::size_t n = 0;
-  for (const auto& captures : sweep.bands) {
-    for (const auto& cap : captures) {
-      fwd_acc += toa_slope(cap.forward);
-      rev_acc += toa_slope(cap.reverse);
-      ++n;
-    }
-  }
-  if (n > 0) {
-    const double asymmetry =
-        std::abs(fwd_acc - rev_acc) / static_cast<double>(n);
-    if (asymmetry > kMaxSlopeAsymmetryS) {
-      return violation(
-          "forward/reverse ToA slopes disagree by " +
-          std::to_string(asymmetry * 1e9) +
-          " ns (spoofed delay offset on one direction of the exchange)");
-    }
-  }
-
-  // SNR floor.
-  const double mean_snr = sweep_mean_snr_db(sweep);
+  // SNR floor: the mean per-measurement SNR (check_sweep guarantees one).
+  const double mean_snr = snr_acc / static_cast<double>(measurements);
   if (mean_snr < kMinMeanSnrDb) {
     return violation("mean sweep SNR " + std::to_string(mean_snr) +
                      " dB is below the " + std::to_string(kMinMeanSnrDb) +
                      " dB floor (interference-saturated link)");
+  }
+  return chronos::Status::Ok();
+}
+
+[[nodiscard]] chronos::Status check_slope_symmetry(
+    const phy::SweepMeasurement& sweep, std::span<const CombinedBand> combined) {
+  CHRONOS_EXPECTS(combined.size() == sweep.bands.size(),
+                  "one combined band per sweep band");
+  // A spoofed delay offset multiplies one direction of the exchange by
+  // e^{-j 2 pi f delta}: its forward ToA slope gains the full delta while
+  // the reverse slope is untouched. Honest sweeps see the same channel in
+  // both directions, so after averaging over every capture the two means
+  // differ only by detection-delay jitter (~sigma/sqrt(n_captures)).
+  double fwd_acc = 0.0;
+  double rev_acc = 0.0;
+  double n = 0.0;
+  for (std::size_t b = 0; b < combined.size(); ++b) {
+    const auto captures = static_cast<double>(sweep.bands[b].size());
+    fwd_acc += captures * combined[b].toa_slope_s;
+    rev_acc += captures * combined[b].reverse_toa_slope_s;
+    n += captures;
+  }
+  const double asymmetry = std::abs(fwd_acc - rev_acc) / n;
+  if (asymmetry > kMaxSlopeAsymmetryS) {
+    return violation(
+        "forward/reverse ToA slopes disagree by " +
+        std::to_string(asymmetry * 1e9) +
+        " ns (spoofed delay offset on one direction of the exchange)");
   }
   return chronos::Status::Ok();
 }

@@ -10,12 +10,16 @@
 // for parseable-but-untrustworthy sweeps — instead of a silently wrong
 // range.
 //
-// Two tiers of checks:
-//   * pre-solve screening (`screen_sweep`): the sweep's shape
+// Three stages of checks, each where its inputs first exist:
+//   * pre-combine screening (`screen_sweep`): the sweep's shape
 //     (phy::check_sweep), its band count and band identities against the
-//     pipeline's plan, timestamp freshness, forward/reverse ToA-slope
-//     symmetry, and an SNR floor. Pure sweep inspection — cheap enough to
-//     run on every request.
+//     pipeline's plan, timestamp freshness and an SNR floor. It reads the
+//     captures' metadata and energies, no phase — cheap enough to run on
+//     every request.
+//   * direction symmetry (`check_slope_symmetry`), after combine and
+//     before the solve: forward against reverse ToA slope, from the
+//     per-band slope means combine_sweep computes anyway, so no capture is
+//     unwrapped twice.
 //   * post-estimate checks (inside RangingPipeline::finish): peakless
 //     rejection and ToA-vs-ToF consistency against the calibrated
 //     detection delay. These need the peak decision and the calibration
@@ -34,6 +38,7 @@
 
 #include <span>
 
+#include "core/combining.hpp"
 #include "mathx/status.hpp"
 #include "phy/band_plan.hpp"
 #include "phy/csi.hpp"
@@ -47,10 +52,10 @@ namespace chronos::core {
 inline constexpr double kMaxSweepAgeS = 120.0;
 inline constexpr double kMinTimestampS = -1e-9;
 
-/// Direction symmetry (pre-solve): the mean ToA slope of the forward
-/// captures must agree with that of the reverse captures within this
-/// bound. Both directions traverse the same channel, so honest sweeps
-/// differ only by per-packet detection-delay jitter (a few ns after
+/// Direction symmetry (after combine, pre-solve): the mean ToA slope of
+/// the forward captures must agree with that of the reverse captures
+/// within this bound. Both directions traverse the same channel, so honest
+/// sweeps differ only by per-packet detection-delay jitter (a few ns after
 /// averaging over the sweep's bands); a spoofed delay offset is applied by
 /// the adversary to one direction of the exchange and shows up as a bias
 /// equal to the full spoof (tens of ns).
@@ -79,11 +84,12 @@ struct IntegrityConfig {
   /// (kIntegrityViolation: a band that is not the plan's band, a lie about
   /// band identity).
   ///
-  /// true: additionally, in this order, freshness, direction symmetry and
-  /// the SNR floor before the solve, then peakless rejection (a sweep whose
-  /// profile yields no acceptable direct-path peak — under the ToA gate the
-  /// signature of a spoofed delay pushing the peak out of the gate, and of
-  /// CSI that is noise) and ToA-vs-ToF consistency after it.
+  /// true: additionally, in this order, freshness and the SNR floor in the
+  /// screen, direction symmetry after combine and before the solve, then
+  /// peakless rejection (a sweep whose profile yields no acceptable
+  /// direct-path peak — under the ToA gate the signature of a spoofed delay
+  /// pushing the peak out of the gate, and of CSI that is noise) and
+  /// ToA-vs-ToF consistency after it.
   bool all_checks = false;
 
   /// Every check armed: what the adversarial bench, its CI gate, chronosd's
@@ -91,11 +97,18 @@ struct IntegrityConfig {
   static constexpr IntegrityConfig hostile() { return {.all_checks = true}; }
 };
 
-/// Pre-solve screening of `sweep` against the pipeline's band `plan`:
+/// Pre-combine screening of `sweep` against the pipeline's band `plan`:
 /// kOk, kMalformedSweep (structural damage), or kIntegrityViolation
-/// (identity/freshness/symmetry/power violations) per `config`.
+/// (identity/freshness/power violations) per `config`.
 [[nodiscard]] chronos::Status screen_sweep(const phy::SweepMeasurement& sweep,
                              std::span<const phy::WifiBand> plan,
                              const IntegrityConfig& config);
+
+/// Direction symmetry of `sweep` from `combined`, its combine_sweep
+/// result: kIntegrityViolation when the per-capture means of the forward
+/// and the reverse ToA slopes differ by more than kMaxSlopeAsymmetryS
+/// (each band's slope means weigh by its capture count), else kOk.
+[[nodiscard]] chronos::Status check_slope_symmetry(
+    const phy::SweepMeasurement& sweep, std::span<const CombinedBand> combined);
 
 }  // namespace chronos::core

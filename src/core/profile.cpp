@@ -7,12 +7,8 @@
 
 namespace chronos::core {
 
-MultipathProfile extract_profile(const SparseSolveResult& solution,
-                                 const ProfileOptions& opts) {
+MultipathProfile extract_profile(const SparseSolveResult& solution) {
   CHRONOS_EXPECTS(!solution.coefficients.empty(), "empty sparse solution");
-  CHRONOS_EXPECTS(opts.noise_floor_fraction >= 0.0 &&
-                      opts.noise_floor_fraction < 1.0,
-                  "noise floor fraction must be in [0,1)");
 
   MultipathProfile profile;
   profile.grid = solution.grid;
@@ -24,9 +20,9 @@ MultipathProfile extract_profile(const SparseSolveResult& solution,
   }
   if (max_mag <= 0.0) return profile;  // silent profile, no peaks
 
-  const double floor = max_mag * opts.noise_floor_fraction;
+  const double floor = max_mag * kProfileNoiseFloorFraction;
   const auto merge_bins = static_cast<std::size_t>(
-      std::max(1.0, opts.merge_gap_s / solution.grid.step_s));
+      std::max(1.0, kProfileMergeGapS / solution.grid.step_s));
 
   // Scan for clusters of active bins, merging clusters separated by fewer
   // than merge_bins silent bins.

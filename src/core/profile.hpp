@@ -33,18 +33,17 @@ struct MultipathProfile {
   std::vector<ProfilePeak> peaks;   ///< sorted by delay
 };
 
-struct ProfileOptions {
-  /// Bins whose magnitude is below this fraction of the global maximum are
-  /// treated as silence when clustering.
-  double noise_floor_fraction = 0.05;
-  /// Two clusters closer than this gap (in seconds) merge into one peak —
-  /// L1 often splits one physical path across neighbouring bins.
-  double merge_gap_s = 0.6e-9;
-};
+/// Bins whose magnitude is at or below this fraction of the global maximum
+/// are treated as silence when clustering.
+inline constexpr double kProfileNoiseFloorFraction = 0.05;
+/// Two clusters closer than this gap merge into one peak — L1 often splits
+/// one physical path across neighbouring bins. In bins: the gap over the
+/// grid step, truncated, and at least 1 (a run of that many silent bins
+/// ends a cluster).
+inline constexpr double kProfileMergeGapS = 0.6e-9;
 
 /// Clusters a sparse solution into a peak list.
-MultipathProfile extract_profile(const SparseSolveResult& solution,
-                                 const ProfileOptions& opts = {});
+MultipathProfile extract_profile(const SparseSolveResult& solution);
 
 /// The direct path: earliest peak with amplitude >= threshold * strongest
 /// peak amplitude. Returns nullopt for an empty profile.

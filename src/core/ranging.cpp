@@ -7,14 +7,11 @@
 #include "mathx/constants.hpp"
 #include "mathx/contracts.hpp"
 #include "phy/detection.hpp"
-#include "phy/intel5300.hpp"
 
 namespace chronos::core {
 
 namespace {
 
-/// Clustering of the sparse solution into profile peaks.
-constexpr ProfileOptions kProfile{};
 /// First-peak acceptance threshold relative to the strongest peak.
 constexpr double kFirstPeakThreshold = 0.15;
 /// Matched-filter validation of first-peak candidates: a genuine direct
@@ -49,9 +46,8 @@ std::vector<double> row_frequencies(const std::vector<phy::WifiBand>& bands,
   std::vector<double> freqs;
   freqs.reserve(bands.size());
   for (const auto& b : bands) {
-    const int exponent =
-        combining.quirk_fix ? phy::per_direction_exponent(b) : 1;
-    freqs.push_back(static_cast<double>(exponent) * b.center_freq_hz);
+    freqs.push_back(static_cast<double>(quadrant_exponent(b, combining)) *
+                    b.center_freq_hz);
   }
   return freqs;
 }
@@ -61,8 +57,8 @@ std::vector<double> row_weights(const std::vector<phy::WifiBand>& bands,
   std::vector<double> weights;
   weights.reserve(bands.size());
   for (const auto& b : bands) {
-    const bool quirk_row = combining.quirk_fix && b.is_2_4ghz();
-    weights.push_back(quirk_row ? kQuirkRowWeight : 1.0);
+    weights.push_back(quadrant_exponent(b, combining) != 1 ? kQuirkRowWeight
+                                                           : 1.0);
   }
   return weights;
 }
@@ -79,13 +75,9 @@ RangingPipeline::RangingPipeline(const std::vector<phy::WifiBand>& bands,
 }
 
 RangingPipeline::PreparedSweep RangingPipeline::prepare(
-    const phy::SweepMeasurement& sweep,
-    const CalibrationTable& calibration) const {
-  CHRONOS_EXPECTS(sweep.bands.size() == bands_.size(),
+    const std::vector<CombinedBand>& combined) const {
+  CHRONOS_EXPECTS(combined.size() == bands_.size(),
                   "sweep band count does not match the pipeline");
-
-  const auto combined =
-      combine_sweep(sweep, config_.combining, calibration);
 
   std::vector<std::complex<double>> raw(combined.size());
   double toa_acc = 0.0;
@@ -107,17 +99,24 @@ RangingPipeline::PreparedSweep RangingPipeline::prepare(
 RangingResult RangingPipeline::estimate(
     const phy::SweepMeasurement& sweep,
     const CalibrationTable& calibration) const {
-  // Detection gate, tier 1: screen the sweep before any math touches it.
-  // A rejection is a typed per-request status, never a throw — one hostile
-  // sweep in a batch must not abort its neighbours.
-  if (chronos::Status gate =
-          screen_sweep(sweep, bands_, config_.integrity);
-      !gate.ok()) {
+  // Detection gate before the solve: screen the sweep before any math
+  // touches it, then check direction symmetry on combine's slopes. A
+  // rejection is a typed per-request status carrying nothing else, never a
+  // throw — one hostile sweep in a batch must not abort its neighbours.
+  chronos::Status gate = screen_sweep(sweep, bands_, config_.integrity);
+  std::vector<CombinedBand> combined;
+  if (gate.ok()) {
+    combined = combine_sweep(sweep, config_.combining, calibration);
+    if (config_.integrity.all_checks) {
+      gate = check_slope_symmetry(sweep, combined);
+    }
+  }
+  if (!gate.ok()) {
     RangingResult out;
     out.status = std::move(gate);
     return out;
   }
-  PreparedSweep prep = prepare(sweep, calibration);
+  PreparedSweep prep = prepare(combined);
   SparseSolveResult solution =
       solver_.solve_fista(prep.h, RangingConfig::solver_options);
   return finish(prep, std::move(solution), calibration);
@@ -139,7 +138,7 @@ RangingResult RangingPipeline::finish(const PreparedSweep& prep,
   const double field_snr_db = prep.field_snr_db;
 
   RangingResult out;
-  out.profile = extract_profile(solution, kProfile);
+  out.profile = extract_profile(solution);
   out.delay_axis_scale = delay_axis_scale(config_.combining);
   out.solver_iterations = solution.iterations;
   out.toa_s = prep.toa_s;

@@ -58,9 +58,10 @@ struct RangingConfig {
 /// Diagnostic record of one first-peak candidate (exposed so applications
 /// and benches can audit why a peak was or wasn't chosen as direct path).
 struct PeakCandidate {
-  double delay_s = 0.0;      ///< cluster centroid on the u axis
+  double delay_s = 0.0;  ///< where its local MF maximum lies on the u axis
+  /// Its profile cluster's peak |p| (ToA gate off), else matched_filter.
   double amplitude = 0.0;
-  double matched_filter = 0.0;  ///< cleaned MF response at the centroid
+  double matched_filter = 0.0;  ///< the raw MF value at delay_s
   bool accepted = false;        ///< true for the chosen direct path
 };
 
@@ -110,17 +111,16 @@ class RangingPipeline {
   const NdftSolver& solver() const { return solver_; }
 
  private:
-  /// Everything estimate() derives from the sweep before the solver runs:
-  /// the weighted measurement vector plus the ToA/SNR accumulators the
-  /// peak-selection tail consumes.
+  /// Everything estimate() derives from the combined bands before the
+  /// solver runs: the weighted measurement vector plus the ToA/SNR means
+  /// the peak-selection tail consumes.
   struct PreparedSweep {
     std::vector<std::complex<double>> h;
     double toa_s = 0.0;
     double field_snr_db = 0.0;
   };
 
-  PreparedSweep prepare(const phy::SweepMeasurement& sweep,
-                        const CalibrationTable& calibration) const;
+  PreparedSweep prepare(const std::vector<CombinedBand>& combined) const;
   RangingResult finish(const PreparedSweep& prep, SparseSolveResult solution,
                        const CalibrationTable& calibration) const;
 

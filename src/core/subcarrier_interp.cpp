@@ -55,54 +55,35 @@ const SubcarrierLayout& layout() {
   return l;
 }
 
-/// The unwrapped phases of m's 30 subcarriers.
-SubcarrierRow unwrapped_phases(const phy::CsiMeasurement& m) {
+}  // namespace
+
+InterpolationResult interpolate_to_center(const phy::CsiMeasurement& m) {
+  const SubcarrierLayout& l = layout();
+  // lint:region(no-alloc)  — one pass per capture on fixed-size rows
   SubcarrierRow wrapped{};
   for (std::size_t k = 0; k < kSubcarriers; ++k) {
     wrapped[k] = std::arg(m.values[k]);
   }
   SubcarrierRow phases{};
   mathx::unwrap(wrapped, phases);
-  return phases;
-}
 
-/// The one ToA slope: -slope / 2pi of the least-squares line through the
-/// unwrapped `phases` over the offsets (the unwrapped phase falls by
-/// 2pi * toa per Hz of offset).
-double fit_toa_slope(const SubcarrierRow& phases) {
-  const SubcarrierLayout& l = layout();
-  double sy = 0.0, sxy = 0.0;
+  // The slope fit's data sums and the taps, each accumulated in index order.
+  double sy = 0.0, sxy = 0.0, phase0 = 0.0, mag0 = 0.0;
   for (std::size_t k = 0; k < kSubcarriers; ++k) {
     sy += phases[k];
     sxy += l.x[k] * phases[k];
-  }
-  const auto n = static_cast<double>(kSubcarriers);
-  const double slope = (n * sxy - l.sx * sy) / l.denom;
-  return -slope / mathx::kTwoPi;
-}
-
-}  // namespace
-
-InterpolationResult interpolate_to_center(const phy::CsiMeasurement& m) {
-  const SubcarrierLayout& l = layout();
-  // lint:region(no-alloc)  — one pass per capture on fixed-size rows
-  const SubcarrierRow phases = unwrapped_phases(m);
-  InterpolationResult out;
-  out.toa_slope_s = fit_toa_slope(phases);
-
-  double phase0 = 0.0;
-  double mag0 = 0.0;
-  for (std::size_t k = 0; k < kSubcarriers; ++k) {
     phase0 += l.w[k] * phases[k];
     mag0 += l.w[k] * std::sqrt(std::norm(m.values[k]));
   }
+  // The unwrapped phase falls by 2pi * toa per Hz of offset: the ToA is
+  // -slope / 2pi of the least-squares line through it.
+  const auto n = static_cast<double>(kSubcarriers);
+  const double slope = (n * sxy - l.sx * sy) / l.denom;
+  InterpolationResult out;
+  out.toa_slope_s = -slope / mathx::kTwoPi;
   out.zero_subcarrier = std::polar(std::max(mag0, 0.0), phase0);
   // lint:endregion(no-alloc)
   return out;
-}
-
-double toa_slope(const phy::CsiMeasurement& m) {
-  return fit_toa_slope(unwrapped_phases(m));
 }
 
 }  // namespace chronos::core

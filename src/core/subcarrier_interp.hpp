@@ -15,6 +15,12 @@
 // heap allocation: phase_0 = sum_k w_k phi_k over the unwrapped phases,
 // |h_0| = max(sum_k w_k |h_k|, 0) with |h_k| = sqrt(norm(h_k)). This equals
 // the spline's own evaluation up to rounding.
+//
+// The same pass fits the ToA slope to the unwrapped phases. This is the
+// one per-capture reduction of a range: combine_sweep (core/combining.hpp)
+// calls it once on each direction of every capture, and everything else
+// that reads a capture's slope (the ToA gate, the direction-symmetry
+// check, calibration) reads combine's per-band means.
 #pragma once
 
 #include <complex>
@@ -34,16 +40,10 @@ struct InterpolationResult {
   double toa_slope_s = 0.0;
 };
 
-/// Interpolates one CSI measurement to its zero subcarrier. Every
-/// measurement carries the 30 reported subcarriers by type, so there is no
-/// arity to reject. Allocates nothing (after the first call builds the
-/// taps).
+/// Interpolates one CSI measurement to its zero subcarrier and fits its
+/// ToA slope. Every measurement carries the 30 reported subcarriers by
+/// type, so there is no arity to reject. Allocates nothing (after the
+/// first call builds the taps).
 InterpolationResult interpolate_to_center(const phy::CsiMeasurement& m);
-
-/// The ToA slope alone: interpolate_to_center(m).toa_slope_s bit for bit
-/// (the same unwrap and least-squares fit), without the zero-subcarrier
-/// taps. For callers that read only the slope, like the hostile screen's
-/// direction-symmetry check. Allocates nothing.
-double toa_slope(const phy::CsiMeasurement& m);
 
 }  // namespace chronos::core

@@ -80,8 +80,8 @@ std::vector<chronos::NodeId> SimSweepSource::nodes() const {
 chronos::Result<ResolvedRequest> SimSweepSource::resolve(
     const chronos::RangingRequest& request) const {
   // Failure precedence: tx endpoint fully, then rx — matching
-  // NodeRegistry::validate and TraceSweepSource::resolve, so a client
-  // that pre-validates sees the same code the measurement path reports.
+  // TraceSweepSource::resolve, so both backends report the same code for
+  // the same request.
   chronos::MutexLock lock(nodes_mutex_);
   const auto tx = nodes_.find(request.tx.node);
   if (tx == nodes_.end()) return unknown_node(request.tx.node);

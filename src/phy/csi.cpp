@@ -32,6 +32,12 @@ double CsiMeasurement::frequency_at(std::size_t k) const {
   return band.center_freq_hz + subcarrier_offset_hz(kIndices[k]);
 }
 
+double CsiMeasurement::energy() const {
+  double acc = 0.0;
+  for (const auto& v : values) acc += std::norm(v);
+  return acc;
+}
+
 [[nodiscard]] chronos::Status check_sweep(const SweepMeasurement& sweep) {
   if (sweep.bands.empty()) {
     return {chronos::StatusCode::kMalformedSweep, "sweep contains no bands"};
@@ -49,8 +55,7 @@ double CsiMeasurement::frequency_at(std::size_t k) const {
       // bound comparison of the integrity screen and turns the ToA gate's
       // SNR compensation into NaN, which opens the gate to the whole grid.
       for (const CsiMeasurement* m : {&cap.forward, &cap.reverse}) {
-        double energy = 0.0;
-        for (const auto& v : m->values) energy += std::norm(v);
+        const double energy = m->energy();
         if (!(std::isfinite(energy) && energy > 0.0)) {
           return malformed(i,
                            "capture carries no finite CSI energy (all-zero "

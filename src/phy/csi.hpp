@@ -44,6 +44,12 @@ struct CsiMeasurement {
 
   /// Absolute frequency of the k-th reported subcarrier.
   double frequency_at(std::size_t k) const;
+
+  /// The capture's CSI energy: the sum of |v|^2 over the 30 values, in
+  /// subcarrier order. check_sweep requires it finite and positive; the
+  /// band AGC and the SNR-collapse fault scale by its RMS,
+  /// sqrt(energy() / 30).
+  double energy() const;
 };
 
 /// All CSI collected in one full sweep of the band plan: for each band, one

@@ -22,7 +22,10 @@
 #include <vector>
 
 #include "core/fault_injection.hpp"
+#include "core/integrity.hpp"
+#include "core/ranging.hpp"
 #include "sim/environment.hpp"
+#include "sim/link.hpp"
 #include "sim/radio.hpp"
 
 namespace chronos::core {
@@ -294,9 +297,7 @@ TEST(FaultInjection, ExhaustionWrapsAsRetryExhausted) {
 
 /// RMS magnitude of one capture's subcarrier values.
 double capture_rms(const phy::CsiMeasurement& m) {
-  double acc = 0.0;
-  for (const auto& v : m.values) acc += std::norm(v);
-  return std::sqrt(acc / static_cast<double>(m.values.size()));
+  return std::sqrt(m.energy() / static_cast<double>(m.values.size()));
 }
 
 TEST(FaultInjection, HostileGateRejectsNoiseCarryingHonestMetadata) {
@@ -346,6 +347,48 @@ TEST(FaultInjection, HostileGateRejectsNoiseCarryingHonestMetadata) {
                 chronos::StatusCode::kIntegrityViolation)
           << result.status().message();
     }
+  }
+}
+
+TEST(FaultInjection, SpoofedDelayIsRejectedBeforeTheSolve) {
+  // The direction-symmetry check on its own. With an empty calibration the
+  // ToA gate is off and the post-estimate ToA/ToF check cannot fire, and
+  // the screen passes the spoofed sweep, so only the check between combine
+  // and the solve can reject it. Its rejection carries the status alone:
+  // no solve ran, no profile or candidate was made.
+  const sim::LinkSimConfig link_config = fast_link();
+  const sim::LinkSimulator link(sim::office_20x20(), link_config);
+  mathx::Rng rng(31);
+  const phy::SweepMeasurement honest =
+      link.simulate_sweep(sim::make_mobile({3.0, 4.0}, 41), 0,
+                          sim::make_laptop({11.0, 8.0}, 0.3, 42), 0, rng);
+  mathx::Rng fault_stream(32);
+  const phy::SweepMeasurement spoofed = apply_fault(
+      FaultKind::kSpoofedDelay, honest, FaultProfile{}, fault_stream);
+  ASSERT_TRUE(
+      screen_sweep(spoofed, link_config.bands, IntegrityConfig::hostile())
+          .ok());
+
+  for (const bool two_way : {true, false}) {
+    SCOPED_TRACE(two_way ? "two-way" : "one-way");
+    RangingConfig config;
+    config.combining.two_way = two_way;
+    config.integrity = IntegrityConfig::hostile();
+    const RangingPipeline pipeline(link_config.bands, config);
+
+    const RangingResult clean = pipeline.estimate(honest);
+    EXPECT_TRUE(clean.status.ok()) << clean.status.message();
+    EXPECT_GT(clean.solver_iterations, 0);
+
+    const RangingResult rejected = pipeline.estimate(spoofed);
+    EXPECT_EQ(rejected.status.code(),
+              chronos::StatusCode::kIntegrityViolation)
+        << rejected.status.message();
+    EXPECT_EQ(rejected.solver_iterations, 0);
+    EXPECT_TRUE(rejected.profile.magnitudes.empty());
+    EXPECT_TRUE(rejected.profile.peaks.empty());
+    EXPECT_TRUE(rejected.candidates.empty());
+    EXPECT_FALSE(rejected.peak_found);
   }
 }
 

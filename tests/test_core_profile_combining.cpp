@@ -4,6 +4,7 @@
 
 #include "core/combining.hpp"
 #include "core/profile.hpp"
+#include "core/subcarrier_interp.hpp"
 #include "mathx/constants.hpp"
 #include "mathx/unwrap.hpp"
 #include "phy/band_plan.hpp"
@@ -13,39 +14,49 @@ namespace {
 
 using mathx::kTwoPi;
 
-SparseSolveResult make_solution(const std::vector<double>& mags) {
+SparseSolveResult make_solution(const std::vector<double>& mags,
+                                double step_s = 1e-9) {
   SparseSolveResult s;
-  s.grid = {0.0, static_cast<double>(mags.size() - 1) * 1e-9, 1e-9};
+  s.grid = {0.0, static_cast<double>(mags.size() - 1) * step_s, step_s};
   for (double m : mags) s.coefficients.push_back({m, 0.0});
   return s;
 }
 
 TEST(Profile, ExtractsIsolatedClusters) {
-  const auto sol = make_solution({0, 0, 1.0, 0.9, 0, 0, 0, 0, 0, 0.5, 0, 0});
-  ProfileOptions opts;
-  opts.merge_gap_s = 0.5e-9;  // 1 bin gap does not merge
-  const auto prof = extract_profile(sol, opts);
+  // On a 1 ns grid the 0.6 ns merge gap is under one bin, so the floor of
+  // one bin holds: a single silent bin ends a cluster.
+  static_assert(kProfileMergeGapS < 1e-9);
+  const auto sol = make_solution({0, 0, 1.0, 0.9, 0, 0.5, 0, 0, 0, 0, 0, 0});
+  const auto prof = extract_profile(sol);
   ASSERT_EQ(prof.peaks.size(), 2u);
   EXPECT_NEAR(prof.peaks[0].delay_s, 2.47e-9, 0.1e-9);  // centroid of 2,3
   EXPECT_NEAR(prof.peaks[0].amplitude, 1.0, 1e-12);
-  EXPECT_NEAR(prof.peaks[1].delay_s, 9e-9, 1e-12);
+  EXPECT_NEAR(prof.peaks[1].delay_s, 5e-9, 1e-12);
 }
 
 TEST(Profile, MergeGapJoinsNearbyClusters) {
-  const auto sol = make_solution({0, 1.0, 0, 0.8, 0, 0, 0, 0, 0, 0, 0, 0});
-  ProfileOptions opts;
-  opts.merge_gap_s = 2.5e-9;  // gaps of up to 2 bins merge
-  const auto prof = extract_profile(sol, opts);
-  ASSERT_EQ(prof.peaks.size(), 1u);
-  EXPECT_EQ(prof.peaks[0].first_bin, 1u);
-  EXPECT_EQ(prof.peaks[0].last_bin, 3u);
+  // On a 0.25 ns grid the 0.6 ns merge gap truncates to 2 bins: a single
+  // silent bin merges two clusters, two silent bins split them.
+  constexpr double kStep = 0.25e-9;
+  static_assert(kProfileMergeGapS / kStep >= 2.0 &&
+                kProfileMergeGapS / kStep < 3.0);
+  const auto merged = extract_profile(
+      make_solution({0, 1.0, 0, 0.8, 0, 0, 0, 0, 0, 0, 0, 0}, kStep));
+  ASSERT_EQ(merged.peaks.size(), 1u);
+  EXPECT_EQ(merged.peaks[0].first_bin, 1u);
+  EXPECT_EQ(merged.peaks[0].last_bin, 3u);
+  const auto split = extract_profile(
+      make_solution({0, 1.0, 0, 0, 0.8, 0, 0, 0, 0, 0, 0, 0}, kStep));
+  ASSERT_EQ(split.peaks.size(), 2u);
+  EXPECT_EQ(split.peaks[0].last_bin, 1u);
+  EXPECT_EQ(split.peaks[1].first_bin, 4u);
 }
 
 TEST(Profile, NoiseFloorSuppressesWeakBins) {
+  // 0.001 and 0.002 lie below the 5% floor of the 1.0 maximum.
+  static_assert(kProfileNoiseFloorFraction > 0.002);
   const auto sol = make_solution({0.001, 0, 1.0, 0, 0.002, 0, 0, 0, 0, 0});
-  ProfileOptions opts;
-  opts.noise_floor_fraction = 0.05;
-  const auto prof = extract_profile(sol, opts);
+  const auto prof = extract_profile(sol);
   ASSERT_EQ(prof.peaks.size(), 1u);
 }
 
@@ -139,10 +150,47 @@ TEST(Combining, QuirkFixSetsExponentAndRowFrequency) {
   const auto combined = combine_sweep(sweep, cfg);
   ASSERT_EQ(combined.size(), 2u);
   // Band order: channel 36 (5 GHz) then channel 1 (2.4 GHz).
-  EXPECT_EQ(combined[0].direction_exponent, 1);
+  EXPECT_EQ(quadrant_exponent(combined[0].band, cfg), 1);
   EXPECT_DOUBLE_EQ(combined[0].row_freq_hz, 5.18e9);
-  EXPECT_EQ(combined[1].direction_exponent, 4);
+  EXPECT_EQ(quadrant_exponent(combined[1].band, cfg), 4);
   EXPECT_DOUBLE_EQ(combined[1].row_freq_hz, 4.0 * 2.412e9);
+  // Without the fix every band keeps exponent 1 and its own frequency.
+  cfg.quirk_fix = false;
+  const auto plain = combine_sweep(sweep, cfg);
+  EXPECT_EQ(quadrant_exponent(plain[1].band, cfg), 1);
+  EXPECT_DOUBLE_EQ(plain[1].row_freq_hz, 2.412e9);
+}
+
+TEST(Combining, KeepsEachDirectionsMeanToaSlope) {
+  // Two exchanges per band, the first with 30 ns more delay on its reverse
+  // capture: each band keeps the per-capture mean slope of each direction,
+  // whether or not the reverse value multiplies in.
+  auto sweep = two_band_sweep(5e-9, 0.4, -0.2);
+  const auto late = two_band_sweep(35e-9, 0.4, -0.2);
+  const auto second = two_band_sweep(7e-9, 1.0, 0.5);
+  for (std::size_t b = 0; b < sweep.bands.size(); ++b) {
+    sweep.bands[b][0].reverse = late.bands[b][0].reverse;
+    sweep.bands[b].push_back(second.bands[b][0]);
+  }
+  for (const bool two_way : {true, false}) {
+    SCOPED_TRACE(two_way);
+    CombiningConfig cfg;
+    cfg.two_way = two_way;
+    const auto combined = combine_sweep(sweep, cfg);
+    ASSERT_EQ(combined.size(), sweep.bands.size());
+    for (std::size_t b = 0; b < combined.size(); ++b) {
+      double fwd = 0.0;
+      double rev = 0.0;
+      for (const auto& cap : sweep.bands[b]) {
+        fwd += interpolate_to_center(cap.forward).toa_slope_s;
+        rev += interpolate_to_center(cap.reverse).toa_slope_s;
+      }
+      EXPECT_EQ(combined[b].toa_slope_s, fwd / 2.0);
+      EXPECT_EQ(combined[b].reverse_toa_slope_s, rev / 2.0);
+      EXPECT_NEAR(combined[b].toa_slope_s, 6e-9, 1e-12);
+      EXPECT_NEAR(combined[b].reverse_toa_slope_s, 21e-9, 1e-12);
+    }
+  }
 }
 
 TEST(Combining, CombinedPhaseMatchesRowFrequencyModel) {
