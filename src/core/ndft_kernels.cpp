@@ -18,16 +18,16 @@
 #define CHRONOS_RESTRICT
 #endif
 
-// Run-time ISA dispatch for the two m-wide gradient kernels (adjoint and
-// Toeplitz scatter). Each keeps one loop body, force-inlined into its
+// Run-time ISA dispatch for the gradient kernels (adjoint, Toeplitz scatter
+// and forward product). Each keeps one loop body, force-inlined into its
 // NdftPlan method (the baseline variant) and, on x86 GNU-compatible
 // compilers, into a wrapper compiled for AVX2; a process-wide flag read
 // from the CPU picks the variant. target("avx2") does not enable FMA and
-// the loops vectorise across independent output columns, so both variants
-// produce the same bits. The explicit wrapper replaces target_clones on
-// purpose: its ifunc resolver runs before the ThreadSanitizer runtime is
-// up (a crash before main under -fsanitize=thread), and ifunc does not
-// exist on musl or macOS.
+// the loops vectorise across independent outputs (columns, or rows for the
+// forward product), so both variants produce the same bits. The explicit
+// wrapper replaces target_clones on purpose: its ifunc resolver runs
+// before the ThreadSanitizer runtime is up (a crash before main under
+// -fsanitize=thread), and ifunc does not exist on musl or macOS.
 #if (defined(__GNUC__) || defined(__clang__)) && \
     (defined(__x86_64__) || defined(__i386__))
 #define CHRONOS_KERNEL_AVX2 1
@@ -120,6 +120,51 @@ CHRONOS_KERNEL_BODY void adjoint_body(const double* re, const double* im,
   // lint:endregion(no-alloc)
 }
 
+/// The forward product's row block: the four doubles of one AVX2 vector.
+/// The column-major planes pad each column's rows to a multiple of it.
+constexpr std::size_t kRowLanes = 4;
+
+/// out = F p over the `count` listed columns (ascending), from the
+/// column-major planes (column c's n_pad rows at c * n_pad, rows n and up
+/// zero). out_re/out_im are length n.
+CHRONOS_KERNEL_BODY void forward_body(const double* col_re,
+                                      const double* col_im, std::size_t n,
+                                      std::size_t n_pad,
+                                      const std::uint32_t* cols,
+                                      std::size_t count, const double* p_re,
+                                      const double* p_im,
+                                      double* CHRONOS_RESTRICT out_re,
+                                      double* CHRONOS_RESTRICT out_im) {
+  // lint:region(no-alloc)
+  // Each block of kRowLanes rows keeps its accumulators over the whole
+  // column list: every row adds one product per column, from +0.0, in
+  // ascending column order (the legacy complex matvec's sequence), while
+  // the block's rows run side by side in one vector. Skipped columns hold
+  // exact zeros, whose products (+-0.0) would leave an accumulator
+  // bit-unchanged anyway. The padding rows are computed and dropped.
+  for (std::size_t r0 = 0; r0 < n_pad; r0 += kRowLanes) {
+    double acc_re[kRowLanes] = {};
+    double acc_im[kRowLanes] = {};
+    for (std::size_t j = 0; j < count; ++j) {
+      const std::size_t c = cols[j];
+      const double pr = p_re[c];
+      const double pi = p_im[c];
+      const double* CHRONOS_RESTRICT fr = col_re + c * n_pad + r0;
+      const double* CHRONOS_RESTRICT fi = col_im + c * n_pad + r0;
+      for (std::size_t l = 0; l < kRowLanes; ++l) {
+        acc_re[l] += fr[l] * pr - fi[l] * pi;
+        acc_im[l] += fr[l] * pi + fi[l] * pr;
+      }
+    }
+    const std::size_t live = std::min(kRowLanes, n - r0);
+    for (std::size_t l = 0; l < live; ++l) {
+      out_re[r0 + l] = acc_re[l];
+      out_im[r0 + l] = acc_im[l];
+    }
+  }
+  // lint:endregion(no-alloc)
+}
+
 /// g[c] += sum over four active columns j of y_j * T_{c,j}, the four
 /// addends applied in active order: one read/modify/write of g per four
 /// columns. The pointers are parameters so that their restrict holds for
@@ -200,6 +245,14 @@ CHRONOS_KERNEL_BODY void scatter_body(
 }
 
 #if CHRONOS_KERNEL_AVX2
+[[gnu::target("avx2")]] void forward_avx2(
+    const double* col_re, const double* col_im, std::size_t n,
+    std::size_t n_pad, const std::uint32_t* cols, std::size_t count,
+    const double* p_re, const double* p_im, double* out_re, double* out_im) {
+  forward_body(col_re, col_im, n, n_pad, cols, count, p_re, p_im, out_re,
+               out_im);
+}
+
 [[gnu::target("avx2")]] void adjoint_avx2(
     const double* re, const double* im, std::size_t n, std::size_t m,
     const ColumnRun* runs, std::size_t run_count, const double* x_re,
@@ -217,6 +270,23 @@ CHRONOS_KERNEL_BODY void scatter_body(
 }
 #endif
 
+/// out = F^H x over row-major planes (n x m) on the columns of `runs`, in
+/// the variant the CPU picks.
+void adjoint_kernel(const double* re, const double* im, std::size_t n,
+                    std::size_t m, std::span<const ColumnRun> runs,
+                    const double* x_re, const double* x_im, double* out_re,
+                    double* out_im) {
+#if CHRONOS_KERNEL_AVX2
+  if (cpu_has_avx2()) {
+    adjoint_avx2(re, im, n, m, runs.data(), runs.size(), x_re, x_im, out_re,
+                 out_im);
+    return;
+  }
+#endif
+  adjoint_body(re, im, n, m, runs.data(), runs.size(), x_re, x_im, out_re,
+               out_im);
+}
+
 }  // namespace
 
 const char* NdftPlan::kernel_variant() {
@@ -224,7 +294,9 @@ const char* NdftPlan::kernel_variant() {
 }
 
 std::size_t DelayGrid::size() const {
-  CHRONOS_EXPECTS(max_s > min_s && step_s > 0.0, "bad delay grid");
+  CHRONOS_EXPECTS(std::isfinite(min_s) && std::isfinite(max_s) &&
+                      max_s > min_s && step_s > 0.0,
+                  "bad delay grid");
   // (max-min)/step can land just below the true quotient when the span is an
   // exact multiple of the step (150e-9 / 0.125e-9 evaluates to 1199.99...98),
   // silently dropping the end point. A relative epsilon nudge keeps grids
@@ -233,6 +305,12 @@ std::size_t DelayGrid::size() const {
   const double q = (max_s - min_s) / step_s;
   const double nudged =
       q * (1.0 + 4.0 * std::numeric_limits<double>::epsilon());
+  // Converting a double that does not fit std::size_t is undefined (an
+  // infinite span or a 1e-300 step would reach the cast), so the cap is
+  // checked on the double. GCC's -fsanitize=undefined leaves this
+  // conversion unchecked; it takes -fsanitize=float-cast-overflow.
+  CHRONOS_EXPECTS(nudged < static_cast<double>(kMaxColumns),
+                  "delay grid has more than DelayGrid::kMaxColumns columns");
   return static_cast<std::size_t>(nudged) + 1;
 }
 
@@ -263,6 +341,15 @@ void NdftWorkspace::bind(std::size_t rows, std::size_t cols) {
   // outside every run, so there are at most (cols + 1) / 2 of them.
   work.reserve((cols + 1) / 2);
   work.assign(1, ColumnRun{0, static_cast<std::uint32_t>(cols)});
+  // The pack holds at most every column; reserved, not sized, so only the
+  // pages a pack writes are touched.
+  pack_re.reserve(rows * cols);
+  pack_im.reserve(rows * cols);
+  pack_grad_re.resize(cols);
+  pack_grad_im.resize(cols);
+  pack_runs.reserve((cols + 1) / 2);
+  pack_runs.clear();
+  pack_plan = nullptr;
 }
 
 NdftPlan::NdftPlan(std::vector<double> row_freqs_hz, DelayGrid grid,
@@ -311,6 +398,16 @@ NdftPlan::NdftPlan(std::vector<double> row_freqs_hz, DelayGrid grid,
   for (std::size_t i = 0; i < flat.size(); ++i) {
     re_[i] = flat[i].real();
     im_[i] = flat[i].imag();
+  }
+  // And so do the column-major planes, whose padding rows stay zero.
+  n_pad_ = (n_ + kRowLanes - 1) / kRowLanes * kRowLanes;
+  col_re_.assign(m_ * n_pad_, 0.0);
+  col_im_.assign(m_ * n_pad_, 0.0);
+  for (std::size_t i = 0; i < n_; ++i) {
+    for (std::size_t k = 0; k < m_; ++k) {
+      col_re_[k * n_pad_ + i] = re_[i * m_ + k];
+      col_im_[k * n_pad_ + i] = im_[i * m_ + k];
+    }
   }
   // The fixed-seed power iteration makes gamma a pure function of the key,
   // which is what lets cached plans reproduce uncached numerics exactly.
@@ -403,10 +500,11 @@ struct PlanCacheEntry {
   std::shared_ptr<const NdftPlan> plan;
 };
 
-/// Oldest-entry eviction bound. A plan stores the matrix twice (dense
-/// complex for the matrix() API and OMP, SoA planes for the kernels):
-/// 2*n*m*16 bytes, ~1.3 MB for the default ranging grid (35 x 1201) and
-/// ~4.5 MB for the widest DelayGrid default (400 ns / 0.1 ns). 32 entries
+/// Oldest-entry eviction bound. A plan stores the matrix three times (dense
+/// complex for the matrix() API and OMP, row-major planes for the adjoint,
+/// column-major planes padded to four rows for the forward product): about
+/// 3*n*m*16 bytes, ~2 MB for the default ranging grid (35 x 1201) and
+/// ~6.8 MB for the widest DelayGrid default (400 ns / 0.1 ns). 32 entries
 /// comfortably covers every distinct (band plan, grid, weights) combination
 /// a process mixes in practice while bounding worst-case retention.
 constexpr std::size_t kPlanCacheMax = 32;
@@ -507,28 +605,15 @@ void NdftPlan::clear_cache() {
 void NdftPlan::forward_active(const double* p_re, const double* p_im,
                               std::span<const std::uint32_t> cols,
                               double* out_re, double* out_im) const {
-  const std::size_t m = m_;
-  // lint:region(no-alloc)
-  for (std::size_t r = 0; r < n_; ++r) {
-    const double* fr = re_.data() + r * m;
-    const double* fi = im_.data() + r * m;
-    double acc_re = 0.0;
-    double acc_im = 0.0;
-    // Per-element complex product then accumulation, in column order: the
-    // exact operation sequence of the legacy complex matvec. Skipped
-    // columns hold exact zeros, whose contribution (w*0 = +0.0) leaves the
-    // accumulator bit-unchanged — so this matches the dense matvec
-    // bit-for-bit as long as `cols` is ascending.
-    for (const std::uint32_t c : cols) {
-      const double tr = fr[c] * p_re[c] - fi[c] * p_im[c];
-      const double ti = fr[c] * p_im[c] + fi[c] * p_re[c];
-      acc_re += tr;
-      acc_im += ti;
-    }
-    out_re[r] = acc_re;
-    out_im[r] = acc_im;
+#if CHRONOS_KERNEL_AVX2
+  if (cpu_has_avx2()) {
+    forward_avx2(col_re_.data(), col_im_.data(), n_, n_pad_, cols.data(),
+                 cols.size(), p_re, p_im, out_re, out_im);
+    return;
   }
-  // lint:endregion(no-alloc)
+#endif
+  forward_body(col_re_.data(), col_im_.data(), n_, n_pad_, cols.data(),
+               cols.size(), p_re, p_im, out_re, out_im);
 }
 
 void NdftPlan::adjoint(const double* x_re, const double* x_im,
@@ -540,15 +625,8 @@ void NdftPlan::adjoint(const double* x_re, const double* x_im,
 void NdftPlan::adjoint(const double* x_re, const double* x_im,
                        std::span<const ColumnRun> runs, double* out_re,
                        double* out_im) const {
-#if CHRONOS_KERNEL_AVX2
-  if (cpu_has_avx2()) {
-    adjoint_avx2(re_.data(), im_.data(), n_, m_, runs.data(), runs.size(),
-                 x_re, x_im, out_re, out_im);
-    return;
-  }
-#endif
-  adjoint_body(re_.data(), im_.data(), n_, m_, runs.data(), runs.size(), x_re,
-               x_im, out_re, out_im);
+  adjoint_kernel(re_.data(), im_.data(), n_, m_, runs, x_re, x_im, out_re,
+                 out_im);
 }
 
 void NdftPlan::gradient(const double* p_re, const double* p_im,
@@ -558,8 +636,51 @@ void NdftPlan::gradient(const double* p_re, const double* p_im,
     ws.fp_re[r] -= ws.h_re[r];
     ws.fp_im[r] -= ws.h_im[r];
   }
-  adjoint(ws.fp_re.data(), ws.fp_im.data(), ws.work, ws.grad_re.data(),
-          ws.grad_im.data());
+  if (ws.work.size() <= 1) {
+    adjoint(ws.fp_re.data(), ws.fp_im.data(), ws.work, ws.grad_re.data(),
+            ws.grad_im.data());
+    return;
+  }
+  // lint:region(no-alloc)
+  // Several runs (about 30 of a few columns each on office channels): the
+  // adjoint walks their columns packed as one run, so its vector loop
+  // runs long. W changes only when a gap check rebuilds it, so the pack is
+  // rebuilt only when ws.work differs from the runs it holds.
+  if (ws.pack_plan != this || ws.pack_runs != ws.work) {
+    std::size_t w = 0;
+    for (const ColumnRun run : ws.work) w += run.hi - run.lo;
+    // lint:allow(no-alloc): bind() reserves rows x cols for the pack
+    ws.pack_re.resize(n_ * w);
+    // lint:allow(no-alloc): bind() reserves rows x cols for the pack
+    ws.pack_im.resize(n_ * w);
+    for (std::size_t r = 0; r < n_; ++r) {
+      double* dst_re = ws.pack_re.data() + r * w;
+      double* dst_im = ws.pack_im.data() + r * w;
+      for (const ColumnRun run : ws.work) {
+        dst_re = std::copy(re_.data() + r * m_ + run.lo,
+                           re_.data() + r * m_ + run.hi, dst_re);
+        dst_im = std::copy(im_.data() + r * m_ + run.lo,
+                           im_.data() + r * m_ + run.hi, dst_im);
+      }
+    }
+    // Copy-assigned within the capacity bind() reserves: no reallocation.
+    ws.pack_runs = ws.work;
+    ws.pack_plan = this;
+  }
+  const std::size_t w = ws.pack_re.size() / n_;
+  const ColumnRun packed{0, static_cast<std::uint32_t>(w)};
+  adjoint_kernel(ws.pack_re.data(), ws.pack_im.data(), n_, w,
+                 std::span<const ColumnRun>(&packed, 1), ws.fp_re.data(),
+                 ws.fp_im.data(), ws.pack_grad_re.data(),
+                 ws.pack_grad_im.data());
+  std::size_t j = 0;
+  for (const ColumnRun run : ws.work) {
+    const std::size_t len = run.hi - run.lo;
+    std::copy_n(ws.pack_grad_re.data() + j, len, ws.grad_re.data() + run.lo);
+    std::copy_n(ws.pack_grad_im.data() + j, len, ws.grad_im.data() + run.lo);
+    j += len;
+  }
+  // lint:endregion(no-alloc)
 }
 
 double NdftPlan::matched_filter(std::span<const std::complex<double>> h,

@@ -7,13 +7,17 @@
 // precomputed structure those operations exploit:
 //
 //  * NdftPlan — the immutable per-(row freqs, grid, weights) precomputation:
-//    the Fourier matrix stored BOTH as the legacy dense complex matrix (kept
-//    for the public NdftSolver::matrix() API and the OMP atom algebra) and as
-//    split-complex SoA planes (separate real/imag row-major arrays) whose
-//    plain double loops auto-vectorize, plus the power-iteration step size
-//    gamma = 1/||F||_2^2. Plans are shared through a process-wide cache so
-//    repeated pipeline construction (fleet scenarios, benches, tests) pays
-//    the O(n*m) build and the spectral-norm iteration once.
+//    the Fourier matrix held in three layouts, each for the reader it
+//    serves: the legacy dense complex matrix (the public
+//    NdftSolver::matrix() API and the OMP atom algebra); split-complex
+//    row-major planes (separate real/imag arrays, row r's m entries
+//    contiguous), which the adjoint reads across columns; and
+//    split-complex column-major planes (column c's rows contiguous, padded
+//    with zero rows to a multiple of the four-double vector width), which
+//    the forward product reads across rows. Plus the power-iteration step
+//    size gamma = 1/||F||_2^2. Plans are shared through a process-wide
+//    cache so repeated pipeline construction (fleet scenarios, benches,
+//    tests) pays the O(n*m) build and the spectral-norm iteration once.
 //  * NdftWorkspace — scratch sized for one plan (the solvers keep one per
 //    thread), so the ISTA/FISTA iteration loops run with zero heap
 //    allocations.
@@ -29,23 +33,30 @@
 //
 // Numerical contract: the split-complex kernels reproduce the legacy
 // mathx::Matrix path bit-for-bit on dense inputs (identical operation order
-// per component), and the active-set forward skips only columns whose
-// coefficient is exactly zero — so it is bit-identical too. The two m-wide
-// gradient kernels (adjoint and Toeplitz scatter) have per-ISA variants,
-// baseline and AVX2, picked once per process from the CPU
-// (NdftPlan::kernel_variant): they are bit-identical because they use no
-// FMA and no cross-lane reduction — each lane computes its own output
-// column with the baseline's operations in the baseline's order. Both
-// also run over a list of column runs (the solver's working set): no
-// column's operation sequence depends on which runs are listed, so a
-// run-restricted product equals the full product bit for bit on every
-// listed column, and the full product is simply the one-run case. The
-// recurrence scans differ from per-point evaluation at the ~1e-13 relative
-// level over bench-length scans, and the Toeplitz scatter gradient agrees
-// with the dense fused gradient to ~1e-13 relative (solver iterates stay
-// within 1e-12 of the dense path). tests/test_core_ndft_kernels.cpp pins
-// all of this, the dense-mode solves, the scatter and the run-restricted
-// kernels bitwise.
+// per component). The active-set forward product runs vectorised across
+// rows on the column-major planes, yet each row still sums its column
+// products one by one in ascending column order from +0.0, as the complex
+// matvec does; it skips only columns whose coefficient is exactly zero,
+// and the padding rows are never written out — so it is bit-identical
+// too. The three m-wide or row-wide kernels (adjoint, Toeplitz scatter and
+// forward product) have per-ISA variants, baseline and AVX2, picked once
+// per process from the CPU (NdftPlan::kernel_variant): they are
+// bit-identical because they use no FMA and no cross-lane reduction — each
+// lane computes its own output with the baseline's operations in the
+// baseline's order. The adjoint and the scatter also run over a list of
+// column runs (the solver's working set): no column's operation sequence
+// depends on which runs are listed, so a run-restricted product equals the
+// full product bit for bit on every listed column, and the full product is
+// simply the one-run case. The dense gradient on a working set of several
+// runs packs those columns of the row-major planes into the workspace and
+// runs the same adjoint on the pack as one run, which by the same argument
+// gives the same bits. The recurrence scans differ from per-point
+// evaluation at the ~1e-13 relative level over bench-length scans, and the
+// Toeplitz scatter gradient agrees with the dense fused gradient to ~1e-13
+// relative (solver iterates stay within 1e-12 of the dense path).
+// tests/test_core_ndft_kernels.cpp pins all of this, the dense-mode
+// solves, the forward product, the scatter, the packed working set and
+// the run-restricted kernels bitwise.
 #pragma once
 
 #include <complex>
@@ -62,10 +73,18 @@ namespace chronos::core {
 /// Uniform grid of candidate delays for the recovered profile. For two-way
 /// combined channels the axis is u = 2*tau (first peak at twice the ToF).
 struct DelayGrid {
+  /// The most columns a grid may have: about 16x the widest grid the repo
+  /// builds (the 0-400 ns / 0.1 ns default, 4001 columns). A plan holds
+  /// rows x columns complex entries in each of its three layouts, and a
+  /// workspace reserves rows x columns more for its packed working set.
+  static constexpr std::size_t kMaxColumns = std::size_t{1} << 16;
+
   double min_s = 0.0;
   double max_s = 400e-9;
   double step_s = 0.1e-9;
 
+  /// The column count floor((max - min) / step) + 1. Requires finite
+  /// bounds with max > min, step > 0, and at most kMaxColumns columns.
   std::size_t size() const;
   double delay_at(std::size_t i) const;
 };
@@ -74,7 +93,11 @@ struct DelayGrid {
 struct ColumnRun {
   std::uint32_t lo = 0;
   std::uint32_t hi = 0;
+
+  friend bool operator==(const ColumnRun&, const ColumnRun&) = default;
 };
+
+class NdftPlan;
 
 /// Scratch for the allocation-free solver loops; the solvers keep one per
 /// thread, and the kernels below read and write the one they are given.
@@ -105,6 +128,19 @@ struct NdftWorkspace {
   // compute and the solvers' proximal step updates. bind() resets it to
   // one run over every column.
   std::vector<ColumnRun> work;
+  // The packed working set of the dense gradient (NdftPlan::gradient):
+  // the columns of pack_runs, taken from pack_plan's row-major planes and
+  // stored row-major (n x |W|, row r's |W| entries contiguous), so the
+  // adjoint reads them as one run; pack_grad holds the adjoint on them
+  // (|W|) until it is written back to grad at W's columns. The gradient
+  // rebuilds the pack whenever ws.work or the plan differs from what it
+  // was packed from, whether a gap check or a caller changed ws.work;
+  // bind() empties it. bind() reserves n x m per plane, so a pack never
+  // reallocates.
+  std::vector<double> pack_re, pack_im;
+  std::vector<double> pack_grad_re, pack_grad_im;
+  std::vector<ColumnRun> pack_runs;
+  const NdftPlan* pack_plan = nullptr;
 
   void bind(std::size_t rows, std::size_t cols);
 };
@@ -132,10 +168,10 @@ class NdftPlan {
   static std::size_t cache_size();
   static void clear_cache();
 
-  /// The variant of the adjoint and Toeplitz-scatter kernels this process
-  /// runs: "avx2" on an x86 CPU with AVX2 under a GNU-compatible compiler,
-  /// "baseline" otherwise. Fixed for the process; every variant produces
-  /// the same bits.
+  /// The variant of the adjoint, Toeplitz-scatter and forward kernels this
+  /// process runs: "avx2" on an x86 CPU with AVX2 under a GNU-compatible
+  /// compiler, "baseline" otherwise. Fixed for the process; every variant
+  /// produces the same bits.
   static const char* kernel_variant();
 
   std::size_t rows() const { return n_; }
@@ -177,8 +213,10 @@ class NdftPlan {
                                  NdftWorkspace& ws) const;
 
   /// out = F p walking only the listed columns (ascending); out_re/out_im
-  /// are length rows(). Bit-identical to the dense complex matvec when every
-  /// column absent from `cols` holds an exact zero.
+  /// are length rows(). Reads the column-major planes, vectorised across
+  /// rows; each row sums its column products in the order listed.
+  /// Bit-identical to the dense complex matvec when every column absent
+  /// from `cols` holds an exact zero.
   void forward_active(const double* p_re, const double* p_im,
                       std::span<const std::uint32_t> cols, double* out_re,
                       double* out_im) const;
@@ -194,8 +232,12 @@ class NdftPlan {
 
   /// Fused gradient of the data term: ws.grad = F^H (F p - h), with the
   /// forward product restricted to ws.active (p's nonzero columns) and the
-  /// adjoint to the columns of ws.work. Uses ws.fp for the residual;
-  /// ws.h must hold the split measurement.
+  /// adjoint to the columns of ws.work (other grad entries are left as
+  /// they were). Uses ws.fp for the residual; ws.h must hold the split
+  /// measurement. A working set of one run is contiguous in the plan's
+  /// planes already; one of several runs is packed into ws.pack_re and
+  /// ws.pack_im (repacked only when ws.work or the plan has changed) and
+  /// the adjoint runs on the pack.
   void gradient(const double* p_re, const double* p_im,
                 NdftWorkspace& ws) const;
 
@@ -221,8 +263,13 @@ class NdftPlan {
   DelayGrid grid_;
   std::size_t n_ = 0;
   std::size_t m_ = 0;
-  // Split-complex row-major planes of F (n_ x m_ each).
+  // Split-complex row-major planes of F (n_ x m_ each): the adjoint's.
   std::vector<double> re_, im_;
+  // Split-complex column-major planes of F (m_ x n_pad_ each, column c's
+  // rows at c * n_pad_; rows n_ .. n_pad_ - 1 hold zeros): the forward
+  // product's.
+  std::size_t n_pad_ = 0;
+  std::vector<double> col_re_, col_im_;
   // Legacy dense representation (public matrix() API, OMP atom algebra).
   mathx::ComplexMatrix f_;
   double gamma_ = 0.0;

@@ -14,13 +14,17 @@
 //  * every solver entry point reports a duality gap that an independent
 //    dense recomputation agrees with to 1e-9, and converges exactly when
 //    that gap is within the tolerance;
+//  * the forward product equals the complex matvec bit for bit at every
+//    row count (1 to more than 64 rows, padded or not) and column list;
 //  * the Toeplitz scatter equals an in-order accumulation of its kernel
 //    windows bit for bit, and the run-restricted scatter, adjoint and
-//    dense gradient equal the full ones bit for bit on every run column;
+//    dense gradient equal the full ones bit for bit on every run column,
+//    also when the dense gradient's packed working set must follow a
+//    working set that changed;
 //  * the solver iteration loops allocate nothing per iteration (counting
 //    global operator new);
 //  * the NdftPlan cache shares plans by key, and DelayGrid::size() is
-//    robust at exact step multiples.
+//    robust at exact step multiples and refuses unbounded grids.
 // The references here carry no per-function target (x86-64 baseline in
 // the default build), so on an AVX2 host the bitwise checks compare the
 // AVX2 kernel variants (NdftPlan::kernel_variant) against baseline
@@ -34,6 +38,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <new>
 #include <numeric>
@@ -465,6 +470,34 @@ TEST(DelayGridBoundary, LastDelayMatchesMaxForExactMultiples) {
   EXPECT_NEAR(g.delay_at(g.size() - 1), g.max_s, 1e-18);
 }
 
+TEST(DelayGridBoundary, RejectsUnboundedGrids) {
+  // Unchecked, each of these reaches the cast of an out-of-range quotient
+  // to std::size_t, which is undefined.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const DelayGrid unbounded[] = {
+      {0.0, kInf, 1e-10},    {-kInf, 0.0, 1e-10}, {-kInf, kInf, 1e-10},
+      {kNan, 1e-9, 1e-10},   {0.0, kNan, 1e-10},  {0.0, 1e-9, kNan},
+      {0.0, 1e-9, 1e-300},   // 1e291 columns
+      {-1e308, 1e308, 1.0},  // the span overflows to inf
+  };
+  for (const DelayGrid& g : unbounded) {
+    EXPECT_THROW((void)g.size(), std::invalid_argument)
+        << "[" << g.min_s << ", " << g.max_s << "] step " << g.step_s;
+  }
+  // A plan refuses such a grid before it allocates anything.
+  EXPECT_THROW(NdftPlan(plan_frequencies(), {0.0, kInf, 1e-10}, {}),
+               std::invalid_argument);
+
+  // The cap: kMaxColumns columns pass, one more does not, and the widest
+  // grid the repo builds sits below it.
+  const auto cap = static_cast<double>(DelayGrid::kMaxColumns);
+  EXPECT_EQ((DelayGrid{0.0, cap - 1.0, 1.0}).size(), DelayGrid::kMaxColumns);
+  EXPECT_THROW((void)(DelayGrid{0.0, cap, 1.0}).size(),
+               std::invalid_argument);
+  EXPECT_LT((DelayGrid{0.0, 400e-9, 0.1e-9}).size(), DelayGrid::kMaxColumns);
+}
+
 // ---- Kernel equivalence --------------------------------------------------
 
 TEST(NdftKernels, ForwardAdjointGradientMatchDensePath) {
@@ -539,6 +572,54 @@ TEST(NdftKernels, ForwardAdjointGradientMatchDensePath) {
       grad[k] = {ws.grad_re[k], ws.grad_im[k]};
     }
     EXPECT_LE(max_rel_err(grad, grad_ref), 1e-12);
+  }
+}
+
+TEST(NdftKernels, ForwardActiveMatchesMatvecBitwiseAtEveryRowCount) {
+  // The forward product runs on column-major planes padded to four rows.
+  // Row counts below, at and across that padding, and past 64 rows; column
+  // lists from none to all. Columns off the list hold exact zeros, so the
+  // complex matvec over every column is the bitwise reference.
+  mathx::Rng rng(1414);
+  const DelayGrid grid{0.0, 40e-9, 0.5e-9};  // 81 columns
+  const double sentinel = 1234.5678;
+  for (const std::size_t rows : {1u, 2u, 3u, 5u, 33u, 35u, 70u}) {
+    std::vector<double> freqs(rows);
+    for (double& f : freqs) f = rng.uniform(2.4e9, 5.9e9);
+    const NdftPlan plan(freqs, grid, random_weights(rng, rows));
+    const std::size_t m = plan.cols();
+    std::vector<std::uint32_t> all(m);
+    std::iota(all.begin(), all.end(), 0u);
+    std::vector<std::uint32_t> random_cols;
+    for (std::uint32_t c = 0; c < m; ++c) {
+      if (rng.uniform(0.0, 1.0) < 0.3) random_cols.push_back(c);
+    }
+    const std::vector<std::vector<std::uint32_t>> lists = {
+        {}, {static_cast<std::uint32_t>(m / 2)}, all, random_cols};
+    for (const auto& cols : lists) {
+      std::vector<std::complex<double>> p(m, {0.0, 0.0});
+      std::vector<double> p_re(m, 0.0), p_im(m, 0.0);
+      for (const std::uint32_t c : cols) {
+        p[c] = rng.complex_gaussian(1.0);
+        p_re[c] = p[c].real();
+        p_im[c] = p[c].imag();
+      }
+      const auto want = plan.matrix().multiply(p);
+      // Four entries past the rows: the padding rows must not be written.
+      std::vector<double> got_re(rows + 4, sentinel);
+      std::vector<double> got_im(rows + 4, sentinel);
+      plan.forward_active(p_re.data(), p_im.data(), cols, got_re.data(),
+                          got_im.data());
+      std::size_t mismatches = 0;
+      for (std::size_t r = 0; r < rows + 4; ++r) {
+        const double wr = r < rows ? want[r].real() : sentinel;
+        const double wi = r < rows ? want[r].imag() : sentinel;
+        mismatches += !same_bits(got_re[r], wr) || !same_bits(got_im[r], wi);
+      }
+      EXPECT_EQ(mismatches, 0u)
+          << rows << " rows, " << cols.size() << " of " << m
+          << " columns, kernel variant " << NdftPlan::kernel_variant();
+    }
   }
 }
 
@@ -944,6 +1025,78 @@ TEST(NdftKernels, RunRestrictedKernelsMatchFullKernelsBitwise) {
       plan.gradient(y_re.data(), y_im.data(), ws);
       expect_restricted(runs, dense_re, dense_im, ws.grad_re, ws.grad_im);
     }
+  }
+}
+
+TEST(NdftKernels, PackedWorkingSetFollowsEveryRebuild) {
+  // The dense gradient packs a working set of several runs once and reuses
+  // the pack while ws.work is unchanged. Every working set below differs
+  // from the one before it, as a gap check's rebuild would; W1 and W2 hold
+  // the same number of columns, so a pack reused for W2 would have the
+  // right size and the wrong columns.
+  const auto freqs = plan_frequencies();
+  NdftSolver solver(freqs, RangingConfig::grid);  // the production plan
+  const NdftPlan& plan = solver.plan();
+  const std::size_t n = plan.rows();
+  const std::size_t m = plan.cols();
+  const auto last = static_cast<std::uint32_t>(m);
+  NdftWorkspace ws;
+  ws.bind(n, m);  // W is every column: the gradient below is the reference
+
+  mathx::Rng rng(929);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::complex<double> v = rng.complex_gaussian(1.0);
+    ws.h_re[i] = v.real();
+    ws.h_im[i] = v.imag();
+  }
+  // A point with more active columns than the scatter arm takes.
+  std::vector<double> y_re(m, 0.0), y_im(m, 0.0);
+  ws.active.clear();
+  for (std::uint32_t k = 3; k < m; k += 17) {
+    const std::complex<double> y = rng.complex_gaussian(1.0);
+    y_re[k] = y.real();
+    y_im[k] = y.imag();
+    ws.active.push_back(k);
+  }
+  ASSERT_EQ(plan.pick_arm(ws.active.size()), NdftPlan::GradientArm::kDense);
+  plan.gradient(y_re.data(), y_im.data(), ws);
+  const std::vector<double> want_re = ws.grad_re;
+  const std::vector<double> want_im = ws.grad_im;
+
+  const std::vector<ColumnRun> w1 = {
+      {0, 7}, {100, 140}, {600, 613}, {1190, last}};  // 71 columns
+  const std::vector<ColumnRun> w2 = {
+      {3, 10}, {200, 240}, {700, 713}, {1000, 1011}};  // 71 columns
+  std::vector<ColumnRun> singles;
+  for (std::uint32_t c = 5; c < last; c += 37) singles.push_back({c, c + 1});
+  const std::pair<const char*, const std::vector<ColumnRun>*> sets[] = {
+      {"W1", &w1},
+      {"W2", &w2},
+      {"W1 again", &w1},
+      {"one-column runs", &singles}};
+
+  // Entries outside W must keep this value; finite so that a stray
+  // accumulation into it would show.
+  const double sentinel = 1234.5678;
+  for (const auto& [name, runs] : sets) {
+    SCOPED_TRACE(name);
+    ws.work = *runs;
+    std::fill(ws.grad_re.begin(), ws.grad_re.end(), sentinel);
+    std::fill(ws.grad_im.begin(), ws.grad_im.end(), sentinel);
+    plan.gradient(y_re.data(), y_im.data(), ws);
+    std::vector<char> in_w(m, 0);
+    for (const ColumnRun run : *runs) {
+      std::fill(in_w.begin() + run.lo, in_w.begin() + run.hi, 1);
+    }
+    std::size_t mismatches = 0;
+    for (std::size_t c = 0; c < m; ++c) {
+      const double wr = in_w[c] ? want_re[c] : sentinel;
+      const double wi = in_w[c] ? want_im[c] : sentinel;
+      mismatches += !same_bits(ws.grad_re[c], wr) ||
+                    !same_bits(ws.grad_im[c], wi);
+    }
+    EXPECT_EQ(mismatches, 0u) << "kernel variant "
+                              << NdftPlan::kernel_variant();
   }
 }
 
