@@ -13,10 +13,14 @@
 //    process runs, one `SOLVE_DIGEST <hex>` line over the office solves
 //    (fista_solve_office), which two builds with bit-identical solves
 //    share, one `OFFICE_GAP` line: the iterations those solves take to
-//    their duality-gap stop (mean and p90) and the largest relative gap
-//    they stop at, and one `SWEEP_DIGEST <hex>` line over the office
+//    their duality-gap stop (mean, p90 and max), how often their
+//    backtracking step halved (mean per solve) and the largest relative
+//    gap they stop at, and one `SWEEP_DIGEST <hex>` line over the office
 //    sweeps those solves start from (sim_sweep_office), which two builds
-//    with bit-identical synthesis share.
+//    with bit-identical synthesis share. It exits 1 if any office solve
+//    ends without its certificate (converged = false), so the CTest case
+//    catches a solver that diverges, which would otherwise show only as
+//    slowness.
 //  * --gbench — delegates to google-benchmark (when the build found it) for
 //    full statistical output; remaining argv is forwarded, so the usual
 //    --benchmark_* flags work.
@@ -183,19 +187,23 @@ void fnv1a(std::uint64_t& digest, const void* data, std::size_t size) {
 }
 
 /// One pass over the office solves: a digest of their iterations,
-/// convergence flags, coefficient bytes and residual norms, and their
-/// iterations-to-gap.
+/// convergence flags, coefficient bytes and residual norms, their
+/// iterations-to-gap and step halvings, and how many did not converge.
 struct OfficeSolveSummary {
   std::uint64_t digest = kFnvOffsetBasis;
   double iterations_mean = 0.0;
   double iterations_p90 = 0.0;
+  int iterations_max = 0;
+  double halvings_mean = 0.0;
   double max_relative_gap = 0.0;
+  std::size_t unconverged = 0;
 };
 
 OfficeSolveSummary summarize_office_solves() {
   OfficeSolveSummary out;
   const OfficeLinks& set = office_links();
   std::vector<double> iterations;
+  std::vector<double> halvings;
   for (const auto& h : set.hs) {
     const core::SparseSolveResult r =
         set.solver.solve_fista(h, core::RangingConfig::solver_options);
@@ -206,10 +214,14 @@ OfficeSolveSummary summarize_office_solves() {
           r.coefficients.size() * sizeof(r.coefficients[0]));
     fnv1a(out.digest, &r.residual_norm, sizeof r.residual_norm);
     iterations.push_back(r.iterations);
+    halvings.push_back(r.step_halvings);
+    out.iterations_max = std::max(out.iterations_max, r.iterations);
     out.max_relative_gap = std::max(out.max_relative_gap, r.relative_gap);
+    out.unconverged += r.converged ? 0 : 1;
   }
   out.iterations_mean = mathx::mean(iterations);
   out.iterations_p90 = mathx::percentile(iterations, 90.0);
+  out.halvings_mean = mathx::mean(halvings);
   return out;
 }
 
@@ -421,12 +433,20 @@ int run_chrono_harness() {
   const OfficeSolveSummary office = summarize_office_solves();
   std::printf("SOLVE_DIGEST %016llx\n",
               static_cast<unsigned long long>(office.digest));
-  std::printf("OFFICE_GAP %zu solves: iterations mean %.1f p90 %.1f, max "
-              "relative gap %.3g\n",
+  std::printf("OFFICE_GAP %zu solves: iterations mean %.1f p90 %.1f max %d, "
+              "step halvings mean %.2f, max relative gap %.3g\n",
               office_links().hs.size(), office.iterations_mean,
-              office.iterations_p90, office.max_relative_gap);
+              office.iterations_p90, office.iterations_max,
+              office.halvings_mean, office.max_relative_gap);
   std::printf("SWEEP_DIGEST %016llx\n",
               static_cast<unsigned long long>(office_sweep_digest()));
+  if (office.unconverged > 0) {
+    std::fprintf(stderr,
+                 "bench_micro_core: %zu of %zu office solves ended without "
+                 "their duality-gap certificate (converged = false)\n",
+                 office.unconverged, office_links().hs.size());
+    return 1;
+  }
   std::printf("  %-28s %14s %12s\n", "kernel", "ns/op", "ms/op");
   std::vector<std::pair<std::string, double>> metrics;
   for (const auto& k : kernels()) {

@@ -36,9 +36,9 @@ std::vector<std::complex<double>> merge_planes(std::span<const double> re,
 }
 
 /// One gradient evaluation at (y_re, y_im) on the working set ws.work,
-/// routed per IstaOptions mode. ws.active must list y's nonzero columns and
-/// ws.b must hold F^H h (the scatter arm consumes it; the dense arm ignores
-/// it).
+/// routed per IstaOptions mode. The dense arm reads the residual F y - h
+/// from ws.fp; the scatter arm reads ws.active (y's nonzero columns) and
+/// ws.b = F^H h.
 void dispatch_gradient(const NdftPlan& plan, IstaOptions::GradientMode mode,
                        const double* y_re, const double* y_im,
                        NdftWorkspace& ws) {
@@ -46,7 +46,7 @@ void dispatch_gradient(const NdftPlan& plan, IstaOptions::GradientMode mode,
       plan.pick_arm(ws.active.size()) == NdftPlan::GradientArm::kScatter) {
     plan.gradient_toeplitz_scatter(y_re, y_im, ws);
   } else {
-    plan.gradient(y_re, y_im, ws);
+    plan.gradient_from_residual(ws);
   }
 }
 
@@ -148,20 +148,43 @@ namespace {
 
 /// How often the loop certifies its iterate. A check costs one forward
 /// product over supp(p) and one full adjoint, about one dense gradient.
-/// Measured on 48 office solves against the time of the former step-size
-/// stop (Release, 4-vCPU x86-64 guest with AVX2): a check every 5
-/// iterations read 0.61x, every 10 0.47-0.51x, every 20 0.51x (sparser
-/// checks overshoot the gap target by more iterations).
+/// Measured by time-to-gap on the 48 bench_micro_core office solves
+/// (Release, 4-vCPU x86-64 guest with AVX2, best of 30 passes, median of
+/// 10 alternating rounds) under the backtracking step below: a check every
+/// 5 iterations read 1.05 ms (74.9 iterations on average), every 10
+/// 1.05 ms (88.8), every 20 1.22 ms (117.5). Sparser checks overshoot the
+/// gap target by more iterations, and each check also grows the step.
 constexpr int kGapCheckEvery = 10;
+
+/// The backtracking step s starts each solve at kInitialStepScale * gamma
+/// and grows by kStepGrowth at every gap check that does not stop; the
+/// descent test halves it wherever it is too long. gamma = 1/||F||^2 fits
+/// all columns, while between checks the loop moves only on the working
+/// set, whose ||F_W||^2 averaged 0.34 ||F||^2 on the office solves. Chosen
+/// by time-to-gap on those solves and host (median of 8 alternating
+/// rounds): (scale, growth) pairs from (2, 3, 4, 8) x (1.5, 2) read
+/// 0.98-1.25 ms against 1.57 ms for the fixed step gamma, with (2, 2) and
+/// (4, 2) fastest. A growth of 1.5 takes 98-101 iterations on average;
+/// with a growth of 2, starts of 2, 4 and 8 gamma all take 88.8, since the
+/// first step is halved to at most 2 gamma on every office solve, and
+/// differ only by one halving per doubling of the start.
+constexpr double kInitialStepScale = 4.0;
+constexpr double kStepGrowth = 2.0;
+
+/// The descent test accepts f(q) up to this fraction of f(y) above its
+/// quadratic bound, so that rounding alone never rejects a step.
+constexpr double kDescentSlack = 1e-12;
 
 /// Each check admits to the working set every column whose scaled dual
 /// correlation s * |F^H r| reaches this fraction of alpha; a column needs
 /// |grad| > alpha to leave zero, so the margin admits the columns that may
-/// enter before the next check. Measured on the same 48 office solves and
-/// host: 0.8 kept 230 columns per iteration (0.61x); 0.9 keeps 146
-/// (0.47-0.51x) and moves 11 solves by at most 1.3e-3 relative against a
-/// full-grid iteration to the same gap; 0.95 kept 110 (0.46-0.48x) but
-/// moved 30 solves by up to 3.9e-2.
+/// enter before the next check. Under the fixed step gamma, 0.9 moved 11
+/// of the 48 office solves by at most 1.3e-3 relative against a full-grid
+/// iteration to the same gap, and 0.95 moved 30 solves by up to 3.9e-2.
+/// Time-to-gap under the backtracking step (same solves, host and rounds
+/// as kGapCheckEvery): 0.8 keeps 297 columns per iteration (1.15 ms); 0.9
+/// keeps 225 (1.05 ms); 0.95 keeps 195 (0.91 ms, faster in 8 of 10
+/// rounds), whose cost in accuracy was not measured again.
 constexpr double kWorkingSetFraction = 0.9;
 
 /// True when any bit of (re, im) is set: -0.0 counts.
@@ -270,9 +293,9 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
   for (std::size_t i = 0; i < n; ++i) {
     h_sq += ws.h_re[i] * ws.h_re[i] + ws.h_im[i] * ws.h_im[i];
   }
-  const double gamma = plan.gamma();
-  const double thr = gamma * alpha;
-  const double thr_sq = thr * thr;
+  // Zero on a degenerate (all-zero-weight) plan: every step is then null
+  // and passes the descent test at once.
+  double step = kInitialStepScale * plan.gamma();
 
   SparseSolveResult out;
   out.grid = plan.grid();
@@ -280,6 +303,10 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
   std::fill(ws.p_im.begin(), ws.p_im.end(), 0.0);
   std::fill(ws.y_re.begin(), ws.y_re.end(), 0.0);
   std::fill(ws.y_im.begin(), ws.y_im.end(), 0.0);
+  std::fill(ws.fit_re.begin(), ws.fit_re.end(), 0.0);
+  std::fill(ws.fit_im.begin(), ws.fit_im.end(), 0.0);
+  std::fill(ws.fy_re.begin(), ws.fy_re.end(), 0.0);
+  std::fill(ws.fy_im.begin(), ws.fy_im.end(), 0.0);
   ws.active.clear();   // the extrapolated point y's nonzeros
   ws.support.clear();  // the iterate p's columns with any bit set
   double t_momentum = 1.0;
@@ -298,50 +325,105 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
   // to 21% in the coefficients): the first iterations need the whole grid.
   // Outside W, p and y stay +0.0.
   //
-  // Over W's runs, in ascending order, shrinkage, momentum extrapolation
-  // and the rebuild of both supports are fused into one pass: reading p[k]
-  // (still the previous iterate) before overwriting it needs no p_prev
-  // planes.
+  // The step s is Beck and Teboulle's backtracking: a candidate q =
+  // prox(y - s grad f(y)) is accepted only if f(q) <= f(y) + Re<grad f(y),
+  // q - y> + ||q - y||^2 / (2 s) (f = 1/2 ||h - F .||^2; q and y differ
+  // only on W), else s halves and the step is redone from the same
+  // gradient. Each try costs one forward product over supp(q); F y comes
+  // from the last two accepted ones. The test's comparison is written so
+  // that NaN accepts, and s reaches 0 after about a thousand halvings, when
+  // q = y: the try loop always ends.
   // lint:region(no-alloc)
   for (int t = 0; t < opts.max_iterations; ++t) {
+    // The residual F y - h (the dense arm's input) and f(y).
+    double f_y = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double rr = ws.fy_re[i] - ws.h_re[i];
+      const double ri = ws.fy_im[i] - ws.h_im[i];
+      ws.fp_re[i] = rr;
+      ws.fp_im[i] = ri;
+      f_y += rr * rr + ri * ri;
+    }
+    f_y *= 0.5;
     dispatch_gradient(plan, opts.gradient, ws.y_re.data(), ws.y_im.data(),
                       ws);
 
+    for (;;) {
+      const double thr = step * alpha;
+      const double thr_sq = thr * thr;
+      double slope = 0.0;  // Re<grad f(y), q - y>
+      double d_sq = 0.0;   // ||q - y||^2
+      ws.support.clear();
+      for (const ColumnRun run : ws.work) {
+        for (std::uint32_t k = run.lo; k < run.hi; ++k) {
+          const double pr = ws.y_re[k] - step * ws.grad_re[k];
+          const double pi = ws.y_im[k] - step * ws.grad_im[k];
+          double nr = 0.0;
+          double ni = 0.0;
+          const double msq = pr * pr + pi * pi;
+          if (msq > thr_sq) {
+            const double mag = std::sqrt(msq);
+            const double scale = (mag - thr) / mag;
+            nr = pr * scale;
+            ni = pi * scale;
+          }
+          ws.q_re[k] = nr;
+          ws.q_im[k] = ni;
+          const double dr = nr - ws.y_re[k];
+          const double di = ni - ws.y_im[k];
+          slope += ws.grad_re[k] * dr + ws.grad_im[k] * di;
+          d_sq += dr * dr + di * di;
+          if (any_bit(nr, ni)) {
+            // lint:allow(no-alloc): ws.support is reserved to cols at bind()
+            ws.support.push_back(k);
+          }
+        }
+      }
+      plan.forward_active(ws.q_re.data(), ws.q_im.data(), ws.support,
+                          ws.fq_re.data(), ws.fq_im.data());
+      double f_q = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double rr = ws.fq_re[i] - ws.h_re[i];
+        const double ri = ws.fq_im[i] - ws.h_im[i];
+        f_q += rr * rr + ri * ri;
+      }
+      f_q *= 0.5;
+      if (!(f_q > f_y + slope + d_sq / (2.0 * step) + kDescentSlack * f_y)) {
+        break;
+      }
+      step *= 0.5;
+      ++out.step_halvings;
+    }
+
+    // Accept q: p <- q and y <- q + beta (q - p), rebuilding y's support
+    // (ws.support already holds q's), and F y, F p to match.
     const double t_next =
         (1.0 + std::sqrt(1.0 + 4.0 * t_momentum * t_momentum)) / 2.0;
     const double beta = accelerate ? (t_momentum - 1.0) / t_next : 0.0;
-    ws.support.clear();
     ws.active.clear();
     for (const ColumnRun run : ws.work) {
       for (std::uint32_t k = run.lo; k < run.hi; ++k) {
-        const double pr = ws.y_re[k] - gamma * ws.grad_re[k];
-        const double pi = ws.y_im[k] - gamma * ws.grad_im[k];
-        double nr = 0.0;
-        double ni = 0.0;
-        const double msq = pr * pr + pi * pi;
-        if (msq > thr_sq) {
-          const double mag = std::sqrt(msq);
-          const double scale = (mag - thr) / mag;
-          nr = pr * scale;
-          ni = pi * scale;
-        }
-        const double step_re = nr - ws.p_re[k];
-        const double step_im = ni - ws.p_im[k];
+        const double nr = ws.q_re[k];
+        const double ni = ws.q_im[k];
+        const double move_re = nr - ws.p_re[k];
+        const double move_im = ni - ws.p_im[k];
         ws.p_re[k] = nr;
         ws.p_im[k] = ni;
-        const double yr = nr + beta * step_re;
-        const double yi = ni + beta * step_im;
+        const double yr = nr + beta * move_re;
+        const double yi = ni + beta * move_im;
         ws.y_re[k] = yr;
         ws.y_im[k] = yi;
-        if (any_bit(nr, ni)) {
-          // lint:allow(no-alloc): ws.support is reserved to cols at bind()
-          ws.support.push_back(k);
-        }
         if (yr != 0.0 || yi != 0.0) {
           // lint:allow(no-alloc): ws.active is reserved to cols at bind()
           ws.active.push_back(k);
         }
       }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      ws.fy_re[i] = (1.0 + beta) * ws.fq_re[i] - beta * ws.fit_re[i];
+      ws.fy_im[i] = (1.0 + beta) * ws.fq_im[i] - beta * ws.fit_im[i];
+      ws.fit_re[i] = ws.fq_re[i];
+      ws.fit_im[i] = ws.fq_im[i];
     }
     t_momentum = t_next;
 
@@ -352,6 +434,7 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
         out.iterations == opts.max_iterations) {
       certify(plan, ws, alpha, h_sq, out);
       if (out.relative_gap <= opts.gap_tolerance) break;
+      step *= kStepGrowth;
     }
   }
   // lint:endregion(no-alloc)

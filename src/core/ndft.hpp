@@ -10,6 +10,17 @@
 // with a proximal-gradient iteration (ISTA): a gradient step on the L2 term
 // followed by complex soft-thresholding (the paper's SPARSIFY).
 //
+// Step: the paper's Algorithm 1 takes the fixed step gamma = 1/||F||_2^2.
+// Here gamma only sets where the step starts: each solve starts at
+// 4 gamma, and a backtracking test (Beck and Teboulle) accepts a step
+// from y to q only if 1/2 ||h - F q||^2 stays under the quadratic bound
+// that step length implies at y, else halves it and tries again from the
+// same gradient; each gap check that does not stop doubles it. The loop
+// moves on a working set of columns between checks, whose curvature is
+// about a third of ||F||_2^2 on office channels, so the accepted steps are
+// longer than gamma, and the test, not the estimate of ||F||_2, is what
+// makes every step safe.
+//
 // Stop rule: a duality-gap certificate. The solvers minimise
 // P(p) = 1/2 ||h - F p||^2 + alpha ||p||_1 (the paper's objective halved,
 // with the effective alpha of IstaOptions::alpha). Every 10 iterations they
@@ -21,7 +32,7 @@
 //
 // Extensions beyond the paper, used by the ablation benches:
 //  * FISTA — Nesterov-accelerated variant; on the solver ablation's
-//    three-path channel it certifies in about 1/9 of ISTA's iterations;
+//    three-path channel it certifies in 60 iterations against ISTA's 90;
 //  * OMP   — greedy orthogonal matching pursuit, a classic sparse baseline.
 //
 // Performance: all solver entry points run on the structure-exploiting
@@ -81,6 +92,9 @@ struct SparseSolveResult {
   std::vector<std::complex<double>> coefficients;  ///< p over the grid
   DelayGrid grid;
   int iterations = 0;
+  /// ISTA/FISTA: how often the backtracking step halved over the solve
+  /// (each halving redoes one proximal step). 0 from OMP.
+  int step_halvings = 0;
   /// ISTA/FISTA: relative_gap <= IstaOptions::gap_tolerance.
   bool converged = false;
   double residual_norm = 0.0;  ///< ||h - F p||_2 at the solution
@@ -107,7 +121,8 @@ class NdftSolver {
   NdftSolver(std::vector<double> row_freqs_hz, DelayGrid grid,
              std::vector<double> row_weights = {});
 
-  /// Paper Algorithm 1: proximal gradient with step gamma = 1/||F||_2^2.
+  /// Paper Algorithm 1: proximal gradient, with the backtracking step of
+  /// the header comment in place of the fixed gamma = 1/||F||_2^2.
   /// Every solver runs on a per-thread workspace (one per worker of the
   /// batched runtime), so the iteration loop performs no heap allocation.
   SparseSolveResult solve_ista(std::span<const std::complex<double>> h,
@@ -156,6 +171,8 @@ class NdftSolver {
 
   const mathx::ComplexMatrix& matrix() const { return plan_->matrix(); }
   const DelayGrid& grid() const { return plan_->grid(); }
+  /// The plan's reference step 1/sigma^2 (NdftPlan::gamma): ISTA and
+  /// FISTA start their backtracking step at 4 gamma.
   double gamma() const { return plan_->gamma(); }
   /// The shared kernel plan backing this solver.
   const NdftPlan& plan() const { return *plan_; }

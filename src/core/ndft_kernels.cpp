@@ -331,6 +331,14 @@ void NdftWorkspace::bind(std::size_t rows, std::size_t cols) {
   y_im.resize(cols);
   b_re.resize(cols);
   b_im.resize(cols);
+  q_re.resize(cols);
+  q_im.resize(cols);
+  fq_re.resize(rows);
+  fq_im.resize(rows);
+  fit_re.resize(rows);
+  fit_im.resize(rows);
+  fy_re.resize(rows);
+  fy_im.resize(rows);
   // Reserve up front: the solver loops push column indices per iteration
   // after clear(), which must never reallocate.
   active.reserve(cols);
@@ -636,6 +644,10 @@ void NdftPlan::gradient(const double* p_re, const double* p_im,
     ws.fp_re[r] -= ws.h_re[r];
     ws.fp_im[r] -= ws.h_im[r];
   }
+  gradient_from_residual(ws);
+}
+
+void NdftPlan::gradient_from_residual(NdftWorkspace& ws) const {
   if (ws.work.size() <= 1) {
     adjoint(ws.fp_re.data(), ws.fp_im.data(), ws.work, ws.grad_re.data(),
             ws.grad_im.data());

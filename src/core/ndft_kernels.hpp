@@ -14,10 +14,11 @@
 //    contiguous), which the adjoint reads across columns; and
 //    split-complex column-major planes (column c's rows contiguous, padded
 //    with zero rows to a multiple of the four-double vector width), which
-//    the forward product reads across rows. Plus the power-iteration step
-//    size gamma = 1/||F||_2^2. Plans are shared through a process-wide
-//    cache so repeated pipeline construction (fleet scenarios, benches,
-//    tests) pays the O(n*m) build and the spectral-norm iteration once.
+//    the forward product reads across rows. Plus the power-iteration
+//    reference step gamma = 1/||F||_2^2. Plans are shared through a
+//    process-wide cache so repeated pipeline construction (fleet
+//    scenarios, benches, tests) pays the O(n*m) build and the
+//    spectral-norm iteration once.
 //  * NdftWorkspace — scratch sized for one plan (the solvers keep one per
 //    thread), so the ISTA/FISTA iteration loops run with zero heap
 //    allocations.
@@ -114,6 +115,15 @@ struct NdftWorkspace {
   // Iterates (m). FISTA additionally uses the extrapolated point y.
   std::vector<double> p_re, p_im;
   std::vector<double> y_re, y_im;
+  // The backtracking step's candidate q = prox(y - s grad) on the working
+  // set (m; entries outside ws.work are stale and never read).
+  std::vector<double> q_re, q_im;
+  // Row vectors (n): F q at the candidate, F p at the iterate (the last
+  // accepted F q), and F y at the extrapolated point, combined from the
+  // other two as (1 + beta) F q - beta F p instead of a forward product.
+  std::vector<double> fq_re, fq_im;
+  std::vector<double> fit_re, fit_im;
+  std::vector<double> fy_re, fy_im;
   // b = F^H h — the fixed linear term of the Toeplitz gradient T y - b,
   // computed once per solve (m).
   std::vector<double> b_re, b_im;
@@ -180,9 +190,15 @@ class NdftPlan {
   const std::vector<double>& row_weights() const { return weights_; }
   const DelayGrid& grid() const { return grid_; }
   const mathx::ComplexMatrix& matrix() const { return f_; }
-  /// ISTA/FISTA step size 1/||F||_2^2 (paper Algorithm 1). Zero for
-  /// degenerate plans (all-zero weights) — the solvers then take
-  /// zero-length steps and converge immediately to p = 0.
+  /// 1/sigma^2 for the 30-iteration power-method estimate sigma of
+  /// ||F||_2 (mathx::spectral_norm), the paper's Algorithm 1 step. The
+  /// estimate approaches ||F||_2 from below, so gamma can exceed
+  /// 1/||F||_2^2 (by 1.27% on the ranging plan), which Algorithm 1's
+  /// convergence bound does not cover; ISTA and FISTA use it only as the
+  /// reference their backtracking step starts from, and their descent
+  /// test guards every step. Zero for degenerate plans (all-zero weights)
+  /// — the solvers then take zero-length steps and converge immediately
+  /// to p = 0.
   double gamma() const { return gamma_; }
 
   /// The gradient-evaluation arms of the round-2 kernel tier. kDense is the
@@ -233,13 +249,18 @@ class NdftPlan {
   /// Fused gradient of the data term: ws.grad = F^H (F p - h), with the
   /// forward product restricted to ws.active (p's nonzero columns) and the
   /// adjoint to the columns of ws.work (other grad entries are left as
-  /// they were). Uses ws.fp for the residual; ws.h must hold the split
-  /// measurement. A working set of one run is contiguous in the plan's
-  /// planes already; one of several runs is packed into ws.pack_re and
-  /// ws.pack_im (repacked only when ws.work or the plan has changed) and
-  /// the adjoint runs on the pack.
+  /// they were). Writes the residual F p - h to ws.fp, then runs
+  /// gradient_from_residual; ws.h must hold the split measurement.
   void gradient(const double* p_re, const double* p_im,
                 NdftWorkspace& ws) const;
+
+  /// The dense gradient arm given its residual: ws.grad = F^H ws.fp on the
+  /// columns of ws.work (other grad entries are left as they were). A
+  /// working set of one run is contiguous in the plan's planes already; one
+  /// of several runs is packed into ws.pack_re and ws.pack_im (repacked
+  /// only when ws.work or the plan has changed) and the adjoint runs on the
+  /// pack.
+  void gradient_from_residual(NdftWorkspace& ws) const;
 
   /// out[k] = |sum_i h_i e^{+j 2 pi f_i (u0 + k du)}| for k in [0, count).
   /// One complex rotation per row per step (the geometric-sequence trick of

@@ -34,12 +34,6 @@ class Matrix {
                     "matrix data size mismatch");
   }
 
-  static Matrix identity(std::size_t n) {
-    Matrix m(n, n);
-    for (std::size_t i = 0; i < n; ++i) m(i, i) = T{1};
-    return m;
-  }
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool empty() const { return data_.empty(); }
@@ -110,16 +104,13 @@ std::vector<std::complex<double>> solve_linear(
     ComplexMatrix a, std::vector<std::complex<double>> b);
 
 /// Estimates the spectral norm ||A||_2 of a complex matrix by power
-/// iteration on A^H A. `iterations` trades accuracy for time; the NDFT
-/// solver only needs ~1% accuracy for a safe step size.
+/// iteration on A^H A. `iterations` trades accuracy for time. The estimate
+/// is a Rayleigh quotient, so it approaches ||A||_2 from below: on the
+/// ranging plan (35 x 1201) 30 iterations read sigma^2 = 1288.27 against
+/// 1304.62 once converged (100 iterations and more), and 1/sigma^2 is then
+/// 1.27% longer than 1/||A||_2^2. It is no safe step size on its own; the
+/// NDFT solver starts a backtracking step from it.
 double spectral_norm(const ComplexMatrix& a, int iterations = 30,
                      unsigned long long seed = 0x9E3779B97F4A7C15ull);
-
-/// Eigendecomposition of a Hermitian matrix by the cyclic Jacobi method.
-/// Returns eigenvalues ascending; `eigenvectors` (if non-null) receives the
-/// corresponding orthonormal eigenvectors as matrix columns.
-std::vector<double> hermitian_eigen(const ComplexMatrix& a,
-                                    ComplexMatrix* eigenvectors = nullptr,
-                                    int max_sweeps = 60);
 
 }  // namespace chronos::mathx

@@ -8,6 +8,7 @@
 #include <complex>
 #include <cstdint>
 #include <random>
+#include <span>
 
 namespace chronos::mathx {
 
@@ -45,12 +46,23 @@ class Rng {
 
   double uniform(double lo, double hi);
   int uniform_int(int lo, int hi);  ///< inclusive bounds
+  /// The value std::normal_distribution<double>(mean, stddev) draws first
+  /// from this engine, bit for bit (libstdc++'s Marsaglia polar method).
   double normal(double mean, double stddev);
   bool bernoulli(double p);
 
   /// Circularly-symmetric complex Gaussian with the given per-component
-  /// standard deviation — the canonical AWGN model for CSI noise.
+  /// standard deviation — the canonical AWGN model for CSI noise. Bit for
+  /// bit the two values one std::normal_distribution<double>(0, stddev)
+  /// draws from this engine: real part first.
   std::complex<double> complex_gaussian(double component_stddev);
+
+  /// Fills `out` with out.size() successive complex_gaussian draws (the
+  /// single draw is this call on one value). Draws every accepted polar
+  /// point of a block first, then takes their logs, then their roots, so
+  /// the transcendental work does not wait on the engine.
+  void complex_gaussians(double component_stddev,
+                         std::span<std::complex<double>> out);
 
   /// Uniform phase on [0, 2*pi), e.g. per-hop LO phase offsets.
   double uniform_phase();

@@ -125,6 +125,8 @@ phy::SweepMeasurement LinkSimulator::simulate_sweep(
   std::vector<std::complex<double>> powers(max_index + 1);
   std::array<std::complex<double>, kSubcarriers> delay_rot_fwd{};
   std::array<std::complex<double>, kSubcarriers> delay_rot_rev{};
+  // One exchange's noise draws, both directions.
+  std::array<std::complex<double>, 2 * kSubcarriers> noise{};
 
   phy::SweepMeasurement sweep;
   sweep.bands.resize(bands_.size());
@@ -226,18 +228,20 @@ phy::SweepMeasurement LinkSimulator::simulate_sweep(
       rev.timestamp_s = t_ack;
       rev.snr_db = snr_db;
 
-      // Noise is drawn forward, then reverse, per subcarrier.
+      // Noise is drawn forward, then reverse, per subcarrier: noise[2k] is
+      // subcarrier k's forward draw and noise[2k + 1] its reverse one.
+      if (config_.enable_noise) rng.complex_gaussians(noise_sigma, noise);
       for (std::size_t k = 0; k < kSubcarriers; ++k) {
         std::complex<double> h_fwd = base_fwd[k];
         h_fwd *= delay_rot_fwd[k];
         h_fwd *= fwd_rot;
-        if (config_.enable_noise) h_fwd += rng.complex_gaussian(noise_sigma);
+        if (config_.enable_noise) h_fwd += noise[2 * k];
         fwd.values[k] = h_fwd;
 
         std::complex<double> h_rev = base_rev[k];
         h_rev *= delay_rot_rev[k];
         h_rev *= rev_rot;
-        if (config_.enable_noise) h_rev += rng.complex_gaussian(noise_sigma);
+        if (config_.enable_noise) h_rev += noise[2 * k + 1];
         rev.values[k] = h_rev;
       }
 

@@ -22,13 +22,6 @@ TEST(Matrix, DataConstructorValidatesSize) {
   EXPECT_THROW(RealMatrix(2, 2, {1.0, 2.0, 3.0}), std::invalid_argument);
 }
 
-TEST(Matrix, Identity) {
-  const auto id = RealMatrix::identity(3);
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j < 3; ++j)
-      EXPECT_EQ(id(i, j), i == j ? 1.0 : 0.0);
-}
-
 TEST(Matrix, MatVec) {
   RealMatrix m(2, 2, {1.0, 2.0, 3.0, 4.0});
   const std::vector<double> x = {1.0, -1.0};
@@ -83,47 +76,6 @@ TEST(SpectralNorm, UnitaryHasNormOne) {
   m(1, 0) = {s, 0.0};
   m(1, 1) = {-s, 0.0};
   EXPECT_NEAR(spectral_norm(m), 1.0, 1e-6);
-}
-
-TEST(HermitianEigen, DiagonalEigenvaluesSortedAscending) {
-  ComplexMatrix m(3, 3);
-  m(0, 0) = {5.0, 0.0};
-  m(1, 1) = {-1.0, 0.0};
-  m(2, 2) = {2.0, 0.0};
-  const auto vals = hermitian_eigen(m);
-  ASSERT_EQ(vals.size(), 3u);
-  EXPECT_NEAR(vals[0], -1.0, 1e-9);
-  EXPECT_NEAR(vals[1], 2.0, 1e-9);
-  EXPECT_NEAR(vals[2], 5.0, 1e-9);
-}
-
-TEST(HermitianEigen, ComplexPauliYEigenvalues) {
-  // sigma_y = [[0, -j], [j, 0]] has eigenvalues -1, +1.
-  ComplexMatrix m(2, 2);
-  m(0, 1) = {0.0, -1.0};
-  m(1, 0) = {0.0, 1.0};
-  const auto vals = hermitian_eigen(m);
-  EXPECT_NEAR(vals[0], -1.0, 1e-9);
-  EXPECT_NEAR(vals[1], 1.0, 1e-9);
-}
-
-TEST(HermitianEigen, EigenvectorsSatisfyDefinition) {
-  ComplexMatrix m(3, 3);
-  m(0, 0) = {2.0, 0.0};
-  m(0, 1) = {0.0, 1.0};
-  m(1, 0) = {0.0, -1.0};
-  m(1, 1) = {3.0, 0.0};
-  m(2, 2) = {1.0, 0.0};
-  ComplexMatrix vecs;
-  const auto vals = hermitian_eigen(m, &vecs);
-  for (std::size_t k = 0; k < 3; ++k) {
-    std::vector<std::complex<double>> v(3);
-    for (std::size_t i = 0; i < 3; ++i) v[i] = vecs(i, k);
-    const auto mv = m.multiply(v);
-    for (std::size_t i = 0; i < 3; ++i) {
-      EXPECT_NEAR(std::abs(mv[i] - vals[k] * v[i]), 0.0, 1e-8);
-    }
-  }
 }
 
 }  // namespace

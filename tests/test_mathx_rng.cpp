@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <complex>
+#include <cstdint>
+#include <iterator>
+#include <random>
+#include <span>
 #include <vector>
 
 #include "mathx/rng.hpp"
@@ -149,6 +156,73 @@ TEST(Rng, ComplexGaussianIsCircular) {
   EXPECT_NEAR(im2 / n, 2.25, 0.1);
 }
 
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(std::complex<double> a, std::complex<double> b) {
+  return same_bits(a.real(), b.real()) && same_bits(a.imag(), b.imag());
+}
+
+TEST(Rng, GaussianDrawsMatchTheLibraryDistributionBitwise) {
+  // Rng's inline polar method must keep std::normal_distribution's bits:
+  // every synthesized noise sample, and so every golden, rests on them.
+  constexpr int kDraws = 100000;
+  constexpr double kSigma = 0.37;
+  std::mt19937_64 engine(4242);
+  Rng single(4242);
+  std::vector<std::complex<double>> want(kDraws);
+  int mismatches = 0;
+  for (auto& w : want) {
+    std::normal_distribution<double> d(0.0, kSigma);
+    const double re = d(engine);
+    w = {re, d(engine)};
+    mismatches += !same_bits(single.complex_gaussian(kSigma), w);
+  }
+  EXPECT_EQ(mismatches, 0) << "complex_gaussian against the library";
+  EXPECT_EQ(single.engine()(), engine()) << "engines fell out of step";
+
+  // The span draw against the single draw, over spans that fill less than,
+  // exactly and more than one block, an empty span, and an exchange's 60.
+  Rng batched(4242);
+  const std::size_t sizes[] = {1, 60, 0, 64, 65, 200, 7, 129};
+  std::vector<std::complex<double>> got(kDraws);
+  std::size_t at = 0;
+  for (std::size_t i = 0; at < got.size(); ++i) {
+    const std::size_t len =
+        std::min(sizes[i % std::size(sizes)], got.size() - at);
+    batched.complex_gaussians(kSigma, std::span(got).subspan(at, len));
+    at += len;
+  }
+  mismatches = 0;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    mismatches += !same_bits(got[k], want[k]);
+  }
+  EXPECT_EQ(mismatches, 0) << "complex_gaussians against complex_gaussian";
+  Rng check(4242);
+  for (int k = 0; k < kDraws; ++k) (void)check.complex_gaussian(kSigma);
+  EXPECT_EQ(batched.engine()(), check.engine()());
+
+  // normal() is the distribution's first value, at any mean and stddev.
+  std::mt19937_64 normal_engine(77);
+  Rng normal_rng(77);
+  mismatches = 0;
+  for (int k = 0; k < kDraws; ++k) {
+    const double mean = k % 3 == 0 ? 0.0 : -1.5;
+    const double stddev = k % 2 == 0 ? 2.0e-9 : 0.8;
+    std::normal_distribution<double> d(mean, stddev);
+    mismatches += !same_bits(normal_rng.normal(mean, stddev), d(normal_engine));
+  }
+  EXPECT_EQ(mismatches, 0) << "normal against the library";
+
+  // A zero stddev draws nothing and yields exact zeros.
+  Rng zero(5);
+  std::vector<std::complex<double>> zeros(3, {1.0, 1.0});
+  zero.complex_gaussians(0.0, zeros);
+  for (const auto& z : zeros) EXPECT_EQ(z, (std::complex<double>{0.0, 0.0}));
+  EXPECT_EQ(zero.engine()(), Rng(5).engine()());
+}
+
 TEST(Rng, UniformPhaseRange) {
   Rng rng(31);
   for (int i = 0; i < 1000; ++i) {
@@ -162,6 +236,8 @@ TEST(Rng, InvalidArgumentsThrow) {
   Rng rng(1);
   EXPECT_THROW((void)rng.uniform(1.0, 0.0), std::invalid_argument);
   EXPECT_THROW((void)rng.normal(0.0, -1.0), std::invalid_argument);
+  std::vector<std::complex<double>> out(2);
+  EXPECT_THROW(rng.complex_gaussians(-1.0, out), std::invalid_argument);
 }
 
 }  // namespace
