@@ -310,21 +310,9 @@ const std::vector<MicroKernel>& kernels() {
                   },
                   static_cast<double>(office->requests.size())});
 
-    // Gradient-arm ablation at the default 35x1201 problem. fista_solve
-    // above runs the production kAuto arm rule; kDense pins the legacy
-    // fused forward/adjoint (the golden numerics).
-    core::IstaOptions dense_opts;
-    dense_opts.gradient = core::IstaOptions::GradientMode::kDense;
-    ks.push_back({"BM_FistaSolveDense", "fista_solve_dense",
-                  [solver, h, dense_opts] {
-                    return solver->solve_fista(h, dense_opts).residual_norm;
-                  }});
-
-    // solve_fista_batch over 8 distinct channels, and 8 sequential
-    // dense-mode solve_fista calls, both reported as ns per RHS. The batch
-    // is a loop of kAuto solves: its comparator is fista_solve, which it
-    // matches within noise. fista_seq_per_rhs runs the dense arm, so it
-    // compares the gradient arms, not batched against sequential solves.
+    // solve_fista_batch over 8 distinct channels, reported as ns per RHS.
+    // The batch is a loop of solve_fista calls: its comparator is
+    // fista_solve, which it matches within noise.
     const auto hs_owned = batch_channels(8);
     ks.push_back({"BM_FistaBatchPerRhs", "fista_batch_per_rhs",
                   [solver, hs_owned] {
@@ -334,16 +322,6 @@ const std::vector<MicroKernel>& kernels() {
                     double acc = 0.0;
                     for (const auto& r : solver->solve_fista_batch(hs)) {
                       acc += r.residual_norm;
-                    }
-                    return acc;
-                  },
-                  8.0});
-    ks.push_back({"BM_FistaSeqPerRhs", "fista_seq_per_rhs",
-                  [solver, hs_owned, dense_opts] {
-                    double acc = 0.0;
-                    for (const auto& h_k : hs_owned) {
-                      acc += solver->solve_fista(h_k, dense_opts)
-                                 .residual_norm;
                     }
                     return acc;
                   },

@@ -35,21 +35,6 @@ std::vector<std::complex<double>> merge_planes(std::span<const double> re,
   return out;
 }
 
-/// One gradient evaluation at (y_re, y_im) on the working set ws.work,
-/// routed per IstaOptions mode. The dense arm reads the residual F y - h
-/// from ws.fp; the scatter arm reads ws.active (y's nonzero columns) and
-/// ws.b = F^H h.
-void dispatch_gradient(const NdftPlan& plan, IstaOptions::GradientMode mode,
-                       const double* y_re, const double* y_im,
-                       NdftWorkspace& ws) {
-  if (mode == IstaOptions::GradientMode::kAuto &&
-      plan.pick_arm(ws.active.size()) == NdftPlan::GradientArm::kScatter) {
-    plan.gradient_toeplitz_scatter(y_re, y_im, ws);
-  } else {
-    plan.gradient_from_residual(ws);
-  }
-}
-
 }  // namespace
 
 NdftSolver::NdftSolver(std::vector<double> row_freqs_hz, DelayGrid grid,
@@ -62,24 +47,23 @@ double effective_alpha(const NdftPlan& plan, const NdftWorkspace& ws,
                        const IstaOptions& opts) {
   CHRONOS_EXPECTS(opts.alpha > 0.0, "alpha must be positive");
   // Scale-free knob: alpha relative to the strongest matched-filter
-  // response max|F^H h| (the largest gradient magnitude at p = 0). The
-  // caller has already computed F^H h into ws.b — the same vector the
-  // Toeplitz scatter arm consumes — so alpha is bit-identical across
-  // gradient modes and costs no extra adjoint.
+  // response max|F^H h| (the largest gradient magnitude at p = 0), which
+  // the caller has computed into ws.grad.
   // Argmax over squared magnitudes (|.| is monotone in |.|^2), then a single
   // exact std::abs at the winner — same peak value as the legacy per-element
   // std::abs pass without thousands of hypot calls.
   double peak_sq = 0.0;
   std::size_t peak_k = 0;
   for (std::size_t k = 0; k < plan.cols(); ++k) {
-    const double msq = ws.b_re[k] * ws.b_re[k] + ws.b_im[k] * ws.b_im[k];
+    const double msq =
+        ws.grad_re[k] * ws.grad_re[k] + ws.grad_im[k] * ws.grad_im[k];
     if (msq > peak_sq) {
       peak_sq = msq;
       peak_k = k;
     }
   }
   const double peak =
-      std::abs(std::complex<double>{ws.b_re[peak_k], ws.b_im[peak_k]});
+      std::abs(std::complex<double>{ws.grad_re[peak_k], ws.grad_im[peak_k]});
   // An all-zero channel (or an all-zero-weight plan) has no scale to be
   // relative to. Alpha 0 keeps the threshold at 0 and the solvers converge
   // immediately to p = 0 instead of asserting (degenerate-input contract,
@@ -146,8 +130,8 @@ double NdftSolver::refine_delay(std::span<const std::complex<double>> h,
 
 namespace {
 
-/// How often the loop certifies its iterate. A check costs one forward
-/// product over supp(p) and one full adjoint, about one dense gradient.
+/// How often the loop certifies its iterate. A check costs one full
+/// adjoint, about one gradient; F p comes from the loop.
 /// Measured by time-to-gap on the 48 bench_micro_core office solves
 /// (Release, 4-vCPU x86-64 guest with AVX2, best of 30 passes, median of
 /// 10 alternating rounds) under the backtracking step below: a check every
@@ -194,23 +178,22 @@ bool any_bit(double re, double im) {
 }
 
 /// The duality-gap certificate of the iterate p (ws.p, nonzero columns
-/// ws.support) for min 1/2 ||h - F p||^2 + alpha ||p||_1. Writes the
-/// relative gap and ||h - F p|| to `out`, and rebuilds the working set
-/// ws.work = supp(p) ∪ supp(y) ∪ {c : s |c_c| >= kWorkingSetFraction
-/// alpha}. Overwrites ws.fp (with r) and ws.grad (with c); the next
-/// gradient rewrites ws.grad on the new working set before anything reads
-/// it.
+/// ws.support, F p in ws.fit) for min 1/2 ||h - F p||^2 + alpha ||p||_1.
+/// Writes the relative gap and ||h - F p|| to `out`, and rebuilds the
+/// working set ws.work = supp(p) ∪ supp(y) ∪ {c : s |c_c| >=
+/// kWorkingSetFraction alpha}. Overwrites ws.fp (with r) and ws.grad (with
+/// c); the next gradient rewrites ws.grad on the new working set before
+/// anything reads it.
 void certify(const NdftPlan& plan, NdftWorkspace& ws, double alpha,
              double h_sq, SparseSolveResult& out) {
   const std::size_t n = plan.rows();
   const std::size_t m = plan.cols();
-  // r = h - F p, one forward product over supp(p).
-  plan.forward_active(ws.p_re.data(), ws.p_im.data(), ws.support,
-                      ws.fp_re.data(), ws.fp_im.data());
+  // r = h - F p, with F p read from ws.fit: the loop took that product
+  // over supp(p) when it accepted p as its candidate.
   double r_sq = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double rr = ws.h_re[i] - ws.fp_re[i];
-    const double ri = ws.h_im[i] - ws.fp_im[i];
+    const double rr = ws.h_re[i] - ws.fit_re[i];
+    const double ri = ws.h_im[i] - ws.fit_im[i];
     ws.fp_re[i] = rr;
     ws.fp_im[i] = ri;
     r_sq += rr * rr + ri * ri;
@@ -284,11 +267,17 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
 
   ws.bind(n, m);  // also sets the working set to every column
   split_into(h, ws.h_re, ws.h_im);
-  // b = F^H h: the fixed linear term of the Toeplitz scatter arm AND the
-  // argmax source for the relative-alpha knob — one adjoint serves both.
-  plan.adjoint(ws.h_re.data(), ws.h_im.data(), ws.b_re.data(),
-               ws.b_im.data());
+  // F^H h: the scale of the relative alpha and, negated, the gradient
+  // F^H (F y - h) of the first iteration, where y = 0. The negation is
+  // exact, so it has the bits of F^H (-h) but for the sign of exact
+  // zeros, which the first proximal step cannot see.
+  plan.adjoint(ws.h_re.data(), ws.h_im.data(), ws.grad_re.data(),
+               ws.grad_im.data());
   const double alpha = effective_alpha(plan, ws, opts);
+  for (std::size_t k = 0; k < m; ++k) {
+    ws.grad_re[k] = -ws.grad_re[k];
+    ws.grad_im[k] = -ws.grad_im[k];
+  }
   double h_sq = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     h_sq += ws.h_re[i] * ws.h_re[i] + ws.h_im[i] * ws.h_im[i];
@@ -315,8 +304,8 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
   // per iteration (tests/test_core_ndft_kernels.cpp counts at runtime;
   // scripts/lint/check_noalloc.py bans allocating constructs in this
   // region at lint time). The gradient is taken at the extrapolated point
-  // y, whose support ws.active tracks; ISTA holds the momentum coefficient
-  // beta at 0, so its y is the iterate p itself.
+  // y, whose nonzero columns ws.active tracks; ISTA holds the momentum
+  // coefficient beta at 0, so its y is the iterate p itself.
   //
   // Between gap checks the gradient and the proximal step visit only the
   // working set W, which every check rebuilds from the full dual and which
@@ -335,7 +324,7 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
   // q = y: the try loop always ends.
   // lint:region(no-alloc)
   for (int t = 0; t < opts.max_iterations; ++t) {
-    // The residual F y - h (the dense arm's input) and f(y).
+    // The residual F y - h (the gradient's input) and f(y).
     double f_y = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double rr = ws.fy_re[i] - ws.h_re[i];
@@ -345,8 +334,7 @@ SparseSolveResult solve_proximal(const NdftPlan& plan,
       f_y += rr * rr + ri * ri;
     }
     f_y *= 0.5;
-    dispatch_gradient(plan, opts.gradient, ws.y_re.data(), ws.y_im.data(),
-                      ws);
+    if (t > 0) plan.gradient_from_residual(ws);  // t = 0: -F^H h above
 
     for (;;) {
       const double thr = step * alpha;

@@ -3,7 +3,7 @@
 //
 // The per-band center-frequency channels form h~_i = sum_k p_k e^{-j2*pi*
 // f_i*tau_k}: an NDFT of the multipath delay profile p sampled at the
-// scattered Wi-Fi band frequencies. The system is underdetermined (35
+// unevenly spaced Wi-Fi band frequencies. The system is underdetermined (35
 // measurements, thousands of candidate delays), so Chronos picks the
 // sparsest consistent profile by minimising
 //     ||h~ - F p||_2^2 + alpha * ||p||_1
@@ -39,11 +39,13 @@
 // kernel layer in core/ndft_kernels.hpp — shared cached plans (split-complex
 // SoA Fourier matrix + precomputed step size), a per-thread workspace that
 // makes the iteration loops allocation-free, an active-set forward product
-// once the iterate is sparse, gradient kernels with a run-time AVX2
-// variant, and recurrence matched-filter scans. Between gap checks the
-// gradient and the proximal step visit only a working set of columns that
-// the last check admitted from the full dual (the supports of p and y and
-// every column whose dual correlation comes near alpha).
+// once the iterate is sparse, an adjoint and a forward product with a
+// run-time AVX2 variant, and recurrence matched-filter scans. Each
+// iteration takes one gradient, F^H (F y - h) from the residual the
+// backtracking test already holds; between gap checks it and the proximal
+// step visit only a working set of columns that the last check admitted
+// from the full dual (the supports of p and y and every column whose dual
+// correlation comes near alpha).
 #pragma once
 
 #include <complex>
@@ -62,7 +64,7 @@ struct IstaOptions {
   /// Sparsity weight alpha, relative to the strongest matched-filter
   /// response: the effective alpha is alpha * max|F^H h|, so the knob is
   /// scale-free. 0.2 suppresses the junk floor that normalisation model
-  /// error and per-band phase noise otherwise scatter across the profile
+  /// error and per-band phase noise otherwise spread across the profile
   /// (see the alpha-sweep ablation bench).
   double alpha = 0.2;
   /// Convergence: stop at the first gap check (every 10 iterations) whose
@@ -72,19 +74,6 @@ struct IstaOptions {
   /// Iteration cap; a solve that reaches it is certified once more at its
   /// last iterate and returns converged = false unless that check passes.
   int max_iterations = 4000;
-  /// How the per-iteration gradient is evaluated (see
-  /// NdftPlan::GradientArm):
-  ///  * kAuto — per-iteration NdftPlan::pick_arm choice between the
-  ///    Toeplitz scatter and the dense arm (the default; on plans without
-  ///    a Toeplitz tier every iteration is dense);
-  ///  * kDense — the legacy fused forward/adjoint on every iteration,
-  ///    bit-identical to rounds 1-2's numerics (the golden reference).
-  /// Both arms compute the gradient on the working set only. They agree to
-  /// ~1e-13 relative per gradient; alpha, thresholds, gap checks and
-  /// iteration structure are shared, so mode only perturbs iterates at
-  /// rounding level (tests pin <= 1e-12 against kDense).
-  enum class GradientMode { kAuto, kDense };
-  GradientMode gradient = GradientMode::kAuto;
 };
 
 /// Result of a sparse inversion.
@@ -133,12 +122,13 @@ class NdftSolver {
                                 const IstaOptions& opts = {}) const;
 
   /// solve_fista on each channel of `hs` in turn: result k is
-  /// bit-identical to solve_fista(hs[k], opts). Lane-interleaved SoA panels
+  /// bit-identical to solve_fista(hs[k], opts), since a solve is a pure
+  /// function of (plan, channel, options). Lane-interleaved SoA panels
   /// were measured 2-15x SLOWER per RHS at baseline ISA (interleaving
   /// wrecks both the unit stride the column-vectorised kernels rely on and
-  /// the per-column active-set sparsity), so the channels are solved one
-  /// after another. The ranging runtime does not call it; the micro-bench
-  /// and the end-to-end benchmark do.
+  /// each channel's own sparsity), so the channels are solved one after
+  /// another. The ranging runtime does not call it; the micro-bench and
+  /// the end-to-end benchmark do.
   std::vector<SparseSolveResult> solve_fista_batch(
       std::span<const std::span<const std::complex<double>>> hs,
       const IstaOptions& opts = {}) const;

@@ -18,10 +18,10 @@
 #define CHRONOS_RESTRICT
 #endif
 
-// Run-time ISA dispatch for the gradient kernels (adjoint, Toeplitz scatter
-// and forward product). Each keeps one loop body, force-inlined into its
-// NdftPlan method (the baseline variant) and, on x86 GNU-compatible
-// compilers, into a wrapper compiled for AVX2; a process-wide flag read
+// Run-time ISA dispatch for the solver kernels (adjoint and forward
+// product). Each keeps one loop body, force-inlined into its NdftPlan
+// method (the baseline variant) and, on x86 GNU-compatible compilers,
+// into a wrapper compiled for AVX2; a process-wide flag read
 // from the CPU picks the variant. target("avx2") does not enable FMA and
 // the loops vectorise across independent outputs (columns, or rows for the
 // forward product), so both variants produce the same bits. The explicit
@@ -165,85 +165,6 @@ CHRONOS_KERNEL_BODY void forward_body(const double* col_re,
   // lint:endregion(no-alloc)
 }
 
-/// g[c] += sum over four active columns j of y_j * T_{c,j}, the four
-/// addends applied in active order: one read/modify/write of g per four
-/// columns. The pointers are parameters so that their restrict holds for
-/// the vectoriser (GCC does not vectorise this loop on local restrict
-/// pointers).
-CHRONOS_KERNEL_BODY void scatter_block4(
-    std::size_t len, double* CHRONOS_RESTRICT gr, double* CHRONOS_RESTRICT gi,
-    const double* CHRONOS_RESTRICT e0r, const double* CHRONOS_RESTRICT e0i,
-    const double* CHRONOS_RESTRICT e1r, const double* CHRONOS_RESTRICT e1i,
-    const double* CHRONOS_RESTRICT e2r, const double* CHRONOS_RESTRICT e2i,
-    const double* CHRONOS_RESTRICT e3r, const double* CHRONOS_RESTRICT e3i,
-    const double* y) {
-  const double y0r = y[0], y0i = y[1], y1r = y[2], y1i = y[3];
-  const double y2r = y[4], y2i = y[5], y3r = y[6], y3i = y[7];
-  for (std::size_t c = 0; c < len; ++c) {
-    double acc_re = gr[c];
-    double acc_im = gi[c];
-    acc_re += y0r * e0r[c] - y0i * e0i[c];
-    acc_im += y0r * e0i[c] + y0i * e0r[c];
-    acc_re += y1r * e1r[c] - y1i * e1i[c];
-    acc_im += y1r * e1i[c] + y1i * e1r[c];
-    acc_re += y2r * e2r[c] - y2i * e2i[c];
-    acc_im += y2r * e2i[c] + y2i * e2r[c];
-    acc_re += y3r * e3r[c] - y3i * e3i[c];
-    acc_im += y3r * e3i[c] + y3i * e3r[c];
-    gr[c] = acc_re;
-    gi[c] = acc_im;
-  }
-}
-
-/// grad = T y - b by windowed accumulation over the `count` active columns
-/// of y, on the columns of `runs` (ascending, disjoint) only. tz_re/tz_im
-/// are the plan's reversed kernel windows (2m - 1).
-CHRONOS_KERNEL_BODY void scatter_body(
-    const double* tz_re, const double* tz_im, std::size_t m,
-    const ColumnRun* runs, std::size_t run_count, const std::uint32_t* active,
-    std::size_t count, const double* y_re, const double* y_im,
-    const double* CHRONOS_RESTRICT b_re, const double* CHRONOS_RESTRICT b_im,
-    double* CHRONOS_RESTRICT gr, double* CHRONOS_RESTRICT gi) {
-  // lint:region(no-alloc)
-  // Every grad[c] receives one addend per active column, in active order,
-  // whether it arrives in a block of four or alone, and whichever run
-  // holds c.
-  for (std::size_t k = 0; k < run_count; ++k) {
-    const std::size_t lo = runs[k].lo;
-    const std::size_t hi = runs[k].hi;
-    std::fill(gr + lo, gr + hi, 0.0);
-    std::fill(gi + lo, gi + hi, 0.0);
-    std::size_t j = 0;
-    for (; j + 4 <= count; j += 4) {
-      const std::size_t l0 = active[j], l1 = active[j + 1];
-      const std::size_t l2 = active[j + 2], l3 = active[j + 3];
-      const double y[8] = {y_re[l0], y_im[l0], y_re[l1], y_im[l1],
-                           y_re[l2], y_im[l2], y_re[l3], y_im[l3]};
-      scatter_block4(hi - lo, gr + lo, gi + lo, tz_re + (m - 1 - l0) + lo,
-                     tz_im + (m - 1 - l0) + lo, tz_re + (m - 1 - l1) + lo,
-                     tz_im + (m - 1 - l1) + lo, tz_re + (m - 1 - l2) + lo,
-                     tz_im + (m - 1 - l2) + lo, tz_re + (m - 1 - l3) + lo,
-                     tz_im + (m - 1 - l3) + lo, y);
-    }
-    for (; j < count; ++j) {
-      const std::size_t l = active[j];
-      const double ylr = y_re[l];
-      const double yli = y_im[l];
-      const double* CHRONOS_RESTRICT er = tz_re + (m - 1 - l);
-      const double* CHRONOS_RESTRICT ei = tz_im + (m - 1 - l);
-      for (std::size_t c = lo; c < hi; ++c) {
-        gr[c] += ylr * er[c] - yli * ei[c];
-        gi[c] += ylr * ei[c] + yli * er[c];
-      }
-    }
-    for (std::size_t c = lo; c < hi; ++c) {
-      gr[c] -= b_re[c];
-      gi[c] -= b_im[c];
-    }
-  }
-  // lint:endregion(no-alloc)
-}
-
 #if CHRONOS_KERNEL_AVX2
 [[gnu::target("avx2")]] void forward_avx2(
     const double* col_re, const double* col_im, std::size_t n,
@@ -258,15 +179,6 @@ CHRONOS_KERNEL_BODY void scatter_body(
     const ColumnRun* runs, std::size_t run_count, const double* x_re,
     const double* x_im, double* out_re, double* out_im) {
   adjoint_body(re, im, n, m, runs, run_count, x_re, x_im, out_re, out_im);
-}
-
-[[gnu::target("avx2")]] void scatter_avx2(
-    const double* tz_re, const double* tz_im, std::size_t m,
-    const ColumnRun* runs, std::size_t run_count, const std::uint32_t* active,
-    std::size_t count, const double* y_re, const double* y_im,
-    const double* b_re, const double* b_im, double* gr, double* gi) {
-  scatter_body(tz_re, tz_im, m, runs, run_count, active, count, y_re, y_im,
-               b_re, b_im, gr, gi);
 }
 #endif
 
@@ -329,8 +241,6 @@ void NdftWorkspace::bind(std::size_t rows, std::size_t cols) {
   p_im.resize(cols);
   y_re.resize(cols);
   y_im.resize(cols);
-  b_re.resize(cols);
-  b_im.resize(cols);
   q_re.resize(cols);
   q_im.resize(cols);
   fq_re.resize(rows);
@@ -424,82 +334,6 @@ NdftPlan::NdftPlan(std::vector<double> row_freqs_hz, DelayGrid grid,
   // converge immediately to p = 0 (pinned by the degenerate-input tests).
   const double sigma = mathx::spectral_norm(f_);
   gamma_ = sigma > 0.0 ? 1.0 / (sigma * sigma) : 0.0;
-
-  build_toeplitz();
-}
-
-void NdftPlan::build_toeplitz() {
-  bool finite = std::isfinite(grid_.min_s) && std::isfinite(grid_.step_s);
-  for (std::size_t i = 0; i < n_ && finite; ++i) {
-    finite = std::isfinite(freqs_[i]) && std::isfinite(weights_[i]);
-  }
-  toeplitz_capable_ = m_ >= 2 && gamma_ > 0.0 && grid_.step_s > 0.0 && finite;
-  if (!toeplitz_capable_) return;
-
-  const std::size_t m = m_;
-  // Kernel diagonal g(d) = sum_i w_i^2 e^{-j2π f_i Δ d} for d in [0, m).
-  // The grid origin cancels analytically in conj(F_{i,c}) F_{i,l}, so only
-  // the step Δ enters. Accumulated per row with the constructor's geometric
-  // recurrence, re-anchored from std::polar every kAnchor steps so the
-  // worst-case drift stays ~kAnchor ulps — well inside the 1e-12 iterate
-  // agreement the tests pin against the dense path.
-  constexpr std::size_t kAnchor = 64;
-  std::vector<double> g_re(m, 0.0), g_im(m, 0.0);
-  for (std::size_t i = 0; i < n_; ++i) {
-    const double w2 = weights_[i] * weights_[i];
-    if (w2 == 0.0) continue;
-    const double theta = -mathx::kTwoPi * freqs_[i] * grid_.step_s;
-    const std::complex<double> ratio = std::polar(1.0, theta);
-    std::complex<double> cur(w2, 0.0);
-    for (std::size_t d = 0; d < m; ++d) {
-      if (d % kAnchor == 0) {
-        cur = w2 * std::polar(1.0, theta * static_cast<double>(d));
-      }
-      g_re[d] += cur.real();
-      g_im[d] += cur.imag();
-      cur *= ratio;
-    }
-  }
-
-  // Reversed Toeplitz window: tz_[j] = g(m-1-j), using g(-d) = conj(g(d)).
-  tz_re_.assign(2 * m - 1, 0.0);
-  tz_im_.assign(2 * m - 1, 0.0);
-  for (std::size_t d = 0; d < m; ++d) {
-    tz_re_[m - 1 - d] = g_re[d];
-    tz_im_[m - 1 - d] = g_im[d];
-    tz_re_[m - 1 + d] = g_re[d];
-    tz_im_[m - 1 + d] = -g_im[d];
-  }
-}
-
-NdftPlan::GradientArm NdftPlan::pick_arm(std::size_t active_count) const {
-  if (!toeplitz_capable_) return GradientArm::kDense;
-  // Cost in "one pass over the m-column planes" units: the dense fused
-  // gradient is dominated by its n-row adjoint (~n units; the active-set
-  // forward is nearly free at solver sparsity), the scatter by one
-  // kernel-window pass per active column plus the b epilogue (|A| + 1
-  // units). Ties go to the scatter arm.
-  if (active_count + 1 <= n_) return GradientArm::kScatter;
-  return GradientArm::kDense;
-}
-
-void NdftPlan::gradient_toeplitz_scatter(const double* y_re,
-                                         const double* y_im,
-                                         NdftWorkspace& ws) const {
-  CHRONOS_EXPECTS(toeplitz_capable_, "plan has no Toeplitz tier");
-#if CHRONOS_KERNEL_AVX2
-  if (cpu_has_avx2()) {
-    scatter_avx2(tz_re_.data(), tz_im_.data(), m_, ws.work.data(),
-                 ws.work.size(), ws.active.data(), ws.active.size(), y_re,
-                 y_im, ws.b_re.data(), ws.b_im.data(), ws.grad_re.data(),
-                 ws.grad_im.data());
-    return;
-  }
-#endif
-  scatter_body(tz_re_.data(), tz_im_.data(), m_, ws.work.data(),
-               ws.work.size(), ws.active.data(), ws.active.size(), y_re,
-               y_im, ws.b_re.data(), ws.b_im.data(), ws.grad_re.data(),
-               ws.grad_im.data());
 }
 
 namespace {
@@ -510,8 +344,8 @@ struct PlanCacheEntry {
 
 /// Oldest-entry eviction bound. A plan stores the matrix three times (dense
 /// complex for the matrix() API and OMP, row-major planes for the adjoint,
-/// column-major planes padded to four rows for the forward product): about
-/// 3*n*m*16 bytes, ~2 MB for the default ranging grid (35 x 1201) and
+/// column-major planes padded to four rows for the forward product) and
+/// nothing else that grows with the grid: about 3*n*m*16 bytes, ~2 MB for the default ranging grid (35 x 1201) and
 /// ~6.8 MB for the widest DelayGrid default (400 ns / 0.1 ns). 32 entries
 /// comfortably covers every distinct (band plan, grid, weights) combination
 /// a process mixes in practice while bounding worst-case retention.
@@ -635,16 +469,6 @@ void NdftPlan::adjoint(const double* x_re, const double* x_im,
                        double* out_im) const {
   adjoint_kernel(re_.data(), im_.data(), n_, m_, runs, x_re, x_im, out_re,
                  out_im);
-}
-
-void NdftPlan::gradient(const double* p_re, const double* p_im,
-                        NdftWorkspace& ws) const {
-  forward_active(p_re, p_im, ws.active, ws.fp_re.data(), ws.fp_im.data());
-  for (std::size_t r = 0; r < n_; ++r) {
-    ws.fp_re[r] -= ws.h_re[r];
-    ws.fp_im[r] -= ws.h_im[r];
-  }
-  gradient_from_residual(ws);
 }
 
 void NdftPlan::gradient_from_residual(NdftWorkspace& ws) const {

@@ -1,10 +1,10 @@
 // Structure-exploiting kernel layer under the NDFT solver.
 //
-// The sparse inversion of the paper's Fourier matrix F (35 scattered Wi-Fi
-// center frequencies x thousands of candidate delays) spends essentially all
-// of its time in three operations: the forward product F p, the adjoint
-// F^H x, and matched-filter scans of h over a delay axis. This layer owns the
-// precomputed structure those operations exploit:
+// The sparse inversion of the paper's Fourier matrix F (35 unevenly spaced
+// Wi-Fi center frequencies x thousands of candidate delays) spends
+// essentially all of its time in three operations: the forward product F p,
+// the adjoint F^H x, and matched-filter scans of h over a delay axis. This
+// layer owns the precomputed structure those operations exploit:
 //
 //  * NdftPlan — the immutable per-(row freqs, grid, weights) precomputation:
 //    the Fourier matrix held in three layouts, each for the reader it
@@ -22,15 +22,10 @@
 //  * NdftWorkspace — scratch sized for one plan (the solvers keep one per
 //    thread), so the ISTA/FISTA iteration loops run with zero heap
 //    allocations.
-//  * Kernels — active-set forward, adjoint, fused gradient F^H (F p - h),
-//    and a batched recurrence matched-filter scan that replaces per-sample
-//    std::polar calls with one phasor rotation per row.
-//  * Toeplitz tier (round 2) — on the uniform delay grid, T = F^H F is
-//    Toeplitz: T_{c,l} = g(l-c) with g(d) = sum_i w_i^2 e^{-j2π f_i Δ d}.
-//    The plan precomputes the kernel diagonal g once, and the gradient
-//    T y - F^H h is then evaluated by windowed accumulation over y's active
-//    set (O(|A| m)) — with F^H h computed once per solve into the workspace
-//    instead of an O(nm) adjoint per iteration.
+//  * Kernels — active-set forward, adjoint, the gradient F^H (F p - h)
+//    from its residual on the solver's working set, and a batched
+//    recurrence matched-filter scan that replaces per-sample std::polar
+//    calls with one phasor rotation per row.
 //
 // Numerical contract: the split-complex kernels reproduce the legacy
 // mathx::Matrix path bit-for-bit on dense inputs (identical operation order
@@ -39,25 +34,23 @@
 // products one by one in ascending column order from +0.0, as the complex
 // matvec does; it skips only columns whose coefficient is exactly zero,
 // and the padding rows are never written out — so it is bit-identical
-// too. The three m-wide or row-wide kernels (adjoint, Toeplitz scatter and
-// forward product) have per-ISA variants, baseline and AVX2, picked once
-// per process from the CPU (NdftPlan::kernel_variant): they are
-// bit-identical because they use no FMA and no cross-lane reduction — each
-// lane computes its own output with the baseline's operations in the
-// baseline's order. The adjoint and the scatter also run over a list of
-// column runs (the solver's working set): no column's operation sequence
-// depends on which runs are listed, so a run-restricted product equals the
-// full product bit for bit on every listed column, and the full product is
-// simply the one-run case. The dense gradient on a working set of several
-// runs packs those columns of the row-major planes into the workspace and
-// runs the same adjoint on the pack as one run, which by the same argument
-// gives the same bits. The recurrence scans differ from per-point
-// evaluation at the ~1e-13 relative level over bench-length scans, and the
-// Toeplitz scatter gradient agrees with the dense fused gradient to ~1e-13
-// relative (solver iterates stay within 1e-12 of the dense path).
-// tests/test_core_ndft_kernels.cpp pins all of this, the dense-mode
-// solves, the forward product, the scatter, the packed working set and
-// the run-restricted kernels bitwise.
+// too. The two m-wide or row-wide kernels (adjoint and forward product)
+// have per-ISA variants, baseline and AVX2, picked once per process from
+// the CPU (NdftPlan::kernel_variant): they are bit-identical because they
+// use no FMA and no cross-lane reduction — each lane computes its own
+// output with the baseline's operations in the baseline's order. The
+// adjoint also runs over a list of column runs (the solver's working
+// set): no column's operation sequence depends on which runs are listed,
+// so a run-restricted product equals the full product bit for bit on
+// every listed column, and the full product is simply the one-run case.
+// The gradient on a working set of several runs packs those columns of
+// the row-major planes into the workspace and runs the same adjoint on
+// the pack as one run, which by the same argument gives the same bits.
+// The recurrence scans differ from per-point evaluation at the ~1e-13
+// relative level over bench-length scans.
+// tests/test_core_ndft_kernels.cpp pins all of this, the solves, the
+// forward product, the packed working set and the run-restricted kernels
+// bitwise.
 #pragma once
 
 #include <complex>
@@ -108,9 +101,10 @@ class NdftPlan;
 struct NdftWorkspace {
   // Split measurement vector (n).
   std::vector<double> h_re, h_im;
-  // Forward product / residual F p - h (n).
+  // Residual (n): the gradient's input F y - h, or the gap check's
+  // h - F p.
   std::vector<double> fp_re, fp_im;
-  // Gradient F^H (F p - h) (m).
+  // Gradient F^H (F y - h) (m); the gap check's F^H (h - F p).
   std::vector<double> grad_re, grad_im;
   // Iterates (m). FISTA additionally uses the extrapolated point y.
   std::vector<double> p_re, p_im;
@@ -124,21 +118,20 @@ struct NdftWorkspace {
   std::vector<double> fq_re, fq_im;
   std::vector<double> fit_re, fit_im;
   std::vector<double> fy_re, fy_im;
-  // b = F^H h — the fixed linear term of the Toeplitz gradient T y - b,
-  // computed once per solve (m).
-  std::vector<double> b_re, b_im;
-  // Ascending indices of the (exactly) nonzero columns of the point the
-  // gradient is taken at (the solvers' extrapolated point y).
+  // Ascending indices of the (exactly) nonzero columns of the solvers'
+  // extrapolated point y, which the gap check keeps in the working set.
   std::vector<std::uint32_t> active;
-  // Ascending indices of the columns of the iterate p with any bit set
-  // (-0.0 included): the columns the gap check's forward product reads.
+  // Ascending indices of the columns of the candidate q with any bit set
+  // (-0.0 included): the columns its forward product reads. Once q is
+  // accepted they are the iterate p's, over which the gap check sums |p|
+  // and which it keeps in the working set (it reads F p from fit).
   std::vector<std::uint32_t> support;
   // The working set W as ascending, disjoint column runs: the only columns
-  // the gradient kernels (NdftPlan::gradient, gradient_toeplitz_scatter)
-  // compute and the solvers' proximal step updates. bind() resets it to
-  // one run over every column.
+  // the gradient (NdftPlan::gradient_from_residual) computes and the
+  // solvers' proximal step updates. bind() resets it to one run over every
+  // column.
   std::vector<ColumnRun> work;
-  // The packed working set of the dense gradient (NdftPlan::gradient):
+  // The packed working set of the gradient (gradient_from_residual):
   // the columns of pack_runs, taken from pack_plan's row-major planes and
   // stored row-major (n x |W|, row r's |W| entries contiguous), so the
   // adjoint reads them as one run; pack_grad holds the adjoint on them
@@ -178,10 +171,10 @@ class NdftPlan {
   static std::size_t cache_size();
   static void clear_cache();
 
-  /// The variant of the adjoint, Toeplitz-scatter and forward kernels this
-  /// process runs: "avx2" on an x86 CPU with AVX2 under a GNU-compatible
-  /// compiler, "baseline" otherwise. Fixed for the process; every variant
-  /// produces the same bits.
+  /// The variant of the adjoint and forward kernels this process runs:
+  /// "avx2" on an x86 CPU with AVX2 under a GNU-compatible compiler,
+  /// "baseline" otherwise. Fixed for the process; every variant produces
+  /// the same bits.
   static const char* kernel_variant();
 
   std::size_t rows() const { return n_; }
@@ -201,33 +194,6 @@ class NdftPlan {
   /// to p = 0.
   double gamma() const { return gamma_; }
 
-  /// The gradient-evaluation arms of the round-2 kernel tier. kDense is the
-  /// legacy fused forward/adjoint (the golden reference); kScatter
-  /// accumulates Toeplitz-kernel windows over the active set.
-  enum class GradientArm { kDense, kScatter };
-
-  /// True when this plan carries the Toeplitz tier: at least two uniform,
-  /// finite grid delays, finite frequencies/weights, and gamma > 0.
-  /// Degenerate plans (single-column grids, all-zero weights, non-finite
-  /// inputs) answer false and every gradient request routes to the dense
-  /// arm instead of asserting.
-  bool toeplitz_capable() const { return toeplitz_capable_; }
-
-  /// Picks the cheaper gradient arm for an iterate with `active_count`
-  /// nonzero columns: kScatter while active_count + 1 <= rows() on a
-  /// Toeplitz-capable plan, kDense otherwise. A pure function of (plan,
-  /// active_count) — batched and sequential solves therefore make identical
-  /// choices, which is what keeps solve_fista_batch bit-identical to
-  /// one-by-one solve_fista.
-  GradientArm pick_arm(std::size_t active_count) const;
-
-  /// ws.grad = T y - b by windowed accumulation over ws.active (y's nonzero
-  /// columns): grad[c] = sum_{l in A} g(l-c) y[l] - b[c], for the columns c
-  /// of ws.work only (other grad entries are left as they were). Requires
-  /// ws.b to hold F^H h and the plan to be toeplitz_capable().
-  void gradient_toeplitz_scatter(const double* y_re, const double* y_im,
-                                 NdftWorkspace& ws) const;
-
   /// out = F p walking only the listed columns (ascending); out_re/out_im
   /// are length rows(). Reads the column-major planes, vectorised across
   /// rows; each row sums its column products in the order listed.
@@ -246,20 +212,12 @@ class NdftPlan {
                std::span<const ColumnRun> runs, double* out_re,
                double* out_im) const;
 
-  /// Fused gradient of the data term: ws.grad = F^H (F p - h), with the
-  /// forward product restricted to ws.active (p's nonzero columns) and the
-  /// adjoint to the columns of ws.work (other grad entries are left as
-  /// they were). Writes the residual F p - h to ws.fp, then runs
-  /// gradient_from_residual; ws.h must hold the split measurement.
-  void gradient(const double* p_re, const double* p_im,
-                NdftWorkspace& ws) const;
-
-  /// The dense gradient arm given its residual: ws.grad = F^H ws.fp on the
-  /// columns of ws.work (other grad entries are left as they were). A
-  /// working set of one run is contiguous in the plan's planes already; one
-  /// of several runs is packed into ws.pack_re and ws.pack_im (repacked
-  /// only when ws.work or the plan has changed) and the adjoint runs on the
-  /// pack.
+  /// The gradient of the data term given its residual: ws.grad = F^H
+  /// ws.fp on the columns of ws.work (other grad entries are left as they
+  /// were). A working set of one run is contiguous in the plan's planes
+  /// already; one of several runs is packed into ws.pack_re and ws.pack_im
+  /// (repacked only when ws.work or the plan has changed) and the adjoint
+  /// runs on the pack.
   void gradient_from_residual(NdftWorkspace& ws) const;
 
   /// out[k] = |sum_i h_i e^{+j 2 pi f_i (u0 + k du)}| for k in [0, count).
@@ -277,8 +235,6 @@ class NdftPlan {
                         double u) const;
 
  private:
-  void build_toeplitz();
-
   std::vector<double> freqs_;
   std::vector<double> weights_;
   DelayGrid grid_;
@@ -294,12 +250,6 @@ class NdftPlan {
   // Legacy dense representation (public matrix() API, OMP atom algebra).
   mathx::ComplexMatrix f_;
   double gamma_ = 0.0;
-  // Toeplitz tier (empty unless toeplitz_capable_). tz_[j] = g(m-1-j) for
-  // j in [0, 2m-2]: the kernel diagonal stored reversed, so for a fixed
-  // active column l the window tz_ + (m-1-l) reads T_{c,l} = g(l-c) in
-  // ascending c, contiguously.
-  bool toeplitz_capable_ = false;
-  std::vector<double> tz_re_, tz_im_;
 };
 
 }  // namespace chronos::core
