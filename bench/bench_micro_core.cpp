@@ -258,8 +258,9 @@ const std::vector<MicroKernel>& kernels() {
     const auto freqs = plan_freqs();
     const auto h = test_channel();
 
-    // Cold plan build: matrix recurrence + spectral-norm power iteration
-    // (what every *distinct* (freqs, grid, weights) key pays once).
+    // Cold plan build: matrix recurrence into both layouts + the power
+    // iteration on the kernels (what every *distinct* (freqs, grid,
+    // weights) key pays once).
     ks.push_back({"BM_NdftPlanBuild", "ndft_plan_build", [freqs] {
                     const core::NdftPlan plan(freqs, kGrid, {});
                     return plan.gamma();
@@ -268,7 +269,7 @@ const std::vector<MicroKernel>& kernels() {
     // after this PR (a shared_ptr handoff from the plan cache).
     ks.push_back({"BM_NdftConstruction", "ndft_construct_cached", [freqs] {
                     const core::NdftSolver solver(freqs, kGrid);
-                    return solver.gamma();
+                    return solver.plan().gamma();
                   }});
 
     auto solver = std::make_shared<core::NdftSolver>(freqs, kGrid);

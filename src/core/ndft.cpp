@@ -4,10 +4,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 
 #include "mathx/constants.hpp"
 #include "mathx/contracts.hpp"
 #include "mathx/cvec.hpp"
+#include "mathx/matrix.hpp"
 
 namespace chronos::core {
 
@@ -76,7 +78,15 @@ double effective_alpha(const NdftPlan& plan, const NdftWorkspace& ws,
 
 std::vector<std::complex<double>> NdftSolver::synthesize(
     std::span<const std::complex<double>> p) const {
-  return plan_->matrix().multiply(p);
+  CHRONOS_EXPECTS(p.size() == plan_->cols(), "profile/column count mismatch");
+  std::vector<double> p_re(p.size()), p_im(p.size());
+  split_into(p, p_re, p_im);
+  std::vector<std::uint32_t> cols(p.size());
+  std::iota(cols.begin(), cols.end(), 0u);
+  std::vector<double> out_re(plan_->rows()), out_im(plan_->rows());
+  plan_->forward_active(p_re.data(), p_im.data(), cols, out_re.data(),
+                        out_im.data());
+  return merge_planes(out_re, out_im);
 }
 
 std::vector<std::complex<double>> NdftSolver::apply_weights(
@@ -459,7 +469,6 @@ std::vector<SparseSolveResult> NdftSolver::solve_fista_batch(
 SparseSolveResult NdftSolver::solve_omp(
     std::span<const std::complex<double>> h, std::size_t max_paths) const {
   const NdftPlan& plan = *plan_;
-  const mathx::ComplexMatrix& f = plan.matrix();
   const std::size_t n = plan.rows();
   const std::size_t m = plan.cols();
   CHRONOS_EXPECTS(h.size() == n, "channel vector/row count mismatch");
@@ -509,7 +518,7 @@ SparseSolveResult NdftSolver::solve_omp(
     for (std::size_t a_i = 0; a_i < s; ++a_i) {
       std::complex<double> to_new{0.0, 0.0};
       for (std::size_t r = 0; r < n; ++r) {
-        to_new += std::conj(f(r, support[a_i])) * f(r, best_k);
+        to_new += std::conj(plan.at(r, support[a_i])) * plan.at(r, best_k);
       }
       gram_full(a_i, s - 1) = to_new;
       // The Gram is Hermitian, and conj-of-sum equals sum-of-conj exactly
@@ -518,7 +527,7 @@ SparseSolveResult NdftSolver::solve_omp(
     }
     std::complex<double> rhs_new{0.0, 0.0};
     for (std::size_t r = 0; r < n; ++r) {
-      rhs_new += std::conj(f(r, best_k)) * h[r];
+      rhs_new += std::conj(plan.at(r, best_k)) * h[r];
     }
     rhs_full[s - 1] = rhs_new;
 
@@ -537,7 +546,7 @@ SparseSolveResult NdftSolver::solve_omp(
     residual.assign(h.begin(), h.end());
     for (std::size_t r = 0; r < n; ++r) {
       for (std::size_t a_i = 0; a_i < s; ++a_i) {
-        residual[r] -= f(r, support[a_i]) * amplitudes[a_i];
+        residual[r] -= plan.at(r, support[a_i]) * amplitudes[a_i];
       }
     }
     out.iterations = static_cast<int>(it + 1);

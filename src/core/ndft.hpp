@@ -35,17 +35,18 @@
 //    three-path channel it certifies in 60 iterations against ISTA's 90;
 //  * OMP   — greedy orthogonal matching pursuit, a classic sparse baseline.
 //
-// Performance: all solver entry points run on the structure-exploiting
-// kernel layer in core/ndft_kernels.hpp — shared cached plans (split-complex
-// SoA Fourier matrix + precomputed step size), a per-thread workspace that
-// makes the iteration loops allocation-free, an active-set forward product
-// once the iterate is sparse, an adjoint and a forward product with a
-// run-time AVX2 variant, and recurrence matched-filter scans. Each
-// iteration takes one gradient, F^H (F y - h) from the residual the
-// backtracking test already holds; between gap checks it and the proximal
-// step visit only a working set of columns that the last check admitted
-// from the full dual (the supports of p and y and every column whose dual
-// correlation comes near alpha).
+// Performance: every product with F runs on the structure-exploiting kernel
+// layer in core/ndft_kernels.hpp — shared cached plans (the Fourier matrix as
+// split-complex planes, row-major for the adjoint and column-major for the
+// forward product, plus the precomputed step size), a per-thread workspace
+// that makes the iteration loops allocation-free, an active-set forward
+// product once the iterate is sparse, an adjoint and a forward product with a
+// run-time AVX2 variant, and recurrence matched-filter scans. Each iteration
+// takes one gradient, F^H (F y - h) from the residual the backtracking test
+// already holds; between gap checks it and the proximal step visit only a
+// working set of columns that the last check admitted from the full dual (the
+// supports of p and y and every column whose dual correlation comes near
+// alpha).
 #pragma once
 
 #include <complex>
@@ -56,7 +57,6 @@
 #include <vector>
 
 #include "core/ndft_kernels.hpp"
-#include "mathx/matrix.hpp"
 
 namespace chronos::core {
 
@@ -103,8 +103,8 @@ struct SparseSolveResult {
 /// model — they still contribute phase aperture, just with less authority.
 ///
 /// Construction consults the process-wide NdftPlan cache: building two
-/// solvers with identical (frequencies, grid, weights) shares one matrix
-/// and one spectral-norm run.
+/// solvers with identical (frequencies, grid, weights) shares one plan and
+/// one power iteration.
 class NdftSolver {
  public:
   NdftSolver(std::vector<double> row_freqs_hz, DelayGrid grid,
@@ -140,8 +140,8 @@ class NdftSolver {
   SparseSolveResult solve_omp(std::span<const std::complex<double>> h,
                               std::size_t max_paths) const;
 
-  /// F p — synthesises the channel a profile would produce (used by tests
-  /// to check data consistency).
+  /// F p on the forward kernel — synthesises the channel a profile would
+  /// produce (the baselines' residuals; tests check data consistency).
   std::vector<std::complex<double>> synthesize(
       std::span<const std::complex<double>> p) const;
 
@@ -159,17 +159,10 @@ class NdftSolver {
   double refine_delay(std::span<const std::complex<double>> h,
                       double coarse_delay_s, double half_width_s) const;
 
-  const mathx::ComplexMatrix& matrix() const { return plan_->matrix(); }
   const DelayGrid& grid() const { return plan_->grid(); }
-  /// The plan's reference step 1/sigma^2 (NdftPlan::gamma): ISTA and
-  /// FISTA start their backtracking step at 4 gamma.
-  double gamma() const { return plan_->gamma(); }
-  /// The shared kernel plan backing this solver.
+  /// The shared kernel plan backing this solver: F's entries, its kernels
+  /// and the reference step gamma.
   const NdftPlan& plan() const { return *plan_; }
-  /// Per-row weights (all ones when defaulted).
-  const std::vector<double>& row_weights() const {
-    return plan_->row_weights();
-  }
   /// Applies the row weights to a raw measurement vector (h_i -> w_i h_i).
   std::vector<std::complex<double>> apply_weights(
       std::span<const std::complex<double>> h) const;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <random>
 
 #include "mathx/annotations.hpp"
 #include "mathx/constants.hpp"
@@ -199,6 +201,46 @@ void adjoint_kernel(const double* re, const double* im, std::size_t n,
                out_im);
 }
 
+/// ||F||_2 by 30 power iterations on F^H F from a fixed-seed Gaussian
+/// start (real, then imaginary part per column), as the Rayleigh quotient
+/// ||F x|| of the normalised iterate; 0 once F^H F x vanishes.
+double spectral_norm(const NdftPlan& plan) {
+  const auto norm = [](const std::vector<double>& re,
+                       const std::vector<double>& im) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < re.size(); ++i) {
+      acc += re[i] * re[i] + im[i] * im[i];
+    }
+    return std::sqrt(acc);
+  };
+  std::mt19937_64 rng(0x9E3779B97F4A7C15ull);
+  std::normal_distribution<double> gauss(0.0, 1.0);
+  std::vector<double> x_re(plan.cols()), x_im(plan.cols());
+  for (std::size_t k = 0; k < plan.cols(); ++k) {
+    x_re[k] = gauss(rng);
+    x_im[k] = gauss(rng);
+  }
+  std::vector<std::uint32_t> all(plan.cols());
+  std::iota(all.begin(), all.end(), 0u);
+  std::vector<double> fx_re(plan.rows()), fx_im(plan.rows());
+  plan.forward_active(x_re.data(), x_im.data(), all, fx_re.data(),
+                      fx_im.data());
+  double sigma = 0.0;
+  for (int it = 0; it < 30; ++it) {
+    plan.adjoint(fx_re.data(), fx_im.data(), x_re.data(), x_im.data());
+    const double x_norm = norm(x_re, x_im);
+    if (x_norm == 0.0) return 0.0;
+    for (std::size_t k = 0; k < plan.cols(); ++k) {
+      x_re[k] /= x_norm;
+      x_im[k] /= x_norm;
+    }
+    plan.forward_active(x_re.data(), x_im.data(), all, fx_re.data(),
+                        fx_im.data());
+    sigma = norm(fx_re, fx_im);
+  }
+  return sigma;
+}
+
 }  // namespace
 
 const char* NdftPlan::kernel_variant() {
@@ -219,8 +261,8 @@ std::size_t DelayGrid::size() const {
       q * (1.0 + 4.0 * std::numeric_limits<double>::epsilon());
   // Converting a double that does not fit std::size_t is undefined (an
   // infinite span or a 1e-300 step would reach the cast), so the cap is
-  // checked on the double. GCC's -fsanitize=undefined leaves this
-  // conversion unchecked; it takes -fsanitize=float-cast-overflow.
+  // checked on the double (the ubsan preset's float-cast-overflow check
+  // catches a cast that escapes it).
   CHRONOS_EXPECTS(nudged < static_cast<double>(kMaxColumns),
                   "delay grid has more than DelayGrid::kMaxColumns columns");
   return static_cast<std::size_t>(nudged) + 1;
@@ -286,7 +328,12 @@ NdftPlan::NdftPlan(std::vector<double> row_freqs_hz, DelayGrid grid,
 
   n_ = freqs_.size();
   m_ = grid_.size();
-  f_ = mathx::ComplexMatrix(n_, m_);
+  n_pad_ = (n_ + kRowLanes - 1) / kRowLanes * kRowLanes;
+  re_.resize(n_ * m_);
+  im_.resize(n_ * m_);
+  // The column-major planes hold the same entries; padding rows stay zero.
+  col_re_.assign(m_ * n_pad_, 0.0);
+  col_im_.assign(m_ * n_pad_, 0.0);
   for (std::size_t i = 0; i < n_; ++i) {
     // Row entries are a geometric sequence in the column index:
     // e^{-j2pi f (tau0 + k step)} = e^{-j2pi f tau0} * (e^{-j2pi f step})^k.
@@ -296,9 +343,9 @@ NdftPlan::NdftPlan(std::vector<double> row_freqs_hz, DelayGrid grid,
     const std::complex<double> ratio =
         std::polar(1.0, -mathx::kTwoPi * freqs_[i] * grid_.step_s);
     std::complex<double> cur = start;
-    auto row = f_.row(i);
     for (std::size_t k = 0; k < m_; ++k) {
-      row[k] = cur;
+      re_[i * m_ + k] = col_re_[k * n_pad_ + i] = cur.real();
+      im_[i * m_ + k] = col_im_[k * n_pad_ + i] = cur.imag();
       cur *= ratio;
       // Renormalise periodically: the recurrence drifts in magnitude by
       // ~1 ulp per step, which matters over thousands of columns.
@@ -308,45 +355,22 @@ NdftPlan::NdftPlan(std::vector<double> row_freqs_hz, DelayGrid grid,
       }
     }
   }
-  // Split-complex planes mirror f_ exactly, so the SoA kernels see the very
-  // same matrix entries as the legacy dense path.
-  re_.resize(n_ * m_);
-  im_.resize(n_ * m_);
-  const auto flat = f_.flat();
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    re_[i] = flat[i].real();
-    im_[i] = flat[i].imag();
-  }
-  // And so do the column-major planes, whose padding rows stay zero.
-  n_pad_ = (n_ + kRowLanes - 1) / kRowLanes * kRowLanes;
-  col_re_.assign(m_ * n_pad_, 0.0);
-  col_im_.assign(m_ * n_pad_, 0.0);
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t k = 0; k < m_; ++k) {
-      col_re_[k * n_pad_ + i] = re_[i * m_ + k];
-      col_im_[k * n_pad_ + i] = im_[i * m_ + k];
-    }
-  }
   // The fixed-seed power iteration makes gamma a pure function of the key,
   // which is what lets cached plans reproduce uncached numerics exactly.
   // All-zero weights give sigma == 0; such degenerate plans must not
   // assert — gamma = 0 makes the solvers take zero-length steps and
   // converge immediately to p = 0 (pinned by the degenerate-input tests).
-  const double sigma = mathx::spectral_norm(f_);
+  const double sigma = spectral_norm(*this);
   gamma_ = sigma > 0.0 ? 1.0 / (sigma * sigma) : 0.0;
 }
 
 namespace {
 
-struct PlanCacheEntry {
-  std::shared_ptr<const NdftPlan> plan;
-};
-
-/// Oldest-entry eviction bound. A plan stores the matrix three times (dense
-/// complex for the matrix() API and OMP, row-major planes for the adjoint,
-/// column-major planes padded to four rows for the forward product) and
-/// nothing else that grows with the grid: about 3*n*m*16 bytes, ~2 MB for the default ranging grid (35 x 1201) and
-/// ~6.8 MB for the widest DelayGrid default (400 ns / 0.1 ns). 32 entries
+/// Oldest-entry eviction bound. A plan stores the matrix twice (row-major
+/// planes for the adjoint, column-major planes padded to four rows for the
+/// forward product) and nothing else that grows with the grid: about
+/// 2*n*m*16 bytes, ~1.4 MB for the default ranging grid (35 x 1201) and
+/// ~4.5 MB for the widest DelayGrid default (400 ns / 0.1 ns). 32 entries
 /// comfortably covers every distinct (band plan, grid, weights) combination
 /// a process mixes in practice while bounding worst-case retention.
 constexpr std::size_t kPlanCacheMax = 32;
@@ -376,8 +400,8 @@ class PlanCache {
                                        const DelayGrid& grid,
                                        std::span<const double> weights) const
       CHRONOS_REQUIRES(mutex) {
-    for (const auto& e : entries_) {
-      if (key_matches(*e.plan, freqs, grid, weights)) return e.plan;
+    for (const auto& plan : entries_) {
+      if (key_matches(*plan, freqs, grid, weights)) return plan;
     }
     return nullptr;
   }
@@ -385,7 +409,7 @@ class PlanCache {
   /// Inserts `plan`, evicting the oldest entry at the kPlanCacheMax bound.
   void insert(std::shared_ptr<const NdftPlan> plan) CHRONOS_REQUIRES(mutex) {
     if (entries_.size() >= kPlanCacheMax) entries_.erase(entries_.begin());
-    entries_.push_back({std::move(plan)});
+    entries_.push_back(std::move(plan));
   }
 
   std::size_t size() const CHRONOS_REQUIRES(mutex) { return entries_.size(); }
@@ -394,7 +418,8 @@ class PlanCache {
   mutable chronos::Mutex mutex;
 
  private:
-  std::vector<PlanCacheEntry> entries_ CHRONOS_GUARDED_BY(mutex);
+  std::vector<std::shared_ptr<const NdftPlan>> entries_
+      CHRONOS_GUARDED_BY(mutex);
 };
 
 PlanCache& plan_cache() {
@@ -418,10 +443,10 @@ std::shared_ptr<const NdftPlan> NdftPlan::get_or_create(
     if (auto hit = cache.find(row_freqs_hz, grid, weights)) return hit;
   }
 
-  // Build outside the lock: construction runs a spectral-norm power
-  // iteration, and blocking unrelated pipelines on it would serialise
-  // batch-engine startup. A racing duplicate build is resolved below by
-  // keeping the first inserted plan (both are bitwise identical anyway).
+  // Build outside the lock: construction runs a power iteration, and
+  // blocking unrelated pipelines on it would serialise batch-engine
+  // startup. A racing duplicate build is resolved below by keeping the
+  // first inserted plan (both are bitwise identical anyway).
   auto built = std::make_shared<const NdftPlan>(
       std::vector<double>(row_freqs_hz.begin(), row_freqs_hz.end()), grid,
       weights);

@@ -7,18 +7,18 @@
 // layer owns the precomputed structure those operations exploit:
 //
 //  * NdftPlan — the immutable per-(row freqs, grid, weights) precomputation:
-//    the Fourier matrix held in three layouts, each for the reader it
-//    serves: the legacy dense complex matrix (the public
-//    NdftSolver::matrix() API and the OMP atom algebra); split-complex
-//    row-major planes (separate real/imag arrays, row r's m entries
-//    contiguous), which the adjoint reads across columns; and
-//    split-complex column-major planes (column c's rows contiguous, padded
-//    with zero rows to a multiple of the four-double vector width), which
-//    the forward product reads across rows. Plus the power-iteration
-//    reference step gamma = 1/||F||_2^2. Plans are shared through a
+//    the Fourier matrix held once per kernel: split-complex row-major
+//    planes (separate real/imag arrays, row r's m entries contiguous),
+//    which the adjoint reads across columns, and split-complex
+//    column-major planes (column c's rows contiguous, padded with zero
+//    rows to a multiple of the four-double vector width), which the
+//    forward product reads across rows. Every product with F runs on
+//    these two kernels, the power iteration behind the reference step
+//    gamma = 1/||F||_2^2 included; OMP and the min-norm baseline read
+//    single entries through at(). Plans are shared through a
 //    process-wide cache so repeated pipeline construction (fleet
-//    scenarios, benches, tests) pays the O(n*m) build and the
-//    spectral-norm iteration once.
+//    scenarios, benches, tests) pays the O(n*m) build and the power
+//    iteration once.
 //  * NdftWorkspace — scratch sized for one plan (the solvers keep one per
 //    thread), so the ISTA/FISTA iteration loops run with zero heap
 //    allocations.
@@ -27,7 +27,7 @@
 //    recurrence matched-filter scan that replaces per-sample std::polar
 //    calls with one phasor rotation per row.
 //
-// Numerical contract: the split-complex kernels reproduce the legacy
+// Numerical contract: the split-complex kernels reproduce the dense
 // mathx::Matrix path bit-for-bit on dense inputs (identical operation order
 // per component). The active-set forward product runs vectorised across
 // rows on the column-major planes, yet each row still sums its column
@@ -60,8 +60,6 @@
 #include <span>
 #include <vector>
 
-#include "mathx/matrix.hpp"
-
 namespace chronos::core {
 
 /// Uniform grid of candidate delays for the recovered profile. For two-way
@@ -69,7 +67,7 @@ namespace chronos::core {
 struct DelayGrid {
   /// The most columns a grid may have: about 16x the widest grid the repo
   /// builds (the 0-400 ns / 0.1 ns default, 4001 columns). A plan holds
-  /// rows x columns complex entries in each of its three layouts, and a
+  /// rows x columns complex entries in each of its two layouts, and a
   /// workspace reserves rows x columns more for its packed working set.
   static constexpr std::size_t kMaxColumns = std::size_t{1} << 16;
 
@@ -182,10 +180,14 @@ class NdftPlan {
   const std::vector<double>& row_freqs_hz() const { return freqs_; }
   const std::vector<double>& row_weights() const { return weights_; }
   const DelayGrid& grid() const { return grid_; }
-  const mathx::ComplexMatrix& matrix() const { return f_; }
-  /// 1/sigma^2 for the 30-iteration power-method estimate sigma of
-  /// ||F||_2 (mathx::spectral_norm), the paper's Algorithm 1 step. The
-  /// estimate approaches ||F||_2 from below, so gamma can exceed
+  /// F's entry (r, c), from the row-major planes.
+  std::complex<double> at(std::size_t r, std::size_t c) const {
+    return {re_[r * m_ + c], im_[r * m_ + c]};
+  }
+  /// 1/sigma^2 for the estimate sigma of ||F||_2 that 30 power iterations
+  /// on F^H F (forward_active and adjoint) take from a fixed-seed Gaussian
+  /// start: the paper's Algorithm 1 step. sigma is a Rayleigh quotient
+  /// ||F x||, so it approaches ||F||_2 from below, and gamma can exceed
   /// 1/||F||_2^2 (by 1.27% on the ranging plan), which Algorithm 1's
   /// convergence bound does not cover; ISTA and FISTA use it only as the
   /// reference their backtracking step starts from, and their descent
@@ -247,8 +249,6 @@ class NdftPlan {
   // product's.
   std::size_t n_pad_ = 0;
   std::vector<double> col_re_, col_im_;
-  // Legacy dense representation (public matrix() API, OMP atom algebra).
-  mathx::ComplexMatrix f_;
   double gamma_ = 0.0;
 };
 

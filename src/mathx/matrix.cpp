@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <random>
-
-#include "mathx/cvec.hpp"
 
 namespace chronos::mathx {
 
@@ -41,31 +38,6 @@ std::vector<std::complex<double>> solve_linear(
     x[k] = acc / a(k, k);
   }
   return x;
-}
-
-double spectral_norm(const ComplexMatrix& a, int iterations,
-                     unsigned long long seed) {
-  CHRONOS_EXPECTS(a.rows() > 0 && a.cols() > 0, "spectral_norm of empty matrix");
-  CHRONOS_EXPECTS(iterations > 0, "iterations must be positive");
-
-  std::mt19937_64 rng(seed);
-  std::normal_distribution<double> gauss(0.0, 1.0);
-  std::vector<std::complex<double>> x(a.cols());
-  for (auto& v : x) v = {gauss(rng), gauss(rng)};
-
-  double sigma = 0.0;
-  for (int it = 0; it < iterations; ++it) {
-    auto ax = a.multiply(x);
-    auto aax = a.multiply_adjoint(ax);
-    double n = norm2(aax);
-    if (n == 0.0) return 0.0;
-    for (auto& v : aax) v /= n;
-    x = std::move(aax);
-    // Rayleigh quotient after applying A once more.
-    auto ax2 = a.multiply(x);
-    sigma = norm2(ax2);
-  }
-  return sigma;
 }
 
 }  // namespace chronos::mathx

@@ -1,10 +1,10 @@
 // Minimal dense matrix over double or std::complex<double>.
 //
 // The library deliberately avoids external linear-algebra dependencies: the
-// only consumers are the NDFT solver (matrix-vector products with the Fourier
-// matrix, its spectral norm, and OMP's least-squares refit), the
-// pseudo-inverse baseline (its Gram system), and trilateration (the 2x2
-// Gauss-Newton normal matrix). Row-major storage, bounds-checked in debug via
+// only consumers are OMP's least-squares refit, the min-norm baseline's Gram
+// system, trilateration (the 2x2 Gauss-Newton normal matrix), and the tests,
+// whose dense products (multiply, multiply_adjoint) are the reference the
+// NDFT kernels are held to. Row-major storage, bounds-checked in debug via
 // contracts at the public API.
 #pragma once
 
@@ -102,15 +102,5 @@ using ComplexMatrix = Matrix<std::complex<double>>;
 /// Gram solve share it; both pass small n x n systems.
 std::vector<std::complex<double>> solve_linear(
     ComplexMatrix a, std::vector<std::complex<double>> b);
-
-/// Estimates the spectral norm ||A||_2 of a complex matrix by power
-/// iteration on A^H A. `iterations` trades accuracy for time. The estimate
-/// is a Rayleigh quotient, so it approaches ||A||_2 from below: on the
-/// ranging plan (35 x 1201) 30 iterations read sigma^2 = 1288.27 against
-/// 1304.62 once converged (100 iterations and more), and 1/sigma^2 is then
-/// 1.27% longer than 1/||A||_2^2. It is no safe step size on its own; the
-/// NDFT solver starts a backtracking step from it.
-double spectral_norm(const ComplexMatrix& a, int iterations = 30,
-                     unsigned long long seed = 0x9E3779B97F4A7C15ull);
 
 }  // namespace chronos::mathx

@@ -90,7 +90,6 @@ void ChronosDaemon::handle_frame(std::size_t conn_index, const Frame& frame) {
   switch (frame.type) {
     case FrameType::kHello: {
       ++stats_.hello_frames;
-      conn.said_hello = true;
       encode_buffer_.clear();
       HelloAckFrame ack;
       ack.version = kWireVersion;

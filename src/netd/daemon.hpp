@@ -148,7 +148,6 @@ class ChronosDaemon {
     std::vector<std::uint8_t> recv_buffer;
     FrameParser parser;
     std::size_t outstanding = 0;  ///< admitted, not yet answered
-    bool said_hello = false;
     bool done_reading = false;  ///< goodbye seen or peer closed
     bool dead = false;          ///< closed (normally or poisoned)
   };

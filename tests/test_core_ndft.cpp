@@ -2,11 +2,13 @@
 
 #include <cmath>
 #include <complex>
+#include <random>
 
 #include "core/ndft.hpp"
 #include "core/profile.hpp"
 #include "mathx/constants.hpp"
 #include "mathx/cvec.hpp"
+#include "mathx/matrix.hpp"
 #include "phy/band_plan.hpp"
 
 namespace chronos::core {
@@ -32,6 +34,15 @@ std::vector<std::complex<double>> synth_channel(
   return h;
 }
 
+/// F as a dense complex matrix, entry by entry from NdftPlan::at.
+mathx::ComplexMatrix dense(const NdftPlan& plan) {
+  mathx::ComplexMatrix f(plan.rows(), plan.cols());
+  for (std::size_t r = 0; r < plan.rows(); ++r) {
+    for (std::size_t c = 0; c < plan.cols(); ++c) f(r, c) = plan.at(r, c);
+  }
+  return f;
+}
+
 TEST(DelayGrid, SizeAndIndexing) {
   DelayGrid g{0.0, 10e-9, 1e-9};
   EXPECT_EQ(g.size(), 11u);
@@ -44,28 +55,67 @@ TEST(DelayGrid, SizeAndIndexing) {
 TEST(Ndft, MatrixEntriesAreUnitPhasors) {
   const DelayGrid grid{0.0, 50e-9, 0.5e-9};
   NdftSolver solver(plan_frequencies(), grid);
-  const auto& f = solver.matrix();
+  const NdftPlan& f = solver.plan();
   EXPECT_EQ(f.rows(), 35u);
   EXPECT_EQ(f.cols(), grid.size());
   for (std::size_t i = 0; i < f.rows(); i += 7) {
     for (std::size_t k = 0; k < f.cols(); k += 37) {
-      EXPECT_NEAR(std::abs(f(i, k)), 1.0, 1e-9);
+      EXPECT_NEAR(std::abs(f.at(i, k)), 1.0, 1e-9);
     }
   }
   // Entry phase matches e^{-j2pi f tau} including the recurrence tail.
   const double freq = plan_frequencies()[10];
   const double tau = grid.delay_at(90);
   const std::complex<double> expect = std::polar(1.0, -kTwoPi * freq * tau);
-  EXPECT_NEAR(std::abs(f(10, 90) - expect), 0.0, 1e-7);
+  EXPECT_NEAR(std::abs(f.at(10, 90) - expect), 0.0, 1e-7);
+}
+
+/// The power iteration gamma is specified by, on the dense matrix: 30
+/// rounds of x <- F^H F x / ||F^H F x|| from a Gaussian start (seed
+/// 0x9E3779B97F4A7C15 on mt19937_64, real then imaginary part per column),
+/// sigma = ||F x|| after each; 0 once F^H F x vanishes.
+double reference_sigma(const mathx::ComplexMatrix& f) {
+  std::mt19937_64 rng(0x9E3779B97F4A7C15ull);
+  std::normal_distribution<double> gauss(0.0, 1.0);
+  std::vector<std::complex<double>> x(f.cols());
+  for (auto& v : x) v = {gauss(rng), gauss(rng)};
+  double sigma = 0.0;
+  for (int it = 0; it < 30; ++it) {
+    auto ffx = f.multiply_adjoint(f.multiply(x));
+    const double norm = mathx::norm2(ffx);
+    if (norm == 0.0) return 0.0;
+    for (auto& v : ffx) v /= norm;
+    x = std::move(ffx);
+    sigma = mathx::norm2(f.multiply(x));
+  }
+  return sigma;
 }
 
 TEST(Ndft, GammaIsInverseSquaredSpectralNorm) {
-  const DelayGrid grid{0.0, 20e-9, 0.5e-9};
-  NdftSolver solver(plan_frequencies(), grid);
-  EXPECT_GT(solver.gamma(), 0.0);
-  // gamma * ||F||^2 == 1 by construction.
-  const double sigma = mathx::spectral_norm(solver.matrix());
-  EXPECT_NEAR(solver.gamma() * sigma * sigma, 1.0, 0.05);
+  // The test grid, and the production grid with uneven row weights.
+  std::vector<double> weights(plan_frequencies().size());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = 0.4 + 0.05 * static_cast<double>(i);
+  }
+  for (const auto& [grid, w] :
+       {std::pair{DelayGrid{0.0, 20e-9, 0.5e-9}, std::vector<double>{}},
+        std::pair{DelayGrid{0.0, 150e-9, 0.125e-9}, weights}}) {
+    NdftSolver solver(plan_frequencies(), grid, w);
+    const double sigma = reference_sigma(dense(solver.plan()));
+    ASSERT_GT(sigma, 0.0);
+    // gamma = 1/sigma^2 bit for bit: the kernels' power iteration is the
+    // dense one.
+    EXPECT_EQ(solver.plan().gamma(), 1.0 / (sigma * sigma));
+  }
+}
+
+TEST(Ndft, GammaOfAOneRowPlanIsItsInverseSquaredNorm) {
+  // One row of weight w over m columns is rank one: ||F||_2^2 = w^2 m, which
+  // the first power iteration already reaches.
+  const double w = 0.37;
+  const NdftPlan plan({5.2e9}, DelayGrid{0.0, 150e-9, 0.125e-9}, {w});
+  const auto m = static_cast<double>(plan.cols());
+  EXPECT_NEAR(plan.gamma() * w * w * m, 1.0, 1e-12);
 }
 
 enum class SolverKind { kIsta, kFista, kOmp };
@@ -166,8 +216,8 @@ TEST(Ndft, RowWeightsScaleRowsAndMeasurements) {
   std::vector<double> weights = {0.5, 2.0};
   const DelayGrid grid{0.0, 10e-9, 1e-9};
   NdftSolver solver(freqs, grid, weights);
-  EXPECT_NEAR(std::abs(solver.matrix()(0, 3)), 0.5, 1e-9);
-  EXPECT_NEAR(std::abs(solver.matrix()(1, 3)), 2.0, 1e-9);
+  EXPECT_NEAR(std::abs(solver.plan().at(0, 3)), 0.5, 1e-9);
+  EXPECT_NEAR(std::abs(solver.plan().at(1, 3)), 2.0, 1e-9);
   std::vector<std::complex<double>> h = {{1.0, 0.0}, {1.0, 0.0}};
   const auto hw = solver.apply_weights(h);
   EXPECT_NEAR(std::abs(hw[0]), 0.5, 1e-12);

@@ -1,5 +1,5 @@
 // Pins the structure-exploiting kernel layer (core/ndft_kernels) to the
-// legacy dense mathx::Matrix path:
+// dense mathx::Matrix path on F's entries (NdftPlan::at):
 //  * active-set forward / adjoint / gradient kernels match the complex
 //    matvec (asserted to <= 1e-12 relative, measured ~0);
 //  * the recurrence matched-filter scan matches per-point std::polar
@@ -57,6 +57,7 @@
 #include "core/sweep_source.hpp"
 #include "mathx/constants.hpp"
 #include "mathx/cvec.hpp"
+#include "mathx/matrix.hpp"
 #include "mathx/rng.hpp"
 #include "phy/band_plan.hpp"
 #include "sim/radio.hpp"
@@ -187,6 +188,16 @@ OfficeChannels office_channels(std::size_t links) {
 
 // ---- Reference implementations (the pre-kernel dense path) --------------
 
+/// F as a dense complex matrix, entry by entry from NdftPlan::at: the
+/// complex matvecs on it are the reference the kernels are held to.
+mathx::ComplexMatrix dense(const NdftPlan& plan) {
+  mathx::ComplexMatrix f(plan.rows(), plan.cols());
+  for (std::size_t r = 0; r < plan.rows(); ++r) {
+    for (std::size_t c = 0; c < plan.cols(); ++c) f(r, c) = plan.at(r, c);
+  }
+  return f;
+}
+
 double reference_alpha(const mathx::ComplexMatrix& f,
                        std::span<const std::complex<double>> h,
                        const IstaOptions& opts) {
@@ -274,11 +285,11 @@ double reference_data_term(std::span<const std::complex<double>> v,
 SparseSolveResult reference_solve(const NdftSolver& solver,
                                   std::span<const std::complex<double>> h,
                                   const IstaOptions& opts, bool accelerate) {
-  const auto& f = solver.matrix();
+  const auto f = dense(solver.plan());
   const double alpha = reference_alpha(f, h, opts);
   const std::size_t n = f.rows();
   const std::size_t m = f.cols();
-  double step = 4.0 * solver.gamma();
+  double step = 4.0 * solver.plan().gamma();
 
   SparseSolveResult out;
   out.grid = solver.grid();
@@ -360,7 +371,7 @@ SparseSolveResult reference_fista(const NdftSolver& solver,
 SparseSolveResult reference_omp(const NdftSolver& solver,
                                 std::span<const std::complex<double>> h,
                                 std::size_t max_paths) {
-  const auto& f = solver.matrix();
+  const auto f = dense(solver.plan());
   SparseSolveResult out;
   out.grid = solver.grid();
   out.coefficients.assign(f.cols(), {0.0, 0.0});
@@ -565,7 +576,7 @@ TEST(NdftKernels, ForwardAdjointGradientMatchDensePath) {
     const auto weights = random_weights(rng, freqs.size());
     NdftSolver solver(freqs, grid, weights);
     const NdftPlan& plan = solver.plan();
-    const auto& f = solver.matrix();
+    const auto f = dense(plan);
     const std::size_t n = f.rows();
     const std::size_t m = f.cols();
 
@@ -645,6 +656,7 @@ TEST(NdftKernels, ForwardActiveMatchesMatvecBitwiseAtEveryRowCount) {
     std::vector<double> freqs(rows);
     for (double& f : freqs) f = rng.uniform(2.4e9, 5.9e9);
     const NdftPlan plan(freqs, grid, random_weights(rng, rows));
+    const auto f = dense(plan);
     const std::size_t m = plan.cols();
     std::vector<std::uint32_t> all(m);
     std::iota(all.begin(), all.end(), 0u);
@@ -662,7 +674,7 @@ TEST(NdftKernels, ForwardActiveMatchesMatvecBitwiseAtEveryRowCount) {
         p_re[c] = p[c].real();
         p_im[c] = p[c].imag();
       }
-      const auto want = plan.matrix().multiply(p);
+      const auto want = f.multiply(p);
       // Four entries past the rows: the padding rows must not be written.
       std::vector<double> got_re(rows + 4, sentinel);
       std::vector<double> got_im(rows + 4, sentinel);
@@ -1080,7 +1092,7 @@ TEST(NdftKernels, DegenerateProblemsSolveWithoutAsserting) {
     SCOPED_TRACE(c.name);
     NdftSolver solver(freqs, c.grid, c.weights);
     if (!c.weights.empty()) {
-      EXPECT_EQ(solver.gamma(), 0.0);
+      EXPECT_EQ(solver.plan().gamma(), 0.0);
     }
     const auto& use_h = c.zero_channel ? zero_h : h;
     // The solve runs (does not assert) and is the dense reference's.
@@ -1110,7 +1122,7 @@ TEST(NdftKernels, DegenerateProblemsSolveWithoutAsserting) {
 void expect_certified(const NdftSolver& solver,
                       std::span<const std::complex<double>> h,
                       const IstaOptions& opts, const SparseSolveResult& sol) {
-  const auto& f = solver.matrix();
+  const auto f = dense(solver.plan());
   const double alpha = reference_alpha(f, h, opts);
   const auto fp = f.multiply(sol.coefficients);
   std::vector<std::complex<double>> r(h.size());
@@ -1274,12 +1286,12 @@ TEST(NdftPlanCache, CachedPlanReproducesUncachedBuild) {
   NdftSolver cached(freqs, grid);
   const NdftPlan fresh(freqs, grid, {});
   // gamma comes from a fixed-seed power iteration: bitwise reproducible.
-  EXPECT_EQ(cached.gamma(), fresh.gamma());
-  EXPECT_EQ(cached.matrix().rows(), fresh.matrix().rows());
-  EXPECT_EQ(cached.matrix().cols(), fresh.matrix().cols());
-  for (std::size_t i = 0; i < fresh.matrix().rows(); i += 5) {
-    for (std::size_t k = 0; k < fresh.matrix().cols(); k += 17) {
-      EXPECT_EQ(cached.matrix()(i, k), fresh.matrix()(i, k));
+  EXPECT_EQ(cached.plan().gamma(), fresh.gamma());
+  EXPECT_EQ(cached.plan().rows(), fresh.rows());
+  EXPECT_EQ(cached.plan().cols(), fresh.cols());
+  for (std::size_t i = 0; i < fresh.rows(); i += 5) {
+    for (std::size_t k = 0; k < fresh.cols(); k += 17) {
+      EXPECT_EQ(cached.plan().at(i, k), fresh.at(i, k));
     }
   }
 }

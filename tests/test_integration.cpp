@@ -169,8 +169,9 @@ TEST(Integration, ProfilesStaySparse) {
 //
 // The goldens compare the pipeline with its own past output, so they catch
 // drift, not error. These oracles transform a sweep in ways that leave the
-// true time of flight unchanged and require the estimate to stay within
-// 1e-3 ns, with the same status and peak decision.
+// true time of flight unchanged, or shift it by a known delay, and require
+// the estimate to follow within 1e-3 ns, with the same status and peak
+// decision.
 
 /// Sweeps of 40 office_testbed(42) links 1-15 m apart (single-antenna
 /// mobiles) captured through an engine calibrated with Engine::calibrate,
@@ -271,6 +272,35 @@ TEST(Oracle, PermutingTheBandsLeavesTheTofUnchanged) {
         sweep.bands[j] = office.sweeps[i].bands[perm[j]];
       }
       expect_same_tof(want, permuted.estimate(sweep, calibration));
+    }
+  }
+}
+
+// Oracle: delaying every path by delta multiplies each CSI value, forward
+// and reverse, by e^{-j 2 pi f delta} at its subcarrier's frequency f, so
+// the ToF moves by exactly delta.
+TEST(Oracle, DelayingEveryPathShiftsTheTofByTheDelay) {
+  const OfficeSweeps office = office_sweeps();
+  const core::RangingPipeline pipeline(office.bands);
+  for (std::size_t i = 0; i < office.sweeps.size(); ++i) {
+    const auto want = pipeline.estimate(office.sweeps[i], office.calibration);
+    ASSERT_TRUE(want.status.ok()) << want.status.to_string();
+    for (const double delta : {-0.8e-9, 0.37e-9, 2.5e-9, 7.0e-9}) {
+      SCOPED_TRACE(testing::Message() << "link " << i << ", delay " << delta);
+      phy::SweepMeasurement delayed = office.sweeps[i];
+      for (auto& captures : delayed.bands) {
+        for (auto& cap : captures) {
+          for (phy::CsiMeasurement* m : {&cap.forward, &cap.reverse}) {
+            for (std::size_t k = 0; k < m->values.size(); ++k) {
+              m->values[k] *=
+                  std::polar(1.0, -mathx::kTwoPi * m->frequency_at(k) * delta);
+            }
+          }
+        }
+      }
+      core::RangingResult shifted = want;
+      shifted.tof_s += delta;
+      expect_same_tof(shifted, pipeline.estimate(delayed, office.calibration));
     }
   }
 }

@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <complex>
 
-#include "mathx/cvec.hpp"
 #include "mathx/matrix.hpp"
 
 namespace chronos::mathx {
@@ -59,23 +57,6 @@ TEST(SolveLinear, SingularThrows) {
   a(1, 1) = {-2.0, 2.0};
   EXPECT_THROW((void)solve_linear(a, {{1.0, 0.0}, {2.0, 0.0}}),
                std::invalid_argument);
-}
-
-TEST(SpectralNorm, DiagonalMatrix) {
-  ComplexMatrix m(2, 2);
-  m(0, 0) = {3.0, 0.0};
-  m(1, 1) = {1.0, 0.0};
-  EXPECT_NEAR(spectral_norm(m), 3.0, 1e-6);
-}
-
-TEST(SpectralNorm, UnitaryHasNormOne) {
-  ComplexMatrix m(2, 2);
-  const double s = 1.0 / std::sqrt(2.0);
-  m(0, 0) = {s, 0.0};
-  m(0, 1) = {s, 0.0};
-  m(1, 0) = {s, 0.0};
-  m(1, 1) = {-s, 0.0};
-  EXPECT_NEAR(spectral_norm(m), 1.0, 1e-6);
 }
 
 }  // namespace
