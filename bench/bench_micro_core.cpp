@@ -4,9 +4,10 @@
 // leaves ~80 ms per estimate).
 //
 // Two modes:
-//  * default — a self-contained chrono harness that times every kernel and
-//    emits one machine-readable `SUMMARY {"figure":"micro_core",...}` line
-//    (ns/op per kernel). This needs no external dependency, runs in seconds,
+//  * default — a self-contained chrono harness that times every kernel in
+//    five equal batches and emits one machine-readable
+//    `SUMMARY {"figure":"micro_core",...}` line (ns/op per kernel, the
+//    median batch's). This needs no external dependency, runs in seconds,
 //    and is registered with CTest under the `perf` label so the numbers are
 //    exercised on every verify run; bench/BENCH_ndft.json records the
 //    per-PR trajectory. Before the table it prints the kernel variant the
@@ -258,18 +259,11 @@ const std::vector<MicroKernel>& kernels() {
     const auto freqs = plan_freqs();
     const auto h = test_channel();
 
-    // Cold plan build: matrix recurrence into both layouts + the power
-    // iteration on the kernels (what every *distinct* (freqs, grid,
-    // weights) key pays once).
+    // Plan build: matrix recurrence into both layouts + the power
+    // iteration on the kernels (what every NdftSolver construction pays).
     ks.push_back({"BM_NdftPlanBuild", "ndft_plan_build", [freqs] {
                     const core::NdftPlan plan(freqs, kGrid, {});
                     return plan.gamma();
-                  }});
-    // Cached construction: what repeated pipeline/solver construction pays
-    // after this PR (a shared_ptr handoff from the plan cache).
-    ks.push_back({"BM_NdftConstruction", "ndft_construct_cached", [freqs] {
-                    const core::NdftSolver solver(freqs, kGrid);
-                    return solver.plan().gamma();
                   }});
 
     auto solver = std::make_shared<core::NdftSolver>(freqs, kGrid);
@@ -373,30 +367,42 @@ const std::vector<MicroKernel>& kernels() {
 
 volatile double g_sink = 0.0;
 
-/// Times `fn` with an adaptive batch size until `min_ms` of wall time is
-/// accumulated in one batch; returns ns per op.
+/// Batches timed per kernel; the harness reports the median batch.
+constexpr std::size_t kTimedBatches = 5;
+
+/// Times `fn` in kTimedBatches batches of one size, grown adaptively until
+/// a batch takes at least min_ms / kTimedBatches of wall time (the batch
+/// that reaches it is the first of them); returns the median batch's ns
+/// per op.
 double measure_ns_per_op(const std::function<double()>& fn, double min_ms) {
   using clock = std::chrono::steady_clock;
-  g_sink = g_sink + fn();  // warmup (first-touch, plan cache, tls workspace)
-  std::size_t batch = 1;
-  for (;;) {
+  g_sink = g_sink + fn();  // warmup (first-touch, tls workspace)
+  const auto time_ms = [&fn](std::size_t batch) {
     const auto t0 = clock::now();
     double acc = 0.0;
     for (std::size_t i = 0; i < batch; ++i) acc += fn();
     g_sink = g_sink + acc;
-    const double ms =
-        std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-    if (ms >= min_ms || batch >= (std::size_t{1} << 28)) {
-      return ms * 1e6 / static_cast<double>(batch);
-    }
+    return std::chrono::duration<double, std::milli>(clock::now() - t0)
+        .count();
+  };
+  const double batch_ms = min_ms / static_cast<double>(kTimedBatches);
+  std::size_t batch = 1;
+  double ms = time_ms(batch);
+  while (ms < batch_ms && batch < (std::size_t{1} << 28)) {
     if (ms <= 0.01) {
       batch *= 16;
     } else {
       batch = static_cast<std::size_t>(static_cast<double>(batch) *
-                                       (min_ms / ms) * 1.2) +
+                                       (batch_ms / ms) * 1.2) +
               1;
     }
+    ms = time_ms(batch);
   }
+  std::vector<double> ns_per_op{ms * 1e6 / static_cast<double>(batch)};
+  while (ns_per_op.size() < kTimedBatches) {
+    ns_per_op.push_back(time_ms(batch) * 1e6 / static_cast<double>(batch));
+  }
+  return mathx::median(ns_per_op);
 }
 
 int run_chrono_harness() {

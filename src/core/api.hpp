@@ -138,7 +138,9 @@ constexpr bool retryable(StatusCode code) {
 struct RetryPolicy {
   /// Total attempts (first try included). 1 = no retries — bit-identical
   /// to the pre-retry pipeline. Retries run back to back, without a
-  /// backoff sleep.
+  /// backoff sleep. A session (a batch included) refuses to open on a
+  /// value outside [1, kMaxRetryAttempts] (mathx/stream_tags.hpp) with
+  /// std::invalid_argument.
   int max_attempts = 1;
 };
 

@@ -4,7 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <numeric>
+#include <utility>
 
 #include "mathx/constants.hpp"
 #include "mathx/contracts.hpp"
@@ -41,7 +43,8 @@ std::vector<std::complex<double>> merge_planes(std::span<const double> re,
 
 NdftSolver::NdftSolver(std::vector<double> row_freqs_hz, DelayGrid grid,
                        std::vector<double> row_weights)
-    : plan_(NdftPlan::get_or_create(row_freqs_hz, grid, row_weights)) {}
+    : plan_(std::make_shared<const NdftPlan>(
+          std::move(row_freqs_hz), grid, std::move(row_weights))) {}
 
 namespace {
 

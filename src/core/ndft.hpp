@@ -36,7 +36,7 @@
 //  * OMP   — greedy orthogonal matching pursuit, a classic sparse baseline.
 //
 // Performance: every product with F runs on the structure-exploiting kernel
-// layer in core/ndft_kernels.hpp — shared cached plans (the Fourier matrix as
+// layer in core/ndft_kernels.hpp — a plan per solver (the Fourier matrix as
 // split-complex planes, row-major for the adjoint and column-major for the
 // forward product, plus the precomputed step size), a per-thread workspace
 // that makes the iteration loops allocation-free, an active-set forward
@@ -102,9 +102,9 @@ struct SparseSolveResult {
 /// exponent (h^8) distorts their magnitudes relative to the shared sparse
 /// model — they still contribute phase aperture, just with less authority.
 ///
-/// Construction consults the process-wide NdftPlan cache: building two
-/// solvers with identical (frequencies, grid, weights) shares one plan and
-/// one power iteration.
+/// Construction builds the solver's NdftPlan (F in both kernel layouts and
+/// the power iteration for gamma); copies of the solver share it, and it
+/// dies with the last of them.
 class NdftSolver {
  public:
   NdftSolver(std::vector<double> row_freqs_hz, DelayGrid grid,
@@ -160,8 +160,8 @@ class NdftSolver {
                       double coarse_delay_s, double half_width_s) const;
 
   const DelayGrid& grid() const { return plan_->grid(); }
-  /// The shared kernel plan backing this solver: F's entries, its kernels
-  /// and the reference step gamma.
+  /// The kernel plan backing this solver: F's entries, its kernels and the
+  /// reference step gamma.
   const NdftPlan& plan() const { return *plan_; }
   /// Applies the row weights to a raw measurement vector (h_i -> w_i h_i).
   std::vector<std::complex<double>> apply_weights(

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <random>
 
-#include "mathx/annotations.hpp"
 #include "mathx/constants.hpp"
 #include "mathx/contracts.hpp"
 
@@ -356,117 +355,12 @@ NdftPlan::NdftPlan(std::vector<double> row_freqs_hz, DelayGrid grid,
     }
   }
   // The fixed-seed power iteration makes gamma a pure function of the key,
-  // which is what lets cached plans reproduce uncached numerics exactly.
+  // so two builds of one key hold the same bits.
   // All-zero weights give sigma == 0; such degenerate plans must not
   // assert — gamma = 0 makes the solvers take zero-length steps and
   // converge immediately to p = 0 (pinned by the degenerate-input tests).
   const double sigma = spectral_norm(*this);
   gamma_ = sigma > 0.0 ? 1.0 / (sigma * sigma) : 0.0;
-}
-
-namespace {
-
-/// Oldest-entry eviction bound. A plan stores the matrix twice (row-major
-/// planes for the adjoint, column-major planes padded to four rows for the
-/// forward product) and nothing else that grows with the grid: about
-/// 2*n*m*16 bytes, ~1.4 MB for the default ranging grid (35 x 1201) and
-/// ~4.5 MB for the widest DelayGrid default (400 ns / 0.1 ns). 32 entries
-/// comfortably covers every distinct (band plan, grid, weights) combination
-/// a process mixes in practice while bounding worst-case retention.
-constexpr std::size_t kPlanCacheMax = 32;
-
-bool key_matches(const NdftPlan& plan, std::span<const double> freqs,
-                 const DelayGrid& grid, std::span<const double> weights) {
-  const DelayGrid& g = plan.grid();
-  return g.min_s == grid.min_s && g.max_s == grid.max_s &&
-         g.step_s == grid.step_s &&
-         plan.row_freqs_hz().size() == freqs.size() &&
-         std::equal(freqs.begin(), freqs.end(),
-                    plan.row_freqs_hz().begin()) &&
-         plan.row_weights().size() == weights.size() &&
-         std::equal(weights.begin(), weights.end(),
-                    plan.row_weights().begin());
-}
-
-/// The process-wide plan cache as one annotated capability: the entry
-/// vector is CHRONOS_GUARDED_BY the cache mutex, so every lookup,
-/// insertion, size query, and eviction is provably locked at compile time
-/// (clang -Wthread-safety) — the pre-annotation code kept the mutex and
-/// the vector in two unrelated function-local statics, which the analysis
-/// cannot tie together.
-class PlanCache {
- public:
-  std::shared_ptr<const NdftPlan> find(std::span<const double> freqs,
-                                       const DelayGrid& grid,
-                                       std::span<const double> weights) const
-      CHRONOS_REQUIRES(mutex) {
-    for (const auto& plan : entries_) {
-      if (key_matches(*plan, freqs, grid, weights)) return plan;
-    }
-    return nullptr;
-  }
-
-  /// Inserts `plan`, evicting the oldest entry at the kPlanCacheMax bound.
-  void insert(std::shared_ptr<const NdftPlan> plan) CHRONOS_REQUIRES(mutex) {
-    if (entries_.size() >= kPlanCacheMax) entries_.erase(entries_.begin());
-    entries_.push_back(std::move(plan));
-  }
-
-  std::size_t size() const CHRONOS_REQUIRES(mutex) { return entries_.size(); }
-  void clear() CHRONOS_REQUIRES(mutex) { entries_.clear(); }
-
-  mutable chronos::Mutex mutex;
-
- private:
-  std::vector<std::shared_ptr<const NdftPlan>> entries_
-      CHRONOS_GUARDED_BY(mutex);
-};
-
-PlanCache& plan_cache() {
-  static PlanCache cache;
-  return cache;
-}
-
-}  // namespace
-
-std::shared_ptr<const NdftPlan> NdftPlan::get_or_create(
-    std::span<const double> row_freqs_hz, const DelayGrid& grid,
-    std::span<const double> row_weights) {
-  CHRONOS_EXPECTS(!row_freqs_hz.empty(), "need at least one row frequency");
-  // Normalise the defaulted-weights spelling so both share one cache entry.
-  std::vector<double> weights(row_weights.begin(), row_weights.end());
-  if (weights.empty()) weights.assign(row_freqs_hz.size(), 1.0);
-
-  PlanCache& cache = plan_cache();
-  {
-    chronos::MutexLock lock(cache.mutex);
-    if (auto hit = cache.find(row_freqs_hz, grid, weights)) return hit;
-  }
-
-  // Build outside the lock: construction runs a power iteration, and
-  // blocking unrelated pipelines on it would serialise batch-engine
-  // startup. A racing duplicate build is resolved below by keeping the
-  // first inserted plan (both are bitwise identical anyway).
-  auto built = std::make_shared<const NdftPlan>(
-      std::vector<double>(row_freqs_hz.begin(), row_freqs_hz.end()), grid,
-      weights);
-
-  chronos::MutexLock lock(cache.mutex);
-  if (auto hit = cache.find(row_freqs_hz, grid, weights)) return hit;
-  cache.insert(built);
-  return built;
-}
-
-std::size_t NdftPlan::cache_size() {
-  PlanCache& cache = plan_cache();
-  chronos::MutexLock lock(cache.mutex);
-  return cache.size();
-}
-
-void NdftPlan::clear_cache() {
-  PlanCache& cache = plan_cache();
-  chronos::MutexLock lock(cache.mutex);
-  cache.clear();
 }
 
 void NdftPlan::forward_active(const double* p_re, const double* p_im,

@@ -15,10 +15,9 @@
 //    forward product reads across rows. Every product with F runs on
 //    these two kernels, the power iteration behind the reference step
 //    gamma = 1/||F||_2^2 included; OMP and the min-norm baseline read
-//    single entries through at(). Plans are shared through a
-//    process-wide cache so repeated pipeline construction (fleet
-//    scenarios, benches, tests) pays the O(n*m) build and the power
-//    iteration once.
+//    single entries through at(). Each NdftSolver builds its own plan,
+//    shared only with the solver's copies; a build is a pure function of
+//    its key, so two builds of one key hold the same bits.
 //  * NdftWorkspace — scratch sized for one plan (the solvers keep one per
 //    thread), so the ISTA/FISTA iteration loops run with zero heap
 //    allocations.
@@ -56,7 +55,6 @@
 #include <complex>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -96,6 +94,10 @@ class NdftPlan;
 /// `bind` sizes every buffer for an (n rows, m cols) plan; it reallocates
 /// only when the bound shape grows, so reusing one workspace across solves
 /// of the same pipeline performs no allocation at all after the first call.
+/// Bind it again before using it with another plan: a plan dies with its
+/// solvers, so a new plan can take a freed plan's address, and only bind()
+/// drops a pack taken from the old one. Every solver entry point binds
+/// first.
 struct NdftWorkspace {
   // Split measurement vector (n).
   std::vector<double> h_re, h_im;
@@ -151,23 +153,10 @@ struct NdftWorkspace {
 /// only immutable state.
 class NdftPlan {
  public:
-  /// Builds a plan without consulting the cache (tests, one-off grids).
+  /// Builds F in both layouts and gamma for one key; empty weights mean
+  /// all ones. Two builds of one key hold the same bits.
   NdftPlan(std::vector<double> row_freqs_hz, DelayGrid grid,
            std::vector<double> row_weights);
-
-  /// Returns the shared plan for this key, building it on first use. The
-  /// cache is process-wide, bounded, and guarded by an annotated
-  /// chronos::Mutex capability (every entry access is provably locked
-  /// under clang -Wthread-safety); keys compare by
-  /// exact (bitwise) equality of frequencies, grid, and weights, so a hit
-  /// is guaranteed to reproduce the original plan's numerics (gamma comes
-  /// from a fixed-seed power iteration and is therefore deterministic).
-  static std::shared_ptr<const NdftPlan> get_or_create(
-      std::span<const double> row_freqs_hz, const DelayGrid& grid,
-      std::span<const double> row_weights);
-
-  static std::size_t cache_size();
-  static void clear_cache();
 
   /// The variant of the adjoint and forward kernels this process runs:
   /// "avx2" on an x86 CPU with AVX2 under a GNU-compatible compiler,

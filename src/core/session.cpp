@@ -255,7 +255,11 @@ RangingSession core::open_session(
                       calibration != nullptr,
                   "a session needs a source, pipeline, and calibration");
   CHRONOS_EXPECTS(queue_depth >= 1, "queue depth must be >= 1");
-  CHRONOS_EXPECTS(retry.max_attempts >= 1, "max_attempts must be >= 1");
+  // range_with_retries checks the same range, but there a bad policy would
+  // fail every ticket as a library defect instead of failing the open.
+  CHRONOS_EXPECTS(
+      retry.max_attempts >= 1 && retry.max_attempts <= kMaxRetryAttempts,
+      "max_attempts must be in [1, kMaxRetryAttempts] (mathx/stream_tags.hpp)");
   auto impl = std::make_unique<RangingSession::Impl>();
   impl->shared = std::make_shared<Shared>(
       rng.fork(kBatchStreamTag), std::move(source), std::move(pipeline),

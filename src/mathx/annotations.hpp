@@ -2,7 +2,7 @@
 // synchronization wrappers.
 //
 // The concurrent surfaces of this codebase (streaming session queue,
-// engine session pool, worker pool, NDFT plan cache, node registry) are
+// engine session pool, worker pool, node registry) are
 // correct because specific data is only ever touched under specific
 // locks. TSan can only confirm that on the interleavings a test happens
 // to produce; the annotations below turn the same lock discipline into a

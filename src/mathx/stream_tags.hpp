@@ -76,7 +76,8 @@ inline constexpr std::uint64_t kLocateStreamTag = 0x6C6F63617465ull;  // lint:st
 
 /// Upper bound kRetryStreamTag's reserved range places on
 /// RetryPolicy::max_attempts (attempt offsets are 1..max_attempts-1, so
-/// max_attempts may equal the range). Enforced in core/retry.cpp.
+/// max_attempts may equal the range). Enforced when a session opens
+/// (core/session.cpp) and again in core/retry.cpp.
 inline constexpr int kMaxRetryAttempts = 4096;
 
 }  // namespace chronos

@@ -1,7 +1,6 @@
 #include "netd/daemon.hpp"
 
 #include <chrono>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -67,7 +66,7 @@ void ChronosDaemon::attach(std::shared_ptr<Stream> connection) {
 std::vector<std::size_t> ChronosDaemon::shard_admitted() const {
   std::vector<std::size_t> counts;
   counts.reserve(shards_.size());
-  for (const Shard& s : shards_) counts.push_back(s.admitted);
+  for (const Shard& s : shards_) counts.push_back(s.session.submitted());
   return counts;
 }
 
@@ -107,30 +106,17 @@ void ChronosDaemon::handle_frame(std::size_t conn_index, const Frame& frame) {
 
     case FrameType::kRequest: {
       const RequestFrame& req = frame.request;
-      const std::size_t s = shard_of_node(req.request.tx.node);
-      Shard& shard = shards_[s];
-
+      Shard& shard = shards_[shard_of_node(req.request.tx.node)];
       chronos::Result<core::ResolvedRequest> resolved =
           source_->resolve(req.request);
       if (!resolved.ok()) {
         // Mirrors batch semantics: a resolution failure still consumes a
         // global ticket (push_failed keeps results index-aligned without
         // disturbing neighbours' streams).
-        ++next_global_ticket_;
-        admitted_.push_back(req.request);
-        ++stats_.admitted;
         ++stats_.failed_resolution;
         (void)shard.session.push_failed(resolved.status());
-        shard.pending.emplace_back(conn_index, req.request_id);
-        ++shard.admitted;
-        ++conn.outstanding;
-        return;
-      }
-
-      const std::optional<std::uint64_t> local =
-          shard.session.try_submit_resolved(resolved.value(),
-                                            next_global_ticket_);
-      if (!local.has_value()) {
+      } else if (!shard.session.try_submit_resolved(resolved.value(),
+                                                    stats_.admitted)) {
         // Backpressure: immediate kQueueFull reply, NO global ticket — a
         // resubmission is admitted later exactly as a later arrival.
         ++stats_.queue_full_rejections;
@@ -144,11 +130,11 @@ void ChronosDaemon::handle_frame(std::size_t conn_index, const Frame& frame) {
         ++stats_.responses_sent;
         return;
       }
-      ++next_global_ticket_;
+      // Admitted: the request took global ticket stats_.admitted (its
+      // stream index) and one local ticket of its shard.
       admitted_.push_back(req.request);
       ++stats_.admitted;
       shard.pending.emplace_back(conn_index, req.request_id);
-      ++shard.admitted;
       ++conn.outstanding;
       return;
     }

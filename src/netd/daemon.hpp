@@ -126,7 +126,9 @@ class ChronosDaemon {
   const std::vector<chronos::RangingRequest>& admitted_requests() const {
     return admitted_;
   }
-  /// Global tickets admitted per shard (distribution diagnostics).
+  /// Global tickets admitted per shard (distribution diagnostics): each
+  /// shard session's submitted() count, since every admission claims one
+  /// local ticket of its shard. They sum to stats().admitted.
   std::vector<std::size_t> shard_admitted() const;
   const DaemonStats& stats() const { return stats_; }
   /// The pipeline shard `shard` ranges with: the one every shard shares.
@@ -139,7 +141,6 @@ class ChronosDaemon {
     /// dense and next() collects in local-ticket order, so front() is
     /// always the metadata of the next result.
     std::deque<std::pair<std::size_t, std::uint64_t>> pending;  // (conn, id)
-    std::size_t admitted = 0;
   };
 
   struct Connection {
@@ -162,7 +163,6 @@ class ChronosDaemon {
   std::shared_ptr<const core::CalibrationTable> calibration_;
   std::shared_ptr<const core::RangingPipeline> pipeline_;
   std::vector<Shard> shards_;
-  std::uint64_t next_global_ticket_ = 0;
   std::vector<chronos::RangingRequest> admitted_;
   DaemonStats stats_;
   std::vector<std::uint8_t> encode_buffer_;  ///< reused across frames

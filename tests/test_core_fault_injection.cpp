@@ -10,7 +10,8 @@
 //     bit-identical to the sequential loop — including attempt counts and
 //     the statuses of rejected tickets;
 //   * retries recover transient outages and wrap exhaustion as
-//     kRetryExhausted without disturbing neighbouring requests.
+//     kRetryExhausted without disturbing neighbouring requests, and a
+//     retry policy outside [1, kMaxRetryAttempts] fails the open.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,6 +25,7 @@
 #include "core/fault_injection.hpp"
 #include "core/integrity.hpp"
 #include "core/ranging.hpp"
+#include "mathx/stream_tags.hpp"
 #include "sim/environment.hpp"
 #include "sim/link.hpp"
 #include "sim/radio.hpp"
@@ -293,6 +295,26 @@ TEST(FaultInjection, ExhaustionWrapsAsRetryExhausted) {
     EXPECT_EQ(r.status.code(), chronos::StatusCode::kUnavailable);
     EXPECT_EQ(r.attempts, 1);
   }
+}
+
+TEST(FaultInjection, OutOfRangeRetryPolicyFailsTheOpen) {
+  // The retry ladder has kMaxRetryAttempts stream offsets. A policy past
+  // them is refused when the batch's session opens, not ticket by ticket
+  // as a library defect (kInternal). Empty batches: nothing is ranged.
+  const auto source =
+      std::make_shared<SimSweepSource>(sim::office_20x20(), fast_link());
+  const Engine eng = Engine::adopt(source, engine_options());
+  const std::vector<RangingRequest> none;
+  BatchOptions opts{1};
+  opts.retry = {chronos::kMaxRetryAttempts + 1};
+  mathx::Rng rng(9);
+  EXPECT_THROW((void)eng.measure_batch(none, rng, opts),
+               std::invalid_argument);
+  opts.retry = {chronos::kMaxRetryAttempts};
+  EXPECT_TRUE(eng.measure_batch(none, rng, opts).results.empty());
+  opts.retry = {0};
+  EXPECT_THROW((void)eng.measure_batch(none, rng, opts),
+               std::invalid_argument);
 }
 
 /// RMS magnitude of one capture's subcarrier values.

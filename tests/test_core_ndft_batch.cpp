@@ -97,7 +97,7 @@ TEST(NdftBatch, SingleAndEmptyPanelsDegenerateCleanly) {
 
 TEST(NdftBatch, ConcurrentBatchesOnOneSharedSolverStayBitIdentical) {
   // Two threads drain different panels through ONE solver (and thus one
-  // cached plan) simultaneously, each via its own per-thread workspace.
+  // plan) simultaneously, each via its own per-thread workspace.
   // TSan runs this test as part of the concurrency label; bitwise equality
   // against sequentially computed references proves no shared mutable
   // state leaks between concurrent solves.

@@ -26,8 +26,12 @@
 //    must follow a working set that changed;
 //  * the solver iteration loops allocate nothing per iteration, step
 //    halvings included (counting global operator new);
-//  * the NdftPlan cache shares plans by key, and DelayGrid::size() is
-//    robust at exact step multiples and refuses unbounded grids.
+//  * two builds of one plan key hold the same bits, two solvers of one
+//    key can take turns on one thread's workspace with bitwise-equal
+//    solves, and the gradient's packed working set follows a change of
+//    plan;
+//  * DelayGrid::size() is robust at exact step multiples and refuses
+//    unbounded grids.
 // The references here carry no per-function target (x86-64 baseline in
 // the default build), so on an AVX2 host the bitwise checks compare the
 // AVX2 kernel variants (NdftPlan::kernel_variant) against baseline
@@ -1252,48 +1256,116 @@ TEST(NdftCertificate, DegenerateInputsCertifyAtTheFirstCheck) {
   }
 }
 
-// ---- Plan cache ----------------------------------------------------------
+// ---- Plan ownership ------------------------------------------------------
 
-TEST(NdftPlanCache, SharesPlansByExactKey) {
-  const auto freqs = plan_frequencies();
-  const DelayGrid grid{0.0, 30e-9, 0.5e-9};
-  NdftPlan::clear_cache();
-  EXPECT_EQ(NdftPlan::cache_size(), 0u);
-
-  NdftSolver a(freqs, grid);
-  NdftSolver b(freqs, grid);
-  EXPECT_EQ(&a.plan(), &b.plan()) << "identical keys must share one plan";
-  EXPECT_EQ(NdftPlan::cache_size(), 1u);
-
-  // Defaulted weights and explicit all-ones weights are the same key.
-  NdftSolver c(freqs, grid, std::vector<double>(freqs.size(), 1.0));
-  EXPECT_EQ(&a.plan(), &c.plan());
-  EXPECT_EQ(NdftPlan::cache_size(), 1u);
-
-  // Any key component change is a different plan.
-  NdftSolver d(freqs, DelayGrid{0.0, 30e-9, 0.25e-9});
-  EXPECT_NE(&a.plan(), &d.plan());
-  std::vector<double> w(freqs.size(), 1.0);
-  w[0] = 0.5;
-  NdftSolver e(freqs, grid, w);
-  EXPECT_NE(&a.plan(), &e.plan());
-  EXPECT_EQ(NdftPlan::cache_size(), 3u);
-}
-
-TEST(NdftPlanCache, CachedPlanReproducesUncachedBuild) {
+TEST(NdftPlanOwnership, IndependentBuildsOfOneKeyAreBitIdentical) {
   const auto freqs = plan_frequencies();
   const DelayGrid grid{0.0, 25e-9, 0.5e-9};
-  NdftSolver cached(freqs, grid);
+  const NdftSolver solver(freqs, grid);
   const NdftPlan fresh(freqs, grid, {});
+  ASSERT_NE(&solver.plan(), &fresh);
   // gamma comes from a fixed-seed power iteration: bitwise reproducible.
-  EXPECT_EQ(cached.plan().gamma(), fresh.gamma());
-  EXPECT_EQ(cached.plan().rows(), fresh.rows());
-  EXPECT_EQ(cached.plan().cols(), fresh.cols());
-  for (std::size_t i = 0; i < fresh.rows(); i += 5) {
-    for (std::size_t k = 0; k < fresh.cols(); k += 17) {
-      EXPECT_EQ(cached.plan().at(i, k), fresh.at(i, k));
+  EXPECT_TRUE(same_bits(solver.plan().gamma(), fresh.gamma()));
+  ASSERT_EQ(solver.plan().rows(), fresh.rows());
+  ASSERT_EQ(solver.plan().cols(), fresh.cols());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < fresh.rows(); ++i) {
+    for (std::size_t k = 0; k < fresh.cols(); ++k) {
+      const std::complex<double> a = solver.plan().at(i, k);
+      const std::complex<double> b = fresh.at(i, k);
+      mismatches += !same_bits(a.real(), b.real()) ||
+                    !same_bits(a.imag(), b.imag());
     }
   }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(NdftPlanOwnership, SolversOfOneKeyTakeTurnsOnOneWorkspace) {
+  // Two solvers of one key own two plans. Solving with them in turn on one
+  // thread hands the thread's workspace from one plan to the other at
+  // every solve; each solve binds it first, so the results match bit for
+  // bit.
+  const OfficeChannels office = office_channels(4);
+  const NdftPlan& plan = office.solver.plan();
+  const NdftSolver other(plan.row_freqs_hz(), plan.grid(),
+                         plan.row_weights());
+  ASSERT_NE(&other.plan(), &plan);
+  ASSERT_EQ(office.hs.size(), 4u);
+  const IstaOptions& opts = RangingConfig::solver_options;
+  for (std::size_t k = 0; k < office.hs.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "office channel " << k);
+    const auto a = office.solver.solve_fista(office.hs[k], opts);
+    const auto b = other.solve_fista(office.hs[k], opts);
+    const auto a_again = office.solver.solve_fista(office.hs[k], opts);
+    expect_same_solve(b, a);
+    expect_same_solve(a_again, b);
+    EXPECT_TRUE(a.converged);
+  }
+}
+
+TEST(NdftPlanOwnership, PackedWorkingSetFollowsThePlan) {
+  // A workspace packed from plan A, then handed to plan B (same key but
+  // for the row weights) with ws.work unchanged: B's gradient must repack
+  // from B, so on W it equals B's gradient over every column.
+  const auto freqs = plan_frequencies();
+  mathx::Rng rng(3434);
+  const NdftSolver solver_a(freqs, RangingConfig::grid);
+  const NdftSolver solver_b(freqs, RangingConfig::grid,
+                            random_weights(rng, freqs.size()));
+  const NdftPlan& a = solver_a.plan();
+  const NdftPlan& b = solver_b.plan();
+  const std::size_t n = a.rows();
+  const std::size_t m = a.cols();
+  const auto last = static_cast<std::uint32_t>(m);
+
+  NdftWorkspace ws;
+  ws.bind(n, m);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::complex<double> v = rng.complex_gaussian(1.0);
+    ws.h_re[i] = v.real();
+    ws.h_im[i] = v.imag();
+  }
+  std::vector<double> y_re(m, 0.0), y_im(m, 0.0);
+  ws.active.clear();
+  for (std::uint32_t k = 7; k < m; k += 23) {
+    const std::complex<double> y = rng.complex_gaussian(1.0);
+    y_re[k] = y.real();
+    y_im[k] = y.imag();
+    ws.active.push_back(k);
+  }
+  // B's reference: the gradient over every column (one run, no pack).
+  residual_at(b, y_re.data(), y_im.data(), ws);
+  b.gradient_from_residual(ws);
+  const std::vector<double> want_re = ws.grad_re;
+  const std::vector<double> want_im = ws.grad_im;
+
+  const std::vector<ColumnRun> w = {
+      {0, 9}, {150, 190}, {640, 655}, {1180, last}};
+  ws.work = w;
+  residual_at(a, y_re.data(), y_im.data(), ws);
+  a.gradient_from_residual(ws);  // packs W from A
+  ASSERT_EQ(ws.pack_plan, &a);
+  ASSERT_EQ(ws.pack_runs, w);
+
+  residual_at(b, y_re.data(), y_im.data(), ws);
+  const double sentinel = 1234.5678;
+  std::fill(ws.grad_re.begin(), ws.grad_re.end(), sentinel);
+  std::fill(ws.grad_im.begin(), ws.grad_im.end(), sentinel);
+  b.gradient_from_residual(ws);
+  EXPECT_EQ(ws.pack_plan, &b);
+  std::vector<char> in_w(m, 0);
+  for (const ColumnRun run : w) {
+    std::fill(in_w.begin() + run.lo, in_w.begin() + run.hi, 1);
+  }
+  std::size_t mismatches = 0;
+  for (std::size_t c = 0; c < m; ++c) {
+    const double wr = in_w[c] ? want_re[c] : sentinel;
+    const double wi = in_w[c] ? want_im[c] : sentinel;
+    mismatches +=
+        !same_bits(ws.grad_re[c], wr) || !same_bits(ws.grad_im[c], wi);
+  }
+  EXPECT_EQ(mismatches, 0u) << "kernel variant "
+                            << NdftPlan::kernel_variant();
 }
 
 }  // namespace

@@ -88,6 +88,15 @@ void expect_reply_matches(const RangingReply& got, const RangingReply& want) {
             0);
 }
 
+/// Every admission is counted once per view: the shards' local tickets
+/// sum to the global ticket count, which is the admitted log's length.
+void expect_admission_counts_agree(const ChronosDaemon& daemon) {
+  std::size_t shard_sum = 0;
+  for (const std::size_t n : daemon.shard_admitted()) shard_sum += n;
+  EXPECT_EQ(shard_sum, daemon.stats().admitted);
+  EXPECT_EQ(daemon.stats().admitted, daemon.admitted_requests().size());
+}
+
 // ---------------------------------------------------------------------------
 // The tentpole: wire bit-identity under shard counts {1, 2, 4}
 // ---------------------------------------------------------------------------
@@ -139,6 +148,7 @@ void run_bit_identity(std::size_t shards, std::size_t depth,
   const auto& admitted = daemon.admitted_requests();
   ASSERT_EQ(admitted.size(), clients * per_client);
   ASSERT_EQ(daemon.stats().admitted, clients * per_client);
+  expect_admission_counts_agree(daemon);
 
   // The equivalence target: the in-process batch over the admitted log on
   // the daemon's seed (same single rng fork, same split streams).
@@ -350,6 +360,7 @@ TEST(ChronosDaemon, ResolutionFailuresConsumeTicketsLikeABatch) {
   EXPECT_TRUE(replies[2].status.ok());
   EXPECT_EQ(daemon.stats().admitted, 3u);
   EXPECT_EQ(daemon.stats().failed_resolution, 1u);
+  expect_admission_counts_agree(daemon);
 
   // The equivalence holds including the failed slot.
   mathx::Rng batch_rng(kSeed);
