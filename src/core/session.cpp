@@ -1,6 +1,7 @@
 #include "core/session.hpp"
 
 #include <exception>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -30,6 +31,8 @@ struct Shared {
   const std::shared_ptr<const core::RangingPipeline> pipeline;
   const std::shared_ptr<const core::CalibrationTable> calibration;
   const RetryPolicy retry;
+  /// Run by complete() once a result is collectable (may be empty).
+  const std::function<void()> on_complete;
 
   mutable Mutex mutex;
   mutable CondVar cv;
@@ -45,12 +48,13 @@ struct Shared {
   Shared(const mathx::Rng& b, std::shared_ptr<const core::SweepSource> src,
          std::shared_ptr<const core::RangingPipeline> pipe,
          std::shared_ptr<const core::CalibrationTable> cal,
-         const RetryPolicy& retry_policy)
+         const RetryPolicy& retry_policy, std::function<void()> completed)
       : base(b),
         source(std::move(src)),
         pipeline(std::move(pipe)),
         calibration(std::move(cal)),
-        retry(retry_policy) {}
+        retry(retry_policy),
+        on_complete(std::move(completed)) {}
 };
 
 /// Ranges one admitted request on stream `stream`. Anything thrown is a
@@ -73,10 +77,14 @@ RangingResult range_one(const Shared& shared, std::uint64_t stream,
 }
 
 void complete(Shared& shared, std::uint64_t ticket, RangingResult result) {
-  MutexLock lock(shared.mutex);
-  shared.done.emplace(ticket, std::move(result));
-  ++shared.finished;
-  shared.cv.notify_all();
+  {
+    MutexLock lock(shared.mutex);
+    shared.done.emplace(ticket, std::move(result));
+    ++shared.finished;
+    shared.cv.notify_all();
+  }
+  // Outside the lock: the callback may take its own.
+  if (shared.on_complete) shared.on_complete();
 }
 
 [[nodiscard]] Status queue_full(std::size_t depth) {
@@ -250,7 +258,8 @@ RangingSession core::open_session(
     std::shared_ptr<WorkerPool> pool, std::shared_ptr<const SweepSource> source,
     std::shared_ptr<const RangingPipeline> pipeline,
     std::shared_ptr<const CalibrationTable> calibration, mathx::Rng& rng,
-    std::size_t queue_depth, const RetryPolicy& retry) {
+    std::size_t queue_depth, const RetryPolicy& retry,
+    std::function<void()> on_complete) {
   CHRONOS_EXPECTS(source != nullptr && pipeline != nullptr &&
                       calibration != nullptr,
                   "a session needs a source, pipeline, and calibration");
@@ -263,7 +272,7 @@ RangingSession core::open_session(
   auto impl = std::make_unique<RangingSession::Impl>();
   impl->shared = std::make_shared<Shared>(
       rng.fork(kBatchStreamTag), std::move(source), std::move(pipeline),
-      std::move(calibration), retry);
+      std::move(calibration), retry, std::move(on_complete));
   impl->pool = std::move(pool);
   impl->depth = queue_depth;
   return RangingSession(std::move(impl));

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 
 #include "core/api.hpp"
@@ -39,10 +40,15 @@ class WorkerPool;
 /// stream, which is how the daemon's shards serve one global stream space
 /// (RangingSession::try_submit_resolved). `queue_depth >= 1`; `retry`
 /// bounds per-ticket re-ranging of retryable failures (core/retry.hpp).
+/// `on_complete`, when set, runs after each ranged result becomes
+/// collectable, on the thread that ranged it and outside the session's
+/// lock, so a consumer can sleep until then instead of polling
+/// next_ready() (the daemon rings its doorbell with it).
 chronos::RangingSession open_session(
     std::shared_ptr<WorkerPool> pool, std::shared_ptr<const SweepSource> source,
     std::shared_ptr<const RangingPipeline> pipeline,
     std::shared_ptr<const CalibrationTable> calibration, mathx::Rng& rng,
-    std::size_t queue_depth, const chronos::RetryPolicy& retry = {});
+    std::size_t queue_depth, const chronos::RetryPolicy& retry = {},
+    std::function<void()> on_complete = {});
 
 }  // namespace chronos::core

@@ -1,7 +1,6 @@
 #include "netd/daemon.hpp"
 
-#include <chrono>
-#include <thread>
+#include <limits>
 #include <utility>
 
 #include "core/integrity.hpp"
@@ -11,22 +10,62 @@
 
 namespace chronos::netd {
 
+/// What serve() sleeps on between passes: a count of rings under a mutex.
+/// serve() reads the count before a pass and sleeps only while it has not
+/// moved since, so no ring is lost. Wall clock is never read.
+struct ChronosDaemon::Doorbell {
+  chronos::Mutex mutex;
+  chronos::CondVar rung;
+  std::uint64_t rings CHRONOS_GUARDED_BY(mutex) = 0;
+
+  void ring() {
+    {
+      chronos::MutexLock lock(mutex);
+      ++rings;
+    }
+    rung.notify_one();
+  }
+
+  std::uint64_t count() {
+    chronos::MutexLock lock(mutex);
+    return rings;
+  }
+
+  void wait_past(std::uint64_t seen) {
+    chronos::MutexLock lock(mutex);
+    rung.wait(mutex, [&]() CHRONOS_REQUIRES(mutex) { return rings != seen; });
+  }
+};
+
 ChronosDaemon::ChronosDaemon(std::shared_ptr<const core::SweepSource> source,
                              const core::RangingConfig& config,
                              core::CalibrationTable calibration,
                              mathx::Rng& rng, const DaemonOptions& options)
     : source_(std::move(source)),
       calibration_(std::make_shared<const core::CalibrationTable>(
-          std::move(calibration))) {
+          std::move(calibration))),
+      doorbell_(std::make_shared<Doorbell>()) {
   CHRONOS_EXPECTS(source_ != nullptr, "ChronosDaemon requires a SweepSource");
   CHRONOS_EXPECTS(calibration_->empty() || calibration_->correction.size() ==
                                                source_->bands().size(),
                   "ChronosDaemon calibration table must match the band plan");
-  CHRONOS_EXPECTS(options.shards >= 1, "ChronosDaemon requires >= 1 shard");
-  CHRONOS_EXPECTS(options.shard_queue_depth >= 1,
-                  "ChronosDaemon requires shard_queue_depth >= 1");
-  CHRONOS_EXPECTS(options.shard_threads >= 1,
-                  "ChronosDaemon requires shard_threads >= 1");
+  // HelloAck advertises both in fixed-width fields: a larger value would
+  // reach clients truncated, possibly as 0.
+  constexpr std::size_t kMaxShards =
+      std::numeric_limits<decltype(HelloAckFrame::shards)>::max();
+  constexpr std::size_t kMaxDepth =
+      std::numeric_limits<decltype(HelloAckFrame::queue_depth)>::max();
+  CHRONOS_EXPECTS(options.shards >= 1 && options.shards <= kMaxShards,
+                  "ChronosDaemon requires shards in [1, 65535]");
+  CHRONOS_EXPECTS(
+      options.shard_queue_depth >= 1 && options.shard_queue_depth <= kMaxDepth,
+      "ChronosDaemon requires shard_queue_depth in [1, 2^32 - 1]");
+  CHRONOS_EXPECTS(
+      options.shard_threads >= 1 &&
+          options.shard_threads <=
+              std::numeric_limits<std::size_t>::max() / options.shards,
+      "ChronosDaemon requires shard_threads >= 1, and shards x "
+      "shard_threads to fit a size_t");
 
   core::RangingConfig shard_config = config;
   if (!options.trusted_clients) {
@@ -40,27 +79,39 @@ ChronosDaemon::ChronosDaemon(std::shared_ptr<const core::SweepSource> source,
   pipeline_ = std::make_shared<const core::RangingPipeline>(source_->bands(),
                                                              shard_config);
 
-  // Every shard session forks a copy of the SAME rng state, so all shards
-  // share one base stream, addressed by global ticket; the caller's rng
-  // then advances by that one fork, exactly like measure_batch.
+  // One pool ranges for every shard: a shard bounds and orders its own
+  // requests, but any free worker ranges them. Every shard session forks a
+  // copy of the SAME rng state, so all shards share one base stream,
+  // addressed by global ticket; the caller's rng then advances by that one
+  // fork, exactly like measure_batch.
+  const auto pool = std::make_shared<core::WorkerPool>(options.shards *
+                                                       options.shard_threads);
   const mathx::Rng start = rng;
   shards_.reserve(options.shards);
   for (std::size_t s = 0; s < options.shards; ++s) {
     Shard shard;
     rng = start;
     shard.session = core::open_session(
-        std::make_shared<core::WorkerPool>(options.shard_threads), source_,
-        pipeline_, calibration_, rng, options.shard_queue_depth);
+        pool, source_, pipeline_, calibration_, rng, options.shard_queue_depth,
+        {}, [doorbell = doorbell_]() { doorbell->ring(); });
     shards_.push_back(std::move(shard));
   }
 }
 
 void ChronosDaemon::attach(std::shared_ptr<Stream> connection) {
   CHRONOS_EXPECTS(connection != nullptr, "attach requires a stream");
+  const bool rings =
+      connection->set_wake([doorbell = doorbell_]() { doorbell->ring(); });
+  CHRONOS_EXPECTS(rings,
+                  "attach requires a stream that can wake serve() "
+                  "(Stream::set_wake)");
   auto conn = std::make_shared<Connection>();
   conn->stream = std::move(connection);
-  chronos::MutexLock lock(attach_mu_);
-  pending_attach_.push_back(std::move(conn));
+  {
+    chronos::MutexLock lock(attach_mu_);
+    pending_attach_.push_back(std::move(conn));
+  }
+  doorbell_->ring();
 }
 
 std::vector<std::size_t> ChronosDaemon::shard_admitted() const {
@@ -84,8 +135,9 @@ void ChronosDaemon::send_frame(Connection& conn,
   (void)conn.stream->send(bytes);
 }
 
-void ChronosDaemon::handle_frame(std::size_t conn_index, const Frame& frame) {
-  Connection& conn = *connections_[conn_index];
+void ChronosDaemon::handle_frame(const std::shared_ptr<Connection>& handle,
+                                 const Frame& frame) {
+  Connection& conn = *handle;
   switch (frame.type) {
     case FrameType::kHello: {
       ++stats_.hello_frames;
@@ -134,7 +186,7 @@ void ChronosDaemon::handle_frame(std::size_t conn_index, const Frame& frame) {
       // stream index) and one local ticket of its shard.
       admitted_.push_back(req.request);
       ++stats_.admitted;
-      shard.pending.emplace_back(conn_index, req.request_id);
+      shard.pending.emplace_back(handle, req.request_id);
       ++conn.outstanding;
       return;
     }
@@ -151,25 +203,20 @@ void ChronosDaemon::handle_frame(std::size_t conn_index, const Frame& frame) {
   }
 }
 
-bool ChronosDaemon::pump_connection(std::size_t conn_index) {
-  Connection& conn = *connections_[conn_index];
-  if (conn.dead) return false;
-  bool progress = false;
+void ChronosDaemon::pump_connection(const std::shared_ptr<Connection>& handle) {
+  Connection& conn = *handle;
+  if (conn.dead) return;
 
   // try_recv appends, so the reused buffer is emptied first.
   conn.recv_buffer.clear();
   chronos::Result<std::size_t> got = conn.stream->try_recv(conn.recv_buffer);
-  if (got.ok() && got.value() > 0) {
-    conn.parser.feed(conn.recv_buffer);
-    progress = true;
-  }
+  if (got.ok() && got.value() > 0) conn.parser.feed(conn.recv_buffer);
 
   Frame frame;
   while (!conn.dead) {
     const FrameParser::Poll poll = conn.parser.poll(frame);
     if (poll == FrameParser::Poll::kFrame) {
-      handle_frame(conn_index, frame);
-      progress = true;
+      handle_frame(handle, frame);
       continue;
     }
     if (poll == FrameParser::Poll::kError) {
@@ -179,85 +226,69 @@ bool ChronosDaemon::pump_connection(std::size_t conn_index) {
       conn.stream->close();
       conn.dead = true;
       conn.done_reading = true;
-      progress = true;
     }
     break;
   }
 
-  if (!conn.dead && !conn.done_reading && conn.stream->closed() &&
-      conn.parser.buffered() == 0) {
+  // closed() means every byte the peer sent has been taken and parsed, so
+  // a partial frame left in the parser can never complete.
+  if (!conn.dead && !conn.done_reading && conn.stream->closed()) {
     conn.done_reading = true;  // peer hung up without a goodbye
-    progress = true;
   }
-  return progress;
 }
 
-bool ChronosDaemon::pump_shards() {
-  bool progress = false;
+void ChronosDaemon::pump_shards() {
   for (Shard& shard : shards_) {
     while (!shard.pending.empty() && shard.session.next_ready()) {
       const core::RangingResult result = shard.session.next();
-      const auto [conn_index, request_id] = shard.pending.front();
+      const auto [conn, request_id] = std::move(shard.pending.front());
       shard.pending.pop_front();
-      Connection& conn = *connections_[conn_index];
-      if (!conn.dead) {
+      if (!conn->dead) {
         encode_buffer_.clear();
         encode_response(encode_buffer_,
                         ResponseFrame::of(request_id, result));
-        send_frame(conn, encode_buffer_);
+        send_frame(*conn, encode_buffer_);
         ++stats_.responses_sent;
       }
-      if (conn.outstanding > 0) --conn.outstanding;
-      progress = true;
+      if (conn->outstanding > 0) --conn->outstanding;
     }
   }
-  return progress;
 }
 
 void ChronosDaemon::serve() {
-  int idle_spins = 0;
   for (;;) {
-    bool progress = false;
-
+    // Read before the pass: whatever rings during it moves the count past
+    // `seen`, so the wait at the bottom cannot sleep through it.
+    const std::uint64_t seen = doorbell_->count();
     {
       chronos::MutexLock lock(attach_mu_);
       for (auto& conn : pending_attach_) {
         connections_.push_back(std::move(conn));
-        progress = true;
       }
       pending_attach_.clear();
     }
 
-    for (std::size_t i = 0; i < connections_.size(); ++i) {
-      if (pump_connection(i)) progress = true;
-    }
-    if (pump_shards()) progress = true;
+    // One pass handles everything buffered: every whole frame of every
+    // connection, then every result the shards can deliver in order.
+    for (const auto& conn : connections_) pump_connection(conn);
+    pump_shards();
 
-    bool all_done = true;
-    for (auto& conn : connections_) {
+    for (const auto& conn : connections_) {
       if (!conn->dead && conn->done_reading && conn->outstanding == 0) {
         // Fully served: every admitted request answered, peer finished.
         conn->stream->close();
         conn->dead = true;
-        progress = true;
       }
-      if (!conn->dead) all_done = false;
     }
-    bool shards_drained = true;
-    for (const Shard& shard : shards_) {
-      if (!shard.pending.empty()) shards_drained = false;
-    }
-    if (all_done && shards_drained) return;
+    // A dead connection awaiting no reply is done for good. Every pending
+    // reply's connection stays in the table, so an empty table also means
+    // every shard has drained.
+    std::erase_if(connections_, [](const std::shared_ptr<Connection>& conn) {
+      return conn->dead && conn->outstanding == 0;
+    });
+    if (connections_.empty()) return;
 
-    if (progress) {
-      idle_spins = 0;
-    } else if (++idle_spins < 64) {
-      std::this_thread::yield();
-    } else {
-      // Purely a CPU-courtesy pause while shards compute; wall clock is
-      // never read, so results cannot depend on this.
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
+    doorbell_->wait_past(seen);
   }
 }
 

@@ -1,13 +1,18 @@
 // chronosd: the sharded ranging daemon frontend.
 //
 // One ChronosDaemon owns the backend directory (its SweepSource doubles as
-// the NodeRegistry), one RangingPipeline and N shards. A shard is one
-// RangingSession over a private WorkerPool; every shard ranges through the
-// same immutable pipeline (its methods are const, and the solver's
-// workspaces are per thread, so shards share no mutable solve state).
-// Requests route to shards by a splitmix64 hash of the transmitter NodeId,
-// so every request of a given transmitter serialises through one shard's
-// bounded queue while distinct transmitters spread across pools.
+// the NodeRegistry), one RangingPipeline, one WorkerPool and N shards. A
+// shard is an admission and ordering domain, not a set of threads: one
+// RangingSession with its own bounded queue, whose results go out in the
+// order it admitted them, and whose jobs run on the pool every shard
+// shares (shards x shard_threads workers). So a request routed to a busy
+// shard starts on whichever worker is free instead of queueing behind
+// that shard's solve. Every shard ranges through the same immutable
+// pipeline (its methods are const, and the solver's workspaces are per
+// thread, so shards share no mutable solve state). Requests route to
+// shards by a splitmix64 hash of the transmitter NodeId, so every request
+// of a given transmitter is admitted through one shard's bounded queue
+// and answered in its admission order.
 //
 // Determinism over the wire (the loopback e2e test pins this): every shard
 // session opens on a copy of the SAME rng state, so all shards share the
@@ -16,10 +21,10 @@
 // path. Admission order on the single demux thread assigns each admitted
 // request a dense GLOBAL ticket g, and the routed shard ranges it as one
 // job, in one attempt, on base.split(g) (RangingSession::try_submit_resolved
-// with stream index g). Whatever the shard count, client count, or kQueueFull retry
-// interleaving, the results the daemon sends are bit-identical to
-// Engine::measure_batch(admitted_requests()) on the same starting rng
-// state.
+// with stream index g). Whatever the shard count, worker count, client
+// count, or kQueueFull retry interleaving, the results the daemon sends
+// are bit-identical to Engine::measure_batch(admitted_requests()) on the
+// same starting rng state.
 //
 // Backpressure: a request landing on a full shard queue is answered
 // immediately with a kQueueFull response (echoing its request_id) and
@@ -34,9 +39,17 @@
 // that own both ends can set DaemonOptions::trusted_clients.
 //
 // Thread model: attach() from any thread; serve() runs the single demux
-// loop (recv/parse/route/reply) until every attached connection has said
-// goodbye (or closed) and drained. serve() with no attachments returns
-// immediately — attach first, then serve.
+// loop (recv/parse/route/reply) on the calling thread until every
+// attached connection has said goodbye (or closed) and drained. Between
+// passes it sleeps on a doorbell instead of polling: attach(), every
+// completed job (open_session's completion callback) and every attached
+// stream (Stream::set_wake: bytes arrived or the pipe closed) ring it. A
+// pass starts by reading how often the doorbell has rung and handles
+// everything buffered; serve() sleeps only until the count moves, so a
+// ring during a pass is never slept through. A dead connection that
+// awaits no reply leaves the connection table in the pass that finds it.
+// serve() with no attachments returns immediately — attach first, then
+// serve.
 #pragma once
 
 #include <cstddef>
@@ -71,10 +84,14 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
 }
 
 struct DaemonOptions {
+  /// Admission and ordering domains, in [1, 65535] (HelloAck's u16).
   std::size_t shards = 1;
-  /// Bounded queue depth of EACH shard session (kQueueFull beyond it).
+  /// Bounded queue depth of EACH shard session (kQueueFull beyond it), in
+  /// [1, 2^32 - 1] (HelloAck's u32).
   std::size_t shard_queue_depth = 64;
-  /// Worker threads per shard (>= 1).
+  /// Workers per shard (>= 1) in the pool all shards share: the daemon
+  /// starts shards x shard_threads of them, and any of them ranges any
+  /// shard's requests.
   std::size_t shard_threads = 1;
   /// When false (default), the daemon's pipeline replaces the caller's
   /// RangingConfig::integrity with IntegrityConfig::hostile().
@@ -107,7 +124,9 @@ class ChronosDaemon {
   ChronosDaemon& operator=(const ChronosDaemon&) = delete;
 
   /// Registers a client connection (the daemon-side endpoint). Callable
-  /// from any thread, but only before or during serve().
+  /// from any thread, but only before or during serve(). Throws
+  /// std::invalid_argument for a stream whose set_wake() refuses: serve()
+  /// would sleep through its traffic.
   void attach(std::shared_ptr<Stream> connection);
 
   /// Runs the demux loop until every attached connection is done (goodbye
@@ -131,21 +150,18 @@ class ChronosDaemon {
   /// local ticket of its shard. They sum to stats().admitted.
   std::vector<std::size_t> shard_admitted() const;
   const DaemonStats& stats() const { return stats_; }
+  /// Connections the demux loop holds: adopted, and alive or still owed a
+  /// reply. Read after serve(), which leaves none.
+  std::size_t connection_count() const { return connections_.size(); }
   /// The pipeline shard `shard` ranges with: the one every shard shares.
   const core::RangingPipeline& shard_pipeline(std::size_t shard) const;
 
  private:
-  struct Shard {
-    chronos::RangingSession session;
-    /// Wire metadata of in-flight local tickets, FIFO: local tickets are
-    /// dense and next() collects in local-ticket order, so front() is
-    /// always the metadata of the next result.
-    std::deque<std::pair<std::size_t, std::uint64_t>> pending;  // (conn, id)
-  };
+  struct Doorbell;
 
   struct Connection {
     std::shared_ptr<Stream> stream;
-    /// Receive buffer reused across polls (pump_connection clears it).
+    /// Receive buffer reused across passes (pump_connection clears it).
     std::vector<std::uint8_t> recv_buffer;
     FrameParser parser;
     std::size_t outstanding = 0;  ///< admitted, not yet answered
@@ -153,15 +169,31 @@ class ChronosDaemon {
     bool dead = false;          ///< closed (normally or poisoned)
   };
 
-  /// One step of the demux loop; returns whether any progress was made.
-  bool pump_connection(std::size_t conn_index);
-  bool pump_shards();
-  void handle_frame(std::size_t conn_index, const Frame& frame);
+  struct Shard {
+    chronos::RangingSession session;
+    /// Wire metadata of in-flight local tickets, FIFO: local tickets are
+    /// dense and next() collects in local-ticket order, so front() is
+    /// always the metadata of the next result. The connection handle
+    /// stays valid whatever the connection table erases meanwhile.
+    std::deque<std::pair<std::shared_ptr<Connection>, std::uint64_t>>
+        pending;  // (conn, id)
+  };
+
+  /// The demux loop's steps: read and handle every whole frame a
+  /// connection has buffered; send every result the shards can deliver in
+  /// order.
+  void pump_connection(const std::shared_ptr<Connection>& conn);
+  void pump_shards();
+  void handle_frame(const std::shared_ptr<Connection>& conn,
+                    const Frame& frame);
   void send_frame(Connection& conn, const std::vector<std::uint8_t>& bytes);
 
   std::shared_ptr<const core::SweepSource> source_;
   std::shared_ptr<const core::CalibrationTable> calibration_;
   std::shared_ptr<const core::RangingPipeline> pipeline_;
+  /// Shared with every ring site (shard sessions, attached streams), which
+  /// may still be ringing after serve() has returned.
+  std::shared_ptr<Doorbell> doorbell_;
   std::vector<Shard> shards_;
   std::vector<chronos::RangingRequest> admitted_;
   DaemonStats stats_;

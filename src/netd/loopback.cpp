@@ -5,9 +5,14 @@
 namespace chronos::netd {
 namespace {
 
+/// A registered wake hook, shared so that a caller can take it out from
+/// under the pipe lock and run it after releasing that lock.
+using Wake = std::shared_ptr<const std::function<void()>>;
+
 // Shared state of one loopback pair: two directed byte queues under one
 // mutex (one lock per pair keeps the lock-order graph trivial — no
-// loopback lock is ever held while calling out of this file).
+// loopback lock is ever held while calling out of this file, wake hooks
+// included).
 struct Pipe {
   chronos::Mutex mu;
   chronos::CondVar cv;
@@ -15,7 +20,15 @@ struct Pipe {
   std::vector<std::uint8_t> to_first CHRONOS_GUARDED_BY(mu);
   bool first_closed CHRONOS_GUARDED_BY(mu) = false;
   bool second_closed CHRONOS_GUARDED_BY(mu) = false;
+  /// Stream::set_wake of each endpoint: run when it may have become
+  /// readable.
+  Wake wake_first CHRONOS_GUARDED_BY(mu);
+  Wake wake_second CHRONOS_GUARDED_BY(mu);
 };
+
+void wake_up(const Wake& wake) {
+  if (wake != nullptr) (*wake)();
+}
 
 class LoopbackEndpoint final : public Stream {
  public:
@@ -23,14 +36,19 @@ class LoopbackEndpoint final : public Stream {
       : pipe_(std::move(pipe)), is_first_(is_first) {}
 
   chronos::Status send(std::span<const std::uint8_t> bytes) override {
-    chronos::MutexLock lock(pipe_->mu);
-    if (pipe_->first_closed || pipe_->second_closed) {
-      return {chronos::StatusCode::kUnavailable, "loopback pipe closed"};
+    Wake peer;
+    {
+      chronos::MutexLock lock(pipe_->mu);
+      if (pipe_->first_closed || pipe_->second_closed) {
+        return {chronos::StatusCode::kUnavailable, "loopback pipe closed"};
+      }
+      std::vector<std::uint8_t>& q =
+          is_first_ ? pipe_->to_second : pipe_->to_first;
+      q.insert(q.end(), bytes.begin(), bytes.end());
+      pipe_->cv.notify_all();
+      peer = is_first_ ? pipe_->wake_second : pipe_->wake_first;
     }
-    std::vector<std::uint8_t>& q =
-        is_first_ ? pipe_->to_second : pipe_->to_first;
-    q.insert(q.end(), bytes.begin(), bytes.end());
-    pipe_->cv.notify_all();
+    wake_up(peer);
     return chronos::Status::Ok();
   }
 
@@ -50,9 +68,24 @@ class LoopbackEndpoint final : public Stream {
   }
 
   void close() override {
+    // Closing either end changes what both ends read, so both wake.
+    Wake first, second;
+    {
+      chronos::MutexLock lock(pipe_->mu);
+      (is_first_ ? pipe_->first_closed : pipe_->second_closed) = true;
+      pipe_->cv.notify_all();
+      first = pipe_->wake_first;
+      second = pipe_->wake_second;
+    }
+    wake_up(first);
+    wake_up(second);
+  }
+
+  bool set_wake(const std::function<void()>& wake) override {
+    auto hook = std::make_shared<const std::function<void()>>(wake);
     chronos::MutexLock lock(pipe_->mu);
-    (is_first_ ? pipe_->first_closed : pipe_->second_closed) = true;
-    pipe_->cv.notify_all();
+    (is_first_ ? pipe_->wake_first : pipe_->wake_second) = std::move(hook);
+    return true;
   }
 
   bool closed() const override {

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <utility>
@@ -53,6 +54,18 @@ class Stream {
   /// True when no byte will ever be readable again: the peer (or this
   /// endpoint) has closed AND the incoming buffer is drained.
   virtual bool closed() const = 0;
+
+  /// Registers `wake`, which the transport calls, holding none of its own
+  /// locks, whenever this endpoint may have become readable: the peer sent
+  /// bytes, or either side closed. A reader can then sleep until woken
+  /// instead of polling try_recv(). Replaces any earlier registration.
+  /// Returns false when the transport cannot wake a reader, which is this
+  /// default: ChronosDaemon::attach() refuses such a stream, since serve()
+  /// would otherwise sleep through its traffic.
+  [[nodiscard]] virtual bool set_wake(const std::function<void()>& wake) {
+    (void)wake;
+    return false;
+  }
 };
 
 /// A connected pair of in-process endpoints: bytes sent on `first` are

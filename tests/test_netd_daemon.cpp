@@ -8,14 +8,22 @@
 //
 // Also pinned here: the NodeId->shard router (exact mix64 values and
 // distribution — changing the constants silently re-routes every
-// deployment), the one hostile pipeline every shard shares, and
-// connection poisoning on malformed frames.
+// deployment), the one hostile pipeline every shard shares, the one
+// worker pool every shard ranges on, serve() waking for attaches, replies
+// and hang-ups, the connection table forgetting finished clients, the
+// HelloAck field bounds, and connection poisoning on malformed frames.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "netd/client.hpp"
@@ -102,15 +110,17 @@ void expect_admission_counts_agree(const ChronosDaemon& daemon) {
 // ---------------------------------------------------------------------------
 
 void run_bit_identity(std::size_t shards, std::size_t depth,
-                      std::size_t clients, std::size_t per_client) {
+                      std::size_t clients, std::size_t per_client,
+                      std::size_t shard_threads = 1) {
   SCOPED_TRACE("shards=" + std::to_string(shards) +
-               " depth=" + std::to_string(depth));
+               " depth=" + std::to_string(depth) +
+               " threads=" + std::to_string(shard_threads));
   Fixture f = make_fixture(clients * per_client, /*hostile=*/true);
 
   DaemonOptions opt;
   opt.shards = shards;
   opt.shard_queue_depth = depth;
-  opt.shard_threads = 1;
+  opt.shard_threads = shard_threads;
   constexpr std::uint64_t kSeed = 1234;
   mathx::Rng daemon_rng(kSeed);
   ChronosDaemon daemon(f.source, core::RangingConfig{}, f.engine.calibration(),
@@ -194,6 +204,284 @@ TEST(ChronosDaemon, WireBitIdentityTwoShards) {
 TEST(ChronosDaemon, WireBitIdentityFourShards) {
   run_bit_identity(/*shards=*/4, /*depth=*/1, /*clients=*/2,
                    /*per_client=*/4);
+}
+
+TEST(ChronosDaemon, WireBitIdentityTwoWorkersPerShard) {
+  // A pool of 6 workers over 3 shards: a shard's requests run on any of
+  // them at once, and still reply in order with the batch's bits.
+  run_bit_identity(/*shards=*/3, /*depth=*/3, /*clients=*/3,
+                   /*per_client=*/3, /*shard_threads=*/2);
+}
+
+// ---------------------------------------------------------------------------
+// One worker pool under every shard
+// ---------------------------------------------------------------------------
+
+/// Forwards to a sim source, but holds the first sweep_for until a second
+/// one is in flight, for at most kHold, and records the most sweeps it saw
+/// in flight at once.
+class RendezvousSource final : public core::SweepSource {
+ public:
+  static constexpr std::chrono::seconds kHold{5};
+
+  explicit RendezvousSource(std::shared_ptr<core::SimSweepSource> inner)
+      : inner_(std::move(inner)) {}
+
+  int peak_in_flight() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return peak_;
+  }
+
+  chronos::Result<phy::SweepMeasurement> sweep_for(
+      const core::ResolvedRequest& req, mathx::Rng& rng) const override {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      ++in_flight_;
+      peak_ = std::max(peak_, in_flight_);
+      cv_.notify_all();
+      if (!held_) {
+        held_ = true;
+        cv_.wait_for(lock, kHold, [&] { return peak_ >= 2; });
+      }
+    }
+    auto sweep = inner_->sweep_for(req, rng);
+    std::lock_guard<std::mutex> lock(mutex_);
+    --in_flight_;
+    return sweep;
+  }
+  chronos::Result<core::ResolvedRequest> resolve(
+      const chronos::RangingRequest& request) const override {
+    return inner_->resolve(request);
+  }
+  const std::vector<phy::WifiBand>& bands() const override {
+    return inner_->bands();
+  }
+  bool has_geometry() const override { return inner_->has_geometry(); }
+  std::string backend_name() const override { return "rendezvous-sim"; }
+  bool has_node(chronos::NodeId id) const override {
+    return inner_->has_node(id);
+  }
+  chronos::Result<std::size_t> antenna_count(
+      chronos::NodeId id) const override {
+    return inner_->antenna_count(id);
+  }
+  std::vector<chronos::NodeId> nodes() const override {
+    return inner_->nodes();
+  }
+
+ private:
+  std::shared_ptr<core::SimSweepSource> inner_;
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  mutable int in_flight_ = 0;
+  mutable int peak_ = 0;
+  mutable bool held_ = false;
+};
+
+TEST(ChronosDaemon, OneShardRangesTwoRequestsAtOnce) {
+  // Two shards of one worker each make a pool of two. Two requests routed
+  // to ONE shard must then range at the same time: with a worker pool per
+  // shard the second would queue behind the first, which the source holds
+  // until the bounded wait runs out.
+  Fixture f = make_fixture(8, /*hostile=*/false);
+  auto source = std::make_shared<RendezvousSource>(f.source);
+  DaemonOptions opt;
+  opt.shards = 2;
+  opt.shard_queue_depth = 2;
+  opt.shard_threads = 1;
+  opt.trusted_clients = true;  // match the fixture engine's config exactly
+  constexpr std::uint64_t kSeed = 31;
+  mathx::Rng rng(kSeed);
+  ChronosDaemon daemon(source, core::RangingConfig{}, f.engine.calibration(),
+                       rng, opt);
+
+  std::vector<chronos::RangingRequest> same_shard;
+  for (const auto& request : f.requests) {
+    if (daemon.shard_of_node(request.tx.node) ==
+        daemon.shard_of_node(f.requests.front().tx.node)) {
+      same_shard.push_back(request);
+    }
+  }
+  ASSERT_GE(same_shard.size(), 2u);
+  same_shard.resize(2);
+
+  auto [client_end, daemon_end] = make_loopback();
+  daemon.attach(daemon_end);
+  std::vector<RangingReply> replies;
+  std::thread client([&, end = client_end]() {
+    ChronosClient c(end);
+    ASSERT_TRUE(c.connect().ok());
+    for (const auto& request : same_shard) ASSERT_TRUE(c.submit(request).ok());
+    replies = c.drain();
+    EXPECT_TRUE(c.close().ok());
+  });
+  daemon.serve();
+  client.join();
+
+  EXPECT_EQ(source->peak_in_flight(), 2);
+  ASSERT_EQ(replies.size(), 2u);
+  ASSERT_EQ(daemon.admitted_requests(), same_shard);
+  mathx::Rng batch_rng(kSeed);
+  const auto batch = f.engine.measure_batch(same_shard, batch_rng, {});
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(replies[i].status.ok());
+    expect_reply_matches(replies[i], reply_of(batch.results[i]));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// What wakes serve(), and what it forgets
+// ---------------------------------------------------------------------------
+
+/// A transport with no way to wake a sleeping reader (Stream's default
+/// set_wake).
+class SilentStream final : public Stream {
+ public:
+  chronos::Status send(std::span<const std::uint8_t>) override {
+    return chronos::Status::Ok();
+  }
+  chronos::Result<std::size_t> try_recv(std::vector<std::uint8_t>&) override {
+    return std::size_t{0};
+  }
+  chronos::Result<std::size_t> recv(std::vector<std::uint8_t>&) override {
+    return std::size_t{0};
+  }
+  void close() override {}
+  bool closed() const override { return true; }
+};
+
+TEST(ChronosDaemon, AttachRefusesAStreamThatCannotWakeServe) {
+  Fixture f = make_fixture(1, /*hostile=*/false);
+  mathx::Rng rng(1);
+  ChronosDaemon daemon(f.source, core::RangingConfig{},
+                       f.engine.calibration(), rng);
+  EXPECT_THROW(daemon.attach(std::make_shared<SilentStream>()),
+               std::invalid_argument);
+  daemon.serve();  // nothing was attached: returns at once
+  EXPECT_EQ(daemon.stats().hello_frames, 0u);
+}
+
+TEST(ChronosDaemon, HangUpWithoutGoodbyeLetsServeReturn) {
+  // serve() sleeps between passes, so a peer's close must wake it: a
+  // client that ranges and then drops the stream without a goodbye,
+  // while serve() runs, still ends it.
+  Fixture f = make_fixture(1, /*hostile=*/false);
+  DaemonOptions opt;
+  opt.trusted_clients = true;
+  mathx::Rng rng(3);
+  ChronosDaemon daemon(f.source, core::RangingConfig{},
+                       f.engine.calibration(), rng, opt);
+  auto [client_end, daemon_end] = make_loopback();
+  daemon.attach(daemon_end);
+  std::thread client([&, end = client_end]() {
+    ChronosClient c(end);
+    ASSERT_TRUE(c.connect().ok());
+    ASSERT_TRUE(c.submit(f.requests[0]).ok());
+    const auto replies = c.drain();
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_TRUE(replies[0].status.ok());
+    end->close();
+  });
+  daemon.serve();
+  client.join();
+  EXPECT_EQ(daemon.stats().responses_sent, 1u);
+  EXPECT_EQ(daemon.connection_count(), 0u);
+}
+
+TEST(ChronosDaemon, HangUpInsideAFrameLetsServeReturn) {
+  // Once the peer has closed and its bytes are drained, a partial frame
+  // left in the parser can never complete: the connection is finished,
+  // not waited on forever.
+  Fixture f = make_fixture(1, /*hostile=*/false);
+  mathx::Rng rng(4);
+  ChronosDaemon daemon(f.source, core::RangingConfig{},
+                       f.engine.calibration(), rng);
+  auto [client_end, daemon_end] = make_loopback();
+  daemon.attach(daemon_end);
+  std::thread client([&, end = client_end]() {
+    ChronosClient c(end);
+    ASSERT_TRUE(c.connect().ok());
+    std::vector<std::uint8_t> frame;
+    encode_request(frame, RequestFrame{7, f.requests[0]});
+    ASSERT_TRUE(end->send(std::span(frame).first(frame.size() / 2)).ok());
+    end->close();
+  });
+  daemon.serve();
+  client.join();
+  EXPECT_EQ(daemon.stats().admitted, 0u);
+  EXPECT_EQ(daemon.connection_count(), 0u);
+}
+
+TEST(ChronosDaemon, ConnectionTableForgetsFinishedClients) {
+  // Short-lived clients come and go during one serve() while a first
+  // client stays connected; each finished connection leaves the table.
+  Fixture f = make_fixture(2, /*hostile=*/false);
+  DaemonOptions opt;
+  opt.trusted_clients = true;
+  mathx::Rng rng(5);
+  ChronosDaemon daemon(f.source, core::RangingConfig{},
+                       f.engine.calibration(), rng, opt);
+  constexpr int kShortLived = 6;
+
+  auto [steady_end, steady_daemon_end] = make_loopback();
+  daemon.attach(steady_daemon_end);
+  std::vector<RangingReply> replies;
+  std::thread clients([&, end = steady_end]() {
+    ChronosClient steady(end);
+    ASSERT_TRUE(steady.connect().ok());
+    for (int k = 0; k < kShortLived; ++k) {
+      auto [client_end, daemon_end] = make_loopback();
+      daemon.attach(daemon_end);
+      ChronosClient brief(client_end);
+      ASSERT_TRUE(brief.connect().ok());
+      ASSERT_TRUE(brief.submit(f.requests[1]).ok());
+      for (auto& reply : brief.drain()) replies.push_back(std::move(reply));
+      EXPECT_TRUE(brief.close().ok());
+    }
+    ASSERT_TRUE(steady.submit(f.requests[0]).ok());
+    for (auto& reply : steady.drain()) replies.push_back(std::move(reply));
+    EXPECT_TRUE(steady.close().ok());
+  });
+  daemon.serve();
+  clients.join();
+
+  ASSERT_EQ(replies.size(), kShortLived + 1u);
+  for (const auto& reply : replies) EXPECT_TRUE(reply.status.ok());
+  EXPECT_EQ(daemon.stats().hello_frames, kShortLived + 1u);
+  EXPECT_EQ(daemon.connection_count(), 0u);
+}
+
+TEST(ChronosDaemon, OptionsBeyondTheHelloAckFieldsAreRefused) {
+  // HelloAck carries the queue depth as a u32: one more would reach
+  // clients as 0, so the constructor refuses it; the largest that fits
+  // is advertised exactly. (The shard count's u16 bound is checked the
+  // same way, but a test at 65535 shards would start 65535 workers.)
+  Fixture f = make_fixture(1, /*hostile=*/false);
+  constexpr std::size_t kMaxDepth = std::numeric_limits<std::uint32_t>::max();
+  DaemonOptions too_deep;
+  too_deep.shard_queue_depth = kMaxDepth + 1;
+  mathx::Rng rng(6);
+  EXPECT_THROW(
+      {
+        ChronosDaemon daemon(f.source, core::RangingConfig{},
+                             f.engine.calibration(), rng, too_deep);
+      },
+      std::invalid_argument);
+
+  DaemonOptions deepest;
+  deepest.shard_queue_depth = kMaxDepth;
+  ChronosDaemon daemon(f.source, core::RangingConfig{},
+                       f.engine.calibration(), rng, deepest);
+  auto [client_end, daemon_end] = make_loopback();
+  daemon.attach(daemon_end);
+  std::thread client([&, end = client_end]() {
+    ChronosClient c(end);
+    ASSERT_TRUE(c.connect().ok());
+    EXPECT_EQ(c.server_queue_depth(), kMaxDepth);
+    EXPECT_TRUE(c.close().ok());
+  });
+  daemon.serve();
+  client.join();
 }
 
 // ---------------------------------------------------------------------------
